@@ -13,12 +13,12 @@ contract) with results identical to the serial runner; the figure benches
 additionally
 record a per-run wall-clock / events-per-second profile to
 ``results/<name>.profile.txt`` so the perf trajectory of every future PR
-is measured against these baselines (see ``tools/bench_profile.py``).
+is measured against these baselines (wall-clock regressions are gated by
+``python3 -m perfbench``, see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -30,10 +30,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 #: Worker processes for the figure sweeps (REPRO_JOBS; 0/unset = serial).
 SWEEP_JOBS = jobs_from_env()
 
-#: Rounds for the micro benches (REPRO_BENCH_ROUNDS; deterministic sims
-#: need >1 round only to measure machine noise, so the default stays 1 and
-#: ``tools/bench_profile.py`` raises it to get a real stddev).
-BENCH_ROUNDS = max(1, int(os.environ.get("REPRO_BENCH_ROUNDS", "1") or "1"))
+#: Rounds per bench: simulations are deterministic, so more rounds would
+#: only measure machine noise (that is perfbench's job, not this suite's).
+BENCH_ROUNDS = 1
 
 
 @pytest.fixture(scope="session")
@@ -71,12 +70,7 @@ def record_profile(results_dir):
 
 
 def run_once(benchmark, fn):
-    """Time a deterministic benchmark body ``BENCH_ROUNDS`` times.
-
-    Simulations are deterministic, so rounds only measure machine noise:
-    plain test runs keep one round, while ``tools/bench_profile.py`` sets
-    ``REPRO_BENCH_ROUNDS>=5`` so the recorded mean carries a real stddev.
-    """
+    """Time a deterministic benchmark body ``BENCH_ROUNDS`` times."""
     return benchmark.pedantic(fn, rounds=BENCH_ROUNDS, iterations=1)
 
 

@@ -560,6 +560,14 @@ def _run_lint_command(args: argparse.Namespace) -> int:
     )
 
 
+def _print_entries(entries, width: int) -> None:
+    """One ``key summary`` line per registry entry, citation beneath."""
+    for info in entries:
+        print(f"  {info.key:<{width}} {info.summary}")
+        if info.citation:
+            print(f"  {'':<{width}} [{info.citation}]")
+
+
 def _run_policies_command(args: argparse.Namespace) -> int:
     """Handler of the ``policies`` subcommand."""
     namespaces = (
@@ -567,10 +575,7 @@ def _run_policies_command(args: argparse.Namespace) -> int:
     )
     for namespace in namespaces:
         print(f"{namespace}:")
-        for info in policy_registry.entries(namespace):
-            print(f"  {info.key:<16} {info.summary}")
-            if info.citation:
-                print(f"  {'':<16} [{info.citation}]")
+        _print_entries(policy_registry.entries(namespace), 16)
     return 0
 
 
@@ -578,10 +583,7 @@ def _run_workloads_command(args: argparse.Namespace) -> int:
     """Handler of the ``workloads`` subcommand."""
     from repro.workloads import registry as workload_registry
 
-    for info in workload_registry.entries():
-        print(f"  {info.key:<18} {info.summary}")
-        if info.citation:
-            print(f"  {'':<18} [{info.citation}]")
+    _print_entries(workload_registry.entries(), 18)
     return 0
 
 

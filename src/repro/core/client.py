@@ -26,7 +26,6 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import Metrics, RequestOutcome
 from repro.core.server import MobileSupportStation
 from repro.core.signatures_proto import MembershipActions, SignatureAgent
-from repro.data.workload import AccessPattern
 from repro.net.channel import ServerChannel
 from repro.net.health import PeerHealthTracker
 from repro.net.message import Message, MessageKind, MessageSizes
@@ -34,7 +33,7 @@ from repro.net.ndp import NeighborDiscovery
 from repro.net.p2p import P2PNetwork
 from repro.policies.factory import build_admission, build_replacement
 from repro.sim.kernel import Environment
-from repro.workloads.base import HostStream, PatternStream
+from repro.workloads.base import HostStream
 from repro.signatures.bloom import SignatureScheme
 
 __all__ = ["MobileHost"]
@@ -76,7 +75,7 @@ class MobileHost:
         network: P2PNetwork,
         channel: ServerChannel,
         server: MobileSupportStation,
-        pattern: "AccessPattern | HostStream",
+        stream: HostStream,
         metrics: Metrics,
         rng: np.random.Generator,
         sizes: MessageSizes,
@@ -94,18 +93,8 @@ class MobileHost:
         self.network = network
         self.channel = channel
         self.server = server
-        if hasattr(pattern, "next_delay"):
-            # A bound workload stream (repro.workloads); the wrapped
-            # AccessPattern, if any, stays reachable for introspection.
-            self.stream: HostStream = pattern
-            self.pattern = getattr(pattern, "pattern", None)
-        else:
-            # A bare legacy AccessPattern (direct construction, older
-            # tests): wrap it in the adapter that reproduces the legacy
-            # draw pair — think time from this host's rng, item from the
-            # pattern's shared rng — exactly.
-            self.pattern = pattern
-            self.stream = PatternStream(pattern, rng, config.think_time_mean)
+        #: This host's bound request stream (see repro.workloads).
+        self.stream = stream
         self.metrics = metrics
         self.rng = rng
         self.sizes = sizes

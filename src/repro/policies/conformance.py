@@ -1,18 +1,14 @@
 """The conformance battery every registered policy must pass.
 
-One small simulated run per ``(namespace, key)`` pair, checked four ways:
-
-* **smoke** — the run completes and its outcome counts sum to the total;
-* **invariants** — a monitored replay raises no violations;
-* **seed stability** — the same config run twice is bit-identical
-  (:func:`~repro.check.golden.results_to_dict` compared field by field);
-* **round trip** — the config survives ``as_dict``/``from_dict`` and the
-  rebuilt config resolves to the same policy keys.
+The four shared checks of :mod:`repro.check.conformance` (invariants,
+smoke, seed stability, config round trip), run once per
+``(namespace, key)`` pair under a config that genuinely exercises it.
 
 Both ``tests/test_policy_conformance.py`` (auto-parametrised over
-:func:`conformance_keys`) and ``tools/policy_matrix.py`` (the CI matrix
-job) drive runs through :func:`run_conformance`, so a policy added with
-one ``@register`` line is battery-covered with no further wiring.
+:func:`conformance_keys`) and ``tools/conformance_matrix.py`` (the CI
+matrix job) drive runs through :func:`run_conformance`, so a policy
+added with one ``@register`` line is battery-covered with no further
+wiring.
 
 Lives outside ``repro.policies.__init__`` on purpose: it imports the
 simulation layer, which imports the config, which imports the package
@@ -21,44 +17,18 @@ simulation layer, which imports the config, which imports the package
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.check.golden import results_to_dict
-from repro.check.monitor import InvariantMonitor
+from repro.check.conformance import BASE_CONFIG, ConformanceReport, run_battery
 from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.simulation import run_simulation
 from repro.policies import registry
 from repro.policies.factory import resolved_policy_keys
 
 __all__ = [
-    "ConformanceReport",
     "conformance_config",
     "conformance_keys",
     "run_conformance",
 ]
-
-
-@dataclass
-class ConformanceReport:
-    """Outcome of one policy's battery run."""
-
-    namespace: str
-    key: str
-    passed: bool
-    checks: Dict[str, bool] = field(default_factory=dict)
-    failures: List[str] = field(default_factory=list)
-    hit_ratio: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "namespace": self.namespace,
-            "key": self.key,
-            "passed": self.passed,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-            "hit_ratio": self.hit_ratio,
-        }
 
 
 def conformance_keys() -> List[Tuple[str, str]]:
@@ -73,46 +43,30 @@ def conformance_keys() -> List[Tuple[str, str]]:
 def conformance_config(namespace: str, key: str) -> SimulationConfig:
     """A small config that genuinely exercises ``(namespace, key)``.
 
-    Tight caches and a narrow access range force admission and
-    replacement decisions; a non-zero update rate gives the TTL-aware
-    policies finite expiries; cooperative schemes host the peer-facing
-    namespaces (``discovery`` picks the scheme its key is valid for).
+    Cooperative schemes host the peer-facing namespaces (``discovery``
+    picks the scheme its key is valid for).
     """
-    base = dict(
-        n_clients=6,
-        n_data=120,
-        access_range=30,
-        cache_size=6,
-        group_size=3,
-        data_update_rate=0.2,
-        measure_requests=5,
-        warmup_min_time=20.0,
-        warmup_max_time=40.0,
-        max_sim_time=400.0,
-        ndp_enabled=False,
-        seed=11,
-    )
     if namespace == "scheme":
         spec = registry.resolve("scheme", key)
-        return SimulationConfig(scheme=spec.to_enum(), **base)
+        return SimulationConfig(scheme=spec.to_enum(), **BASE_CONFIG)
     if namespace == "admission":
         return SimulationConfig(
-            scheme=CachingScheme.GC, admission_policy=key, **base
+            scheme=CachingScheme.GC, admission_policy=key, **BASE_CONFIG
         )
     if namespace == "replacement":
         return SimulationConfig(
-            scheme=CachingScheme.GC, replacement_policy=key, **base
+            scheme=CachingScheme.GC, replacement_policy=key, **BASE_CONFIG
         )
     if namespace == "discovery":
         scheme = CachingScheme.GC if key != "none" else CachingScheme.CC
-        return SimulationConfig(scheme=scheme, discovery_policy=key, **base)
+        return SimulationConfig(scheme=scheme, discovery_policy=key, **BASE_CONFIG)
     if namespace == "peer-scoring":
         # A non-default peer policy flips health_enabled on by itself;
         # for "arrival" the breaker does it so the tracker is really built.
         overrides = {"peer_policy": key}
         if key == "arrival":
             overrides["breaker_threshold"] = 3
-        return SimulationConfig(scheme=CachingScheme.CC, **base, **overrides)
+        return SimulationConfig(scheme=CachingScheme.CC, **BASE_CONFIG, **overrides)
     raise KeyError(
         f"unknown policy namespace {namespace!r}; "
         f"available: {', '.join(registry.NAMESPACES)}"
@@ -121,44 +75,6 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
 
 def run_conformance(namespace: str, key: str) -> ConformanceReport:
     """Run the full battery for one registered policy."""
-    report = ConformanceReport(namespace=namespace, key=key, passed=True)
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        report.checks[name] = bool(ok)
-        if not ok:
-            report.passed = False
-            report.failures.append(f"{name}: {detail}" if detail else name)
-
-    config = conformance_config(namespace, key)
-    monitor = InvariantMonitor()
-    monitored = run_simulation(config, monitor=monitor)
-    violations = monitor.report().violations
-    check(
-        "invariants",
-        not violations,
-        "; ".join(str(v) for v in violations[:3]),
+    return run_battery(
+        namespace, key, conformance_config(namespace, key), resolved_policy_keys
     )
-    total = monitored.requests
-    outcome_sum = (
-        monitored.local_hits
-        + monitored.global_hits
-        + monitored.server_requests
-        + monitored.failures
-    )
-    check("smoke", total > 0 and outcome_sum == total,
-          f"total={total} outcome_sum={outcome_sum}")
-    report.hit_ratio = monitored.lch_ratio + monitored.gch_ratio
-
-    first = results_to_dict(run_simulation(config))
-    second = results_to_dict(run_simulation(config))
-    drift = [k for k in first if first[k] != second.get(k)]
-    check("seed_stable", first == second, f"drifting fields: {drift[:5]}")
-
-    rebuilt = SimulationConfig.from_dict(config.as_dict())
-    check(
-        "round_trip",
-        rebuilt == config
-        and resolved_policy_keys(rebuilt) == resolved_policy_keys(config),
-        "config or resolved keys changed across as_dict/from_dict",
-    )
-    return report

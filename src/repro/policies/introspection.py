@@ -7,10 +7,11 @@ policy surface against each other: what the *code* registers, what
 The code view it derives statically (so it works on lint fixtures too);
 the functions here expose the *runtime* views so the rule — and any
 tool — can cross-check the static scan against the living registry.
+The battery covers exactly :func:`registered_policies` by construction
+(``repro.policies.conformance.conformance_keys()`` iterates the
+registry), so there is no separate coverage view.
 
-Kept free of simulation imports: :func:`conformance_covered` reports
-which ``(namespace, key)`` pairs the battery iterates (the registry's
-own contents) without importing the battery's simulation stack.
+Kept free of simulation imports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, List, Set, Tuple
 from repro.policies import registry
 
 __all__ = [
-    "conformance_covered",
     "documented_keys",
     "load_policies_doc",
     "parse_catalogue_rows",
@@ -36,20 +36,6 @@ def registered_policies() -> Dict[str, List[str]]:
         namespace: registry.available(namespace)
         for namespace in registry.NAMESPACES
     }
-
-
-def conformance_covered() -> List[Tuple[str, str]]:
-    """The ``(namespace, key)`` pairs the conformance battery iterates.
-
-    By construction the battery covers every registered key — this
-    mirrors ``repro.policies.conformance.conformance_keys()`` without
-    importing the simulation layer it needs to *run* the battery.
-    """
-    return [
-        (namespace, key)
-        for namespace in registry.NAMESPACES
-        for key in registry.available(namespace)
-    ]
 
 
 _BACKTICK_RE = re.compile(r"`([^`\n]+)`")

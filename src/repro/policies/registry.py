@@ -20,17 +20,16 @@ list`` — a policy that does not pass the battery fails CI.
 
 What a registered *value* must be differs per namespace (the factory in
 :mod:`repro.policies.factory` documents the builder contracts); the
-registry itself only stores and resolves them.  Builtin policies load
-lazily on the first :func:`available`/:func:`resolve` call, mirroring
-``rule_registry()`` in :mod:`repro.analysis.engine`, so importing this
-module stays cheap and cycle-free.
+registry itself only stores and resolves them.  The mechanism is the
+shared :class:`repro.registry.Registry`; this module is its policy
+instance plus the instance's re-exported bound methods.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Tuple
+
+from repro.registry import Registry, RegistryEntry
 
 __all__ = [
     "NAMESPACES",
@@ -53,20 +52,7 @@ NAMESPACES: Tuple[str, ...] = (
     "peer-scoring",
 )
 
-
-@dataclass(frozen=True)
-class PolicyInfo:
-    """One registered policy: its key, value and catalogue metadata."""
-
-    namespace: str
-    key: str
-    value: Any
-    summary: str = ""
-    citation: str = ""
-
-
-_REGISTRY: Dict[str, Dict[str, PolicyInfo]] = {ns: {} for ns in NAMESPACES}
-_builtins_loaded = False
+PolicyInfo = RegistryEntry
 
 
 def _load_builtins() -> None:
@@ -76,10 +62,6 @@ def _load_builtins() -> None:
     import this module for the decorator, and ``repro.core.config``
     imports this module for key validation.
     """
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
     from repro.policies import (  # noqa: F401
         admission,
         discovery,
@@ -89,120 +71,13 @@ def _load_builtins() -> None:
     from repro.net import health  # noqa: F401
 
 
-def _namespace(namespace: str) -> Dict[str, PolicyInfo]:
-    table = _REGISTRY.get(namespace)
-    if table is None:
-        raise KeyError(
-            f"unknown policy namespace {namespace!r}; "
-            f"available: {', '.join(NAMESPACES)}"
-        )
-    return table
+_POLICIES = Registry("policy", NAMESPACES, "{namespace} policy", _load_builtins)
+_REGISTRY = _POLICIES.tables
 
-
-def register_value(
-    namespace: str,
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Any:
-    """Register ``value`` under ``(namespace, key)``; returns ``value``.
-
-    Raises ``ValueError`` on a duplicate key — policies are registered
-    exactly once, so resolution can never depend on registration order.
-    """
-    table = _namespace(namespace)
-    if not isinstance(key, str) or not key:
-        raise ValueError(f"policy key must be a non-empty string, got {key!r}")
-    if key in table:
-        raise ValueError(f"duplicate {namespace} policy {key!r}")
-    table[key] = PolicyInfo(
-        namespace=namespace,
-        key=key,
-        value=value,
-        summary=summary,
-        citation=citation,
-    )
-    return value
-
-
-def register(
-    namespace: str,
-    key: str,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Callable[[Any], Any]:
-    """Decorator form of :func:`register_value`::
-
-        @register("admission", "lcd", summary="...")
-        def _build_lcd(config, rng):
-            return LeaveCopyDownAdmission()
-    """
-    # Fail fast on an unknown namespace, before the decorated definition.
-    _namespace(namespace)
-
-    def decorator(value: Any) -> Any:
-        return register_value(
-            namespace, key, value, summary=summary, citation=citation
-        )
-
-    return decorator
-
-
-def available(namespace: str) -> List[str]:
-    """The registered keys of ``namespace``, sorted."""
-    _load_builtins()
-    return sorted(_namespace(namespace))
-
-
-def describe(namespace: str, key: str) -> PolicyInfo:
-    """The :class:`PolicyInfo` behind ``(namespace, key)``.
-
-    The ``KeyError`` for an unknown key names the namespace and lists
-    every valid key verbatim, so a typo'd config or CLI flag is
-    self-explaining.
-    """
-    _load_builtins()
-    table = _namespace(namespace)
-    info = table.get(key)
-    if info is None:
-        raise KeyError(
-            f"unknown {namespace} policy {key!r}; "
-            f"available: {', '.join(sorted(table))}"
-        )
-    return info
-
-
-def resolve(namespace: str, key: str) -> Any:
-    """The registered value behind ``(namespace, key)``."""
-    return describe(namespace, key).value
-
-
-def entries(namespace: str) -> List[PolicyInfo]:
-    """Every :class:`PolicyInfo` of ``namespace``, sorted by key."""
-    _load_builtins()
-    return [info for _, info in sorted(_namespace(namespace).items())]
-
-
-@contextmanager
-def temporary_policy(
-    namespace: str,
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Iterator[PolicyInfo]:
-    """Register a policy for the duration of a ``with`` block (tests).
-
-    The entry is removed on exit even when the block raises, so property
-    tests can register throwaway policies without polluting the process
-    registry.
-    """
-    register_value(namespace, key, value, summary=summary, citation=citation)
-    try:
-        yield _REGISTRY[namespace][key]
-    finally:
-        _REGISTRY[namespace].pop(key, None)
+register = _POLICIES.register
+register_value = _POLICIES.register_value
+available = _POLICIES.available
+describe = _POLICIES.describe
+resolve = _POLICIES.resolve
+entries = _POLICIES.entries
+temporary_policy = _POLICIES.temporary

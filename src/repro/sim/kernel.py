@@ -12,27 +12,13 @@ A small, fast, dependency-free kernel in the style of CSIM/simpy:
 
 The kernel is deterministic: simultaneous events fire in schedule order.
 Formally, events fire in ascending ``(when, seq)`` order, where ``seq`` is
-the global schedule counter — every queue implementation below preserves
-that order exactly, so swapping queues never changes a simulated outcome.
+the global schedule counter.
 
-Two interchangeable scheduler queues are provided (see docs/PERFORMANCE.md):
-
-* :class:`HeapQueue` (default) — one ``heapq`` of ``(when, seq, event)``
-  tuples.  The C-accelerated ``heapq`` makes this the fastest queue on
-  CPython at every pending-set size we measured, so it is both the
-  production queue and the bit-identity oracle for the property suite.
-* :class:`CalendarQueue` — a calendar/bucket queue tuned to the
-  simulator's periodic structure (beacon periods, timeout tau, sampler
-  ticks).  Near-future events live in a ring of width-``w`` time buckets;
-  far-future events fall back to a binary heap and migrate into the ring
-  as the clock approaches them.  The bucket width and ring size auto-tune
-  to the observed event-gap distribution and pending-event count.  Its
-  per-operation cost is O(1) but paid in Python bytecode, which on
-  CPython does not beat ``heapq``'s O(log n) in C; it is kept as a fully
-  supported A/B alternative (and wins where ``heapq`` has no C module).
-
-Select with ``Environment(queue="calendar"|"heap")`` or the
-``REPRO_KERNEL_QUEUE`` environment variable.
+The scheduler queue is :class:`HeapQueue`: one ``heapq`` of
+``(when, seq, event)`` tuples.  A bucket queue with O(1) operations paid
+in Python bytecode measured slower than ``heapq``'s O(log n) in C at
+every pending-set size, so there is exactly one queue (see
+docs/PERFORMANCE.md).
 
 Hot-path discipline: the environment keeps the globally earliest entry in
 a one-slot *front register* so the ubiquitous schedule-then-fire-next
@@ -47,7 +33,6 @@ creeping back in.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from heapq import heappop, heappush
 from typing import (
@@ -59,22 +44,18 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "HeapQueue",
     "Interrupt",
     "Process",
-    "QUEUE_IMPLEMENTATIONS",
     "SimulationError",
     "Timeout",
-    "default_queue_name",
 ]
 
 
@@ -104,11 +85,6 @@ _INF = math.inf
 
 #: One scheduled occurrence: ``(when, seq, event)``.
 _Entry = Tuple[float, int, "Event"]
-
-
-def _entry_seq(entry: _Entry) -> int:
-    """Sort key for same-time entries (seq defines dispatch order)."""
-    return entry[1]
 
 
 class Event:
@@ -210,8 +186,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not (delay >= 0):  # not `delay < 0`: that is False for NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._value = value
@@ -363,17 +339,11 @@ class AllOf(_Condition):
 
 
 class HeapQueue:
-    """Reference scheduler queue: one binary heap of ``(when, seq, event)``.
-
-    The bit-identity oracle: every other queue implementation must dispatch
-    any schedule in exactly this queue's order.
-    """
-
-    name = "heap"
+    """The scheduler queue: one binary heap of ``(when, seq, event)``."""
 
     __slots__ = ("_heap", "size", "_requeue_seq")
 
-    def __init__(self, initial_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         self._heap: List[_Entry] = []
         #: Pending entries; a plain attribute so the dispatch loop can read
         #: it without a method call.
@@ -417,409 +387,6 @@ class HeapQueue:
             heappush(self._heap, (when, self._requeue_seq, event))
         self.size += len(events)
 
-    def stats(self) -> Dict[str, int]:
-        """Queue-level work counters (none for the reference heap)."""
-        return {}
-
-
-class CalendarQueue:
-    """A calendar/bucket queue with a heap fallback for far-future events.
-
-    Near-future events (within ``nslots * width`` of the clock) live in a
-    ring of time buckets of width ``width``; a bucket holds the events of
-    one width-wide time window of the current "year", appended in schedule
-    order.  Far-future events wait in a binary heap and migrate into the
-    ring when the clock's year advances to reach them.  Equal-time events
-    dispatch in schedule (seq) order — pops break time ties on seq, since
-    push order alone is not seq order (the environment's front register
-    can flush an older entry behind a newer same-time push) — so dispatch
-    order is bit-identical to :class:`HeapQueue`.
-
-    The bucket width auto-tunes to the observed gap between consecutive
-    distinct event times (an EWMA sampled every ``_SAMPLE_EVERY`` pops),
-    and the ring resizes with the pending-event count, so both the micro
-    benches (sparse, regular ticks) and the full simulator (dense
-    same-tick bursts around beacon/timeout periods) keep O(1)-ish pops.
-    """
-
-    name = "calendar"
-
-    _MIN_SLOTS = 64
-    _MAX_SLOTS = 1 << 16
-    #: Pops between gap-EWMA samples (one decrement + compare per pop).
-    _SAMPLE_EVERY = 64
-    #: Samples between geometry checks: 32 * 64 = 2048 pops.
-    _TUNE_EVERY = 32
-
-    __slots__ = (
-        "_slots",
-        "_nslots",
-        "_mask",
-        "_width",
-        "size",
-        "_ring_count",
-        "_overflow",
-        "_horizon",
-        "_floor",
-        "_cursor",
-        "_gap_ewma",
-        "_last_pop",
-        "_sample_in",
-        "_samples",
-        "_scans_mark",
-        "_requeue_seq",
-        "bucket_scans",
-        "resizes",
-    )
-
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        width: float = 0.005,
-        nslots: int = 256,
-    ) -> None:
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive, got {width}")
-        nslots = max(self._MIN_SLOTS, nslots)
-        if nslots & (nslots - 1):
-            raise SimulationError(f"nslots must be a power of two, got {nslots}")
-        self._width = float(width)
-        self._nslots = nslots
-        self._mask = nslots - 1
-        self._slots: List[List[_Entry]] = [[] for _ in range(nslots)]
-        #: Pending entries (ring + overflow); a plain attribute so the
-        #: dispatch loop can read it without a method call.
-        self.size = 0
-        self._ring_count = 0
-        self._overflow: List[_Entry] = []
-        #: Largest time the queue has handed out; the clock's lower bound.
-        self._floor = float(initial_time)
-        self._horizon = self._anchor(self._floor) + nslots * self._width
-        self._cursor = self._slot_of(self._floor)
-        self._gap_ewma = self._width
-        self._last_pop = self._floor
-        self._sample_in = self._SAMPLE_EVERY
-        self._samples = 0
-        self._scans_mark = 0
-        self._requeue_seq = -(1 << 62)
-        #: Ring buckets inspected while locating minima; read by the profiler.
-        self.bucket_scans = 0
-        #: Structure rebuilds (width retune / ring resize); read by the profiler.
-        self.resizes = 0
-
-    # -- geometry ----------------------------------------------------------
-
-    def _anchor(self, t: float) -> float:
-        """Start of the width-grid cell containing ``t``."""
-        return math.floor(t / self._width) * self._width
-
-    def _slot_of(self, when: float) -> int:
-        if when >= 0.0:
-            return int(when / self._width) & self._mask
-        return math.floor(when / self._width) & self._mask
-
-    def __len__(self) -> int:
-        return self.size
-
-    # -- scheduling --------------------------------------------------------
-
-    def push(self, when: float, seq: int, event: Event) -> None:
-        if when >= self._horizon:
-            heappush(self._overflow, (when, seq, event))
-        else:
-            if when >= self._floor:
-                if when >= 0.0:
-                    slot = int(when / self._width) & self._mask
-                else:
-                    slot = math.floor(when / self._width) & self._mask
-            else:
-                # Defensive: a schedule in the past (the monitor's
-                # ``kernel-schedule-in-past`` violation).  The cursor slot
-                # is scanned first, so the entry still pops as the minimum.
-                slot = self._cursor
-            self._slots[slot].append((when, seq, event))
-            self._ring_count += 1
-        self.size += 1
-
-    def peek(self) -> float:
-        """Earliest scheduled time, or +inf when idle."""
-        if self._ring_count == 0:
-            if not self._overflow:
-                return _INF
-            if not self._migrate():
-                return self._overflow[0][0]
-        # The cursor is deliberately not persisted: it may only advance when
-        # an entry is popped, else later pushes at not-yet-reached times
-        # could land in slots behind it and dispatch out of order.
-        slots = self._slots
-        cursor = self._cursor
-        scans = 1
-        while not slots[cursor]:
-            cursor = (cursor + 1) & self._mask
-            scans += 1
-        self.bucket_scans += scans
-        best = slots[cursor][0][0]
-        for entry in slots[cursor]:
-            if entry[0] < best:
-                best = entry[0]
-        return best
-
-    def _migrate(self) -> bool:
-        """Ring empty, overflow not: re-anchor the year at the clock floor.
-
-        Pulls every overflow entry inside the re-anchored year into the
-        ring.  Returns False when even the earliest overflow entry lies
-        beyond a whole year from the floor — the caller then serves it
-        straight from the heap (the far-future fallback).
-        """
-        width = self._width
-        horizon = self._anchor(self._floor) + self._nslots * width
-        self._horizon = horizon
-        self._cursor = self._slot_of(self._floor)
-        overflow = self._overflow
-        if overflow[0][0] >= horizon:
-            return False
-        slots = self._slots
-        mask = self._mask
-        moved = 0
-        while overflow and overflow[0][0] < horizon:
-            entry = heappop(overflow)
-            slots[int(entry[0] / width) & mask].append(entry)
-            moved += 1
-        self._ring_count += moved
-        return True
-
-    def pop_one(self) -> Tuple[float, Event]:
-        """Remove and return the earliest entry (FIFO within a tick)."""
-        if self._ring_count == 0:
-            if not self._migrate():
-                when, _seq, event = heappop(self._overflow)
-                self.size -= 1
-                self._floor = when
-                return when, event
-        slots = self._slots
-        cursor = self._cursor
-        entries = slots[cursor]
-        if not entries:
-            mask = self._mask
-            scans = 0
-            while True:
-                cursor = (cursor + 1) & mask
-                entries = slots[cursor]
-                scans += 1
-                if entries:
-                    break
-            self.bucket_scans += scans
-            self._cursor = cursor
-        # Strict (when, seq) minimum: in-bucket list order is *usually*
-        # seq order, but the environment's front register may flush an
-        # older entry behind a newer same-time push, so ties break on seq.
-        best_index = 0
-        best = entries[0]
-        for index in range(1, len(entries)):
-            entry = entries[index]
-            if entry[0] < best[0] or (
-                entry[0] == best[0] and entry[1] < best[1]
-            ):
-                best = entry
-                best_index = index
-        entries.pop(best_index)
-        self._ring_count -= 1
-        self.size -= 1
-        self._floor = best[0]
-        self._sample_in -= 1
-        if not self._sample_in:
-            self._gap_sample(best[0])
-        return best[0], best[2]
-
-    def pop_batch(self, limit: float = _INF) -> Optional[Tuple[float, List[Event]]]:
-        """All events at the earliest time <= ``limit``, in seq order."""
-        if self._ring_count == 0:
-            if not self._overflow:
-                return None
-            if not self._migrate():
-                return self._pop_overflow_batch(limit)
-        slots = self._slots
-        cursor = self._cursor
-        entries = slots[cursor]
-        if not entries:
-            mask = self._mask
-            scans = 0
-            while True:
-                cursor = (cursor + 1) & mask
-                entries = slots[cursor]
-                scans += 1
-                if entries:
-                    break
-            self.bucket_scans += scans
-        if len(entries) == 1:
-            when = entries[0][0]
-            if when > limit:
-                # Limit-abort: leave the cursor untouched — it may only
-                # advance when an entry is popped, else later pushes at
-                # not-yet-reached times could land in slots behind it and
-                # dispatch out of order.
-                return None
-            batch = [entries.pop()[2]]
-            count = 1
-        else:
-            when = entries[0][0]
-            for entry in entries:
-                if entry[0] < when:
-                    when = entry[0]
-            if when > limit:
-                return None
-            matched = [entry for entry in entries if entry[0] == when]
-            count = len(matched)
-            if count == len(entries):
-                del entries[:]
-            else:
-                slots[cursor] = [entry for entry in entries if entry[0] != when]
-            # In-bucket list order is *usually* seq order, but the
-            # environment's front register may flush an older entry behind
-            # a newer same-time push; timsort makes the sorted common case
-            # a single O(n) scan.  Seqs are unique, so the sort never
-            # compares the (unorderable) event payloads.
-            matched.sort(key=_entry_seq)
-            batch = [entry[2] for entry in matched]
-        self._cursor = cursor
-        self._ring_count -= count
-        self.size -= count
-        self._floor = when
-        self._sample_in -= 1
-        if not self._sample_in:
-            self._gap_sample(when)
-        return when, batch
-
-    def _pop_overflow_batch(self, limit: float) -> Optional[Tuple[float, List[Event]]]:
-        """Far-future fallback: serve a whole tick straight from the heap."""
-        overflow = self._overflow
-        when = overflow[0][0]
-        if when > limit:
-            return None
-        batch = [heappop(overflow)[2]]
-        while overflow and overflow[0][0] == when:
-            batch.append(heappop(overflow)[2])
-        self.size -= len(batch)
-        self._floor = when
-        self._sample_in -= 1
-        if not self._sample_in:
-            self._gap_sample(when)
-        return when, batch
-
-    def requeue(self, when: float, events: List[Event]) -> None:
-        """Put an unprocessed batch tail back at the front of its tick.
-
-        Requeued entries carry negative seq numbers and are *prepended* to
-        their bucket so they dispatch before anything scheduled at the same
-        time afterwards — exactly where they sat before the failed pop.
-        """
-        head: List[_Entry] = []
-        for event in events:
-            self._requeue_seq += 1
-            head.append((when, self._requeue_seq, event))
-        if when >= self._horizon:
-            for entry in head:
-                heappush(self._overflow, entry)
-        else:
-            slot = self._slot_of(when) if when >= self._floor else self._cursor
-            self._slots[slot][:0] = head
-            self._ring_count += len(head)
-        self.size += len(head)
-
-    # -- self-tuning -------------------------------------------------------
-
-    def _gap_sample(self, when: float) -> None:
-        """Refresh the distinct-time gap EWMA; periodically check geometry."""
-        self._sample_in = self._SAMPLE_EVERY
-        last = self._last_pop
-        if when > last:
-            gap = (when - last) / self._SAMPLE_EVERY
-            self._last_pop = when
-            self._gap_ewma += 0.25 * (gap - self._gap_ewma)
-        self._samples += 1
-        if self._samples >= self._TUNE_EVERY:
-            self._samples = 0
-            self._maybe_rebuild()
-
-    def _maybe_rebuild(self) -> None:
-        """Retune width/ring size when the workload has drifted.
-
-        Two triggers: the mean bucket scan per pop grew past ~4 (width too
-        small for the observed gaps — pops walk empty buckets), or the
-        pending count outgrew the ring (buckets hold several distinct
-        times and pops degrade to linear scans of long lists).
-        """
-        pops = self._SAMPLE_EVERY * self._TUNE_EVERY
-        scans = self.bucket_scans - self._scans_mark
-        self._scans_mark = self.bucket_scans
-        mean_scans = scans / pops
-        target_width = self._gap_ewma
-        if target_width <= 0.0 or not math.isfinite(target_width):
-            target_width = self._width
-        target_width = min(max(target_width, 1e-9), 1e12)
-        width_drift = target_width / self._width
-        target_slots = self._nslots
-        while target_slots < self.size and target_slots < self._MAX_SLOTS:
-            target_slots *= 2
-        while target_slots > 4 * self.size and target_slots > self._MIN_SLOTS:
-            target_slots //= 2
-        if (
-            mean_scans <= 4.0
-            and 0.25 <= width_drift <= 4.0
-            and target_slots == self._nslots
-        ):
-            return
-        self._rebuild(target_width, target_slots)
-
-    def _rebuild(self, width: float, nslots: int) -> None:
-        """Re-bucket every pending entry under a new geometry."""
-        entries: List[_Entry] = self._overflow
-        for bucket in self._slots:
-            entries.extend(bucket)
-        entries.sort(key=_entry_order)
-        self._width = width
-        self._nslots = nslots
-        self._mask = nslots - 1
-        self._slots = [[] for _ in range(nslots)]  # simlint: allow[kernel-transitive-hazard] reason=resize slow path; amortised O(1) per event
-        self._overflow = []  # simlint: allow[kernel-transitive-hazard] reason=resize slow path; amortised O(1) per event
-        self._ring_count = 0
-        self.size = 0
-        self._horizon = self._anchor(self._floor) + nslots * width
-        self._cursor = self._slot_of(self._floor)
-        self._gap_ewma = width
-        for when, seq, event in entries:
-            self.push(when, seq, event)
-        self.resizes += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Queue-level work counters; read by the profiler."""
-        return {"bucket_scans": self.bucket_scans, "queue_resizes": self.resizes}
-
-
-def _entry_order(entry: _Entry) -> Tuple[float, int]:
-    return (entry[0], entry[1])
-
-
-#: Scheduler queue implementations selectable by name.
-QUEUE_IMPLEMENTATIONS: Dict[str, Any] = {
-    CalendarQueue.name: CalendarQueue,
-    HeapQueue.name: HeapQueue,
-}
-
-
-def default_queue_name() -> str:
-    """The queue implementation selected by ``REPRO_KERNEL_QUEUE``."""
-    name = os.environ.get("REPRO_KERNEL_QUEUE", "").strip().lower()
-    if not name:
-        return HeapQueue.name
-    if name not in QUEUE_IMPLEMENTATIONS:
-        raise SimulationError(
-            f"unknown REPRO_KERNEL_QUEUE {name!r}; "
-            f"pick one of {sorted(QUEUE_IMPLEMENTATIONS)}"
-        )
-    return name
-
 
 # The Timeout free list needs no explicit cap: it only grows when a popped
 # timeout has no other owner, so its length is bounded by the high-water
@@ -839,10 +406,6 @@ class Environment:
     pop is then reported through ``on_schedule`` / ``on_step`` (event-time
     monotonicity, queue bookkeeping).  Without a monitor the hot path pays
     a single attribute test per event and behaves bit-identically.
-
-    ``queue`` picks the scheduler queue implementation by name
-    (:data:`QUEUE_IMPLEMENTATIONS`); default is ``REPRO_KERNEL_QUEUE`` or
-    the heap queue.  All implementations dispatch in identical order.
 
     The *front register* (``_front_*``) holds the entry with the globally
     smallest ``(when, seq)`` so the schedule-then-fire-next pattern — the
@@ -868,18 +431,9 @@ class Environment:
         self,
         initial_time: float = 0.0,
         monitor: Any = None,
-        queue: Optional[str] = None,
     ) -> None:
         self._now = float(initial_time)
-        name = queue if queue is not None else default_queue_name()
-        try:
-            factory = QUEUE_IMPLEMENTATIONS[name]
-        except KeyError:
-            raise SimulationError(
-                f"unknown kernel queue {name!r}; "
-                f"pick one of {sorted(QUEUE_IMPLEMENTATIONS)}"
-            ) from None
-        self._queue: Union[CalendarQueue, HeapQueue] = factory(self._now)
+        self._queue = HeapQueue()
         self._seq = 0
         self._front_when = _INF
         self._front_seq = 0
@@ -902,16 +456,9 @@ class Environment:
         """Scheduled-but-unprocessed events (queue size); read by samplers."""
         return self._queue.size + (self._front_event is not None)
 
-    @property
-    def queue_name(self) -> str:
-        """Name of the active scheduler queue implementation."""
-        return self._queue.name
-
     def queue_stats(self) -> Dict[str, int]:
-        """Kernel work counters (bucket scans, free-list hits, ...)."""
-        stats = dict(self._queue.stats())
-        stats["freelist_hits"] = self.freelist_hits
-        return stats
+        """Kernel work counters; read by the profiler."""
+        return {"freelist_hits": self.freelist_hits}
 
     # -- event factories ---------------------------------------------------
 
@@ -922,8 +469,8 @@ class Environment:
         free = self._timeout_free
         if not free:
             return Timeout(self, delay, value)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not (delay >= 0):
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         timeout = free.pop()
         timeout._value = value
         timeout._state = _TRIGGERED
@@ -1027,9 +574,9 @@ class Environment:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or the clock reaches ``until``."""
         if until is not None:
-            if until < self._now:
+            if not (until >= self._now):  # not `until < now`: False for NaN
                 raise SimulationError(
-                    f"run(until={until}) is in the past (now={self._now})"
+                    f"run(until={until}) must be >= now ({self._now})"
                 )
             limit = until
         else:

@@ -45,7 +45,7 @@ class RunProfile:
         return self.events / self.wall_time if self.wall_time > 0 else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary for JSON export (``tools/bench_profile.py``)."""
+        """Flat dictionary for JSON export."""
         return {
             "wall_time": self.wall_time,
             "events": self.events,

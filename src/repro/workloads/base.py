@@ -170,9 +170,9 @@ class PatternStream:
     """Adapter: a bare legacy ``AccessPattern`` as a :class:`HostStream`.
 
     Wraps the exact legacy draw pair — think time from the host's own
-    rng, item from the pattern's shared rng — for callers (tests, direct
-    :class:`~repro.core.client.MobileHost` construction) that still pass
-    an ``AccessPattern`` instead of a bound stream.
+    rng, item from the pattern's shared rng — for callers that build a
+    :class:`~repro.core.client.MobileHost` directly from an
+    ``AccessPattern`` (the host itself only accepts a bound stream).
     """
 
     __slots__ = ("pattern", "rng", "mean")

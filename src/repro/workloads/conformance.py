@@ -1,21 +1,15 @@
 """The conformance battery every registered workload must pass.
 
-One small simulated run plus one direct stream-draw harness per key,
-checked four ways:
+The four shared checks of :mod:`repro.check.conformance` (invariants,
+smoke, seed stability, config round trip) plus one of its own:
 
-* **smoke** — a full simulation completes and its outcome counts sum to
-  the total;
-* **seed stability** — the same config run twice is bit-identical
-  (:func:`~repro.check.golden.results_to_dict` compared field by field);
-* **round trip** — the config survives ``as_dict``/``from_dict`` and the
-  rebuilt config resolves to the same workload key;
 * **constant memory** — drawing thousands of requests through every
   bound host stream allocates a bounded number of bytes beyond a warm
   prefix (``tracemalloc`` peak delta), pinning the lazy-stream contract
   of :mod:`repro.workloads.base`.
 
 Both ``tests/test_workload_conformance.py`` (auto-parametrised over
-:func:`conformance_keys`) and ``tools/workload_matrix.py`` (the CI
+:func:`conformance_keys`) and ``tools/conformance_matrix.py`` (the CI
 matrix job) drive runs through :func:`run_conformance`, so a workload
 added with one ``@register`` line is battery-covered with no further
 wiring.
@@ -29,20 +23,17 @@ from __future__ import annotations
 
 import tempfile
 import tracemalloc
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.check.golden import results_to_dict
+from repro.check.conformance import BASE_CONFIG, ConformanceReport, run_battery
 from repro.core.config import SimulationConfig
-from repro.core.simulation import run_simulation
 from repro.sim.random import RandomStreams
 from repro.workloads import registry
 from repro.workloads.factory import build_workload, resolved_workload_key
 
 __all__ = [
     "CONSTANT_MEMORY_BOUND",
-    "WorkloadReport",
     "conformance_config",
     "conformance_keys",
     "run_conformance",
@@ -59,50 +50,21 @@ _WARM_DRAWS = 1_500
 _MEASURED_DRAWS = 6_000
 
 
-@dataclass
-class WorkloadReport:
-    """Outcome of one workload's battery run."""
-
-    key: str
-    passed: bool
-    checks: Dict[str, bool] = field(default_factory=dict)
-    failures: List[str] = field(default_factory=list)
-    hit_ratio: float = 0.0
-    memory_delta: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "passed": self.passed,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-            "hit_ratio": self.hit_ratio,
-            "memory_delta": self.memory_delta,
-        }
-
-
 def conformance_keys() -> List[str]:
     """Every registered workload key the battery must cover."""
     return registry.available()
 
 
-def synthesize_trace(
-    path: Path,
-    *,
-    n_records: int = 2_000,
-    n_clients: int = 6,
-    n_data: int = 120,
-    seed: int = 77,
-) -> Path:
+def synthesize_trace(path: Path) -> Path:
     """Write a small deterministic CSV trace (named streams, no ad-hoc RNG)."""
-    rng = RandomStreams(seed).stream("conformance-trace")
+    rng = RandomStreams(77).stream("conformance-trace")
     now = 0.0
     with path.open("w", encoding="utf-8") as handle:
         handle.write("t,host,item\n")
-        for _ in range(n_records):
+        for _ in range(2_000):
             now += float(rng.exponential(2.0))
-            host = int(rng.integers(0, n_clients))
-            item = int(rng.integers(0, n_data))
+            host = int(rng.integers(0, BASE_CONFIG["n_clients"]))
+            item = int(rng.integers(0, BASE_CONFIG["n_data"]))
             handle.write(f"{now:.6f},{host},{item}\n")
     return path
 
@@ -122,39 +84,14 @@ def _battery_trace() -> Path:
 
 
 def conformance_config(key: str) -> SimulationConfig:
-    """A small config that genuinely exercises workload ``key``.
-
-    Same scale as the policy battery: tight caches, a narrow access
-    range, enough simulated time that non-stationary workloads cross
-    several periods/spikes/epochs.
-    """
+    """A small config that genuinely exercises workload ``key``."""
     params: Dict[str, object] = {}
     if key == "trace-replay":
         params = {"path": str(_battery_trace())}
-    return SimulationConfig(
-        n_clients=6,
-        n_data=120,
-        access_range=30,
-        cache_size=6,
-        group_size=3,
-        data_update_rate=0.2,
-        measure_requests=5,
-        warmup_min_time=20.0,
-        warmup_max_time=40.0,
-        max_sim_time=400.0,
-        ndp_enabled=False,
-        seed=11,
-        workload=key,
-        workload_params=params,
-    )
+    return SimulationConfig(workload=key, workload_params=params, **BASE_CONFIG)
 
 
-def measure_stream_memory(
-    config: SimulationConfig,
-    *,
-    warm_draws: int = _WARM_DRAWS,
-    measured_draws: int = _MEASURED_DRAWS,
-) -> int:
+def measure_stream_memory(config: SimulationConfig) -> int:
     """Peak ``tracemalloc`` growth (bytes) over the measured draw segment.
 
     Builds the configured engine outside any simulation, binds every
@@ -185,60 +122,34 @@ def measure_stream_memory(
                 if step % 500 == 499:
                     engine.take_window()
 
-        draw(warm_draws)
+        draw(_WARM_DRAWS)
         tracemalloc.reset_peak()
         baseline = tracemalloc.get_traced_memory()[0]
-        draw(measured_draws)
+        draw(_MEASURED_DRAWS)
         peak = tracemalloc.get_traced_memory()[1]
         return max(0, peak - baseline)
     finally:
         tracemalloc.stop()
 
 
-def run_conformance(key: str) -> WorkloadReport:
-    """Run the full battery for one registered workload."""
-    report = WorkloadReport(key=key, passed=True)
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        report.checks[name] = bool(ok)
-        if not ok:
-            report.passed = False
-            report.failures.append(f"{name}: {detail}" if detail else name)
-
-    config = conformance_config(key)
-
-    results = run_simulation(config)
-    total = results.requests
-    outcome_sum = (
-        results.local_hits
-        + results.global_hits
-        + results.server_requests
-        + results.failures
-    )
-    check(
-        "smoke",
-        total > 0 and outcome_sum == total,
-        f"total={total} outcome_sum={outcome_sum}",
-    )
-    report.hit_ratio = results.lch_ratio + results.gch_ratio
-
-    first = results_to_dict(results)
-    second = results_to_dict(run_simulation(config))
-    drift = [name for name in first if first[name] != second.get(name)]
-    check("seed_stable", first == second, f"drifting fields: {drift[:5]}")
-
-    rebuilt = SimulationConfig.from_dict(config.as_dict())
-    check(
-        "round_trip",
-        rebuilt == config
-        and resolved_workload_key(rebuilt) == resolved_workload_key(config),
-        "config or resolved workload key changed across as_dict/from_dict",
-    )
-
-    report.memory_delta = measure_stream_memory(config)
-    check(
+def _check_constant_memory(
+    config: SimulationConfig, report: ConformanceReport
+) -> None:
+    delta = measure_stream_memory(config)
+    report.measurements["memory_delta"] = delta
+    report.check(
         "constant_memory",
-        report.memory_delta < CONSTANT_MEMORY_BOUND,
-        f"peak delta {report.memory_delta} bytes >= {CONSTANT_MEMORY_BOUND}",
+        delta < CONSTANT_MEMORY_BOUND,
+        f"peak delta {delta} bytes >= {CONSTANT_MEMORY_BOUND}",
     )
-    return report
+
+
+def run_conformance(key: str) -> ConformanceReport:
+    """Run the full battery for one registered workload."""
+    return run_battery(
+        registry.NAMESPACE,
+        key,
+        conformance_config(key),
+        resolved_workload_key,
+        extra_checks=(_check_constant_memory,),
+    )

@@ -19,19 +19,20 @@ workload that does not pass the battery fails CI.
 
 A registered value is a builder ``(config, streams, group_of) ->
 WorkloadEngine`` (see :mod:`repro.workloads.base` for the engine and
-per-host stream contracts).  Builtin workloads load lazily on the first
-:func:`available`/:func:`resolve` call, mirroring
-:mod:`repro.policies.registry`, so importing this module stays cheap and
-cycle-free (``repro.core.config`` imports it for key validation).
+per-host stream contracts).  The mechanism is the shared
+:class:`repro.registry.Registry`; this module is its one-namespace
+workload instance with that namespace bound into every re-exported
+method.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List
+from functools import partial
+
+from repro.registry import Registry, RegistryEntry
 
 __all__ = [
+    "NAMESPACE",
     "WorkloadInfo",
     "available",
     "describe",
@@ -42,19 +43,10 @@ __all__ = [
     "temporary_workload",
 ]
 
+WorkloadInfo = RegistryEntry
 
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """One registered workload: its key, builder and catalogue metadata."""
-
-    key: str
-    value: Any
-    summary: str = ""
-    citation: str = ""
-
-
-_REGISTRY: Dict[str, WorkloadInfo] = {}
-_builtins_loaded = False
+#: The registry's single namespace (the ``namespace`` of every report row).
+NAMESPACE = "workload"
 
 
 def _load_builtins() -> None:
@@ -64,10 +56,6 @@ def _load_builtins() -> None:
     modules import this module for the decorator, and
     ``repro.core.config`` imports this module for key validation.
     """
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
     from repro.workloads import (  # noqa: F401
         stationary,
         synthetic,
@@ -75,95 +63,12 @@ def _load_builtins() -> None:
     )
 
 
-def register_value(
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Any:
-    """Register ``value`` under ``key``; returns ``value``.
+_WORKLOADS = Registry("workload", (NAMESPACE,), "workload", _load_builtins)
 
-    Raises ``ValueError`` on a duplicate key — workloads are registered
-    exactly once, so resolution can never depend on registration order.
-    """
-    if not isinstance(key, str) or not key:
-        raise ValueError(f"workload key must be a non-empty string, got {key!r}")
-    if key in _REGISTRY:
-        raise ValueError(f"duplicate workload {key!r}")
-    _REGISTRY[key] = WorkloadInfo(
-        key=key, value=value, summary=summary, citation=citation
-    )
-    return value
-
-
-def register(
-    key: str,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Callable[[Any], Any]:
-    """Decorator form of :func:`register_value`::
-
-        @register("diurnal", summary="...")
-        def _build_diurnal(config, streams, group_of):
-            return DiurnalWorkload(config, streams, group_of)
-    """
-
-    def decorator(value: Any) -> Any:
-        return register_value(key, value, summary=summary, citation=citation)
-
-    return decorator
-
-
-def available() -> List[str]:
-    """The registered workload keys, sorted."""
-    _load_builtins()
-    return sorted(_REGISTRY)
-
-
-def describe(key: str) -> WorkloadInfo:
-    """The :class:`WorkloadInfo` behind ``key``.
-
-    The ``KeyError`` for an unknown key lists every valid key verbatim,
-    so a typo'd config or CLI flag is self-explaining.
-    """
-    _load_builtins()
-    info = _REGISTRY.get(key)
-    if info is None:
-        raise KeyError(
-            f"unknown workload {key!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
-    return info
-
-
-def resolve(key: str) -> Any:
-    """The registered builder behind ``key``."""
-    return describe(key).value
-
-
-def entries() -> List[WorkloadInfo]:
-    """Every :class:`WorkloadInfo`, sorted by key."""
-    _load_builtins()
-    return [info for _, info in sorted(_REGISTRY.items())]
-
-
-@contextmanager
-def temporary_workload(
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Iterator[WorkloadInfo]:
-    """Register a workload for the duration of a ``with`` block (tests).
-
-    The entry is removed on exit even when the block raises, so property
-    tests can register throwaway workloads without polluting the process
-    registry.
-    """
-    register_value(key, value, summary=summary, citation=citation)
-    try:
-        yield _REGISTRY[key]
-    finally:
-        _REGISTRY.pop(key, None)
+register = partial(_WORKLOADS.register, NAMESPACE)
+register_value = partial(_WORKLOADS.register_value, NAMESPACE)
+available = partial(_WORKLOADS.available, NAMESPACE)
+describe = partial(_WORKLOADS.describe, NAMESPACE)
+resolve = partial(_WORKLOADS.resolve, NAMESPACE)
+entries = partial(_WORKLOADS.entries, NAMESPACE)
+temporary_workload = partial(_WORKLOADS.temporary, NAMESPACE)

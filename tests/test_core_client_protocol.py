@@ -22,6 +22,7 @@ from repro.mobility import MobilityField, StationaryTrajectory
 from repro.net import MessageSizes, P2PNetwork, PowerLedger, ServerChannel
 from repro.sim import Environment
 from repro.signatures import SignatureScheme
+from repro.workloads import PatternStream
 
 
 class World:
@@ -72,24 +73,26 @@ class World:
         self.metrics = Metrics(scheme.value)
         self.metrics.start_recording(0.0, self.ledger, n)
         sizes = MessageSizes(data=self.config.data_size)
-        self.clients = [
-            MobileHost(
+        def host(index):
+            rng = np.random.default_rng(3 + index)
+            pattern = AccessPattern(
+                np.random.default_rng(2), self.config.n_data, 50, 0.5, 0
+            )
+            return MobileHost(
                 index,
                 self.env,
                 self.config,
                 self.network,
                 self.channel,
                 self.server,
-                AccessPattern(
-                    np.random.default_rng(2), self.config.n_data, 50, 0.5, 0
-                ),
+                PatternStream(pattern, rng, self.config.think_time_mean),
                 self.metrics,
-                np.random.default_rng(3 + index),
+                rng,
                 sizes,
                 signature_scheme=self.signature_scheme,
             )
-            for index in range(n)
-        ]
+
+        self.clients = [host(index) for index in range(n)]
 
     def give_item(self, client_index, item, expiry=math.inf):
         """Plant a valid cached copy at a client."""
@@ -346,7 +349,11 @@ def test_gc_client_without_signature_scheme_rejected():
             world.network,
             world.channel,
             world.server,
-            AccessPattern(np.random.default_rng(0), 100, 50, 0.5, 0),
+            PatternStream(
+                AccessPattern(np.random.default_rng(0), 100, 50, 0.5, 0),
+                np.random.default_rng(0),
+                world.config.think_time_mean,
+            ),
             world.metrics,
             np.random.default_rng(0),
             MessageSizes(),

@@ -1,39 +1,26 @@
-"""Every scheduler queue implementation must dispatch identically.
+"""The scheduler queue and both dispatch paths agree with their references.
 
-The kernel treats :class:`~repro.sim.kernel.HeapQueue` as the bit-identity
-oracle; these tests pin the contract three ways:
+Two property tests pin the kernel's ordering contract:
 
-* property tests drive :class:`~repro.sim.kernel.CalendarQueue` and the
-  heap through identical operation sequences (pushes with same-tick
-  bursts, single pops, batched pops with limits, requeues) and demand
-  identical observable behaviour at every step;
-* whole-environment property tests run one randomly generated scenario —
-  timeout bursts, process interrupts, defused failures — once per queue
-  implementation and compare the full dispatch trace;
-* the committed golden fixtures must replay without drift under *every*
-  queue implementation, not just the default.
+* :class:`~repro.sim.kernel.HeapQueue` is driven in lock-step with a
+  sorted-list model through arbitrary operation sequences (pushes with
+  same-tick bursts, single pops, batched pops with limits, requeues) and
+  must show identical observable behaviour at every step — in particular
+  ``pop_batch(limit)`` returns one whole tick in seq order, and
+  ``requeue`` puts a batch tail back at the *front* of its tick;
+* one randomly generated whole-environment scenario — timeout bursts,
+  process interrupts, defused failures — runs once through the batched
+  ``run(until)`` dispatcher and once through the ``peek()``/``step()``
+  loop the monitored path uses, and both must produce the same dispatch
+  trace, clock and event count.
 """
-
-import shutil
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import pytest
 
-from repro.check import golden
-from repro.sim.kernel import (
-    QUEUE_IMPLEMENTATIONS,
-    CalendarQueue,
-    Environment,
-    HeapQueue,
-    Interrupt,
-)
+from repro.sim.kernel import Environment, HeapQueue, Interrupt
 
-GOLDEN_FIXTURES = Path(__file__).parent / "golden"
-
-# Few distinct delays -> frequent same-tick collisions; the large values
-# land in the calendar's overflow heap and exercise migration.
+# Few distinct delays -> frequent same-tick collisions.
 _DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 7.75, 64.0, 1000.0])
 
 _OPS = st.one_of(
@@ -44,58 +31,100 @@ _OPS = st.one_of(
 )
 
 
+class SortedListModel:
+    """The queue contract, stated as a list kept in ``(when, seq)`` order."""
+
+    def __init__(self):
+        self.entries = []
+        self.front_seq = 0  # requeued entries sort before every live seq
+
+    def __len__(self):
+        return len(self.entries)
+
+    def push(self, when, seq, event):
+        self.entries.append((when, seq, event))
+        self.entries.sort(key=lambda entry: entry[:2])
+
+    def peek(self):
+        return self.entries[0][0] if self.entries else float("inf")
+
+    def pop_one(self):
+        when, _seq, event = self.entries.pop(0)
+        return when, event
+
+    def pop_batch(self, limit=float("inf")):
+        if not self.entries or self.entries[0][0] > limit:
+            return None
+        when = self.entries[0][0]
+        batch = [entry[2] for entry in self.entries if entry[0] == when]
+        del self.entries[: len(batch)]
+        return when, batch
+
+    def requeue(self, when, events):
+        self.front_seq -= len(events)
+        for offset, event in enumerate(events):
+            self.push(when, self.front_seq + offset, event)
+
+
 @given(st.lists(_OPS, max_size=120))
 @settings(max_examples=150, deadline=None)
-def test_calendar_matches_heap_on_any_operation_sequence(ops):
-    """Lock-step op replay: both queues agree on every observable."""
-    calendar = CalendarQueue()
+def test_heap_queue_matches_sorted_list_model_on_any_operation_sequence(ops):
+    """Lock-step op replay: queue and model agree on every observable."""
+    model = SortedListModel()
     heap = HeapQueue()
     seq = 0
     token = 0
     now = 0.0  # the kernel never pushes into the past
     for op in ops:
         kind = op[0]
-        assert len(calendar) == len(heap)
-        assert calendar.peek() == heap.peek()
+        assert len(heap) == heap.size == len(model)
+        assert heap.peek() == model.peek()
         if kind == "push":
             _, delay, count = op
             for _ in range(count):
                 when = now + delay
-                calendar.push(when, seq, token)
+                model.push(when, seq, token)
                 heap.push(when, seq, token)
                 seq += 1
                 token += 1
         elif kind == "pop_one":
-            if not len(heap):
+            if not len(model):
                 continue
-            got_c = calendar.pop_one()
             got_h = heap.pop_one()
-            assert got_c == got_h
+            assert got_h == model.pop_one()
             now = got_h[0]
         elif kind == "pop_batch":
             limit = now + op[1]
-            got_c = calendar.pop_batch(limit)
             got_h = heap.pop_batch(limit)
-            assert got_c == got_h
+            assert got_h == model.pop_batch(limit)
             if got_h is not None:
                 now = got_h[0]
         else:  # requeue: pop a batch, put an unprocessed tail back
             keep = op[1]
-            got_c = calendar.pop_batch()
             got_h = heap.pop_batch()
-            assert got_c == got_h
+            assert got_h == model.pop_batch()
             if got_h is None:
                 continue
             when, batch = got_h
             now = when
             tail = batch[len(batch) - keep :] if keep else []
             if tail:
-                calendar.requeue(when, list(tail))
+                model.requeue(when, list(tail))
                 heap.requeue(when, list(tail))
-    while len(heap):
-        assert calendar.pop_one() == heap.pop_one()
-    assert calendar.pop_batch() is None and heap.pop_batch() is None
-    assert calendar.peek() == heap.peek() == float("inf")
+    while len(model):
+        assert heap.pop_one() == model.pop_one()
+    assert heap.pop_batch() is None and model.pop_batch() is None
+    assert heap.peek() == model.peek() == float("inf")
+
+
+class _NullMonitor:
+    """Attaching any monitor switches ``run`` to its ``peek()/step()`` loop."""
+
+    def on_schedule(self, env, when):
+        pass
+
+    def on_step(self, env, when):
+        pass
 
 
 @given(
@@ -111,11 +140,11 @@ def test_calendar_matches_heap_on_any_operation_sequence(ops):
     st.lists(_DELAYS, max_size=4),  # interrupt instants
 )
 @settings(max_examples=60, deadline=None)
-def test_environments_dispatch_identically_on_every_queue(specs, hits):
-    """Same scenario, one full dispatch trace per queue implementation."""
+def test_batched_run_matches_step_loop_on_any_scenario(specs, hits):
+    """Same scenario, one full dispatch trace per dispatch path."""
 
-    def run_with(queue_name):
-        env = Environment(queue=queue_name)
+    def run_with(monitor):
+        env = Environment(monitor=monitor)
         trace = []
         victims = []
 
@@ -161,24 +190,4 @@ def test_environments_dispatch_identically_on_every_queue(specs, hits):
         env.run(until=50.0)
         return trace, env.now, env.events_processed
 
-    runs = {name: run_with(name) for name in sorted(QUEUE_IMPLEMENTATIONS)}
-    reference = runs["heap"]
-    for name, run in runs.items():
-        assert run[0] == reference[0], f"{name} trace diverged from heap"
-        assert run[1] == reference[1]
-        assert run[2] == reference[2]
-
-
-@pytest.mark.parametrize("queue_name", sorted(QUEUE_IMPLEMENTATIONS))
-def test_golden_fixture_replays_bit_identical_on_queue(
-    queue_name, tmp_path, monkeypatch
-):
-    """The committed fixtures hold under every queue implementation.
-
-    One representative fixture per queue keeps the runtime bounded; the
-    full set replays on the default queue in test_golden_traces.  The GC
-    case is the richest (TCG + signatures + NDP traffic).
-    """
-    shutil.copy(GOLDEN_FIXTURES / "gc-small.json", tmp_path / "gc-small.json")
-    monkeypatch.setenv("REPRO_KERNEL_QUEUE", queue_name)
-    assert golden.verify(tmp_path) == {"gc-small": []}
+    assert run_with(None) == run_with(_NullMonitor())

@@ -45,6 +45,18 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
+def test_nan_delay_rejected_fresh_and_recycled():
+    env = Environment()
+    with pytest.raises(SimulationError, match="nan"):
+        env.timeout(float("nan"))
+    # Run one timeout through so the next call takes the free-list branch.
+    env.timeout(1)
+    env.run()
+    assert env.timeout(1) is not None and env.freelist_hits == 1
+    with pytest.raises(SimulationError, match="nan"):
+        env.timeout(float("nan"))
+
+
 def test_run_until_stops_clock_exactly():
     env = Environment()
 
@@ -62,6 +74,14 @@ def test_run_until_past_raises():
     env.run(until=5)
     with pytest.raises(SimulationError):
         env.run(until=1)
+
+
+def test_run_until_nan_raises_and_leaves_the_schedule_alone():
+    env = Environment()
+    env.timeout(3)
+    with pytest.raises(SimulationError, match="nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0 and env.pending_events == 1
 
 
 def test_process_return_value():

@@ -5,12 +5,16 @@ one ``@register`` line is covered here with no test edits.  Each key's
 battery run is memoised at module scope: the check assertions below
 share one report instead of re-running the simulations per check.
 
-The negative test proves the constant-memory check has teeth — a
+The negative tests prove the constant-memory check has teeth — a
 deliberately hoarding stream (one that materialises every request it
-serves) must blow past the bound.
+serves) must blow past the bound, fail the shared battery runner on
+exactly that check, and turn ``tools/conformance_matrix.py`` red.
 """
 
 import functools
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +24,12 @@ from repro.workloads.conformance import (
     CONSTANT_MEMORY_BOUND,
     conformance_config,
     conformance_keys,
-    measure_stream_memory,
     run_conformance,
 )
 from repro.workloads.factory import resolved_workload_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import conformance_matrix  # noqa: E402
 
 KEYS = conformance_keys()
 
@@ -43,6 +49,7 @@ def test_registered_workload_passes_battery(key):
     report = report_for(key)
     assert report.passed, f"{key} failed: {report.failures}"
     assert set(report.checks) == {
+        "invariants",
         "smoke",
         "seed_stable",
         "round_trip",
@@ -92,6 +99,28 @@ class _HoardingWorkload(WorkloadEngine):
 
 def test_constant_memory_check_has_teeth():
     with temporary_workload("hoarding", _HoardingWorkload):
-        config = conformance_config("hoarding")
-        delta = measure_stream_memory(config)
-    assert delta >= CONSTANT_MEMORY_BOUND
+        report = run_conformance("hoarding")
+    assert not report.passed
+    assert [name for name, ok in report.checks.items() if not ok] == [
+        "constant_memory"
+    ]
+    assert report.measurements["memory_delta"] >= CONSTANT_MEMORY_BOUND
+
+
+def test_matrix_tool_exit_code_follows_the_battery(tmp_path, capsys):
+    out = tmp_path / "matrix.json"
+    argv = ["--namespace", "workload", "--key", "hoarding", "--report", str(out)]
+    with temporary_workload("hoarding", _HoardingWorkload):
+        assert conformance_matrix.main(argv) == 1
+    payload = json.loads(out.read_text())
+    assert (payload["total"], payload["failed"]) == (1, 1)
+    assert payload["entries"][0]["namespace"] == "workload"
+    assert "FAIL workload:hoarding" in capsys.readouterr().out
+    assert conformance_matrix.main(["--namespace", "workload", "--key", "ycsb"]) == 0
+
+
+def test_matrix_tool_covers_both_registries():
+    from repro.policies.conformance import conformance_keys as policy_keys
+
+    rows = [(namespace, key) for namespace, key, _ in conformance_matrix.matrix_rows()]
+    assert rows == policy_keys() + [("workload", key) for key in KEYS]
