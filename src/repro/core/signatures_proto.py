@@ -29,12 +29,7 @@ import numpy as np
 from repro.signatures.bloom import BloomFilter, SignatureScheme
 from repro.signatures.counting import CountingBloomFilter
 from repro.signatures.peer import PeerSignature
-from repro.signatures.vlfl import (
-    find_optimal_r,
-    should_compress,
-    vlfl_decode,
-    vlfl_encode,
-)
+from repro.signatures.vlfl import compression_plan, vlfl_decode, vlfl_encode
 
 __all__ = ["MembershipActions", "SignatureAgent"]
 
@@ -107,17 +102,16 @@ class SignatureAgent:
         """
         signature = self.own.signature()
         raw_bytes = signature.size_bytes
-        if self.compression_enabled and should_compress(
-            cached_items, self.scheme.size_bits, self.scheme.k
-        ):
-            run_cap = find_optimal_r(
+        if self.compression_enabled:
+            run_cap, compress = compression_plan(
                 cached_items, self.scheme.size_bits, self.scheme.k
             )
-            compressed = vlfl_encode(signature.bits, run_cap)
-            if compressed.size_bytes < raw_bytes:
-                self.signatures_sent_compressed += 1
-                self.signature_bytes_sent += compressed.size_bytes
-                return vlfl_decode(compressed), compressed.size_bytes, True
+            if compress:
+                compressed = vlfl_encode(signature.bits, run_cap)
+                if compressed.size_bytes < raw_bytes:
+                    self.signatures_sent_compressed += 1
+                    self.signature_bytes_sent += compressed.size_bytes
+                    return vlfl_decode(compressed), compressed.size_bytes, True
         self.signatures_sent_raw += 1
         self.signature_bytes_sent += raw_bytes
         return signature.bits.copy(), raw_bytes, False

@@ -25,7 +25,9 @@ class MobilityField:
     """The set of all host trajectories with vectorised geometric queries.
 
     Snapshots are cached per query time: within one simulated instant (e.g.
-    a broadcast and its receptions) every query reuses one (N, 2) array.
+    a broadcast and its receptions) every query reuses one (N, 2) array,
+    and every range query reads a row of one (N, N) adjacency matrix built
+    from it (see :meth:`adjacency`).
 
     For the in-tree trajectory types (stationary, piecewise-linear, RPGM
     group members) snapshots are maintained *incrementally*: the field
@@ -60,8 +62,17 @@ class MobilityField:
         self.snapshot_rebuilds = 0
         #: Incremental vectorised snapshot computations (one per fresh time).
         self.snapshot_refreshes = 0
-        #: Queries served straight from the cached snapshot buffer.
+        #: ``positions()`` calls served straight from the cached buffer.
         self.snapshot_reuses = 0
+        #: (N, N) adjacency matrices computed (one per snapshot and radius).
+        self.adjacency_builds = 0
+        self._adjacency_key = (-math.inf, -1.0)
+        # The adjacency and its two float scratch planes, refilled in place
+        # per snapshot (np.empty: no page is touched before the first build).
+        n = len(self.trajectories)
+        self._adjacency = np.empty((n, n), dtype=bool)
+        self._dx = np.empty((n, n))
+        self._dy = np.empty((n, n))
         self._fast = self._build_segment_cache()
 
     def _build_segment_cache(self) -> bool:
@@ -108,6 +119,10 @@ class MobilityField:
         self._dt = np.empty(n)
         self._odt = np.empty(n)
         self._off_buf = np.empty((n, 2))
+        # [latest start, earliest end) over the active segments: while ``t``
+        # is inside it no segment can be stale.  Empty until first resolved.
+        self._fresh_from = _INF
+        self._fresh_until = -_INF
         return True
 
     def __len__(self) -> int:
@@ -116,9 +131,8 @@ class MobilityField:
     def quantise(self, t: float) -> float:
         """The snapshot-bucket key for time ``t``.
 
-        Queries whose keys are equal share one position snapshot; callers
-        (e.g. :class:`~repro.net.p2p.P2PNetwork`'s neighbor cache) can use
-        the key to memoise derived geometry per bucket.
+        Queries whose keys are equal share one position snapshot and the
+        adjacency matrix derived from it.
         """
         if self.resolution <= 0:
             return t
@@ -133,10 +147,10 @@ class MobilityField:
         the scalar rebuild loop's trajectory-extension order exactly, so
         the shared RNG stream sees identical draws.
         """
+        if self._fresh_from <= t < self._fresh_until:
+            return
         stale_b = ((t >= self._b_end) | (t < self._b_start)) & self._b_dyn
         stale_o = ((t >= self._o_end) | (t < self._o_start)) & self._o_dyn
-        if not (stale_b.any() or stale_o.any()):
-            return
         for index in np.nonzero(stale_b | stale_o)[0]:
             if stale_b[index]:
                 segment = self._base_traj[index].active_segment(t)
@@ -150,6 +164,9 @@ class MobilityField:
                 self._o_end[index] = segment.end
                 self._o_org[index] = segment.origin
                 self._o_vel[index] = segment.velocity
+        # The static sentinels [0, inf) only narrow the window, never widen it.
+        self._fresh_from = float(max(self._b_start.max(), self._o_start.max()))
+        self._fresh_until = float(min(self._b_end.min(), self._o_end.min()))
 
     def positions(self, t: float) -> np.ndarray:
         """(N, 2) array of positions at time ``t`` (cached per bucket).
@@ -199,6 +216,35 @@ class MobilityField:
         positions = self.positions(t)
         return float(np.hypot(*(positions[i] - positions[j])))
 
+    def adjacency(self, t: float, radius: float) -> np.ndarray:
+        """(N, N) bool matrix: ``[i, j]`` iff hosts i != j are within ``radius``.
+
+        Built once per (snapshot, radius) with the elementwise arithmetic a
+        per-host query would use (``dx*dx + dy*dy <= radius*radius``), so it
+        is symmetric and every row equals that host's scalar range test.
+        The same buffer is refilled by the next build: read rows of it
+        synchronously, do not write to it and do not keep it.
+        """
+        if not radius >= 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
+        key = (self._quantise(t), radius)
+        if key == self._adjacency_key:
+            return self._adjacency
+        positions = self.positions(t)
+        close, dx, dy = self._adjacency, self._dx, self._dy
+        x = positions[:, 0]
+        y = positions[:, 1]
+        np.subtract(x[:, None], x[None, :], out=dx)
+        np.subtract(y[:, None], y[None, :], out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        dx += dy
+        np.less_equal(dx, radius * radius, out=close)
+        np.fill_diagonal(close, False)
+        self._adjacency_key = key
+        self.adjacency_builds += 1
+        return close
+
     def neighbors_of(
         self,
         index: int,
@@ -211,34 +257,10 @@ class MobilityField:
         ``include_mask`` (bool, length N) removes e.g. disconnected hosts.
         The host itself is never included.
         """
-        positions = self.positions(t)
-        deltas = positions - positions[index]
-        close = (deltas[:, 0] ** 2 + deltas[:, 1] ** 2) <= radius * radius
-        close[index] = False
+        close = self.adjacency(t, radius)[index]
         if include_mask is not None:
-            close &= include_mask
+            close = close & include_mask
         return np.nonzero(close)[0]
-
-    def within_range(
-        self,
-        point: np.ndarray,
-        t: float,
-        radius: float,
-        include_mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Indices of hosts within ``radius`` of an arbitrary ``point``."""
-        positions = self.positions(t)
-        deltas = positions - np.asarray(point, dtype=float)
-        close = (deltas[:, 0] ** 2 + deltas[:, 1] ** 2) <= radius * radius
-        if include_mask is not None:
-            close &= include_mask
-        return np.nonzero(close)[0]
-
-    def pairwise_distances(self, t: float) -> np.ndarray:
-        """(N, N) symmetric distance matrix at time ``t``."""
-        positions = self.positions(t)
-        deltas = positions[:, None, :] - positions[None, :, :]
-        return np.sqrt((deltas**2).sum(axis=2))
 
 
 def build_group_mobility(

@@ -7,10 +7,10 @@ charged to the ledger (purpose ``"beacon"``) in bulk per cycle rather than
 serialised through the CSMA medium; the power ledger still reflects every
 send and reception.
 
-Connectivity is tracked in a dense last-heard matrix; one beacon cycle
-resolves each connected sender's in-range listener set with the field's
-boolean-mask neighbor query, so no (N, N) distance matrix is ever
-materialised.
+Connectivity is tracked in a dense (N, N) float64 last-heard matrix.  One
+beacon cycle reads the field's (N, N) bool adjacency of the current
+position snapshot, masks it with the connected hosts on both axes and
+stamps every heard link in one vector write — no per-sender loop.
 """
 
 from __future__ import annotations
@@ -81,26 +81,17 @@ class NeighborDiscovery:
         self.rounds += 1
         if self._tracer is not None:
             self._tracer.instant("ndp-round", senders=int(senders.size))
-        field = network.field
-        # Per-sender in-range listener sets via the field's boolean-mask
-        # query: no (N, N) distance matrix, no N^2 sqrt per beacon cycle.
-        receptions = np.zeros(len(field), dtype=np.int64)
-        for sender in senders:
-            listeners = field.neighbors_of(
-                int(sender), now, network.tran_range, include_mask=connected
-            )
-            self._last_heard[listeners, sender] = now
-            receptions[listeners] += 1
+        # heard[i, j]: connected host i is in range of connected sender j.
+        heard = network.field.adjacency(now, network.tran_range) & connected
+        heard &= connected[:, None]
+        np.copyto(self._last_heard, now, where=heard)
         self.beacons_sent += int(senders.size)
         if self.charge_power:
             model = network.model
-            send_cost = model.bc_send(self.hello_size)
-            recv_cost = model.bc_recv(self.hello_size)
-            network.ledger.charge_many(senders, send_cost, "beacon")
-            for host in np.nonzero(receptions)[0]:
-                network.ledger.charge(
-                    int(host), recv_cost * int(receptions[host]), "beacon"
-                )
+            ledger = network.ledger
+            ledger.charge_many(senders, model.bc_send(self.hello_size), "beacon")
+            receptions = heard.sum(axis=1)
+            ledger.charge_each(model.bc_recv(self.hello_size) * receptions, "beacon")
 
     # -- queries -----------------------------------------------------------------
 

@@ -15,7 +15,6 @@ messages.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -65,15 +64,6 @@ class P2PNetwork:
         self.broadcasts = 0
         self.unicasts = 0
         self.failed_unicasts = 0
-        # Per-snapshot-bucket neighbor memo: positions are frozen within a
-        # quantisation bucket and this class owns every ``connected`` flip,
-        # so repeated range queries for the same host can reuse the first
-        # result until the bucket or the connectivity mask changes.
-        self._nbr_cache: Dict[int, np.ndarray] = {}
-        self._nbr_time = -math.inf
-        # Scratch masks for the unicast bystander partition.
-        self._near_src_mask = np.zeros(n, dtype=bool)
-        self._near_dst_mask = np.zeros(n, dtype=bool)
         # Down-transition watchers: events succeeded when a node leaves
         # the air (crash or graceful disconnect).  Used by the failure-
         # aware retrieve path to fail over the moment a serving peer
@@ -88,7 +78,6 @@ class P2PNetwork:
 
     def set_connected(self, node: int, is_connected: bool) -> None:
         self.connected[node] = is_connected
-        self._nbr_cache.clear()
         if not is_connected:
             watchers = self._down_watchers.pop(node, None)
             if watchers:
@@ -129,21 +118,12 @@ class P2PNetwork:
     def neighbors(self, node: int) -> np.ndarray:
         """Connected hosts currently within transmission range of ``node``.
 
-        Memoised per position-snapshot bucket: a third of range queries in
-        a sweep repeat an earlier (host, instant) pair.  The returned array
-        is shared with later callers — treat it as read-only.
+        A row of the field's per-snapshot adjacency; ``connected`` is applied
+        here, at query time, so a connectivity flip never discards geometry.
         """
-        bucket = self.field.quantise(self.env.now)
-        if bucket != self._nbr_time:
-            self._nbr_cache.clear()
-            self._nbr_time = bucket
-        cached = self._nbr_cache.get(node)
-        if cached is None:
-            cached = self.field.neighbors_of(
-                node, self.env.now, self.tran_range, include_mask=self.connected
-            )
-            self._nbr_cache[node] = cached
-        return cached
+        return self.field.neighbors_of(
+            node, self.env.now, self.tran_range, include_mask=self.connected
+        )
 
     def reachable(self, src: int, dst: int, max_hops: int) -> bool:
         """Whether ``dst`` is within ``max_hops`` P2P hops of ``src`` now.
@@ -265,20 +245,14 @@ class P2PNetwork:
         now = self.env.now
         air = self.tx_time(message.size)
         size = message.size
-        near_src = self.neighbors(src)
-        near_dst = self.neighbors(dst)
-        # Bystander partition as boolean masks over the population — the
-        # per-host charges are identical to the old set arithmetic (each
-        # host lands in exactly one disjoint class), without building three
-        # Python sets per transmission.
-        in_src = self._near_src_mask
-        in_dst = self._near_dst_mask
-        in_src[:] = False
-        in_src[near_src] = True
-        in_dst[:] = False
-        in_dst[near_dst] = True
+        # Bystander partition as boolean masks over the population: each
+        # host lands in exactly one disjoint class.
+        adjacency = self.field.adjacency(now, self.tran_range)
+        in_src = adjacency[src] & self.connected
+        in_dst = adjacency[dst] & self.connected
+        near_src = np.nonzero(in_src)[0]
         in_dst[src] = False
-        deliverable = bool(in_src[dst]) and bool(self.connected[dst])
+        deliverable = bool(in_src[dst])
 
         end = now + air
         if busy[src] < end:

@@ -87,20 +87,37 @@ class PowerLedger:
         }
 
     def charge(self, host: int, amount: float, purpose: str = "data") -> None:
-        """Charge one host.  ``amount`` must be non-negative."""
-        if amount < 0:
-            raise ValueError(f"negative power charge {amount}")
+        """Charge one host.  ``amount`` must be non-negative (NaN is not)."""
+        if not amount >= 0:
+            raise ValueError(f"power charge must be >= 0, got {amount}")
         self._by_purpose[purpose][host] += amount
 
     def charge_many(
         self, hosts: Iterable[int], amount: float, purpose: str = "data"
     ) -> None:
-        """Charge the same amount to several hosts (e.g. broadcast receivers)."""
-        if amount < 0:
-            raise ValueError(f"negative power charge {amount}")
+        """Charge the same amount to several *distinct* hosts (e.g. the
+        receivers of one broadcast)."""
+        if not amount >= 0:
+            raise ValueError(f"power charge must be >= 0, got {amount}")
         hosts = np.asarray(list(hosts) if not isinstance(hosts, np.ndarray) else hosts)
-        if hosts.size:
-            self._by_purpose[purpose][hosts] += amount
+        if not hosts.size:
+            return
+        # A fancy-indexed += applies once per distinct index, so a repeated
+        # host would be silently under-charged.
+        if hosts.size > 1 and len(set(hosts.tolist())) != hosts.size:
+            raise ValueError(f"duplicate hosts in charge_many: {hosts.tolist()}")
+        self._by_purpose[purpose][hosts] += amount
+
+    def charge_each(self, amounts: np.ndarray, purpose: str = "data") -> None:
+        """Charge host ``i`` the amount ``amounts[i]`` (one dense add)."""
+        amounts = np.asarray(amounts, dtype=float)
+        if amounts.shape != (self.n_hosts,):
+            raise ValueError(
+                f"charge_each needs {self.n_hosts} amounts, got shape {amounts.shape}"
+            )
+        if not (amounts >= 0).all():
+            raise ValueError("power charges must all be >= 0")
+        self._by_purpose[purpose] += amounts
 
     def host_total(self, host: int) -> float:
         return float(sum(array[host] for array in self._by_purpose.values()))

@@ -5,7 +5,7 @@
 * :mod:`repro.signatures.counting` — the counting Bloom filter each client
   keeps for its own cache (π_c-bit saturating counters).
 * :mod:`repro.signatures.vlfl` — variable-length-to-fixed-length run-length
-  compression, including Algorithm 4 (``find_optimal_r``).
+  compression, including Algorithm 4 (``compression_plan``).
 * :mod:`repro.signatures.peer` — the peer-signature counter vector with
   dynamic counter width (π_p expand/contract).
 """
@@ -15,6 +15,7 @@ from repro.signatures.counting import CountingBloomFilter
 from repro.signatures.peer import PeerSignature
 from repro.signatures.vlfl import (
     CompressedSignature,
+    compression_plan,
     expected_compressed_bits,
     find_optimal_r,
     should_compress,
@@ -28,6 +29,7 @@ __all__ = [
     "CountingBloomFilter",
     "PeerSignature",
     "SignatureScheme",
+    "compression_plan",
     "expected_compressed_bits",
     "find_optimal_r",
     "should_compress",

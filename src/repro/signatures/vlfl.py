@@ -7,7 +7,7 @@ codeword of ``l = log2(R + 1)`` bits.
 
 With zero-probability ``φ = (1 − 1/σ)^(εk)`` the expected run length is
 ``η = (1 − φ^R) / (1 − φ)`` and the expected compressed size is
-``σ' = σ · l / η`` bits.  :func:`find_optimal_r` is the paper's Algorithm 4:
+``σ' = σ · l / η`` bits.  :func:`compression_plan` is the paper's Algorithm 4:
 it walks ``R = 1, 3, 7, ...`` while the expected size keeps shrinking.
 A client compresses only when ``l < η`` at the optimum, i.e. when the
 expected compressed signature is smaller than the raw one.
@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = [
     "CompressedSignature",
+    "compression_plan",
     "expected_compressed_bits",
     "find_optimal_r",
     "should_compress",
@@ -52,8 +54,15 @@ def expected_compressed_bits(size_bits: int, phi: float, run_cap: int) -> float:
     return size_bits * codeword / expected_run_length(phi, run_cap)
 
 
-def find_optimal_r(cache_items: int, size_bits: int, k: int) -> int:
-    """Algorithm 4: the run cap ``R = 2^l − 1`` minimising expected size."""
+@lru_cache(maxsize=4096)
+def compression_plan(cache_items: int, size_bits: int, k: int) -> Tuple[int, bool]:
+    """Algorithm 4 plus the local decision of Section IV-D.2, in one pass.
+
+    Returns ``(run_cap, compress)``: the run cap ``R = 2^l − 1`` minimising
+    the expected size, and whether at that optimum the codeword length is
+    below the expected run length (equivalently: the expected compressed
+    size beats σ).  Pure in three small ints, hence memoised.
+    """
     phi = zero_probability(cache_items, size_bits, k)
     best_size = float(size_bits) + 1.0
     best_r = 1
@@ -65,19 +74,18 @@ def find_optimal_r(cache_items: int, size_bits: int, k: int) -> int:
             best_r = run_cap
         else:
             break
-    return best_r
+    compress = math.log2(best_r + 1) < expected_run_length(phi, best_r)
+    return best_r, compress
+
+
+def find_optimal_r(cache_items: int, size_bits: int, k: int) -> int:
+    """Algorithm 4: the run cap ``R = 2^l − 1`` minimising expected size."""
+    return compression_plan(cache_items, size_bits, k)[0]
 
 
 def should_compress(cache_items: int, size_bits: int, k: int) -> bool:
-    """The client's local decision of Section IV-D.2.
-
-    Compress iff at the optimal R the codeword length is below the expected
-    run length (equivalently: the expected compressed size beats σ).
-    """
-    phi = zero_probability(cache_items, size_bits, k)
-    run_cap = find_optimal_r(cache_items, size_bits, k)
-    codeword = math.log2(run_cap + 1)
-    return codeword < expected_run_length(phi, run_cap)
+    """The client's local decision of Section IV-D.2."""
+    return compression_plan(cache_items, size_bits, k)[1]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Tests for adaptive timeout, admission control, cooperative replacement
 and the signature agent."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,13 @@ from repro.core.coca import AdaptiveTimeout, initial_timeout
 from repro.core.replacement import CooperativeReplacement
 from repro.core.signatures_proto import SignatureAgent
 from repro.signatures import PeerSignature, SignatureScheme
+from repro.signatures.vlfl import (
+    compression_plan,
+    expected_run_length,
+    find_optimal_r,
+    should_compress,
+    zero_probability,
+)
 
 
 def scheme(size=2048, k=2, seed=0):
@@ -266,6 +275,21 @@ def test_full_signature_payload_raw_when_compression_disabled():
     _, size_bytes, compressed = agent.full_signature_payload(cached_items=1)
     assert not compressed
     assert size_bytes == 1250
+
+
+def test_compression_plan_is_algorithm_4_plus_the_decision_once():
+    """One memoised pass gives what the two public wrappers give."""
+    for items, size_bits, k in [(0, 64, 1), (50, 10_000, 2), (5000, 10_000, 2), (9, 512, 4)]:
+        run_cap, compress = compression_plan(items, size_bits, k)
+        assert run_cap == find_optimal_r(items, size_bits, k)
+        assert compress is should_compress(items, size_bits, k)
+        eta = expected_run_length(zero_probability(items, size_bits, k), run_cap)
+        assert compress == (math.log2(run_cap + 1) < eta)
+    before = compression_plan.cache_info().hits
+    compression_plan(50, 10_000, 2)
+    assert compression_plan.cache_info().hits == before + 1
+    with pytest.raises(ValueError):
+        compression_plan(1, 0, 2)
 
 
 def test_membership_add_requests_signature():

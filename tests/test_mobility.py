@@ -259,18 +259,42 @@ def test_field_neighbors_respects_mask():
     assert field.neighbors_of(0, 0.0, radius=50.0, include_mask=mask).tolist() == [3]
 
 
-def test_field_within_range_includes_center_host():
+def test_field_adjacency_symmetric():
     field = grid_field()
-    found = field.within_range(np.array([0.0, 0.0]), 0.0, radius=35.0)
-    assert found.tolist() == [0, 1]
+    matrix = field.adjacency(0.0, radius=50.0)
+    assert matrix.dtype == bool and matrix.shape == (4, 4)
+    assert np.array_equal(matrix, matrix.T)
+    assert not matrix.diagonal().any()
+    assert matrix[0, 1] and matrix[0, 3] and not matrix[0, 2]
+    assert field.adjacency(0.0, radius=0.0).sum() == 0
 
 
-def test_field_pairwise_distances_symmetric():
+def test_field_adjacency_is_built_once_per_snapshot_and_radius():
     field = grid_field()
-    matrix = field.pairwise_distances(0.0)
-    assert np.allclose(matrix, matrix.T)
-    assert np.allclose(np.diag(matrix), 0.0)
-    assert matrix[0, 2] == pytest.approx(90.0)
+    first = field.adjacency(1.0, radius=50.0)
+    assert field.adjacency_builds == 1
+    assert field.adjacency(1.0, radius=50.0) is first
+    field.neighbors_of(2, 1.0, radius=50.0)
+    assert field.adjacency_builds == 1
+    field.adjacency(1.0, radius=100.0)  # another radius: another matrix
+    field.adjacency(2.0, radius=100.0)  # another snapshot
+    assert field.adjacency_builds == 3
+
+
+def test_field_range_queries_reject_negative_radius():
+    field = grid_field()
+    with pytest.raises(ValueError, match="-5.0"):
+        field.neighbors_of(0, 0.0, radius=-5.0)
+    with pytest.raises(ValueError, match="-5.0"):
+        field.adjacency(0.0, radius=-5.0)
+
+
+def test_field_range_queries_reject_nan_radius():
+    field = grid_field()
+    with pytest.raises(ValueError, match="nan"):
+        field.neighbors_of(0, 0.0, radius=math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        field.adjacency(0.0, radius=math.nan)
 
 
 def test_field_neighbor_symmetry_random():
@@ -345,3 +369,69 @@ def test_vectorised_snapshot_handles_backward_queries_bitwise():
     fast, slow = _paired_fields(7, 4, 0.1)
     for t in [0.0, 120.0, 30.0, 120.0, 0.05, 400.0, 399.95]:
         assert fast.positions(t).tobytes() == slow.positions(t).tobytes()
+
+
+# -- per-snapshot adjacency vs a scalar reference ---------------------------
+
+
+def _reference_neighbors(positions, index, radius, mask):
+    """The range test one host and one peer at a time."""
+    found = []
+    for peer in range(len(positions)):
+        if peer == index or not mask[peer]:
+            continue
+        dx = positions[peer][0] - positions[index][0]
+        dy = positions[peer][1] - positions[index][1]
+        if dx * dx + dy * dy <= radius * radius:
+            found.append(peer)
+    return found
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_clients=st.integers(min_value=2, max_value=40),
+    group_size=st.sampled_from([1, 3, 4]),
+    resolution=st.sampled_from([0.0, 0.1]),
+    opaque=st.booleans(),
+    # Multiples of half a bucket plus a jitter: neighbours in the list land
+    # in the same bucket, on its boundary and in the next one.
+    ticks=st.lists(st.integers(min_value=0, max_value=4000), min_size=1, max_size=8),
+    jitter=st.sampled_from([0.0, 1e-9, 0.02, 0.049999]),
+    radius=st.sampled_from([0.0, 1.0, 50.0, 100.0, 250.0, 2000.0]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_range_queries_match_scalar_reference(
+    seed, n_clients, group_size, resolution, opaque, ticks, jitter, radius, data
+):
+    field, _ = build_group_mobility(
+        rng(seed), n_clients, group_size, AREA, 1.0, 5.0, resolution=resolution
+    )
+    if opaque:
+        field = MobilityField(
+            [_OpaqueTrajectory(t) for t in field.trajectories], resolution=resolution
+        )
+    assert field._fast is not opaque
+    mask = np.array(
+        data.draw(st.lists(st.booleans(), min_size=n_clients, max_size=n_clients))
+    )
+    for tick in ticks:
+        t = tick * 0.05 + jitter
+        builds = field.adjacency_builds
+        fresh = (field.quantise(t), radius) != field._adjacency_key
+        matrix = field.adjacency(t, radius)
+        assert field.adjacency_builds == builds + fresh
+        assert field.adjacency(t, radius) is matrix  # same bucket: no rebuild
+        assert field.adjacency_builds == builds + fresh
+        assert np.array_equal(matrix, matrix.T)
+        assert not matrix.diagonal().any()
+        positions = field.positions(t).tolist()
+        everyone = np.ones(n_clients, dtype=bool)
+        for index in range(n_clients):
+            assert field.neighbors_of(
+                index, t, radius, include_mask=mask
+            ).tolist() == _reference_neighbors(positions, index, radius, mask)
+            assert field.neighbors_of(index, t, radius).tolist() == (
+                _reference_neighbors(positions, index, radius, everyone)
+            )
+        assert field.adjacency_builds == builds + fresh

@@ -262,6 +262,65 @@ def test_unicast_discard_source_only_and_dest_only():
     assert ledger.host_total(3) == pytest.approx(model.ptp_discard_d(100))
 
 
+# Geometry A: 0-1 in range, 2 in range of both, 3 far away (range 50).
+BOTH = [(0.0, 0.0), (30.0, 0.0), (15.0, 20.0), (500.0, 0.0)]
+# Geometry B: 0 -> 1 at 40 m, 2 near the source only, 3 near the
+# destination only (range 45).
+SPLIT = [(0.0, 0.0), (40.0, 0.0), (-30.0, 0.0), (70.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "points, tran_range, size, down, delivered, charges",
+    [
+        (BOTH, 50.0, 200, (), True, [834.0, 456.0, 70.0, 0.0]),
+        (SPLIT, 45.0, 100, (), True, [644.0, 406.0, 24.0, 56.0]),
+        (BOTH, 50.0, 200, (2,), True, [834.0, 456.0, 0.0, 0.0]),  # sd bystander off
+        (SPLIT, 45.0, 100, (3,), True, [644.0, 406.0, 24.0, 0.0]),  # d bystander off
+        # Destination off the air: the frame still goes out, and the hosts
+        # around the destination's position are charged as before.
+        (SPLIT, 45.0, 100, (1,), False, [644.0, 0.0, 24.0, 56.0]),
+    ],
+)
+def test_unicast_bystander_classes_exact(
+    points, tran_range, size, down, delivered, charges
+):
+    """The per-host Table I charges recorded before the bystander partition
+    moved from scratch masks to adjacency rows."""
+    env, net, ledger = make_net(points, tran_range=tran_range)
+    for node in down:
+        net.set_connected(node, False)
+    outcome = []
+
+    def proc():
+        ok = yield from net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, size))
+        outcome.append(ok)
+
+    env.process(proc())
+    env.run()
+    assert outcome == [delivered]
+    assert ledger.per_host_totals().tolist() == charges
+    assert net.failed_unicasts == (0 if delivered else 1)
+
+
+def test_neighbors_follow_connectivity_flips_within_a_bucket():
+    """``connected`` is applied per query: no stale memo, no geometry rebuild."""
+    env = Environment()
+    field = MobilityField([StationaryTrajectory(p) for p in LINE], resolution=0.1)
+    net = P2PNetwork(env, field, 8000.0, 50.0, PowerLedger(len(LINE)))
+    assert net.neighbors(1).tolist() == [0, 2]
+    builds = field.adjacency_builds
+    net.set_connected(2, False)
+    assert net.neighbors(1).tolist() == [0]
+    net.set_connected(0, False)
+    assert net.neighbors(1).tolist() == []
+    net.set_connected(1, False)  # the asker's own state does not matter
+    net.set_connected(0, True)
+    assert net.neighbors(1).tolist() == [0]
+    net.set_connected(2, True)
+    assert net.neighbors(1).tolist() == [0, 2]
+    assert field.adjacency_builds == builds  # all of it from one snapshot
+
+
 def test_unicast_out_of_range_fails_but_costs_sender():
     env, net, ledger = make_net(LINE)
 

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility import (
     MobilityField,
     Rectangle,
     RandomWaypointTrajectory,
     StationaryTrajectory,
+    build_group_mobility,
 )
 from repro.net import NeighborDiscovery, P2PNetwork, PowerLedger
 from repro.sim import Environment
@@ -117,3 +120,82 @@ def test_ndp_tracks_moving_hosts():
     }
     for i in range(8):
         assert set(ndp.live_neighbors(i).tolist()) == truth[i]
+
+
+# -- the vectorised cycle against the per-sender loop it replaced ------------
+
+
+def _reference_cycle(ndp, now, last_heard, ledger):
+    """One beacon cycle, one sender and one charged receiver at a time."""
+    network = ndp.network
+    connected = network.connected
+    senders = np.nonzero(connected)[0]
+    if not senders.size:
+        return 0, 0
+    positions = network.field.positions(now)
+    radius = network.tran_range
+    receptions = np.zeros(len(connected), dtype=np.int64)
+    for sender in senders:
+        deltas = positions - positions[sender]
+        close = (deltas[:, 0] ** 2 + deltas[:, 1] ** 2) <= radius * radius
+        close[sender] = False
+        close &= connected
+        listeners = np.nonzero(close)[0]
+        last_heard[listeners, sender] = now
+        receptions[listeners] += 1
+    send_cost = network.model.bc_send(ndp.hello_size)
+    recv_cost = network.model.bc_recv(ndp.hello_size)
+    ledger.charge_many(senders, send_cost, "beacon")
+    for host in np.nonzero(receptions)[0]:
+        ledger.charge(int(host), recv_cost * int(receptions[host]), "beacon")
+    return 1, int(senders.size)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_hosts=st.integers(min_value=1, max_value=24),
+    tran_range=st.sampled_from([40.0, 100.0, 400.0]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_vectorised_cycle_matches_per_sender_loop(seed, n_hosts, tran_range, data):
+    env = Environment()
+    field, _ = build_group_mobility(
+        np.random.default_rng(seed),
+        n_hosts,
+        3,
+        Rectangle(300.0, 300.0),
+        1.0,
+        5.0,
+        resolution=0.1,
+    )
+    net = P2PNetwork(env, field, 2_000_000.0, tran_range, PowerLedger(n_hosts))
+    ndp = NeighborDiscovery(env, net)
+    masks = data.draw(
+        st.lists(
+            st.one_of(
+                st.just([False] * n_hosts),  # nobody on the air
+                st.just([True] * n_hosts),
+                st.lists(st.booleans(), min_size=n_hosts, max_size=n_hosts),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    last_heard = np.full((n_hosts, n_hosts), -np.inf)
+    ledger = PowerLedger(n_hosts)
+    rounds = beacons = 0
+    for cycle, mask in enumerate(masks, start=1):
+        for host, up in enumerate(mask):
+            net.set_connected(host, up)
+        env.run(until=cycle + 0.5)  # the cycle itself runs at t == cycle
+        ran, sent = _reference_cycle(ndp, float(cycle), last_heard, ledger)
+        rounds += ran
+        beacons += sent
+    assert np.array_equal(ndp._last_heard, last_heard)
+    assert (ndp.rounds, ndp.beacons_sent) == (rounds, beacons)
+    for purpose in ("beacon", "data", "signature"):
+        assert (
+            net.ledger._by_purpose[purpose].tobytes()
+            == ledger._by_purpose[purpose].tobytes()
+        )

@@ -1,5 +1,7 @@
 """Tests for the Table I power model and the per-host ledger."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,6 +70,51 @@ def test_ledger_rejects_negative_charges():
         ledger.charge(0, -1.0)
     with pytest.raises(ValueError):
         ledger.charge_many([0], -1.0)
+
+
+def test_ledger_rejects_nan_charges():
+    """`amount < 0` is False for NaN; one NaN would poison the whole purpose."""
+    ledger = PowerLedger(4)
+    with pytest.raises(ValueError, match="nan"):
+        ledger.charge(0, math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        ledger.charge_many([1, 2], math.nan)
+    amounts = np.array([1.0, math.nan, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        ledger.charge_each(amounts)
+    assert ledger.total() == 0.0
+
+
+def test_ledger_charge_many_rejects_duplicate_hosts():
+    """A fancy-indexed += would charge host 1 once, not twice."""
+    ledger = PowerLedger(4)
+    with pytest.raises(ValueError, match="duplicate"):
+        ledger.charge_many([1, 1, 2], 5.0)
+    with pytest.raises(ValueError, match="duplicate"):
+        ledger.charge_many(np.array([3, 0, 3]), 5.0)
+    assert ledger.total() == 0.0
+    ledger.charge_many([2, 1], 5.0)  # distinct, any order
+    assert ledger.per_host_totals().tolist() == [0.0, 5.0, 5.0, 0.0]
+
+
+def test_ledger_charge_each():
+    ledger = PowerLedger(3)
+    ledger.charge(1, 0.1, "beacon")
+    ledger.charge_each(np.array([1.5, 0.0, 2.0]), "beacon")
+    ledger.charge_each([0, 3, 0], "beacon")  # any array-like of length N
+    assert ledger.per_host_totals().tolist() == [1.5, 0.1 + 0.0 + 3.0, 2.0]
+    assert ledger.total("data") == 0.0
+
+
+def test_ledger_charge_each_validates_shape_and_sign():
+    ledger = PowerLedger(3)
+    with pytest.raises(ValueError, match="3 amounts"):
+        ledger.charge_each(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="3 amounts"):
+        ledger.charge_each(np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        ledger.charge_each(np.array([1.0, -0.5, 0.0]))
+    assert ledger.total() == 0.0
 
 
 def test_ledger_rejects_empty():
