@@ -125,7 +125,7 @@ class ResultCache:
         return payload["results"]
 
     def put(self, config: SimulationConfig, results: Results) -> Path:
-        """Store one run's results; returns the entry path."""
+        """Save one run's results; returns the entry path."""
         path = self.path_for(config)
         payload = {
             "config": canonical_config(config),

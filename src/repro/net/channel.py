@@ -6,6 +6,12 @@ buffered in an infinite FCFS queue while the link is busy — exactly the
 paper's server model — so downlink saturation produces the latency blow-up
 of Fig. 7.
 
+A link is FCFS, a message's hold time is known when it arrives and no sender
+is ever interrupted, so its departure is fixed on arrival: ``max(now,
+free_at) + hold``, where ``free_at`` — the link's *busy horizon* — is the
+departure of the message ahead.  A send is one kernel timeout at that
+absolute instant; the queue itself is never materialised.
+
 Per-link accounting mirrors :class:`~repro.net.p2p.P2PNetwork`'s traffic
 counters: request counts, transferred bytes, dropped messages and the total
 FCFS queue-wait time, so server-side congestion is observable per run.
@@ -23,9 +29,20 @@ from typing import Optional
 
 from repro.net.faults import FaultInjector
 from repro.sim.kernel import Environment
-from repro.sim.resources import Resource
 
 __all__ = ["ServerChannel"]
+
+
+class _Link:
+    """One FCFS link: busy until ``free_at``; ``in_flight`` sends are queued
+    or in service, so all but one of them wait.
+    """
+
+    __slots__ = ("free_at", "in_flight")
+
+    def __init__(self, now: float) -> None:
+        self.free_at = now
+        self.in_flight = 0
 
 
 class ServerChannel:
@@ -45,8 +62,8 @@ class ServerChannel:
         self.uplink_bps = float(uplink_bps)
         #: Optional seeded loss process; ``None`` keeps the ideal channel.
         self.faults = faults
-        self._downlink = Resource(env, capacity=1)
-        self._uplink = Resource(env, capacity=1)
+        self._downlink = _Link(env.now)
+        self._uplink = _Link(env.now)
         self.bytes_down = 0
         self.bytes_up = 0
         # Per-link traffic counters (symmetric to P2PNetwork's).
@@ -64,17 +81,23 @@ class ServerChannel:
     def uplink_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.uplink_bps
 
-    def _send(self, resource: Resource, hold_time: float):
-        """Queue for the link, occupy it, and return the queue-wait time."""
-        queued_at = self.env.now
-        grant = resource.request()
-        yield grant
-        waited = self.env.now - queued_at
+    def _send(self, link: _Link, hold_time: float):
+        """Book the link's next slot, sleep until the message has left it,
+        and return the queue-wait time.
+
+        The slot stays booked even if the sender is thrown out of the wait:
+        the horizon is all the link knows of its queue.
+        """
+        env = self.env
+        now = env.now
+        start = link.free_at if link.free_at > now else now
+        link.free_at = end = start + hold_time
+        link.in_flight += 1
         try:
-            yield self.env.timeout(hold_time)
+            yield env.timeout_at(end)
         finally:
-            resource.release(grant)
-        return waited
+            link.in_flight -= 1
+        return start - now
 
     def send_downlink(self, size_bytes: int):
         """Process helper: queue for and occupy the downlink.
@@ -83,6 +106,8 @@ class ServerChannel:
         Returns ``True`` when the message survived the channel (always, in
         the fault-free model).
         """
+        if not (size_bytes >= 0):  # not `size_bytes < 0`: that is False for NaN
+            raise ValueError(f"message size must be >= 0 bytes, got {size_bytes}")
         self.downlink_requests += 1
         self.bytes_down += size_bytes
         waited = yield from self._send(
@@ -99,6 +124,8 @@ class ServerChannel:
 
         Returns ``True`` when the message survived the channel.
         """
+        if not (size_bytes >= 0):  # not `size_bytes < 0`: that is False for NaN
+            raise ValueError(f"message size must be >= 0 bytes, got {size_bytes}")
         self.uplink_requests += 1
         self.bytes_up += size_bytes
         waited = yield from self._send(self._uplink, self.uplink_time(size_bytes))
@@ -110,11 +137,11 @@ class ServerChannel:
 
     @property
     def downlink_queue_length(self) -> int:
-        return self._downlink.queue_length
+        return max(self._downlink.in_flight - 1, 0)
 
     @property
     def uplink_queue_length(self) -> int:
-        return self._uplink.queue_length
+        return max(self._uplink.in_flight - 1, 0)
 
     @property
     def uplink_mean_wait(self) -> float:

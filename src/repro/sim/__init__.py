@@ -2,8 +2,8 @@
 
 The paper's evaluation is built on CSIM (a commercial C++ process-oriented
 simulation library).  This package is the from-scratch Python replacement: a
-generator-based process kernel (:mod:`repro.sim.kernel`), FCFS resources and
-stores (:mod:`repro.sim.resources`), deterministic named random streams
+generator-based process kernel (:mod:`repro.sim.kernel`), the reference FCFS
+resource (:mod:`repro.sim.resources`), deterministic named random streams
 (:mod:`repro.sim.random`) and incremental statistics (:mod:`repro.sim.stats`).
 """
 
@@ -19,7 +19,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.profile import RunProfile
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.stats import TimeWeightedAverage, WelfordAccumulator
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Resource",
     "RunProfile",
     "SimulationError",
-    "Store",
     "TimeWeightedAverage",
     "Timeout",
     "WelfordAccumulator",

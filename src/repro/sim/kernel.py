@@ -199,7 +199,9 @@ class Process(Event):
     """A running generator.  As an Event, it fires when the generator ends.
 
     The value of the process-event is the generator's return value; an
-    uncaught exception inside the generator fails the process-event.
+    uncaught exception inside the generator fails the process-event.  A
+    generator that returns while nothing waits on the process completes in
+    place, without a queue entry; a waiter or a failure takes the queue.
     """
 
     __slots__ = ("generator", "_waiting_on", "_resume_cb")
@@ -252,7 +254,14 @@ class Process(Event):
                     target = generator.send(fired._value)
             except StopIteration as stop:
                 if self._state == _PENDING:
-                    self.succeed(stop.value)
+                    if self.callbacks:
+                        self.succeed(stop.value)
+                    else:
+                        # Nobody waits: finish in place; an event without a
+                        # callback would be a queue trip for no simulated work.
+                        self._value = stop.value
+                        self._state = _PROCESSED
+                        self.callbacks = None
                 return
             except BaseException as exc:  # must fail the process, whatever died
                 if self._state == _PENDING:
@@ -502,6 +511,28 @@ class Environment:
             self.monitor.on_schedule(self, when)
         return timeout
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timeout that fires at the absolute time ``when``.
+
+        Exactly ``when``, which ``timeout(when - now)`` cannot promise:
+        ``now + (when - now) != when`` in floats.
+        """
+        now = self._now
+        if not (when >= now):  # not `when < now`: that is False for NaN
+            raise SimulationError(f"timeout_at(when={when}) must be >= now ({now})")
+        free = self._timeout_free
+        if free:
+            timeout = free.pop()
+            self.freelist_hits += 1
+        else:
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+        timeout._value = value
+        timeout._state = _TRIGGERED
+        timeout.delay = when - now
+        self._schedule_at(timeout, when)
+        return timeout
+
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
@@ -514,9 +545,11 @@ class Environment:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        self._schedule_at(event, self._now + delay)
+
+    def _schedule_at(self, event: Event, when: float) -> None:
         seq = self._seq + 1
         self._seq = seq
-        when = self._now + delay
         queue = self._queue
         if when < self._front_when:
             front = self._front_event

@@ -1,18 +1,19 @@
-"""FCFS resources and stores for the simulation kernel.
+"""The explicit FCFS resource, kept as a reference.
 
 :class:`Resource` models a server with fixed capacity and an infinite FIFO
-queue (the MSS channels and the per-host radio are Resources of capacity 1).
-:class:`Store` is an unbounded FIFO item buffer (the MSS request queue).
+queue, one grant event per request.  Nothing in ``src/`` uses it:
+:class:`~repro.net.channel.ServerChannel` computes each departure on arrival,
+and ``tests/test_net_channel_p2p.py`` checks that against this class.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterator, List
+from typing import Deque, Iterator, List
 
 from repro.sim.kernel import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -88,32 +89,3 @@ class Resource:
         finally:
             self.release(grant)
 
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``."""
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the oldest item."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

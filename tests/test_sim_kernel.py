@@ -340,3 +340,155 @@ def test_nested_processes_compose():
     env.run()
     assert out == [6]
     assert env.now == 3
+
+
+# -- timeout_at: absolute-time scheduling ------------------------------------
+
+
+def test_timeout_at_fires_at_the_exact_instant_fresh_and_recycled():
+    env = Environment(initial_time=0.3)
+    assert 0.3 + (0.9 - 0.3) != 0.9  # why timeout(when - now) would not do
+    fresh = env.timeout_at(0.9, value="fresh")
+    assert env.freelist_hits == 0 and fresh.delay == 0.9 - 0.3
+    env.run()
+    assert env.now == 0.9 and fresh.value == "fresh"
+    # Run an unowned timeout through so the next call takes the free list.
+    env.timeout(0)
+    env.run()
+    recycled = env.timeout_at(0.9 + 0.3, value="recycled")
+    assert env.freelist_hits == 1 and recycled is not fresh
+    env.run()
+    assert env.now == 0.9 + 0.3 and recycled.value == "recycled"
+
+
+def test_timeout_at_rejects_nan_and_the_past_fresh_and_recycled():
+    env = Environment(initial_time=5.0)
+    for _ in range(2):
+        with pytest.raises(SimulationError, match=r"when=nan.*now \(5\.0\)"):
+            env.timeout_at(float("nan"))
+        with pytest.raises(SimulationError, match=r"when=4\.5.*now \(5\.0\)"):
+            env.timeout_at(4.5)
+        assert env.pending_events == 0
+        # Second pass: a timeout waits on the free list.
+        env.timeout(0)
+        env.run()
+    assert env.now == 5.0
+
+
+def test_timeout_at_now_fires_without_advancing_the_clock():
+    env = Environment(initial_time=2.0)
+    timeout = env.timeout_at(2.0, value="now")
+    assert timeout.delay == 0.0
+    env.run()
+    assert timeout.processed and timeout.value == "now" and env.now == 2.0
+
+
+def test_timeout_at_and_timeout_interleave_in_seq_order():
+    env = Environment(initial_time=1.0)
+    order = []
+
+    def waiter(tag, absolute):
+        yield env.timeout_at(env.now + 4.0) if absolute else env.timeout(4.0)
+        order.append(tag)
+
+    for tag in range(8):
+        env.process(waiter(tag, absolute=tag % 2 == 0))
+    env.run()
+    assert order == list(range(8))
+    assert env.now == 5.0
+
+
+def test_timeout_at_reports_to_the_monitor():
+    class Recorder:
+        def __init__(self):
+            self.scheduled = []
+
+        def on_schedule(self, env, when):
+            self.scheduled.append(when)
+
+        def on_step(self, env, when):
+            pass
+
+    monitor = Recorder()
+    env = Environment(monitor=monitor)
+    env.timeout_at(3.25)
+    assert monitor.scheduled == [3.25]
+    env.run(until=3.25)
+    assert env.events_processed == 1
+
+
+# -- processes nobody waits on complete in place -----------------------------
+
+
+def test_unwatched_process_completes_without_a_queue_entry():
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(worker())
+    env.run(until=0.5)
+    assert env.events_processed == 1 and env.pending_events == 1  # bootstrap; timeout
+    env.run()
+    # Bootstrap and timeout only: the end of the generator cost no event.
+    assert env.events_processed == 2 and env.pending_events == 0
+    assert proc.processed and not proc.is_alive and proc.value == "done"
+    assert env.now == 1.0
+
+
+def test_waiter_registered_before_the_end_is_woken_through_the_queue():
+    env = Environment()
+    got = []
+
+    def worker():
+        yield env.timeout(1.0)
+        return "done"
+
+    def waiter(proc):
+        got.append((yield proc))
+
+    proc = env.process(worker())
+    env.process(waiter(proc))
+    env.run()
+    # worker: bootstrap, timeout, completion; waiter: bootstrap (it ends
+    # unwatched).  The completion event is what resumes the waiter.
+    assert got == ["done"] and env.events_processed == 4
+
+
+def test_yield_on_a_process_that_already_ended_resumes_at_once():
+    env = Environment()
+    got = []
+
+    def worker():
+        yield env.timeout(1.0)
+        return "done"
+
+    def late_waiter(proc):
+        yield env.timeout(2.0)
+        before = env.events_processed
+        got.append((yield proc))
+        got.append(env.events_processed - before)
+
+    proc = env.process(worker())
+    env.process(late_waiter(proc))
+    env.run()
+    assert got == ["done", 0] and env.now == 2.0
+    # A condition over it fires too.
+    any_of = env.any_of([proc])
+    env.run()
+    assert any_of.value == {proc: "done"}
+
+
+def test_unwatched_failed_process_still_raises_from_run():
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1.0)
+        raise KeyError("boom")
+
+    proc = env.process(worker())
+    with pytest.raises(KeyError, match="boom"):
+        env.run()
+    assert proc.processed and not proc.ok
+    assert env.events_processed == 3  # bootstrap, timeout, the failure event

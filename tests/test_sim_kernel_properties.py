@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment, Resource, Store
+from repro.sim import AllOf, AnyOf, Environment, Resource
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=40))
@@ -62,33 +62,6 @@ def test_resource_never_exceeds_capacity_and_serves_everyone(jobs, capacity):
     assert sorted(served) == list(range(len(jobs)))
     assert resource.count == 0
     assert resource.queue_length == 0
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=99), max_size=30),
-    st.integers(min_value=0, max_value=30),
-)
-@settings(max_examples=60)
-def test_store_is_fifo_under_any_interleaving(items, getter_count):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def getter():
-        value = yield store.get()
-        received.append(value)
-
-    def putter():
-        for index, item in enumerate(items):
-            yield env.timeout(index % 3)
-            store.put(item)
-
-    for _ in range(getter_count):
-        env.process(getter())
-    env.process(putter())
-    env.run(until=1000.0)
-    delivered = min(len(items), getter_count)
-    assert received == list(items[:delivered])
 
 
 @given(

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_serializes_users():
@@ -118,67 +118,3 @@ def test_resource_counters():
     assert resource.count == 1
     assert resource.queue_length == 0
 
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(getter())
-    env.run()
-    assert got == ["a", "b"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def putter():
-        yield env.timeout(6)
-        store.put("late")
-
-    env.process(getter())
-    env.process(putter())
-    env.run()
-    assert got == [(6, "late")]
-
-
-def test_store_multiple_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    env.process(getter(1))
-    env.process(getter(2))
-
-    def putter():
-        yield env.timeout(1)
-        store.put("x")
-        store.put("y")
-
-    env.process(putter())
-    env.run()
-    assert got == [(1, "x"), (2, "y")]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    assert len(store) == 1
