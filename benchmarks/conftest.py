@@ -23,7 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import jobs_from_env
+from repro.experiments import (
+    FIGURES,
+    format_profile_report,
+    format_sweep_table,
+    jobs_from_env,
+    run_sweep,
+)
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -55,26 +61,21 @@ def record_table(results_dir):
 
 
 @pytest.fixture()
-def record_profile(results_dir):
-    """Write a sweep's per-run profile to results/<name>.profile.txt."""
+def run_figure(benchmark, record_table):
+    """Time one ``FIGURES`` row with the suite-wide ``REPRO_JOBS`` fan-out
+    and record its table and per-run profile under the row's stem."""
 
-    def _record(name: str, table) -> None:
-        from repro.experiments.tables import format_profile_report
+    def _run(key: str, **sweep_kwargs):
+        figure = FIGURES[key]
+        sweep_kwargs.setdefault("jobs", SWEEP_JOBS)
+        table = run_once(benchmark, lambda: run_sweep(figure, **sweep_kwargs))
+        record_table(figure.stem, format_sweep_table(table, figure.title))
+        record_table(f"{figure.stem}.profile", format_profile_report(table))
+        return table
 
-        text = format_profile_report(table)
-        (results_dir / f"{name}.profile.txt").write_text(text)
-        print()
-        print(text)
-
-    return _record
+    return _run
 
 
 def run_once(benchmark, fn):
     """Time a deterministic benchmark body ``BENCH_ROUNDS`` times."""
     return benchmark.pedantic(fn, rounds=BENCH_ROUNDS, iterations=1)
-
-
-def run_sweep_once(benchmark, sweep_fn, **sweep_kwargs):
-    """Time one figure sweep with the suite-wide ``REPRO_JOBS`` fan-out."""
-    sweep_kwargs.setdefault("jobs", SWEEP_JOBS)
-    return run_once(benchmark, lambda: sweep_fn(**sweep_kwargs))

@@ -9,15 +9,9 @@ Paper shapes this bench checks:
   count amortising the signature scheme (panel d).
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_cache_size
-
-
-def test_fig2_cache_size(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_cache_size)
-    record_table("fig2_cache_size", format_sweep_table(table, "effect of cache size"))
-    record_profile("fig2_cache_size", table)
+def test_fig2_cache_size(run_figure):
+    table = run_figure("fig2")
 
     smallest, largest = table.values[0], table.values[-1]
     for scheme in ("LC", "CC", "GC"):

@@ -7,15 +7,9 @@ Paper shapes this bench checks:
   and eventually sags as the local cache absorbs the demand.
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_skewness
-
-
-def test_fig3_skewness(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_skewness)
-    record_table("fig3_skewness", format_sweep_table(table, "effect of skewness"))
-    record_profile("fig3_skewness", table)
+def test_fig3_skewness(run_figure):
+    table = run_figure("fig3")
 
     uniform, most_skewed = table.values[0], table.values[-1]
     for scheme in ("LC", "CC", "GC"):

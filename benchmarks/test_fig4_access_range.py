@@ -7,17 +7,9 @@ Paper shapes this bench checks:
   effective as the range grows.
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_access_range
-
-
-def test_fig4_access_range(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_access_range)
-    record_table(
-        "fig4_access_range", format_sweep_table(table, "effect of access range")
-    )
-    record_profile("fig4_access_range", table)
+def test_fig4_access_range(run_figure):
+    table = run_figure("fig4")
 
     narrow, wide = table.values[0], table.values[-1]
     for scheme in ("LC", "CC", "GC"):

@@ -9,15 +9,9 @@ Paper shapes this bench checks:
   group's vicinity).
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_group_size
-
-
-def test_fig5_group_size(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_group_size)
-    record_table("fig5_group_size", format_sweep_table(table, "effect of group size"))
-    record_profile("fig5_group_size", table)
+def test_fig5_group_size(run_figure):
+    table = run_figure("fig5")
 
     loner, largest = table.values[0], table.values[-1]
     for scheme in ("CC", "GC"):

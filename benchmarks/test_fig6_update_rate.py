@@ -7,17 +7,9 @@ Paper shapes this bench checks:
   amortised over fewer global hits).
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_update_rate
-
-
-def test_fig6_update_rate(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_update_rate)
-    record_table(
-        "fig6_update_rate", format_sweep_table(table, "effect of data update rate")
-    )
-    record_profile("fig6_update_rate", table)
+def test_fig6_update_rate(run_figure):
+    table = run_figure("fig6")
 
     fresh, churny = table.values[0], table.values[-1]
     # Updates force validations and refreshes; without updates there are none.

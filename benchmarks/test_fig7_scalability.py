@@ -6,17 +6,9 @@ Paper shapes this bench checks:
 * the power per GCH grows with density (more overheard traffic).
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_n_clients
-
-
-def test_fig7_scalability(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_n_clients)
-    record_table(
-        "fig7_scalability", format_sweep_table(table, "effect of number of MHs")
-    )
-    record_profile("fig7_scalability", table)
+def test_fig7_scalability(run_figure):
+    table = run_figure("fig7")
 
     sparse, dense = table.values[0], table.values[-1]
     lc_sparse = table.result("LC", sparse)

@@ -8,18 +8,9 @@ Paper shapes this bench checks:
   signature power grows with the disconnection rate.
 """
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_disconnection
-
-
-def test_fig8_disconnection(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_disconnection)
-    record_table(
-        "fig8_disconnection",
-        format_sweep_table(table, "effect of disconnection probability"),
-    )
-    record_profile("fig8_disconnection", table)
+def test_fig8_disconnection(run_figure):
+    table = run_figure("fig8")
 
     stable, flaky = table.values[0], table.values[-1]
     # The downlink decongests when clients go quiet.

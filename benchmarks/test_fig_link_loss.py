@@ -14,23 +14,14 @@ the MSS links) and checks that cooperative caching *degrades* rather than
 
 import math
 
-from conftest import run_sweep_once
-
-from repro.experiments import format_sweep_table, sweep_link_loss
-
 #: Adjacent sweep points may wobble this many GCH percentage points up
 #: before we call the degradation non-monotonic (seed noise at small
 #: scale profiles).
 GCH_TOLERANCE = 2.0
 
 
-def test_fig_link_loss(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_link_loss, attempts=2)
-    record_table(
-        "fig_link_loss",
-        format_sweep_table(table, "effect of wireless message loss"),
-    )
-    record_profile("fig_link_loss", table)
+def test_fig_link_loss(run_figure):
+    table = run_figure("fig-loss", attempts=2)
 
     clean, worst = table.values[0], table.values[-1]
     for scheme in ("CC", "GC"):

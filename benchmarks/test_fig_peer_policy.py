@@ -18,20 +18,11 @@ and checks that the adaptive machinery earns its keep:
 
 import math
 
-from conftest import run_sweep_once
-
-from repro.experiments import format_sweep_table, sweep_peer_policy
-
 ADAPTIVE = ("least-pending", "latency-aware", "power-aware", "epsilon-greedy")
 
 
-def test_fig_peer_policy(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_peer_policy, attempts=2)
-    record_table(
-        "fig_peer_policy",
-        format_sweep_table(table, "retrieve scoring policy x P2P fault rate"),
-    )
-    record_profile("fig_peer_policy", table)
+def test_fig_peer_policy(run_figure):
+    table = run_figure("fig-policy", attempts=2)
 
     # Every run completed: latency finite for all policies at all points.
     for policy in table.rows:

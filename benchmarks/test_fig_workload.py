@@ -15,18 +15,9 @@ and checks the qualitative story survives the demand side changing:
 
 import math
 
-from conftest import run_sweep_once
 
-from repro.experiments import format_sweep_table, sweep_workload
-
-
-def test_fig_workload(benchmark, record_table, record_profile):
-    table = run_sweep_once(benchmark, sweep_workload)
-    record_table(
-        "fig_workload",
-        format_sweep_table(table, "workload engine x caching scheme"),
-    )
-    record_profile("fig_workload", table)
+def test_fig_workload(run_figure):
+    table = run_figure("fig-workload")
 
     # Every run completed with finite metrics.
     for scheme in table.rows:

@@ -22,9 +22,9 @@ Fingerprints are **content-addressed, not line-addressed**:
   identity.
 
 Format 2 adds per-entry ``scope`` and an optional human ``reason``
-(preserved across ``--update-baseline`` rewrites), plus a ``modules``
-map recording the content hash of every linted file at baseline time
-(an audit trail of what the grandfathering was decided against).
+(preserved across ``--update-baseline`` rewrites).  Format-2 files
+written before the per-file ``modules`` hash map was retired still load;
+the map is ignored and dropped on the next rewrite.
 Format-1 files load transparently — every entry is treated as
 file-scope — and are rewritten as format 2 on the next
 ``--update-baseline``.
@@ -63,15 +63,13 @@ class Baseline:
     """The committed set of grandfathered findings (fingerprint -> count)."""
 
     entries: List[Dict[str, object]] = field(default_factory=list)
-    #: display path -> sha256 of the file text at baseline time.
-    modules: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Baseline":
         """Read a baseline file; a missing file is an empty baseline.
 
-        Format-1 files (no per-entry scope, no modules map) upgrade in
-        memory: every entry becomes file-scope.
+        Format-1 files (no per-entry scope) upgrade in memory: every
+        entry becomes file-scope.
         """
         path = Path(path)
         if not path.exists():
@@ -89,13 +87,7 @@ class Baseline:
         if version == 1:
             for entry in entries:
                 entry.setdefault("scope", "file")
-        modules_raw = payload.get("modules", {})
-        modules = (
-            {str(k): str(v) for k, v in modules_raw.items()}
-            if isinstance(modules_raw, dict)
-            else {}
-        )
-        return cls(entries=entries, modules=modules)
+        return cls(entries=entries)
 
     def render(self) -> str:
         """The exact file text :meth:`save` writes (stable byte-for-byte)."""
@@ -115,7 +107,6 @@ class Baseline:
                     str(e.get("fingerprint")),
                 ),
             ),
-            "modules": dict(sorted(self.modules.items())),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -150,7 +141,6 @@ class Baseline:
         cls,
         pairs: List[Tuple[LintViolation, str]],
         reasons: Optional[Dict[str, str]] = None,
-        modules: Optional[Dict[str, str]] = None,
     ) -> "Baseline":
         """Build a baseline grandfathering exactly the given findings.
 
@@ -175,7 +165,7 @@ class Baseline:
             if key in reasons:
                 entry["reason"] = reasons[key]
             entries.append(entry)
-        return cls(entries=entries, modules=dict(modules or {}))
+        return cls(entries=entries)
 
     def split(
         self, pairs: List[Tuple[LintViolation, str]]
@@ -230,4 +220,4 @@ class Baseline:
                 kept.append(entry)
         kept.reverse()
         removed.reverse()
-        return Baseline(entries=kept, modules=dict(self.modules)), removed
+        return Baseline(entries=kept), removed

@@ -53,9 +53,6 @@ class CallGraph:
             self.edges.setdefault(caller, set()).add(site.callee)
         self.sites.setdefault(site.callee, []).append(site)
 
-    def callees(self, qualname: str) -> Set[str]:
-        return self.edges.get(qualname, set())
-
     def call_sites(self, qualname: str) -> List[CallSite]:
         return self.sites.get(qualname, [])
 

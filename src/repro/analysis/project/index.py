@@ -287,12 +287,6 @@ class ProjectIndex:
         """Every indexed class with this bare name (any module)."""
         return [c for c in self.classes.values() if c.name == bare_name]
 
-    def class_of(self, function: FunctionInfo) -> Optional[ClassInfo]:
-        """The owning ClassInfo of a method (None for plain functions)."""
-        if function.class_name is None:
-            return None
-        return self.classes.get(f"{function.module}.{function.class_name}")
-
     # -- docs -----------------------------------------------------------------
 
     def read_doc(self, relative: str) -> Optional[str]:

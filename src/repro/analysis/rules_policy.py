@@ -6,10 +6,9 @@ peer-scoring) behind the string-keyed registry in
 class directly bypasses the registry — it dodges the conformance battery,
 ignores the config's ``*_policy`` overrides, and silently diverges from
 what ``repro policies list`` advertises.  The rule flags every direct
-constructor call outside the policy modules themselves (which define and
-wrap the classes) and the legacy core modules that still house the
-wrapped originals.  Tests and tools are not linted, so unit tests may
-construct policies directly.
+constructor call outside the policy modules themselves (which define the
+classes and their builders).  Tests and tools are not linted, so unit
+tests may construct policies directly.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ __all__ = ["PolicyDirectInstantiationRule"]
 #: Policy classes that must be reached through the registry factories.
 _POLICY_CLASS_NAMES = frozenset(
     {
-        # legacy originals (wrapped by the registry builders)
-        "AdmissionControl",
-        "CooperativeReplacement",
         # registered admission policies
         "AlwaysAdmit",
         "GroCoCaAdmission",
@@ -59,8 +55,6 @@ class PolicyDirectInstantiationRule(LintRule):
     allow_modules = (
         "repro.policies.admission",
         "repro.policies.replacement",
-        "repro.core.admission",
-        "repro.core.replacement",
     )
 
     def check(self, module: ModuleSource) -> Iterator[LintViolation]:

@@ -183,14 +183,6 @@ def _collect(
     return pairs, files
 
 
-def _module_hashes(paths: Sequence[Path]) -> Dict[str, str]:
-    """display path -> content hash, the baseline's audit map."""
-    return {
-        module.display_path: file_key(module.display_path, module.text)
-        for module in _load_modules(paths)
-    }
-
-
 def run_lint(
     paths: Sequence[Path],
     baseline_path: Optional[Path] = None,
@@ -238,9 +230,7 @@ def run_lint(
         # Meta findings (broken pragmas, parse errors) are never
         # grandfathered: they are defects of the suppression machinery.
         keep = [(v, line) for v, line in pairs if v.rule not in META_RULES]
-        rebuilt = Baseline.from_violations(
-            keep, reasons=baseline.reasons(), modules=_module_hashes(paths)
-        )
+        rebuilt = Baseline.from_violations(keep, reasons=baseline.reasons())
         changed = rebuilt.save(baseline_path)
         skipped = len(pairs) - len(keep)
         if changed:

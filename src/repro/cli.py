@@ -36,33 +36,18 @@ from typing import List, Optional
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
 from repro.core.simulation import compare_schemes, run_simulation
+from repro.experiments import (
+    FIGURES,
+    ResultCache,
+    RunCrashed,
+    format_profile_report,
+    format_sweep_table,
+    run_sweep,
+    sweep_to_csv,
+)
 from repro.policies import registry as policy_registry
 
 __all__ = ["build_parser", "main"]
-
-FIGURES = {
-    "fig2": ("sweep_cache_size", "effect of cache size"),
-    "fig3": ("sweep_skewness", "effect of access skewness"),
-    "fig4": ("sweep_access_range", "effect of access range"),
-    "fig5": ("sweep_group_size", "effect of motion group size"),
-    "fig6": ("sweep_update_rate", "effect of data update rate"),
-    "fig7": ("sweep_n_clients", "effect of number of MHs"),
-    "fig8": ("sweep_disconnection", "effect of disconnection probability"),
-    "fig-loss": ("sweep_link_loss", "effect of wireless message loss"),
-    "fig-policy": (
-        "sweep_peer_policy",
-        "retrieve scoring policy x P2P fault rate",
-    ),
-    "fig-matrix": (
-        "sweep_policy_matrix",
-        "admission/replacement policy x Zipf skewness",
-    ),
-    "fig-workload": (
-        "sweep_workload",
-        "workload engine x caching scheme",
-    ),
-}
-
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clients", type=int, help="number of mobile hosts")
@@ -428,19 +413,12 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     """Handler of the ``sweep`` subcommand."""
     if args.scale:
         os.environ["REPRO_PROFILE"] = args.scale
-    # Imported lazily so --scale is respected by the sweep defaults.
-    from repro.experiments import sweeps, tables
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.export import sweep_to_csv
-    from repro.experiments.parallel import RunCrashed
-
     try:
         cache = ResultCache(args.cache) if args.cache else None
     except ValueError as error:
         print(f"repro sweep: error: {error}", file=sys.stderr)
         return 2
-    sweep_name, title = FIGURES[args.figure]
-    sweep = getattr(sweeps, sweep_name)
+    figure = FIGURES[args.figure]
     failures = []
     execute_kwargs = {}
     if args.trace_out:
@@ -456,7 +434,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             Path(args.trace_out), sample_period=args.sample_period
         )
     try:
-        table = sweep(
+        table = run_sweep(
+            figure,
             progress=lambda line: print(f"  {line}", file=sys.stderr),
             jobs=args.jobs,
             cache=cache,
@@ -477,9 +456,9 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             f"{failure.attempts} attempt(s): {failure.error}",
             file=sys.stderr,
         )
-    print(tables.format_sweep_table(table, title))
+    print(format_sweep_table(table, figure.title))
     if args.profile:
-        print(tables.format_profile_report(table))
+        print(format_profile_report(table))
     if cache is not None:
         print(
             f"cache {cache.directory}: {cache.hits} hits, "
@@ -665,13 +644,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "figure":
         if args.profile:
             os.environ["REPRO_PROFILE"] = args.profile
-        # Imported lazily so --profile is respected by the sweep defaults.
-        from repro.experiments import sweeps, tables
-
-        sweep_name, title = FIGURES[args.figure]
-        sweep = getattr(sweeps, sweep_name)
-        table = sweep(progress=lambda line: print(f"  {line}", file=sys.stderr))
-        print(tables.format_sweep_table(table, title))
+        figure = FIGURES[args.figure]
+        table = run_sweep(
+            figure, progress=lambda line: print(f"  {line}", file=sys.stderr)
+        )
+        print(format_sweep_table(table, figure.title))
         return 0
     if args.command == "sweep":
         return _run_sweep_command(args)

@@ -7,8 +7,9 @@
   (adaptive timeout, request bookkeeping).
 * :mod:`repro.core.tcg` — tightly-coupled group discovery at the MSS
   (Algorithms 1–3).
-* :mod:`repro.core.admission` / :mod:`repro.core.replacement` — GroCoCa's
-  cooperative cache management protocols.
+* GroCoCa's cooperative cache management protocols (Section IV-E) are the
+  ``grococa`` entries of :mod:`repro.policies.admission` and
+  :mod:`repro.policies.replacement`.
 * :mod:`repro.core.signatures_proto` — client-side cache signature state
   machine (Section IV-D.3–5).
 * :mod:`repro.core.client` / :mod:`repro.core.server` — the mobile host and

@@ -176,10 +176,6 @@ class TCGManager:
         self._announced[client] = current
         return added, removed
 
-    def announced_view(self, client: int) -> Set[int]:
-        """What the client currently believes its TCG is."""
-        return set(self._announced[client])
-
     def full_view(self, client: int) -> Set[int]:
         """Authoritative membership for a reconnection sync (marks announced)."""
         current = self.tcg_of(client)

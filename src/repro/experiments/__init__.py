@@ -1,8 +1,8 @@
 """Experiment harness: the sweeps behind every figure of Section VI.
 
-* :mod:`repro.experiments.runner` — sweep execution over schemes and
-  parameter values, scale profiles (quick / bench / full).
-* :mod:`repro.experiments.sweeps` — one function per paper figure.
+* :mod:`repro.experiments.runner` — scale profiles (quick / bench /
+  full) and ``run_sweep``, the one loop that runs a figure.
+* :mod:`repro.experiments.sweeps` — ``FIGURES``: one table row per figure.
 * :mod:`repro.experiments.parallel` — fan-out of independent runs over a
   process pool, bit-identical to the serial path.
 * :mod:`repro.experiments.cache` — persistent on-disk result cache keyed
@@ -30,23 +30,13 @@ from repro.experiments.runner import (
     BENCH_PROFILE,
     FULL_PROFILE,
     QUICK_PROFILE,
+    Figure,
     SweepTable,
     active_profile,
     base_config,
     run_sweep,
 )
-from repro.experiments.sweeps import (
-    sweep_access_range,
-    sweep_cache_size,
-    sweep_disconnection,
-    sweep_group_size,
-    sweep_link_loss,
-    sweep_n_clients,
-    sweep_peer_policy,
-    sweep_skewness,
-    sweep_update_rate,
-    sweep_workload,
-)
+from repro.experiments.sweeps import FIGURES
 from repro.experiments.tables import (
     format_profile_report,
     format_results_row,
@@ -55,7 +45,9 @@ from repro.experiments.tables import (
 
 __all__ = [
     "BENCH_PROFILE",
+    "FIGURES",
     "FULL_PROFILE",
+    "Figure",
     "MetricSummary",
     "QUICK_PROFILE",
     "ReplicationSummary",
@@ -77,14 +69,4 @@ __all__ = [
     "run_sweep",
     "sweep_to_csv",
     "sweep_to_rows",
-    "sweep_access_range",
-    "sweep_cache_size",
-    "sweep_disconnection",
-    "sweep_group_size",
-    "sweep_link_loss",
-    "sweep_n_clients",
-    "sweep_peer_policy",
-    "sweep_skewness",
-    "sweep_update_rate",
-    "sweep_workload",
 ]

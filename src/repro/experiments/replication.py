@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
 from repro.experiments.cache import ResultCache
@@ -75,6 +73,10 @@ def summarise(values: Sequence[float], confidence: float) -> MetricSummary:
         return MetricSummary(mean, 0.0, 0.0, n)
     variance = sum((v - mean) ** 2 for v in finite) / (n - 1)
     stddev = math.sqrt(variance)
+    # Imported here: scipy.stats costs ~0.8 s, and the CLI imports this
+    # package to read the figure table before it knows the subcommand.
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return MetricSummary(mean, stddev, t_value * stddev / math.sqrt(n), n)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
@@ -28,6 +28,7 @@ from repro.experiments.parallel import RunSpec, execute_runs
 __all__ = [
     "BENCH_PROFILE",
     "FULL_PROFILE",
+    "Figure",
     "QUICK_PROFILE",
     "SweepTable",
     "active_profile",
@@ -75,7 +76,11 @@ FULL_PROFILE: Dict[str, object] = {
 
 _PROFILES = {"quick": QUICK_PROFILE, "bench": BENCH_PROFILE, "full": FULL_PROFILE}
 
-ALL_SCHEMES = (CachingScheme.LC, CachingScheme.CC, CachingScheme.GC)
+#: The default row set of a figure: the paper's LC / CC / GC series.
+SCHEME_ROWS: Dict[str, Dict[str, Any]] = {
+    scheme.value: {"scheme": scheme}
+    for scheme in (CachingScheme.LC, CachingScheme.CC, CachingScheme.GC)
+}
 
 
 def active_profile() -> str:
@@ -95,6 +100,41 @@ def base_config(**overrides: Any) -> SimulationConfig:
     settings = dict(_PROFILES[active_profile()])
     settings.update(overrides)
     return SimulationConfig(**settings)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure of the evaluation as data: a row of ``sweeps.FIGURES``.
+
+    A run of the figure is ``base_config`` plus the overrides of one
+    x-axis point plus the overrides of one row.
+    """
+
+    #: CLI key (``repro figure KEY``), e.g. ``"fig2"``.
+    key: str
+    #: Table label and run-label prefix, e.g. ``"Fig2"``.
+    label: str
+    #: Name of the swept parameter (the x-axis caption).
+    parameter: str
+    #: Human title of the rendered table.
+    title: str
+    #: The series are committed as ``results/<stem>.txt``.
+    stem: str
+    #: Scale profile -> x values; a profile not named uses ``"bench"``.
+    axis: Mapping[str, Sequence[object]]
+    #: x value -> config overrides; ``None`` means ``{parameter: value}``.
+    point: Optional[Callable[[Any], Dict[str, Any]]] = None
+    #: Row name -> config overrides, in plotted order.
+    rows: Mapping[str, Dict[str, Any]] = field(
+        default_factory=lambda: SCHEME_ROWS
+    )
+    #: What a row is called in run labels (``scheme=GC``).
+    row_word: str = "scheme"
+
+    def config(self, value: Any, row: str) -> SimulationConfig:
+        """The configuration of ``row`` at x-axis point ``value``."""
+        point = {self.parameter: value} if self.point is None else self.point(value)
+        return base_config(**point, **self.rows[row])
 
 
 @dataclass
@@ -143,22 +183,22 @@ class SweepTable:
 
 
 def run_sweep(
-    figure: str,
-    parameter: str,
-    values: Sequence[object],
-    config_for: Callable[[object], SimulationConfig],
-    schemes: Sequence[CachingScheme] = ALL_SCHEMES,
+    figure: Figure,
+    values: Optional[Sequence[object]] = None,
+    rows: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     **execute_kwargs: Any,
 ) -> SweepTable:
-    """Run ``config_for(value)`` under every scheme for every value.
+    """Run one :class:`Figure`: every row at every value of its x-axis.
 
-    The same seed is used across schemes at each sweep point, so the
-    comparisons are paired exactly as in the paper's common random numbers
-    methodology — the pairing is baked into the flattened run specs, so it
-    survives any parallel execution order.
+    ``values`` narrows or replaces the active profile's axis and ``rows``
+    picks a subset of the figure's rows.  The same seed is used across
+    rows at each sweep point, so the comparisons are paired exactly as in
+    the paper's common random numbers methodology — the pairing is baked
+    into the flattened run specs, so it survives any parallel execution
+    order.
 
     ``jobs`` fans the runs out over worker processes (1 = serial in
     process, 0/None = one worker per core) with results identical to the
@@ -168,24 +208,33 @@ def run_sweep(
     :func:`~repro.experiments.parallel.execute_runs`; with ``salvage`` a
     quarantined run leaves ``None`` at its sweep position.
     """
-    table = SweepTable(figure=figure, parameter=parameter, values=list(values))
-    for scheme in schemes:
-        table.rows[scheme.value] = []
-    specs: List[RunSpec] = []
-    spec_schemes: List[str] = []
-    for value in values:
-        config = config_for(value)
-        for scheme in schemes:
-            specs.append(
-                RunSpec(
-                    config=config.with_scheme(scheme),
-                    label=f"{figure}: {parameter}={value} scheme={scheme.value}",
-                )
-            )
-            spec_schemes.append(scheme.value)
+    if values is None:
+        values = figure.axis.get(active_profile(), figure.axis["bench"])
+    values = list(values)
+    rows = list(figure.rows if rows is None else rows)
+    unknown = [row for row in rows if row not in figure.rows]
+    if unknown:
+        raise ValueError(
+            f"unknown {figure.label} rows {unknown}; "
+            f"pick from {sorted(figure.rows)}"
+        )
+    specs = [
+        RunSpec(
+            config=figure.config(value, row),
+            label=(
+                f"{figure.label}: {figure.parameter}={value} "
+                f"{figure.row_word}={row}"
+            ),
+        )
+        for value in values
+        for row in rows
+    ]
     results = execute_runs(
         specs, jobs=jobs, cache=cache, progress=progress, **execute_kwargs
     )
-    for scheme_name, result in zip(spec_schemes, results):
-        table.rows[scheme_name].append(result)
-    return table
+    return SweepTable(
+        figure=figure.label,
+        parameter=figure.parameter,
+        values=values,
+        rows={row: results[index :: len(rows)] for index, row in enumerate(rows)},
+    )

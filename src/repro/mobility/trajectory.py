@@ -98,11 +98,6 @@ class PiecewiseLinearTrajectory(Trajectory):
         return self._segments[index]
 
     @property
-    def generated_until(self) -> float:
-        """Latest time covered by already-generated segments."""
-        return self._end_time
-
-    @property
     def segment_count(self) -> int:
         return len(self._segments)
 

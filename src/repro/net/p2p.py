@@ -158,10 +158,6 @@ class P2PNetwork:
                 return
             yield self.env.timeout(gap)
 
-    def _occupy(self, nodes: np.ndarray, until: float) -> None:
-        if len(nodes):
-            self._busy_until[nodes] = np.maximum(self._busy_until[nodes], until)
-
     # -- broadcast --------------------------------------------------------------
 
     def broadcast(

@@ -2,10 +2,9 @@
 
 An admission policy decides whether the item a peer just served should be
 copied into the local cache.  :class:`MobileHost` consults it on *every*
-peer-supplied item (full cache or not); the legacy-equivalent policies
-(``always``, ``grococa``) short-circuit the not-full case exactly the way
-the pre-registry client did, so their decisions *and counters* replay the
-golden traces bit-identically.
+peer-supplied item (full cache or not); the paper's two rules (``always``,
+``grococa``) admit without counting while the cache has room, which is
+what the ``admitted``/``rejected`` totals in the golden traces record.
 
 The two new on-path policies adapt ideas from in-network caching to the
 P2P flood: ``probcache`` admits probabilistically with the fetch
@@ -20,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.admission import AdmissionControl
 from repro.policies.registry import register
 
 __all__ = [
@@ -42,9 +40,8 @@ class AdmissionPolicy:
       (always ``False`` outside GroCoCa);
     * ``hops`` — the serving peer's distance on the reply path (>= 1).
 
-    ``enabled`` mirrors the legacy ``AdmissionControl.enabled`` flag:
-    ``False`` only for the pass-through ``always`` policy, so the ablation
-    tests keep reading the same attribute.
+    ``enabled`` is ``False`` only for the pass-through ``always`` policy;
+    the ablation tests read it.
     """
 
     enabled: bool = True
@@ -66,60 +63,46 @@ class AdmissionPolicy:
         return decision
 
 
-class _LegacyAdmission(AdmissionPolicy):
-    """Shared shape of the two legacy-equivalent policies.
+class AlwaysAdmit(AdmissionPolicy):
+    """Cache every peer-supplied item (LC/CC, and GroCoCa ablation A1).
 
-    Wraps the original :class:`~repro.core.admission.AdmissionControl`
-    and only consults (and counts) it when the cache is full — the exact
-    call pattern of the pre-registry client, preserving both the
-    decisions and the ``admitted``/``rejected`` totals bit for bit.
+    Only full-cache decisions are counted — the insertions that displace
+    a victim — which is what the ``admitted`` total has always meant in
+    the goldens.
     """
 
-    def __init__(self, control_enabled: bool) -> None:
-        # The inner control must exist before super().__init__ zeroes the
-        # counters through the delegating property setters below.
-        self._inner = AdmissionControl(enabled=control_enabled)
-        super().__init__()
-        self.enabled = control_enabled
+    enabled = False
+
+    def should_cache(
+        self, *, cache_full: bool, from_tcg_member: bool, hops: int
+    ) -> bool:
+        if cache_full:
+            self.admitted += 1
+        return True
+
+
+class GroCoCaAdmission(AdmissionPolicy):
+    """Section IV-E admission control: replicas inside a TCG are rationed.
+
+    * a peer-supplied item is always cached while the cache has room
+      (and, like :class:`AlwaysAdmit`, not counted);
+    * with a *full* cache, an item supplied by a TCG member is **not**
+      cached — it stays readily available at that member;
+    * with a full cache, an item supplied by a non-member is cached (the
+      supplier may move away), displacing the victim chosen by the
+      cooperative replacement protocol.
+
+    On the supplier side, serving a TCG member counts as an access: the
+    supplier refreshes the item's recency so shared items survive longer
+    in the group's aggregate cache.
+    """
 
     def should_cache(
         self, *, cache_full: bool, from_tcg_member: bool, hops: int
     ) -> bool:
         if not cache_full:
             return True
-        return self._inner.should_cache(
-            cache_full=True, from_tcg_member=from_tcg_member
-        )
-
-    @property
-    def admitted(self) -> int:  # type: ignore[override]
-        return self._inner.admitted
-
-    @admitted.setter
-    def admitted(self, value: int) -> None:
-        self._inner.admitted = value
-
-    @property
-    def rejected(self) -> int:  # type: ignore[override]
-        return self._inner.rejected
-
-    @rejected.setter
-    def rejected(self, value: int) -> None:
-        self._inner.rejected = value
-
-
-class AlwaysAdmit(_LegacyAdmission):
-    """Cache every peer-supplied item (LC/CC, and GroCoCa ablation A1)."""
-
-    def __init__(self) -> None:
-        super().__init__(control_enabled=False)
-
-
-class GroCoCaAdmission(_LegacyAdmission):
-    """Section IV-E: a full cache refuses TCG-member-supplied items."""
-
-    def __init__(self) -> None:
-        super().__init__(control_enabled=True)
+        return self._count(not from_tcg_member)
 
 
 class ProbCacheAdmission(AdmissionPolicy):

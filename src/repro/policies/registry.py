@@ -15,8 +15,8 @@ policy is one decorated definition::
 
 Every registered key is automatically picked up by the conformance
 battery (:mod:`repro.policies.conformance`), the differential golden
-test, the sweep surface (``sweep_policy_matrix``) and ``repro policies
-list`` — a policy that does not pass the battery fails CI.
+test and ``repro policies list`` — a policy that does not pass the
+battery fails CI.
 
 What a registered *value* must be differs per namespace (the factory in
 :mod:`repro.policies.factory` documents the builder contracts); the

@@ -9,9 +9,8 @@ deterministic: victim selection walks the cache in LRU order and only a
 break toward the least recently used entry and identical runs replay bit
 for bit.
 
-``lru`` and ``grococa`` reproduce the pre-registry behaviour exactly
-(the latter wraps :class:`~repro.core.replacement.CooperativeReplacement`
-unchanged).  The new variants adapt the replacement families surveyed by
+``lru`` and ``grococa`` are the paper's two rules (Section VI baseline and
+Section IV-E).  The other variants adapt the replacement families surveyed by
 Joy & Jacob and Wang & Kulkarni's popularity ranking to the TTL-carrying
 P2P cache: ``lru-min`` prefers the candidate closest to expiry,
 ``greedy-dual`` keeps an inflation-based H value seeded from the
@@ -24,8 +23,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cache.lru import CacheEntry, LRUCache
-from repro.core.replacement import CooperativeReplacement
 from repro.policies.registry import register
+from repro.signatures.bloom import SignatureScheme
+from repro.signatures.peer import PeerSignature
 
 __all__ = [
     "GreedyDualReplacement",
@@ -50,9 +50,8 @@ class ReplacementPolicy:
     hooks in the client — a policy that does not set it never sees
     ``note_request``/``note_remote_request`` calls at all.
 
-    ``enabled`` mirrors the legacy ``CooperativeReplacement.enabled``
-    flag: ``False`` only for the plain-LRU baseline, so the ablation
-    tests keep reading the same attribute.
+    ``enabled`` is ``False`` only for the plain-LRU baseline; the
+    ablation tests read it.
     """
 
     #: Whether the client should feed request observations to this policy.
@@ -101,46 +100,78 @@ class LRUReplacement(ReplacementPolicy):
 
 
 class GroCoCaReplacement(ReplacementPolicy):
-    """Section IV-E cooperative replacement, unchanged behind the hooks.
+    """Section IV-E cooperative replacement against the TCG peer signature.
 
-    Wraps the original :class:`CooperativeReplacement` (replica-first
-    victim search over the ``ReplaceCandidate`` window with SingletTTL
-    aging), delegating every decision so registry-resolved GroCoCa runs
-    replay the goldens bit-identically.  The engagement counters
-    (``replica_evictions`` / ``lru_evictions`` / ``singlet_drops``) stay
-    readable through this wrapper.
+    The protocol satisfies the paper's three desirable properties:
+
+    1. the most valuable items stay in the local cache — only the
+       ``ReplaceCandidate`` least-recently-used entries are eviction
+       candidates;
+    2. an item unaccessed for a long time is eventually replaced — the
+       ``SingletTTL`` counter drops a replica-less item after
+       ``ReplaceDelay`` spared replacements;
+    3. replicated items go first — a candidate whose data signature is
+       covered by the peer signature is likely duplicated in the TCG and
+       is evicted in preference, enlarging the aggregate cache.
+
+    The victim search walks candidates from least valuable upward,
+    evicting the first likely-replica.  When the least valuable entry is
+    spared this way its SingletTTL is decremented; at zero the entry is
+    simply dropped.  A TCG (or local) access resets the counter to
+    ``ReplaceDelay``.
     """
 
-    def __init__(self, cache: LRUCache, inner: CooperativeReplacement) -> None:
+    def __init__(
+        self,
+        cache: LRUCache,
+        scheme: SignatureScheme,
+        peer_signature: PeerSignature,
+        replace_candidate: int,
+        replace_delay: int,
+    ) -> None:
         super().__init__(cache)
-        self._inner = inner
+        if replace_candidate < 1:
+            raise ValueError("replace_candidate must be >= 1")
+        if replace_delay < 1:
+            raise ValueError("replace_delay must be >= 1")
+        self.scheme = scheme
+        self.peer_signature = peer_signature
+        self.replace_candidate = int(replace_candidate)
+        self.replace_delay = int(replace_delay)
+        self.replica_evictions = 0
+        self.lru_evictions = 0
+        self.singlet_drops = 0
 
     def new_entry_ttl(self) -> int:
-        return self._inner.new_entry_ttl()
+        return self.replace_delay
 
     def note_access(self, entry: CacheEntry, now: float) -> None:
-        self._inner.note_access(entry)
+        entry.singlet_ttl = self.replace_delay
 
     def select_victim(self, now: float) -> Optional[CacheEntry]:
-        return self._inner.select_victim()
+        if not len(self.cache):
+            return None
+        candidates = self.cache.lru_entries(self.replace_candidate)
+        least = candidates[0]
+        for entry in candidates:
+            positions = self.scheme.positions(entry.item)
+            if self.peer_signature.matches_positions(positions):
+                if entry is least:
+                    self.replica_evictions += 1
+                    return least
+                # The least valuable item is spared because it has no
+                # replica: age it, and drop it outright once stale.
+                least.singlet_ttl -= 1
+                if least.singlet_ttl <= 0:
+                    self.singlet_drops += 1
+                    return least
+                self.replica_evictions += 1
+                return entry
+        self.lru_evictions += 1
+        return least
 
     def eviction_count(self) -> int:
-        inner = self._inner
-        return (
-            inner.replica_evictions + inner.lru_evictions + inner.singlet_drops
-        )
-
-    @property
-    def replica_evictions(self) -> int:
-        return self._inner.replica_evictions
-
-    @property
-    def lru_evictions(self) -> int:
-        return self._inner.lru_evictions
-
-    @property
-    def singlet_drops(self) -> int:
-        return self._inner.singlet_drops
+        return self.replica_evictions + self.lru_evictions + self.singlet_drops
 
 
 class LRUMinReplacement(ReplacementPolicy):
@@ -289,15 +320,13 @@ def _build_grococa(config, cache, signature_scheme, peer_signature):
             "replacement policy 'grococa' needs the GroCoCa signature "
             "scheme (scheme GC)"
         )
-    inner = CooperativeReplacement(
-        signature_scheme,
+    return GroCoCaReplacement(
         cache,
+        signature_scheme,
         peer_signature,
         config.replace_candidate,
         config.replace_delay,
-        enabled=True,
     )
-    return GroCoCaReplacement(cache, inner)
 
 
 @register(

@@ -109,10 +109,6 @@ class BloomFilter:
         return bool(np.all(self.bits[other.bits]))
 
     @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    @property
     def size_bytes(self) -> int:
         """Uncompressed wire size."""
         return (self.scheme.size_bits + 7) // 8

@@ -2,9 +2,9 @@
 
 The paper's evaluation is built on CSIM (a commercial C++ process-oriented
 simulation library).  This package is the from-scratch Python replacement: a
-generator-based process kernel (:mod:`repro.sim.kernel`), the reference FCFS
-resource (:mod:`repro.sim.resources`), deterministic named random streams
-(:mod:`repro.sim.random`) and incremental statistics (:mod:`repro.sim.stats`).
+generator-based process kernel (:mod:`repro.sim.kernel`), deterministic named
+random streams (:mod:`repro.sim.random`) and incremental statistics
+(:mod:`repro.sim.stats`).
 """
 
 from repro.sim.kernel import (
@@ -19,7 +19,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.profile import RunProfile
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Resource
 from repro.sim.stats import TimeWeightedAverage, WelfordAccumulator
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "RunProfile",
     "SimulationError",
     "TimeWeightedAverage",

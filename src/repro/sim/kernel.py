@@ -616,7 +616,11 @@ class Environment:
             limit = _INF
         if self.monitor is not None:
             # Checked path: per-event monitor hooks, no free-list recycling.
-            while self.peek() <= limit:
+            # An idle schedule peeks +inf, which `<= limit` alone would let
+            # through when ``until`` is None.
+            while (
+                self._front_event is not None or self._queue.size
+            ) and self.peek() <= limit:
                 self.step()
             if until is not None and until > self._now:
                 self._now = until

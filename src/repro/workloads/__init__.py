@@ -10,7 +10,6 @@ stationary group-Zipf process, bit-identically.
 from repro.workloads.base import (
     REQUIRED,
     HostStream,
-    PatternStream,
     WorkloadEngine,
     resolve_params,
 )
@@ -33,7 +32,6 @@ from repro.workloads.registry import (
 __all__ = [
     "DEFAULT_WORKLOAD",
     "HostStream",
-    "PatternStream",
     "REQUIRED",
     "WorkloadEngine",
     "WorkloadInfo",

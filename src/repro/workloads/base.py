@@ -42,7 +42,6 @@ except ImportError:  # pragma: no cover - ancient interpreters only
 
 __all__ = [
     "HostStream",
-    "PatternStream",
     "REQUIRED",
     "WorkloadEngine",
     "demand_stream",
@@ -164,26 +163,3 @@ class WorkloadEngine:
         self._window_counts = {}
         self._window_requests = 0
         return requests, entropy
-
-
-class PatternStream:
-    """Adapter: a bare legacy ``AccessPattern`` as a :class:`HostStream`.
-
-    Wraps the exact legacy draw pair — think time from the host's own
-    rng, item from the pattern's shared rng — for callers that build a
-    :class:`~repro.core.client.MobileHost` directly from an
-    ``AccessPattern`` (the host itself only accepts a bound stream).
-    """
-
-    __slots__ = ("pattern", "rng", "mean")
-
-    def __init__(self, pattern, rng: "np.random.Generator", mean: float) -> None:
-        self.pattern = pattern
-        self.rng = rng
-        self.mean = float(mean)
-
-    def next_delay(self, now: float) -> float:
-        return self.rng.exponential(self.mean)
-
-    def next_item(self, now: float) -> int:
-        return self.pattern.next_item()

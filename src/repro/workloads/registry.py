@@ -13,9 +13,9 @@ definition::
         return FlashCrowdWorkload(config, streams, group_of)
 
 Every registered key is automatically picked up by the conformance
-battery (:mod:`repro.workloads.conformance`), the differential test, the
-sweep surface (``sweep_workload``) and ``repro workloads list`` — a
-workload that does not pass the battery fails CI.
+battery (:mod:`repro.workloads.conformance`), the differential test and
+``repro workloads list`` — a workload that does not pass the battery
+fails CI.
 
 A registered value is a builder ``(config, streams, group_of) ->
 WorkloadEngine`` (see :mod:`repro.workloads.base` for the engine and

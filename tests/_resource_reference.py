@@ -1,9 +1,10 @@
-"""The explicit FCFS resource, kept as a reference.
+"""The explicit FCFS resource, kept as a test reference.
 
 :class:`Resource` models a server with fixed capacity and an infinite FIFO
 queue, one grant event per request.  Nothing in ``src/`` uses it:
 :class:`~repro.net.channel.ServerChannel` computes each departure on arrival,
-and ``tests/test_net_channel_p2p.py`` checks that against this class.
+and ``tests/test_net_channel_p2p.py`` checks that against this class
+(``tests/test_sim_resources.py`` pins the class itself).
 """
 
 from __future__ import annotations

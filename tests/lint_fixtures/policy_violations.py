@@ -1,8 +1,8 @@
 """Seeded policy-rule violations (simlint test fixture, never imported)."""
 
 
-def wires_admission_directly(config):
-    return AdmissionControl(config.admission_control)  # MARK:policy-direct-admission
+def wires_admission_directly():
+    return GroCoCaAdmission()  # MARK:policy-direct-admission
 
 
 def wires_replacement_directly(cache):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, _config_from_args, build_parser, main
+from repro.cli import _config_from_args, build_parser, main
+from repro.experiments import FIGURES
 from repro.core.config import CachingScheme
 
 
@@ -78,8 +79,14 @@ def test_figure_choices_cover_all_paper_figures():
         "fig-matrix",
         "fig-workload",
     }
-    with pytest.raises(SystemExit):
-        parse(["figure", "fig99"])
+    # Both commands take exactly the table's keys.
+    for command in ("figure", "sweep"):
+        for key in FIGURES:
+            assert parse([command, key]).figure == key
+        with pytest.raises(SystemExit):
+            parse([command, "fig99"])
+        with pytest.raises(SystemExit):
+            parse([command, "Fig2"])  # the table label is not a key
 
 
 def test_main_run_executes(capsys):

@@ -22,7 +22,21 @@ from repro.mobility import MobilityField, StationaryTrajectory
 from repro.net import MessageSizes, P2PNetwork, PowerLedger, ServerChannel
 from repro.sim import Environment
 from repro.signatures import SignatureScheme
-from repro.workloads import PatternStream
+
+
+class PatternStream:
+    """A minimal host stream over a bare ``AccessPattern``."""
+
+    def __init__(self, pattern, rng, mean):
+        self.pattern = pattern
+        self.rng = rng
+        self.mean = mean
+
+    def next_delay(self, now):
+        return self.rng.exponential(self.mean)
+
+    def next_item(self, now):
+        return self.pattern.next_item()
 
 
 class World:

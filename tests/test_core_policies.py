@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheEntry, LRUCache
-from repro.core.admission import AdmissionControl
 from repro.core.coca import AdaptiveTimeout, initial_timeout
-from repro.core.replacement import CooperativeReplacement
 from repro.core.signatures_proto import SignatureAgent
+from repro.policies.admission import GroCoCaAdmission
+from repro.policies.replacement import GroCoCaReplacement
 from repro.signatures import PeerSignature, SignatureScheme
 from repro.signatures.vlfl import (
     compression_plan,
@@ -78,32 +78,27 @@ def test_adaptive_timeout_validation():
 
 
 def test_admission_cache_not_full_always_caches():
-    control = AdmissionControl()
-    assert control.should_cache(cache_full=False, from_tcg_member=True)
-    assert control.should_cache(cache_full=False, from_tcg_member=False)
+    control = GroCoCaAdmission()
+    assert control.should_cache(cache_full=False, from_tcg_member=True, hops=1)
+    assert control.should_cache(cache_full=False, from_tcg_member=False, hops=1)
 
 
 def test_admission_full_cache_rejects_tcg_supply():
-    control = AdmissionControl()
-    assert not control.should_cache(cache_full=True, from_tcg_member=True)
-    assert control.should_cache(cache_full=True, from_tcg_member=False)
+    control = GroCoCaAdmission()
+    assert not control.should_cache(cache_full=True, from_tcg_member=True, hops=1)
+    assert control.should_cache(cache_full=True, from_tcg_member=False, hops=1)
     assert control.rejected == 1
     assert control.admitted == 1
-
-
-def test_admission_disabled_always_caches():
-    control = AdmissionControl(enabled=False)
-    assert control.should_cache(cache_full=True, from_tcg_member=True)
 
 
 # -- cooperative replacement ------------------------------------------------------------
 
 
-def build_replacement(capacity=5, candidates=3, delay=2, enabled=True, seed=0):
+def build_replacement(capacity=5, candidates=3, delay=2, seed=0):
     s = scheme(seed=seed)
     cache = LRUCache(capacity)
     peer = PeerSignature(s)
-    policy = CooperativeReplacement(s, cache, peer, candidates, delay, enabled)
+    policy = GroCoCaReplacement(cache, s, peer, candidates, delay)
     return s, cache, peer, policy
 
 
@@ -116,7 +111,7 @@ def fill(cache, items, policy):
 
 def test_empty_cache_has_no_victim():
     _, _, _, policy = build_replacement()
-    assert policy.select_victim() is None
+    assert policy.select_victim(now=0.0) is None
 
 
 def test_replicated_candidate_evicted_first():
@@ -125,7 +120,7 @@ def test_replicated_candidate_evicted_first():
     member = s.make_filter()
     member.add(2)  # item 2 is replicated in the TCG
     peer.merge_signature(member)
-    victim = policy.select_victim()
+    victim = policy.select_victim(now=0.0)
     assert victim.item == 2
     assert policy.replica_evictions == 1
 
@@ -133,7 +128,7 @@ def test_replicated_candidate_evicted_first():
 def test_plain_lru_when_nothing_replicated():
     _, cache, _, policy = build_replacement()
     fill(cache, [1, 2, 3, 4, 5], policy)
-    victim = policy.select_victim()
+    victim = policy.select_victim(now=0.0)
     assert victim.item == 1
     assert policy.lru_evictions == 1
 
@@ -144,7 +139,7 @@ def test_replica_search_limited_to_candidate_window():
     member = s.make_filter()
     member.add(4)  # replicated, but outside the 2-entry candidate window
     peer.merge_signature(member)
-    victim = policy.select_victim()
+    victim = policy.select_victim(now=0.0)
     assert victim.item == 1  # falls back to LRU
 
 
@@ -155,7 +150,7 @@ def test_singlet_ttl_drops_spared_least_valuable():
     member.add(2)
     peer.merge_signature(member)
     # First selection: 2 is evicted, 1 (singlet) is spared, its TTL 2 -> 1.
-    assert policy.select_victim().item == 2
+    assert policy.select_victim(now=0.0).item == 2
     assert cache.get(1).singlet_ttl == 1
     # Second selection: 2 is still "cached" in our test cache; evict it for
     # real to let 3 be the replicated candidate.
@@ -164,7 +159,7 @@ def test_singlet_ttl_drops_spared_least_valuable():
     member2.add(3)
     peer.merge_signature(member2)
     # 1 spared again -> TTL 0 -> dropped instead.
-    victim = policy.select_victim()
+    victim = policy.select_victim(now=0.0)
     assert victim.item == 1
     assert policy.singlet_drops == 1
 
@@ -174,7 +169,7 @@ def test_note_access_resets_singlet_ttl():
     fill(cache, [1, 2], policy)
     entry = cache.get(1)
     entry.singlet_ttl = 1
-    policy.note_access(entry)
+    policy.note_access(entry, now=0.0)
     assert entry.singlet_ttl == 3
 
 
@@ -184,17 +179,8 @@ def test_least_valuable_replica_is_evicted_without_penalty():
     member = s.make_filter()
     member.add(1)
     peer.merge_signature(member)
-    assert policy.select_victim().item == 1
+    assert policy.select_victim(now=0.0).item == 1
     assert cache.get(2).singlet_ttl == policy.new_entry_ttl()  # untouched
-
-
-def test_disabled_policy_is_plain_lru():
-    s, cache, peer, policy = build_replacement(enabled=False)
-    fill(cache, [1, 2, 3], policy)
-    member = s.make_filter()
-    member.add(2)
-    peer.merge_signature(member)
-    assert policy.select_victim().item == 1
 
 
 def test_replacement_validation():
@@ -202,9 +188,9 @@ def test_replacement_validation():
     cache = LRUCache(2)
     peer = PeerSignature(s)
     with pytest.raises(ValueError):
-        CooperativeReplacement(s, cache, peer, 0, 2)
+        GroCoCaReplacement(cache, s, peer, 0, 2)
     with pytest.raises(ValueError):
-        CooperativeReplacement(s, cache, peer, 2, 0)
+        GroCoCaReplacement(cache, s, peer, 2, 0)
 
 
 # -- signature agent -----------------------------------------------------------------------

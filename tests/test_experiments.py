@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.core.config import CachingScheme
 from repro.core.metrics import Results
 from repro.experiments import (
+    Figure,
     SweepTable,
     active_profile,
     base_config,
@@ -88,11 +88,14 @@ def test_sweep_table_series_and_lookup():
 def test_run_sweep_executes_every_cell(monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "quick")
     seen = []
-    table = run_sweep(
-        "FigT",
-        "cache_size",
-        [5, 10],
-        lambda v: base_config(
+    figure = Figure(
+        key="fig-t",
+        label="FigT",
+        parameter="cache_size",
+        title="",
+        stem="fig_t",
+        axis={"bench": (5, 10)},
+        point=lambda v: dict(
             cache_size=v,
             n_clients=4,
             n_data=100,
@@ -101,9 +104,8 @@ def test_run_sweep_executes_every_cell(monkeypatch):
             warmup_min_time=0.0,
             warmup_max_time=30.0,
         ),
-        schemes=[CachingScheme.LC, CachingScheme.CC],
-        progress=seen.append,
     )
+    table = run_sweep(figure, rows=["LC", "CC"], progress=seen.append)
     assert set(table.rows) == {"LC", "CC"}
     assert len(table.rows["LC"]) == 2
     assert len(seen) == 4

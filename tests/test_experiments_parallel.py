@@ -18,6 +18,7 @@ from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
 from repro.core.simulation import run_simulation, simulations_run
 from repro.experiments import (
+    Figure,
     ResultCache,
     RunSpec,
     SweepTable,
@@ -31,30 +32,39 @@ from repro.experiments.cache import canonical_config, config_key
 
 SCHEMES = [CachingScheme.LC, CachingScheme.GC]
 
+TINY = dict(
+    n_clients=4,
+    n_data=100,
+    access_range=10,
+    cache_size=5,
+    measure_requests=3,
+    warmup_min_time=0.0,
+    warmup_max_time=30.0,
+    ndp_enabled=False,
+    seed=11,
+)
+
 
 def tiny_config(**overrides) -> SimulationConfig:
-    settings = dict(
-        n_clients=4,
-        n_data=100,
-        access_range=10,
-        cache_size=5,
-        measure_requests=3,
-        warmup_min_time=0.0,
-        warmup_max_time=30.0,
-        ndp_enabled=False,
-        seed=11,
-    )
-    settings.update(overrides)
-    return SimulationConfig(**settings)
+    return SimulationConfig(**{**TINY, **overrides})
 
 
-def tiny_sweep(jobs=1, cache=None, progress=None) -> SweepTable:
+FIG_P = Figure(
+    key="fig-p",
+    label="FigP",
+    parameter="cache_size",
+    title="",
+    stem="fig_p",
+    axis={"bench": (4, 6)},
+    point=lambda v: dict(TINY, cache_size=v),
+)
+
+
+def tiny_sweep(jobs=1, cache=None, progress=None, values=None) -> SweepTable:
     return run_sweep(
-        "FigP",
-        "cache_size",
-        [4, 6],
-        lambda v: tiny_config(cache_size=v),
-        schemes=SCHEMES,
+        FIG_P,
+        values=values,
+        rows=[scheme.value for scheme in SCHEMES],
         jobs=jobs,
         cache=cache,
         progress=progress,
@@ -141,15 +151,7 @@ def test_cache_only_simulates_changed_points(tmp_path):
     cache = ResultCache(tmp_path)
     tiny_sweep(jobs=1, cache=cache)
     before = simulations_run()
-    widened = run_sweep(
-        "FigP",
-        "cache_size",
-        [4, 6, 8],  # one new sweep point
-        lambda v: tiny_config(cache_size=v),
-        schemes=SCHEMES,
-        jobs=1,
-        cache=cache,
-    )
+    widened = tiny_sweep(cache=cache, values=[4, 6, 8])  # one new sweep point
     assert simulations_run() - before == 2  # only cache_size=8, both schemes
     assert len(widened.rows["GC"]) == 3
 

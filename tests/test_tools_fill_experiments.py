@@ -16,7 +16,7 @@ def setup(tmp_path, results_present=True):
     results.mkdir()
     target.write_text("intro\n```\n{FIG2}\n```\noutro\n")
     if results_present:
-        for filename in fill_experiments.PLACEHOLDERS.values():
+        for filename in fill_experiments.placeholders().values():
             (results / filename).write_text(f"data of {filename}\n")
     return template, target, results
 
@@ -52,3 +52,13 @@ def test_fill_rejects_template_without_placeholders(tmp_path):
     target.write_text("no placeholders here\n")
     with pytest.raises(ValueError):
         fill_experiments.fill(template, target, results)
+
+
+def test_committed_experiments_is_the_filled_template(tmp_path):
+    """EXPERIMENTS.md is generated: edit the template, then run the tool."""
+    target = tmp_path / "EXPERIMENTS.md"
+    missing = fill_experiments.fill(
+        fill_experiments.TEMPLATE, target, fill_experiments.RESULTS
+    )
+    assert missing == []
+    assert target.read_bytes() == fill_experiments.TARGET.read_bytes()

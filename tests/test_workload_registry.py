@@ -5,12 +5,11 @@ import pytest
 from repro.cli import main
 from repro.core.config import SimulationConfig
 from repro.core.simulation import run_simulation
-from repro.experiments import sweeps
+from repro.experiments import FIGURES, runner, sweeps
 from repro.obs import SAMPLE_COLUMNS, Observer
 from repro.workloads import (
     DEFAULT_WORKLOAD,
     REQUIRED,
-    PatternStream,
     WorkloadEngine,
     available,
     describe,
@@ -143,39 +142,26 @@ def test_unknown_param_for_engine_is_pinned():
 # -- sweep surface ---------------------------------------------------------------
 
 
-@pytest.fixture()
-def recorded(monkeypatch):
-    calls = []
-
-    def fake_run_sweep(figure, parameter, values, config_for, **kwargs):
-        calls.append(
-            {
-                "figure": figure,
-                "parameter": parameter,
-                "values": list(values),
-                "configs": [config_for(v) for v in values],
-            }
-        )
-        return calls[-1]
-
-    monkeypatch.setattr(sweeps, "run_sweep", fake_run_sweep)
-    return calls
-
-
-def test_sweep_workload_covers_every_generative_engine(recorded, monkeypatch):
+def test_sweep_workload_covers_every_generative_engine(monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "bench")
-    sweeps.sweep_workload()
-    call = recorded[-1]
-    assert call["figure"] == "FigWorkload"
-    assert call["parameter"] == "workload"
-    assert call["values"] == list(sweeps.GENERATIVE_WORKLOADS)
-    assert "trace-replay" not in call["values"]  # needs an input file
-    assert [c.workload for c in call["configs"]] == call["values"]
+    captured = []
+
+    def fake_execute_runs(specs, **kwargs):
+        captured.extend(specs)
+        return [None] * len(specs)
+
+    monkeypatch.setattr(runner, "execute_runs", fake_execute_runs)
+    table = runner.run_sweep(FIGURES["fig-workload"])
+    assert table.figure == "FigWorkload"
+    assert table.parameter == "workload"
+    assert table.values == list(sweeps.GENERATIVE_WORKLOADS)
+    assert "trace-replay" not in table.values  # needs an input file
+    assert [s.config.workload for s in captured[::3]] == table.values
 
 
-def test_sweep_workload_rejects_unknown_keys(recorded):
-    with pytest.raises(ValueError, match="unknown workloads \\['nope'\\]"):
-        sweeps.sweep_workload(values=["nope"])
+def test_sweep_workload_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown workload 'nope'"):
+        runner.run_sweep(FIGURES["fig-workload"], values=["nope"])
 
 
 # -- CLI surface -----------------------------------------------------------------
@@ -233,16 +219,24 @@ def test_sampler_reports_workload_window_columns():
     assert all(entropy >= 0.0 for entropy in entropies)
 
 
-def test_pattern_stream_adapter_draws_legacy_pair():
+def test_zipf_host_stream_draws_legacy_pair():
     import numpy as np
 
     from repro.data.workload import AccessPattern
+    from repro.workloads.stationary import ZipfHostStream
+
+    class Engine:
+        noted = []
+
+        def note(self, item):
+            self.noted.append(item)
 
     rng_items = np.random.default_rng(1)
     rng_delays = np.random.default_rng(2)
     pattern = AccessPattern(rng_items, 100, 20, 0.8, start=5)
-    stream = PatternStream(pattern, rng_delays, 2.0)
+    stream = ZipfHostStream(Engine(), pattern, rng_delays, 2.0)
     delay = stream.next_delay(0.0)
     item = stream.next_item(0.0)
     assert delay > 0.0
     assert pattern.covers(item)
+    assert Engine.noted == [item]

@@ -7,13 +7,13 @@ Usage::
 
 Two gates, both fast at the quick profile:
 
-1. **Monitored adaptive runs** — one GroCoCa run per adaptive scoring
-   policy under a bursty fault plan, each with the
+1. **Monitored adaptive runs** — one GroCoCa run per adaptive row of the
+   ``fig-policy`` figure at ``p2p_loss=0.25``, each with the
    :class:`~repro.check.monitor.InvariantMonitor` attached in ``collect``
    mode.  Any invariant violation — including the breaker-discipline and
    hedge-conservation checks — fails the smoke.
-2. **Micro policy sweep** — a two-point :func:`sweep_peer_policy` matrix
-   executed with ``salvage=True``; any crashed or missing run fails the
+2. **Micro policy sweep** — the same figure run through :func:`run_sweep` at
+   two points with ``salvage=True``; any crashed or missing run fails the
    smoke (a fault plan must degrade a run, never kill it).
 
 Exit status 0 on success; 1 with a diagnostic on the first failure.
@@ -26,41 +26,29 @@ import sys
 from repro.check.monitor import InvariantMonitor
 from repro.core.simulation import run_simulation
 from repro.experiments.parallel import RunFailure
-from repro.experiments.runner import base_config
-from repro.experiments.sweeps import _policy_fault_plan, sweep_peer_policy
-from repro.net.health import SCORING_POLICIES
+from repro.experiments.runner import run_sweep
+from repro.experiments.sweeps import FIGURES
+
+#: The figure both gates drive: scoring policy x P2P fault rate.
+FIG_POLICY = FIGURES["fig-policy"]
 
 #: P2P loss rate of the monitored runs — hostile enough to trip breakers.
 SMOKE_LOSS = 0.25
 
 #: Sweep points of the micro matrix (clean + lossy).
-SWEEP_VALUES = (0.0, 0.25)
-
-
-def _adaptive_config(policy: str):
-    return base_config(
-        faults=_policy_fault_plan(SMOKE_LOSS),
-        search_retry_limit=1,
-        retrieve_retry_limit=2,
-        uplink_retry_limit=3,
-        peer_policy=policy,
-        breaker_threshold=3,
-        breaker_cooldown=2.0,
-        hedge_quantile=0.9,
-        retrieve_deadline=5.0,
-        crash_failover=True,
-        retry_jitter=0.1,
-    )
+SWEEP_VALUES = (0.0, SMOKE_LOSS)
 
 
 def check_monitored_runs() -> int:
     """Every adaptive policy survives a monitored run under faults."""
     failures = 0
-    for policy in sorted(SCORING_POLICIES):
+    for policy in sorted(FIG_POLICY.rows):
         if policy == "arrival":
             continue  # the legacy path is golden-gated elsewhere
         monitor = InvariantMonitor(mode="collect")
-        results = run_simulation(_adaptive_config(policy), monitor=monitor)
+        results = run_simulation(
+            FIG_POLICY.config(SMOKE_LOSS, policy), monitor=monitor
+        )
         report = monitor.report()
         status = "ok" if report.ok else "VIOLATIONS"
         print(
@@ -79,7 +67,8 @@ def check_monitored_runs() -> int:
 def check_policy_sweep() -> int:
     """The micro policy matrix completes with no crashed runs."""
     failures: list[RunFailure] = []
-    table = sweep_peer_policy(
+    table = run_sweep(
+        FIG_POLICY,
         values=SWEEP_VALUES,
         attempts=2,
         salvage=True,

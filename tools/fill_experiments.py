@@ -3,10 +3,12 @@
 
 Run after ``pytest benchmarks/ --benchmark-only``:
 
-    python tools/fill_experiments.py
+    PYTHONPATH=src python tools/fill_experiments.py
 
-Keeps a template copy in ``tools/EXPERIMENTS.template.md`` the first time
-so the fill is repeatable after future benchmark runs.
+Edit ``tools/EXPERIMENTS.template.md``, never EXPERIMENTS.md itself: a
+tier-1 test compares the committed file with a fresh fill.  Keeps a
+template copy in ``tools/EXPERIMENTS.template.md`` the first time so the
+fill is repeatable after future benchmark runs.
 """
 
 from __future__ import annotations
@@ -15,23 +17,21 @@ import re
 import sys
 from pathlib import Path
 
+from repro.experiments.sweeps import FIGURES
+
 ROOT = Path(__file__).resolve().parent.parent
 TEMPLATE = ROOT / "tools" / "EXPERIMENTS.template.md"
 TARGET = ROOT / "EXPERIMENTS.md"
 RESULTS = ROOT / "results"
 
-PLACEHOLDERS = {
-    "FIG2": "fig2_cache_size.txt",
-    "FIG3": "fig3_skewness.txt",
-    "FIG4": "fig4_access_range.txt",
-    "FIG5": "fig5_group_size.txt",
-    "FIG6": "fig6_update_rate.txt",
-    "FIG7": "fig7_scalability.txt",
-    "FIG8": "fig8_disconnection.txt",
-    "FIGLOSS": "fig_link_loss.txt",
-    "FIGPOLICY": "fig_peer_policy.txt",
-    "FIGWORKLOAD": "fig_workload.txt",
-}
+
+def placeholders() -> dict:
+    """Placeholder -> results file, one per ``FIGURES`` row
+    (``fig-loss`` -> ``{FIGLOSS}`` -> ``results/fig_link_loss.txt``)."""
+    return {
+        key.replace("-", "").upper(): f"{figure.stem}.txt"
+        for key, figure in FIGURES.items()
+    }
 
 
 def fill(template: Path, target: Path, results: Path) -> list:
@@ -44,7 +44,7 @@ def fill(template: Path, target: Path, results: Path) -> list:
         template.parent.mkdir(exist_ok=True)
         template.write_text(text)
     missing = []
-    for key, filename in PLACEHOLDERS.items():
+    for key, filename in placeholders().items():
         path = results / filename
         if not path.exists():
             missing.append(filename)
