@@ -17,8 +17,9 @@ checking:
   from the future, or overlapping membership deltas;
 * **NDP** — neighbour-table symmetry within the beacon staleness bound
   and no beacons from the future;
-* **TCG** — membership symmetry, irreflexivity, and consistency with the
-  WADM/ASM thresholds that define it;
+* **TCG** — membership symmetry, irreflexivity, and equality with the
+  WADM/ASM thresholds that define it, in both directions (no member
+  outside them, no located pair inside them left out);
 * **power** — per-host and per-purpose ledgers non-negative and monotone
   non-decreasing over time (energy is only ever spent);
 * **metrics** — outcome counters sum to the request count.
@@ -442,7 +443,8 @@ class InvariantMonitor:
     # -- TCG hooks --------------------------------------------------------------
 
     def check_tcg_row(self, tcg: Any, client: int, now: float = math.nan) -> None:
-        """One client's TCG row: symmetric, irreflexive, threshold-true."""
+        """One client's TCG row: symmetric, irreflexive, and exactly the
+        located pairs that meet both thresholds."""
         self.checks_run += 1
         row = tcg.member[client]
         if row[client]:
@@ -459,26 +461,43 @@ class InvariantMonitor:
                 sim_time=now,
                 host=client,
             )
-        members = np.nonzero(row)[0]
-        if members.size:
-            distances = tcg.wadm[client, members]
-            if np.any(distances > tcg.distance_threshold):
-                self.violation(
-                    "tcg-distance-threshold",
-                    f"member at weighted distance {float(distances.max())} "
-                    f"over Δ={tcg.distance_threshold}",
-                    sim_time=now,
-                    host=client,
-                )
-            similarities = tcg.similarity_row(client)[members]
-            if np.any(similarities < tcg.similarity_threshold):
-                self.violation(
-                    "tcg-similarity-threshold",
-                    f"member at similarity {float(similarities.min())} "
-                    f"under δ={tcg.similarity_threshold}",
-                    sim_time=now,
-                    host=client,
-                )
+        row = row.copy()
+        row[client] = False  # self-membership is reported above, once
+        distances = tcg.wadm[client]
+        near = distances <= tcg.distance_threshold
+        # Similarities matter only for the members and for located pairs
+        # inside Δ, which a stale cached half could have left out of the row.
+        candidates = near & tcg._has_location & tcg._has_location[client]
+        candidates[client] = False
+        if not (row.any() or candidates.any()):
+            return
+        similarities = tcg.similarity_row(client)
+        alike = similarities >= tcg.similarity_threshold
+        if np.any(row & ~near):
+            self.violation(
+                "tcg-distance-threshold",
+                f"member at weighted distance {float(distances[row].max())} "
+                f"over Δ={tcg.distance_threshold}",
+                sim_time=now,
+                host=client,
+            )
+        if np.any(row & ~alike):
+            self.violation(
+                "tcg-similarity-threshold",
+                f"member at similarity {float(similarities[row].min())} "
+                f"under δ={tcg.similarity_threshold}",
+                sim_time=now,
+                host=client,
+            )
+        missing = np.nonzero(candidates & alike & ~row)[0]
+        if missing.size:
+            self.violation(
+                "tcg-missing-member",
+                f"clients {missing.tolist()} meet Δ={tcg.distance_threshold} and "
+                f"δ={tcg.similarity_threshold} but are not members",
+                sim_time=now,
+                host=client,
+            )
 
     # -- global audit ------------------------------------------------------------
 

@@ -934,7 +934,7 @@ class MobileHost:
         self.env.process(self._send_sig_reply(payload["from"]))
 
     def _send_sig_reply(self, requester: int):
-        bits, wire_bytes, _compressed = self.signatures.full_signature_payload(
+        positions, wire_bytes, _compressed = self.signatures.full_signature_payload(
             len(self.cache)
         )
         message = Message(
@@ -942,7 +942,7 @@ class MobileHost:
             src=self.index,
             dst=requester,
             size=self.sizes.sig_reply(wire_bytes),
-            payload={"from": self.index, "bits": bits},
+            payload={"from": self.index, "positions": positions},
             created_at=self.env.now,
         )
         yield from self.network.unicast(
@@ -955,7 +955,7 @@ class MobileHost:
         payload = message.payload
         if payload["from"] not in self.signatures.members:
             return  # departed while the reply was in flight
-        self.signatures.merge_member_signature(payload["from"], payload["bits"])
+        self.signatures.merge_member_signature(payload["from"], payload["positions"])
 
     def _apply_membership_changes(self, added: Set[int], removed: Set[int]) -> None:
         if self.signatures is None or (not added and not removed):

@@ -13,7 +13,9 @@ Each GroCoCa client keeps
 The piggybacked *signature update information* is the insertion/eviction
 lists of Section IV-D.4: bit positions whose value flipped since the last
 broadcast; a position flipping twice annihilates (we realise this by
-diffing the current signature against the last broadcast one).
+diffing the current signature against the last broadcast one).  Signatures
+are handled as the positions of their set bits throughout, so nothing on
+a per-message path is σ long.
 
 Network I/O stays in the client; this class only decides *what* must be
 sent, which keeps the protocol unit-testable.
@@ -26,10 +28,10 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.signatures.bloom import BloomFilter, SignatureScheme
+from repro.signatures.bloom import SignatureScheme
 from repro.signatures.counting import CountingBloomFilter
 from repro.signatures.peer import PeerSignature
-from repro.signatures.vlfl import compression_plan, vlfl_decode, vlfl_encode
+from repro.signatures.vlfl import compression_plan, decode_positions, encode_positions
 
 __all__ = ["MembershipActions", "SignatureAgent"]
 
@@ -62,7 +64,7 @@ class SignatureAgent:
         self.compression_enabled = compression_enabled
         self.recollect_batch = int(recollect_batch)
         self._departures = 0
-        self._last_broadcast = np.zeros(scheme.size_bits, dtype=bool)
+        self._last_broadcast: Set[int] = set()  # set positions last sent
         self.signatures_sent_compressed = 0
         self.signatures_sent_raw = 0
         self.signature_bytes_sent = 0
@@ -82,47 +84,41 @@ class SignatureAgent:
         Marks the current signature as broadcast.  Positions that flipped
         back annihilate automatically because we diff against the snapshot.
         """
-        current = self.own.signature().bits
-        insertions = np.nonzero(current & ~self._last_broadcast)[0]
-        evictions = np.nonzero(~current & self._last_broadcast)[0]
-        self._last_broadcast = current.copy()
-        return [int(p) for p in insertions], [int(p) for p in evictions]
-
-    def has_update(self) -> bool:
-        return bool(np.any(self.own.signature().bits != self._last_broadcast))
+        current = self.own.counters
+        flipped = self._last_broadcast.symmetric_difference(current)
+        self._last_broadcast ^= flipped
+        insertions = sorted(p for p in flipped if p in current)
+        return insertions, sorted(flipped.difference(insertions))
 
     # -- serving signature requests ------------------------------------------------
 
     def full_signature_payload(self, cached_items: int) -> Tuple[np.ndarray, int, bool]:
-        """(bits, wire size in bytes, compressed?) for a SigReply.
+        """(set-bit positions, wire size in bytes, compressed?) for a SigReply.
 
         The compression decision is the local rule of Section IV-D.2 based
         on the cache size ε, σ and k; the payload really is VLFL-encoded
         and decoded end-to-end so the size is genuine.
         """
-        signature = self.own.signature()
-        raw_bytes = signature.size_bytes
+        positions = np.array(self.own.positions(), dtype=np.int64)
+        size_bits = self.scheme.size_bits
+        raw_bytes = (size_bits + 7) // 8
         if self.compression_enabled:
-            run_cap, compress = compression_plan(
-                cached_items, self.scheme.size_bits, self.scheme.k
-            )
+            run_cap, compress = compression_plan(cached_items, size_bits, self.scheme.k)
             if compress:
-                compressed = vlfl_encode(signature.bits, run_cap)
+                compressed = encode_positions(positions, size_bits, run_cap)
                 if compressed.size_bytes < raw_bytes:
                     self.signatures_sent_compressed += 1
                     self.signature_bytes_sent += compressed.size_bytes
-                    return vlfl_decode(compressed), compressed.size_bytes, True
+                    return decode_positions(compressed), compressed.size_bytes, True
         self.signatures_sent_raw += 1
         self.signature_bytes_sent += raw_bytes
-        return signature.bits.copy(), raw_bytes, False
+        return positions, raw_bytes, False
 
     # -- peer vector updates -----------------------------------------------------------
 
-    def merge_member_signature(self, member: int, bits: np.ndarray) -> None:
-        """Fold a received SigReply into the peer vector."""
-        signature = BloomFilter(self.scheme)
-        signature.bits = np.asarray(bits, dtype=bool)
-        self.peer.merge_signature(signature)
+    def merge_member_signature(self, member: int, positions: np.ndarray) -> None:
+        """Fold a received SigReply (set-bit positions) into the peer vector."""
+        self.peer.merge_positions(positions)
         self.outstanding.discard(member)
 
     def apply_peer_update(

@@ -15,7 +15,13 @@ client contacts the MSS.
 
 The ASM is maintained incrementally: per-pair dot products and per-client
 squared norms make one access an O(N) update instead of an O(N · NData)
-recomputation.
+recomputation.  So is Algorithm 3: ``_dist_ok`` (WADM ≤ Δ) and ``_sim_ok``
+(similarity ≥ δ) cache the two halves of its test.  A pair's distance
+changes only in ``record_location`` of one of its clients, its similarity
+only in ``record_access`` of one of them, and each call rewrites the row
+*and* the column of its own half: the other half is always current and is
+never recomputed, and since every pair's membership is current when a call
+starts, a call that leaves its own half unchanged skips the recheck.
 """
 
 from __future__ import annotations
@@ -66,6 +72,9 @@ class TCGManager:
         self.wadm = np.full((n_clients, n_clients), math.inf)
         self._has_location = np.zeros(n_clients, dtype=bool)
         self._last_position = np.zeros((n_clients, 2))
+        # Algorithm 3's test per pair, by halves (no distance or similarity yet).
+        self._dist_ok = np.full((n_clients, n_clients), math.inf <= distance_threshold)
+        self._sim_ok = np.full((n_clients, n_clients), 0.0 >= similarity_threshold)
         self.member = np.zeros((n_clients, n_clients), dtype=bool)
         # What each client was last told its TCG is (for async announcements).
         self._announced: List[Set[int]] = [set() for _ in range(n_clients)]
@@ -75,37 +84,56 @@ class TCGManager:
 
     def record_location(self, client: int, position: Sequence[float]) -> None:
         """Fold a piggybacked location into the WADM and recheck row."""
+        self._check_client(client)
         position = np.asarray(position, dtype=float)
-        others = self._has_location.copy()
-        others[client] = False
-        if others.any():
-            deltas = self._last_position[others] - position
-            distances = np.hypot(deltas[:, 0], deltas[:, 1])
-            old = self.wadm[client, others]
-            first_time = np.isinf(old)
-            with np.errstate(invalid="ignore"):
-                blended = self.omega * distances + (1.0 - self.omega) * old
-            new = np.where(first_time, distances, blended)
-            self.wadm[client, others] = new
-            self.wadm[others, client] = new
+        if position.shape != (2,) or not all(map(math.isfinite, position)):
+            raise ValueError(f"position must be two finite numbers, got {position!r}")
+        deltas = self._last_position - position
+        distances = np.hypot(deltas[:, 0], deltas[:, 1])
+        row = self.wadm[client]
+        with np.errstate(invalid="ignore"):
+            blended = self.omega * distances + (1.0 - self.omega) * row
+        # An infinite entry is a first contact: no history to blend with.
+        new = np.where(np.isinf(row), distances, blended)
+        np.copyto(row, new, where=self._has_location)
+        row[client] = math.inf  # never its own neighbour
+        self.wadm[:, client] = row
         self._last_position[client] = position
+        first_report = not self._has_location[client]
         self._has_location[client] = True
-        self._recheck_row(client)
+        near = row <= self.distance_threshold
+        if first_report or np.count_nonzero(near != self._dist_ok[client]):
+            self._dist_ok[client] = self._dist_ok[:, client] = near
+            self._recheck(client)
+        if self._monitor is not None:
+            self._monitor.check_tcg_row(self, client)
 
     # -- Algorithm 2: access pattern update ----------------------------------------
 
     def record_access(self, client: int, item: int, count: int = 1) -> None:
         """Fold accesses into the ASM (incremental cosine) and recheck row."""
+        self._check_client(client)
+        if not 0 <= item < self.n_data:
+            raise ValueError(f"item must be in [0, {self.n_data}), got {item!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
-        column = self.access_counts[:, item]
-        self._dot[client, :] += count * column
-        self._dot[:, client] += count * column
+        increment = count * self.access_counts[:, item]
+        self._dot[client, :] += increment
+        self._dot[:, client] += increment
         self._sq_norms[client] += (
             2.0 * count * self.access_counts[client, item] + count * count
         )
         self.access_counts[client, item] += count
-        self._recheck_row(client)
+        alike = self.similarity_row(client) >= self.similarity_threshold
+        if np.count_nonzero(alike != self._sim_ok[client]):
+            self._sim_ok[client] = self._sim_ok[:, client] = alike
+            self._recheck(client)
+        if self._monitor is not None:
+            self._monitor.check_tcg_row(self, client)
+
+    def _check_client(self, client: int) -> None:
+        if not 0 <= client < self.n_clients:
+            raise ValueError(f"client must be in [0, {self.n_clients}), got {client!r}")
 
     # -- similarity / distance queries ----------------------------------------------
 
@@ -120,12 +148,10 @@ class TCGManager:
 
     def similarity_row(self, client: int) -> np.ndarray:
         denominator = self._sq_norms[client] * self._sq_norms
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.where(
-                denominator > 0.0,
-                self._dot[client] / np.sqrt(denominator),
-                0.0,
-            )
+        row = np.zeros(self.n_clients)  # similarity with a client yet to access
+        np.divide(
+            self._dot[client], np.sqrt(denominator), out=row, where=denominator > 0.0
+        )
         row[client] = 1.0
         return row
 
@@ -134,35 +160,29 @@ class TCGManager:
 
     # -- Algorithm 3: membership checking ---------------------------------------------
 
-    def _recheck_row(self, client: int) -> None:
-        eligible = (
-            (self.wadm[client] <= self.distance_threshold)
-            & (self.similarity_row(client) >= self.similarity_threshold)
-            & self._has_location
-        )
+    def _recheck(self, client: int) -> None:
+        eligible = self._dist_ok[client] & self._sim_ok[client] & self._has_location
         eligible[client] = False
         if not self._has_location[client]:
             eligible[:] = False
-        changed = eligible != self.member[client]
-        if changed.any():
+        changed = int(np.count_nonzero(eligible != self.member[client]))
+        if changed:
             self.member[client] = eligible
             self.member[:, client] = eligible
-            self.membership_changes += int(changed.sum())
+            self.membership_changes += changed
             if self._tracer is not None:
                 self._tracer.instant(
                     "tcg-change",
                     host=client,
-                    changed=int(changed.sum()),
+                    changed=changed,
                     size=int(eligible.sum()),
                 )
-        if self._monitor is not None:
-            self._monitor.check_tcg_row(self, client)
 
     # -- client-facing views --------------------------------------------------------------
 
     def tcg_of(self, client: int) -> Set[int]:
         """The current TCG of a client (live MSS view)."""
-        return set(int(j) for j in np.nonzero(self.member[client])[0])
+        return set(self.member[client].nonzero()[0].tolist())
 
     def drain_changes(self, client: int) -> Tuple[Set[int], Set[int]]:
         """Membership delta since this client was last told (async view change).

@@ -30,7 +30,8 @@ class PeerSignature:
         self.contractions = 0
         # Cached max(counters), maintained incrementally by the update
         # paths so the per-broadcast piggyback deltas skip the full-vector
-        # reduction; < 0 marks it stale (recompute on next _fit_width).
+        # reduction; < 0 marks it stale inside apply_update, whose closing
+        # _fit_width recomputes it, so it is exact whenever a call starts.
         self._peak = 0
 
     # -- width management -------------------------------------------------------
@@ -62,13 +63,19 @@ class PeerSignature:
         self.counter_bits = 0
         self._peak = 0
 
+    def merge_positions(self, positions: np.ndarray) -> None:
+        """Add one member's full cache signature: its distinct set positions."""
+        if len(positions):
+            touched = self.counters[positions] + 1
+            self.counters[positions] = touched
+            self._peak = max(self._peak, int(touched.max()))
+        self._fit_width()
+
     def merge_signature(self, signature: BloomFilter) -> None:
-        """Add one member's full cache signature."""
+        """:meth:`merge_positions` for a dense signature."""
         if signature.scheme is not self.scheme:
             raise ValueError("signature from a different scheme")
-        self.counters += signature.bits
-        self._peak = -1  # whole-vector add: recompute lazily
-        self._fit_width()
+        self.merge_positions(np.flatnonzero(signature.bits))
 
     def apply_update(
         self, insertions: Sequence[int], evictions: Sequence[int]

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "CompressedSignature",
     "compression_plan",
+    "decode_positions",
+    "encode_positions",
     "expected_compressed_bits",
     "find_optimal_r",
     "should_compress",
@@ -114,66 +116,67 @@ class CompressedSignature:
         return self.symbol_count * self.codeword_bits
 
 
-def _symbols_for_gap(zeros: int, run_cap: int, terminated: bool) -> List[int]:
-    """Symbols encoding ``zeros`` consecutive zeros (+ a one iff terminated)."""
-    symbols = [run_cap] * (zeros // run_cap)
-    remainder = zeros % run_cap
-    if terminated:
-        symbols.append(remainder)  # L zeros then the terminating one
-    elif remainder:
-        symbols.append(remainder)  # tail; decoder truncates the phantom one
-    return symbols
+def encode_positions(
+    ones: np.ndarray, size_bits: int, run_cap: int
+) -> CompressedSignature:
+    """Encode a σ-bit vector given as the ascending positions of its ones.
 
-
-def vlfl_encode(bits: np.ndarray, run_cap: int) -> CompressedSignature:
-    """Encode a 0/1 vector with run cap ``R`` (must be ``2^l − 1``).
-
-    Works over the positions of set bits, so the cost is linear in the
-    number of ones rather than in σ (cache signatures are sparse).
+    The cost is linear in the number of ones, not in σ (cache signatures
+    are sparse): a gap of ``g`` zeros before a one is ``g // R`` full-run
+    symbols and then the symbol ``g % R``; the zeros after the last one are
+    full runs plus a remainder symbol only when it is non-zero (the decoder
+    truncates the phantom one).
     """
     if run_cap < 1 or (run_cap + 1) & run_cap:
         raise ValueError(f"run cap must be 2**l - 1, got {run_cap}")
-    bits = np.asarray(bits).astype(bool)
-    ones = np.nonzero(bits)[0]
-    boundaries = np.concatenate([[-1], ones])
-    gaps = np.diff(boundaries) - 1  # zeros before each one
-    symbols: List[int] = []
-    for gap in gaps:
-        symbols.extend(_symbols_for_gap(int(gap), run_cap, terminated=True))
-    tail = len(bits) - (int(ones[-1]) + 1 if ones.size else 0)
-    symbols.extend(_symbols_for_gap(tail, run_cap, terminated=False))
+    ones = np.asarray(ones, dtype=np.int64)
+    gaps = ones.copy()  # zeros before each one
+    gaps[1:] -= ones[:-1] + 1
+    full, rest = np.divmod(gaps, run_cap)
+    ends = (full + 1).cumsum()  # one past the last symbol of each gap
+    tail = size_bits - (int(ones[-1]) + 1 if ones.size else 0)
+    tail_full, tail_rest = divmod(tail, run_cap)
+    terminated = int(ends[-1]) if ones.size else 0
+    symbols = np.full(terminated + tail_full + bool(tail_rest), run_cap, np.int64)
+    symbols[ends - 1] = rest
+    if tail_rest:
+        symbols[-1] = tail_rest
     codeword = max(1, (run_cap + 1).bit_length() - 1)
-    if symbols:
-        values = np.asarray(symbols, dtype=np.uint32)
-        shifts = np.arange(codeword - 1, -1, -1, dtype=np.uint32)
-        bitstream = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        payload = np.packbits(bitstream.ravel()).tobytes()
-    else:
-        payload = b""
+    shifts = np.arange(codeword - 1, -1, -1, dtype=np.int64)
+    bitstream = ((symbols[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
     return CompressedSignature(
         run_cap=run_cap,
-        original_bits=len(bits),
-        symbol_count=len(symbols),
-        payload=payload,
+        original_bits=size_bits,
+        symbol_count=symbols.size,
+        payload=np.packbits(bitstream.ravel()).tobytes(),
     )
 
 
-def vlfl_decode(compressed: CompressedSignature) -> np.ndarray:
-    """Invert :func:`vlfl_encode`; returns a bool vector of σ bits."""
-    result = np.zeros(compressed.original_bits, dtype=bool)
+def decode_positions(compressed: CompressedSignature) -> np.ndarray:
+    """Invert :func:`encode_positions`: the ascending one positions."""
     if compressed.symbol_count == 0:
-        return result
+        return np.empty(0, dtype=np.int64)
     codeword = compressed.codeword_bits
-    bitstream = np.unpackbits(np.frombuffer(compressed.payload, dtype=np.uint8))
-    bitstream = bitstream[: compressed.symbol_count * codeword]
+    packed = np.frombuffer(compressed.payload, dtype=np.uint8)
+    bitstream = np.unpackbits(packed, count=compressed.symbol_count * codeword)
     weights = 1 << np.arange(codeword - 1, -1, -1, dtype=np.int64)
     values = bitstream.reshape(-1, codeword).astype(np.int64) @ weights
     # Each symbol contributes `value` zeros, plus a terminating one unless
     # it is a full run of R zeros.
     terminated = values != compressed.run_cap
-    lengths = values + terminated
-    positions = np.cumsum(lengths) - 1  # index of each terminating one
-    one_positions = positions[terminated]
-    one_positions = one_positions[one_positions < compressed.original_bits]
-    result[one_positions] = True
+    positions = (values + terminated).cumsum() - 1  # index of each terminating one
+    ones = positions[terminated]
+    return ones[ones < compressed.original_bits]
+
+
+def vlfl_encode(bits: np.ndarray, run_cap: int) -> CompressedSignature:
+    """Encode a dense 0/1 vector with run cap ``R`` (must be ``2^l − 1``)."""
+    bits = np.asarray(bits).astype(bool)
+    return encode_positions(np.flatnonzero(bits), len(bits), run_cap)
+
+
+def vlfl_decode(compressed: CompressedSignature) -> np.ndarray:
+    """Invert :func:`vlfl_encode`; returns a bool vector of σ bits."""
+    result = np.zeros(compressed.original_bits, dtype=bool)
+    result[decode_positions(compressed)] = True
     return result

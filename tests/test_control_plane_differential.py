@@ -1,0 +1,273 @@
+"""The sparse / incremental control plane against the designs it replaced.
+
+``tests/_control_plane_reference.py`` keeps the dense signature state, the
+per-gap VLFL loop and the recompute-everything TCG check of the previous
+revision.  Every test here drives ``src/`` and that reference through the
+same calls and requires ``==`` on everything a run could observe, after
+every call.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.signatures_proto import SignatureAgent
+from repro.core.tcg import TCGManager
+from repro.signatures import CountingBloomFilter, SignatureScheme, vlfl_decode, vlfl_encode
+from repro.signatures.vlfl import decode_positions, encode_positions
+from tests._control_plane_reference import (
+    DenseSignatureAgent,
+    RecomputingTCGManager,
+    dense_vlfl_decode,
+    loop_vlfl_encode,
+)
+
+# -- (a) signature agents ------------------------------------------------------
+
+ITEMS = st.integers(0, 15)
+POSITIONS = st.lists(st.integers(0, 7), max_size=4)  # valid at every σ below
+SIGNATURE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), ITEMS),
+        st.tuples(st.just("evict"), st.integers(0, 63)),  # index into the cache
+        st.tuples(st.just("evict-uncached"), ITEMS),
+        st.tuples(st.just("rebuild")),
+        st.tuples(st.just("take-update")),
+        st.tuples(st.just("reply-and-merge")),
+        st.tuples(st.just("piggyback-own")),
+        st.tuples(st.just("apply-update"), POSITIONS, POSITIONS),
+        st.tuples(st.just("reset")),
+    ),
+    min_size=5,
+    max_size=80,
+)
+# σ = 8 makes the k positions of one item collide; π_c ∈ {1, 2} saturates and
+# underflows; σ ≥ 256 takes the compressed SigReply path.
+SHAPES = st.sampled_from(
+    [(8, 2, 1), (8, 2, 2), (8, 3, 4), (64, 2, 1), (256, 2, 2), (2048, 2, 4)]
+)
+
+
+def assert_same_agent(new, old, universe=range(16)):
+    dense = old.own.counters
+    assert new.own.counters == {int(p): int(dense[p]) for p in np.flatnonzero(dense)}
+    assert new.own.positions() == np.flatnonzero(old.own.signature().bits).tolist()
+    assert new.own.rebuilds == old.own.rebuilds
+    assert sorted(new._last_broadcast) == np.flatnonzero(old._last_broadcast).tolist()
+    assert np.array_equal(new.peer.counters, old.peer.counters)
+    assert new.peer.counter_bits == old.peer.counter_bits
+    assert new.peer.expansions == old.peer.expansions
+    assert new.peer.contractions == old.peer.contractions
+    assert new.peer.memory_bits == old.peer.memory_bits
+    for item in universe:
+        assert new.own.might_contain(item) == old.own.might_contain(item)
+        assert new.likely_cached_by_members(item) == old.likely_cached_by_members(item)
+    for name in ("signatures_sent_compressed", "signatures_sent_raw", "signature_bytes_sent"):
+        assert getattr(new, name) == getattr(old, name)
+
+
+@given(SHAPES, st.integers(0, 5), st.booleans(), SIGNATURE_OPS)
+@settings(max_examples=400, deadline=None)
+def test_sparse_agent_matches_dense_agent(shape, seed, compression, ops):
+    size_bits, k, counter_bits = shape
+    scheme = SignatureScheme(np.random.default_rng(seed), size_bits, k)
+    new = SignatureAgent(scheme, counter_bits, compression_enabled=compression)
+    old = DenseSignatureAgent(scheme, counter_bits, compression_enabled=compression)
+    cache = []
+    for op in ops:
+        kind = op[0]
+        if kind == "insert":
+            cache.append(op[1])  # a multiset: repeats push counters to saturation
+            new.record_insert(op[1])
+            old.record_insert(op[1])
+        elif kind == "evict" and cache:
+            item = cache.pop(op[1] % len(cache))
+            new.record_evict(item, cache)
+            old.record_evict(item, cache)
+        elif kind == "evict-uncached":
+            new.record_evict(op[1], cache)
+            old.record_evict(op[1], cache)
+        elif kind == "rebuild":
+            new.own.rebuild(cache)
+            old.own.rebuild(cache)
+        elif kind == "take-update":
+            assert new.take_update() == old.take_update()
+        elif kind == "reply-and-merge":
+            positions, new_bytes, new_compressed = new.full_signature_payload(len(cache))
+            bits, old_bytes, old_compressed = old.full_signature_payload(len(cache))
+            assert (new_bytes, new_compressed) == (old_bytes, old_compressed)
+            assert positions.tolist() == np.flatnonzero(bits).tolist()
+            new.merge_member_signature(1, positions)
+            old.merge_member_signature(1, bits)
+        elif kind == "piggyback-own":
+            update = new.take_update()
+            assert update == old.take_update()
+            new.apply_peer_update(*update)
+            old.apply_peer_update(*update)
+        elif kind == "apply-update":
+            new.apply_peer_update(op[1], op[2])
+            old.apply_peer_update(op[1], op[2])
+        elif kind == "reset":
+            new.peer.reset()
+            old.peer.reset()
+        if (old.own.counters < 0).any():
+            # The dense filter let an item whose positions collide take a
+            # counter below zero; the sparse one asks for a rebuild instead
+            # (test_colliding_positions_cannot_underflow).  Nothing after
+            # this point is comparable.
+            return
+        assert_same_agent(new, old)
+
+
+def test_colliding_positions_cannot_underflow():
+    """An item hashing twice to one counter needs two units of headroom.
+
+    At σ = 8, π_c = 1 the second increment is discarded at saturation; the
+    dense filter then decremented twice, left the counter at −1 and so
+    under-reported every later item sharing the position (a false
+    negative with no rebuild).  That is a decrement on a zero counter,
+    which Section IV-D.3 answers with reset-and-rebuild.
+    """
+    scheme = SignatureScheme(np.random.default_rng(0), 8, 2)
+    twin = next(i for i in range(200) if len(set(scheme.positions(i))) == 1)
+    (position,) = set(scheme.positions(twin))
+    counting = CountingBloomFilter(scheme, counter_bits=1)
+    counting.add(twin)
+    assert counting.counters == {position: 1}
+    assert not counting.remove(twin)  # rebuild requested ...
+    assert counting.counters == {position: 1}  # ... and nothing moved
+    agent = SignatureAgent(scheme, counter_bits=1)
+    agent.record_insert(twin)
+    agent.record_evict(twin, cache_items=[])
+    assert agent.own.counters == {} and agent.own.rebuilds == 1
+    # With headroom the two decrements go through and no rebuild is needed.
+    roomy = CountingBloomFilter(scheme, counter_bits=2)
+    roomy.add(twin)
+    assert roomy.counters == {position: 2}
+    assert roomy.remove(twin) and roomy.counters == {} and roomy.rebuilds == 0
+
+
+# -- (b) the position codec against the per-gap loop ---------------------------
+
+RUN_CAPS = [2**exponent - 1 for exponent in range(1, 10)]  # 1, 3, ..., 511
+
+
+def assert_same_codec(bits, run_cap):
+    bits = np.asarray(bits, dtype=bool)
+    ones = np.flatnonzero(bits)
+    compressed = encode_positions(ones, len(bits), run_cap)
+    reference = loop_vlfl_encode(bits, run_cap)
+    assert compressed == reference  # run cap, σ, symbol count, payload bytes
+    assert vlfl_encode(bits, run_cap) == reference
+    assert decode_positions(compressed).tolist() == ones.tolist()
+    assert np.array_equal(vlfl_decode(compressed), bits)
+    assert np.array_equal(dense_vlfl_decode(compressed), bits)
+
+
+@pytest.mark.parametrize("run_cap", RUN_CAPS)
+def test_position_codec_edge_vectors(run_cap):
+    for size in (0, 1, run_cap, run_cap + 1, 2 * run_cap, 2 * run_cap + 3, 1100):
+        zeros = np.zeros(size, dtype=bool)
+        assert_same_codec(zeros, run_cap)  # all zero: tail run only
+        assert_same_codec(~zeros, run_cap)  # all one
+        if size:
+            trailing_one = zeros.copy()
+            trailing_one[-1] = True
+            assert_same_codec(trailing_one, run_cap)  # no tail at all
+            leading_one = zeros.copy()
+            leading_one[0] = True
+            assert_same_codec(leading_one, run_cap)  # one long trailing run
+
+
+@given(
+    st.sampled_from(RUN_CAPS),
+    st.lists(st.booleans(), max_size=80),
+    st.integers(0, 1200),
+)
+@settings(max_examples=300, deadline=None)
+def test_position_codec_matches_loop_codec(run_cap, head, trailing_zeros):
+    assert_same_codec(head + [False] * trailing_zeros, run_cap)
+
+
+@given(st.sampled_from(RUN_CAPS), st.sets(st.integers(0, 9_999), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_position_codec_at_paper_sigma(run_cap, ones):
+    bits = np.zeros(10_000, dtype=bool)
+    bits[sorted(ones)] = True
+    assert_same_codec(bits, run_cap)
+
+
+# -- (c) incremental TCG eligibility against the from-scratch recheck ----------
+
+N_CLIENTS, N_DATA = 6, 5
+CLIENTS = st.integers(0, N_CLIENTS - 1)
+GRID = st.integers(0, 4).map(float)  # integer grid: wadm == Δ ties occur
+TCG_OPS = st.lists(
+    st.one_of(
+        # Client 5 never reports a location: it must never join a TCG.
+        st.tuples(st.just("location"), st.integers(0, N_CLIENTS - 2), GRID, GRID),
+        st.tuples(st.just("access"), CLIENTS, st.integers(0, N_DATA - 1), st.integers(1, 3)),
+        st.tuples(st.just("drain"), CLIENTS),
+        st.tuples(st.just("view"), CLIENTS),
+    ),
+    max_size=80,
+)
+
+
+PAIRS = ~np.eye(N_CLIENTS, dtype=bool)  # a client is never its own member
+
+
+class Instants:
+    """Stands in for the tracer: keeps every instant, in order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def instant(self, name, **fields):
+        self.seen.append((name, fields))
+
+
+def similarity_matrix(manager):
+    return np.array([manager.similarity_row(c) for c in range(manager.n_clients)])
+
+
+@given(
+    st.sampled_from([0.0, 2.0, 3.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    TCG_OPS,
+)
+@settings(max_examples=200, deadline=None)
+def test_incremental_tcg_matches_recomputing_tcg(delta, similarity, omega, ops):
+    new_trace, old_trace = Instants(), Instants()
+    new = TCGManager(N_CLIENTS, N_DATA, delta, similarity, omega, tracer=new_trace)
+    old = RecomputingTCGManager(
+        N_CLIENTS, N_DATA, delta, similarity, omega, tracer=old_trace
+    )
+    for op in ops:
+        kind, client = op[0], op[1]
+        if kind == "location":
+            new.record_location(client, op[2:])
+            old.record_location(client, op[2:])
+        elif kind == "access":
+            new.record_access(client, op[2], op[3])
+            old.record_access(client, op[2], op[3])
+        elif kind == "drain":
+            assert new.drain_changes(client) == old.drain_changes(client)
+        else:
+            assert new.full_view(client) == old.full_view(client)
+        assert np.array_equal(new.member, old.member)
+        assert np.array_equal(new.wadm, old.wadm)  # bitwise: inf == inf, no NaN
+        assert new.membership_changes == old.membership_changes
+        assert type(new.membership_changes) is int
+        assert json.dumps(new_trace.seen) == json.dumps(old_trace.seen)  # types too
+        # The argument the design rests on: the cached similarity test is
+        # current for every pair, not only for the row just touched.
+        alike = similarity_matrix(new) >= similarity
+        assert np.array_equal(new._sim_ok[PAIRS], alike[PAIRS])
+    assert not new.member[N_CLIENTS - 1].any()
+    for client in range(N_CLIENTS):
+        assert new.drain_changes(client) == old.drain_changes(client)

@@ -119,12 +119,8 @@ class World:
         first, second = self.clients[a], self.clients[b]
         first.signatures.members.add(b)
         second.signatures.members.add(a)
-        first.signatures.merge_member_signature(
-            b, second.signatures.own.signature().bits
-        )
-        second.signatures.merge_member_signature(
-            a, first.signatures.own.signature().bits
-        )
+        first.signatures.merge_member_signature(b, second.signatures.own.positions())
+        second.signatures.merge_member_signature(a, first.signatures.own.positions())
 
     def access(self, client_index, item):
         """Drive one access to completion; returns sim duration."""

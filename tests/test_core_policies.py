@@ -234,23 +234,14 @@ def test_shared_bit_not_reported_on_partial_evict():
     assert not shared & set(evictions)  # bits still held by item 2 stay set
 
 
-def test_has_update():
-    agent = SignatureAgent(scheme(), counter_bits=4)
-    assert not agent.has_update()
-    agent.record_insert(5)
-    assert agent.has_update()
-    agent.take_update()
-    assert not agent.has_update()
-
-
 def test_full_signature_payload_compresses_sparse_cache():
     agent = SignatureAgent(scheme(size=10_000, seed=3), counter_bits=4)
     for item in range(50):
         agent.record_insert(item)
-    bits, size_bytes, compressed = agent.full_signature_payload(cached_items=50)
+    positions, size_bytes, compressed = agent.full_signature_payload(cached_items=50)
     assert compressed
     assert size_bytes < 10_000 // 8
-    assert np.array_equal(bits, agent.own.signature().bits)  # lossless
+    assert positions.tolist() == agent.own.positions()  # lossless
 
 
 def test_full_signature_payload_raw_when_compression_disabled():
@@ -326,16 +317,14 @@ def test_notice_peer_alive_only_for_outstanding():
     agent = SignatureAgent(scheme(), counter_bits=4)
     agent.apply_membership_changes({1}, set())
     assert agent.notice_peer_alive(1)
-    agent.merge_member_signature(1, np.zeros(agent.scheme.size_bits, dtype=bool))
+    agent.merge_member_signature(1, [])
     assert not agent.notice_peer_alive(1)
 
 
 def test_likely_cached_by_members_filter():
     s = scheme()
     agent = SignatureAgent(s, counter_bits=4)
-    member_signature = s.make_filter()
-    member_signature.add(42)
-    agent.merge_member_signature(1, member_signature.bits)
+    agent.merge_member_signature(1, sorted(set(s.positions(42))))
     assert agent.likely_cached_by_members(42)
     misses = sum(not agent.likely_cached_by_members(i) for i in range(500, 600))
     assert misses >= 95

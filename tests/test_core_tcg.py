@@ -189,3 +189,83 @@ def test_member_matrix_always_symmetric_no_self(accesses):
         m.record_access(client, item)
     assert np.array_equal(m.member, m.member.T)
     assert not m.member.diagonal().any()
+
+
+# -- hostile input is refused at the boundary, before any state moves ----------
+
+
+def settled_pair():
+    m = manager(n=3, n_data=10, delta=50.0, sim=0.4)
+    for client in (0, 1):
+        m.record_location(client, (5.0 * client, 0.0))
+        m.record_access(client, 1)
+    assert m.tcg_of(0) == {1}
+    return m
+
+
+def snapshot(m):
+    return [
+        array.copy()
+        for array in (
+            m.wadm, m.member, m.access_counts, m._sim_ok,
+            m._dot, m._sq_norms, m._has_location, m._last_position,
+        )
+    ] + [m.membership_changes]
+
+
+def assert_untouched(m, before):
+    for was, now in zip(before, snapshot(m)):
+        assert np.array_equal(was, now)
+
+
+@pytest.mark.parametrize(
+    "position, named",
+    [
+        ((math.nan, 0.0), "nan"),
+        ((0.0, math.inf), "inf"),
+        ((1.0, 2.0, 3.0), "3."),
+        (7.0, "7."),
+        ((), "[]"),
+    ],
+)
+def test_record_location_rejects_bad_position(position, named):
+    m = settled_pair()
+    before = snapshot(m)
+    with pytest.raises(ValueError, match="two finite numbers") as excinfo:
+        m.record_location(1, position)
+    assert named in str(excinfo.value)
+    assert_untouched(m, before)
+    # The pair is still a pair, and still reacts to real reports.
+    m.record_location(1, (6.0, 0.0))
+    assert m.tcg_of(0) == {1}
+
+
+def test_nan_position_no_longer_poisons_the_pair_for_good():
+    """At the parent a NaN report made wadm[0, 1] NaN, and because first
+    contact is ``isinf(old)`` the EWMA never recovered."""
+    m = settled_pair()
+    with pytest.raises(ValueError):
+        m.record_location(1, (math.nan, 0.0))
+    assert np.isfinite(m.wadm[0, 1]) and m.wadm[0, 1] == m.wadm[1, 0]
+
+
+@pytest.mark.parametrize("client", [-1, 3, 10**6])
+def test_client_out_of_range_is_rejected(client):
+    m = settled_pair()
+    before = snapshot(m)
+    with pytest.raises(ValueError, match=r"client must be in \[0, 3\)") as excinfo:
+        m.record_location(client, (1.0, 1.0))
+    assert str(client) in str(excinfo.value)
+    with pytest.raises(ValueError, match=r"client must be in \[0, 3\)"):
+        m.record_access(client, 1)
+    assert_untouched(m, before)
+
+
+@pytest.mark.parametrize("item", [-1, 10])
+def test_item_out_of_range_is_rejected(item):
+    m = settled_pair()
+    before = snapshot(m)
+    with pytest.raises(ValueError, match=r"item must be in \[0, 10\)") as excinfo:
+        m.record_access(0, item)
+    assert str(item) in str(excinfo.value)
+    assert_untouched(m, before)

@@ -8,6 +8,7 @@ from repro.cache.lru import LRUCache
 from repro.check import InvariantMonitor, InvariantViolation, run_checked
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.simulation import run_simulation
+from repro.core.tcg import TCGManager
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 
 SMALL = dict(
@@ -227,6 +228,109 @@ def test_server_reply_hooks():
             now=5.0,
         )
     assert excinfo.value.invariant == "membership-delta-overlap"
+
+
+def _watched_tcg():
+    """Clients 0-2 together and alike (one TCG); 3 alike but out of range;
+    4 in range but reading something else."""
+    monitor = InvariantMonitor(mode="collect")
+    tcg = TCGManager(5, 10, 50.0, 0.5, 1.0, monitor=monitor)  # ω = 1: no memory
+    for client, x in enumerate((0.0, 10.0, 20.0, 500.0, 5.0)):
+        tcg.record_location(client, (x, 0.0))
+        tcg.record_access(client, 7 if client == 4 else 3)
+    assert [tcg.tcg_of(c) for c in range(5)] == [{1, 2}, {0, 2}, {0, 1}, set(), set()]
+    return tcg, monitor
+
+
+def test_tcg_rules_pass_a_clean_manager():
+    tcg, monitor = _watched_tcg()
+    for client in range(tcg.n_clients):
+        monitor.check_tcg_row(tcg, client)
+    assert monitor.violations == []
+    assert monitor.checks_run >= 10 + tcg.n_clients  # one per contact, one per row
+
+
+def test_tcg_self_membership_rule():
+    tcg, monitor = _watched_tcg()
+    tcg.member[3, 3] = True
+    monitor.check_tcg_row(tcg, 3)
+    assert [v.invariant for v in monitor.violations] == ["tcg-self-membership"]
+
+
+def test_tcg_asymmetry_rule():
+    tcg, monitor = _watched_tcg()
+    tcg.member[2, 0] = False  # row 0 still lists 2; column 0 no longer does
+    monitor.check_tcg_row(tcg, 0)
+    assert [v.invariant for v in monitor.violations] == ["tcg-asymmetry"]
+
+
+def test_tcg_distance_threshold_rule():
+    tcg, monitor = _watched_tcg()
+    tcg.wadm[0, 1] = 50.5
+    monitor.check_tcg_row(tcg, 0)
+    assert [v.invariant for v in monitor.violations] == ["tcg-distance-threshold"]
+    assert "50.5" in str(monitor.violations[0])
+
+
+def test_tcg_similarity_threshold_rule():
+    tcg, monitor = _watched_tcg()
+    tcg._dot[0, 1] = 0.0  # clients 0 and 1 now look unrelated
+    monitor.check_tcg_row(tcg, 0)
+    assert [v.invariant for v in monitor.violations] == ["tcg-similarity-threshold"]
+
+
+def test_tcg_missing_member_rule():
+    tcg, monitor = _watched_tcg()
+    tcg.member[0, 1] = tcg.member[1, 0] = False  # dropped on both sides
+    monitor.check_tcg_row(tcg, 0)
+    assert [v.invariant for v in monitor.violations] == ["tcg-missing-member"]
+    assert "[1]" in str(monitor.violations[0])
+
+
+def test_stale_cached_similarity_is_caught_in_both_directions():
+    """``record_location`` rechecks from the cached ``_sim_ok``.  A stale
+    False leaves a member out of row and column alike, which only the
+    converse rule can see; a stale True admits a stranger.  The manager's
+    own hook reports either."""
+    tcg, monitor = _watched_tcg()
+    tcg._sim_ok[3, 1] = tcg._sim_ok[1, 3] = False
+    tcg.record_location(3, (15.0, 0.0))  # walks into range of everybody
+    assert tcg.tcg_of(3) == {0, 2} and tcg.tcg_of(1) == {0, 2}
+    assert [(v.invariant, v.host) for v in monitor.violations] == [
+        ("tcg-missing-member", 3)
+    ]
+    assert "[1]" in str(monitor.violations[0])
+    tcg, monitor = _watched_tcg()
+    tcg._sim_ok[3, 4] = tcg._sim_ok[4, 3] = True
+    tcg.record_location(3, (15.0, 0.0))
+    assert tcg.tcg_of(3) == {0, 1, 2, 4}
+    assert [(v.invariant, v.host) for v in monitor.violations] == [
+        ("tcg-similarity-threshold", 3)
+    ]
+    # The next access of either client rewrites row and column and heals it.
+    tcg.record_access(4, 7)
+    assert tcg.tcg_of(3) == {0, 1, 2} and tcg.tcg_of(4) == set()
+    assert len(monitor.violations) == 1
+
+
+def test_stale_cached_distance_is_caught():
+    """``record_access`` rechecks from the cached ``_dist_ok``."""
+    tcg, monitor = _watched_tcg()
+    tcg._dist_ok[4, 0] = tcg._dist_ok[0, 4] = False  # 0 and 4 are 5 m apart
+    tcg.record_access(4, 3)  # now 4 reads what 0-3 read, too
+    assert tcg.tcg_of(4) == {1, 2}
+    assert [(v.invariant, v.host) for v in monitor.violations] == [
+        ("tcg-missing-member", 4)
+    ]
+
+
+def test_tcg_rules_raise_by_default():
+    tcg, _ = _watched_tcg()
+    tcg.member[1, 1] = True
+    with pytest.raises(InvariantViolation) as excinfo:
+        InvariantMonitor().check_tcg_row(tcg, 1, now=4.0)
+    assert excinfo.value.invariant == "tcg-self-membership"
+    assert excinfo.value.host == 1 and excinfo.value.sim_time == 4.0
 
 
 def test_collect_mode_records_instead_of_raising():
