@@ -7,8 +7,8 @@ through the simulation stack feed it every state transition worth
 checking:
 
 * **kernel** — event-time monotonicity, schedule-in-the-past detection,
-  heap bookkeeping (pushes − pops == pending events) and condition
-  fire-count sanity;
+  no numpy scalar on the clock, heap bookkeeping (pushes − pops ==
+  pending events) and condition fire-count sanity;
 * **client** — cache occupancy ≤ capacity, cache key/entry integrity,
   one-search-in-flight-per-host, and message conservation (every peer
   SEARCH terminates as a reply, a listen-window timeout, or an
@@ -204,7 +204,9 @@ class InvariantMonitor:
     # -- kernel hooks -----------------------------------------------------------
 
     def on_schedule(self, env: Any, when: float) -> None:
-        """Called on every heap push: no event may land in the past."""
+        """Called on every heap push: no event may land in the past, and the
+        time must be a Python number (the kernel sets its clock to it, so a
+        numpy scalar would spread to every event scheduled from that tick)."""
         self.checks_run += 1
         self._scheduled += 1
         if when < env.now - _TIME_EPS:
@@ -213,6 +215,13 @@ class InvariantMonitor:
                 f"event scheduled at {when} while now={env.now}",
                 sim_time=env.now,
                 details={"when": when},
+            )
+        if isinstance(when, np.generic):
+            self.violation(
+                "kernel-clock-numpy-scalar",
+                f"event scheduled at a numpy {type(when).__name__}, not a Python number",
+                sim_time=env.now,
+                details={"when": when, "type": type(when).__name__},
             )
 
     def on_step(self, env: Any, when: float) -> None:

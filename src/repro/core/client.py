@@ -755,7 +755,8 @@ class MobileHost:
             )
 
     def _broadcast(self, message: Message, signature_bytes: int = 0):
-        yield from self.network.broadcast(
+        """The network's broadcast generator itself, for ``env.process``."""
+        return self.network.broadcast(
             self.index, message, signature_bytes=signature_bytes
         )
 

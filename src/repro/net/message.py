@@ -8,14 +8,11 @@ via :class:`MessageSizes`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Message", "MessageKind", "MessageSizes"]
-
-_sequence = itertools.count()
 
 
 class MessageKind(Enum):
@@ -87,8 +84,7 @@ class Message:
     created_at: float = 0.0
     hops_left: int = 0
     path: List[int] = field(default_factory=list)
-    uid: int = field(default_factory=lambda: next(_sequence))
 
     def __post_init__(self):
-        if self.size <= 0:
+        if not self.size > 0:  # not `size <= 0`: that is False for NaN
             raise ValueError(f"message size must be positive, got {self.size}")

@@ -75,21 +75,21 @@ class NeighborDiscovery:
         network = self.network
         now = self.env.now
         connected = network.connected
-        senders = np.nonzero(connected)[0]
-        if not senders.size:
+        senders = int(np.count_nonzero(connected))
+        if not senders:
             return
         self.rounds += 1
         if self._tracer is not None:
-            self._tracer.instant("ndp-round", senders=int(senders.size))
+            self._tracer.instant("ndp-round", senders=senders)
         # heard[i, j]: connected host i is in range of connected sender j.
         heard = network.field.adjacency(now, network.tran_range) & connected
         heard &= connected[:, None]
         np.copyto(self._last_heard, now, where=heard)
-        self.beacons_sent += int(senders.size)
+        self.beacons_sent += senders
         if self.charge_power:
             model = network.model
             ledger = network.ledger
-            ledger.charge_many(senders, model.bc_send(self.hello_size), "beacon")
+            ledger.charge_where(connected, model.bc_send(self.hello_size), "beacon")
             receptions = heard.sum(axis=1)
             ledger.charge_each(model.bc_recv(self.hello_size) * receptions, "beacon")
 

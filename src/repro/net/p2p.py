@@ -58,7 +58,10 @@ class P2PNetwork:
         self.faults = faults
         n = len(field)
         self.connected = np.ones(n, dtype=bool)
-        self._busy_until = np.zeros(n)
+        # One Python float per radio, not an ndarray: the defer gap read out
+        # of it goes to ``Environment.timeout`` and becomes the kernel clock,
+        # and a numpy scalar there slows every later heap comparison.
+        self._busy_until: List[float] = [0.0] * n
         self._handlers: List[Optional[Handler]] = [None] * n
         # Traffic counters (for diagnostics and the ablation benches).
         self.broadcasts = 0
@@ -152,11 +155,21 @@ class P2PNetwork:
 
     def _wait_medium(self, node: int):
         """Defer until the host's radio is idle (CSMA)."""
+        busy = self._busy_until
         while True:
-            gap = self._busy_until[node] - self.env.now
+            gap = busy[node] - self.env.now
             if gap <= 1e-12:
                 return
             yield self.env.timeout(gap)
+
+    def _occupy(self, src: int, heard: List[int], end: float) -> None:
+        """Keep the sender's radio and every radio in ``heard`` busy to ``end``."""
+        busy = self._busy_until
+        if busy[src] < end:
+            busy[src] = end
+        for radio in heard:
+            if busy[radio] < end:
+                busy[radio] = end
 
     # -- broadcast --------------------------------------------------------------
 
@@ -175,41 +188,42 @@ class P2PNetwork:
         the variable power cost of that many piggybacked bytes (GroCoCa's
         signature update information) to the ledger's ``signature`` purpose.
         """
-        busy = self._busy_until
-        if busy[src] - self.env.now > 1e-12:
+        if self._busy_until[src] - self.env.now > 1e-12:
             yield from self._wait_medium(src)
-        if not self.connected[src]:
+        connected = self.connected
+        if not connected[src]:
             return []
         now = self.env.now
-        air = self.tx_time(message.size)
-        receivers = self.neighbors(src)
-        end = now + air
-        if busy[src] < end:
-            busy[src] = end
-        if len(receivers):
-            busy[receivers] = np.maximum(busy[receivers], end)
-        send_cost = self.model.bc_send(message.size)
-        recv_cost = self.model.bc_recv(message.size)
+        size = message.size
+        air = self.tx_time(size)
+        in_range = self.field.adjacency(now, self.tran_range)[src] & connected
+        heard = in_range.nonzero()[0].tolist()
+        self._occupy(src, heard, now + air)
+        model = self.model
+        ledger = self.ledger
+        send_cost = model.bc_send(size)
+        recv_cost = model.bc_recv(size)
         if signature_bytes > 0:
-            sig_send = self.model.parameters.bc_send_v * signature_bytes
-            sig_recv = self.model.parameters.bc_recv_v * signature_bytes
-            self.ledger.charge(src, sig_send, "signature")
-            self.ledger.charge_many(receivers, sig_recv, "signature")
+            sig_send = model.parameters.bc_send_v * signature_bytes
+            sig_recv = model.parameters.bc_recv_v * signature_bytes
+            ledger.charge(src, sig_send, "signature")
+            ledger.charge_where(in_range, sig_recv, "signature")
             send_cost -= sig_send
             recv_cost -= sig_recv
-        self.ledger.charge(src, send_cost, purpose)
-        self.ledger.charge_many(receivers, recv_cost, purpose)
+        ledger.charge(src, send_cost, purpose)
+        ledger.charge_where(in_range, recv_cost, purpose)
         self.broadcasts += 1
         yield self.env.timeout(air)
+        faults = self.faults
+        handlers = self._handlers
         delivered = []
-        for receiver in receivers:
-            receiver = int(receiver)
-            if not self.connected[receiver]:
+        for receiver in heard:
+            if not connected[receiver]:
                 continue
-            if self.faults is not None and self.faults.drop_p2p(receiver):
+            if faults is not None and faults.drop_p2p(receiver):
                 continue  # frame corrupted at this receiver; power already paid
             delivered.append(receiver)
-            handler = self._handlers[receiver]
+            handler = handlers[receiver]
             if handler is not None:
                 handler(message)
         return delivered
@@ -233,46 +247,36 @@ class P2PNetwork:
         """
         if src == dst:
             raise ValueError("unicast to self")
-        busy = self._busy_until
-        if busy[src] - self.env.now > 1e-12:
+        if self._busy_until[src] - self.env.now > 1e-12:
             yield from self._wait_medium(src)
-        if not self.connected[src]:
+        connected = self.connected
+        if not connected[src]:
             return False
         now = self.env.now
-        air = self.tx_time(message.size)
         size = message.size
+        air = self.tx_time(size)
         # Bystander partition as boolean masks over the population: each
         # host lands in exactly one disjoint class.
         adjacency = self.field.adjacency(now, self.tran_range)
-        in_src = adjacency[src] & self.connected
-        in_dst = adjacency[dst] & self.connected
-        near_src = np.nonzero(in_src)[0]
+        in_src = adjacency[src] & connected
+        in_dst = adjacency[dst] & connected
         in_dst[src] = False
         deliverable = bool(in_src[dst])
+        self._occupy(src, in_src.nonzero()[0].tolist(), now + air)
 
-        end = now + air
-        if busy[src] < end:
-            busy[src] = end
-        if len(near_src):
-            busy[near_src] = np.maximum(busy[near_src], end)
-
-        self.ledger.charge(src, self.model.ptp_send(size), purpose)
+        model = self.model
+        ledger = self.ledger
+        ledger.charge(src, model.ptp_send(size), purpose)
         if deliverable:
-            self.ledger.charge(dst, self.model.ptp_recv(size), purpose)
+            ledger.charge(dst, model.ptp_recv(size), purpose)
         in_src[dst] = False  # bystanders exclude the destination itself
-        self.ledger.charge_many(
-            np.nonzero(in_src & in_dst)[0], self.model.ptp_discard_sd(size), purpose
-        )
-        self.ledger.charge_many(
-            np.nonzero(in_src & ~in_dst)[0], self.model.ptp_discard_s(size), purpose
-        )
-        self.ledger.charge_many(
-            np.nonzero(in_dst & ~in_src)[0], self.model.ptp_discard_d(size), purpose
-        )
+        ledger.charge_where(in_src & in_dst, model.ptp_discard_sd(size), purpose)
+        ledger.charge_where(in_src & ~in_dst, model.ptp_discard_s(size), purpose)
+        ledger.charge_where(in_dst & ~in_src, model.ptp_discard_d(size), purpose)
 
         self.unicasts += 1
         yield self.env.timeout(air)
-        if not (deliverable and self.connected[dst]):
+        if not (deliverable and connected[dst]):
             self.failed_unicasts += 1
             return False
         if self.faults is not None and self.faults.drop_p2p(dst):

@@ -15,7 +15,7 @@ isolate the caching protocols exactly as the paper reports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -92,21 +92,21 @@ class PowerLedger:
             raise ValueError(f"power charge must be >= 0, got {amount}")
         self._by_purpose[purpose][host] += amount
 
-    def charge_many(
-        self, hosts: Iterable[int], amount: float, purpose: str = "data"
+    def charge_where(
+        self, mask: np.ndarray, amount: float, purpose: str = "data"
     ) -> None:
-        """Charge the same amount to several *distinct* hosts (e.g. the
-        receivers of one broadcast)."""
+        """Charge the same amount to every host whose ``mask`` entry is set
+        (e.g. the receivers of one broadcast).  A bool mask over the
+        population cannot name a host twice."""
         if not amount >= 0:
             raise ValueError(f"power charge must be >= 0, got {amount}")
-        hosts = np.asarray(list(hosts) if not isinstance(hosts, np.ndarray) else hosts)
-        if not hosts.size:
-            return
-        # A fancy-indexed += applies once per distinct index, so a repeated
-        # host would be silently under-charged.
-        if hosts.size > 1 and len(set(hosts.tolist())) != hosts.size:
-            raise ValueError(f"duplicate hosts in charge_many: {hosts.tolist()}")
-        self._by_purpose[purpose][hosts] += amount
+        if mask.dtype != bool or mask.shape != (self.n_hosts,):
+            raise ValueError(
+                f"charge_where needs a bool mask of shape ({self.n_hosts},), "
+                f"got dtype {mask.dtype} and shape {mask.shape}"
+            )
+        array = self._by_purpose[purpose]
+        np.add(array, amount, out=array, where=mask)
 
     def charge_each(self, amounts: np.ndarray, purpose: str = "data") -> None:
         """Charge host ``i`` the amount ``amounts[i]`` (one dense add)."""

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cache.lru import LRUCache
@@ -10,6 +11,7 @@ from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.simulation import run_simulation
 from repro.core.tcg import TCGManager
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
+from repro.sim import Environment
 
 SMALL = dict(
     n_clients=8,
@@ -137,6 +139,44 @@ def test_step_backwards_hook():
     with pytest.raises(InvariantViolation) as excinfo:
         monitor.on_step(_FakeEnv(now=5.0), when=3.0)
     assert excinfo.value.invariant == "kernel-time-monotonicity"
+
+
+def _run_one_process(body, mode):
+    monitor = InvariantMonitor(mode=mode)
+    env = Environment(monitor=monitor)
+    env.process(body(env))
+    env.run()
+    return monitor, env
+
+
+def test_numpy_scalar_on_the_clock_is_a_violation():
+    """The kernel sets ``now`` to the scheduled time, so one numpy delay
+    would turn every later ``now + delay`` into a numpy scalar too."""
+
+    def body(env):
+        yield env.timeout(np.float64(0.5))
+
+    monitor, env = _run_one_process(body, "collect")
+    assert [v.invariant for v in monitor.violations] == ["kernel-clock-numpy-scalar"]
+    violation = monitor.violations[0]
+    assert violation.host is None and violation.sim_time == 0.0
+    assert violation.details == {"when": 0.5, "type": "float64"}
+    assert isinstance(env.now, np.float64)  # what the rule exists to prevent
+    with pytest.raises(InvariantViolation) as excinfo:
+        _run_one_process(body, "raise")
+    assert excinfo.value.invariant == "kernel-clock-numpy-scalar"
+    assert excinfo.value.sim_time == 0.0 and excinfo.value.details["when"] == 0.5
+
+
+def test_python_numbers_on_the_clock_are_not():
+    def body(env):
+        yield env.timeout(1)  # an int delay: 0.0 + 1 is a float
+        yield env.timeout_at(2.5)
+        yield env.timeout_at(4)  # an int on the clock is still a Python number
+
+    monitor, env = _run_one_process(body, "collect")
+    assert monitor.violations == []
+    assert env.now == 4 and not isinstance(env.now, np.generic)
 
 
 def test_condition_overcount_hook():

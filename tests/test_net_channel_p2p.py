@@ -23,14 +23,22 @@ from tests._resource_reference import Resource
 
 
 def test_message_positive_size_required():
-    with pytest.raises(ValueError):
-        Message(MessageKind.REQUEST, 0, None, 0)
+    """`size <= 0` is False for NaN, and a NaN air time would leave every
+    radio in range deaf for good (nothing is later than a NaN horizon)."""
+    for bad in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match=str(bad)):
+            Message(MessageKind.REQUEST, 0, None, bad)
 
 
-def test_message_uids_unique():
+def test_messages_share_no_state():
+    """No counter, no shared default: two messages built alike are equal,
+    distinct objects with their own payload and path."""
     a = Message(MessageKind.REQUEST, 0, None, 10)
     b = Message(MessageKind.REQUEST, 0, None, 10)
-    assert a.uid != b.uid
+    assert a == b and a is not b
+    a.payload["marker"] = 1
+    a.path.append(3)
+    assert b.payload == {} and b.path == []
 
 
 def test_message_sizes_helpers():
@@ -365,17 +373,18 @@ def test_unicast_delivery_and_power():
     points = [(0.0, 0.0), (30.0, 0.0), (15.0, 20.0), (500.0, 0.0)]
     env, net, ledger = make_net(points, tran_range=50.0)
     received = []
-    net.register_handler(1, lambda m: received.append(m.uid))
+    net.register_handler(1, received.append)
     size = 200
+    message = Message(MessageKind.DATA, 0, 1, size)
 
     def proc():
-        ok = yield from net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, size))
+        ok = yield from net.unicast(0, 1, message)
         assert ok
 
     env.process(proc())
     env.run()
     model = net.model
-    assert len(received) == 1
+    assert len(received) == 1 and received[0] is message
     assert ledger.host_total(0) == pytest.approx(model.ptp_send(size))
     assert ledger.host_total(1) == pytest.approx(model.ptp_recv(size))
     assert ledger.host_total(2) == pytest.approx(model.ptp_discard_sd(size))
@@ -456,6 +465,26 @@ def test_neighbors_follow_connectivity_flips_within_a_bucket():
     assert field.adjacency_builds == builds  # all of it from one snapshot
 
 
+def test_rejected_message_leaves_the_medium_untouched():
+    """The size check sits in ``Message``, ahead of the network: a NaN size
+    used to reach ``broadcast``, which wrote NaN into every in-range busy
+    horizon before the ledger refused the charge."""
+    env, net, ledger = make_net(LINE)
+    horizons = list(net._busy_until)
+    charges = {purpose: array.tobytes() for purpose, array in ledger._by_purpose.items()}
+
+    def proc():
+        yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, float("nan")))
+
+    env.process(proc())
+    with pytest.raises(ValueError, match="nan"):
+        env.run()
+    assert net._busy_until == horizons
+    assert {p: a.tobytes() for p, a in ledger._by_purpose.items()} == charges
+    assert (net.broadcasts, net.unicasts, net.failed_unicasts) == (0, 0, 0)
+    assert env.pending_events == 0
+
+
 def test_unicast_out_of_range_fails_but_costs_sender():
     env, net, ledger = make_net(LINE)
 
@@ -517,19 +546,19 @@ def test_unicast_route_multi_hop():
     points = [(0.0, 0.0), (40.0, 0.0), (80.0, 0.0)]
     env, net, _ = make_net(points, tran_range=50.0)
     delivered = []
-    net.register_handler(1, lambda m: delivered.append(("relay", m.uid)))
-    net.register_handler(2, lambda m: delivered.append(("final", m.uid)))
+    net.register_handler(1, lambda m: delivered.append(("relay", m.payload["marker"])))
+    net.register_handler(2, lambda m: delivered.append(("final", m.payload["marker"])))
 
     def proc():
         ok = yield from net.unicast_route(
-            [0, 1, 2], Message(MessageKind.DATA, 0, 2, 100)
+            [0, 1, 2], Message(MessageKind.DATA, 0, 2, 100, payload={"marker": "x"})
         )
         assert ok
 
     env.process(proc())
     env.run()
     # Only the final destination's handler fires; the relay is transparent.
-    assert [tag for tag, _ in delivered] == ["final"]
+    assert delivered == [("final", "x")]
 
 
 def test_unicast_route_fails_when_hop_breaks():

@@ -145,7 +145,8 @@ def _reference_cycle(ndp, now, last_heard, ledger):
         receptions[listeners] += 1
     send_cost = network.model.bc_send(ndp.hello_size)
     recv_cost = network.model.bc_recv(ndp.hello_size)
-    ledger.charge_many(senders, send_cost, "beacon")
+    for sender in senders:
+        ledger.charge(int(sender), send_cost, "beacon")
     for host in np.nonzero(receptions)[0]:
         ledger.charge(int(host), recv_cost * int(receptions[host]), "beacon")
     return 1, int(senders.size)

@@ -55,46 +55,79 @@ def test_ledger_charge_and_totals():
     )
 
 
-def test_ledger_charge_many():
+def test_ledger_charge_where():
     ledger = PowerLedger(4)
-    ledger.charge_many([1, 3], 2.5)
+    ledger.charge_where(np.array([False, True, False, True]), 2.5)
     assert ledger.host_total(1) == pytest.approx(2.5)
     assert ledger.host_total(3) == pytest.approx(2.5)
-    ledger.charge_many(np.array([], dtype=int), 1.0)  # no-op
+    ledger.charge_where(np.zeros(4, dtype=bool), 1.0)  # nobody in the mask: no-op
     assert ledger.total() == pytest.approx(5.0)
+    assert ledger.per_host_totals().tolist() == [0.0, 2.5, 0.0, 2.5]
+
+
+def snapshot(ledger):
+    return {purpose: array.tobytes() for purpose, array in ledger._by_purpose.items()}
 
 
 def test_ledger_rejects_negative_charges():
     ledger = PowerLedger(2)
+    ledger.charge(1, 0.3, "signature")
+    before = snapshot(ledger)
     with pytest.raises(ValueError):
         ledger.charge(0, -1.0)
     with pytest.raises(ValueError):
-        ledger.charge_many([0], -1.0)
+        ledger.charge_where(np.array([True, False]), -1.0)
+    assert snapshot(ledger) == before
 
 
 def test_ledger_rejects_nan_charges():
     """`amount < 0` is False for NaN; one NaN would poison the whole purpose."""
     ledger = PowerLedger(4)
+    ledger.charge(2, 0.7)
+    before = snapshot(ledger)
     with pytest.raises(ValueError, match="nan"):
         ledger.charge(0, math.nan)
     with pytest.raises(ValueError, match="nan"):
-        ledger.charge_many([1, 2], math.nan)
+        ledger.charge_where(np.array([False, True, True, False]), math.nan)
     amounts = np.array([1.0, math.nan, 0.0, 2.0])
     with pytest.raises(ValueError):
         ledger.charge_each(amounts)
-    assert ledger.total() == 0.0
+    assert snapshot(ledger) == before
 
 
-def test_ledger_charge_many_rejects_duplicate_hosts():
-    """A fancy-indexed += would charge host 1 once, not twice."""
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.array([0, 1, 1, 0]),  # 0/1 ints would be read as indices by numpy
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([True, False, True]),
+        np.ones((4, 1), dtype=bool),
+        np.array([1, 3]),  # an index array, as charge_many took
+    ],
+)
+def test_ledger_charge_where_wants_a_bool_mask_over_the_population(mask):
     ledger = PowerLedger(4)
-    with pytest.raises(ValueError, match="duplicate"):
-        ledger.charge_many([1, 1, 2], 5.0)
-    with pytest.raises(ValueError, match="duplicate"):
-        ledger.charge_many(np.array([3, 0, 3]), 5.0)
+    with pytest.raises(ValueError) as raised:
+        ledger.charge_where(mask, 5.0)
+    assert f"dtype {mask.dtype}" in str(raised.value)
+    assert f"shape {mask.shape}" in str(raised.value)
     assert ledger.total() == 0.0
-    ledger.charge_many([2, 1], 5.0)  # distinct, any order
-    assert ledger.per_host_totals().tolist() == [0.0, 5.0, 5.0, 0.0]
+
+
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6),
+)
+def test_ledger_charge_where_equals_a_per_host_charge_loop(mask, amounts):
+    """Bit for bit, repeated charges included: one masked add per amount is
+    the same float additions, in the same order per host."""
+    masked, looped = PowerLedger(len(mask)), PowerLedger(len(mask))
+    for amount in amounts:
+        masked.charge_where(np.array(mask), amount, "signature")
+        for host, charged in enumerate(mask):
+            if charged:
+                looped.charge(host, amount, "signature")
+    assert snapshot(masked) == snapshot(looped)
 
 
 def test_ledger_charge_each():

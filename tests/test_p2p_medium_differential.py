@@ -1,0 +1,266 @@
+"""The list-horizon P2P medium against the ndarray one it replaced.
+
+``tests/_p2p_reference.py`` keeps the previous revision's ``broadcast``,
+``unicast``, ``_wait_medium`` and ``PowerLedger.charge_many`` verbatim.  The
+test drives ``src/`` and that reference through the same traffic and
+requires ``==`` (floats included, no tolerance) on everything a run could
+observe, after every step.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mobility import MobilityField, Rectangle, StationaryTrajectory
+from repro.mobility.waypoint import RandomWaypointTrajectory
+from repro.net import Message, MessageKind, P2PNetwork, PowerLedger
+from repro.net.faults import FaultInjector, FaultPlan, LinkFaults
+from repro.net.power import PURPOSES
+from repro.sim import Environment
+from repro.sim.random import RandomStreams
+from tests._p2p_reference import ArrayHorizonP2PNetwork, IndexChargedLedger
+
+BANDWIDTH = 8000.0  # 1000 bytes hold the air for exactly one second
+TRAN_RANGE = 100.0
+#: name -> (square side in metres, moving).  "apart" puts every host on its
+#: own 1 km grid point (no frame is ever heard); "huddle" keeps all of them
+#: inside one transmission range.
+TOPOLOGIES = {
+    "apart": (None, False),
+    "huddle": (60.0, False),
+    "static": (350.0, False),
+    "moving": (350.0, True),
+}
+
+
+class Side:
+    """One medium (new or reference) with everything the other must match."""
+
+    def __init__(self, network_type, ledger_type, n_hosts, topology, seed, lossy):
+        side_length, moving = TOPOLOGIES[topology]
+        rng = np.random.default_rng(seed)
+        if side_length is None:
+            trajectories = [StationaryTrajectory((1000.0 * i, 0.0)) for i in range(n_hosts)]
+        elif moving:
+            # Fast enough that neighbourhoods change within a few steps.
+            area = Rectangle(side_length, side_length)
+            trajectories = [
+                RandomWaypointTrajectory(rng, area, 20.0, 60.0, pause_time=0.1)
+                for _ in range(n_hosts)
+            ]
+        else:
+            trajectories = [
+                StationaryTrajectory(tuple(rng.uniform(0.0, side_length, 2)))
+                for _ in range(n_hosts)
+            ]
+        self.env = Environment()
+        self.ledger = ledger_type(n_hosts)
+        self.faults = None
+        if lossy:
+            plan = FaultPlan(p2p=LinkFaults(loss=0.3))
+            self.faults = FaultInjector(plan, RandomStreams(seed), n_hosts)
+        self.net = network_type(
+            self.env,
+            MobilityField(trajectories, resolution=0.05),
+            BANDWIDTH,
+            TRAN_RANGE,
+            self.ledger,
+            faults=self.faults,
+        )
+        self.heard = []  # (time, receiver, message) per handler call
+        self.returned = []  # (time, step, helper's return value)
+        for node in range(n_hosts):
+            self.net.register_handler(node, lambda m, node=node: self._on_message(node, m))
+
+    def _on_message(self, node, message):
+        self.heard.append((self.env.now, node, message))
+        # A handler that takes a host off the air while the frame is still
+        # being handed out: later receivers of the same frame must miss it.
+        victim = message.payload.get("kills")
+        if victim is not None:
+            self.net.set_connected(victim, False)
+
+    def send(self, step, helper):
+        def process():
+            value = yield from helper
+            self.returned.append((self.env.now, step, value))
+
+        self.env.process(process())
+
+    def apply(self, step, op, message):
+        net = self.net
+        kind = op[0]
+        if kind == "broadcast":
+            _, src, _, purpose, signature_bytes, _ = op
+            self.send(step, net.broadcast(src, message, purpose, signature_bytes))
+        elif kind == "unicast":
+            _, src, dst, _, deliver = op
+            self.send(step, net.unicast(src, dst, message, deliver=deliver))
+        elif kind == "route":
+            self.send(step, net.unicast_route(list(op[1]), message))
+        elif kind == "flip":
+            net.set_connected(op[1], op[2])
+        else:  # "advance"; 0.0 runs what is due now and leaves the clock alone
+            self.env.run(until=self.env.now + op[1])
+
+
+def build_message(op):
+    kind = op[0]
+    if kind == "broadcast":
+        _, src, size, _, _, kills = op
+        payload = {} if kills is None else {"kills": kills}
+        return Message(MessageKind.REQUEST, src, None, size, payload=payload)
+    if kind == "unicast":
+        return Message(MessageKind.DATA, op[1], op[2], op[3])
+    if kind == "route":
+        return Message(MessageKind.REPLY, op[1][0], op[1][-1], op[2])
+    return None
+
+
+def assert_same(new, old):
+    assert len(new.heard) == len(old.heard)
+    for (t_new, node_new, m_new), (t_old, node_old, m_old) in zip(new.heard, old.heard):
+        assert (t_new, node_new) == (t_old, node_old) and m_new is m_old
+    assert new.returned == old.returned
+    assert new.net._busy_until == old.net._busy_until.tolist()
+    for purpose in PURPOSES:
+        assert (
+            new.ledger._by_purpose[purpose].tobytes()
+            == old.ledger._by_purpose[purpose].tobytes()
+        )
+    for counter in ("broadcasts", "unicasts", "failed_unicasts"):
+        assert getattr(new.net, counter) == getattr(old.net, counter)
+    assert new.net.connected.tolist() == old.net.connected.tolist()
+    if new.faults is not None:
+        assert new.faults.counters() == old.faults.counters()
+    assert new.env.events_processed == old.env.events_processed
+    assert new.env.pending_events == old.env.pending_events
+    assert new.env.now == old.env.now
+    assert type(new.env.now) is float
+    assert all(type(horizon) is float for horizon in new.net._busy_until)
+
+
+SIZES = st.sampled_from([1, 50, 50, 100, 100, 1000, 64, 3104])
+
+
+@st.composite
+def scenarios(draw):
+    n_hosts = draw(st.integers(2, 30))
+    # Half the draws come from the first three hosts, so the same radios
+    # keep contending and a flip often lands on a host with a frame in flight.
+    host = st.one_of(st.integers(0, min(2, n_hosts - 1)), st.integers(0, n_hosts - 1))
+    # Added modulo N, so never the same host; biased the same way.
+    other = st.one_of(st.integers(1, min(2, n_hosts - 1)), st.integers(1, n_hosts - 1))
+    broadcast = st.builds(
+        # The piggybacked signature bytes are none, half or all of the frame.
+        lambda src, size, purpose, halves, kills: (
+            "broadcast", src, size, purpose, size * halves // 2, kills
+        ),
+        host,
+        SIZES,
+        st.sampled_from(["data", "data", "signature", "beacon"]),
+        st.sampled_from([0, 0, 1, 2]),
+        st.one_of(st.none(), st.none(), host),
+    )
+    unicast = st.builds(
+        lambda src, hop, size, deliver: ("unicast", src, (src + hop) % n_hosts, size, deliver),
+        host,
+        other,
+        SIZES,
+        st.booleans(),
+    )
+    route = st.builds(
+        lambda src, hops, size: (
+            "route",
+            tuple((src + sum(hops[:i])) % n_hosts for i in range(len(hops) + 1)),
+            size,
+        ),
+        host,
+        st.lists(other, min_size=1, max_size=3),
+        SIZES,
+    )
+    flip = st.tuples(st.just("flip"), host, st.booleans())
+    # Whole air times (so contenders wake at the same instant as other
+    # frames end), fractions of one (so flips land mid-frame), and zero.
+    advance = st.tuples(
+        st.just("advance"),
+        st.one_of(
+            st.sampled_from([0.0, 0.001, 0.05, 0.1, 0.5, 1.0, 3.104]),
+            st.floats(0.0, 4.0, allow_nan=False),
+        ),
+    )
+    ops = draw(
+        st.lists(
+            st.one_of(broadcast, broadcast, unicast, unicast, route, flip, advance),
+            min_size=3,
+            max_size=40,
+        )
+    )
+    return (
+        n_hosts,
+        draw(st.sampled_from(sorted(TOPOLOGIES))),
+        draw(st.integers(0, 2**31)),
+        draw(st.booleans()),
+        ops,
+    )
+
+
+@given(scenarios())
+@settings(max_examples=200, deadline=None)
+def test_list_horizon_medium_matches_ndarray_medium(scenario):
+    n_hosts, topology, seed, lossy, ops = scenario
+    new = Side(P2PNetwork, PowerLedger, n_hosts, topology, seed, lossy)
+    old = Side(ArrayHorizonP2PNetwork, IndexChargedLedger, n_hosts, topology, seed, lossy)
+    for step, op in enumerate(ops):
+        message = build_message(op)  # one object, handed to both sides
+        new.apply(step, op, message)
+        old.apply(step, op, message)
+        assert_same(new, old)
+    for side in (new, old):  # drain: every deferred sender gets its turn
+        side.env.run()
+    assert_same(new, old)
+
+
+def test_contenders_waking_together_repoll_on_both_sides():
+    """The CSMA re-poll is kept: three senders in one huddle, started at the
+    same instant, each wake at the first frame's end and all but one defer
+    again — same wake-ups, same order, same event count."""
+    sides = [
+        Side(P2PNetwork, PowerLedger, 4, "huddle", 3, lossy=False),
+        Side(ArrayHorizonP2PNetwork, IndexChargedLedger, 4, "huddle", 3, lossy=False),
+    ]
+    message = Message(MessageKind.REQUEST, 0, None, 1000)
+    for side in sides:
+        for step, src in enumerate((0, 1, 2)):
+            side.send(step, side.net.broadcast(src, message))
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    assert [(t, step) for t, step, _ in new.returned] == [(1.0, 0), (2.0, 1), (3.0, 2)]
+    # 3 bootstraps + 3 air-time timeouts + the re-polls: sender 1 waits
+    # once, sender 2 waits at t=0 and again at t=1.
+    assert new.env.events_processed == 3 + 3 + 3
+
+
+def test_destination_leaving_mid_frame_fails_the_unicast_on_both_sides():
+    """``connected`` is read again at delivery: a destination (or a broadcast
+    receiver) that left the air during the frame does not get it."""
+    sides = [
+        Side(P2PNetwork, PowerLedger, 3, "huddle", 5, lossy=False),
+        Side(ArrayHorizonP2PNetwork, IndexChargedLedger, 3, "huddle", 5, lossy=False),
+    ]
+    frames = [
+        Message(MessageKind.DATA, 0, 1, 1000),
+        Message(MessageKind.REQUEST, 0, None, 1000),
+    ]
+    for side in sides:
+        side.send(0, side.net.unicast(0, 1, frames[0]))
+        side.send(1, side.net.broadcast(0, frames[1]))  # defers behind the unicast
+        for until, node in ((0.5, 1), (1.5, 2)):
+            side.env.run(until=until)
+            side.net.set_connected(node, False)
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    assert new.returned == [(1.0, 0, False), (2.0, 1, [])]
+    assert new.heard == [] and new.net.failed_unicasts == 1
