@@ -236,8 +236,8 @@ class SimulationConfig:
             raise ValueError("hop_dist must be >= 1")
         if not 0.0 <= self.p_disc <= 1.0:
             raise ValueError("p_disc must be a probability")
-        if self.disc_min > self.disc_max:
-            raise ValueError("disc_min must be <= disc_max")
+        if not 0 <= self.disc_min <= self.disc_max:  # `not`: NaN fails it too
+            raise ValueError("disconnection times must satisfy 0 <= disc_min <= disc_max")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must be in [0, 1]")
         if not 0.0 <= self.alpha <= 1.0:

@@ -14,20 +14,19 @@ The kernel is deterministic: simultaneous events fire in schedule order.
 Formally, events fire in ascending ``(when, seq)`` order, where ``seq`` is
 the global schedule counter.
 
-The scheduler queue is :class:`HeapQueue`: one ``heapq`` of
-``(when, seq, event)`` tuples.  A bucket queue with O(1) operations paid
-in Python bytecode measured slower than ``heapq``'s O(log n) in C at
-every pending-set size, so there is exactly one queue (see
-docs/PERFORMANCE.md).
+The scheduler is one ``heapq`` list of ``(when, seq, event)`` tuples owned
+by :class:`Environment`, and :meth:`Environment.run` is one loop: pop the
+earliest entry, set the clock, run the event's callbacks.  Every cleverer
+shape tried here measured no faster end to end on the workloads the
+simulator runs — a bucket queue (O(1) operations paid in Python bytecode
+against ``heapq``'s O(log n) in C), a one-slot register in front of the
+heap, batched same-tick dispatch, a separate loop for monitored runs — see
+docs/PERFORMANCE.md, "The DES kernel".
 
-Hot-path discipline: the environment keeps the globally earliest entry in
-a one-slot *front register* so the ubiquitous schedule-then-fire-next
-pattern never touches the queue at all; :meth:`Environment.run` dispatches
-*batches* of same-tick events with attribute lookups hoisted out of the
-loop, and recycles :class:`Timeout` objects through a free list once the
-kernel is provably their only owner.  The ``kernel-hot-alloc`` simlint
-rule guards this file's dispatch loops against per-event allocations
-creeping back in.
+The one hot-path mechanism that pays is kept: the loop recycles
+:class:`Timeout` objects through a free list once it is provably their
+only owner.  The ``kernel-hot-alloc`` simlint rule guards the loop against
+per-event allocations creeping back in.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "HeapQueue",
     "Interrupt",
     "Process",
     "SimulationError",
@@ -347,89 +345,37 @@ class AllOf(_Condition):
         return self._fired_count >= len(self.events)
 
 
-class HeapQueue:
-    """The scheduler queue: one binary heap of ``(when, seq, event)``."""
-
-    __slots__ = ("_heap", "size", "_requeue_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        #: Pending entries; a plain attribute so the dispatch loop can read
-        #: it without a method call.
-        self.size = 0
-        # Requeued (popped-but-unprocessed) entries sort before every live
-        # seq, preserving their original position at the same timestamp.
-        self._requeue_seq = -(1 << 62)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def push(self, when: float, seq: int, event: Event) -> None:
-        heappush(self._heap, (when, seq, event))
-        self.size += 1
-
-    def peek(self) -> float:
-        """Earliest scheduled time, or +inf when idle."""
-        return self._heap[0][0] if self._heap else _INF
-
-    def pop_one(self) -> Tuple[float, Event]:
-        when, _seq, event = heappop(self._heap)
-        self.size -= 1
-        return when, event
-
-    def pop_batch(self, limit: float = _INF) -> Optional[Tuple[float, List[Event]]]:
-        """All events at the earliest time <= ``limit``, in seq order."""
-        heap = self._heap
-        if not heap or heap[0][0] > limit:
-            return None
-        when, _seq, event = heappop(heap)
-        batch = [event]
-        while heap and heap[0][0] == when:
-            batch.append(heappop(heap)[2])
-        self.size -= len(batch)
-        return when, batch
-
-    def requeue(self, when: float, events: List[Event]) -> None:
-        """Put an unprocessed batch tail back at the front of its tick."""
-        for event in events:
-            self._requeue_seq += 1
-            heappush(self._heap, (when, self._requeue_seq, event))
-        self.size += len(events)
-
-
 # The Timeout free list needs no explicit cap: it only grows when a popped
 # timeout has no other owner, so its length is bounded by the high-water
 # count of concurrently pending timeouts — memory the run already paid for.
-# Free-list invariants (established in the recycle passes of
-# :meth:`Environment.run`): every entry has ``callbacks == []`` (a reused
-# list object), ``_exception is None`` (Timeouts cannot fail once
-# triggered), and ``_defused is False`` (defused ones are not recycled), so
-# :meth:`Environment.timeout` only rewrites value, state, and delay.
+# Free-list invariants (established where :meth:`Environment.run` recycles):
+# every entry has ``callbacks == []`` (a reused list object),
+# ``_exception is None`` (Timeouts cannot fail once triggered), and
+# ``_defused is False`` (defused ones are not recycled), so
+# :meth:`Environment._timeout` only rewrites value, state, and delay.
 
 
 class Environment:
     """The simulation clock and scheduler.
 
-    ``monitor`` optionally attaches a
-    :class:`~repro.check.monitor.InvariantMonitor`: every queue push and
-    pop is then reported through ``on_schedule`` / ``on_step`` (event-time
-    monotonicity, queue bookkeeping).  Without a monitor the hot path pays
-    a single attribute test per event and behaves bit-identically.
+    Pending events sit in one ``heapq`` list of ``(when, seq, event)``;
+    ``seq`` is the global schedule counter, so the heap order *is* the
+    kernel's ``(when, seq)`` dispatch order and no entry ever compares its
+    event.  :meth:`_schedule_at` is the only place that pushes,
+    :meth:`run` and :meth:`step` the only places that pop.
 
-    The *front register* (``_front_*``) holds the entry with the globally
-    smallest ``(when, seq)`` so the schedule-then-fire-next pattern — the
-    bulk of a sparse workload — never touches the queue.  The invariant
-    holds because ``seq`` is monotone: a new push at the same timestamp
-    always sorts behind the register and goes to the queue instead.
+    ``monitor`` optionally attaches a
+    :class:`~repro.check.monitor.InvariantMonitor`: every push and pop is
+    then reported through ``on_schedule`` / ``on_step`` (event-time
+    monotonicity, queue bookkeeping).  Monitored and unmonitored runs go
+    through the same loop; without a monitor it pays one ``is None`` test
+    per push and per pop and behaves bit-identically.
     """
 
     __slots__ = (
         "_now",
-        "_queue",
+        "_heap",
         "_seq",
-        "_front_when",
-        "_front_seq",
-        "_front_event",
         "events_processed",
         "monitor",
         "_timeout_free",
@@ -442,16 +388,15 @@ class Environment:
         monitor: Any = None,
     ) -> None:
         self._now = float(initial_time)
-        self._queue = HeapQueue()
+        if not math.isfinite(self._now):
+            raise SimulationError(f"initial_time must be finite, got {initial_time}")
+        self._heap: List[_Entry] = []
         self._seq = 0
-        self._front_when = _INF
-        self._front_seq = 0
-        self._front_event: Optional[Event] = None
         #: Events processed (queue pops) since creation; read by the profiler.
         self.events_processed = 0
         #: Optional invariant oracle (duck-typed; see repro.check.monitor).
         self.monitor = monitor
-        #: Recycled Timeout instances (see :meth:`timeout`).
+        #: Recycled Timeout instances (see :meth:`_timeout`).
         self._timeout_free: List[Timeout] = []
         #: Timeouts served from the free list; read by the profiler.
         self.freelist_hits = 0
@@ -463,7 +408,7 @@ class Environment:
     @property
     def pending_events(self) -> int:
         """Scheduled-but-unprocessed events (queue size); read by samplers."""
-        return self._queue.size + (self._front_event is not None)
+        return len(self._heap)
 
     def queue_stats(self) -> Dict[str, int]:
         """Kernel work counters; read by the profiler."""
@@ -475,41 +420,9 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        free = self._timeout_free
-        if not free:
-            return Timeout(self, delay, value)
-        if not (delay >= 0):
+        if not (delay >= 0):  # not `delay < 0`: that is False for NaN
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        timeout = free.pop()
-        timeout._value = value
-        timeout._state = _TRIGGERED
-        timeout.delay = delay
-        self.freelist_hits += 1
-        seq = self._seq + 1
-        self._seq = seq
-        when = self._now + delay
-        queue = self._queue
-        if when < self._front_when:
-            front = self._front_event
-            if front is None:
-                # An empty register may only refill when the queue is empty
-                # too, else it would shadow earlier queue entries.
-                if queue.size:
-                    queue.push(when, seq, timeout)
-                else:
-                    self._front_when = when
-                    self._front_seq = seq
-                    self._front_event = timeout
-            else:
-                queue.push(self._front_when, self._front_seq, front)
-                self._front_when = when
-                self._front_seq = seq
-                self._front_event = timeout
-        else:
-            queue.push(when, seq, timeout)
-        if self.monitor is not None:
-            self.monitor.on_schedule(self, when)
-        return timeout
+        return self._timeout(self._now + delay, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout that fires at the absolute time ``when``.
@@ -520,6 +433,10 @@ class Environment:
         now = self._now
         if not (when >= now):  # not `when < now`: that is False for NaN
             raise SimulationError(f"timeout_at(when={when}) must be >= now ({now})")
+        return self._timeout(when, when - now, value)
+
+    def _timeout(self, when: float, delay: float, value: Any) -> Timeout:
+        """A triggered Timeout at ``when``: recycled if possible, else new."""
         free = self._timeout_free
         if free:
             timeout = free.pop()
@@ -529,7 +446,7 @@ class Environment:
             Event.__init__(timeout, self)
         timeout._value = value
         timeout._state = _TRIGGERED
-        timeout.delay = when - now
+        timeout.delay = delay
         self._schedule_at(timeout, when)
         return timeout
 
@@ -550,54 +467,19 @@ class Environment:
     def _schedule_at(self, event: Event, when: float) -> None:
         seq = self._seq + 1
         self._seq = seq
-        queue = self._queue
-        if when < self._front_when:
-            front = self._front_event
-            if front is None:
-                # An empty register may only refill when the queue is empty
-                # too, else it would shadow earlier queue entries.
-                if queue.size:
-                    queue.push(when, seq, event)
-                else:
-                    self._front_when = when
-                    self._front_seq = seq
-                    self._front_event = event
-            else:
-                queue.push(self._front_when, self._front_seq, front)
-                self._front_when = when
-                self._front_seq = seq
-                self._front_event = event
-        else:
-            queue.push(when, seq, event)
+        heappush(self._heap, (when, seq, event))
         if self.monitor is not None:
             self.monitor.on_schedule(self, when)
 
-    def _flush_front(self) -> None:
-        """Push the front register back into the queue (pre-requeue)."""
-        front = self._front_event
-        if front is not None:
-            self._queue.push(self._front_when, self._front_seq, front)
-            self._front_event = None
-            self._front_when = _INF
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""
-        if self._front_event is not None:
-            return self._front_when
-        return self._queue.peek()
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process the next event.  Raises SimulationError when idle."""
-        front = self._front_event
-        if front is not None:
-            when = self._front_when
-            event: Event = front
-            self._front_event = None
-            self._front_when = _INF
-        elif self._queue.size:
-            when, event = self._queue.pop_one()
-        else:
+        if not self._heap:
             raise SimulationError("step() on an empty schedule")
+        when, _seq, event = heappop(self._heap)
         if self.monitor is not None:
             self.monitor.on_step(self, when)
         self._now = when
@@ -605,7 +487,12 @@ class Environment:
         event._process()
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the schedule drains or the clock reaches ``until``."""
+        """Run until the schedule drains or the clock reaches ``until``.
+
+        An exception out of a callback (or an undefused failure nobody
+        waits on) propagates after its event is consumed and counted; every
+        event it never reached stays scheduled, in order.
+        """
         if until is not None:
             if not (until >= self._now):  # not `until < now`: False for NaN
                 raise SimulationError(
@@ -614,107 +501,38 @@ class Environment:
             limit = until
         else:
             limit = _INF
-        if self.monitor is not None:
-            # Checked path: per-event monitor hooks, no free-list recycling.
-            # An idle schedule peeks +inf, which `<= limit` alone would let
-            # through when ``until`` is None.
-            while (
-                self._front_event is not None or self._queue.size
-            ) and self.peek() <= limit:
-                self.step()
-            if until is not None and until > self._now:
-                self._now = until
-            return
-        # Hot path: batched same-tick dispatch with hoisted lookups.  The
-        # inlined bodies below mirror Event._process; keep them in lockstep.
-        queue = self._queue
-        pop_batch = queue.pop_batch
+        heap = self._heap
+        monitor = self.monitor
         free = self._timeout_free
         getrefcount = sys.getrefcount
-        processed = self.events_processed
-        event: Event
-        try:
-            while True:
-                front = self._front_event
-                when = self._front_when
-                if front is not None and when <= limit:
-                    self._front_event = None
-                    self._front_when = _INF
-                    popped = pop_batch(when) if queue.size else None
-                    if popped is None:
-                        # Single-event lane: no batch list, no index loop.
-                        event = front  # type: ignore[assignment]
-                        self._now = when
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._state = _PROCESSED
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                        elif event._exception is not None and not event._defused:
-                            raise event._exception
-                        if (
-                            type(event) is Timeout
-                            # Sole owner: the `front` and `event` locals plus
-                            # getrefcount's own argument.
-                            and getrefcount(event) == 3
-                            and not event._defused
-                        ):
-                            # Re-establish the free-list invariants, reusing
-                            # the emptied callbacks list (zero allocations).
-                            if callbacks:
-                                del callbacks[:]
-                            event.callbacks = callbacks
-                            free.append(event)
-                        continue
-                    batch = popped[1]
-                    batch.insert(0, front)  # type: ignore[arg-type]
-                    front = None  # drop the alias so recycling can see batch[0]
-                else:
-                    # Register empty or beyond the limit; it holds the
-                    # global minimum, so the queue cannot beat it.
-                    popped = pop_batch(limit)
-                    if popped is None:
-                        break
-                    when, batch = popped
-                self._now = when
-                index = 0
-                count = len(batch)
-                try:
-                    while index < count:
-                        event = batch[index]
-                        index += 1
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._state = _PROCESSED
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                        elif event._exception is not None and not event._defused:
-                            raise event._exception
-                except BaseException:
-                    if index < count:
-                        # Preserve pre-batching semantics: events the
-                        # exception never reached stay scheduled.
-                        self._flush_front()
-                        queue.requeue(when, batch[index:])
-                    raise
-                for event in batch:
-                    if (
-                        type(event) is Timeout
-                        # Sole owner: the batch slot, the loop variable,
-                        # and getrefcount's argument.
-                        and getrefcount(event) == 3
-                        and not event._defused
-                    ):
-                        # Unlike the single-event lane there is no one
-                        # emptied list to reuse: each recycled timeout in
-                        # the batch needs its own callbacks container.
-                        event.callbacks = []  # simlint: allow[kernel-hot-alloc] reason=one list per recycled Timeout; still cheaper than a fresh Timeout
-                        free.append(event)
-        finally:
-            self.events_processed = processed
+        # ``step()`` with Event._process inlined and the lookups hoisted.
+        while heap and heap[0][0] <= limit:
+            when, _seq, event = heappop(heap)
+            if monitor is not None:
+                monitor.on_step(self, when)
+            self._now = when
+            self.events_processed += 1
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._state = _PROCESSED
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+            elif event._exception is not None and not event._defused:
+                raise event._exception
+            if (
+                type(event) is Timeout
+                # Sole owner: the `event` local plus getrefcount's own
+                # argument.  A waiter that kept the timeout (a variable, a
+                # list, a condition's `events`) adds a third reference.
+                and getrefcount(event) == 2
+                and not event._defused
+            ):
+                # Re-establish the free-list invariants, reusing the
+                # emptied callbacks list (zero allocations).
+                if callbacks:
+                    del callbacks[:]
+                event.callbacks = callbacks
+                free.append(event)
         if until is not None and until > self._now:
             self._now = until

@@ -35,6 +35,9 @@ def test_config_defaults_are_valid():
         {"hop_dist": 0},
         {"p_disc": 1.5},
         {"disc_min": 10.0, "disc_max": 5.0},
+        {"p_disc": 0.9, "disc_min": -3.0, "disc_max": -1.0},
+        {"disc_min": float("nan")},
+        {"disc_max": float("nan")},
         {"omega": -0.1},
         {"alpha": 1.5},
         {"explicit_update_portion": 2.0},

@@ -11,6 +11,24 @@ from repro.sim import (
 )
 
 
+class _QuietMonitor:
+    """All three kernel hooks, doing nothing."""
+
+    def on_schedule(self, env, when):
+        pass
+
+    def on_step(self, env, when):
+        pass
+
+    def on_condition_fire(self, condition):
+        pass
+
+
+_plain_and_monitored = pytest.mark.parametrize(
+    "monitor", [None, _QuietMonitor()], ids=["plain", "monitored"]
+)
+
+
 def test_timeout_advances_clock():
     env = Environment()
     log = []
@@ -82,6 +100,12 @@ def test_run_until_nan_raises_and_leaves_the_schedule_alone():
     with pytest.raises(SimulationError, match="nan"):
         env.run(until=float("nan"))
     assert env.now == 0 and env.pending_events == 1
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_initial_time_rejected(start):
+    with pytest.raises(SimulationError, match=f"initial_time.*{start}"):
+        Environment(initial_time=start)
 
 
 def test_process_return_value():
@@ -418,24 +442,57 @@ def test_timeout_at_reports_to_the_monitor():
 
 
 def test_monitored_run_without_until_stops_when_the_schedule_drains():
-    class Monitor:
-        def on_schedule(self, env, when):
-            pass
-
-        def on_step(self, env, when):
-            pass
-
     def one_timeout(env):
         yield env.timeout(2.5)
 
     outcomes = []
-    for monitor in (None, Monitor()):
+    for monitor in (None, _QuietMonitor()):
         env = Environment(monitor=monitor)
         env.process(one_timeout(env))
         env.run()  # until=None: the checked loop used to step() an empty queue
         outcomes.append((env.now, env.events_processed))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 2.5
+
+
+# -- the Timeout free list: only timeouts nobody else holds are reused --------
+
+
+@_plain_and_monitored
+def test_a_fired_timeout_somebody_still_holds_is_never_handed_out_again(monitor):
+    env = Environment(monitor=monitor)
+
+    def ticker():  # unowned timeouts, so the free list is in use throughout
+        for _ in range(8):
+            yield env.timeout(0.5)
+
+    env.process(ticker())
+    local = env.timeout(1.0, value="local")
+    listed = [env.timeout(1.0, value="list")]
+    race = env.any_of([env.timeout(1.0, value="any_of"), env.timeout(9.0)])
+    env.run(until=5.0)
+    assert race.processed and env.freelist_hits > 0
+    held = {"local": local, "list": listed[0], "any_of": race.events[0]}
+    later = [env.timeout(1.0, value="later") for _ in range(50)]
+    for holder, timeout in held.items():
+        assert all(other is not timeout for other in later), holder
+        assert timeout.processed and timeout.value == holder
+
+
+@_plain_and_monitored
+def test_an_unowned_yielded_timeout_is_recycled(monitor):
+    env = Environment(monitor=monitor)
+
+    def ticker():
+        for _ in range(10):
+            yield env.timeout(1.0)
+
+    env.process(ticker())
+    env.run()
+    # A timeout returns to the free list after its callbacks ran, i.e. after
+    # the ticker asked for the next one: two instances alternate, and every
+    # call after the first two is served from the list.
+    assert env.now == 10.0 and env.freelist_hits == 8
 
 
 # -- processes nobody waits on complete in place -----------------------------
