@@ -17,18 +17,15 @@ run be trusted?* — at two different times:
   process bodies, no blocking calls) and the
   :class:`~repro.core.config.SimulationConfig` field contracts.
 
-See ``docs/ANALYSIS.md`` for the rule catalogue and the
-pragma/baseline workflow.
+See ``docs/ANALYSIS.md`` for the rule catalogue and the pragma
+workflow.
 """
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.engine import (
-    LintReport,
     LintRule,
     LintViolation,
     ModuleSource,
     all_rules,
-    lint_paths,
     lint_source,
     rule_registry,
 )
@@ -42,19 +39,15 @@ from repro.analysis.postrun import (
 )
 
 __all__ = [
-    "Baseline",
     "DiscoveryQuality",
-    "LintReport",
     "LintRule",
     "LintViolation",
     "ModuleSource",
     "all_rules",
     "cache_duplication",
     "cache_overlap_matrix",
-    "fingerprint",
     "group_distinct_items",
     "jain_fairness",
-    "lint_paths",
     "lint_source",
     "rule_registry",
     "tcg_discovery_quality",

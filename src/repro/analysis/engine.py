@@ -6,27 +6,22 @@ dotted names like ``np.random.default_rng`` back to
 ``numpy.random.default_rng``); a :class:`LintRule` walks the AST and
 yields structured :class:`LintViolation` records; :func:`lint_source`
 applies every registered rule to one module and then the pragma layer;
-:func:`lint_paths` walks a source tree and aggregates a
-:class:`LintReport`.
+:func:`repro.analysis.runner.run_lint` walks a source tree and reports.
 
-Suppression happens at two levels, both audited:
-
-* ``# simlint: allow[rule-id] reason=...`` on the offending line (or
-  ``allow-file`` anywhere, for the whole file).  The reason is
-  **mandatory** — a pragma without one is itself a violation
-  (``pragma-missing-reason``), as is a pragma naming an unknown rule
-  (``pragma-unknown-rule``) or one that suppresses nothing
-  (``pragma-unused``).
-* the committed baseline (:mod:`repro.analysis.baseline`) grandfathers
-  pre-existing findings so new code is gated strictly while old code is
-  paid down incrementally.
+Suppression has one mechanism, and it is audited:
+``# simlint: allow[rule-id] reason=...`` on the offending line (or
+``allow-file`` anywhere, for the whole file).  The reason is
+**mandatory** — a pragma without one is itself a violation
+(``pragma-missing-reason``), as is a pragma naming an unknown rule
+(``pragma-unknown-rule``) or one that suppresses nothing
+(``pragma-unused``).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -45,7 +40,6 @@ if TYPE_CHECKING:
     from repro.analysis.project.index import ProjectIndex
 
 __all__ = [
-    "LintReport",
     "LintRule",
     "LintViolation",
     "META_RULES",
@@ -58,7 +52,6 @@ __all__ = [
     "display_path",
     "iter_python_files",
     "known_rule_ids",
-    "lint_paths",
     "lint_source",
     "project_rule_registry",
     "register",
@@ -72,14 +65,12 @@ class LintViolation:
     """One finding: rule id, location, message and a concrete fix hint.
 
     ``scope`` distinguishes per-file AST findings (``"file"``) from
-    whole-program findings (``"project"``); the baseline fingerprints the
-    two differently (project findings are anchored by message, not source
-    line, because their anchor line often belongs to code that is only
-    *related* to the defect).  ``start_line``/``end_line`` bound the
-    pragma suppression window (0 means "same as ``line``"): a violation
-    anchored on a multiline statement is suppressible from any of its
-    lines, and one anchored on a decorated ``def`` from the decorator
-    lines as well.
+    whole-program findings (``"project"``), whose anchor line often
+    belongs to code that is only *related* to the defect.
+    ``start_line``/``end_line`` bound the pragma suppression window (0
+    means "same as ``line``"): a violation anchored on a multiline
+    statement is suppressible from any of its lines, and one anchored on
+    a decorated ``def`` from the decorator lines as well.
     """
 
     rule: str
@@ -120,61 +111,24 @@ class LintViolation:
 
 
 class ModuleSource:
-    """One parsed module: path, text, AST and an import-alias table.
-
-    Parsing is lazy: the incremental cache (:mod:`repro.analysis.cache`)
-    can satisfy a warm run from content hashes alone, so a module whose
-    findings are cached never pays ``ast.parse``.
-    """
+    """One parsed module: path, text, AST and an import-alias table."""
 
     def __init__(self, path: Path, text: str, display_path: Optional[str] = None):
         self.path = Path(path)
         self.display_path = display_path or self.path.as_posix()
         self.text = text
-        self.lines: List[str] = text.splitlines()
         self.module = _module_name(self.path)
-        self._parsed = False
-        self._parse_error: Optional[SyntaxError] = None
-        self._tree: Optional[ast.AST] = None
-        self._imports: Optional[Dict[str, str]] = None
-
-    def _ensure_parsed(self) -> None:
-        if self._parsed:
-            return
-        self._parsed = True
+        self.parse_error: Optional[SyntaxError] = None
         try:
-            self._tree = ast.parse(self.text)
+            self.tree: ast.AST = ast.parse(text)
         except SyntaxError as error:
-            self._parse_error = error
-            self._tree = ast.Module(body=[], type_ignores=[])
-        self._imports = _import_table(self._tree)
-
-    @property
-    def parse_error(self) -> Optional[SyntaxError]:
-        self._ensure_parsed()
-        return self._parse_error
-
-    @property
-    def tree(self) -> ast.AST:
-        self._ensure_parsed()
-        assert self._tree is not None
-        return self._tree
-
-    @property
-    def imports(self) -> Dict[str, str]:
-        self._ensure_parsed()
-        assert self._imports is not None
-        return self._imports
+            self.parse_error = error
+            self.tree = ast.Module(body=[], type_ignores=[])
+        self.imports = _import_table(self.tree)
 
     @classmethod
     def from_path(cls, path: Path, display_path: Optional[str] = None) -> "ModuleSource":
         return cls(path, Path(path).read_text(encoding="utf-8"), display_path)
-
-    def source_line(self, line: int) -> str:
-        """The stripped text of 1-indexed ``line`` ('' when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def qualified_name(self, node: ast.AST) -> Optional[str]:
         """Resolve an attribute chain to its imported dotted name.
@@ -307,8 +261,7 @@ class ProjectRule:
 
     Unlike :class:`LintRule`, a project rule sees the whole
     :class:`~repro.analysis.project.index.ProjectIndex` at once and may
-    anchor findings in any module.  Findings carry ``scope="project"`` so
-    the baseline fingerprints them by message rather than source line.
+    anchor findings in any module.  Findings carry ``scope="project"``.
     """
 
     id: str = ""
@@ -474,7 +427,7 @@ def _meta_violation(
 def collect_findings(
     module: ModuleSource, rules: Optional[Sequence[LintRule]] = None
 ) -> List[LintViolation]:
-    """Raw per-file findings, before the pragma layer (cacheable)."""
+    """Raw per-file findings, before the pragma layer."""
     if module.parse_error is not None:
         line = module.parse_error.lineno or 1
         return [
@@ -600,32 +553,6 @@ def _suppressed(violation: LintViolation, pragmas: List[_Pragma]) -> bool:
 # -- tree walking ------------------------------------------------------------
 
 
-@dataclass
-class LintReport:
-    """Everything one ``repro lint`` invocation found."""
-
-    violations: List[LintViolation] = field(default_factory=list)
-    files: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.rule] = counts.get(violation.rule, 0) + 1
-        return counts
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "files_checked": len(self.files),
-            "violation_count": len(self.violations),
-            "counts_by_rule": self.counts_by_rule(),
-            "violations": [v.as_dict() for v in self.violations],
-        }
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Every ``.py`` file under the given files/directories, sorted."""
     seen: Set[Path] = set()
@@ -646,22 +573,9 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 
 def display_path(path: Path) -> str:
-    """Repo-relative posix path when possible (stable baseline keys)."""
+    """Repo-relative posix path when possible (stable report rows)."""
     try:
         return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
     except ValueError:
         return path.as_posix()
 
-
-def lint_paths(
-    paths: Sequence[Path], rules: Optional[Sequence[LintRule]] = None
-) -> LintReport:
-    """Lint every Python file under ``paths`` and aggregate the findings."""
-    rules = list(rules) if rules is not None else all_rules()
-    report = LintReport()
-    for file_path in iter_python_files(paths):
-        module = ModuleSource.from_path(file_path, display_path(file_path))
-        report.files.append(module.display_path)
-        report.violations.extend(lint_source(module, rules))
-    report.violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
-    return report

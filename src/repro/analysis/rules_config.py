@@ -16,10 +16,9 @@ against the real field list:
 * ``unknown-results-field`` — literal metric names handed to
   ``SweepTable.series(scheme, metric)``;
 * ``config-field-unvalidated`` — a ``SimulationConfig`` dataclass field
-  that ``__post_init__`` never touches.  Pre-existing fields are
-  grandfathered in the committed baseline; *new* fields must either be
-  validated or consciously baselined.  ``bool`` fields are exempt (every
-  bool is valid).
+  that ``__post_init__`` never touches.  A field must either be
+  validated or consciously excused in place with a reasoned pragma.
+  ``bool`` fields are exempt (every bool is valid).
 """
 
 from __future__ import annotations
@@ -254,8 +253,8 @@ class ConfigFieldValidationRule(LintRule):
         "surface deep inside a run instead of at construction"
     )
     hint = (
-        "add a check in __post_init__, or consciously grandfather the "
-        "field with 'repro lint --update-baseline'"
+        "add a check in __post_init__, or consciously excuse the field with "
+        "# simlint: allow[config-field-unvalidated] reason=..."
     )
 
     def check(self, module: ModuleSource) -> Iterator[LintViolation]:

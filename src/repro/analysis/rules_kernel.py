@@ -30,7 +30,7 @@ a ``.env`` attribute such as ``self.env``):
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import LintRule, LintViolation, ModuleSource, register
 
@@ -39,6 +39,9 @@ __all__ = [
     "HotLoopAllocRule",
     "StaleNowRule",
     "YieldNonEventRule",
+    "allocation",
+    "blocking_calls",
+    "is_process_generator",
 ]
 
 
@@ -64,15 +67,17 @@ def _references_env(function: ast.AST) -> bool:
     return False
 
 
+def is_process_generator(function: ast.AST) -> bool:
+    """A generator function that touches an ``env``: a kernel process body."""
+    return any(
+        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(function)
+    ) and _references_env(function)
+
+
 def _process_generators(module: ModuleSource) -> Iterator[ast.FunctionDef]:
     """Generator functions that look like kernel process bodies."""
     for node in ast.walk(module.tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        yields = [
-            n for n in _own_nodes(node) if isinstance(n, (ast.Yield, ast.YieldFrom))
-        ]
-        if yields and _references_env(node):
+        if isinstance(node, ast.FunctionDef) and is_process_generator(node):
             yield node
 
 
@@ -131,6 +136,34 @@ _BLOCKING_QUALIFIED_PREFIXES = (
 _BLOCKING_BUILTINS = frozenset({"open", "input"})
 
 
+def blocking_calls(
+    module: ModuleSource, function: ast.AST
+) -> Iterator[Tuple[ast.Call, str]]:
+    """(call, what it is) for every blocking call in ``function``'s own body.
+
+    The one matcher behind ``kernel-blocking-call`` (process bodies) and
+    the blocking kind of ``kernel-transitive-hazard`` (their helpers).
+    """
+    for node in _own_nodes(function):
+        if not isinstance(node, ast.Call):
+            continue
+        name = module.qualified_name(node.func)
+        if name is not None and name.startswith(_BLOCKING_QUALIFIED_PREFIXES):
+            yield node, f"blocking call to {name}()"
+        elif (
+            isinstance(node.func, ast.Name)
+            and node.func.id in _BLOCKING_BUILTINS
+            and node.func.id not in module.imports
+        ):
+            yield node, f"blocking call to {node.func.id}()"
+        elif (
+            name is None
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sleep"
+        ):
+            yield node, "call to a .sleep() method"
+
+
 @register
 class BlockingCallRule(LintRule):
     """No sleeping or real I/O inside a process body."""
@@ -145,31 +178,8 @@ class BlockingCallRule(LintRule):
 
     def check(self, module: ModuleSource) -> Iterator[LintViolation]:
         for function in _process_generators(module):
-            for node in _own_nodes(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = module.qualified_name(node.func)
-                if name is not None and name.startswith(_BLOCKING_QUALIFIED_PREFIXES):
-                    yield self.violation(
-                        module, node, f"blocking call to {name}() in a process body"
-                    )
-                elif (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in _BLOCKING_BUILTINS
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"blocking call to {node.func.id}() in a process body",
-                    )
-                elif (
-                    name is None
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sleep"
-                ):
-                    yield self.violation(
-                        module, node, "call to a .sleep() method in a process body"
-                    )
+            for node, what in blocking_calls(module, function):
+                yield self.violation(module, node, f"{what} in a process body")
 
 
 def _is_env_now(node: ast.AST) -> bool:
@@ -270,6 +280,30 @@ class StaleNowRule(LintRule):
 _ALLOCATING_BUILTINS = frozenset({"dict", "frozenset", "list", "set", "tuple"})
 
 
+def allocation(module: ModuleSource, node: ast.AST) -> Optional[str]:
+    """What ``node`` constructs each time it is evaluated (None: nothing).
+
+    The one classifier behind ``kernel-hot-alloc`` (the dispatch loop)
+    and the allocation kind of ``kernel-transitive-hazard`` (its helpers).
+    """
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+        return "comprehension"
+    if isinstance(node, ast.GeneratorExp):
+        return "generator expression"
+    if isinstance(node, (ast.List, ast.Set, ast.Dict)):
+        return f"{type(node).__name__.lower()} display"
+    if isinstance(node, ast.Lambda):
+        return "lambda"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _ALLOCATING_BUILTINS
+        and node.func.id not in module.imports
+    ):
+        return f"{node.func.id}() call"
+    return None
+
+
 def _dispatch_methods(module: ModuleSource) -> Iterator[ast.FunctionDef]:
     """``run``/``step`` methods of scheduler classes (name ~ Environment)."""
     for node in ast.walk(module.tree):
@@ -315,31 +349,8 @@ class HotLoopAllocRule(LintRule):
                 if id(node) in seen:
                     continue  # nested loops revisit inner bodies
                 seen.add(id(node))
-                if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+                what = allocation(module, node)
+                if what is not None:
                     yield self.violation(
-                        module, node, "comprehension builds a fresh container per event"
-                    )
-                elif isinstance(node, ast.GeneratorExp):
-                    yield self.violation(
-                        module, node, "generator expression allocates per event"
-                    )
-                elif isinstance(node, (ast.List, ast.Set, ast.Dict)):
-                    kind = type(node).__name__.lower()
-                    yield self.violation(
-                        module, node, f"{kind} display allocates a container per event"
-                    )
-                elif isinstance(node, ast.Lambda):
-                    yield self.violation(
-                        module, node, "lambda creates a function object per event"
-                    )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _ALLOCATING_BUILTINS
-                    and node.func.id not in module.imports
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"{node.func.id}() call allocates a container per event",
+                        module, node, f"{what} allocates per event"
                     )

@@ -14,18 +14,23 @@ class) — and promotes the per-file hazards into them:
 * **interprocedural set iteration** — a call site passes a provably-set
   argument and the reachable callee iterates that parameter (hash order
   flows into simulated behaviour across the call);
-* a **per-event allocation** (comprehension, container display,
-  ``list()``-family call) anywhere in a helper reachable from a
-  dispatch method — the dispatch loop pays it at event rate.
+* a **per-event allocation** (comprehension, generator expression,
+  container display, ``list()``-family call, lambda) anywhere in a
+  helper reachable from a dispatch method — the dispatch loop pays it
+  at event rate.
 
 All four report under one id, ``kernel-transitive-hazard``, with the
-kind spelled out in the message.
+kind spelled out in the message.  The blocking and allocation kinds run
+the per-file rules' own matchers
+(:func:`~repro.analysis.rules_kernel.blocking_calls`,
+:func:`~repro.analysis.rules_kernel.allocation`), so what is a hazard in
+a process body or dispatch loop is the same hazard one call away.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.engine import (
     LintViolation,
@@ -42,22 +47,13 @@ from repro.analysis.rules_determinism import (
     _set_bindings,
 )
 from repro.analysis.rules_kernel import (
-    _ALLOCATING_BUILTINS,
-    _BLOCKING_BUILTINS,
-    _BLOCKING_QUALIFIED_PREFIXES,
     _own_nodes,
-    _references_env,
+    allocation,
+    blocking_calls,
+    is_process_generator,
 )
 
 __all__ = ["KernelTransitiveHazardRule"]
-
-
-def _is_process_generator(function: FunctionInfo) -> bool:
-    node = function.node
-    yields = [
-        n for n in _own_nodes(node) if isinstance(n, (ast.Yield, ast.YieldFrom))
-    ]
-    return bool(yields) and _references_env(node)
 
 
 def _is_dispatch_method(function: FunctionInfo) -> bool:
@@ -95,7 +91,9 @@ class KernelTransitiveHazardRule(ProjectRule):
     def check(self, project: ProjectIndex) -> Iterator[LintViolation]:
         graph = build_call_graph(project)
         process_roots = {
-            f.qualname for f in project.functions.values() if _is_process_generator(f)
+            f.qualname
+            for f in project.functions.values()
+            if is_process_generator(f.node)
         }
         dispatch_roots = {
             f.qualname for f in project.functions.values() if _is_dispatch_method(f)
@@ -121,28 +119,12 @@ class KernelTransitiveHazardRule(ProjectRule):
     def _blocking(
         self, module: ModuleSource, function: FunctionInfo
     ) -> Iterator[LintViolation]:
-        for node in _own_nodes(function.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = module.qualified_name(node.func)
-            if name is not None and name.startswith(_BLOCKING_QUALIFIED_PREFIXES):
-                yield self.violation(
-                    module,
-                    node,
-                    f"blocking call to {name}() in {function.name}(), "
-                    "reachable from the kernel",
-                )
-            elif (
-                isinstance(node.func, ast.Name)
-                and node.func.id in _BLOCKING_BUILTINS
-                and node.func.id not in module.imports
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    f"blocking call to {node.func.id}() in {function.name}(), "
-                    "reachable from the kernel",
-                )
+        for node, what in blocking_calls(module, function.node):
+            yield self.violation(
+                module,
+                node,
+                f"{what} in {function.name}(), reachable from the kernel",
+            )
 
     def _wall_clock(
         self, module: ModuleSource, function: FunctionInfo
@@ -165,32 +147,13 @@ class KernelTransitiveHazardRule(ProjectRule):
         self, module: ModuleSource, function: FunctionInfo
     ) -> Iterator[LintViolation]:
         for node in _own_nodes(function.node):
-            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+            what = allocation(module, node)
+            if what is not None:
                 yield self.violation(
                     module,
                     node,
-                    f"comprehension in {function.name}() allocates on the "
+                    f"{what} in {function.name}() allocates on the "
                     "dispatch path (paid per event)",
-                )
-            elif isinstance(node, (ast.List, ast.Set, ast.Dict)):
-                kind = type(node).__name__.lower()
-                yield self.violation(
-                    module,
-                    node,
-                    f"{kind} display in {function.name}() allocates on the "
-                    "dispatch path (paid per event)",
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _ALLOCATING_BUILTINS
-                and node.func.id not in module.imports
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    f"{node.func.id}() call in {function.name}() allocates "
-                    "on the dispatch path (paid per event)",
                 )
 
     def _set_flow(

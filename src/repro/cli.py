@@ -319,38 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format on stdout (default text)",
     )
     lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of grandfathered findings "
-        "(default: simlint-baseline.json)",
-    )
-    lint_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline; report every finding as new",
-    )
-    lint_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather the current findings",
-    )
-    lint_parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="remove baseline entries that no longer match any finding "
-        "(entries that still fire are kept)",
-    )
-    lint_parser.add_argument(
         "--project",
         action="store_true",
         help="also run the whole-program rules (call-graph / dataflow) "
         "over the full file set",
-    )
-    lint_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute all findings, bypassing .repro-cache/lint/",
     )
     lint_parser.add_argument(
         "--json-report",
@@ -498,44 +470,16 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 def _run_lint_command(args: argparse.Namespace) -> int:
     """Handler of the ``lint`` subcommand."""
     # Imported lazily: the analysis package is not needed by simulations.
-    from repro.analysis.runner import (
-        DEFAULT_BASELINE,
-        render_rule_catalogue,
-        run_lint,
-    )
+    from repro.analysis.runner import render_rule_catalogue, run_lint
 
     if args.rules:
         print(render_rule_catalogue())
         return 0
-    if args.no_baseline:
-        baseline: Optional[Path] = None
-    elif args.baseline is not None:
-        baseline = Path(args.baseline)
-    else:
-        baseline = DEFAULT_BASELINE
-    if (args.update_baseline or args.prune_baseline) and baseline is None:
-        print(
-            "repro lint: error: --update-baseline/--prune-baseline "
-            "conflict with --no-baseline",
-            file=sys.stderr,
-        )
-        return 2
-    if args.update_baseline and args.prune_baseline:
-        print(
-            "repro lint: error: --update-baseline and --prune-baseline "
-            "are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
     return run_lint(
         [Path(p) for p in args.paths],
-        baseline_path=baseline,
-        update_baseline=args.update_baseline,
-        prune_baseline=args.prune_baseline,
         output_format=args.output_format,
         json_report=Path(args.json_report) if args.json_report else None,
         project=args.project,
-        use_cache=not args.no_cache,
     )
 
 

@@ -9,6 +9,7 @@ dataclass field so experiments override parameters with
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -179,6 +180,11 @@ class SimulationConfig:
     trace_requests: bool = False  # keep per-request traces (percentiles)
 
     def __post_init__(self):
+        # NaN fails no ``<`` test and +/-inf passes every lower bound: reject
+        # both here, for every field at once, before the per-field contracts.
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not isinstance(self.scheme, CachingScheme):
             raise ValueError("scheme must be a CachingScheme")
         if self.n_clients < 1:

@@ -111,9 +111,12 @@ def jobs_from_env(default: int = 1) -> int:
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if not raw:
         return default
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise ValueError(f"REPRO_JOBS must be >= 0, got {value}")
+        raise ValueError(f"REPRO_JOBS must be an integer >= 0, got {raw!r}")
     return value if value > 0 else 1
 
 

@@ -28,6 +28,7 @@ the pre-fault-layer simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -91,6 +92,9 @@ class CrashFaults:
     down_max: float = 15.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rate < 0.0:
             raise ValueError(f"crash rate must be >= 0, got {self.rate}")
         if self.down_min <= 0.0:

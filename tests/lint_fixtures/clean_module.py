@@ -2,6 +2,8 @@
 
 from typing import List
 
+from doors import open  # shadows the builtin: a simulated door, not file I/O
+
 
 def deterministic_order(hosts: List[int]) -> List[int]:
     pending = sorted(set(hosts))
@@ -12,3 +14,8 @@ def elapsed(env):
     started = env.now
     yield env.timeout(1.0)
     return env.now - started
+
+
+def doorman(env):
+    yield env.timeout(1.0)
+    open("lobby")

@@ -18,7 +18,12 @@ def drain(bucket) -> list:
     return order
 
 
+def power_down(radio) -> None:
+    radio.sleep(1)
+
+
 def process(env):
     slow_total([1, 2])
     drain({1, 2, 3})
+    power_down(env.radio)
     yield env.timeout(1)

@@ -1,5 +1,7 @@
 """Tests for SimulationConfig and Metrics/Results."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -63,6 +65,27 @@ def test_config_defaults_are_valid():
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         SimulationConfig(**overrides)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in dataclasses.fields(SimulationConfig)]
+)
+def test_no_field_accepts_a_non_finite_value(name):
+    # NaN fails no ``<`` bound and inf passes every lower one, so the
+    # per-field contracts cannot be trusted to catch either.
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimulationConfig(**{name: value})
+
+
+def test_from_dict_rejects_nan_from_json():
+    # json round-trips NaN happily; the boundary must not.
+    text = json.dumps({**SimulationConfig().as_dict(), "theta": math.nan})
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        SimulationConfig.from_dict(json.loads(text))
 
 
 def test_with_scheme_and_replace():

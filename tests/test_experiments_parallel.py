@@ -24,6 +24,7 @@ from repro.experiments import (
     SweepTable,
     execute_runs,
     format_profile_report,
+    jobs_from_env,
     resolve_jobs,
     run_replications,
     run_sweep,
@@ -121,6 +122,21 @@ def test_resolve_jobs():
     assert resolve_jobs(0) == resolve_jobs(None)
     with pytest.raises(ValueError):
         resolve_jobs(-1)
+
+
+def test_jobs_from_env(monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert jobs_from_env() == 1
+    # Unlike ``--jobs 0``, an empty or zero variable means serial.
+    for raw, expected in (("", 1), ("  ", 1), ("0", 1), ("3", 3)):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert jobs_from_env() == expected
+    for raw in ("-2", "two"):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(
+            ValueError, match=f"REPRO_JOBS must be an integer >= 0, got '{raw}'"
+        ):
+            jobs_from_env()
 
 
 # -- result cache -------------------------------------------------------------

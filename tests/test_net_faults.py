@@ -1,5 +1,7 @@
 """Unit tests of the fault-injection layer (repro.net.faults)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ def test_link_faults_validation(overrides):
         {"rate": -0.1},
         {"down_min": 0.0},
         {"down_min": 10.0, "down_max": 5.0},
+        *(
+            {name: value}
+            for name in ("rate", "down_min", "down_max")
+            for value in (math.nan, math.inf, -math.inf)
+        ),
     ],
 )
 def test_crash_faults_validation(overrides):

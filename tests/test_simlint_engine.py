@@ -1,19 +1,15 @@
-"""Engine-level simlint behaviour: sources, pragmas, baseline, runner."""
+"""Engine-level simlint behaviour: sources, pragmas, runner."""
 
 import io
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.engine import (
     META_RULES,
     LintViolation,
     ModuleSource,
     all_rules,
     known_rule_ids,
-    lint_paths,
     lint_source,
 )
 from repro.analysis.runner import run_lint
@@ -120,88 +116,38 @@ def test_violation_as_dict_and_location():
     assert payload["line"] == 3
 
 
-def test_baseline_split_new_grandfathered_stale(tmp_path):
-    old = LintViolation("no-wall-clock", "a.py", 3, 1, "old finding")
-    gone = LintViolation("no-wall-clock", "a.py", 9, 1, "fixed finding")
-    baseline = Baseline.from_violations([(old, "t = time.time()"), (gone, "x()")])
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-
-    fresh = LintViolation("no-wall-clock", "a.py", 30, 1, "new finding")
-    moved_old = LintViolation("no-wall-clock", "a.py", 5, 1, "old finding")
-    new, grandfathered, stale = loaded.split(
-        [(moved_old, "t = time.time()"), (fresh, "u = time.time()  # other")]
-    )
-    # The old finding moved lines but keeps its content fingerprint.
-    assert [v.line for v in grandfathered] == [5]
-    assert [v.line for v in new] == [30]
-    assert len(stale) == 1  # the fixed finding's entry is reported stale
-
-
-def test_baseline_fingerprint_ignores_line_numbers():
-    a = LintViolation("r", "p.py", 10, 1, "m")
-    b = LintViolation("r", "p.py", 99, 5, "different message")
-    assert fingerprint(a, "x = 1") == fingerprint(b, "  x = 1  ")
-
-
-def test_baseline_rejects_unknown_format(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"format": 99, "entries": []}))
-    with pytest.raises(ValueError):
-        Baseline.load(path)
-
-
 def test_run_lint_exit_codes_and_json_report(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT = time.time()\n")
     report_path = tmp_path / "report.json"
     stream = io.StringIO()
-    code = run_lint(
-        [bad], baseline_path=None, json_report=report_path, stream=stream
-    )
+    code = run_lint([bad], json_report=report_path, stream=stream)
     assert code == 1
     payload = json.loads(report_path.read_text())
-    assert payload["new_count"] == 1
+    assert payload["violation_count"] == 1
     assert payload["violations"][0]["rule"] == "no-wall-clock"
 
     clean = tmp_path / "clean.py"
     clean.write_text("X = 1\n")
-    assert run_lint([clean], baseline_path=None, stream=io.StringIO()) == 0
-
-
-def test_run_lint_update_baseline_then_clean(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nT = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    assert (
-        run_lint(
-            [bad],
-            baseline_path=baseline,
-            update_baseline=True,
-            stream=io.StringIO(),
-        )
-        == 0
-    )
-    # Grandfathered now: the same tree lints clean against the baseline.
-    assert run_lint([bad], baseline_path=baseline, stream=io.StringIO()) == 0
-    # A second, new violation still fails.
-    bad.write_text("import time\nT = time.time()\nU = time.monotonic()\n")
-    assert run_lint([bad], baseline_path=baseline, stream=io.StringIO()) == 1
-
-
-def test_update_baseline_never_grandfathers_meta_findings(tmp_path):
-    bad = tmp_path / "broken.py"
-    bad.write_text("def nope(:\n")
-    baseline = tmp_path / "baseline.json"
-    code = run_lint(
-        [bad], baseline_path=baseline, update_baseline=True, stream=io.StringIO()
-    )
-    assert code == 1  # the meta finding was not swept under the rug
-    assert json.loads(baseline.read_text())["entries"] == []
+    assert run_lint([clean], stream=io.StringIO()) == 0
 
 
 def test_lint_paths_walks_directories():
-    report = lint_paths([FIXTURES])
-    assert any(v.rule == "no-stdlib-random" for v in report.violations)
-    assert any(f.endswith("clean_module.py") for f in report.files)
+    stream = io.StringIO()
+    assert run_lint([FIXTURES], output_format="json", stream=stream) == 1
+    report = json.loads(stream.getvalue())
+    found = [
+        (v["path"], v["line"], v["column"], v["rule"]) for v in report["violations"]
+    ]
+    assert found == sorted(found)
+    assert any(rule == "no-stdlib-random" for *_, rule in found)
+    # Every file under the tree is visited, nested project fixtures included.
+    assert report["files_checked"] == len(list(FIXTURES.rglob("*.py")))
+
+
+def test_lint_leaves_the_working_directory_untouched(tmp_path, monkeypatch):
+    root = FIXTURES / "project" / "kernel_violating"
+    monkeypatch.chdir(tmp_path)
+    for project in (False, True):
+        run_lint([root], stream=io.StringIO(), project=project, project_root=root)
+    assert list(tmp_path.iterdir()) == []

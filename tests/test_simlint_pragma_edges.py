@@ -6,7 +6,6 @@ decorator lines — plus ``allow-file`` anywhere (including line 1).
 """
 
 import io
-from pathlib import Path
 
 from repro.analysis.engine import ModuleSource, lint_source
 from repro.analysis.runner import run_lint
@@ -111,14 +110,7 @@ def write_registry_project(tmp_path, pragma_line):
 
 def project_lint(tmp_path):
     stream = io.StringIO()
-    code = run_lint(
-        [tmp_path],
-        baseline_path=None,
-        stream=stream,
-        project=True,
-        use_cache=False,
-        project_root=tmp_path,
-    )
+    code = run_lint([tmp_path], stream=stream, project=True, project_root=tmp_path)
     return code, stream.getvalue()
 
 
@@ -137,3 +129,31 @@ def test_pragma_on_decorator_line_suppresses_def_anchored_finding(tmp_path):
     )
     code, output = project_lint(tmp_path)
     assert code == 0, output
+
+
+# -- editing only the pragma --------------------------------------------------
+
+
+def test_pragma_edit_takes_effect_on_the_next_run(tmp_path):
+    module = tmp_path / "mod.py"
+
+    def lint():
+        stream = io.StringIO()
+        return run_lint([module], stream=stream), stream.getvalue()
+
+    module.write_text("import time\nT = time.time()\n")
+    code, output = lint()
+    assert code == 1 and "no-wall-clock" in output
+    # Add only the pragma: the finding goes.
+    module.write_text(
+        "import time\n"
+        "T = time.time()  # simlint: allow[no-wall-clock] reason=test\n"
+    )
+    assert lint() == (0, "simlint: 1 file(s), 0 finding(s)\n")
+    # Fix the code but leave the pragma: now the pragma is the finding.
+    module.write_text(
+        "import time\n"
+        "T = 0.0  # simlint: allow[no-wall-clock] reason=test\n"
+    )
+    code, output = lint()
+    assert code == 1 and "pragma-unused" in output

@@ -1,4 +1,4 @@
-"""Whole-program (``--project``) simlint: rules, fixtures, CLI, baseline v2."""
+"""Whole-program (``--project``) simlint: rules, fixtures, report, CLI."""
 
 import io
 import json
@@ -6,14 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline, fingerprint
-from repro.analysis.engine import LintViolation
 from repro.analysis.runner import run_lint
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "simlint-baseline.json"
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures" / "project"
 
 
@@ -21,14 +18,7 @@ def lint_fixture(case: str):
     """(exit code, output text) of a project lint over one fixture dir."""
     root = FIXTURES / case
     stream = io.StringIO()
-    code = run_lint(
-        [root],
-        baseline_path=None,
-        stream=stream,
-        project=True,
-        use_cache=False,
-        project_root=root,
-    )
+    code = run_lint([root], stream=stream, project=True, project_root=root)
     return code, stream.getvalue()
 
 
@@ -96,6 +86,7 @@ def test_shared_stream_reports_every_owner():
 def test_kernel_fixture_catches_blocking_and_set_flow():
     _code, output = lint_fixture("kernel_violating")
     assert "blocking call to time.sleep()" in output
+    assert "call to a .sleep() method in power_down()" in output
     assert "hash order reaches the kernel" in output
 
 
@@ -122,26 +113,41 @@ def test_project_pragma_not_unused_in_file_only_run():
     # were never computed; the unused audit must not fire for them.
     root = FIXTURES / "kernel_pragma"
     stream = io.StringIO()
-    code = run_lint(
-        [root], baseline_path=None, stream=stream, use_cache=False
-    )
+    code = run_lint([root], stream=stream)
     assert code == 0, stream.getvalue()
 
 
 # -- the shipped tree ---------------------------------------------------------
 
 
-def test_shipped_tree_is_project_clean_modulo_baseline():
+def test_shipped_tree_is_project_clean():
     stream = io.StringIO()
-    code = run_lint(
-        [SRC],
-        baseline_path=BASELINE,
-        stream=stream,
+    code = run_lint([SRC], stream=stream, project=True, project_root=REPO_ROOT)
+    assert code == 0, f"project lint found violations:\n{stream.getvalue()}"
+
+
+# -- the JSON report ----------------------------------------------------------
+
+
+def test_json_report_has_stable_shape(tmp_path):
+    root = FIXTURES / "config_violating"
+    report_path = tmp_path / "shape.json"
+    run_lint(
+        [root],
+        json_report=report_path,
+        stream=io.StringIO(),
         project=True,
-        use_cache=False,
-        project_root=REPO_ROOT,
+        project_root=root,
     )
-    assert code == 0, f"project lint found new violations:\n{stream.getvalue()}"
+    report = json.loads(report_path.read_text())
+    assert sorted(report) == [
+        "counts_by_rule",
+        "files_checked",
+        "violation_count",
+        "violations",
+    ]
+    assert report["violation_count"] == report["counts_by_rule"]["config-field-flow"]
+    assert all(v["scope"] == "project" for v in report["violations"])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -149,9 +155,7 @@ def test_shipped_tree_is_project_clean_modulo_baseline():
 
 def test_cli_project_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES / "rng_violating")
-    assert (
-        main(["lint", ".", "--no-baseline", "--project", "--no-cache"]) == 1
-    )
+    assert main(["lint", ".", "--project"]) == 1
     assert "rng-provenance" in capsys.readouterr().out
 
 
@@ -166,189 +170,3 @@ def test_cli_rules_catalogue_lists_project_rules(capsys):
         "registry-consistency",
     ):
         assert rule in out
-
-
-def test_cli_update_and_prune_are_mutually_exclusive(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code = main(
-        [
-            "lint",
-            str(clean),
-            "--baseline",
-            str(tmp_path / "b.json"),
-            "--update-baseline",
-            "--prune-baseline",
-        ]
-    )
-    assert code == 2
-
-
-# -- baseline v2 --------------------------------------------------------------
-
-
-def project_violation(message="m"):
-    return LintViolation(
-        rule="config-field-flow",
-        path="src/x.py",
-        line=4,
-        column=1,
-        message=message,
-        scope="project",
-    )
-
-
-def test_project_fingerprint_keys_on_message_not_line():
-    a = project_violation("field 'k' is dead")
-    b = LintViolation(
-        rule="config-field-flow",
-        path="src/x.py",
-        line=99,
-        column=7,
-        message="field 'k' is dead",
-        scope="project",
-    )
-    assert fingerprint(a, "anything") == fingerprint(b, "else entirely")
-    assert fingerprint(a, "x") != fingerprint(project_violation("other"), "x")
-
-
-def test_baseline_v1_auto_upgrades_on_load(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "format": 1,
-                "entries": [
-                    {
-                        "fingerprint": "abc",
-                        "rule": "r",
-                        "path": "p.py",
-                        "line": 1,
-                        "note": "n",
-                    }
-                ],
-            }
-        )
-    )
-    loaded = Baseline.load(path)
-    assert loaded.entries[0]["scope"] == "file"
-    loaded.save(path)
-    payload = json.loads(path.read_text())
-    assert payload["format"] == 2
-    assert payload["entries"][0]["scope"] == "file"
-
-
-def test_baseline_with_the_retired_modules_map_still_loads(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps({"format": 2, "entries": [], "modules": {"p.py": "0f"}})
-    )
-    Baseline.load(path).save(path)
-    assert "modules" not in json.loads(path.read_text())
-
-
-def test_baseline_save_is_idempotent(tmp_path):
-    path = tmp_path / "baseline.json"
-    baseline = Baseline.from_violations([(project_violation(), "line")])
-    assert baseline.save(path) is True
-    before = path.read_bytes()
-    assert baseline.save(path) is False
-    assert path.read_bytes() == before
-
-
-def test_baseline_reasons_survive_update(tmp_path):
-    violation = project_violation()
-    key = fingerprint(violation, "line")
-    baseline = Baseline.from_violations(
-        [(violation, "line")], reasons={key: "known drift, tracked in #42"}
-    )
-    assert baseline.entries[0]["reason"] == "known drift, tracked in #42"
-    rebuilt = Baseline.from_violations(
-        [(violation, "line")], reasons=baseline.reasons()
-    )
-    assert rebuilt.entries[0]["reason"] == "known drift, tracked in #42"
-
-
-def test_update_baseline_noop_leaves_file_byte_identical(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nT = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    run_lint(
-        [bad],
-        baseline_path=baseline,
-        update_baseline=True,
-        use_cache=False,
-        stream=io.StringIO(),
-    )
-    before = baseline.read_bytes()
-    stream = io.StringIO()
-    run_lint(
-        [bad],
-        baseline_path=baseline,
-        update_baseline=True,
-        use_cache=False,
-        stream=stream,
-    )
-    assert baseline.read_bytes() == before
-    assert "already up to date" in stream.getvalue()
-
-
-def test_prune_baseline_removes_only_stale_entries(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nT = time.time()\nU = time.monotonic()\n")
-    baseline = tmp_path / "baseline.json"
-    run_lint(
-        [bad],
-        baseline_path=baseline,
-        update_baseline=True,
-        use_cache=False,
-        stream=io.StringIO(),
-    )
-    assert len(json.loads(baseline.read_text())["entries"]) == 2
-    # Fix one finding; its entry goes stale, the other still fires.
-    bad.write_text("import time\nT = time.time()\n")
-    stream = io.StringIO()
-    code = run_lint(
-        [bad],
-        baseline_path=baseline,
-        prune_baseline=True,
-        use_cache=False,
-        stream=stream,
-    )
-    assert code == 0
-    output = stream.getvalue()
-    assert "pruned" in output
-    entries = json.loads(baseline.read_text())["entries"]
-    assert len(entries) == 1
-    assert "time.time" in str(entries[0]["note"]) or entries[0]["line"] == 2
-    # Still-firing entry survived: the tree stays clean modulo baseline.
-    assert (
-        run_lint(
-            [bad], baseline_path=baseline, use_cache=False, stream=io.StringIO()
-        )
-        == 0
-    )
-
-
-def test_prune_baseline_noop_reports_nothing_stale(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nT = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    run_lint(
-        [bad],
-        baseline_path=baseline,
-        update_baseline=True,
-        use_cache=False,
-        stream=io.StringIO(),
-    )
-    before = baseline.read_bytes()
-    stream = io.StringIO()
-    run_lint(
-        [bad],
-        baseline_path=baseline,
-        prune_baseline=True,
-        use_cache=False,
-        stream=stream,
-    )
-    assert "no stale entries" in stream.getvalue()
-    assert baseline.read_bytes() == before

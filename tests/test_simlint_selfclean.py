@@ -1,27 +1,22 @@
-"""simlint applied to the shipped tree: clean modulo the committed baseline."""
+"""simlint applied to the shipped tree: clean, with nothing excused off-site."""
 
 import io
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.runner import run_lint
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "simlint-baseline.json"
 
 
-def test_shipped_tree_is_clean_modulo_baseline():
+def test_shipped_tree_is_clean():
     stream = io.StringIO()
-    code = run_lint([SRC], baseline_path=BASELINE, stream=stream)
-    assert code == 0, f"simlint found new violations:\n{stream.getvalue()}"
-
-
-def test_committed_baseline_has_no_stale_entries():
-    stream = io.StringIO()
-    run_lint([SRC], baseline_path=BASELINE, stream=stream)
-    assert "stale" not in stream.getvalue()
+    code = run_lint([SRC], stream=stream)
+    assert code == 0, f"simlint found violations:\n{stream.getvalue()}"
 
 
 def test_injected_violation_fails_with_rule_and_line(tmp_path):
@@ -37,7 +32,7 @@ def test_injected_violation_fails_with_rule_and_line(tmp_path):
     injected_line = len(lines)
 
     stream = io.StringIO()
-    code = run_lint([victim], baseline_path=BASELINE, stream=stream)
+    code = run_lint([victim], stream=stream)
     output = stream.getvalue()
     assert code == 1
     assert "no-direct-rng" in output
@@ -47,11 +42,11 @@ def test_injected_violation_fails_with_rule_and_line(tmp_path):
 def test_cli_lint_subcommand_paths(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT = time.time()\n")
-    assert main(["lint", str(bad), "--no-baseline"]) == 1
+    assert main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "no-wall-clock" in out
 
-    assert main(["lint", str(bad), "--no-baseline", "--format", "json"]) == 1
+    assert main(["lint", str(bad), "--format", "json"]) == 1
     assert '"no-wall-clock"' in capsys.readouterr().out
 
 
@@ -62,7 +57,18 @@ def test_cli_lint_rules_catalogue(capsys):
     assert "meta rules" in out
 
 
-def test_cli_lint_update_baseline_conflict(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("X = 1\n")
-    assert main(["lint", str(bad), "--no-baseline", "--update-baseline"]) == 2
+def test_cli_lint_usage_errors_exit_2(tmp_path, capsys):
+    clean = tmp_path / "clean.py"
+    clean.write_text("X = 1\n")
+    # The pragma is the only way to excuse a finding and there is no cache:
+    # the flags that used to drive a second mechanism are usage errors.
+    for flag in (
+        "--baseline=b.json",
+        "--no-baseline",
+        "--update-baseline",
+        "--prune-baseline",
+        "--no-cache",
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(["lint", str(clean), flag])
+        assert usage.value.code == 2, flag
