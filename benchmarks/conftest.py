@@ -9,12 +9,9 @@ Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
 bench) — see :mod:`repro.experiments.runner`.  ``REPRO_JOBS`` fans each
 figure sweep out over that many worker processes (0, empty or unset =
 serial; the CLI's ``--jobs 0`` = one per core is a different, explicit
-contract) with results identical to the serial runner; the figure benches
-additionally
-record a per-run wall-clock / events-per-second profile to
-``results/<name>.profile.txt`` so the perf trajectory of every future PR
-is measured against these baselines (wall-clock regressions are gated by
-``python3 -m perfbench``, see docs/PERFORMANCE.md).
+contract) with results identical to the serial runner.  Host time is not
+recorded here: wall-clock regressions are measured and gated by
+``python3 -m perfbench`` (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import pytest
 
 from repro.experiments import (
     FIGURES,
-    format_profile_report,
     format_sweep_table,
     jobs_from_env,
     run_sweep,
@@ -63,14 +59,13 @@ def record_table(results_dir):
 @pytest.fixture()
 def run_figure(benchmark, record_table):
     """Time one ``FIGURES`` row with the suite-wide ``REPRO_JOBS`` fan-out
-    and record its table and per-run profile under the row's stem."""
+    and record its table under the row's stem."""
 
     def _run(key: str, **sweep_kwargs):
         figure = FIGURES[key]
         sweep_kwargs.setdefault("jobs", SWEEP_JOBS)
         table = run_once(benchmark, lambda: run_sweep(figure, **sweep_kwargs))
         record_table(figure.stem, format_sweep_table(table, figure.title))
-        record_table(f"{figure.stem}.profile", format_profile_report(table))
         return table
 
     return _run

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Six subcommands cover the common workflows::
+Eight subcommands cover the common workflows::
 
     python -m repro run      --scheme GC --clients 20 --seed 7 [--check]
     python -m repro compare  --clients 20 --cache-size 30
-    python -m repro figure   fig2 --profile quick
-    python -m repro sweep    fig2 --jobs 4 --cache results/cache --profile
+    python -m repro sweep    fig2 --scale quick --jobs 4 --cache results/cache
     python -m repro trace    summarize results/traces
+    python -m repro lint     src/repro --project
     python -m repro policies list [--namespace replacement]
     python -m repro workloads list
     python -m repro check    golden record|verify [--fixtures DIR]
@@ -15,14 +15,14 @@ Six subcommands cover the common workflows::
 (``--check`` attaches the runtime invariant oracle and prints its audit
 summary; ``--trace-out DIR`` records a span timeline and exports the
 JSONL / Chrome-trace / CSV bundle — see docs/OBSERVABILITY.md);
-``compare`` runs LC / CC / GC paired on the same seed; ``figure``
+``compare`` runs LC / CC / GC paired on the same seed; ``sweep``
 regenerates one of the paper's figures as a text table (see DESIGN.md
-for the figure index); ``sweep`` is ``figure`` plus the execution layer
-— parallel workers (``--jobs``), the persistent result cache
-(``--cache``), per-run profiling output (``--profile``) and per-run
+for the figure index) through the execution layer — parallel workers
+(``--jobs``), the persistent result cache (``--cache``) and per-run
 trace bundles (``--trace-out DIR``); ``trace summarize`` folds recorded
-timelines into a per-phase latency breakdown; ``check golden`` records
-or replays the committed golden-trace fixtures.
+timelines into a per-phase latency breakdown; ``lint`` runs simlint
+(docs/ANALYSIS.md); ``check golden`` records or replays the committed
+golden-trace fixtures.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from repro.experiments import (
     FIGURES,
     ResultCache,
     RunCrashed,
-    format_profile_report,
     format_sweep_table,
+    resolve_jobs,
     run_sweep,
     sweep_to_csv,
 )
@@ -211,19 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_arguments(compare_parser)
 
-    figure_parser = commands.add_parser(
-        "figure", help="regenerate one of the paper's figures"
-    )
-    figure_parser.add_argument("figure", choices=sorted(FIGURES))
-    figure_parser.add_argument(
-        "--profile",
-        choices=["quick", "bench", "full"],
-        help="scale profile (default: REPRO_PROFILE or bench)",
-    )
-
     sweep_parser = commands.add_parser(
         "sweep",
-        help="run a figure sweep with parallel workers, caching, profiling",
+        help="regenerate one of the paper's figures (parallel workers, caching)",
     )
     sweep_parser.add_argument("figure", choices=sorted(FIGURES))
     sweep_parser.add_argument(
@@ -244,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persistent result cache directory; repeated sweeps only "
         "simulate configurations that changed",
-    )
-    sweep_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-run wall-clock, events processed and events/s",
     )
     sweep_parser.add_argument(
         "--csv", metavar="PATH", help="also export the table as CSV"
@@ -383,6 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     """Handler of the ``sweep`` subcommand."""
+    if args.timeout is not None and resolve_jobs(args.jobs) == 1:
+        print(
+            "repro sweep: error: --timeout needs worker processes "
+            "(--jobs >= 2); a serial run cannot be interrupted",
+            file=sys.stderr,
+        )
+        return 2
     if args.scale:
         os.environ["REPRO_PROFILE"] = args.scale
     try:
@@ -429,8 +421,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     print(format_sweep_table(table, figure.title))
-    if args.profile:
-        print(format_profile_report(table))
     if cache is not None:
         print(
             f"cache {cache.directory}: {cache.hits} hits, "
@@ -584,15 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, results in compare_schemes(config).items():
             print(f"\n--- {name} ---")
             _print_results(results)
-        return 0
-    if args.command == "figure":
-        if args.profile:
-            os.environ["REPRO_PROFILE"] = args.profile
-        figure = FIGURES[args.figure]
-        table = run_sweep(
-            figure, progress=lambda line: print(f"  {line}", file=sys.stderr)
-        )
-        print(format_sweep_table(table, figure.title))
         return 0
     if args.command == "sweep":
         return _run_sweep_command(args)

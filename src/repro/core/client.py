@@ -23,7 +23,7 @@ import numpy as np
 from repro.cache import CacheEntry, LRUCache
 from repro.core.coca import AdaptiveTimeout, initial_timeout
 from repro.core.config import SimulationConfig
-from repro.core.metrics import Metrics, RequestOutcome
+from repro.core.metrics import COUNTED_EVENTS, Metrics, RequestOutcome
 from repro.core.server import MobileSupportStation
 from repro.core.signatures_proto import MembershipActions, SignatureAgent
 from repro.net.channel import ServerChannel
@@ -43,11 +43,11 @@ _POSITION_BYTES = 2
 #: Upper bound on remembered peer-access history for explicit updates.
 _HISTORY_CAP = 200
 
-#: Tracer instant + metrics kind per circuit-breaker transition target.
-_BREAKER_NOTES = {
-    "open": ("breaker-open", "breaker_trip"),
-    "half-open": ("breaker-probe", "breaker_probe"),
-    "closed": ("breaker-close", None),
+#: Tracer instant per circuit-breaker transition target (``breaker-close`` uncounted).
+_BREAKER_INSTANTS = {
+    "open": "breaker-open",
+    "half-open": "breaker-probe",
+    "closed": "breaker-close",
 }
 
 
@@ -265,6 +265,24 @@ class MobileHost:
     def _record_failure(self, start: float) -> None:
         self._record_outcome(RequestOutcome.FAILURE, start)
 
+    def _mark(self, event: str, parent: int = -1, **args) -> None:
+        """Report one protocol event — the only way a counted one is.
+
+        Counts it when :data:`COUNTED_EVENTS` lists it and, in a traced
+        run, emits the instant under ``parent`` with the ``recorded`` gate
+        the count just applied (what lets the trace contract reconcile).
+        """
+        if event in COUNTED_EVENTS:
+            self.metrics.count(event)
+        if self._tracer is not None:
+            self._tracer.instant(
+                event,
+                host=self.index,
+                parent=parent if parent >= 0 else None,
+                **args,
+                recorded=self.metrics.recording,
+            )
+
     def _note_local_access(self, item: int, entry: CacheEntry) -> None:
         self.cache.touch(item, self.env.now)
         self.replacement.note_access(entry, self.env.now)
@@ -320,17 +338,7 @@ class MobileHost:
         self._searches[sid] = state
         if self._monitor is not None:
             self._monitor.on_search_open(self.index, sid, self.env.now)
-        message = Message(
-            kind=MessageKind.REQUEST,
-            src=self.index,
-            dst=None,
-            size=size,
-            payload={"search": sid, "item": item, "origin": self.index, "update": update},
-            created_at=self.env.now,
-            hops_left=self.config.hop_dist - 1,
-            path=[self.index],
-        )
-        self.env.process(self._broadcast(message, size - self.sizes.request))
+        self._flood(sid, item, update, size)
 
         reply = None
         tau = self.timeout.current()
@@ -348,31 +356,8 @@ class MobileHost:
             # loss process robbed get a fresh chance to answer.  The
             # piggybacked signature update is not repeated (members that
             # received it already applied it).
-            self.metrics.record_retry("search")
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "search-retry",
-                    host=self.index,
-                    parent=state.span,
-                    attempt=attempt + 1,
-                    recorded=self.metrics.recording,
-                )
-            retry = Message(
-                kind=MessageKind.REQUEST,
-                src=self.index,
-                dst=None,
-                size=self.sizes.request,
-                payload={
-                    "search": sid,
-                    "item": item,
-                    "origin": self.index,
-                    "update": None,
-                },
-                created_at=self.env.now,
-                hops_left=self.config.hop_dist - 1,
-                path=[self.index],
-            )
-            self.env.process(self._broadcast(retry))
+            self._mark("search-retry", state.span, attempt=attempt + 1)
+            self._flood(sid, item, None, self.sizes.request)
             tau *= 2.0  # exponential backoff of the listen window
         if reply is None:
             self._finish_search(sid, "timeout")
@@ -392,6 +377,20 @@ class MobileHost:
                 hops = len(r["path"]) - 1
                 break
         return data, from_tcg, hops
+
+    def _flood(self, sid, item: int, update, size: int) -> None:
+        """Broadcast the originator's REQUEST (first flood or re-flood)."""
+        message = Message(
+            kind=MessageKind.REQUEST,
+            src=self.index,
+            dst=None,
+            size=size,
+            payload={"search": sid, "item": item, "origin": self.index, "update": update},
+            created_at=self.env.now,
+            hops_left=self.config.hop_dist - 1,
+            path=[self.index],
+        )
+        self.env.process(self._broadcast(message, size - self.sizes.request))
 
     def _select_replier(self, state: _SearchState, tried: set) -> Optional[dict]:
         """The next retrieve target among the untried repliers.
@@ -458,27 +457,12 @@ class MobileHost:
                 and self.env.now - state.started >= deadline
             ):
                 health.note("budget_exhausted")
-                self.metrics.record_health("budget_exhausted")
-                if span >= 0:
-                    self._tracer.instant(
-                        "budget-exhausted",
-                        host=self.index,
-                        parent=span,
-                        recorded=self.metrics.recording,
-                    )
+                self._mark("budget-exhausted", span)
                 break
             fallback = self._select_replier(state, tried)
             if fallback is None:
                 break
-            self.metrics.record_retry("retrieve")
-            if span >= 0:
-                self._tracer.instant(
-                    "retrieve-retry",
-                    host=self.index,
-                    parent=span,
-                    peer=fallback["peer"],
-                    recorded=self.metrics.recording,
-                )
+            self._mark("retrieve-retry", span, peer=fallback["peer"])
             yield self.env.timeout(self._backoff_delay(backoff))
             backoff *= 2.0
             reply = fallback
@@ -490,20 +474,12 @@ class MobileHost:
         """Send retrieve to the target peer and await the data item."""
         state.data_event = self.env.event()
         path = reply["path"]  # origin ... peer
-        message = Message(
-            kind=MessageKind.RETRIEVE,
-            src=self.index,
-            dst=reply["peer"],
-            size=self.sizes.retrieve,
-            payload={"search": sid, "item": state.item, "path": list(path)},
-            created_at=self.env.now,
-        )
         if len(path) < 2:
             return None
         health = self.health
         if health is not None:
             self._note_attempt(reply["peer"], span)
-        sent = yield from self.network.unicast_route(list(path), message)
+        sent = yield from self._send_retrieve(sid, state, reply)
         if not sent:
             if health is not None:
                 self._note_retrieve_failure(reply["peer"], span)
@@ -520,6 +496,20 @@ class MobileHost:
             return state.data_event.value
         payload = yield from self._guarded_wait(sid, state, reply, tried, span, guard)
         return payload
+
+    def _send_retrieve(self, sid, state: _SearchState, reply: dict):
+        """The RETRIEVE to ``reply``'s peer: the network's routed-unicast
+        generator itself (no wrapper frame), for ``yield from``."""
+        path = reply["path"]
+        message = Message(
+            kind=MessageKind.RETRIEVE,
+            src=self.index,
+            dst=reply["peer"],
+            size=self.sizes.retrieve,
+            payload={"search": sid, "item": state.item, "path": list(path)},
+            created_at=self.env.now,
+        )
+        return self.network.unicast_route(list(path), message)
 
     # ------------------------------------------------- failure-aware retrieve
 
@@ -585,15 +575,7 @@ class MobileHost:
                     # out the guard (with a hedge in flight the race keeps
                     # running — the hedge peer can still serve).
                     health.note("fast_failovers")
-                    self.metrics.record_health("fast_failover")
-                    if span >= 0:
-                        self._tracer.instant(
-                            "fast-failover",
-                            host=self.index,
-                            parent=span,
-                            peer=peer,
-                            recorded=self.metrics.recording,
-                        )
+                    self._mark("fast-failover", span, peer=peer)
                     self._note_retrieve_failure(peer, span)
                     return None
                 now = env.now
@@ -636,32 +618,15 @@ class MobileHost:
     ):
         """Send the hedged second retrieve to the next-best replier."""
         peer = reply["peer"]
-        path = reply["path"]
-        if len(path) < 2:
+        if len(reply["path"]) < 2:
             return False
         tried.add(peer)
         self._note_attempt(peer, span)
         if self._monitor is not None:
             self._monitor.on_hedge(self.index, sid, self.env.now)
         self.health.note("hedges")
-        self.metrics.record_health("hedge")
-        if span >= 0:
-            self._tracer.instant(
-                "retrieve-hedge",
-                host=self.index,
-                parent=span,
-                peer=peer,
-                recorded=self.metrics.recording,
-            )
-        message = Message(
-            kind=MessageKind.RETRIEVE,
-            src=self.index,
-            dst=peer,
-            size=self.sizes.retrieve,
-            payload={"search": sid, "item": state.item, "path": list(path)},
-            created_at=self.env.now,
-        )
-        sent = yield from self.network.unicast_route(list(path), message)
+        self._mark("retrieve-hedge", span, peer=peer)
+        sent = yield from self._send_retrieve(sid, state, reply)
         if not sent:
             self._note_retrieve_failure(peer, span)
             return False
@@ -691,17 +656,9 @@ class MobileHost:
         self._note_breaker(serving, transitions, span)
         if hedge_peer is not None and serving == hedge_peer:
             self.health.note("hedge_wins")
-            self.metrics.record_health("hedge_win")
             if self._monitor is not None:
                 self._monitor.on_hedge_win(self.index, sid, self.env.now)
-            if span >= 0:
-                self._tracer.instant(
-                    "hedge-win",
-                    host=self.index,
-                    parent=span,
-                    peer=serving,
-                    recorded=self.metrics.recording,
-                )
+            self._mark("hedge-win", span, peer=serving)
 
     def _note_retrieve_failure(self, peer: int, span: int) -> None:
         transitions = self.health.record_failure(peer, self.env.now)
@@ -714,17 +671,7 @@ class MobileHost:
                 self._monitor.on_breaker_transition(
                     self.index, peer, old, new, self.env.now
                 )
-            instant, kind = _BREAKER_NOTES[new]
-            if kind is not None:
-                self.metrics.record_health(kind)
-            if span >= 0:
-                self._tracer.instant(
-                    instant,
-                    host=self.index,
-                    parent=span,
-                    peer=peer,
-                    recorded=self.metrics.recording,
-                )
+            self._mark(_BREAKER_INSTANTS[new], span, peer=peer)
 
     def _backoff_delay(self, backoff: float) -> float:
         """The next retry delay, jittered when ``retry_jitter`` is set.
@@ -989,15 +936,7 @@ class MobileHost:
             )
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self.metrics.record_retry("uplink")
-                if span >= 0:
-                    self._tracer.instant(
-                        "uplink-retry",
-                        host=self.index,
-                        parent=span,
-                        attempt=attempt,
-                        recorded=self.metrics.recording,
-                    )
+                self._mark("uplink-retry", span, attempt=attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.server_request)
@@ -1021,7 +960,7 @@ class MobileHost:
             )
             if span >= 0:
                 self._tracer.end(span, status="ok", attempts=attempt + 1)
-            self._admit(entry)
+            self._insert(entry)
             self._apply_membership_changes(reply.added, reply.removed)
             self._record_outcome(RequestOutcome.SERVER, start)
             return
@@ -1039,15 +978,7 @@ class MobileHost:
             )
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self.metrics.record_retry("uplink")
-                if span >= 0:
-                    self._tracer.instant(
-                        "uplink-retry",
-                        host=self.index,
-                        parent=span,
-                        attempt=attempt,
-                        recorded=self.metrics.recording,
-                    )
+                self._mark("uplink-retry", span, attempt=attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.validate)
@@ -1135,13 +1066,6 @@ class MobileHost:
 
     # ------------------------------------------------------------------- admission
 
-    def _admit(self, entry: CacheEntry) -> None:
-        """Cache a server-supplied (or refreshed) copy."""
-        if entry.item in self.cache or not self.cache.is_full:
-            self._insert(entry)
-            return
-        self._insert_with_replacement(entry)
-
     def _admit_from_peer(self, reply: dict, from_tcg: bool, hops: int = 1) -> None:
         """Section IV-E admission control for peer-supplied items."""
         entry = CacheEntry(
@@ -1151,58 +1075,44 @@ class MobileHost:
             version=reply["version"],
             singlet_ttl=self.replacement.new_entry_ttl(),
         )
-        if entry.item in self.cache:
-            self._insert(entry)
-            return
-        cache_full = self.cache.is_full
-        if not self.admission.should_cache(
-            cache_full=cache_full, from_tcg_member=from_tcg, hops=hops
+        if entry.item in self.cache or self.admission.should_cache(
+            cache_full=self.cache.is_full, from_tcg_member=from_tcg, hops=hops
         ):
-            return
-        if cache_full:
-            self._insert_with_replacement(entry)
-        else:
             self._insert(entry)
 
     def _insert(self, entry: CacheEntry) -> None:
-        new_item = entry.item not in self.cache
-        evicted = self.cache.insert(entry, self.env.now)
-        self.replacement.note_insert(entry, self.env.now)
-        if self.signatures is not None:
-            if evicted is not None:
-                self.signatures.record_evict(evicted.item, self.cache.items())
-            if new_item:
-                self.signatures.record_insert(entry.item)
-        if self._tracer is not None:
-            if evicted is not None:
-                self._tracer.instant(
-                    "cache-evict", host=self.index, item=evicted.item
-                )
-            if new_item:
-                self._tracer.instant(
-                    "cache-admit", host=self.index, item=entry.item
-                )
-        if self._monitor is not None:
-            self._monitor.check_client_cache(self.index, self.cache, self.env.now)
-
-    def _insert_with_replacement(self, entry: CacheEntry) -> None:
-        """Full cache: evict the policy's chosen victim, then insert.
+        """Cache (or refresh) a copy; a new item entering a full cache
+        first evicts the replacement policy's chosen victim.
 
         For the LC/CC baseline the explicit evict-then-insert is
         equivalent to letting ``cache.insert`` evict internally: the
         victim is the same LRU entry, both paths bump the same cache
         eviction counter, and the tracer still sees evict before admit.
+        A policy names a victim for every non-empty cache, so the
+        ``cache.insert`` below never has to evict on its own.
         """
-        victim = self.replacement.select_victim(self.env.now)
-        if victim is not None:
-            self.cache.evict(victim.item)
+        new_item = entry.item not in self.cache
+        if new_item and self.cache.is_full:
+            victim = self.replacement.select_victim(self.env.now)
+            if victim is not None:
+                self.cache.evict(victim.item)
+                if self.signatures is not None:
+                    self.signatures.record_evict(victim.item, self.cache.items())
+                if self._tracer is not None:
+                    self._tracer.instant(
+                        "cache-evict", host=self.index, item=victim.item
+                    )
+        self.cache.insert(entry, self.env.now)
+        self.replacement.note_insert(entry, self.env.now)
+        if new_item:
             if self.signatures is not None:
-                self.signatures.record_evict(victim.item, self.cache.items())
+                self.signatures.record_insert(entry.item)
             if self._tracer is not None:
                 self._tracer.instant(
-                    "cache-evict", host=self.index, item=victim.item
+                    "cache-admit", host=self.index, item=entry.item
                 )
-        self._insert(entry)
+        if self._monitor is not None:
+            self._monitor.check_client_cache(self.index, self.cache, self.env.now)
 
     # ---------------------------------------------------------------- disconnection
 
@@ -1232,14 +1142,7 @@ class MobileHost:
         backoff = self.config.retry_backoff_base
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self.metrics.record_retry("uplink")
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "uplink-retry",
-                        host=self.index,
-                        attempt=attempt,
-                        recorded=self.metrics.recording,
-                    )
+                self._mark("uplink-retry", attempt=attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.membership_sync)

@@ -27,7 +27,7 @@ from repro.sim.profile import RunProfile
 from repro.sim.stats import WelfordAccumulator
 
 __all__ = [
-    "HEALTH_EVENT_KINDS",
+    "COUNTED_EVENTS",
     "Metrics",
     "RequestOutcome",
     "RequestTrace",
@@ -35,18 +35,23 @@ __all__ = [
     "TracingDisabledError",
 ]
 
-#: Event kinds of the failure-aware retrieve layer (repro.net.health)
-#: countable via :meth:`Metrics.record_health`.  All absent from
-#: :attr:`Results.health` when the layer is off, keeping pre-health
-#: fixtures comparable.
-HEALTH_EVENT_KINDS = (
-    "hedge",
-    "hedge_win",
-    "breaker_trip",
-    "breaker_probe",
-    "budget_exhausted",
-    "fast_failover",
-)
+#: The counted protocol events: tracer-instant name -> counted kind.  The
+#: three retry kinds feed ``Results.<kind>_retries``; the rest (the
+#: failure-aware retrieve layer, repro.net.health) key :attr:`Results.health`
+#: and are absent when the layer is off, keeping pre-health fixtures
+#: comparable.  :meth:`Metrics.count` counts, ``MobileHost._mark`` emits
+#: and the trace contract reconciles by this one table.
+COUNTED_EVENTS = {
+    "search-retry": "search",
+    "retrieve-retry": "retrieve",
+    "uplink-retry": "uplink",
+    "retrieve-hedge": "hedge",
+    "hedge-win": "hedge_win",
+    "breaker-open": "breaker_trip",
+    "breaker-probe": "breaker_probe",
+    "budget-exhausted": "budget_exhausted",
+    "fast-failover": "fast_failover",
+}
 
 
 class TracingDisabledError(RuntimeError):
@@ -119,8 +124,8 @@ class Results:
     uplink_retries: int = 0
     mss_fallbacks: int = 0
     #: failure-aware retrieve counters (hedges, breaker trips, ...), keyed
-    #: by :data:`HEALTH_EVENT_KINDS`; empty whenever the health layer is
-    #: disabled, and omitted from golden fixtures in that case.
+    #: by the non-retry kinds of :data:`COUNTED_EVENTS`; empty whenever the
+    #: health layer is disabled, and omitted from golden fixtures then.
     health: Dict[str, int] = field(default_factory=dict)
     #: per-outcome (count, mean latency) pairs, keyed by outcome name
     latency_by_outcome: Dict[str, Tuple[int, float]] = field(default_factory=dict)
@@ -273,21 +278,15 @@ class Metrics:
         else:
             self.peer_searches += 1
 
-    def record_retry(self, kind: str) -> None:
-        """Count one protocol retry (``search`` / ``retrieve`` / ``uplink``)."""
-        if kind not in self.retries:
-            raise ValueError(f"unknown retry kind {kind!r}")
+    def count(self, event: str) -> None:
+        """Count one protocol event (a key of :data:`COUNTED_EVENTS`)."""
+        kind = COUNTED_EVENTS[event]
         if not self.recording:
             return
-        self.retries[kind] += 1
-
-    def record_health(self, kind: str) -> None:
-        """Count one failure-aware retrieve event (see HEALTH_EVENT_KINDS)."""
-        if kind not in HEALTH_EVENT_KINDS:
-            raise ValueError(f"unknown health event kind {kind!r}")
-        if not self.recording:
-            return
-        self.health_events[kind] = self.health_events.get(kind, 0) + 1
+        if kind in self.retries:
+            self.retries[kind] += 1
+        else:
+            self.health_events[kind] = self.health_events.get(kind, 0) + 1
 
     def record_fallback(self) -> None:
         """Count one peer search that had to fall back to the MSS."""

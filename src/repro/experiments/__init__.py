@@ -7,8 +7,7 @@
   process pool, bit-identical to the serial path.
 * :mod:`repro.experiments.cache` — persistent on-disk result cache keyed
   by canonical configuration + code version.
-* :mod:`repro.experiments.tables` — text rendering of the result series
-  and per-run profile reports.
+* :mod:`repro.experiments.tables` — text rendering of the result series.
 """
 
 from repro.experiments.cache import ResultCache, config_key
@@ -37,11 +36,7 @@ from repro.experiments.runner import (
     run_sweep,
 )
 from repro.experiments.sweeps import FIGURES
-from repro.experiments.tables import (
-    format_profile_report,
-    format_results_row,
-    format_sweep_table,
-)
+from repro.experiments.tables import format_results_row, format_sweep_table
 
 __all__ = [
     "BENCH_PROFILE",
@@ -60,7 +55,6 @@ __all__ = [
     "base_config",
     "config_key",
     "execute_runs",
-    "format_profile_report",
     "format_results_row",
     "format_sweep_table",
     "jobs_from_env",

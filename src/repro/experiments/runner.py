@@ -110,7 +110,7 @@ class Figure:
     x-axis point plus the overrides of one row.
     """
 
-    #: CLI key (``repro figure KEY``), e.g. ``"fig2"``.
+    #: CLI key (``repro sweep KEY``), e.g. ``"fig2"``.
     key: str
     #: Table label and run-label prefix, e.g. ``"Fig2"``.
     label: str

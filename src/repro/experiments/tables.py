@@ -8,7 +8,7 @@ from typing import List, Tuple
 from repro.core.metrics import Results
 from repro.experiments.runner import SweepTable
 
-__all__ = ["format_profile_report", "format_results_row", "format_sweep_table"]
+__all__ = ["format_results_row", "format_sweep_table"]
 
 #: (attribute, panel title, unit, format)
 PANELS: List[Tuple[str, str, str]] = [
@@ -45,63 +45,28 @@ def format_results_row(result: Results) -> str:
 
 
 def format_sweep_table(table: SweepTable, title: str = "") -> str:
-    """Render all four panels of one figure as aligned text tables."""
+    """Render all four panels of one figure as aligned text tables.
+
+    Columns widen to fit the longest x label and the gutter to fit the
+    longest row label (never below 10 and 12, the widths every
+    numeric-axis figure uses, so those tables render as they always did).
+    """
     lines: List[str] = []
     header = f"=== {table.figure}: {title or table.parameter} ==="
     lines.append(header)
     schemes = list(table.rows)
+    labels = [str(v) for v in table.values]
+    width = max([10] + [len(label) + 1 for label in labels])
+    gutter = max([12] + [len(scheme) for scheme in schemes])
     for metric, panel, unit in PANELS:
         lines.append("")
         lines.append(f"{panel} [{unit}]")
-        value_cells = "".join(f"{str(v):>10}" for v in table.values)
-        lines.append(f"  {table.parameter:>12} |{value_cells}")
-        lines.append("  " + "-" * (14 + 10 * len(table.values)))
+        value_cells = "".join(f"{label:>{width}}" for label in labels)
+        lines.append(f"  {table.parameter:>{gutter}} |{value_cells}")
+        lines.append("  " + "-" * (gutter + 2 + width * len(labels)))
         for scheme in schemes:
             series = table.series(scheme, metric)
-            cells = "".join(f" {_fmt(v)}" for v in series)
-            lines.append(f"  {scheme:>12} |{cells}")
+            cells = "".join(f"{_fmt(v):>{width}}" for v in series)
+            lines.append(f"  {scheme:>{gutter}} |{cells}")
     lines.append("")
-    return "\n".join(lines)
-
-
-def format_profile_report(table: SweepTable) -> str:
-    """Per-run wall-clock / events/s report of one sweep.
-
-    Sourced from each run's :class:`~repro.sim.profile.RunProfile`; runs
-    resolved from the result cache report the timing of the run that
-    originally produced them.
-    """
-    lines = [f"=== {table.figure}: per-run profile ({table.parameter}) ==="]
-    total_wall = 0.0
-    total_events = 0
-    profiled = 0
-    for value in table.values:
-        for scheme in table.rows:
-            result = table.result(scheme, value)
-            profile = result.profile if result is not None else None
-            if profile is None:
-                continue
-            profiled += 1
-            total_wall += profile.wall_time
-            total_events += profile.events
-            counters = profile.counters
-            p2p = counters.get("p2p_broadcasts", 0) + counters.get(
-                "p2p_unicasts", 0
-            )
-            lines.append(
-                f"  {table.parameter}={value!s:>8} {scheme:>3}: "
-                f"{profile.wall_time:8.2f}s  {profile.events:>10} events  "
-                f"{profile.events_per_sec:>12,.0f} ev/s  p2p_tx={p2p}  "
-                f"snapshots={counters.get('snapshot_refreshes', 0)}"
-                f"+{counters.get('snapshot_rebuilds', 0)}full  "
-                f"ndp_rounds={counters.get('ndp_rounds', 0)}"
-            )
-    if profiled:
-        rate = total_events / total_wall if total_wall > 0 else 0.0
-        lines.append(
-            f"  total: {profiled} runs  {total_wall:.2f}s simulation wall-clock  "
-            f"{total_events} events  {rate:,.0f} ev/s"
-        )
-    else:
-        lines.append("  (no profiles recorded)")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.metrics import Results
+from repro.core.metrics import COUNTED_EVENTS, Results
 from repro.obs.tracer import Span, TraceEvent, derive_spans
 from repro.sim.profile import RunProfile
 
@@ -183,39 +183,17 @@ def _check_conservation(
         _count_spans(spans, "validate", {"refreshed"}),
         results.validation_refreshes,
     )
-    expect(
-        "search retries",
-        _count_instants(events, "search-retry"),
-        results.search_retries,
-    )
-    expect(
-        "retrieve retries",
-        _count_instants(events, "retrieve-retry"),
-        results.retrieve_retries,
-    )
-    expect(
-        "uplink retries",
-        _count_instants(events, "uplink-retry"),
-        results.uplink_retries,
-    )
-
-    # Failure-aware retrieve layer (repro.net.health): each counted event
-    # emits exactly one instant inside the retrieve span.  ``.get`` keeps
-    # pre-health Results (empty dict) reconciling at zero.
-    health_checks = (
-        ("retrieve-hedge", "hedge"),
-        ("hedge-win", "hedge_win"),
-        ("breaker-open", "breaker_trip"),
-        ("breaker-probe", "breaker_probe"),
-        ("budget-exhausted", "budget_exhausted"),
-        ("fast-failover", "fast_failover"),
-    )
-    for instant, kind in health_checks:
-        expect(
-            f"health {kind}",
-            _count_instants(events, instant),
-            results.health.get(kind, 0),
-        )
+    # Counted protocol events: each count emits exactly one recorded
+    # instant (MobileHost._mark).  ``.get`` keeps pre-health Results
+    # (empty ``health`` dict) reconciling at zero.
+    counted = {
+        "search": results.search_retries,
+        "retrieve": results.retrieve_retries,
+        "uplink": results.uplink_retries,
+        **results.health,
+    }
+    for instant, kind in COUNTED_EVENTS.items():
+        expect(instant, _count_instants(events, instant), counted.get(kind, 0))
 
 
 def _check_profile(

@@ -79,14 +79,15 @@ def test_figure_choices_cover_all_paper_figures():
         "fig-matrix",
         "fig-workload",
     }
-    # Both commands take exactly the table's keys.
-    for command in ("figure", "sweep"):
-        for key in FIGURES:
-            assert parse([command, key]).figure == key
-        with pytest.raises(SystemExit):
-            parse([command, "fig99"])
-        with pytest.raises(SystemExit):
-            parse([command, "Fig2"])  # the table label is not a key
+    # ``sweep`` (the one figure command) takes exactly the table's keys.
+    for key in FIGURES:
+        assert parse(["sweep", key]).figure == key
+    with pytest.raises(SystemExit):
+        parse(["sweep", "fig99"])
+    with pytest.raises(SystemExit):
+        parse(["sweep", "Fig2"])  # the table label is not a key
+    with pytest.raises(SystemExit):
+        parse(["figure", "fig2"])  # folded into ``sweep --scale``
 
 
 def test_main_run_executes(capsys):
@@ -139,28 +140,6 @@ def test_main_compare_executes(capsys):
         assert f"--- {scheme} ---" in out
 
 
-def test_main_figure_executes(capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    # Shrink the sweep through the profile hook for a fast smoke test.
-    from repro.experiments import runner
-
-    monkeypatch.setitem(runner._PROFILES, "quick", dict(
-        runner.QUICK_PROFILE,
-        n_clients=6,
-        n_data=200,
-        access_range=20,
-        cache_size=5,
-        measure_requests=3,
-        warmup_min_time=0.0,
-        warmup_max_time=30.0,
-    ))
-    code = main(["figure", "fig3", "--profile", "quick"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "(a) Access Latency" in out
-    assert "GC" in out
-
-
 def test_sweep_parser_accepts_execution_options():
     args = parse(
         [
@@ -172,7 +151,6 @@ def test_sweep_parser_accepts_execution_options():
             "4",
             "--cache",
             "/tmp/some-cache",
-            "--profile",
             "--csv",
             "/tmp/out.csv",
         ]
@@ -181,7 +159,6 @@ def test_sweep_parser_accepts_execution_options():
     assert args.scale == "quick"
     assert args.jobs == 4
     assert args.cache == "/tmp/some-cache"
-    assert args.profile is True
     assert args.csv == "/tmp/out.csv"
 
 
@@ -189,10 +166,11 @@ def test_sweep_parser_defaults_to_serial_uncached():
     args = parse(["sweep", "fig5"])
     assert args.jobs == 1
     assert args.cache is None
-    assert args.profile is False
+    assert args.timeout is None
 
 
-def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_path):
+def _shrink_quick_profile(monkeypatch):
+    """Shrink the sweep through the profile hook for a fast smoke test."""
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
     from repro.experiments import runner
 
@@ -206,6 +184,11 @@ def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_pat
         warmup_min_time=0.0,
         warmup_max_time=30.0,
     ))
+
+
+def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_path):
+    """``sweep`` with the result cache, at the (shrunken) quick scale profile."""
+    _shrink_quick_profile(monkeypatch)
     cache_dir = tmp_path / "cache"
     argv = [
         "sweep",
@@ -214,7 +197,6 @@ def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_pat
         "quick",
         "--cache",
         str(cache_dir),
-        "--profile",
         "--csv",
         str(tmp_path / "fig3.csv"),
     ]
@@ -222,8 +204,7 @@ def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_pat
     captured = capsys.readouterr()
     assert code == 0
     assert "(a) Access Latency" in captured.out
-    assert "per-run profile" in captured.out
-    assert "ev/s" in captured.out
+    assert "GC" in captured.out
     assert "15 misses, 15 stored" in captured.err
     assert (tmp_path / "fig3.csv").read_text().startswith("figure,")
 
@@ -236,3 +217,21 @@ def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_pat
     assert code == 0
     assert simulations_run() == before
     assert "15 hits, 0 misses" in captured.err
+
+
+def test_sweep_timeout_without_worker_pool_is_rejected(capsys):
+    """A serial run cannot be interrupted: --timeout alone exits 2."""
+    code = main(["sweep", "fig3", "--scale", "quick", "--timeout", "60"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--timeout" in captured.err and "--jobs" in captured.err
+    assert captured.out == ""  # rejected before any run
+
+
+def test_sweep_timeout_with_worker_pool_runs(capsys, monkeypatch):
+    _shrink_quick_profile(monkeypatch)
+    argv = ["sweep", "fig3", "--scale", "quick", "--timeout", "60", "--jobs", "2"]
+    args = parse(argv)
+    assert (args.timeout, args.jobs) == (60.0, 2)
+    assert main(argv) == 0
+    assert "(a) Access Latency" in capsys.readouterr().out

@@ -20,8 +20,9 @@ from repro.data.server_db import ServerDatabase
 from repro.data.workload import AccessPattern
 from repro.mobility import MobilityField, StationaryTrajectory
 from repro.net import MessageSizes, P2PNetwork, PowerLedger, ServerChannel
+from repro.obs import Tracer
 from repro.sim import Environment
-from repro.signatures import SignatureScheme
+from repro.signatures import CountingBloomFilter, SignatureScheme
 
 
 class PatternStream:
@@ -215,6 +216,64 @@ def test_admission_caches_non_member_supply_when_full():
     assert world.metrics.outcomes[RequestOutcome.GLOBAL_HIT] == 1
     assert 7 in world.clients[0].cache
     assert len(world.clients[0].cache) == 3  # someone was replaced
+
+
+def _full_traced_client(scheme):
+    """Client 0 of a two-host world: cache (1, 3, 2 in LRU order) full, a
+    tracer attached and the replacement policy's choices recorded."""
+    world = World(NEAR, scheme=scheme, cache_size=3)
+    client = world.clients[0]
+    client._tracer = Tracer()
+    client._tracer.bind(world.env)
+    for item in (1, 2, 3):
+        world.give_item(0, item)
+    client.cache.touch(2, world.env.now)
+    chosen = []
+    select = client.replacement.select_victim
+
+    def recording_select(now):
+        chosen.append(select(now))
+        return chosen[-1]
+
+    client.replacement.select_victim = recording_select
+    return world, client, chosen
+
+
+def _cache_instants(client):
+    return [
+        (event.name, event.args["item"])
+        for event in client._tracer.events
+        if event.name in ("cache-evict", "cache-admit")
+    ]
+
+
+@pytest.mark.parametrize("scheme", [CachingScheme.CC, CachingScheme.GC], ids=lambda s: s.value)
+def test_new_item_into_full_cache_evicts_exactly_the_policys_victim(scheme):
+    world, client, chosen = _full_traced_client(scheme)
+    world.give_item(0, 9)
+    assert len(chosen) == 1
+    victim = chosen[0].item
+    assert sorted(client.cache.items()) == sorted({1, 2, 3, 9} - {victim})
+    assert client.cache.evictions == 1
+    # The tracer sees the eviction first, then the admission.
+    assert _cache_instants(client)[-2:] == [("cache-evict", victim), ("cache-admit", 9)]
+    if client.signatures is not None:
+        # The own signature was told both halves: it equals a fresh build.
+        fresh = CountingBloomFilter(world.signature_scheme, world.config.counter_bits)
+        fresh.rebuild(client.cache.items())
+        assert client.signatures.own.counters == fresh.counters
+
+
+def test_refreshing_a_cached_item_evicts_nothing():
+    world, client, chosen = _full_traced_client(CachingScheme.GC)
+    before = _cache_instants(client)
+    world.give_item(0, 1, expiry=50.0)  # already cached: a refresh
+    assert chosen == []  # the policy was not even asked
+    assert client.cache.evictions == 0
+    assert sorted(client.cache.items()) == [1, 2, 3]
+    assert client.cache.get(1).expiry == 50.0
+    assert client.cache.items()[-1] == 1  # refreshed copy is MRU
+    assert _cache_instants(client) == before  # neither evict nor admit
 
 
 def test_gc_filter_bypasses_unknown_items():

@@ -23,7 +23,6 @@ from repro.experiments import (
     RunSpec,
     SweepTable,
     execute_runs,
-    format_profile_report,
     jobs_from_env,
     resolve_jobs,
     run_replications,
@@ -224,13 +223,9 @@ def test_run_profile_attached_and_excluded_from_equality():
     assert profile is not None
     assert profile.wall_time > 0
     assert profile.events > 0
-    assert profile.events_per_sec > 0
     assert profile.counters["snapshot_refreshes"] > 0
     assert profile.counters["snapshot_rebuilds"] == 0  # incremental fast path
     assert profile.counters["ndp_rounds"] == 0  # ndp disabled in tiny_config
-    flat = profile.as_dict()
-    assert flat["events"] == profile.events
-    assert "counter_snapshot_refreshes" in flat
 
 
 def test_run_profile_counts_network_traffic():
@@ -253,15 +248,6 @@ def test_run_profile_counts_ndp_rounds():
     result = run_simulation(tiny_config(ndp_enabled=True, warmup_max_time=10.0))
     assert result.profile.counters["ndp_rounds"] > 0
     assert result.profile.counters["beacons_sent"] > 0
-
-
-def test_format_profile_report_lists_every_run():
-    table = tiny_sweep(jobs=1)
-    report = format_profile_report(table)
-    assert "FigP: per-run profile" in report
-    assert report.count("cache_size=") == 4
-    assert "total: 4 runs" in report
-    assert "ev/s" in report
 
 
 # -- SweepTable guards --------------------------------------------------------

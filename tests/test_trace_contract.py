@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.client import MobileHost
 from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.metrics import COUNTED_EVENTS
 from repro.core.simulation import run_simulation
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 from repro.obs import (
@@ -163,3 +164,85 @@ def test_sample_trace_bundle_exports(tmp_path):
     assert validate(payload, load_chrome_trace_schema()) == []
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
     assert manifest["results"]["requests"] == results.requests
+
+
+#: The pair of runs of ``test_every_counted_event_is_reconciled_non_vacuously``.
+_COUNTED_BASE = dict(
+    scheme=CachingScheme.GC,
+    n_clients=20,
+    n_data=1500,
+    access_range=150,
+    cache_size=15,
+    measure_requests=12,
+    warmup_min_time=40.0,
+    warmup_max_time=40.0,
+    data_update_rate=3.0,
+    p_disc=0.1,
+    search_retry_limit=1,
+    breaker_threshold=2,
+    crash_failover=True,
+)
+_COUNTED_RUNS = [
+    # Lossy links + hedging: every retry kind, hedges and hedge wins,
+    # breaker trips and half-open probes.
+    dict(
+        seed=1,
+        faults=FaultPlan(
+            p2p=LinkFaults(loss=0.15),
+            uplink=LinkFaults(loss=0.1),
+            downlink=LinkFaults(loss=0.1),
+            crash=CrashFaults(rate=0.01),
+        ),
+        retrieve_retry_limit=2,
+        peer_policy="latency-aware",
+        hedge_quantile=0.5,
+        retrieve_deadline=0.5,
+        retry_jitter=0.2,
+    ),
+    # Crash storm + a 20 ms budget: exhausted budgets and crash fail-overs.
+    dict(
+        seed=3,
+        faults=FaultPlan(
+            p2p=LinkFaults(loss=0.3),
+            crash=CrashFaults(rate=0.2, down_min=0.5, down_max=2.0),
+        ),
+        retrieve_retry_limit=3,
+        peer_policy="power-aware",
+        retrieve_deadline=0.02,
+    ),
+]
+
+
+def test_every_counted_event_is_reconciled_non_vacuously():
+    """Each row of ``COUNTED_EVENTS`` reconciles against a non-zero count."""
+    seen = Counter()
+    for overrides in _COUNTED_RUNS:
+        observer, results = _traced_run(
+            SimulationConfig(**{**_COUNTED_BASE, **overrides})
+        )
+        events = observer.tracer.events
+        problems = check_trace(events, results=results, profile=results.profile)
+        assert problems == [], "\n".join(problems)
+        # The contract just equated recorded instants with the Results
+        # counters, so counting the instants counts what was reconciled.
+        seen.update(
+            e.name for e in events if e.kind == "I" and e.args.get("recorded")
+        )
+        assert seen["search-retry"] >= results.search_retries > 0
+    assert len(COUNTED_EVENTS) == 9
+    assert [event for event in COUNTED_EVENTS if not seen[event]] == [], dict(seen)
+
+
+def test_docs_list_every_instant():
+    """docs/OBSERVABILITY.md names every counted instant (and breaker-close)."""
+    text = (
+        Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+    ).read_text(encoding="utf-8")
+    instants = text[text.index("Instants (point events)"):]
+    instants = instants[: instants.index("\n\n")]
+    missing = [
+        name
+        for name in [*COUNTED_EVENTS, "breaker-close"]
+        if f"`{name}`" not in instants
+    ]
+    assert missing == []

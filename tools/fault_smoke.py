@@ -10,8 +10,11 @@ Two gates, both fast at the quick profile:
 1. **Monitored adaptive runs** — one GroCoCa run per adaptive row of the
    ``fig-policy`` figure at ``p2p_loss=0.25``, each with the
    :class:`~repro.check.monitor.InvariantMonitor` attached in ``collect``
-   mode.  Any invariant violation — including the breaker-discipline and
-   hedge-conservation checks — fails the smoke.
+   mode and an :class:`~repro.obs.Observer` recording the trace.  Any
+   invariant violation — including the breaker-discipline and
+   hedge-conservation checks — fails the smoke, and so does any trace
+   contract problem (``check_trace``: every counted protocol event of
+   ``repro.core.metrics.COUNTED_EVENTS`` reconciles with ``Results``).
 2. **Micro policy sweep** — the same figure run through :func:`run_sweep` at
    two points with ``salvage=True``; any crashed or missing run fails the
    smoke (a fault plan must degrade a run, never kill it).
@@ -28,6 +31,7 @@ from repro.core.simulation import run_simulation
 from repro.experiments.parallel import RunFailure
 from repro.experiments.runner import run_sweep
 from repro.experiments.sweeps import FIGURES
+from repro.obs import Observer, check_trace
 
 #: The figure both gates drive: scoring policy x P2P fault rate.
 FIG_POLICY = FIGURES["fig-policy"]
@@ -46,21 +50,26 @@ def check_monitored_runs() -> int:
         if policy == "arrival":
             continue  # the legacy path is golden-gated elsewhere
         monitor = InvariantMonitor(mode="collect")
+        observer = Observer()
         results = run_simulation(
-            FIG_POLICY.config(SMOKE_LOSS, policy), monitor=monitor
+            FIG_POLICY.config(SMOKE_LOSS, policy), monitor=monitor, observer=observer
         )
         report = monitor.report()
         status = "ok" if report.ok else "VIOLATIONS"
+        contract = check_trace(observer.tracer.events, results, results.profile)
         print(
             f"  {policy:>14}: {status}  "
             f"lat={results.access_latency:.4f}s  "
             f"trips={results.health.get('breaker_trip', 0)}  "
-            f"hedges={results.health.get('hedge', 0)}"
+            f"hedges={results.health.get('hedge', 0)}  "
+            f"contract {'ok' if not contract else contract[0]}"
         )
         if not report.ok:
             failures += 1
             for violation in report.violations:
                 print(f"    {violation}")
+        if contract:
+            failures += 1
     return failures
 
 
