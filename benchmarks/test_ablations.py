@@ -47,7 +47,7 @@ def test_ablation_a1_admission_control(benchmark, record_table):
         record_table,
         "a1_admission",
         "cooperative cache admission control",
-        admission_control=False,
+        admission_policy="always",
     )
     # Without admission control TCG members duplicate each other's items,
     # shrinking the aggregate cache: the GCH ratio must not improve.
@@ -60,7 +60,7 @@ def test_ablation_a2_cooperative_replacement(benchmark, record_table):
         record_table,
         "a2_replacement",
         "cooperative cache replacement",
-        cooperative_replacement=False,
+        replacement_policy="lru",
     )
     # Replica-first eviction is the second-order mechanism: admission
     # control already suppresses most intra-TCG duplication, so at this

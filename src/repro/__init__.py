@@ -23,7 +23,6 @@ from repro.core.metrics import (
     Metrics,
     RequestOutcome,
     Results,
-    TracingDisabledError,
 )
 from repro.core.simulation import Simulation, compare_schemes, run_simulation
 from repro.obs import Observer, TimeSeriesSampler, Tracer, run_traced
@@ -42,7 +41,6 @@ __all__ = [
     "SimulationConfig",
     "TimeSeriesSampler",
     "Tracer",
-    "TracingDisabledError",
     "compare_schemes",
     "run_simulation",
     "run_traced",

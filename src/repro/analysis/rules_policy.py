@@ -1,6 +1,6 @@
 """Policy-registry rules: strategies come from the registry, not ``new``.
 
-PR 8 moved every strategy choice (admission, replacement, discovery,
+PR 8 moved every strategy choice (admission, replacement,
 peer-scoring) behind the string-keyed registry in
 :mod:`repro.policies.registry`.  A call site that constructs a policy
 class directly bypasses the registry — it dodges the conformance battery,

@@ -1,6 +1,6 @@
 """Registry/docs/conformance three-way consistency.
 
-Five policy namespaces resolve by string key (docs/POLICIES.md); the
+Three policy namespaces resolve by string key (docs/POLICIES.md); the
 key surface lives in three places that can silently drift apart: the
 ``@register``/``register_value`` calls in the code, the operator-facing
 catalogue in ``docs/POLICIES.md``, and the conformance battery (which

@@ -40,6 +40,7 @@ from repro.experiments import (
     FIGURES,
     ResultCache,
     RunCrashed,
+    active_profile,
     format_sweep_table,
     resolve_jobs,
     run_sweep,
@@ -87,9 +88,6 @@ def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
         "--replacement", metavar="KEY", help="replacement policy registry key"
     )
     parser.add_argument(
-        "--discovery", metavar="KEY", help="discovery policy registry key"
-    )
-    parser.add_argument(
         "--peer-policy", metavar="KEY", help="retrieve peer-scoring key"
     )
 
@@ -107,7 +105,6 @@ _CONFIG_FIELDS = {
     "seed": "seed",
     "admission": "admission_policy",
     "replacement": "replacement_policy",
-    "discovery": "discovery_policy",
     "peer_policy": "peer_policy",
     "workload": "workload",
 }
@@ -142,11 +139,7 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if getattr(args, "no_ndp", False):
         overrides["ndp_enabled"] = False
     if getattr(args, "scheme", None):
-        # Resolved through the registry's "scheme" namespace (the enum
-        # name doubles as the registry key, lowercased).
-        overrides["scheme"] = policy_registry.resolve(
-            "scheme", args.scheme.lower()
-        ).to_enum()
+        overrides["scheme"] = CachingScheme[args.scheme]
     return SimulationConfig(**overrides)
 
 
@@ -378,6 +371,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     if args.scale:
         os.environ["REPRO_PROFILE"] = args.scale
     try:
+        active_profile()  # a bad REPRO_PROFILE or a set REPRO_FULL fails here
         cache = ResultCache(args.cache) if args.cache else None
     except ValueError as error:
         print(f"repro sweep: error: {error}", file=sys.stderr)

@@ -105,7 +105,7 @@ class MobileHost:
         #: behind an ``is None`` guard so untraced runs are bit-identical.
         self._tracer = tracer
         #: Optional failure-aware retrieve layer (see repro.net.health);
-        #: ``None`` keeps the legacy arrival-order retrieve path, branch
+        #: ``None`` keeps the paper's arrival-order retrieve path, branch
         #: for branch, so health-off runs replay the goldens exactly.
         self.health = health
         #: Optional shared "retry-jitter" stream; ``None`` (retry_jitter=0)
@@ -143,8 +143,8 @@ class MobileHost:
         else:
             self.signatures = None
         # Admission and replacement resolve through the policy registry;
-        # with no explicit *_policy overrides the factory reproduces the
-        # pre-registry wiring (and counters) exactly.
+        # with no explicit *_policy override the scheme's default row
+        # (policies.factory.SCHEME_DEFAULTS) applies.
         self.admission = build_admission(config, rng=admission_rng)
         self.replacement = build_replacement(
             config,
@@ -251,7 +251,6 @@ class MobileHost:
             outcome,
             self.env.now - start,
             from_tcg=from_tcg,
-            now=self.env.now,
         )
         if self._tracer is not None:
             self._tracer.end(
@@ -395,7 +394,7 @@ class MobileHost:
     def _select_replier(self, state: _SearchState, tried: set) -> Optional[dict]:
         """The next retrieve target among the untried repliers.
 
-        Without the health layer this is the legacy arrival-order pick;
+        Without the health layer this is the paper's arrival-order pick;
         with it, candidates are ranked by the configured scoring policy
         after circuit-broken peers are filtered out (``None`` when every
         untried replier is broken — the caller falls back to the MSS

@@ -16,8 +16,7 @@ from enum import Enum
 from typing import Dict
 
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
-from repro.net.health import SCORING_POLICIES
-from repro.policies import registry as policy_registry
+from repro.policies import SCHEME_DEFAULTS, registry as policy_registry
 from repro.workloads import registry as workload_registry
 
 __all__ = ["CachingScheme", "SimulationConfig"]
@@ -76,7 +75,7 @@ class SimulationConfig:
     think_time_mean: float = 1.0  # exp interarrival between accesses
 
     # -- workload registry (repro.workloads) ----------------------------------------------
-    # Empty string = the legacy stationary group-Zipf process (resolved to
+    # Empty string = the paper's stationary group-Zipf process (resolved to
     # the registered "stationary-zipf" engine, bit-identically), which
     # keeps every config recorded before these fields existed replaying
     # unchanged.  A non-empty value must name a registered workload key;
@@ -118,9 +117,7 @@ class SimulationConfig:
     # arrival order, no breakers, no hedging, no deadline budget, crash
     # failover off.  Any non-default value flips ``health_enabled`` and
     # builds a PeerHealthTracker per host.
-    peer_policy: str = "arrival"  # key into net.health.SCORING_POLICIES
-    policy_epsilon: float = 0.1  # ε for the epsilon-greedy policy
-    health_alpha: float = 0.3  # EWMA weight of the health estimators
+    peer_policy: str = "arrival"  # key into the "peer-scoring" namespace
     breaker_threshold: int = 0  # consecutive failures to trip; 0 = off
     breaker_cooldown: float = 2.0  # s from trip to the half-open probe
     hedge_quantile: float = 0.0  # EWMA-latency quantile to hedge at; 0 = off
@@ -148,19 +145,15 @@ class SimulationConfig:
     # -- GroCoCa: cooperative cache management ----------------------------------------------------
     replace_candidate: int = 10  # ReplaceCandidate
     replace_delay: int = 2  # ReplaceDelay (SingletTTL initial value)
-    admission_control: bool = True  # ablation A1
-    cooperative_replacement: bool = True  # ablation A2
     signature_filtering: bool = True  # ablation A4
     signature_compression: bool = True  # ablation A3
 
     # -- policy registry overrides (repro.policies) -----------------------------------------------
-    # Empty string = resolve through the legacy mapping (scheme + ablation
-    # flags), which keeps every config recorded before these fields existed
-    # bit-identical.  A non-empty value must name a registered key and
-    # overrides that axis for every host.
-    admission_policy: str = ""  # key into the "admission" namespace
-    replacement_policy: str = ""  # key into the "replacement" namespace
-    discovery_policy: str = ""  # key into the "discovery" namespace
+    # Empty string = this scheme's default (policies.SCHEME_DEFAULTS), so a
+    # config follows its scheme through ``with_scheme``; a non-empty value
+    # must name a registered key and overrides that axis for every host.
+    admission_policy: str = ""  # "admission" key; ablation A1 is GC + "always"
+    replacement_policy: str = ""  # "replacement" key; ablation A2 is GC + "lru"
 
     # -- NDP ---------------------------------------------------------------------------------------
     ndp_enabled: bool = True
@@ -177,7 +170,6 @@ class SimulationConfig:
     measure_requests: int = 200  # per-client requests beyond warmup
     max_sim_time: float = 20_000.0  # hard stop (simulated seconds)
     count_beacon_power: bool = False  # include NDP beacons in power/GCH
-    trace_requests: bool = False  # keep per-request traces (percentiles)
 
     def __post_init__(self):
         # NaN fails no ``<`` test and +/-inf passes every lower bound: reject
@@ -285,9 +277,11 @@ class SimulationConfig:
         for namespace, value in (
             ("admission", self.admission_policy),
             ("replacement", self.replacement_policy),
-            ("discovery", self.discovery_policy),
+            ("peer-scoring", self.peer_policy),
         ):
-            if value and value not in policy_registry.available(namespace):
+            if not value and namespace in SCHEME_DEFAULTS[self.scheme.value]:
+                continue  # "" = this scheme's default, where it has one
+            if value not in policy_registry.available(namespace):
                 raise ValueError(
                     f"unknown {namespace} policy {value!r}; available: "
                     f"{', '.join(policy_registry.available(namespace))}"
@@ -296,13 +290,6 @@ class SimulationConfig:
             raise ValueError(
                 "replacement policy 'grococa' needs the GroCoCa signature "
                 "scheme (scheme GC)"
-            )
-        if self.discovery_policy == "tcg" and not self.scheme.group_based:
-            raise ValueError("discovery policy 'tcg' requires scheme GC")
-        if self.discovery_policy == "none" and self.scheme.group_based:
-            raise ValueError(
-                "scheme GC requires TCG discovery; discovery policy 'none' "
-                "is only valid for LC/CC"
             )
         if not isinstance(self.workload_params, dict) or any(
             not isinstance(name, str) for name in self.workload_params
@@ -313,15 +300,6 @@ class SimulationConfig:
                 f"unknown workload {self.workload!r}; available: "
                 f"{', '.join(workload_registry.available())}"
             )
-        if self.peer_policy not in SCORING_POLICIES:
-            raise ValueError(
-                f"unknown peer_policy {self.peer_policy!r}; "
-                f"known: {sorted(SCORING_POLICIES)}"
-            )
-        if not 0.0 <= self.policy_epsilon <= 1.0:
-            raise ValueError("policy_epsilon must be in [0, 1]")
-        if not 0.0 < self.health_alpha <= 1.0:
-            raise ValueError("health_alpha must be in (0, 1]")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
         if self.breaker_cooldown <= 0:
@@ -368,6 +346,12 @@ PeerHealthTracker` is built and runs stay bit-identical to the goldens.
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SimulationConfig":
         """Rebuild a config from :meth:`as_dict` output (e.g. JSON)."""
+        known = sorted(spec.name for spec in dataclasses.fields(cls))
+        if unknown := sorted(set(payload).difference(known)):
+            raise ValueError(
+                f"unknown SimulationConfig field(s): {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(known)}"
+            )
         data = dict(payload)
         data["scheme"] = CachingScheme(data["scheme"])
         faults = data.get("faults")

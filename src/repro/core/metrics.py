@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.net.power import PowerLedger
 from repro.sim.profile import RunProfile
@@ -30,9 +28,7 @@ __all__ = [
     "COUNTED_EVENTS",
     "Metrics",
     "RequestOutcome",
-    "RequestTrace",
     "Results",
-    "TracingDisabledError",
 ]
 
 #: The counted protocol events: tracer-instant name -> counted kind.  The
@@ -54,24 +50,6 @@ COUNTED_EVENTS = {
 }
 
 
-class TracingDisabledError(RuntimeError):
-    """A per-request trace query was made on an untraced :class:`Metrics`.
-
-    Raised by :meth:`Metrics.latency_percentiles` and
-    :meth:`Metrics.client_timeline` when the instance was built with
-    ``trace=False``; the message names the query and says how to enable
-    tracing.
-    """
-
-    def __init__(self, query: str) -> None:
-        super().__init__(
-            f"{query} needs per-request traces, but this Metrics was built "
-            "with trace=False; construct it with Metrics(scheme, trace=True) "
-            "or run with SimulationConfig(trace_requests=True)"
-        )
-        self.query = query
-
-
 class RequestOutcome(Enum):
     """Section III's four outcomes of a client request."""
 
@@ -79,17 +57,6 @@ class RequestOutcome(Enum):
     GLOBAL_HIT = auto()
     SERVER = auto()
     FAILURE = auto()
-
-
-@dataclass(frozen=True)
-class RequestTrace:
-    """One traced request (recorded when tracing is enabled)."""
-
-    time: float
-    client: int
-    outcome: RequestOutcome
-    latency: float
-    from_tcg: bool
 
 
 @dataclass
@@ -169,15 +136,12 @@ class Results:
 class Metrics:
     """Accumulates outcomes; produces :class:`Results`.
 
-    With ``trace=True`` every recorded request is also kept as a
-    :class:`RequestTrace`, enabling percentile analysis and per-client
-    timelines at the cost of memory proportional to the request count.
+    Per-request records (percentiles, per-host timelines) are the
+    ``request`` spans of an attached :class:`~repro.obs.session.Observer`.
     """
 
-    def __init__(self, scheme: str, trace: bool = False):
+    def __init__(self, scheme: str):
         self.scheme = scheme
-        self.trace = trace
-        self.traces: List[RequestTrace] = []
         self.recording = False
         self.requests = 0
         self.outcomes: Dict[RequestOutcome, int] = {o: 0 for o in RequestOutcome}
@@ -212,7 +176,6 @@ class Metrics:
         outcome: RequestOutcome,
         latency: float,
         from_tcg: bool = False,
-        now: float = math.nan,
     ) -> None:
         if not self.recording:
             return
@@ -228,40 +191,6 @@ class Metrics:
         self.latency_by_outcome[outcome].add(latency)
         if self.per_client_requests is not None:
             self.per_client_requests[client] += 1
-        if self.trace:
-            self.traces.append(
-                RequestTrace(
-                    time=now,
-                    client=client,
-                    outcome=outcome,
-                    latency=latency,
-                    from_tcg=from_tcg,
-                )
-            )
-
-    def latency_percentiles(
-        self,
-        percentiles: Sequence[float] = (50.0, 90.0, 99.0),
-        outcome: Optional[RequestOutcome] = None,
-    ) -> Dict[float, float]:
-        """Latency percentiles from the trace (requires ``trace=True``)."""
-        if not self.trace:
-            raise TracingDisabledError("latency_percentiles")
-        values = [
-            t.latency
-            for t in self.traces
-            if outcome is None or t.outcome is outcome
-        ]
-        if not values:
-            return {p: math.nan for p in percentiles}
-        points = np.percentile(values, list(percentiles))
-        return dict(zip(percentiles, (float(v) for v in points)))
-
-    def client_timeline(self, client: int) -> List[RequestTrace]:
-        """All traced requests of one client, in time order."""
-        if not self.trace:
-            raise TracingDisabledError("client_timeline")
-        return [t for t in self.traces if t.client == client]
 
     def record_validation(self, refreshed: bool) -> None:
         if not self.recording:

@@ -74,7 +74,7 @@ class Simulation:
             monitor.bind(config)
         self.env = Environment(monitor=monitor)
         self.streams = RandomStreams(config.seed)
-        self.metrics = Metrics(config.scheme.value, trace=config.trace_requests)
+        self.metrics = Metrics(config.scheme.value)
 
         area = Rectangle(config.area_width, config.area_height)
         self.field, self.group_of = build_group_mobility(
@@ -116,16 +116,20 @@ class Simulation:
             alpha=config.alpha,
             examine_interval=config.examine_interval,
         )
-        # Discovery resolves through the policy registry; the legacy
-        # mapping gives GC its TCGManager and LC/CC None, exactly as the
-        # scheme check used to.
-        self._policy_keys = policy_factory.resolved_policy_keys(config)
-        self._custom_policies = policy_factory.custom_policies(config)
-        self.tcg: Optional[TCGManager] = policy_factory.build_discovery(
-            config, monitor=monitor, tracer=tracer
-        )
+        # What makes a scheme group-based: MSS-side TCG discovery
+        # (Algorithms 1-3) and the cache signatures exchanged inside a TCG.
+        self.tcg: Optional[TCGManager] = None
         self.signature_scheme: Optional[SignatureScheme] = None
-        if config.scheme is CachingScheme.GC:
+        if config.scheme.group_based:
+            self.tcg = TCGManager(
+                config.n_clients,
+                config.n_data,
+                config.distance_threshold,
+                config.similarity_threshold,
+                config.omega,
+                monitor=monitor,
+                tracer=tracer,
+            )
             self.signature_scheme = SignatureScheme(
                 self.streams.stream("hash"),
                 config.signature_bits,
@@ -148,11 +152,11 @@ class Simulation:
         sizes = MessageSizes(data=config.data_size)
         # The demand process resolves through the workload registry;
         # workload="" builds the stationary-zipf engine, which replays
-        # the legacy build_access_patterns path bit-identically (same
-        # "workload" stream, same draw order).
+        # the pre-registry build_access_patterns path bit-identically
+        # (same "workload" stream, same draw order).
         self.workload = build_workload(config, self.streams, self.group_of)
         # Failure-aware retrieve layer (repro.net.health): trackers exist
-        # only when some knob moved off its golden default, so a legacy
+        # only when some knob moved off its golden default, so a default
         # configuration constructs nothing, draws from no new stream, and
         # stays bit-identical.  Only cooperative schemes retrieve from
         # peers, so LC never gets a tracker.
@@ -165,11 +169,9 @@ class Simulation:
             )
             self._trackers = [
                 PeerHealthTracker(
-                    alpha=config.health_alpha,
                     breaker_threshold=config.breaker_threshold,
                     breaker_cooldown=config.breaker_cooldown,
                     policy=config.peer_policy,
-                    epsilon=config.policy_epsilon,
                     rng=policy_rng,
                 )
                 for _ in range(config.n_clients)
@@ -178,7 +180,7 @@ class Simulation:
             self.streams.stream("retry-jitter") if config.retry_jitter > 0 else None
         )
         # Shared stream for stochastic admission policies; deterministic
-        # policies (every legacy mapping) create no stream at all.
+        # policies (every scheme default) create no stream at all.
         admission_rng = (
             self.streams.stream("admission-policy")
             if policy_factory.admission_needs_rng(config)
@@ -306,19 +308,6 @@ class Simulation:
                     for tracker in self._trackers
                     if tracker is not None
                 )
-        if self._custom_policies:
-            # Policy engagement counters appear only when some resolved
-            # key departs from the legacy mapping, so golden profiles (and
-            # the differential replay) keep their exact counter set.
-            counters["policy_admitted"] = sum(
-                client.admission.admitted for client in self.clients
-            )
-            counters["policy_rejected"] = sum(
-                client.admission.rejected for client in self.clients
-            )
-            counters["policy_evictions"] = sum(
-                client.replacement.eviction_count() for client in self.clients
-            )
         return RunProfile(
             wall_time=wall_time,
             events=self.env.events_processed,

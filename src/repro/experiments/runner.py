@@ -9,8 +9,6 @@ environment variable (``quick`` / ``bench`` / ``full``):
 * ``bench``  — the default: paper parameter *ratios* at a reduced
   population and run length; preserves every qualitative shape,
 * ``full``   — the paper's population and a long measurement window.
-
-``REPRO_FULL=1`` is a shorthand for ``REPRO_PROFILE=full``.
 """
 
 from __future__ import annotations
@@ -86,7 +84,9 @@ SCHEME_ROWS: Dict[str, Dict[str, Any]] = {
 def active_profile() -> str:
     """The profile name selected by the environment (default ``bench``)."""
     if os.environ.get("REPRO_FULL", "") not in ("", "0"):
-        return "full"
+        # The retired shorthand used to win over REPRO_PROFILE; running
+        # bench scale for someone who asked for full would be silent.
+        raise ValueError("REPRO_FULL is no longer read; set REPRO_PROFILE=full")
     name = os.environ.get("REPRO_PROFILE", "bench").lower()
     if name not in _PROFILES:
         raise ValueError(

@@ -16,7 +16,6 @@ from typing import Any, Dict
 
 from repro.experiments.runner import SCHEME_ROWS, Figure
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
-from repro.net.health import SCORING_POLICIES
 
 __all__ = ["FIGURES", "GENERATIVE_WORKLOADS"]
 
@@ -199,10 +198,11 @@ FIGURES: Dict[str, Figure] = {
             ),
         ),
         # FigPolicy: replier-scoring policy × P2P fault rate, GroCoCa only.
-        # Rows are the retrieve scoring policies of repro.net.health
-        # instead of caching schemes: ``arrival`` runs the legacy retrieve
-        # path untouched (no health layer at all — the golden-default
-        # baseline), every other row adds the failure-aware layer.
+        # Rows are the registry's peer-scoring keys instead of caching
+        # schemes, named here because their order is the plotted order:
+        # ``arrival`` runs the paper's retrieve path untouched (no health
+        # layer at all — the golden-default baseline), every other row
+        # adds the failure-aware layer.
         Figure(
             key="fig-policy",
             label="FigPolicy",
@@ -222,7 +222,13 @@ FIGURES: Dict[str, Figure] = {
                     if policy == "arrival"
                     else dict(_FAILURE_AWARE, peer_policy=policy)
                 )
-                for policy in SCORING_POLICIES
+                for policy in (
+                    "arrival",
+                    "least-pending",
+                    "latency-aware",
+                    "power-aware",
+                    "epsilon-greedy",
+                )
             },
             row_word="policy",
         ),

@@ -22,7 +22,6 @@ from repro.net.health import (
     CircuitBreaker,
     PeerHealth,
     PeerHealthTracker,
-    SCORING_POLICIES,
 )
 from repro.net.message import Message, MessageKind, MessageSizes
 from repro.net.ndp import NeighborDiscovery
@@ -45,6 +44,5 @@ __all__ = [
     "PowerLedger",
     "PowerModel",
     "PowerParameters",
-    "SCORING_POLICIES",
     "ServerChannel",
 ]

@@ -14,13 +14,14 @@ from* matters as much as what it caches.  Each :class:`MobileHost` owns a
 * a :class:`CircuitBreaker` so a known-dead replier is skipped instead
   of timed out against.
 
-Repliers are ranked by a pluggable string-keyed scoring policy from
-:data:`SCORING_POLICIES`; ``arrival`` reproduces today's first-reply
-behaviour exactly and is the golden-trace default.  The module is pure
-bookkeeping — it never touches the kernel, draws randomness only through
-the generator handed to it (``epsilon-greedy``), and is only constructed
-when :attr:`~repro.core.config.SimulationConfig.health_enabled` is true,
-so disabled runs take zero new branches and stay bit-identical.
+Repliers are ranked by a pluggable string-keyed scoring policy from the
+registry's ``peer-scoring`` namespace; ``arrival`` reproduces today's
+first-reply behaviour exactly and is the golden-trace default.  The
+module is pure bookkeeping — it never touches the kernel, draws
+randomness only through the generator handed to it (``epsilon-greedy``),
+and is only constructed when
+:attr:`~repro.core.config.SimulationConfig.health_enabled` is true, so
+disabled runs take zero new branches and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "Ewma",
     "PeerHealth",
     "PeerHealthTracker",
-    "SCORING_POLICIES",
 ]
 
 #: The breaker's three states (see :class:`CircuitBreaker`).
@@ -55,6 +55,11 @@ LEGAL_TRANSITIONS: Tuple[Tuple[str, str], ...] = (
     (HALF_OPEN, CLOSED),
     (HALF_OPEN, OPEN),
 )
+
+#: EWMA weight of the latency / failure-rate / power estimators.
+HEALTH_ALPHA = 0.3
+#: ε of the ``epsilon-greedy`` policy: the share of picks that explore.
+POLICY_EPSILON = 0.1
 
 
 class Ewma:
@@ -186,11 +191,23 @@ class PeerHealth:
 ScoringPolicy = Callable[[List[dict], "PeerHealthTracker"], dict]
 
 
+@registry.register(
+    "peer-scoring",
+    "arrival",
+    summary="first reply to arrive wins (golden-trace default)",
+    citation="Chow, Leong & Chan, ICDCS'04 §III",
+)
 def _policy_arrival(candidates: List[dict], tracker: "PeerHealthTracker") -> dict:
     """Today's behaviour: the first reply to arrive wins."""
     return candidates[0]
 
 
+@registry.register(
+    "peer-scoring",
+    "least-pending",
+    summary="fewest outstanding retrieves to the peer",
+    citation="Suresh et al., NSDI'15 (C3/absim queue-length signal)",
+)
 def _policy_least_pending(
     candidates: List[dict], tracker: "PeerHealthTracker"
 ) -> dict:
@@ -201,6 +218,12 @@ def _policy_least_pending(
     )[1]
 
 
+@registry.register(
+    "peer-scoring",
+    "latency-aware",
+    summary="lowest queue-adjusted EWMA retrieve latency",
+    citation="Suresh et al., NSDI'15 (C3 replica ranking)",
+)
 def _policy_latency_aware(
     candidates: List[dict], tracker: "PeerHealthTracker"
 ) -> dict:
@@ -214,6 +237,12 @@ def _policy_latency_aware(
     )[1]
 
 
+@registry.register(
+    "peer-scoring",
+    "power-aware",
+    summary="shortest reply path first; latency breaks ties",
+    citation="Chow, Leong & Chan, ICDCS'04 §V (power model)",
+)
 def _policy_power_aware(
     candidates: List[dict], tracker: "PeerHealthTracker"
 ) -> dict:
@@ -229,6 +258,12 @@ def _policy_power_aware(
     )[1]
 
 
+@registry.register(
+    "peer-scoring",
+    "epsilon-greedy",
+    summary="explore a uniform replier with probability epsilon",
+    citation="Sutton & Barto (epsilon-greedy bandit)",
+)
 def _policy_epsilon_greedy(
     candidates: List[dict], tracker: "PeerHealthTracker"
 ) -> dict:
@@ -242,56 +277,6 @@ def _policy_epsilon_greedy(
         return candidates[int(rng.integers(len(candidates)))]
     return _policy_latency_aware(candidates, tracker)
 
-
-SCORING_POLICIES: Dict[str, ScoringPolicy] = {
-    "arrival": _policy_arrival,
-    "least-pending": _policy_least_pending,
-    "latency-aware": _policy_latency_aware,
-    "power-aware": _policy_power_aware,
-    "epsilon-greedy": _policy_epsilon_greedy,
-}
-
-# Mirror the scoring table into the policy registry's "peer-scoring"
-# namespace so ``repro policies list`` and the conformance battery cover
-# replier selection alongside the cache-policy axes.  The dict above
-# stays the canonical store (the tracker resolves through it directly);
-# each key keeps a literal registration site so static tooling can see
-# the full key surface.
-registry.register_value(
-    "peer-scoring",
-    "arrival",
-    _policy_arrival,
-    summary="first reply to arrive wins (golden-trace default)",
-    citation="Chow, Leong & Chan, ICDCS'04 §III",
-)
-registry.register_value(
-    "peer-scoring",
-    "least-pending",
-    _policy_least_pending,
-    summary="fewest outstanding retrieves to the peer",
-    citation="Suresh et al., NSDI'15 (C3/absim queue-length signal)",
-)
-registry.register_value(
-    "peer-scoring",
-    "latency-aware",
-    _policy_latency_aware,
-    summary="lowest queue-adjusted EWMA retrieve latency",
-    citation="Suresh et al., NSDI'15 (C3 replica ranking)",
-)
-registry.register_value(
-    "peer-scoring",
-    "power-aware",
-    _policy_power_aware,
-    summary="shortest reply path first; latency breaks ties",
-    citation="Chow, Leong & Chan, ICDCS'04 §V (power model)",
-)
-registry.register_value(
-    "peer-scoring",
-    "epsilon-greedy",
-    _policy_epsilon_greedy,
-    summary="explore a uniform replier with probability epsilon",
-    citation="Sutton & Barto (epsilon-greedy bandit)",
-)
 
 #: Whole-run engagement counters every tracker maintains; surfaced as
 #: ``health_*`` in :class:`~repro.sim.profile.RunProfile` counters.
@@ -310,25 +295,20 @@ class PeerHealthTracker:
 
     def __init__(
         self,
-        alpha: float,
         breaker_threshold: int,
         breaker_cooldown: float,
         policy: str,
-        epsilon: float = 0.1,
+        alpha: float = HEALTH_ALPHA,
+        epsilon: float = POLICY_EPSILON,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if policy not in SCORING_POLICIES:
-            raise ValueError(
-                f"unknown scoring policy {policy!r}; "
-                f"known: {sorted(SCORING_POLICIES)}"
-            )
         self.alpha = alpha
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.policy = policy
         self.epsilon = epsilon
         self.rng = rng
-        self._score = SCORING_POLICIES[policy]
+        self._score: ScoringPolicy = registry.resolve("peer-scoring", policy)
         self._peers: Dict[int, PeerHealth] = {}
         self.counts: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
 

@@ -3,12 +3,11 @@
 Public surface:
 
 * :mod:`repro.policies.registry` — ``register`` / ``resolve`` /
-  ``available`` / ``describe`` / ``entries`` over the five namespaces
-  (``scheme``, ``admission``, ``replacement``, ``discovery``,
-  ``peer-scoring``);
-* :mod:`repro.policies.factory` — legacy-mapping resolution from a
-  :class:`~repro.core.config.SimulationConfig` plus the per-namespace
-  builders used by the simulation wiring;
+  ``available`` / ``describe`` / ``entries`` over the three namespaces
+  (``admission``, ``replacement``, ``peer-scoring``);
+* :mod:`repro.policies.factory` — the per-scheme default keys, their
+  resolution from a :class:`~repro.core.config.SimulationConfig` and the
+  per-namespace builders used by the simulation wiring;
 * :mod:`repro.policies.conformance` — the battery every registered key
   must pass (imported explicitly; it pulls in the simulation layer).
 
@@ -18,11 +17,9 @@ simulation modules.
 """
 
 from repro.policies.factory import (
+    SCHEME_DEFAULTS,
     build_admission,
-    build_discovery,
     build_replacement,
-    custom_policies,
-    legacy_policy_keys,
     resolved_policy_keys,
 )
 from repro.policies.registry import (
@@ -40,14 +37,12 @@ from repro.policies.registry import (
 __all__ = [
     "NAMESPACES",
     "PolicyInfo",
+    "SCHEME_DEFAULTS",
     "available",
     "build_admission",
-    "build_discovery",
     "build_replacement",
-    "custom_policies",
     "describe",
     "entries",
-    "legacy_policy_keys",
     "register",
     "register_value",
     "resolve",

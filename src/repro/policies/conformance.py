@@ -43,12 +43,9 @@ def conformance_keys() -> List[Tuple[str, str]]:
 def conformance_config(namespace: str, key: str) -> SimulationConfig:
     """A small config that genuinely exercises ``(namespace, key)``.
 
-    Cooperative schemes host the peer-facing namespaces (``discovery``
-    picks the scheme its key is valid for).
+    GroCoCa hosts the two cache-management namespaces (the ``grococa``
+    keys need its TCGs and signatures); COCA hosts ``peer-scoring``.
     """
-    if namespace == "scheme":
-        spec = registry.resolve("scheme", key)
-        return SimulationConfig(scheme=spec.to_enum(), **BASE_CONFIG)
     if namespace == "admission":
         return SimulationConfig(
             scheme=CachingScheme.GC, admission_policy=key, **BASE_CONFIG
@@ -57,9 +54,6 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
         return SimulationConfig(
             scheme=CachingScheme.GC, replacement_policy=key, **BASE_CONFIG
         )
-    if namespace == "discovery":
-        scheme = CachingScheme.GC if key != "none" else CachingScheme.CC
-        return SimulationConfig(scheme=scheme, discovery_policy=key, **BASE_CONFIG)
     if namespace == "peer-scoring":
         # A non-default peer policy flips health_enabled on by itself;
         # for "arrival" the breaker does it so the tracker is really built.

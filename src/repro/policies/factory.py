@@ -1,23 +1,20 @@
 """Resolution of a config's policy choices through the registry.
 
 The bridge between :class:`~repro.core.config.SimulationConfig` and the
-registry: the config's explicit ``*_policy`` keys override a **legacy
-mapping** derived from the scheme and the ablation flags, so a config
-that sets no explicit key resolves to exactly the policies the
-pre-registry code hard-wired — which is how the four golden fixtures
-replay bit-identically through the registry path.
+registry: every scheme has a row of default keys
+(:data:`SCHEME_DEFAULTS`), an explicit ``*_policy`` key overrides its
+scheme's row, and ``""`` means *this scheme's default* — so a config
+that names no key follows its scheme through ``with_scheme``, which is
+how ``compare_schemes`` runs one config under all three.
 
 Builder contracts per namespace (what :func:`registry.resolve` returns):
 
 ========== =============================================================
-scheme      :class:`~repro.policies.schemes.SchemeSpec` (a value, not a
-            builder)
 admission   ``builder(config, rng) -> AdmissionPolicy``; ``rng`` is the
             shared ``admission-policy`` stream (None unless the resolved
             key is in :data:`RNG_ADMISSION_KEYS`)
 replacement ``builder(config, cache, signature_scheme, peer_signature)
             -> ReplacementPolicy``
-discovery   ``builder(config, monitor, tracer) -> Optional[TCGManager]``
 peer-scoring ``(candidates, tracker) -> reply`` scoring callable (see
             :mod:`repro.net.health`)
 ========== =============================================================
@@ -36,12 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "RNG_ADMISSION_KEYS",
+    "SCHEME_DEFAULTS",
     "admission_needs_rng",
     "build_admission",
-    "build_discovery",
     "build_replacement",
-    "custom_policies",
-    "legacy_policy_keys",
     "resolved_policy_keys",
 ]
 
@@ -50,53 +45,25 @@ __all__ = [
 #: policies add no RNG stream and replay identically.
 RNG_ADMISSION_KEYS = ("probcache",)
 
-
-def legacy_policy_keys(config: "SimulationConfig") -> Dict[str, str]:
-    """The registry keys the pre-registry code hard-wired for ``config``.
-
-    Derived from the scheme and the ablation flags only — the explicit
-    ``*_policy`` fields are deliberately ignored, so the differential
-    golden test can compare this mapping against an explicit-key config.
-    """
-    scheme = config.scheme
-    if scheme.group_based:
-        admission = "grococa" if config.admission_control else "always"
-        replacement = "grococa" if config.cooperative_replacement else "lru"
-        discovery = "tcg"
-    else:
-        admission = "always"
-        replacement = "lru"
-        discovery = "none"
-    return {
-        "scheme": scheme.value.lower(),
-        "admission": admission,
-        "replacement": replacement,
-        "discovery": discovery,
-        "peer-scoring": config.peer_policy,
-    }
+#: ``CachingScheme`` value -> the keys that scheme runs when the config
+#: names none: LC and CC cache everything under plain LRU, GroCoCa runs
+#: Section IV-E's admission control and cooperative replacement.
+SCHEME_DEFAULTS: Dict[str, Dict[str, str]] = {
+    "LC": {"admission": "always", "replacement": "lru"},
+    "CC": {"admission": "always", "replacement": "lru"},
+    "GC": {"admission": "grococa", "replacement": "grococa"},
+}
 
 
 def resolved_policy_keys(config: "SimulationConfig") -> Dict[str, str]:
-    """The keys a run actually uses: explicit fields override the legacy
-    mapping, empty fields fall through to it."""
-    keys = legacy_policy_keys(config)
-    if config.admission_policy:
-        keys["admission"] = config.admission_policy
-    if config.replacement_policy:
-        keys["replacement"] = config.replacement_policy
-    if config.discovery_policy:
-        keys["discovery"] = config.discovery_policy
-    return keys
-
-
-def custom_policies(config: "SimulationConfig") -> bool:
-    """Whether any resolved key departs from the legacy mapping.
-
-    Gates the ``policy_*`` RunProfile counters: a config whose explicit
-    keys merely restate the legacy mapping gets the exact legacy counter
-    set, so golden fixtures and the differential test see no new fields.
-    """
-    return resolved_policy_keys(config) != legacy_policy_keys(config)
+    """namespace -> the key a run uses: the explicit key, else the
+    scheme's row of :data:`SCHEME_DEFAULTS`."""
+    defaults = SCHEME_DEFAULTS[config.scheme.value]
+    return {
+        "admission": config.admission_policy or defaults["admission"],
+        "replacement": config.replacement_policy or defaults["replacement"],
+        "peer-scoring": config.peer_policy,
+    }
 
 
 def admission_needs_rng(config: "SimulationConfig") -> bool:
@@ -123,10 +90,3 @@ def build_replacement(
     key = resolved_policy_keys(config)["replacement"]
     builder = registry.resolve("replacement", key)
     return builder(config, cache, signature_scheme, peer_signature)
-
-
-def build_discovery(config: "SimulationConfig", monitor=None, tracer=None):
-    """The peer-group discovery machinery (None for group-less schemes)."""
-    key = resolved_policy_keys(config)["discovery"]
-    builder = registry.resolve("discovery", key)
-    return builder(config, monitor=monitor, tracer=tracer)

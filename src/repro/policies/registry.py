@@ -1,10 +1,10 @@
 """String-keyed policy plugin registry (ROADMAP item 3).
 
-The simulator's strategy choices — caching scheme, cache admission, cache
-replacement, peer-group discovery and retrieve peer-scoring — are looked
-up here by ``(namespace, key)`` instead of being hard-coded, the way
-Icarus hosts its ~20 strategies behind ``@register_strategy``.  Adding a
-policy is one decorated definition::
+The simulator's strategy choices — cache admission, cache replacement
+and retrieve peer-scoring — are looked up here by ``(namespace, key)``
+instead of being hard-coded, the way Icarus hosts its ~20 strategies
+behind ``@register_strategy``.  Adding a policy is one decorated
+definition::
 
     from repro.policies.registry import register
 
@@ -45,10 +45,8 @@ __all__ = [
 
 #: The registry's namespaces, one per strategy axis of the simulator.
 NAMESPACES: Tuple[str, ...] = (
-    "scheme",
     "admission",
     "replacement",
-    "discovery",
     "peer-scoring",
 )
 
@@ -64,9 +62,7 @@ def _load_builtins() -> None:
     """
     from repro.policies import (  # noqa: F401
         admission,
-        discovery,
         replacement,
-        schemes,
     )
     from repro.net import health  # noqa: F401
 

@@ -45,9 +45,9 @@ _IMMORTAL_COST = 1e18
 class ReplacementPolicy:
     """Base class: victim selection plus optional bookkeeping hooks.
 
-    All hooks default to no-ops so the legacy-equivalent policies add no
-    work to the hot path.  ``observes_requests`` gates the per-request
-    hooks in the client — a policy that does not set it never sees
+    All hooks default to no-ops so a policy pays only for the hooks it
+    overrides.  ``observes_requests`` gates the per-request hooks in the
+    client — a policy that does not set it never sees
     ``note_request``/``note_remote_request`` calls at all.
 
     ``enabled`` is ``False`` only for the plain-LRU baseline; the
@@ -83,7 +83,7 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def eviction_count(self) -> int:
-        """Victims chosen so far (the ``policy_evictions`` counter)."""
+        """Victims chosen so far."""
         return self.evictions
 
 

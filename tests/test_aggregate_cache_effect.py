@@ -25,8 +25,8 @@ def build(seed, cooperative):
         warmup_min_time=150.0,
         warmup_max_time=250.0,
         ndp_enabled=False,
-        admission_control=cooperative,
-        cooperative_replacement=cooperative,
+        admission_policy="grococa" if cooperative else "always",
+        replacement_policy="grococa" if cooperative else "lru",
         seed=seed,
     )
     sim = Simulation(config)

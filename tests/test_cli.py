@@ -228,6 +228,17 @@ def test_sweep_timeout_without_worker_pool_is_rejected(capsys):
     assert captured.out == ""  # rejected before any run
 
 
+def test_sweep_rejects_the_retired_repro_full_shorthand(capsys, monkeypatch):
+    """REPRO_FULL used to win silently over ``--scale``; now it is named."""
+    monkeypatch.setenv("REPRO_PROFILE", "bench")  # restored after --scale sets it
+    monkeypatch.setenv("REPRO_FULL", "1")
+    code = main(["sweep", "fig3", "--scale", "quick"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "REPRO_FULL is no longer read; set REPRO_PROFILE=full" in captured.err
+    assert captured.out == ""  # rejected before any run
+
+
 def test_sweep_timeout_with_worker_pool_runs(capsys, monkeypatch):
     _shrink_quick_profile(monkeypatch)
     argv = ["sweep", "fig3", "--scale", "quick", "--timeout", "60", "--jobs", "2"]

@@ -88,6 +88,31 @@ def test_from_dict_rejects_nan_from_json():
         SimulationConfig.from_dict(json.loads(text))
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        # the six fields this round retired ...
+        "discovery_policy",
+        "admission_control",
+        "cooperative_replacement",
+        "policy_epsilon",
+        "health_alpha",
+        "trace_requests",
+        # ... and a typo of a live one
+        "cache_sise",
+    ],
+)
+def test_from_dict_rejects_an_unknown_field_by_name(name):
+    # cached JSON, old trace manifests and hand-written configs alike: the
+    # stray key is named before the dataclass constructor can choke on it.
+    payload = {**SimulationConfig().as_dict(), name: False}
+    with pytest.raises(ValueError) as err:
+        SimulationConfig.from_dict(payload)
+    message = str(err.value)
+    assert message.startswith(f"unknown SimulationConfig field(s): {name!r}; known: ")
+    assert "cache_size, " in message  # the live names are listed
+
+
 def test_with_scheme_and_replace():
     config = SimulationConfig()
     lc = config.with_scheme(CachingScheme.LC)

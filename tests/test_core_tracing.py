@@ -1,74 +1,25 @@
-"""Tests for request tracing and latency percentiles."""
+"""Per-request records: the per-outcome latency table and ``request`` spans.
 
-import math
+``Metrics`` keeps totals only; the per-request record (time, host,
+outcome, latency, ``from_tcg``) is the ``request`` span of an attached
+:class:`~repro.obs.session.Observer`.
+"""
 
 import pytest
 
 from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.metrics import Metrics, RequestOutcome, RequestTrace
-from repro.core.simulation import Simulation
+from repro.core.metrics import Metrics, RequestOutcome
+from repro.core.simulation import run_simulation
 from repro.net.power import PowerLedger
-
-
-def recording_metrics(trace=True):
-    metrics = Metrics("GC", trace=trace)
-    metrics.start_recording(0.0, PowerLedger(2), n_clients=2)
-    return metrics
-
-
-def test_traces_disabled_by_default():
-    metrics = recording_metrics(trace=False)
-    metrics.record_request(0, RequestOutcome.LOCAL_HIT, 0.0, now=1.0)
-    assert metrics.traces == []
-    with pytest.raises(RuntimeError):
-        metrics.latency_percentiles()
-    with pytest.raises(RuntimeError):
-        metrics.client_timeline(0)
-
-
-def test_traces_capture_requests():
-    metrics = recording_metrics()
-    metrics.record_request(0, RequestOutcome.SERVER, 0.1, now=5.0)
-    metrics.record_request(1, RequestOutcome.GLOBAL_HIT, 0.02, from_tcg=True, now=6.0)
-    assert metrics.traces == [
-        RequestTrace(5.0, 0, RequestOutcome.SERVER, 0.1, False),
-        RequestTrace(6.0, 1, RequestOutcome.GLOBAL_HIT, 0.02, True),
-    ]
-
-
-def test_latency_percentiles():
-    metrics = recording_metrics()
-    for i in range(1, 101):
-        metrics.record_request(0, RequestOutcome.SERVER, i / 100.0, now=float(i))
-    points = metrics.latency_percentiles((50.0, 90.0))
-    assert points[50.0] == pytest.approx(0.505, abs=0.02)
-    assert points[90.0] == pytest.approx(0.905, abs=0.02)
-
-
-def test_latency_percentiles_filtered_by_outcome():
-    metrics = recording_metrics()
-    metrics.record_request(0, RequestOutcome.LOCAL_HIT, 0.0, now=1.0)
-    metrics.record_request(0, RequestOutcome.SERVER, 1.0, now=2.0)
-    only_server = metrics.latency_percentiles((50.0,), RequestOutcome.SERVER)
-    assert only_server[50.0] == pytest.approx(1.0)
-    missing = metrics.latency_percentiles((50.0,), RequestOutcome.FAILURE)
-    assert math.isnan(missing[50.0])
-
-
-def test_client_timeline():
-    metrics = recording_metrics()
-    metrics.record_request(0, RequestOutcome.SERVER, 0.1, now=1.0)
-    metrics.record_request(1, RequestOutcome.SERVER, 0.2, now=2.0)
-    metrics.record_request(0, RequestOutcome.LOCAL_HIT, 0.0, now=3.0)
-    timeline = metrics.client_timeline(0)
-    assert [t.time for t in timeline] == [1.0, 3.0]
+from repro.obs import Observer, phase_breakdown
 
 
 def test_results_latency_by_outcome():
-    metrics = recording_metrics(trace=False)
-    metrics.record_request(0, RequestOutcome.SERVER, 0.2, now=1.0)
-    metrics.record_request(0, RequestOutcome.SERVER, 0.4, now=2.0)
-    metrics.record_request(0, RequestOutcome.LOCAL_HIT, 0.0, now=3.0)
+    metrics = Metrics("GC")
+    metrics.start_recording(0.0, PowerLedger(2), n_clients=2)
+    metrics.record_request(0, RequestOutcome.SERVER, 0.2)
+    metrics.record_request(0, RequestOutcome.SERVER, 0.4)
+    metrics.record_request(0, RequestOutcome.LOCAL_HIT, 0.0)
     results = metrics.results(10.0, PowerLedger(2))
     assert results.latency_by_outcome["SERVER"] == (2, pytest.approx(0.3))
     assert results.latency_by_outcome["LOCAL_HIT"][0] == 1
@@ -87,14 +38,27 @@ def test_simulation_tracing_end_to_end():
         warmup_min_time=30.0,
         warmup_max_time=60.0,
         ndp_enabled=False,
-        trace_requests=True,
         seed=9,
     )
-    sim = Simulation(config)
-    results = sim.run()
-    assert len(sim.metrics.traces) == results.requests
-    points = sim.metrics.latency_percentiles((50.0, 99.0))
-    assert points[50.0] <= points[99.0]
-    # Traces are in simulated-time order.
-    times = [t.time for t in sim.metrics.traces]
+    observer = Observer()
+    results = run_simulation(config, observer=observer)
+    # One recorded ``request`` span per counted request ...
+    closes = [
+        event
+        for event in observer.tracer.events
+        if event.kind == "E" and event.name == "request" and event.args["recorded"]
+    ]
+    assert len(closes) == results.requests
+    # ... closed in simulated-time order, each on a real host ...
+    times = [event.time for event in closes]
     assert times == sorted(times)
+    assert {event.host for event in closes} <= set(range(config.n_clients))
+    # ... and the percentiles the per-request list used to serve come from
+    # the span durations.
+    (request,) = [
+        stats
+        for stats in phase_breakdown(observer.tracer.spans())
+        if stats.name == "request"
+    ]
+    assert request.count >= results.requests  # warm-up requests are spans too
+    assert request.p50 <= request.p95 <= request.max

@@ -50,8 +50,18 @@ def test_active_profile_default(monkeypatch):
 def test_active_profile_env(monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "quick")
     assert active_profile() == "quick"
+    monkeypatch.setenv("REPRO_PROFILE", "full")
+    assert active_profile() == "full"
+    # The retired shorthand used to win over the explicit choice; now a set
+    # value is rejected by name ("" and "0" were always "off").
+    for off in ("", "0"):
+        monkeypatch.setenv("REPRO_FULL", off)
+        assert active_profile() == "full"
+    monkeypatch.setenv("REPRO_PROFILE", "quick")
     monkeypatch.setenv("REPRO_FULL", "1")
-    assert active_profile() == "full"  # REPRO_FULL wins
+    with pytest.raises(ValueError) as err:
+        active_profile()
+    assert str(err.value) == "REPRO_FULL is no longer read; set REPRO_PROFILE=full"
 
 
 def test_active_profile_rejects_unknown(monkeypatch):

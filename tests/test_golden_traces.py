@@ -31,6 +31,7 @@ def test_fixture_configs_round_trip_to_the_canonical_cases():
         assert fixture["format"] == golden.FIXTURE_FORMAT
         assert fixture["name"] == name
         assert SimulationConfig.from_dict(fixture["config"]) == config
+        assert SimulationConfig.from_dict(config.as_dict()) == config
 
 
 def test_record_then_verify_round_trip(tmp_path):

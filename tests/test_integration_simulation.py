@@ -169,8 +169,8 @@ def test_explicit_updates_reach_server():
 
 def test_ablation_flags_disable_machinery():
     config = small_config(
-        admission_control=False,
-        cooperative_replacement=False,
+        admission_policy="always",
+        replacement_policy="lru",
         signature_filtering=False,
     )
     sim = Simulation(config)

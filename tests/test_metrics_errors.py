@@ -1,4 +1,4 @@
-"""Error-path contracts: tracing-disabled metrics and SweepTable lookups.
+"""Error-path contracts: SweepTable lookups.
 
 These messages are user-facing API (docs and notebooks point at them), so
 they are asserted verbatim.
@@ -6,37 +6,8 @@ they are asserted verbatim.
 
 import pytest
 
-from repro.core.metrics import Metrics, Results, TracingDisabledError
+from repro.core.metrics import Results
 from repro.experiments.runner import SweepTable
-
-
-def _expected_message(query):
-    return (
-        f"{query} needs per-request traces, but this Metrics was built "
-        "with trace=False; construct it with Metrics(scheme, trace=True) "
-        "or run with SimulationConfig(trace_requests=True)"
-    )
-
-
-def test_latency_percentiles_requires_tracing():
-    metrics = Metrics("GC", trace=False)
-    with pytest.raises(TracingDisabledError) as excinfo:
-        metrics.latency_percentiles()
-    assert str(excinfo.value) == _expected_message("latency_percentiles")
-    assert excinfo.value.query == "latency_percentiles"
-
-
-def test_client_timeline_requires_tracing():
-    metrics = Metrics("GC", trace=False)
-    with pytest.raises(TracingDisabledError) as excinfo:
-        metrics.client_timeline(0)
-    assert str(excinfo.value) == _expected_message("client_timeline")
-    assert excinfo.value.query == "client_timeline"
-
-
-def test_tracing_disabled_error_is_a_runtime_error():
-    # Callers that caught the old RuntimeError contract keep working.
-    assert issubclass(TracingDisabledError, RuntimeError)
 
 
 def _table():

@@ -27,7 +27,6 @@ from repro.net.health import (
     CircuitBreaker,
     Ewma,
     PeerHealthTracker,
-    SCORING_POLICIES,
 )
 from repro.sim.random import RandomStreams
 
@@ -244,9 +243,8 @@ def test_epsilon_greedy_needs_a_stream_and_is_deterministic():
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown scoring policy"):
+    with pytest.raises(KeyError, match="unknown peer-scoring policy"):
         tracker("fastest-first")
-    assert "arrival" in SCORING_POLICIES
 
 
 # -- tracker lifecycle --------------------------------------------------------

@@ -59,12 +59,7 @@ def test_conformance_config_resolves_the_requested_policy(namespace, key):
     from repro.policies.factory import resolved_policy_keys
 
     config = conformance_config(namespace, key)
-    if namespace == "peer-scoring":
-        assert config.peer_policy == key
-    elif namespace == "scheme":
-        assert config.scheme.value.lower() == key
-    else:
-        assert resolved_policy_keys(config)[namespace] == key
+    assert resolved_policy_keys(config)[namespace] == key
 
 
 def test_report_as_dict_is_json_shaped():

@@ -1,11 +1,11 @@
-"""Differential registry test: legacy mapping vs explicit policy keys.
+"""Differential registry test: scheme defaults vs explicit policy keys.
 
 For every golden case the empty ``*_policy`` config fields resolve
-through :func:`legacy_policy_keys`.  Spelling those same keys out
-explicitly must route every decision through the registry builders and
-still replay bit-identically — proving the registry indirection adds no
-behavioural surface.  A deliberately different key must diverge, so the
-comparison is known to have teeth.
+through the scheme's row of :data:`SCHEME_DEFAULTS`.  Spelling those same
+keys out explicitly must route every decision through the registry
+builders and still replay bit-identically — proving the registry
+indirection adds no behavioural surface.  A deliberately different key
+must diverge, so the comparison is known to have teeth.
 """
 
 import pytest
@@ -13,37 +13,30 @@ import pytest
 from repro.check.golden import GOLDEN_CASES, results_to_dict
 from repro.core.config import CachingScheme
 from repro.core.simulation import run_simulation
-from repro.policies.factory import (
-    custom_policies,
-    legacy_policy_keys,
-    resolved_policy_keys,
-)
+from repro.policies.factory import SCHEME_DEFAULTS, resolved_policy_keys
 
 CASES = sorted(GOLDEN_CASES)
 
 
 def explicit_config(config):
-    """The same config with its legacy policy mapping spelled out."""
-    keys = legacy_policy_keys(config)
+    """The same config with its scheme's default keys spelled out."""
+    row = SCHEME_DEFAULTS[config.scheme.value]
     return config.replace(
-        admission_policy=keys["admission"],
-        replacement_policy=keys["replacement"],
-        discovery_policy=keys["discovery"],
+        admission_policy=row["admission"],
+        replacement_policy=row["replacement"],
     )
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_explicit_keys_replay_legacy_run_bit_identically(name):
-    legacy = GOLDEN_CASES[name]
-    explicit = explicit_config(legacy)
+    default = GOLDEN_CASES[name]
+    explicit = explicit_config(default)
     # the rewrite really changed the config and really pinned the keys
-    assert explicit != legacy
+    assert explicit != default
     assert explicit.admission_policy != ""
-    assert resolved_policy_keys(explicit) == legacy_policy_keys(legacy)
-    # explicit-but-equal keys still count as the legacy wiring
-    assert not custom_policies(explicit)
+    assert resolved_policy_keys(explicit) == resolved_policy_keys(default)
 
-    baseline = results_to_dict(run_simulation(legacy))
+    baseline = results_to_dict(run_simulation(default))
     registry_run = results_to_dict(run_simulation(explicit))
     drift = {
         field: (baseline[field], registry_run.get(field))
@@ -55,10 +48,10 @@ def test_explicit_keys_replay_legacy_run_bit_identically(name):
 
 def test_differential_harness_detects_a_real_policy_change():
     """A genuinely different replacement key must not replay the golden."""
-    legacy = GOLDEN_CASES["gc-small"]
-    swapped = legacy.replace(replacement_policy="lru-min")
-    assert custom_policies(swapped)
-    baseline = results_to_dict(run_simulation(legacy))
+    default = GOLDEN_CASES["gc-small"]
+    swapped = default.replace(replacement_policy="lru-min")
+    assert resolved_policy_keys(swapped) != resolved_policy_keys(default)
+    baseline = results_to_dict(run_simulation(default))
     changed = results_to_dict(run_simulation(swapped))
     assert baseline != changed
 
@@ -66,14 +59,12 @@ def test_differential_harness_detects_a_real_policy_change():
 @pytest.mark.parametrize("name", CASES)
 def test_legacy_mapping_matches_scheme_semantics(name):
     config = GOLDEN_CASES[name]
-    keys = legacy_policy_keys(config)
-    assert keys["scheme"] == config.scheme.value.lower()
+    assert set(SCHEME_DEFAULTS) == {scheme.value for scheme in CachingScheme}
+    keys = resolved_policy_keys(config)
     if config.scheme is CachingScheme.GC:
         assert keys["admission"] == "grococa"
         assert keys["replacement"] == "grococa"
-        assert keys["discovery"] == "tcg"
     else:
         assert keys["admission"] == "always"
         assert keys["replacement"] == "lru"
-        assert keys["discovery"] == "none"
     assert keys["peer-scoring"] == config.peer_policy

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.health import SCORING_POLICIES
+from repro.core.config import CachingScheme, SimulationConfig
 from repro.policies import registry
 
 # Throwaway keys: lowercase slugs prefixed so they can never collide with
@@ -101,13 +101,34 @@ def test_temporary_policy_cleans_up_on_exception(namespace, key):
 @given(key=st.one_of(st.just(""), st.integers(), st.none()))
 def test_non_string_or_empty_key_is_rejected(key):
     with pytest.raises(ValueError, match="policy key must be"):
-        registry.register_value("scheme", key, object())
+        registry.register_value("admission", key, object())
 
 
-def test_peer_scoring_namespace_mirrors_scoring_policies():
-    assert registry.available("peer-scoring") == sorted(SCORING_POLICIES)
-    for key, fn in SCORING_POLICIES.items():
-        assert registry.resolve("peer-scoring", key) is fn
+#: namespace -> the SimulationConfig field that picks its key.
+POLICY_FIELDS = {
+    "admission": "admission_policy",
+    "replacement": "replacement_policy",
+    "peer-scoring": "peer_policy",
+}
+
+
+def _accepted_keys(namespace, scheme):
+    accepted = []
+    for key in registry.available(namespace):
+        try:
+            SimulationConfig(scheme=scheme, **{POLICY_FIELDS[namespace]: key})
+        except ValueError:
+            continue
+        accepted.append(key)
+    return accepted
+
+
+@pytest.mark.parametrize("namespace", registry.NAMESPACES)
+def test_every_policy_field_offers_a_choice(namespace):
+    """A namespace earns its config field by holding a real alternative:
+    under some scheme the config accepts two or more distinct keys.  (The
+    retired ``discovery`` namespace accepted exactly one per scheme.)"""
+    assert max(len(_accepted_keys(namespace, s)) for s in CachingScheme) >= 2
 
 
 def test_entries_metadata_matches_describe():
