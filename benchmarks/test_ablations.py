@@ -17,7 +17,7 @@ from repro.core.simulation import run_simulation
 from repro.experiments import base_config, format_results_row
 
 
-def _compare(benchmark, record_table, name, title, **disabled):
+def _compare(benchmark, record_table, stem, title, **disabled):
     config = base_config(scheme=CachingScheme.GC)
 
     def runs():
@@ -28,7 +28,7 @@ def _compare(benchmark, record_table, name, title, **disabled):
     full, ablated = run_once(benchmark, runs)
     text = "\n".join(
         [
-            f"=== Ablation {name}: {title} ===",
+            f"=== Ablation {stem.removeprefix('ablation_')}: {title} ===",
             f"  full GroCoCa : {format_results_row(full)}",
             f"  ablated      : {format_results_row(ablated)}",
             f"  searches full/ablated: {full.peer_searches}/{ablated.peer_searches}"
@@ -37,7 +37,7 @@ def _compare(benchmark, record_table, name, title, **disabled):
             f"{full.power_signature:.0f}/{ablated.power_signature:.0f} uW.s",
         ]
     )
-    record_table(f"ablation_{name}", text)
+    record_table(stem, text)
     return full, ablated
 
 
@@ -45,7 +45,7 @@ def test_ablation_a1_admission_control(benchmark, record_table):
     full, ablated = _compare(
         benchmark,
         record_table,
-        "a1_admission",
+        "ablation_a1_admission",
         "cooperative cache admission control",
         admission_policy="always",
     )
@@ -58,7 +58,7 @@ def test_ablation_a2_cooperative_replacement(benchmark, record_table):
     full, ablated = _compare(
         benchmark,
         record_table,
-        "a2_replacement",
+        "ablation_a2_replacement",
         "cooperative cache replacement",
         replacement_policy="lru",
     )
@@ -119,7 +119,7 @@ def test_ablation_a4_signature_filtering(benchmark, record_table):
     full, ablated = _compare(
         benchmark,
         record_table,
-        "a4_filtering",
+        "ablation_a4_filtering",
         "cache signature search filtering",
         signature_filtering=False,
     )

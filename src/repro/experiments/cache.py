@@ -10,9 +10,10 @@ Invalidation rules:
 
 * any config field change (scheme, seed, every Table II parameter)
   changes the canonical JSON and therefore the key;
-* a new package version (``repro.__version__``) or cache format bump
-  (:data:`CACHE_FORMAT`) invalidates every prior entry, because simulated
-  trajectories are only reproducible for the code that produced them;
+* any edit to the package's own source (:func:`source_digest`), a new
+  ``repro.__version__`` or a cache format bump (:data:`CACHE_FORMAT`)
+  invalidates every prior entry, because simulated trajectories are only
+  reproducible for the code that produced them;
 * unreadable or mismatching entries (corrupt file, hash collision) are
   treated as misses, never as errors.
 
@@ -22,6 +23,7 @@ or concurrent writer can never leave a torn entry behind.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -44,9 +46,25 @@ CACHE_FORMAT = 1
 _TEMP_COUNTER = itertools.count()
 
 
+@functools.cache
+def source_digest(package_root: Path) -> str:
+    """SHA-256 over every ``*.py`` under ``package_root`` (path and bytes).
+
+    Read once per process and root, on first use rather than at import.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        digest.update(path.relative_to(package_root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def default_code_version() -> str:
     """The code-version string mixed into every cache key."""
-    return f"repro-{__version__}/cache-{CACHE_FORMAT}"
+    source = source_digest(Path(__file__).resolve().parent.parent)
+    return f"repro-{__version__}/cache-{CACHE_FORMAT}/src-{source[:16]}"
 
 
 def canonical_config(config: SimulationConfig) -> str:

@@ -73,7 +73,9 @@ def trace_slug(config: SimulationConfig) -> str:
     """A stable per-config directory name for sweep trace output."""
     from repro.experiments.cache import config_key
 
-    key = config_key(config)
+    # A constant version: the name is a function of the config alone, not
+    # of the source digest a cache key carries.
+    key = config_key(config, code_version="trace-slug")
     return f"{config.scheme.value.lower()}-s{config.seed}-{key[:12]}"
 
 

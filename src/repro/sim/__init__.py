@@ -19,7 +19,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.profile import RunProfile
 from repro.sim.random import RandomStreams
-from repro.sim.stats import TimeWeightedAverage, WelfordAccumulator
+from repro.sim.stats import WelfordAccumulator
 
 __all__ = [
     "AllOf",
@@ -31,7 +31,6 @@ __all__ = [
     "RandomStreams",
     "RunProfile",
     "SimulationError",
-    "TimeWeightedAverage",
     "Timeout",
     "WelfordAccumulator",
 ]

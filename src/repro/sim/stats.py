@@ -4,16 +4,13 @@ The COCA timeout adaptation needs a running mean and standard deviation of
 peer-search round-trip times, computed incrementally (the paper cites Knuth
 TAOCP vol. 2 for this).  :class:`WelfordAccumulator` is that algorithm; it is
 also the backbone of every metric the harness reports.
-
-:class:`TimeWeightedAverage` integrates a piecewise-constant signal over
-simulated time (used for queue lengths and cache occupancy).
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["TimeWeightedAverage", "WelfordAccumulator"]
+__all__ = ["WelfordAccumulator"]
 
 
 class WelfordAccumulator:
@@ -54,55 +51,9 @@ class WelfordAccumulator:
     def total(self) -> float:
         return self.mean * self.count
 
-    def merge(self, other: "WelfordAccumulator") -> None:
-        """Fold another accumulator into this one (Chan's parallel update)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def __repr__(self) -> str:
         return (
             f"WelfordAccumulator(count={self.count}, mean={self.mean:.6g}, "
             f"stddev={self.stddev:.6g})"
         )
 
-
-class TimeWeightedAverage:
-    """Time integral of a piecewise-constant signal."""
-
-    __slots__ = ("_last_time", "_last_value", "_area", "_start")
-
-    def __init__(self, start_time: float = 0.0, initial_value: float = 0.0) -> None:
-        self._start = float(start_time)
-        self._last_time = float(start_time)
-        self._last_value = float(initial_value)
-        self._area = 0.0
-
-    def update(self, now: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at time ``now``."""
-        if now < self._last_time:
-            raise ValueError("time went backwards")
-        self._area += self._last_value * (now - self._last_time)
-        self._last_time = float(now)
-        self._last_value = float(value)
-
-    def average(self, now: float) -> float:
-        """Time-weighted mean of the signal over [start, now]."""
-        span = now - self._start
-        if span <= 0:
-            return self._last_value
-        area = self._area + self._last_value * (now - self._last_time)
-        return area / span

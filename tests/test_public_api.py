@@ -1,13 +1,16 @@
-"""The public API surface: everything advertised must exist and work."""
+"""The public API surface: everything advertised must exist and work,
+and everything that exists must be reached by something that runs."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
 
 import repro
-import repro.analysis
-import repro.delivery
-import repro.experiments
-import repro.mobility
-import repro.net
-import repro.sim
-import repro.signatures
+from repro.experiments import FIGURES
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 
 def test_top_level_exports():
@@ -17,16 +20,68 @@ def test_top_level_exports():
 
 
 def test_subpackage_exports_resolve():
-    for module in (
-        repro.sim,
-        repro.mobility,
-        repro.net,
-        repro.delivery,
-        repro.experiments,
-        repro.signatures,
-    ):
-        for name in module.__all__:
-            assert hasattr(module, name), f"{module.__name__}.{name}"
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+
+
+def _module_files():
+    """Dotted name -> source file for every module under ``src/repro``."""
+    files = {}
+    for path in PACKAGE_ROOT.rglob("*.py"):
+        parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _imported_names(path):
+    """Every dotted name ``path`` may import (``from a import b`` gives
+    both ``a`` and ``a.b``), function-local imports included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, f"{path}: the tree imports by absolute name"
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def test_every_module_is_reached():
+    """No orphan packages: the static import closure of the CLI entry
+    point and the tools is the whole of ``src/repro``."""
+    files = _module_files()
+    reached = set()
+    pending = [files["repro.__main__"], *(REPO_ROOT / "tools").glob("*.py")]
+    while pending:
+        for imported in _imported_names(pending.pop()):
+            parts = imported.split(".")
+            for end in range(1, len(parts) + 1):  # parent packages run too
+                module = ".".join(parts[:end])
+                if module in files and module not in reached:
+                    reached.add(module)
+                    pending.append(files[module])
+    unreached = sorted(set(files) - reached - {"repro.__main__"})
+    assert not unreached, f"imported by no command or tool: {unreached}"
+
+
+def test_every_results_file_has_a_producer():
+    """A ``results/*.txt`` is written by a ``FIGURES`` row or named in a bench."""
+    stems = {figure.stem for figure in FIGURES.values()}
+    benches = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((REPO_ROOT / "benchmarks").glob("*.py"))
+    )
+    orphans = [
+        path.name
+        for path in sorted((REPO_ROOT / "results").glob("*.txt"))
+        if path.stem not in stems and path.stem not in benches
+    ]
+    assert not orphans, f"results files nothing produces: {orphans}"
 
 
 def test_readme_quickstart_snippet_runs():
@@ -55,8 +110,6 @@ def test_readme_quickstart_snippet_runs():
 def test_docstrings_everywhere_public():
     """Every public module, class and function carries a doc comment."""
     import inspect
-    import pkgutil
-    import importlib
 
     missing = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):

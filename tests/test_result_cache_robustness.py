@@ -2,11 +2,19 @@
 
 import math
 import pickle
+import shutil
 import threading
+from pathlib import Path
 
+import repro
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
-from repro.experiments.cache import ResultCache, canonical_config
+from repro.experiments.cache import (
+    ResultCache,
+    canonical_config,
+    default_code_version,
+    source_digest,
+)
 
 
 def make_results(requests=100):
@@ -63,6 +71,18 @@ def test_code_version_mismatch_keys_apart(tmp_path):
     assert old.key(CONFIG) != new.key(CONFIG)
     assert new.get(CONFIG) is None  # old entry invisible under the new key
     assert old.get(CONFIG) is not None
+
+
+def test_default_code_version_follows_the_source(tmp_path):
+    """One changed byte of the package's source is a new code version."""
+    package = Path(repro.__file__).parent
+    same, copy, edited = (tmp_path / name for name in ("same", "copy", "edited"))
+    for root in (same, copy, edited):
+        shutil.copytree(package / "sim", root)
+    with (edited / "stats.py").open("ab") as handle:
+        handle.write(b"#")
+    assert source_digest(same) == source_digest(copy) != source_digest(edited)
+    assert default_code_version().endswith("/src-" + source_digest(package)[:16])
 
 
 def test_payload_for_wrong_config_is_rejected(tmp_path):

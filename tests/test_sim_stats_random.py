@@ -1,13 +1,11 @@
 """Unit + property tests for statistics accumulators and random streams."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams, TimeWeightedAverage, WelfordAccumulator
+from repro.sim import RandomStreams, WelfordAccumulator
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -46,60 +44,11 @@ def test_welford_matches_numpy(values):
     assert acc.max == max(values)
 
 
-@given(
-    st.lists(finite_floats, min_size=0, max_size=50),
-    st.lists(finite_floats, min_size=0, max_size=50),
-)
-def test_welford_merge_equals_sequential(left, right):
-    merged = WelfordAccumulator()
-    for value in left:
-        merged.add(value)
-    other = WelfordAccumulator()
-    for value in right:
-        other.add(value)
-    merged.merge(other)
-
-    expected = WelfordAccumulator()
-    for value in left + right:
-        expected.add(value)
-
-    assert merged.count == expected.count
-    if expected.count:
-        scale = max(1.0, abs(expected.mean))
-        assert merged.mean == pytest.approx(expected.mean, rel=1e-9, abs=1e-9 * scale)
-        assert merged.variance == pytest.approx(
-            expected.variance, rel=1e-6, abs=1e-6 * max(1.0, expected.variance)
-        )
-
-
 def test_welford_total():
     acc = WelfordAccumulator()
     for value in (1, 2, 3):
         acc.add(value)
     assert acc.total == pytest.approx(6.0)
-
-
-def test_time_weighted_average_constant_signal():
-    twa = TimeWeightedAverage(start_time=0.0, initial_value=3.0)
-    assert twa.average(10.0) == pytest.approx(3.0)
-
-
-def test_time_weighted_average_step_signal():
-    twa = TimeWeightedAverage()
-    twa.update(2.0, 10.0)  # 0 over [0,2], 10 from t=2
-    assert twa.average(4.0) == pytest.approx((0 * 2 + 10 * 2) / 4)
-
-
-def test_time_weighted_average_rejects_time_reversal():
-    twa = TimeWeightedAverage()
-    twa.update(5.0, 1.0)
-    with pytest.raises(ValueError):
-        twa.update(4.0, 2.0)
-
-
-def test_time_weighted_average_zero_span():
-    twa = TimeWeightedAverage(start_time=1.0, initial_value=7.0)
-    assert twa.average(1.0) == 7.0
 
 
 def test_random_streams_reproducible_across_instances():
@@ -137,14 +86,3 @@ def test_random_streams_same_object_returned():
     assert "s" in streams
     assert "t" not in streams
 
-
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30))
-def test_time_weighted_average_bounded_by_signal_range(values):
-    twa = TimeWeightedAverage(initial_value=values[0])
-    now = 0.0
-    for i, value in enumerate(values[1:], start=1):
-        now = float(i)
-        twa.update(now, value)
-    average = twa.average(now + 1.0)
-    assert min(values) - 1e-9 <= average <= max(values) + 1e-9
-    assert not math.isnan(average)

@@ -21,8 +21,8 @@ def test_shipped_tree_is_clean():
 
 def test_injected_violation_fails_with_rule_and_line(tmp_path):
     # Copy a real source file and inject a bare generator construction.
-    victim = tmp_path / "models_copy.py"
-    shutil.copyfile(SRC / "delivery" / "models.py", victim)
+    victim = tmp_path / "workload_copy.py"
+    shutil.copyfile(SRC / "data" / "workload.py", victim)
     lines = victim.read_text(encoding="utf-8").splitlines()
     lines.append("INJECTED = __import__('numpy').random.default_rng(1)")
     # Resolves through an import alias too, like real offending code would.

@@ -14,7 +14,7 @@ def setup(tmp_path, results_present=True):
     target = tmp_path / "EXPERIMENTS.md"
     results = tmp_path / "results"
     results.mkdir()
-    target.write_text("intro\n```\n{FIG2}\n```\noutro\n")
+    template.write_text("intro\n```\n{FIG2}\n```\noutro\n")
     if results_present:
         for filename in fill_experiments.placeholders().values():
             (results / filename).write_text(f"data of {filename}\n")
@@ -28,7 +28,7 @@ def test_fill_substitutes_and_keeps_template(tmp_path):
     text = target.read_text()
     assert "data of fig2_cache_size.txt" in text
     assert "{FIG2}" not in text
-    # The template snapshot preserves the placeholders for re-fills.
+    # The template keeps the placeholders for re-fills.
     assert "{FIG2}" in template.read_text()
 
 
@@ -44,14 +44,23 @@ def test_fill_reports_missing_results(tmp_path):
     template, target, results = setup(tmp_path, results_present=False)
     missing = fill_experiments.fill(template, target, results)
     assert "fig2_cache_size.txt" in missing
-    assert "{FIG2}" in target.read_text()  # target untouched
+    assert not target.exists()  # nothing written
 
 
 def test_fill_rejects_template_without_placeholders(tmp_path):
     template, target, results = setup(tmp_path)
-    target.write_text("no placeholders here\n")
+    template.write_text("no placeholders here\n")
     with pytest.raises(ValueError):
         fill_experiments.fill(template, target, results)
+
+
+def test_fill_rejects_missing_template(tmp_path):
+    """A filled EXPERIMENTS.md never stands in for a deleted template."""
+    template, target, results = setup(tmp_path)
+    template.rename(target)
+    with pytest.raises(FileNotFoundError, match="template.md"):
+        fill_experiments.fill(template, target, results)
+    assert not template.exists()
 
 
 def test_committed_experiments_is_the_filled_template(tmp_path):

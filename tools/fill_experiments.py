@@ -6,9 +6,9 @@ Run after ``pytest benchmarks/ --benchmark-only``:
     PYTHONPATH=src python tools/fill_experiments.py
 
 Edit ``tools/EXPERIMENTS.template.md``, never EXPERIMENTS.md itself: a
-tier-1 test compares the committed file with a fresh fill.  Keeps a
-template copy in ``tools/EXPERIMENTS.template.md`` the first time so the
-fill is repeatable after future benchmark runs.
+tier-1 test compares the committed file with a fresh fill.  The template
+keeps the placeholders, so the fill is repeatable after every benchmark
+run; a missing template is an error, never rebuilt from a filled file.
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ def placeholders() -> dict:
 
 
 def fill(template: Path, target: Path, results: Path) -> list:
-    """Substitute placeholders; returns the list of missing results files."""
-    source = template if template.exists() else target
-    text = source.read_text()
+    """Substitute placeholders; returns the list of missing results files.
+
+    Raises ``FileNotFoundError`` when ``template`` does not exist and
+    ``ValueError`` when it holds no placeholder.
+    """
+    text = template.read_text()
     if not re.search(r"\{FIG\d\}", text):
-        raise ValueError("no placeholders found; is the template gone?")
-    if not template.exists():
-        template.parent.mkdir(exist_ok=True)
-        template.write_text(text)
+        raise ValueError(f"no placeholders found in {template}")
     missing = []
     for key, filename in placeholders().items():
         path = results / filename
@@ -59,7 +59,7 @@ def main() -> int:
     """Fill EXPERIMENTS.md in the repository root."""
     try:
         missing = fill(TEMPLATE, TARGET, RESULTS)
-    except ValueError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(error, file=sys.stderr)
         return 1
     if missing:
