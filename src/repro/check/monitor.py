@@ -143,7 +143,9 @@ class InvariantMonitor:
         self.audit_interval = float(audit_interval)
         self.seed: Optional[int] = None
         self.config: Any = None
-        self.checks_run = 0
+        # Checks other than the two kernel hooks, which count themselves in
+        # _scheduled / _stepped (see checks_run).
+        self._checks = 0
         self.violations: List[InvariantViolation] = []
         # Search conservation bookkeeping.
         self.searches_opened = 0
@@ -158,8 +160,16 @@ class InvariantMonitor:
         # Kernel heap bookkeeping.
         self._scheduled = 0
         self._stepped = 0
+        # Time of the last popped event: the kernel's clock while that event
+        # is processed, and the time of hooks that are not handed one.
+        self._now = math.nan
         # Power conservation: last audited per-purpose totals.
         self._last_power: Optional[Dict[str, float]] = None
+
+    @property
+    def checks_run(self) -> int:
+        """Invariant checks performed so far, kernel pushes and pops included."""
+        return self._checks + self._scheduled + self._stepped
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -207,27 +217,29 @@ class InvariantMonitor:
         """Called on every heap push: no event may land in the past, and the
         time must be a Python number (the kernel sets its clock to it, so a
         numpy scalar would spread to every event scheduled from that tick)."""
-        self.checks_run += 1
         self._scheduled += 1
-        if when < env.now - _TIME_EPS:
+        now = env.now
+        if when < now - _TIME_EPS:
             self.violation(
                 "kernel-schedule-in-past",
-                f"event scheduled at {when} while now={env.now}",
-                sim_time=env.now,
+                f"event scheduled at {when} while now={now}",
+                sim_time=now,
                 details={"when": when},
             )
-        if isinstance(when, np.generic):
+        # Nearly every time is a Python float: the exact type test settles
+        # those before the costlier isinstance against numpy's scalar base.
+        if type(when) is not float and isinstance(when, np.generic):
             self.violation(
                 "kernel-clock-numpy-scalar",
                 f"event scheduled at a numpy {type(when).__name__}, not a Python number",
-                sim_time=env.now,
+                sim_time=now,
                 details={"when": when, "type": type(when).__name__},
             )
 
     def on_step(self, env: Any, when: float) -> None:
         """Called on every heap pop: the clock must never run backwards."""
-        self.checks_run += 1
         self._stepped += 1
+        self._now = when
         if when < env.now - _TIME_EPS:
             self.violation(
                 "kernel-time-monotonicity",
@@ -238,7 +250,7 @@ class InvariantMonitor:
 
     def on_condition_fire(self, condition: Any) -> None:
         """AnyOf/AllOf bookkeeping: fired count bounded by member count."""
-        self.checks_run += 1
+        self._checks += 1
         if condition._fired_count > len(condition.events):
             self.violation(
                 "kernel-condition-overcount",
@@ -251,7 +263,7 @@ class InvariantMonitor:
 
     def on_search_open(self, host: int, sid: Any, now: float) -> None:
         """A peer search started; a host runs at most one at a time."""
-        self.checks_run += 1
+        self._checks += 1
         self.searches_opened += 1
         if host in self._open_searches:
             self.violation(
@@ -266,7 +278,7 @@ class InvariantMonitor:
     def on_search_close(self, host: int, sid: Any, outcome: str, now: float) -> None:
         """A peer search ended; it must match the open one and be one of
         the three legal terminations (reply / timeout / MSS fallback)."""
-        self.checks_run += 1
+        self._checks += 1
         self.searches_closed += 1
         if outcome not in self.search_outcomes:
             self.violation(
@@ -292,7 +304,7 @@ class InvariantMonitor:
         self, host: int, peer: int, breaker_state: str, now: float
     ) -> None:
         """A retrieve was sent; the peer's breaker must not be open."""
-        self.checks_run += 1
+        self._checks += 1
         if breaker_state == OPEN:
             self.violation(
                 "breaker-attempt-while-open",
@@ -306,7 +318,7 @@ class InvariantMonitor:
         self, host: int, peer: int, old: str, new: str, now: float
     ) -> None:
         """One breaker edge: legal, and continuous with the last one seen."""
-        self.checks_run += 1
+        self._checks += 1
         if (old, new) not in LEGAL_TRANSITIONS:
             self.violation(
                 "breaker-illegal-transition",
@@ -330,7 +342,7 @@ class InvariantMonitor:
 
     def on_hedge(self, host: int, sid: Any, now: float) -> None:
         """A hedged retrieve went out; it must belong to the open search."""
-        self.checks_run += 1
+        self._checks += 1
         self.hedges += 1
         if self._open_searches.get(host) != sid:
             self.violation(
@@ -343,12 +355,12 @@ class InvariantMonitor:
 
     def on_hedge_win(self, host: int, sid: Any, now: float) -> None:
         """The hedged request served the data first."""
-        self.checks_run += 1
+        self._checks += 1
         self.hedge_wins += 1
 
     def check_client_cache(self, host: int, cache: Any, now: float) -> None:
         """Cache occupancy ≤ capacity and key/entry integrity."""
-        self.checks_run += 1
+        self._checks += 1
         if len(cache) > cache.capacity:
             self.violation(
                 "cache-capacity",
@@ -381,7 +393,7 @@ class InvariantMonitor:
         now: float,
     ) -> None:
         """MSS replies must be internally consistent with the clock."""
-        self.checks_run += 1
+        self._checks += 1
         if expiry < now - _TIME_EPS:
             self.violation(
                 "server-expiry-in-past",
@@ -413,7 +425,7 @@ class InvariantMonitor:
         range), so a fresh one-sided link or a cross-pair skew beyond the
         liveness horizon means the table drifted from the radio model.
         """
-        self.checks_run += 1
+        self._checks += 1
         table = ndp._last_heard
         horizon = ndp.liveness_horizon
         if np.any(table > now + _TIME_EPS):
@@ -451,10 +463,51 @@ class InvariantMonitor:
 
     # -- TCG hooks --------------------------------------------------------------
 
-    def check_tcg_row(self, tcg: Any, client: int, now: float = math.nan) -> None:
+    def check_tcg_row(
+        self, tcg: Any, client: int, now: Optional[float] = None
+    ) -> None:
         """One client's TCG row: symmetric, irreflexive, and exactly the
-        located pairs that meet both thresholds."""
-        self.checks_run += 1
+        located pairs that meet both thresholds.
+
+        ``now`` defaults to the time of the kernel's last popped event (NaN
+        when no kernel is attached).  The row is accepted when it equals its
+        column and lists exactly the other clients within Δ whose
+        similarity is at least δ.  That test accepts nothing the rules of
+        :meth:`_diagnose_tcg_row` reject, which run on every other row and
+        report what is wrong with it.  It leaves location out: no rule asks
+        a member to be located, and every located pair the rules require
+        is within Δ, so asking for all pairs within Δ only rejects more.
+        """
+        self._checks += 1
+        if now is None:
+            now = self._now
+        member = tcg.member
+        row = member[client]
+        # Equal bytes are equal rows; comparing them costs no numpy reduction.
+        if row.tobytes() == member[:, client].tobytes():
+            near = tcg.wadm[client] <= tcg.distance_threshold
+            dot, sq_norms = tcg._dot, tcg._sq_norms
+            own = sq_norms.item(client)
+            threshold = tcg.similarity_threshold
+            alike = []
+            for other in near.nonzero()[0].tolist():
+                if other == client:
+                    continue
+                # TCGManager.similarity_row's IEEE mul, sqrt and div, one pair.
+                product = own * sq_norms.item(other)
+                if product > 0.0:
+                    similarity = dot.item(client, other) / math.sqrt(product)
+                else:
+                    similarity = 0.0
+                if similarity >= threshold:
+                    alike.append(other)
+            if alike == row.nonzero()[0].tolist():
+                return
+        self._diagnose_tcg_row(tcg, client, now)
+
+    def _diagnose_tcg_row(self, tcg: Any, client: int, now: float) -> None:
+        """The TCG rules one by one, over whole rows: each broken rule is one
+        violation."""
         row = tcg.member[client]
         if row[client]:
             self.violation(
@@ -514,7 +567,7 @@ class InvariantMonitor:
         """Periodic whole-system sweep over every subsystem's invariants."""
         env = simulation.env
         now = env.now
-        self.checks_run += 1
+        self._checks += 1
         # Kernel queue bookkeeping: pushes − pops == pending events.
         pending = self._scheduled - self._stepped
         if pending != env.pending_events:
@@ -551,7 +604,7 @@ class InvariantMonitor:
 
     def _audit_power(self, ledger: Any, now: float) -> None:
         """Power non-negativity and conservation (totals never shrink)."""
-        self.checks_run += 1
+        self._checks += 1
         per_host = ledger.per_host_totals()
         if np.any(per_host < 0.0):
             self.violation(
@@ -574,7 +627,7 @@ class InvariantMonitor:
 
     def _audit_metrics(self, metrics: Any, now: float) -> None:
         """Outcome counters must sum to the request count."""
-        self.checks_run += 1
+        self._checks += 1
         total = sum(metrics.outcomes.values())
         if total != metrics.requests:
             self.violation(
@@ -593,7 +646,7 @@ class InvariantMonitor:
     def finalize(self, simulation: Any) -> None:
         """End-of-run audit plus message-conservation accounting."""
         self.audit(simulation)
-        self.checks_run += 1
+        self._checks += 1
         in_flight = len(self._open_searches)
         if self.searches_opened != self.searches_closed + in_flight:
             self.violation(
@@ -608,7 +661,7 @@ class InvariantMonitor:
                 "closed searches and recorded outcomes disagree",
                 sim_time=simulation.env.now,
             )
-        self.checks_run += 1
+        self._checks += 1
         if self.hedge_wins > self.hedges:
             self.violation(
                 "hedge-conservation",

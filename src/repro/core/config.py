@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -172,11 +173,26 @@ class SimulationConfig:
     count_beacon_power: bool = False  # include NDP beacons in power/GCH
 
     def __post_init__(self):
-        # NaN fails no ``<`` test and +/-inf passes every lower bound: reject
-        # both here, for every field at once, before the per-field contracts.
-        for name, value in vars(self).items():
+        # NaN fails no ``<`` test and +/-inf passes every lower bound; a float
+        # count, a bool hop limit or a "yes" flag passes or fails them by
+        # accident.  Reject all of these here, for every field at once,
+        # before the per-field contracts.
+        for spec in dataclasses.fields(self):
+            name, kind = spec.name, spec.type
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if kind in ("int", "float"):
+                number = numbers.Integral if kind == "int" else numbers.Real
+                valid = isinstance(value, number) and not isinstance(value, bool)
+            elif kind in ("bool", "str"):
+                valid = isinstance(value, bool if kind == "bool" else str)
+            else:
+                continue  # scheme, faults, workload_params: checked below
+            if not valid:
+                raise TypeError(
+                    f"{name} must be {kind}, got {type(value).__name__} {value!r}"
+                )
         if not isinstance(self.scheme, CachingScheme):
             raise ValueError("scheme must be a CachingScheme")
         if self.n_clients < 1:

@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Metrics, RequestOutcome
@@ -86,6 +89,42 @@ def test_from_dict_rejects_nan_from_json():
     text = json.dumps({**SimulationConfig().as_dict(), "theta": math.nan})
     with pytest.raises(ValueError, match="theta must be finite, got nan"):
         SimulationConfig.from_dict(json.loads(text))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TEXT = st.text(max_size=3)
+#: Values of some other type, per field annotation.  A bool is never a
+#: count, a float never a count even when integral, an int never a flag.
+WRONG_TYPE = {
+    "int": st.one_of(st.none(), st.booleans(), FINITE, TEXT, st.lists(st.integers(), max_size=2)),
+    "float": st.one_of(st.none(), st.booleans(), TEXT, st.lists(FINITE, max_size=2)),
+    "bool": st.one_of(st.none(), st.integers(), FINITE, TEXT),
+    "str": st.one_of(st.none(), st.booleans(), st.integers(), st.binary(max_size=3)),
+    "CachingScheme": st.one_of(st.none(), st.sampled_from(["LC", "CC", "GC"])),
+    "FaultPlan": st.one_of(st.none(), st.dictionaries(TEXT, st.integers(), max_size=2)),
+    "Dict[str, object]": st.one_of(st.none(), st.lists(st.integers(), max_size=2), TEXT),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", dataclasses.fields(SimulationConfig), ids=lambda spec: spec.name
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_every_field_rejects_a_wrong_type_by_name(spec, data):
+    value = data.draw(WRONG_TYPE[spec.type])
+    # The scheme, the fault plan and the workload knobs have always had
+    # their own named ValueError; every plain field raises TypeError.
+    error = TypeError if spec.type in ("int", "float", "bool", "str") else ValueError
+    with pytest.raises(error, match=f"^{spec.name} must be") as excinfo:
+        SimulationConfig(**{spec.name: value})
+    if error is TypeError:
+        assert repr(value) in str(excinfo.value)
+
+
+def test_float_fields_take_ints_and_int_fields_take_numpy_ints():
+    config = SimulationConfig(theta=1, tran_range=150, n_clients=np.int64(40))
+    assert (config.theta, config.tran_range, config.n_clients) == (1, 150, 40)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from repro.cache.lru import LRUCache
 from repro.check import InvariantMonitor, InvariantViolation, run_checked
 from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.simulation import run_simulation
+from repro.core.simulation import Simulation, run_simulation
 from repro.core.tcg import TCGManager
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 from repro.sim import Environment
@@ -362,6 +362,46 @@ def test_stale_cached_distance_is_caught():
     assert [(v.invariant, v.host) for v in monitor.violations] == [
         ("tcg-missing-member", 4)
     ]
+
+
+def test_tcg_violations_between_audits_carry_the_kernel_time():
+    """The manager checks a row on every contact without passing a time; a
+    violation found there is stamped with the kernel time of that contact."""
+    # Δ inside the group span and ω = 1: pairs cross Δ often, and each
+    # crossing makes a location contact recheck its row from the halves.
+    config = SimulationConfig(
+        scheme=CachingScheme.GC, distance_threshold=40.0, omega=1.0, **SMALL
+    )
+    monitor = InvariantMonitor(mode="collect")
+    simulation = Simulation(config, monitor=monitor)
+    env, tcg = simulation.env, simulation.tcg
+    stamped = []
+
+    def timed(record):
+        def contact(client, *args):
+            seen = len(monitor.violations)
+            record(client, *args)
+            stamped.extend((v.sim_time, env.now) for v in monitor.violations[seen:])
+
+        return contact
+
+    tcg.record_location = timed(tcg.record_location)
+    tcg.record_access = timed(tcg.record_access)
+
+    def corrupt():
+        # Every cached similarity half lies until the next access of either
+        # client rewrites it; a location contact that rechecks in between
+        # builds the row from the lie.
+        yield env.timeout(20.0)
+        while True:
+            tcg._sim_ok[:] = ~tcg._sim_ok
+            yield env.timeout(1.0)
+
+    env.process(corrupt())
+    simulation.run()
+    assert stamped
+    assert all(sim_time == now for sim_time, now in stamped)
+    assert not any(math.isnan(v.sim_time) for v in monitor.violations)
 
 
 def test_tcg_rules_raise_by_default():
