@@ -3,7 +3,10 @@
 Every benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing, each writes its rendered series to
 ``results/<name>.txt`` (and stdout) so the numbers survive output capture;
-EXPERIMENTS.md is compiled from those files.
+``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  A
+figure bench also writes ``results/<stem>.json``: the git revision,
+profile and source digest the series was measured at, and the cache key
+of every (row, x) cell.
 
 Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
 bench) — see :mod:`repro.experiments.runner`.  ``REPRO_JOBS`` fans each
@@ -16,16 +19,22 @@ recorded here: wall-clock regressions are measured and gated by
 
 from __future__ import annotations
 
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import (
     FIGURES,
+    active_profile,
+    config_key,
     format_sweep_table,
     jobs_from_env,
     run_sweep,
 )
+from repro.experiments.cache import source_digest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -66,9 +75,41 @@ def run_figure(benchmark, record_table):
         sweep_kwargs.setdefault("jobs", SWEEP_JOBS)
         table = run_once(benchmark, lambda: run_sweep(figure, **sweep_kwargs))
         record_table(figure.stem, format_sweep_table(table, figure.title))
+        write_provenance(figure, table)
         return table
 
     return _run
+
+
+def git_revision() -> str:
+    """``git describe --always --dirty`` of the checkout, or ``unknown``."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=RESULTS_DIR.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def write_provenance(figure, table) -> None:
+    """Write ``results/<stem>.json``: what produced ``results/<stem>.txt``."""
+    sidecar = {
+        "figure": figure.key,
+        "revision": git_revision(),
+        "profile": active_profile(),
+        "source_digest": source_digest(Path(repro.__file__).resolve().parent),
+        "cells": [
+            {"row": row, "x": value, "config_key": config_key(figure.config(value, row))}
+            for value in table.values
+            for row in table.rows
+        ],
+    }
+    path = RESULTS_DIR / f"{figure.stem}.json"
+    path.write_text(json.dumps(sidecar, indent=1) + "\n")
 
 
 def run_once(benchmark, fn):

@@ -1,5 +1,8 @@
 """Table II: the simulation parameter defaults and their sweep ranges.
 
+A parameter's range is the x-axis of every ``FIGURES`` row that sweeps it
+in the active profile, so the table cannot drift from the benches.
+
 Dumps the active configuration (paper defaults plus the scale profile in
 effect) and benchmarks simulation construction, which exercises the whole
 wiring path: mobility build, network, database, TCG manager, clients.
@@ -11,20 +14,22 @@ from conftest import run_once
 
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
-from repro.experiments.runner import active_profile, base_config
+from repro.experiments import FIGURES, active_profile, base_config
 
-SWEEP_RANGES = {
-    "n_clients": "50 - 400 (Fig. 7)",
-    "cache_size": "50 - 250 (Fig. 2)",
-    "access_range": "500 - 10,000 (Fig. 4)",
-    "theta": "0 - 1 (Fig. 3)",
-    "group_size": "1 - 20 (Fig. 5)",
-    "data_update_rate": "0 - 10 /s (Fig. 6)",
-    "p_disc": "0 - 0.3 (Fig. 8)",
-}
+
+def sweep_ranges(profile: str) -> dict:
+    """Config field -> the x values every ``FIGURES`` row sweeps it over
+    in ``profile`` (``"50, 100, 150, 200, 250 (Fig2)"``)."""
+    ranges = {}
+    for figure in FIGURES.values():
+        values = figure.axis.get(profile, figure.axis["bench"])
+        swept = f"{', '.join(map(str, values))} ({figure.label})"
+        ranges.setdefault(figure.parameter, []).append(swept)
+    return {parameter: "; ".join(spans) for parameter, spans in ranges.items()}
 
 
 def render_table2(config: SimulationConfig) -> str:
+    ranges = sweep_ranges(active_profile())
     lines = [
         "=== Table II: simulation parameters ===",
         f"  (scale profile: {active_profile()})",
@@ -35,7 +40,7 @@ def render_table2(config: SimulationConfig) -> str:
         value = getattr(config, field.name)
         if hasattr(value, "value"):
             value = value.value
-        sweep = SWEEP_RANGES.get(field.name, "-")
+        sweep = ranges.get(field.name, "-")
         lines.append(f"  {field.name:>24} | {str(value):>14} | {sweep}")
     return "\n".join(lines)
 

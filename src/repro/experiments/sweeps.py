@@ -5,9 +5,9 @@ rows (the LC / CC / GC series unless the figure names its own), the same
 four panels (access latency, server request ratio, GCH ratio, power per
 GCH) — so a figure is a :class:`~repro.experiments.runner.Figure` row of
 :data:`FIGURES` and :func:`~repro.experiments.runner.run_sweep` is the one
-function that runs it.  ``repro sweep``, the figure benches,
-``tools/fault_smoke.py`` and ``tools/fill_experiments.py`` all read this
-table.
+function that runs it.  ``repro sweep``, the figure benches and
+``tools/fault_smoke.py`` read this table; each row's series is committed
+as ``results/<stem>.txt`` and copied into EXPERIMENTS.md in place.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ def format_sweep_table(table: SweepTable, title: str = "") -> str:
     """Render all four panels of one figure as aligned text tables.
 
     Columns widen to fit the longest x label and the gutter to fit the
-    longest row label (never below 10 and 12, the widths every
-    numeric-axis figure uses, so those tables render as they always did).
+    parameter name and the longest row label (never below 10 and 12, the
+    widths every numeric-axis figure uses).
     """
     lines: List[str] = []
     header = f"=== {table.figure}: {title or table.parameter} ==="
@@ -57,7 +57,7 @@ def format_sweep_table(table: SweepTable, title: str = "") -> str:
     schemes = list(table.rows)
     labels = [str(v) for v in table.values]
     width = max([10] + [len(label) + 1 for label in labels])
-    gutter = max([12] + [len(scheme) for scheme in schemes])
+    gutter = max([12, len(table.parameter)] + [len(scheme) for scheme in schemes])
     for metric, panel, unit in PANELS:
         lines.append("")
         lines.append(f"{panel} [{unit}]")

@@ -56,3 +56,12 @@ def test_numeric_axis_table_renders_the_committed_layout():
     lines = format_sweep_table(table).splitlines()
     assert lines[3:5] == [header, rule]
     assert lines[5] == "            LC |" + "       n/a" * 5
+
+
+def test_long_parameter_name_widens_the_gutter():
+    """``data_update_rate`` (16 chars) is wider than the 12-char gutter:
+    the header grows the gutter instead of pushing its ``|`` out of line."""
+    table = _empty_table("data_update_rate", [0.0, 1.0, 10.0], ["LC", "CC", "GC"])
+    body = [line for line in format_sweep_table(table).splitlines() if "|" in line]
+    assert body[0] == "  data_update_rate |       0.0       1.0      10.0"
+    assert len({line.index("|") for line in body}) == 1

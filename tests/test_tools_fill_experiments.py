@@ -1,73 +1,66 @@
-"""Tests for the EXPERIMENTS.md placeholder filler."""
+"""Tests for the in-place EXPERIMENTS.md filler."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import FIGURES
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import fill_experiments  # noqa: E402
 
-
-def setup(tmp_path, results_present=True):
-    template = tmp_path / "template.md"
-    target = tmp_path / "EXPERIMENTS.md"
-    results = tmp_path / "results"
-    results.mkdir()
-    template.write_text("intro\n```\n{FIG2}\n```\noutro\n")
-    if results_present:
-        for filename in fill_experiments.placeholders().values():
-            (results / filename).write_text(f"data of {filename}\n")
-    return template, target, results
+DOC = (
+    "intro\n"
+    "<!-- results/fig2_cache_size.txt -->\n"
+    "```\nstale series\n```\n"
+    "outro ```\n"
+    "```\nunmarked block\n```\n"
+)
 
 
-def test_fill_substitutes_and_keeps_template(tmp_path):
-    template, target, results = setup(tmp_path)
-    missing = fill_experiments.fill(template, target, results)
-    assert missing == []
-    text = target.read_text()
-    assert "data of fig2_cache_size.txt" in text
-    assert "{FIG2}" not in text
-    # The template keeps the placeholders for re-fills.
-    assert "{FIG2}" in template.read_text()
+def results_root(tmp_path, text="fresh series\n"):
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "fig2_cache_size.txt").write_text(text)
+    return tmp_path
+
+
+def test_fill_replaces_the_marked_block_only(tmp_path):
+    filled = fill_experiments.fill(DOC, results_root(tmp_path))
+    assert filled == DOC.replace("stale series", "fresh series")
 
 
 def test_fill_is_repeatable(tmp_path):
-    template, target, results = setup(tmp_path)
-    fill_experiments.fill(template, target, results)
-    (results / "fig2_cache_size.txt").write_text("NEW DATA\n")
-    fill_experiments.fill(template, target, results)
-    assert "NEW DATA" in target.read_text()
+    """Filling a filled file changes nothing (the fill is idempotent)."""
+    root = results_root(tmp_path, "line 1\n\nline 3\n\n")
+    once = fill_experiments.fill(DOC, root)
+    assert fill_experiments.fill(once, root) == once
 
 
 def test_fill_reports_missing_results(tmp_path):
-    template, target, results = setup(tmp_path, results_present=False)
-    missing = fill_experiments.fill(template, target, results)
-    assert "fig2_cache_size.txt" in missing
-    assert not target.exists()  # nothing written
+    """A marker whose results file is missing is an error naming it."""
+    (tmp_path / "results").mkdir()
+    with pytest.raises(ValueError, match="<!-- results/fig2_cache_size.txt -->"):
+        fill_experiments.fill(DOC, tmp_path)
 
 
-def test_fill_rejects_template_without_placeholders(tmp_path):
-    template, target, results = setup(tmp_path)
-    template.write_text("no placeholders here\n")
-    with pytest.raises(ValueError):
-        fill_experiments.fill(template, target, results)
+def test_marker_without_a_fence_names_the_marker(tmp_path):
+    doc = "<!-- results/fig2_cache_size.txt -->\n\nprose\n```\nx\n```\n"
+    with pytest.raises(ValueError, match="fig2_cache_size.txt -->: no fenced"):
+        fill_experiments.fill(doc, results_root(tmp_path))
 
 
-def test_fill_rejects_missing_template(tmp_path):
-    """A filled EXPERIMENTS.md never stands in for a deleted template."""
-    template, target, results = setup(tmp_path)
-    template.rename(target)
-    with pytest.raises(FileNotFoundError, match="template.md"):
-        fill_experiments.fill(template, target, results)
-    assert not template.exists()
+def test_every_figure_has_a_marker():
+    text = fill_experiments.TARGET.read_text()
+    missing = [
+        key
+        for key, figure in FIGURES.items()
+        if f"<!-- results/{figure.stem}.txt -->\n```" not in text
+    ]
+    assert not missing, f"FIGURES rows with no marked block: {missing}"
 
 
-def test_committed_experiments_is_the_filled_template(tmp_path):
-    """EXPERIMENTS.md is generated: edit the template, then run the tool."""
-    target = tmp_path / "EXPERIMENTS.md"
-    missing = fill_experiments.fill(
-        fill_experiments.TEMPLATE, target, fill_experiments.RESULTS
-    )
-    assert missing == []
-    assert target.read_bytes() == fill_experiments.TARGET.read_bytes()
+def test_committed_experiments_is_a_fixed_point():
+    """Every marked block equals its committed results file."""
+    text = fill_experiments.TARGET.read_text()
+    assert fill_experiments.fill(text, fill_experiments.ROOT) == text

@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Fill EXPERIMENTS.md's ``{FIGn}`` placeholders from results/*.txt.
+"""Copy every committed results series into EXPERIMENTS.md, in place.
 
 Run after ``pytest benchmarks/ --benchmark-only``:
 
-    PYTHONPATH=src python tools/fill_experiments.py
+    python tools/fill_experiments.py
 
-Edit ``tools/EXPERIMENTS.template.md``, never EXPERIMENTS.md itself: a
-tier-1 test compares the committed file with a fresh fill.  The template
-keeps the placeholders, so the fill is repeatable after every benchmark
-run; a missing template is an error, never rebuilt from a filled file.
+A measured block is a fenced block directly under a marker line naming
+its results file::
+
+    <!-- results/fig2_cache_size.txt -->
+    ```
+    ...rewritten from results/fig2_cache_size.txt...
+    ```
+
+Only the bodies of marked blocks are rewritten; everything else in
+EXPERIMENTS.md is prose, edited by hand.  A marker whose file is missing,
+or with no fenced block directly under it, is an error naming the marker
+(and nothing is written).
 """
 
 from __future__ import annotations
@@ -17,54 +25,43 @@ import re
 import sys
 from pathlib import Path
 
-from repro.experiments.sweeps import FIGURES
-
 ROOT = Path(__file__).resolve().parent.parent
-TEMPLATE = ROOT / "tools" / "EXPERIMENTS.template.md"
 TARGET = ROOT / "EXPERIMENTS.md"
-RESULTS = ROOT / "results"
+
+#: ``<!-- results/<stem>.txt -->`` on a line of its own.
+MARKER = re.compile(r"^<!-- (results/[^\s/]+\.txt) -->\n", re.M)
+#: A fenced block: the opening fence line, the body, the closing fence.
+BLOCK = re.compile(r"(```[^\n]*\n).*?^```$", re.M | re.S)
 
 
-def placeholders() -> dict:
-    """Placeholder -> results file, one per ``FIGURES`` row
-    (``fig-loss`` -> ``{FIGLOSS}`` -> ``results/fig_link_loss.txt``)."""
-    return {
-        key.replace("-", "").upper(): f"{figure.stem}.txt"
-        for key, figure in FIGURES.items()
-    }
-
-
-def fill(template: Path, target: Path, results: Path) -> list:
-    """Substitute placeholders; returns the list of missing results files.
-
-    Raises ``FileNotFoundError`` when ``template`` does not exist and
-    ``ValueError`` when it holds no placeholder.
-    """
-    text = template.read_text()
-    if not re.search(r"\{FIG\d\}", text):
-        raise ValueError(f"no placeholders found in {template}")
-    missing = []
-    for key, filename in placeholders().items():
-        path = results / filename
-        if not path.exists():
-            missing.append(filename)
-            continue
-        text = text.replace("{" + key + "}", path.read_text().rstrip())
-    if not missing:
-        target.write_text(text)
-    return missing
+def fill(text: str, root: Path) -> str:
+    """``text`` with each marked block's body replaced by its file under
+    ``root``; raises ``ValueError`` naming the first broken marker."""
+    pieces = []
+    position = 0
+    for marker in MARKER.finditer(text):
+        name = marker.group(0).strip()
+        block = BLOCK.match(text, marker.end())
+        if block is None:
+            raise ValueError(f"{name}: no fenced block directly under the marker")
+        path = root / marker.group(1)
+        if not path.is_file():
+            raise ValueError(f"{name}: {path} does not exist")
+        body = path.read_text().rstrip("\n")
+        pieces += [text[position : marker.end()], block.group(1), body, "\n```"]
+        position = block.end()
+    pieces.append(text[position:])
+    return "".join(pieces)
 
 
 def main() -> int:
     """Fill EXPERIMENTS.md in the repository root."""
     try:
-        missing = fill(TEMPLATE, TARGET, RESULTS)
-    except (FileNotFoundError, ValueError) as error:
+        text = fill(TARGET.read_text(), ROOT)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 1
-    if missing:
-        print(f"missing results files: {missing}", file=sys.stderr)
-        return 1
+    TARGET.write_text(text)
     print(f"wrote {TARGET}")
     return 0
 
