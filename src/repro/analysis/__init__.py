@@ -11,14 +11,14 @@ run be trusted?* — at two different times:
 * :mod:`repro.analysis.engine` plus the ``rules_*`` modules are
   **simlint**: an AST-based static-analysis pass, run at review time
   over the source tree (``python -m repro lint``), that enforces the
-  repo's determinism contract (all randomness through
-  :class:`~repro.sim.random.RandomStreams`, no wall clock in simulated
-  code), DES-kernel discipline (only kernel events are yielded from
-  process bodies, no blocking calls) and the
+  hazards no run-time gate sees: numpy generators built only in
+  :mod:`repro.sim.random`, no wall clock or hash-ordered iteration in
+  simulated code, DES-kernel discipline (no blocking calls, no stale
+  ``env.now``, no per-event allocation in the dispatch loop) and the
   :class:`~repro.core.config.SimulationConfig` field contracts.
 
-See ``docs/ANALYSIS.md`` for the rule catalogue and the pragma
-workflow.
+See ``docs/ANALYSIS.md`` for the rule catalogue, the history behind it
+and the pragma workflow.
 """
 
 from repro.analysis.engine import (

@@ -327,9 +327,6 @@ def rule_registry() -> Dict[str, Type[LintRule]]:
         rules_config,
         rules_determinism,
         rules_kernel,
-        rules_obs,
-        rules_policy,
-        rules_retry,
     )
 
     return dict(_REGISTRY)
@@ -341,7 +338,6 @@ def project_rule_registry() -> Dict[str, Type["ProjectRule"]]:
         rules_project_config,
         rules_project_kernel,
         rules_project_registry,
-        rules_project_rng,
     )
 
     return dict(_PROJECT_REGISTRY)

@@ -10,15 +10,15 @@ callbacks, duck-typed receivers, dynamic dispatch — resolves to nothing,
 so reachability-based rules under-approximate instead of flagging noise.
 
 The graph also records every resolved :class:`CallSite` per callee,
-which is what lets the dataflow tracer walk *backwards* from a function
-parameter to the argument expressions feeding it.
+which is what lets ``kernel-transitive-hazard`` walk *backwards* from a
+function parameter to the argument expressions feeding it.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.analysis.engine import ModuleSource
 from repro.analysis.project.index import (
@@ -27,7 +27,7 @@ from repro.analysis.project.index import (
     _annotation_class_names,
 )
 
-__all__ = ["CallGraph", "CallSite", "build_call_graph", "local_class_names"]
+__all__ = ["CallGraph", "CallSite", "build_call_graph"]
 
 
 @dataclass
@@ -38,7 +38,6 @@ class CallSite:
     module: ModuleSource
     caller: Optional[FunctionInfo]  # None for module-level code
     call: ast.Call
-    is_constructor: bool = False
 
 
 @dataclass
@@ -118,20 +117,21 @@ def resolve_call(
     caller: Optional[FunctionInfo],
     call: ast.Call,
     local_types: Optional[Dict[str, List[str]]] = None,
-) -> List[Tuple[str, bool]]:
-    """(callee qualname, is_constructor) candidates for one call node."""
+) -> List[str]:
+    """Callee qualname candidates for one call node (a constructor call
+    resolves to ``Class.__init__``)."""
     func = call.func
     direct = index.resolve_call_target(module, func)
     if direct is not None:
         if direct in index.classes:
             init = index.lookup_method(direct, "__init__")
-            return [(init.qualname, True)] if init is not None else []
-        return [(direct, False)]
+            return [init.qualname] if init is not None else []
+        return [direct]
     if not isinstance(func, ast.Attribute):
         return []
     receiver = func.value
     method_name = func.attr
-    candidates: List[Tuple[str, bool]] = []
+    candidates: List[str] = []
     receiver_classes: List[str] = []
     if isinstance(receiver, ast.Name):
         if (
@@ -154,7 +154,7 @@ def resolve_call(
     for class_qualname in receiver_classes:
         method = index.lookup_method(class_qualname, method_name)
         if method is not None:
-            candidates.append((method.qualname, False))
+            candidates.append(method.qualname)
     return candidates
 
 
@@ -184,20 +184,14 @@ def build_call_graph(index: ProjectIndex) -> CallGraph:
                 continue
             for node in ast.walk(statement):
                 if isinstance(node, ast.Call):
-                    for callee, is_ctor in resolve_call(index, module, None, node):
-                        graph.add(
-                            None,
-                            CallSite(callee, module, None, node, is_ctor),
-                        )
+                    for callee in resolve_call(index, module, None, node):
+                        graph.add(None, CallSite(callee, module, None, node))
     for function in list(index.functions.values()):
         module = index.modules[function.module]
         local_types = local_class_names(index, module, function)
         for call in _context_calls(function.node):
-            for callee, is_ctor in resolve_call(
-                index, module, function, call, local_types
-            ):
+            for callee in resolve_call(index, module, function, call, local_types):
                 graph.add(
-                    function.qualname,
-                    CallSite(callee, module, function, call, is_ctor),
+                    function.qualname, CallSite(callee, module, function, call)
                 )
     return graph

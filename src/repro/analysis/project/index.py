@@ -6,10 +6,9 @@ per-file pass uses.  It records, for the whole file set:
 
 * the module graph (module name -> source, import edges);
 * a symbol table of top-level classes and functions, with methods;
-* per-class attribute facts: the expressions assigned to ``self.X``
-  (fuel for the dataflow tracer) and the class types those attributes
-  can hold (``self.x = ClassName(...)`` and ``Union``/``Optional``
-  annotations), which the call graph uses to resolve method calls.
+* per-class attribute facts: the class types each ``self.X`` can hold
+  (``self.x = ClassName(...)`` and ``Union``/``Optional`` annotations),
+  which the call graph uses to resolve method calls.
 
 Resolution is deliberately *precision over recall*: a name that cannot
 be traced to exactly one in-project symbol resolves to nothing, so the
@@ -21,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.analysis.engine import ModuleSource
 
@@ -55,10 +54,6 @@ class ClassInfo:
     node: ast.ClassDef
     bases: List[str] = field(default_factory=list)  # raw dotted base names
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: ``self.X = <expr>`` assignments, with the method doing the assigning.
-    attr_assignments: Dict[str, List[Tuple[FunctionInfo, ast.expr]]] = field(
-        default_factory=dict
-    )
     #: bare class names an attribute may hold (constructor calls + annotations).
     attr_class_names: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -158,10 +153,10 @@ class ProjectIndex:
                 for cls_name in _annotation_class_names(item.annotation):
                     info.attr_class_names.setdefault(item.target.id, []).append(cls_name)
         for method in info.methods.values():
-            self._collect_attr_facts(info, method)
+            self._collect_attr_classes(info, method)
         self.classes[info.qualname] = info
 
-    def _collect_attr_facts(self, info: ClassInfo, method: FunctionInfo) -> None:
+    def _collect_attr_classes(self, info: ClassInfo, method: FunctionInfo) -> None:
         for node in ast.walk(method.node):
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
@@ -177,17 +172,15 @@ class ProjectIndex:
             ):
                 continue
             attr = target.attr
-            if value is not None:
-                info.attr_assignments.setdefault(attr, []).append((method, value))
-                if isinstance(value, ast.Call):
-                    callee = value.func
-                    bare = (
-                        callee.id
-                        if isinstance(callee, ast.Name)
-                        else callee.attr if isinstance(callee, ast.Attribute) else ""
-                    )
-                    if bare and bare[0].isupper():
-                        info.attr_class_names.setdefault(attr, []).append(bare)
+            if isinstance(value, ast.Call):
+                callee = value.func
+                bare = (
+                    callee.id
+                    if isinstance(callee, ast.Name)
+                    else callee.attr if isinstance(callee, ast.Attribute) else ""
+                )
+                if bare and bare[0].isupper():
+                    info.attr_class_names.setdefault(attr, []).append(bare)
             if annotation is not None:
                 for cls_name in _annotation_class_names(annotation):
                     info.attr_class_names.setdefault(attr, []).append(cls_name)
@@ -273,15 +266,6 @@ class ProjectIndex:
                     if qualname not in resolved:
                         resolved.append(qualname)
         return resolved
-
-    def attr_assignments(
-        self, class_qualname: str, attr: str
-    ) -> List[Tuple[FunctionInfo, ast.expr]]:
-        """Every ``self.attr = <expr>`` through the in-project MRO."""
-        found: List[Tuple[FunctionInfo, ast.expr]] = []
-        for info in self.mro(class_qualname):
-            found.extend(info.attr_assignments.get(attr, ()))
-        return found
 
     def classes_named(self, bare_name: str) -> List[ClassInfo]:
         """Every indexed class with this bare name (any module)."""

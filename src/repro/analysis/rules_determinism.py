@@ -6,8 +6,6 @@ stochastic draw flows from :class:`~repro.sim.random.RandomStreams`
 named streams and no simulated state ever observes the host clock.
 These rules turn that convention into an enforced contract:
 
-* ``no-stdlib-random`` — the :mod:`random` module is banned outright
-  (module-global state, shared across subsystems, not stream-named);
 * ``no-direct-rng`` — constructing numpy generators
   (``np.random.default_rng``, legacy ``RandomState``/module-level
   draws, raw bit generators) anywhere but :mod:`repro.sim.random`;
@@ -27,7 +25,6 @@ from repro.analysis.engine import LintRule, LintViolation, ModuleSource, registe
 
 __all__ = [
     "NoDirectRngRule",
-    "NoStdlibRandomRule",
     "NoWallClockRule",
     "SetIterationOrderRule",
 ]
@@ -37,38 +34,6 @@ def _calls(module: ModuleSource) -> Iterator[ast.Call]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-@register
-class NoStdlibRandomRule(LintRule):
-    """The stdlib ``random`` module is never acceptable in sim code."""
-
-    id = "no-stdlib-random"
-    description = (
-        "the stdlib random module carries hidden global state; every draw "
-        "must come from a RandomStreams named stream"
-    )
-    hint = "draw from RandomStreams(seed).stream('<component>') instead"
-
-    def check(self, module: ModuleSource) -> Iterator[LintViolation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield self.violation(
-                            module, node, "import of the stdlib random module"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module is not None and (
-                    node.module == "random" or node.module.startswith("random.")
-                ):
-                    yield self.violation(
-                        module, node, "import from the stdlib random module"
-                    )
-        for call in _calls(module):
-            name = module.qualified_name(call.func)
-            if name is not None and name.split(".")[0] == "random":
-                yield self.violation(module, call, f"call to {name}()")
 
 
 @register

@@ -8,10 +8,6 @@ simulated world).  Process bodies are recognised statically as generator
 functions that touch an ``env`` (a parameter or name called ``env``, or
 a ``.env`` attribute such as ``self.env``):
 
-* ``kernel-yield-non-event`` — yielding literals or asyncio awaitables
-  from a process body (the kernel fails such a process at run time with
-  a ``SimulationError``; the lint catches it at review time, and on the
-  paths a run never exercised);
 * ``kernel-blocking-call`` — ``time.sleep``, file/socket/subprocess
   I/O, ``input`` inside a process body;
 * ``kernel-stale-now`` — a name bound to ``env.now`` *before* a yield
@@ -38,7 +34,6 @@ __all__ = [
     "BlockingCallRule",
     "HotLoopAllocRule",
     "StaleNowRule",
-    "YieldNonEventRule",
     "allocation",
     "blocking_calls",
     "is_process_generator",
@@ -79,46 +74,6 @@ def _process_generators(module: ModuleSource) -> Iterator[ast.FunctionDef]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.FunctionDef) and is_process_generator(node):
             yield node
-
-
-@register
-class YieldNonEventRule(LintRule):
-    """Process bodies may only yield kernel events."""
-
-    id = "kernel-yield-non-event"
-    description = (
-        "a kernel process suspends by yielding Event objects; yielding "
-        "literals or asyncio awaitables dies at run time with a "
-        "SimulationError"
-    )
-    hint = "yield env.timeout(delay) / an Event, or return the value instead"
-
-    def check(self, module: ModuleSource) -> Iterator[LintViolation]:
-        for function in _process_generators(module):
-            for node in _own_nodes(function):
-                if not isinstance(node, ast.Yield):
-                    continue
-                value = node.value
-                if value is None:
-                    yield self.violation(
-                        module, node, "bare yield in a process body"
-                    )
-                elif isinstance(
-                    value, (ast.Constant, ast.List, ast.Tuple, ast.Dict, ast.Set)
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        "process yields a literal, not a kernel event",
-                    )
-                elif isinstance(value, ast.Call):
-                    name = module.qualified_name(value.func)
-                    if name is not None and name.split(".")[0] == "asyncio":
-                        yield self.violation(
-                            module,
-                            node,
-                            f"process yields {name}(), an asyncio awaitable",
-                        )
 
 
 #: Calls that block the hosting thread (resolved dotted names).

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program rules (call-graph / dataflow) "
+        help="also run the whole-program rules (project index / call graph) "
         "over the full file set",
     )
     lint_parser.add_argument(

@@ -361,21 +361,51 @@ PeerHealthTracker` is built and runs stay bit-identical to the goldens.
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SimulationConfig":
-        """Rebuild a config from :meth:`as_dict` output (e.g. JSON)."""
-        known = sorted(spec.name for spec in dataclasses.fields(cls))
-        if unknown := sorted(set(payload).difference(known)):
-            raise ValueError(
-                f"unknown SimulationConfig field(s): {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(known)}"
-            )
+        """Rebuild a config from :meth:`as_dict` output (e.g. JSON).
+
+        A malformed ``faults`` block fails with a ``ValueError`` naming the
+        offending path (``faults.crash``, ``faults.p2p.loss``, ...).
+        """
+        _reject_unknown("SimulationConfig", payload, cls)
         data = dict(payload)
         data["scheme"] = CachingScheme(data["scheme"])
         faults = data.get("faults")
         if isinstance(faults, dict):
-            data["faults"] = FaultPlan(
-                p2p=LinkFaults(**faults["p2p"]),
-                uplink=LinkFaults(**faults["uplink"]),
-                downlink=LinkFaults(**faults["downlink"]),
-                crash=CrashFaults(**faults["crash"]),
-            )
+            _reject_unknown("faults", faults, FaultPlan)
+            parts = {}
+            for spec in dataclasses.fields(FaultPlan):
+                path = f"faults.{spec.name}"
+                if spec.name not in faults:
+                    raise ValueError(f"{path} is missing")
+                part = CrashFaults if spec.name == "crash" else LinkFaults
+                parts[spec.name] = _fault_part(path, faults[spec.name], part)
+            data["faults"] = FaultPlan(**parts)
         return cls(**data)
+
+
+def _reject_unknown(owner: str, payload: Dict[str, object], kind: type) -> None:
+    """Name every key of ``payload`` that is not a field of ``kind``."""
+    known = sorted(spec.name for spec in dataclasses.fields(kind))
+    if unknown := sorted(set(payload).difference(known)):
+        raise ValueError(
+            f"unknown {owner} field(s): {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(known)}"
+        )
+
+
+def _fault_part(path: str, payload: object, kind: type) -> LinkFaults | CrashFaults:
+    """One :class:`FaultPlan` component from its dict form; errors name ``path``."""
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{path} must be a mapping, got {type(payload).__name__} {payload!r}"
+        )
+    _reject_unknown(path, payload, kind)
+    for name, value in payload.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(
+                f"{path}.{name} must be a number, got {type(value).__name__} {value!r}"
+            )
+    try:
+        return kind(**payload)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import CachingScheme, SimulationConfig
@@ -73,6 +73,12 @@ FULL_PROFILE: Dict[str, object] = {
 }
 
 _PROFILES = {"quick": QUICK_PROFILE, "bench": BENCH_PROFILE, "full": FULL_PROFILE}
+
+#: What :meth:`SweepTable.series` can plot: every Results field and property.
+_METRICS = frozenset(
+    [spec.name for spec in fields(Results)]
+    + [name for name, attr in vars(Results).items() if isinstance(attr, property)]
+)
 
 #: The default row set of a figure: the paper's LC / CC / GC series.
 SCHEME_ROWS: Dict[str, Dict[str, Any]] = {
@@ -158,8 +164,15 @@ class SweepTable:
     def series(self, scheme: str, metric: str) -> List[float]:
         """One plotted line, e.g. ``series("GC", "gch_ratio")``.
 
-        A sweep point quarantined by salvage mode renders as ``nan``.
+        A sweep point quarantined by salvage mode renders as ``nan``; an
+        unknown ``metric`` raises a ``KeyError`` naming the valid ones, even
+        when every point of the row was quarantined.
         """
+        if metric not in _METRICS:
+            raise KeyError(
+                f"unknown metric {metric!r}; Results fields and properties: "
+                f"{', '.join(sorted(_METRICS))}"
+            )
         return [
             getattr(result, metric) if result is not None else math.nan
             for result in self._scheme_rows(scheme)

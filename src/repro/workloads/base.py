@@ -58,8 +58,7 @@ def demand_stream(streams: "RandomStreams") -> "np.random.Generator":
     This is the legacy ``"workload"`` stream — the one
     :func:`~repro.data.workload.build_access_patterns` historically drew
     from — and this helper is its single owner: every engine derives it
-    here, so no two modules can couple to the name independently (the
-    ``rng-shared-stream`` project lint pins this).
+    here, so no two modules can couple to the name independently.
     """
     return streams.stream("workload")
 

@@ -107,7 +107,7 @@ def measure_stream_memory(config: SimulationConfig) -> int:
         engine = build_workload(config, streams, group_of)
         # Deliberately NOT the simulation's "client-{index}" streams:
         # this harness only needs determinism, and naming its own streams
-        # keeps each named stream single-owner (rng-shared-stream lint).
+        # keeps each named stream single-owner.
         hosts = [
             engine.bind(index, streams.stream(f"workload-mem-{index}"))
             for index in range(config.n_clients)

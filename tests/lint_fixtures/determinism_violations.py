@@ -1,14 +1,9 @@
 """Seeded determinism-rule violations (simlint test fixture, never imported)."""
 
-import random
 import time
 from datetime import datetime
 
 import numpy as np
-
-
-def stdlib_draw(items):
-    return random.choice(items)  # MARK:no-stdlib-random
 
 
 def direct_generator():

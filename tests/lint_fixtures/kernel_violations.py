@@ -3,11 +3,6 @@
 import time
 
 
-def bad_yield_process(env):
-    yield env.timeout(1.0)
-    yield 42  # MARK:kernel-yield-non-event
-
-
 def blocking_process(env):
     yield env.timeout(1.0)
     time.sleep(0.5)  # MARK:kernel-blocking-call

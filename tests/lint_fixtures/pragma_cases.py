@@ -16,4 +16,4 @@ def pragma_unknown_rule():
 
 
 def pragma_unused():
-    return 2  # simlint: allow[no-stdlib-random] reason=MARK:pragma-unused
+    return 2  # simlint: allow[no-direct-rng] reason=MARK:pragma-unused

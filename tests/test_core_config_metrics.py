@@ -152,6 +152,47 @@ def test_from_dict_rejects_an_unknown_field_by_name(name):
     assert "cache_size, " in message  # the live names are listed
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda faults: faults.pop("crash"), "faults.crash is missing"),
+        (
+            lambda faults: faults.update(p2p="x"),
+            "faults.p2p must be a mapping, got str 'x'",
+        ),
+        (
+            lambda faults: faults["p2p"].update(lose=0.1),
+            "unknown faults.p2p field(s): 'lose'; known: burst_loss, "
+            "burst_off, burst_on, loss",
+        ),
+        (
+            lambda faults: faults["p2p"].update(loss="0.1"),
+            "faults.p2p.loss must be a number, got str '0.1'",
+        ),
+    ],
+    ids=["missing-part", "part-not-a-mapping", "unknown-key", "wrong-type"],
+)
+def test_from_dict_names_the_path_of_a_malformed_fault_plan(mutate, message):
+    payload = json.loads(json.dumps(SimulationConfig().as_dict()))
+    mutate(payload["faults"])
+    with pytest.raises(ValueError) as err:
+        SimulationConfig.from_dict(payload)
+    assert str(err.value) == message
+
+
+def test_static_config_sites_name_real_fields():
+    # The field names the harness spells out as strings: each CLI flag's
+    # target field, every scale profile and the golden-case base.
+    from repro.check.golden import _BASE
+    from repro.cli import _CONFIG_FIELDS
+    from repro.experiments.runner import BENCH_PROFILE, FULL_PROFILE, QUICK_PROFILE
+
+    fields = {spec.name for spec in dataclasses.fields(SimulationConfig)}
+    assert set(_CONFIG_FIELDS.values()) <= fields
+    for site in (QUICK_PROFILE, BENCH_PROFILE, FULL_PROFILE, _BASE):
+        assert SimulationConfig(**site).as_dict().items() >= site.items()
+
+
 def test_with_scheme_and_replace():
     config = SimulationConfig()
     lc = config.with_scheme(CachingScheme.LC)

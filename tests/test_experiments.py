@@ -95,6 +95,20 @@ def test_sweep_table_series_and_lookup():
         table.result("GC", 99)
 
 
+def test_sweep_table_series_rejects_an_unknown_metric_by_name():
+    table = SweepTable(figure="FigX", parameter="p", values=[1, 2])
+    table.rows["GC"] = [make_results(), make_results()]
+    # Every point quarantined: a typo must still fail rather than plot nan.
+    table.rows["CC"] = [None, None]
+    assert all(math.isnan(v) for v in table.series("CC", "gch_ratio"))
+    for scheme in ("GC", "CC"):
+        with pytest.raises(KeyError) as err:
+            table.series(scheme, "gch_rato")
+        message = err.value.args[0]
+        assert message.startswith("unknown metric 'gch_rato'; ")
+        assert "gch_ratio" in message and "access_latency" in message
+
+
 def test_run_sweep_executes_every_cell(monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "quick")
     seen = []

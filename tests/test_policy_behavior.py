@@ -1,11 +1,10 @@
 """Unit tests for the new registered policy classes (PR 8).
 
-Tests construct policies directly — the sanctioned exception to the
-``policy-direct-instantiation`` simlint rule, which only lints
-``src/repro``.  Each test pins the decision rule itself (probability
-law, hop gate, expiry ranking, GreedyDual inflation, popularity counts)
-rather than end-to-end effects, which the conformance battery and
-dominance tables cover.
+Tests construct policies directly, where the simulator resolves them
+through ``repro.policies.factory``.  Each test pins the decision rule
+itself (probability law, hop gate, expiry ranking, GreedyDual inflation,
+popularity counts) rather than end-to-end effects, which the conformance
+battery and dominance tables cover.
 """
 
 import math

@@ -209,12 +209,14 @@ def test_yield_non_event_fails_process():
     env = Environment()
 
     def bad():
-        yield 123
+        yield env.timeout(1.0)
+        yield 42
 
     proc = env.process(bad())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"^process yielded a non-event: 42$"):
         env.run()
     assert proc.triggered and not proc.ok
+    assert env.now == 1.0
 
 
 def test_any_of_fires_on_first():

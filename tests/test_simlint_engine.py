@@ -8,6 +8,7 @@ from repro.analysis.engine import (
     META_RULES,
     LintViolation,
     ModuleSource,
+    all_project_rules,
     all_rules,
     known_rule_ids,
     lint_source,
@@ -32,20 +33,29 @@ def marker_line(name, marker):
 
 
 def test_registry_covers_all_rule_families():
-    ids = {rule.id for rule in all_rules()}
-    assert {
-        "no-stdlib-random",
+    # The exact catalogue: adding or deleting a rule is an explicit edit
+    # here and in the docs/ANALYSIS.md history table.
+    assert [rule.id for rule in all_rules()] == [
+        "config-field-unvalidated",
+        "kernel-blocking-call",
+        "kernel-hot-alloc",
+        "kernel-stale-now",
         "no-direct-rng",
         "no-wall-clock",
         "set-iteration-order",
-        "kernel-yield-non-event",
-        "kernel-blocking-call",
-        "kernel-stale-now",
-        "unknown-config-field",
-        "unknown-results-field",
-        "config-field-unvalidated",
-    } <= ids
-    assert set(META_RULES) <= known_rule_ids()
+    ]
+    assert [rule.id for rule in all_project_rules()] == [
+        "config-field-flow",
+        "kernel-transitive-hazard",
+        "registry-consistency",
+    ]
+    assert sorted(META_RULES) == [
+        "parse-error",
+        "pragma-missing-reason",
+        "pragma-unknown-rule",
+        "pragma-unused",
+    ]
+    assert len(known_rule_ids()) == 14
 
 
 def test_qualified_name_resolves_import_aliases():
@@ -140,7 +150,7 @@ def test_lint_paths_walks_directories():
         (v["path"], v["line"], v["column"], v["rule"]) for v in report["violations"]
     ]
     assert found == sorted(found)
-    assert any(rule == "no-stdlib-random" for *_, rule in found)
+    assert any(rule == "no-direct-rng" for *_, rule in found)
     # Every file under the tree is visited, nested project fixtures included.
     assert report["files_checked"] == len(list(FIXTURES.rglob("*.py")))
 
