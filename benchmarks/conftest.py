@@ -5,8 +5,9 @@ pytest-benchmark timing, each writes its rendered series to
 ``results/<name>.txt`` (and stdout) so the numbers survive output capture;
 ``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  A
 figure bench also writes ``results/<stem>.json``: the git revision,
-profile and source digest the series was measured at, and the cache key
-of every (row, x) cell.
+profile and source digest the series was measured at, the cache key of
+every (row, x) cell and, for a paper figure, its table at one cheap x at
+the ``quick`` profile (``QUICK_CELLS``), which tier-1 re-simulates.
 
 Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
 bench) — see :mod:`repro.experiments.runner`.  ``REPRO_JOBS`` fans each
@@ -40,6 +41,19 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 #: Worker processes for the figure sweeps (REPRO_JOBS; 0/unset = serial).
 SWEEP_JOBS = jobs_from_env()
+
+#: Paper figure -> one x off the shared default point, cheap at the quick
+#: profile (1-2 s for LC, CC and GC).  ``tests/test_results_consistency.py``
+#: re-simulates it, so a change that moves any scheme there fails tier-1.
+QUICK_CELLS = {
+    "fig2": 20,
+    "fig3": 1.0,
+    "fig4": 100,
+    "fig5": 1,
+    "fig6": 1.0,
+    "fig7": 10,
+    "fig8": 0.1,
+}
 
 #: Rounds per bench: simulations are deterministic, so more rounds would
 #: only measure machine noise (that is perfbench's job, not this suite's).
@@ -95,6 +109,15 @@ def git_revision() -> str:
         return "unknown"
 
 
+def quick_cell(figure) -> dict:
+    """The figure's table at its ``QUICK_CELLS`` x, at the quick profile."""
+    value = QUICK_CELLS[figure.key]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_PROFILE", "quick")
+        table = run_sweep(figure, values=[value], jobs=SWEEP_JOBS)
+    return {"x": value, "table": format_sweep_table(table, figure.title).splitlines()}
+
+
 def write_provenance(figure, table) -> None:
     """Write ``results/<stem>.json``: what produced ``results/<stem>.txt``."""
     sidecar = {
@@ -108,6 +131,8 @@ def write_provenance(figure, table) -> None:
             for row in table.rows
         ],
     }
+    if figure.key in QUICK_CELLS:
+        sidecar["quick"] = quick_cell(figure)
     path = RESULTS_DIR / f"{figure.stem}.json"
     path.write_text(json.dumps(sidecar, indent=1) + "\n")
 

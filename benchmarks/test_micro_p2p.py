@@ -1,11 +1,12 @@
 """Micro-benchmark of the P2P medium, per frame (Section III / V-A).
 
-``P2PNetwork`` keeps one Python float per radio and walks a frame's
-receivers as a list; the design it replaced
-(``tests/_p2p_reference.py``, the previous revision's code) kept the busy
-horizon in an ndarray, so every defer gap — and through
-``Environment.timeout`` the kernel clock — became a ``numpy.float64``.
-Both are timed on the traffic a COCA search makes:
+``P2PNetwork`` takes a frame's receivers from the adjacency row as a list,
+filters them through a ``list[bool]`` of connected hosts and charges them
+one Python float add each; the design it replaced
+(``tests/_p2p_reference.py``, the previous revision's code) built N-long
+bool masks per frame (``adjacency[src] & connected``, three bystander
+classes per unicast) and charged each through a masked ``np.add`` on an
+ndarray ledger.  Both are timed on the traffic a COCA search makes:
 
 * a **flood** — an origin broadcasts a 64-byte REQUEST and every host that
   hears it re-broadcasts once, all at the same instant, so they defer to
@@ -17,7 +18,7 @@ Hosts are scattered uniformly at 100 per km² (about 3 in range at
 TranRange 100 m, the paper's density) and 200 per km² (about 6, what one
 ``cc-flood`` frame reaches), N ∈ {40, 120, 240}.  Both sides replay the same
 origins, alternately and ``REPEATS`` times over (the best pass is reported:
-the box is shared), and must end in the same state.  A separate, untimed
+the machine is shared), and must end in the same state.  A separate, untimed
 pass counts how many scheduled event times are numpy scalars on each side.
 Timings are reported, not gated (docs/PERFORMANCE.md, "Python scalars on
 the per-message path").
@@ -32,7 +33,8 @@ from conftest import run_once
 from repro.mobility import MobilityField, StationaryTrajectory
 from repro.net import Message, MessageKind, P2PNetwork, PowerLedger
 from repro.sim import Environment
-from tests._p2p_reference import ArrayHorizonP2PNetwork, IndexChargedLedger
+from repro.net.power import PURPOSES
+from tests._p2p_reference import MaskChargedLedger, MaskP2PNetwork
 
 HOST_COUNTS = (40, 120, 240)
 DENSITIES_PER_KM2 = (100.0, 200.0)
@@ -44,7 +46,7 @@ REPEATS = 5
 
 SIDES = {
     "list": (P2PNetwork, PowerLedger),
-    "ndarray": (ArrayHorizonP2PNetwork, IndexChargedLedger),
+    "mask": (MaskP2PNetwork, MaskChargedLedger),
 }
 
 
@@ -101,7 +103,7 @@ def replay(side, n_hosts, density, monitor=None):
 
     start = time.perf_counter()
     for origin in origins:
-        for peer in net.neighbors(origin).tolist():
+        for peer in net.field.neighbors_of(origin, env.now, TRAN_RANGE).tolist():
             reply = Message(MessageKind.REPLY, peer, origin, REPLY_BYTES)
             env.process(net.unicast(peer, origin, reply))
         env.run()
@@ -114,7 +116,7 @@ def replay(side, n_hosts, density, monitor=None):
         env.events_processed,
         env.now,
         list(net._busy_until),
-        [ledger._by_purpose[purpose].tobytes() for purpose in sorted(ledger._by_purpose)],
+        [ledger.per_host(purpose) for purpose in PURPOSES],
     )
     return flood_s / net.broadcasts, burst_s / max(net.unicasts, 1), state
 
@@ -126,14 +128,14 @@ def measure(n_hosts, density):
         for side in SIDES:
             per_broadcast, per_unicast, states[side] = replay(side, n_hosts, density)
             best[side] = list(map(min, best[side], (per_broadcast, per_unicast)))
-        assert states["list"] == states["ndarray"]
+        assert states["list"] == states["mask"]
     shares = {}
     for side in SIDES:
         clock = ClockTypes()
         replay(side, n_hosts, density, monitor=clock)
         shares[side] = clock.numpy / clock.scheduled
     broadcasts, unicasts = states["list"][:2]
-    return (*best["list"], *best["ndarray"], shares["list"], shares["ndarray"], broadcasts, unicasts)
+    return (*best["list"], *best["mask"], shares["list"], shares["mask"], broadcasts, unicasts)
 
 
 def test_micro_p2p(benchmark, record_table):
@@ -150,17 +152,17 @@ def test_micro_p2p(benchmark, record_table):
         f"  each side: best of {REPEATS} alternating passes of {ROUNDS} floods"
         f" + {ROUNDS} reply bursts; TranRange {TRAN_RANGE:.0f} m,"
         f" {REQUEST_BYTES} B requests, {REPLY_BYTES} B replies",
-        "  ndarray = tests/_p2p_reference.py (ndarray horizon, charge_many);"
+        "  mask = tests/_p2p_reference.py (bool masks per frame, charge_where);"
         " numpy_clock = share of scheduled event times that are numpy scalars",
-        "  per_km2      N  heard  broadcast_us  ndarray_us  ratio  unicast_us"
-        "  ndarray_us  ratio  numpy_clock  ndarray_numpy_clock",
+        "  per_km2      N  heard  broadcast_us  mask_us  ratio  unicast_us"
+        "  mask_us  ratio  numpy_clock  mask_numpy_clock",
     ]
     for density, n_hosts, bc, uc, old_bc, old_uc, share, old_share, broadcasts, unicasts in rows:
         assert broadcasts > ROUNDS and unicasts > 0  # the flood spread, replies went out
         assert share == 0.0  # nothing numpy reaches the clock in src/
         lines.append(
             f"  {density:7.0f}  {n_hosts:5d}  {unicasts / ROUNDS:5.1f}  {bc * 1e6:12.1f}"
-            f"  {old_bc * 1e6:10.1f}  {bc / old_bc:5.2f}  {uc * 1e6:10.1f}"
-            f"  {old_uc * 1e6:10.1f}  {uc / old_uc:5.2f}  {share:11.2f}  {old_share:19.2f}"
+            f"  {old_bc * 1e6:7.1f}  {bc / old_bc:5.2f}  {uc * 1e6:10.1f}"
+            f"  {old_uc * 1e6:7.1f}  {uc / old_uc:5.2f}  {share:11.2f}  {old_share:16.2f}"
         )
     record_table("micro_p2p", "\n".join(lines))

@@ -245,22 +245,12 @@ class MobilityField:
         self.adjacency_builds += 1
         return close
 
-    def neighbors_of(
-        self,
-        index: int,
-        t: float,
-        radius: float,
-        include_mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def neighbors_of(self, index: int, t: float, radius: float) -> np.ndarray:
         """Indices of hosts within ``radius`` of host ``index`` at ``t``.
 
-        ``include_mask`` (bool, length N) removes e.g. disconnected hosts.
         The host itself is never included.
         """
-        close = self.adjacency(t, radius)[index]
-        if include_mask is not None:
-            close = close & include_mask
-        return np.nonzero(close)[0]
+        return np.nonzero(self.adjacency(t, radius)[index])[0]
 
 
 def build_group_mobility(

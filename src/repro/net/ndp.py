@@ -74,7 +74,7 @@ class NeighborDiscovery:
     def _beacon_cycle(self) -> None:
         network = self.network
         now = self.env.now
-        connected = network.connected
+        connected = np.array(network.connected)
         senders = int(np.count_nonzero(connected))
         if not senders:
             return
@@ -89,7 +89,9 @@ class NeighborDiscovery:
         if self.charge_power:
             model = network.model
             ledger = network.ledger
-            ledger.charge_where(connected, model.bc_send(self.hello_size), "beacon")
+            ledger.charge_hosts(
+                connected.nonzero()[0].tolist(), model.bc_send(self.hello_size), "beacon"
+            )
             receptions = heard.sum(axis=1)
             ledger.charge_each(model.bc_recv(self.hello_size) * receptions, "beacon")
 

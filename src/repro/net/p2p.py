@@ -15,10 +15,7 @@ messages.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from repro.mobility.field import MobilityField
 from repro.net.faults import FaultInjector
@@ -57,10 +54,12 @@ class P2PNetwork:
         #: Optional seeded loss process; ``None`` keeps the ideal channel.
         self.faults = faults
         n = len(field)
-        self.connected = np.ones(n, dtype=bool)
-        # One Python float per radio, not an ndarray: the defer gap read out
-        # of it goes to ``Environment.timeout`` and becomes the kernel clock,
-        # and a numpy scalar there slows every later heap comparison.
+        # Python scalars per radio, not ndarrays: a frame reads about six
+        # entries of each, where any numpy call costs more than the work.
+        # The defer gap read out of the horizon also goes to
+        # ``Environment.timeout`` and becomes the kernel clock, and a numpy
+        # scalar there slows every later heap comparison.
+        self.connected: List[bool] = [True] * n
         self._busy_until: List[float] = [0.0] * n
         self._handlers: List[Optional[Handler]] = [None] * n
         # Traffic counters (for diagnostics and the ablation benches).
@@ -80,7 +79,7 @@ class P2PNetwork:
         self._handlers[node] = handler
 
     def set_connected(self, node: int, is_connected: bool) -> None:
-        self.connected[node] = is_connected
+        self.connected[node] = bool(is_connected)
         if not is_connected:
             watchers = self._down_watchers.pop(node, None)
             if watchers:
@@ -89,7 +88,7 @@ class P2PNetwork:
                         event.succeed(node)
 
     def is_connected(self, node: int) -> bool:
-        return bool(self.connected[node])
+        return self.connected[node]
 
     def watch_down(self, node: int, event) -> None:
         """Succeed ``event`` (with the node index) when ``node`` next
@@ -117,41 +116,6 @@ class P2PNetwork:
     def tx_time(self, size_bytes: int) -> float:
         """Air time of a message of the given size."""
         return size_bytes * 8.0 / self.bandwidth_bps
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Connected hosts currently within transmission range of ``node``.
-
-        A row of the field's per-snapshot adjacency; ``connected`` is applied
-        here, at query time, so a connectivity flip never discards geometry.
-        """
-        return self.field.neighbors_of(
-            node, self.env.now, self.tran_range, include_mask=self.connected
-        )
-
-    def reachable(self, src: int, dst: int, max_hops: int) -> bool:
-        """Whether ``dst`` is within ``max_hops`` P2P hops of ``src`` now.
-
-        Used for oracle membership-reachability checks; the protocols
-        themselves only use broadcast/unicast.
-        """
-        if src == dst:
-            return True
-        if not (self.connected[src] and self.connected[dst]):
-            return False
-        seen = {src}
-        frontier = deque([(src, 0)])
-        while frontier:
-            node, depth = frontier.popleft()
-            if depth == max_hops:
-                continue
-            for peer in self.neighbors(node):
-                peer = int(peer)
-                if peer == dst:
-                    return True
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append((peer, depth + 1))
-        return False
 
     def _wait_medium(self, node: int):
         """Defer until the host's radio is idle (CSMA)."""
@@ -196,8 +160,9 @@ class P2PNetwork:
         now = self.env.now
         size = message.size
         air = self.tx_time(size)
-        in_range = self.field.adjacency(now, self.tran_range)[src] & connected
-        heard = in_range.nonzero()[0].tolist()
+        # The snapshot's row is numpy; from here on the frame is a list.
+        row = self.field.adjacency(now, self.tran_range)[src]
+        heard = [r for r in row.nonzero()[0].tolist() if connected[r]]
         self._occupy(src, heard, now + air)
         model = self.model
         ledger = self.ledger
@@ -207,11 +172,11 @@ class P2PNetwork:
             sig_send = model.parameters.bc_send_v * signature_bytes
             sig_recv = model.parameters.bc_recv_v * signature_bytes
             ledger.charge(src, sig_send, "signature")
-            ledger.charge_where(in_range, sig_recv, "signature")
+            ledger.charge_hosts(heard, sig_recv, "signature")
             send_cost -= sig_send
             recv_cost -= sig_recv
         ledger.charge(src, send_cost, purpose)
-        ledger.charge_where(in_range, recv_cost, purpose)
+        ledger.charge_hosts(heard, recv_cost, purpose)
         self.broadcasts += 1
         yield self.env.timeout(air)
         faults = self.faults
@@ -255,24 +220,36 @@ class P2PNetwork:
         now = self.env.now
         size = message.size
         air = self.tx_time(size)
-        # Bystander partition as boolean masks over the population: each
-        # host lands in exactly one disjoint class.
+        # One pass over the source's row sorts every connected radio near
+        # it into a bystander class; list membership on a row of about six
+        # hosts is cheaper than any set or mask.  Neither end is in its own
+        # row, so the classes never hold the source or the destination.
         adjacency = self.field.adjacency(now, self.tran_range)
-        in_src = adjacency[src] & connected
-        in_dst = adjacency[dst] & connected
-        in_dst[src] = False
-        deliverable = bool(in_src[dst])
-        self._occupy(src, in_src.nonzero()[0].tolist(), now + air)
+        row_dst = adjacency[dst].nonzero()[0].tolist()
+        near_src: List[int] = []
+        near_both: List[int] = []
+        near_src_only: List[int] = []
+        for r in adjacency[src].nonzero()[0].tolist():
+            if connected[r]:
+                near_src.append(r)
+                if r in row_dst:
+                    near_both.append(r)
+                elif r != dst:
+                    near_src_only.append(r)
+        near_dst_only = [
+            r for r in row_dst if connected[r] and r != src and r not in near_src
+        ]
+        deliverable = dst in near_src
+        self._occupy(src, near_src, now + air)
 
         model = self.model
         ledger = self.ledger
         ledger.charge(src, model.ptp_send(size), purpose)
         if deliverable:
             ledger.charge(dst, model.ptp_recv(size), purpose)
-        in_src[dst] = False  # bystanders exclude the destination itself
-        ledger.charge_where(in_src & in_dst, model.ptp_discard_sd(size), purpose)
-        ledger.charge_where(in_src & ~in_dst, model.ptp_discard_s(size), purpose)
-        ledger.charge_where(in_dst & ~in_src, model.ptp_discard_d(size), purpose)
+        ledger.charge_hosts(near_both, model.ptp_discard_sd(size), purpose)
+        ledger.charge_hosts(near_src_only, model.ptp_discard_s(size), purpose)
+        ledger.charge_hosts(near_dst_only, model.ptp_discard_d(size), purpose)
 
         self.unicasts += 1
         yield self.env.timeout(air)

@@ -15,7 +15,7 @@ isolate the caching protocols exactly as the paper reports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -76,14 +76,21 @@ class PowerModel:
 
 
 class PowerLedger:
-    """Per-host accumulated power consumption in µW·s, split by purpose."""
+    """Per-host accumulated power consumption in µW·s, split by purpose.
+
+    One ``list[float]`` per purpose: a frame charges about six hosts, and
+    a Python float add per host is cheaper than any numpy call at that
+    size.  Every charge is still exactly one IEEE add per host.  The sums
+    go through numpy (pairwise summation), as when the ledger was an
+    ndarray; a Python ``sum()`` would differ in the last bits.
+    """
 
     def __init__(self, n_hosts: int):
         if n_hosts < 1:
             raise ValueError("ledger needs at least one host")
         self.n_hosts = n_hosts
-        self._by_purpose: Dict[str, np.ndarray] = {
-            purpose: np.zeros(n_hosts) for purpose in PURPOSES
+        self._by_purpose: Dict[str, List[float]] = {
+            purpose: [0.0] * n_hosts for purpose in PURPOSES
         }
 
     def charge(self, host: int, amount: float, purpose: str = "data") -> None:
@@ -92,24 +99,19 @@ class PowerLedger:
             raise ValueError(f"power charge must be >= 0, got {amount}")
         self._by_purpose[purpose][host] += amount
 
-    def charge_where(
-        self, mask: np.ndarray, amount: float, purpose: str = "data"
+    def charge_hosts(
+        self, hosts: Iterable[int], amount: float, purpose: str = "data"
     ) -> None:
-        """Charge the same amount to every host whose ``mask`` entry is set
-        (e.g. the receivers of one broadcast).  A bool mask over the
-        population cannot name a host twice."""
+        """Charge the same amount to every host in ``hosts`` (e.g. the
+        receivers of one broadcast); a host named twice pays twice."""
         if not amount >= 0:
             raise ValueError(f"power charge must be >= 0, got {amount}")
-        if mask.dtype != bool or mask.shape != (self.n_hosts,):
-            raise ValueError(
-                f"charge_where needs a bool mask of shape ({self.n_hosts},), "
-                f"got dtype {mask.dtype} and shape {mask.shape}"
-            )
-        array = self._by_purpose[purpose]
-        np.add(array, amount, out=array, where=mask)
+        charges = self._by_purpose[purpose]
+        for host in hosts:
+            charges[host] += amount
 
     def charge_each(self, amounts: np.ndarray, purpose: str = "data") -> None:
-        """Charge host ``i`` the amount ``amounts[i]`` (one dense add)."""
+        """Charge host ``i`` the amount ``amounts[i]``."""
         amounts = np.asarray(amounts, dtype=float)
         if amounts.shape != (self.n_hosts,):
             raise ValueError(
@@ -117,20 +119,35 @@ class PowerLedger:
             )
         if not (amounts >= 0).all():
             raise ValueError("power charges must all be >= 0")
-        self._by_purpose[purpose] += amounts
+        charges = self._by_purpose[purpose]
+        for host, amount in enumerate(amounts.tolist()):
+            charges[host] += amount
+
+    def per_host(self, purpose: str) -> List[float]:
+        """Every host's consumption for one purpose (a copy)."""
+        return list(self._by_purpose[purpose])
 
     def host_total(self, host: int) -> float:
-        return float(sum(array[host] for array in self._by_purpose.values()))
+        # Left to right, as the ndarray ledger added its numpy scalars; a
+        # float ``sum()`` is compensated from Python 3.12 on.
+        total = 0.0
+        for charges in self._by_purpose.values():
+            total += charges[host]
+        return total
 
     def total(self, purpose: str = None) -> float:
         """System-wide consumption, optionally for one purpose."""
         if purpose is not None:
-            return float(self._by_purpose[purpose].sum())
-        return float(sum(array.sum() for array in self._by_purpose.values()))
+            return float(np.asarray(self._by_purpose[purpose]).sum())
+        total = 0.0  # left to right, as in host_total
+        for value in self.by_purpose().values():
+            total += value
+        return total
 
     def by_purpose(self) -> Dict[str, float]:
         return {
-            purpose: float(array.sum()) for purpose, array in self._by_purpose.items()
+            purpose: float(np.asarray(charges).sum())
+            for purpose, charges in self._by_purpose.items()
         }
 
     def per_host_totals(self) -> np.ndarray:
@@ -140,6 +157,6 @@ class PowerLedger:
         conservation over the whole population in one vector read).
         """
         total = np.zeros(self.n_hosts)
-        for array in self._by_purpose.values():
-            total += array
+        for charges in self._by_purpose.values():
+            total += charges
         return total

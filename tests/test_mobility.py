@@ -253,12 +253,6 @@ def test_field_neighbors_of():
     assert field.neighbors_of(2, 0.0, radius=50.0).tolist() == []
 
 
-def test_field_neighbors_respects_mask():
-    field = grid_field()
-    mask = np.array([True, False, True, True])
-    assert field.neighbors_of(0, 0.0, radius=50.0, include_mask=mask).tolist() == [3]
-
-
 def test_field_adjacency_symmetric():
     field = grid_field()
     matrix = field.adjacency(0.0, radius=50.0)
@@ -374,11 +368,11 @@ def test_vectorised_snapshot_handles_backward_queries_bitwise():
 # -- per-snapshot adjacency vs a scalar reference ---------------------------
 
 
-def _reference_neighbors(positions, index, radius, mask):
+def _reference_neighbors(positions, index, radius):
     """The range test one host and one peer at a time."""
     found = []
     for peer in range(len(positions)):
-        if peer == index or not mask[peer]:
+        if peer == index:
             continue
         dx = positions[peer][0] - positions[index][0]
         dy = positions[peer][1] - positions[index][1]
@@ -398,11 +392,10 @@ def _reference_neighbors(positions, index, radius, mask):
     ticks=st.lists(st.integers(min_value=0, max_value=4000), min_size=1, max_size=8),
     jitter=st.sampled_from([0.0, 1e-9, 0.02, 0.049999]),
     radius=st.sampled_from([0.0, 1.0, 50.0, 100.0, 250.0, 2000.0]),
-    data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
 def test_range_queries_match_scalar_reference(
-    seed, n_clients, group_size, resolution, opaque, ticks, jitter, radius, data
+    seed, n_clients, group_size, resolution, opaque, ticks, jitter, radius
 ):
     field, _ = build_group_mobility(
         rng(seed), n_clients, group_size, AREA, 1.0, 5.0, resolution=resolution
@@ -412,9 +405,6 @@ def test_range_queries_match_scalar_reference(
             [_OpaqueTrajectory(t) for t in field.trajectories], resolution=resolution
         )
     assert field._fast is not opaque
-    mask = np.array(
-        data.draw(st.lists(st.booleans(), min_size=n_clients, max_size=n_clients))
-    )
     for tick in ticks:
         t = tick * 0.05 + jitter
         builds = field.adjacency_builds
@@ -426,12 +416,8 @@ def test_range_queries_match_scalar_reference(
         assert np.array_equal(matrix, matrix.T)
         assert not matrix.diagonal().any()
         positions = field.positions(t).tolist()
-        everyone = np.ones(n_clients, dtype=bool)
         for index in range(n_clients):
-            assert field.neighbors_of(
-                index, t, radius, include_mask=mask
-            ).tolist() == _reference_neighbors(positions, index, radius, mask)
             assert field.neighbors_of(index, t, radius).tolist() == (
-                _reference_neighbors(positions, index, radius, everyone)
+                _reference_neighbors(positions, index, radius)
             )
         assert field.adjacency_builds == builds + fresh

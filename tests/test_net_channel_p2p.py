@@ -14,6 +14,7 @@ from repro.net import (
     ServerChannel,
 )
 from repro.net.faults import FaultInjector, FaultPlan, LinkFaults
+from repro.net.power import PURPOSES
 from repro.sim import Environment
 from repro.sim.random import RandomStreams
 from tests._resource_reference import Resource
@@ -447,21 +448,29 @@ def test_unicast_bystander_classes_exact(
 
 
 def test_neighbors_follow_connectivity_flips_within_a_bucket():
-    """``connected`` is applied per query: no stale memo, no geometry rebuild."""
+    """``connected`` is applied per frame: no stale memo, no geometry rebuild."""
     env = Environment()
     field = MobilityField([StationaryTrajectory(p) for p in LINE], resolution=0.1)
     net = P2PNetwork(env, field, 8000.0, 50.0, PowerLedger(len(LINE)))
-    assert net.neighbors(1).tolist() == [0, 2]
+    heard = []
+
+    def frame():
+        # One byte holds the air for 1 ms: four frames fit in one bucket.
+        process = env.process(net.broadcast(1, Message(MessageKind.REQUEST, 1, None, 1)))
+        env.run()
+        heard.append(process.value)
+
+    frame()
     builds = field.adjacency_builds
     net.set_connected(2, False)
-    assert net.neighbors(1).tolist() == [0]
+    frame()
     net.set_connected(0, False)
-    assert net.neighbors(1).tolist() == []
-    net.set_connected(1, False)  # the asker's own state does not matter
+    frame()
     net.set_connected(0, True)
-    assert net.neighbors(1).tolist() == [0]
     net.set_connected(2, True)
-    assert net.neighbors(1).tolist() == [0, 2]
+    frame()
+    assert heard == [[0, 2], [0], [], [0, 2]]
+    assert env.now < 0.1
     assert field.adjacency_builds == builds  # all of it from one snapshot
 
 
@@ -471,7 +480,7 @@ def test_rejected_message_leaves_the_medium_untouched():
     horizon before the ledger refused the charge."""
     env, net, ledger = make_net(LINE)
     horizons = list(net._busy_until)
-    charges = {purpose: array.tobytes() for purpose, array in ledger._by_purpose.items()}
+    charges = {purpose: ledger.per_host(purpose) for purpose in PURPOSES}
 
     def proc():
         yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, float("nan")))
@@ -480,7 +489,7 @@ def test_rejected_message_leaves_the_medium_untouched():
     with pytest.raises(ValueError, match="nan"):
         env.run()
     assert net._busy_until == horizons
-    assert {p: a.tobytes() for p, a in ledger._by_purpose.items()} == charges
+    assert {purpose: ledger.per_host(purpose) for purpose in PURPOSES} == charges
     assert (net.broadcasts, net.unicasts, net.failed_unicasts) == (0, 0, 0)
     assert env.pending_events == 0
 
@@ -579,18 +588,6 @@ def test_unicast_route_validates_path():
     env, net, _ = make_net(LINE)
     with pytest.raises(ValueError):
         list(net.unicast_route([0], Message(MessageKind.DATA, 0, 0, 10)))
-
-
-def test_reachable_bfs():
-    points = [(0.0, 0.0), (40.0, 0.0), (80.0, 0.0), (500.0, 0.0)]
-    env, net, _ = make_net(points, tran_range=50.0)
-    assert net.reachable(0, 0, 0)
-    assert net.reachable(0, 1, 1)
-    assert not net.reachable(0, 2, 1)
-    assert net.reachable(0, 2, 2)
-    assert not net.reachable(0, 3, 5)
-    net.set_connected(1, False)
-    assert not net.reachable(0, 2, 2)  # relay offline
 
 
 def test_network_validates_parameters():

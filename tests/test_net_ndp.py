@@ -196,7 +196,4 @@ def test_vectorised_cycle_matches_per_sender_loop(seed, n_hosts, tran_range, dat
     assert np.array_equal(ndp._last_heard, last_heard)
     assert (ndp.rounds, ndp.beacons_sent) == (rounds, beacons)
     for purpose in ("beacon", "data", "signature"):
-        assert (
-            net.ledger._by_purpose[purpose].tobytes()
-            == ledger._by_purpose[purpose].tobytes()
-        )
+        assert net.ledger.per_host(purpose) == ledger.per_host(purpose)

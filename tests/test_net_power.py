@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import PowerLedger, PowerModel, PowerParameters
+from repro.net.power import PURPOSES
+from tests._p2p_reference import MaskChargedLedger
 
 
 def test_table1_point_to_point_rows():
@@ -55,18 +57,20 @@ def test_ledger_charge_and_totals():
     )
 
 
-def test_ledger_charge_where():
+def test_ledger_charge_hosts():
     ledger = PowerLedger(4)
-    ledger.charge_where(np.array([False, True, False, True]), 2.5)
+    ledger.charge_hosts([1, 3], 2.5)
     assert ledger.host_total(1) == pytest.approx(2.5)
     assert ledger.host_total(3) == pytest.approx(2.5)
-    ledger.charge_where(np.zeros(4, dtype=bool), 1.0)  # nobody in the mask: no-op
+    ledger.charge_hosts([], 1.0)  # nobody named: no-op
     assert ledger.total() == pytest.approx(5.0)
     assert ledger.per_host_totals().tolist() == [0.0, 2.5, 0.0, 2.5]
+    ledger.charge_hosts([0, 0], 1.0, "beacon")  # a host named twice pays twice
+    assert ledger.per_host("beacon") == [2.0, 0.0, 0.0, 0.0]
 
 
 def snapshot(ledger):
-    return {purpose: array.tobytes() for purpose, array in ledger._by_purpose.items()}
+    return {purpose: ledger.per_host(purpose) for purpose in PURPOSES}
 
 
 def test_ledger_rejects_negative_charges():
@@ -76,7 +80,7 @@ def test_ledger_rejects_negative_charges():
     with pytest.raises(ValueError):
         ledger.charge(0, -1.0)
     with pytest.raises(ValueError):
-        ledger.charge_where(np.array([True, False]), -1.0)
+        ledger.charge_hosts([0], -1.0)
     assert snapshot(ledger) == before
 
 
@@ -88,46 +92,38 @@ def test_ledger_rejects_nan_charges():
     with pytest.raises(ValueError, match="nan"):
         ledger.charge(0, math.nan)
     with pytest.raises(ValueError, match="nan"):
-        ledger.charge_where(np.array([False, True, True, False]), math.nan)
+        ledger.charge_hosts([1, 2], math.nan)
     amounts = np.array([1.0, math.nan, 0.0, 2.0])
     with pytest.raises(ValueError):
         ledger.charge_each(amounts)
     assert snapshot(ledger) == before
 
 
-@pytest.mark.parametrize(
-    "mask",
-    [
-        np.array([0, 1, 1, 0]),  # 0/1 ints would be read as indices by numpy
-        np.array([0.0, 1.0, 1.0, 0.0]),
-        np.array([True, False, True]),
-        np.ones((4, 1), dtype=bool),
-        np.array([1, 3]),  # an index array, as charge_many took
-    ],
-)
-def test_ledger_charge_where_wants_a_bool_mask_over_the_population(mask):
-    ledger = PowerLedger(4)
-    with pytest.raises(ValueError) as raised:
-        ledger.charge_where(mask, 5.0)
-    assert f"dtype {mask.dtype}" in str(raised.value)
-    assert f"shape {mask.shape}" in str(raised.value)
-    assert ledger.total() == 0.0
-
-
 @given(
-    st.lists(st.booleans(), min_size=1, max_size=40),
-    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6),
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, n - 1), max_size=8),
+                    st.floats(0.0, 1e6),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
 )
-def test_ledger_charge_where_equals_a_per_host_charge_loop(mask, amounts):
-    """Bit for bit, repeated charges included: one masked add per amount is
-    the same float additions, in the same order per host."""
-    masked, looped = PowerLedger(len(mask)), PowerLedger(len(mask))
-    for amount in amounts:
-        masked.charge_where(np.array(mask), amount, "signature")
-        for host, charged in enumerate(mask):
-            if charged:
-                looped.charge(host, amount, "signature")
-    assert snapshot(masked) == snapshot(looped)
+def test_ledger_charge_hosts_equals_a_per_host_charge_loop(case):
+    """Bit for bit, repeated hosts and charges included: the same float
+    additions, in the same order per host."""
+    n_hosts, charges = case
+    grouped, looped = PowerLedger(n_hosts), PowerLedger(n_hosts)
+    for hosts, amount in charges:
+        grouped.charge_hosts(hosts, amount, "signature")
+        for host in hosts:
+            looped.charge(host, amount, "signature")
+    assert snapshot(grouped) == snapshot(looped)
 
 
 def test_ledger_charge_each():
@@ -159,3 +155,56 @@ def test_ledger_unknown_purpose_raises():
     ledger = PowerLedger(1)
     with pytest.raises(KeyError):
         ledger.charge(0, 1.0, "nonsense")
+
+
+# -- the sums are numpy's, as when the ledger was an ndarray -----------------
+
+
+def _ledger_pair(charges):
+    """A list ledger and the ndarray one it replaced, charged alike."""
+    ledgers = PowerLedger(len(charges[0])), MaskChargedLedger(len(charges[0]))
+    for ledger in ledgers:
+        for purpose, amounts in zip(PURPOSES, charges):
+            for host, amount in enumerate(amounts):
+                ledger.charge(host, amount, purpose)
+    return ledgers
+
+
+def _assert_same_sums(new, old):
+    assert new.by_purpose() == old.by_purpose()
+    assert new.total() == old.total()
+    for purpose in PURPOSES:
+        assert new.total(purpose) == old.total(purpose)
+    assert new.per_host_totals().tobytes() == old.per_host_totals().tobytes()
+    for host in range(new.n_hosts):
+        assert new.host_total(host) == old.host_total(host)
+
+
+def test_ledger_sums_are_numpy_pairwise_not_python_sum():
+    """One large charge and many small ones: a left-to-right ``sum()`` drops
+    every small one against the large, numpy's pairwise sum keeps them.
+    ``power_per_gch`` divides ``by_purpose()``, so the ledger must keep
+    summing the way the ndarray did."""
+    data = [1e16, *[1.0] * 19, *[0.1 * i for i in range(20)]]
+    charges = [data, data[::-1], [3.3] * len(data)]
+    assert sum(data) != float(np.asarray(data).sum())  # the case is a real one
+    new, old = _ledger_pair(charges)
+    assert new.by_purpose()["data"] == float(np.asarray(data).sum()) != sum(data)
+    _assert_same_sums(new, old)
+
+
+@given(
+    st.integers(1, 200).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e18)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+)
+def test_ledger_sums_equal_the_ndarray_ledger(charges):
+    _assert_same_sums(*_ledger_pair(charges))

@@ -1,10 +1,12 @@
-"""The list-horizon P2P medium against the ndarray one it replaced.
+"""The list-per-frame P2P medium against the ndarray one it replaced.
 
-``tests/_p2p_reference.py`` keeps the previous revision's ``broadcast``,
-``unicast``, ``_wait_medium`` and ``PowerLedger.charge_many`` verbatim.  The
-test drives ``src/`` and that reference through the same traffic and
-requires ``==`` (floats included, no tolerance) on everything a run could
-observe, after every step.
+``tests/_p2p_reference.py`` keeps the previous revision's mask-based
+``broadcast`` and ``unicast`` and its ndarray ``PowerLedger`` (with
+``charge_where``) verbatim.  The test drives ``src/`` and that reference
+through the same traffic and requires ``==`` (floats included, no
+tolerance) on everything a run could observe, after every step: every
+per-host, per-purpose ledger value, every busy horizon, every delivery and
+every counter.
 """
 
 import numpy as np
@@ -18,15 +20,18 @@ from repro.net.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.net.power import PURPOSES
 from repro.sim import Environment
 from repro.sim.random import RandomStreams
-from tests._p2p_reference import ArrayHorizonP2PNetwork, IndexChargedLedger
+from tests._p2p_reference import MaskChargedLedger, MaskP2PNetwork
 
 BANDWIDTH = 8000.0  # 1000 bytes hold the air for exactly one second
 TRAN_RANGE = 100.0
 #: name -> (square side in metres, moving).  "apart" puts every host on its
-#: own 1 km grid point (no frame is ever heard); "huddle" keeps all of them
-#: inside one transmission range.
+#: own 1 km grid point (no frame is ever heard); "line" spaces them 70 m
+#: apart on a line (a host hears its two neighbours, so a unicast two hops
+#: along is out of range and has bystanders at both ends); "huddle" keeps
+#: all of them inside one transmission range.
 TOPOLOGIES = {
     "apart": (None, False),
+    "line": (None, False),
     "huddle": (60.0, False),
     "static": (350.0, False),
     "moving": (350.0, True),
@@ -40,7 +45,8 @@ class Side:
         side_length, moving = TOPOLOGIES[topology]
         rng = np.random.default_rng(seed)
         if side_length is None:
-            trajectories = [StationaryTrajectory((1000.0 * i, 0.0)) for i in range(n_hosts)]
+            spacing = 70.0 if topology == "line" else 1000.0
+            trajectories = [StationaryTrajectory((spacing * i, 0.0)) for i in range(n_hosts)]
         elif moving:
             # Fast enough that neighbourhoods change within a few steps.
             area = Rectangle(side_length, side_length)
@@ -122,15 +128,15 @@ def assert_same(new, old):
     for (t_new, node_new, m_new), (t_old, node_old, m_old) in zip(new.heard, old.heard):
         assert (t_new, node_new) == (t_old, node_old) and m_new is m_old
     assert new.returned == old.returned
-    assert new.net._busy_until == old.net._busy_until.tolist()
+    assert new.net._busy_until == old.net._busy_until
     for purpose in PURPOSES:
-        assert (
-            new.ledger._by_purpose[purpose].tobytes()
-            == old.ledger._by_purpose[purpose].tobytes()
-        )
+        charges = new.ledger.per_host(purpose)
+        assert charges == old.ledger.per_host(purpose)
+        assert all(type(charge) is float for charge in charges)
     for counter in ("broadcasts", "unicasts", "failed_unicasts"):
         assert getattr(new.net, counter) == getattr(old.net, counter)
-    assert new.net.connected.tolist() == old.net.connected.tolist()
+    assert new.net.connected == old.net.connected.tolist()
+    assert all(type(up) is bool for up in new.net.connected)
     if new.faults is not None:
         assert new.faults.counters() == old.faults.counters()
     assert new.env.events_processed == old.env.events_processed
@@ -210,7 +216,7 @@ def scenarios(draw):
 def test_list_horizon_medium_matches_ndarray_medium(scenario):
     n_hosts, topology, seed, lossy, ops = scenario
     new = Side(P2PNetwork, PowerLedger, n_hosts, topology, seed, lossy)
-    old = Side(ArrayHorizonP2PNetwork, IndexChargedLedger, n_hosts, topology, seed, lossy)
+    old = Side(MaskP2PNetwork, MaskChargedLedger, n_hosts, topology, seed, lossy)
     for step, op in enumerate(ops):
         message = build_message(op)  # one object, handed to both sides
         new.apply(step, op, message)
@@ -227,7 +233,7 @@ def test_contenders_waking_together_repoll_on_both_sides():
     again — same wake-ups, same order, same event count."""
     sides = [
         Side(P2PNetwork, PowerLedger, 4, "huddle", 3, lossy=False),
-        Side(ArrayHorizonP2PNetwork, IndexChargedLedger, 4, "huddle", 3, lossy=False),
+        Side(MaskP2PNetwork, MaskChargedLedger, 4, "huddle", 3, lossy=False),
     ]
     message = Message(MessageKind.REQUEST, 0, None, 1000)
     for side in sides:
@@ -247,7 +253,7 @@ def test_destination_leaving_mid_frame_fails_the_unicast_on_both_sides():
     receiver) that left the air during the frame does not get it."""
     sides = [
         Side(P2PNetwork, PowerLedger, 3, "huddle", 5, lossy=False),
-        Side(ArrayHorizonP2PNetwork, IndexChargedLedger, 3, "huddle", 5, lossy=False),
+        Side(MaskP2PNetwork, MaskChargedLedger, 3, "huddle", 5, lossy=False),
     ]
     frames = [
         Message(MessageKind.DATA, 0, 1, 1000),
@@ -264,3 +270,66 @@ def test_destination_leaving_mid_frame_fails_the_unicast_on_both_sides():
     assert_same(new, old)
     assert new.returned == [(1.0, 0, False), (2.0, 1, [])]
     assert new.heard == [] and new.net.failed_unicasts == 1
+
+
+def both_sides(n_hosts, topology, seed=0):
+    return [
+        Side(P2PNetwork, PowerLedger, n_hosts, topology, seed, lossy=False),
+        Side(MaskP2PNetwork, MaskChargedLedger, n_hosts, topology, seed, lossy=False),
+    ]
+
+
+def test_flips_between_frame_start_and_delivery_on_both_sides():
+    """Receivers and charges are fixed when a frame starts; delivery reads
+    ``connected`` again.  A receiver that leaves mid-frame paid and gets
+    nothing, a host that comes back mid-frame neither pays nor hears it,
+    and a destination that leaves and returns within the frame gets it."""
+    frames = [
+        Message(MessageKind.REQUEST, 0, None, 1000),
+        Message(MessageKind.DATA, 0, 1, 1000),
+    ]
+    sides = both_sides(4, "huddle")
+    for side in sides:
+        side.net.set_connected(3, False)
+        side.send(0, side.net.broadcast(0, frames[0]))
+        side.env.run(until=0.5)
+        side.net.set_connected(2, False)
+        side.net.set_connected(3, True)
+        side.env.run(until=1.5)  # the broadcast was delivered at 1.0
+        side.send(1, side.net.unicast(0, 1, frames[1]))
+        side.env.run(until=1.75)
+        side.net.set_connected(1, False)
+        side.net.set_connected(1, True)
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    assert new.returned == [(1.0, 0, [1]), (2.5, 1, True)]
+    # 2 paid for the broadcast and was off for the unicast; 3 missed the
+    # broadcast and overheard the unicast next to both ends.
+    model = new.net.model
+    assert new.ledger.per_host("data")[2:] == [
+        model.bc_recv(1000),
+        model.ptp_discard_sd(1000),
+    ]
+
+
+def test_unicast_to_a_destination_out_of_range_on_both_sides():
+    """0 -> 3 on the 70 m line: 3 is 210 m away.  The sender pays, 3 does
+    not, 1 is a source-only bystander and 2 and 4 destination-only ones."""
+    sides = both_sides(5, "line")
+    message = Message(MessageKind.DATA, 0, 3, 100)
+    for side in sides:
+        side.send(0, side.net.unicast(0, 3, message))
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    model = new.net.model
+    assert new.returned == [(0.1, 0, False)]
+    assert new.heard == [] and new.net.failed_unicasts == 1
+    assert new.ledger.per_host("data") == [
+        model.ptp_send(100),
+        model.ptp_discard_s(100),
+        model.ptp_discard_d(100),
+        0.0,
+        model.ptp_discard_d(100),
+    ]

@@ -6,7 +6,9 @@ through the same default configuration at one of its x values, so the
 LC/CC/GC cells there must be equal in every file.  One bench-profile
 simulation of that point pins the files to what the code produces, at the
 precision the tables print.  Each ``results/<stem>.json`` written beside a
-figure's series must describe exactly that series' rows and x values.
+figure's series must describe exactly that series' rows and x values; a
+paper figure's sidecar also holds its table at one cheap non-default x at
+the quick profile, which is re-simulated here too.
 """
 
 import json
@@ -112,3 +114,25 @@ def test_sidecar_describes_its_series(path):
             f"{path.name} was recorded from other source "
             f"({sidecar['revision']}); re-run its bench if behaviour changed"
         )
+
+
+PAPER_FIGURES = [f"fig{number}" for number in range(2, 9)]
+
+
+def test_every_paper_figure_sidecar_has_a_quick_cell():
+    sidecars = [json.loads(path.read_text()) for path in SIDECARS]
+    assert {sidecar["figure"] for sidecar in sidecars if "quick" in sidecar} == set(
+        PAPER_FIGURES
+    )
+
+
+@pytest.mark.parametrize("key", PAPER_FIGURES)
+def test_quick_cell_reproduces_at_head(key, monkeypatch):
+    """LC, CC and GC at one non-default x per figure (1-2 s each): the
+    default point alone would miss a change that moves the schemes only
+    away from it."""
+    monkeypatch.setenv("REPRO_PROFILE", "quick")
+    figure = FIGURES[key]
+    quick = json.loads((RESULTS / f"{figure.stem}.json").read_text())["quick"]
+    table = run_sweep(figure, values=[quick["x"]], jobs=jobs_from_env())
+    assert format_sweep_table(table, figure.title).splitlines() == quick["table"]
