@@ -28,6 +28,7 @@ golden-trace fixtures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,14 +70,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="KEY",
         help="workload registry key (see 'repro workloads list')",
     )
-    parser.add_argument(
-        "--workload-param",
-        metavar="NAME=VALUE",
-        action="append",
-        dest="workload_param",
-        help="one workload parameter (repeatable); VALUE is parsed as "
-        "JSON when possible, else kept as a string",
-    )
 
 
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,32 +103,12 @@ _CONFIG_FIELDS = {
 }
 
 
-def _parse_workload_params(pairs: List[str]) -> dict:
-    """``NAME=VALUE`` strings -> a ``workload_params`` dict."""
-    import json
-
-    params = {}
-    for pair in pairs:
-        name, separator, text = pair.partition("=")
-        if not separator or not name:
-            raise argparse.ArgumentTypeError(
-                f"--workload-param expects NAME=VALUE, got {pair!r}"
-            )
-        try:
-            params[name] = json.loads(text)
-        except json.JSONDecodeError:
-            params[name] = text  # e.g. a bare file path
-    return params
-
-
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     overrides = {}
     for arg_name, field in _CONFIG_FIELDS.items():
         value = getattr(args, arg_name, None)
         if value is not None:
             overrides[field] = value
-    if getattr(args, "workload_param", None):
-        overrides["workload_params"] = _parse_workload_params(args.workload_param)
     if getattr(args, "no_ndp", False):
         overrides["ndp_enabled"] = False
     if getattr(args, "scheme", None):
@@ -166,6 +139,16 @@ def _job_count(text: str) -> int:
     return value
 
 
+def _sample_period(text: str) -> float:
+    """argparse type for --sample-period: positive, finite seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser behind ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -191,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--sample-period",
-        type=float,
+        type=_sample_period,
         default=5.0,
         metavar="SECONDS",
         help="time-series sampler period in simulated seconds (default 5)",
@@ -257,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--sample-period",
-        type=float,
+        type=_sample_period,
         default=5.0,
         metavar="SECONDS",
         help="time-series sampler period for traced runs (default 5)",
@@ -445,7 +428,7 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 
     try:
         print(summarize_path(Path(args.path)))
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(f"repro trace: error: {error}", file=sys.stderr)
         return 2
     return 0
@@ -526,8 +509,13 @@ def _run_check_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    if args.command in ("run", "compare"):
+        try:
+            config = _config_from_args(args)
+        except (TypeError, ValueError) as error:
+            print(f"repro {args.command}: error: {error}", file=sys.stderr)
+            return 2
     if args.command == "run":
-        config = _config_from_args(args)
         print(f"Simulating {config.scheme.value} "
               f"with {config.n_clients} clients ...")
         monitor = None
@@ -563,7 +551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(monitor.report().summary())
         return 0
     if args.command == "compare":
-        config = _config_from_args(args)
         print(f"Comparing LC / CC / GC with {config.n_clients} clients ...")
         for name, results in compare_schemes(config).items():
             print(f"\n--- {name} ---")

@@ -78,12 +78,9 @@ class SimulationConfig:
     # -- workload registry (repro.workloads) ----------------------------------------------
     # Empty string = the paper's stationary group-Zipf process (resolved to
     # the registered "stationary-zipf" engine, bit-identically), which
-    # keeps every config recorded before these fields existed replaying
-    # unchanged.  A non-empty value must name a registered workload key;
-    # workload_params carries that workload's knobs (validated against its
-    # declared schema when the engine is built).
+    # keeps every config recorded before this field existed replaying
+    # unchanged.  A non-empty value must name a registered workload key.
     workload: str = ""
-    workload_params: Dict[str, object] = field(default_factory=dict)
 
     # -- disconnection --------------------------------------------------------------------
     # DiscTime is drawn per disconnection; with ~1 request/second a client
@@ -188,7 +185,7 @@ class SimulationConfig:
             elif kind in ("bool", "str"):
                 valid = isinstance(value, bool if kind == "bool" else str)
             else:
-                continue  # scheme, faults, workload_params: checked below
+                continue  # scheme, faults: checked below
             if not valid:
                 raise TypeError(
                     f"{name} must be {kind}, got {type(value).__name__} {value!r}"
@@ -307,10 +304,6 @@ class SimulationConfig:
                 "replacement policy 'grococa' needs the GroCoCa signature "
                 "scheme (scheme GC)"
             )
-        if not isinstance(self.workload_params, dict) or any(
-            not isinstance(name, str) for name in self.workload_params
-        ):
-            raise ValueError("workload_params must be a dict with string keys")
         if self.workload and self.workload not in workload_registry.available():
             raise ValueError(
                 f"unknown workload {self.workload!r}; available: "

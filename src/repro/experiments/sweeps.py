@@ -58,9 +58,8 @@ _FAILURE_AWARE: Dict[str, Any] = dict(
     retry_jitter=0.1,
 )
 
-#: The FigWorkload columns: every registered workload that needs no input
-#: file.  ``trace-replay`` is deliberately absent — it requires a trace
-#: ``path`` parameter, so it has no meaningful figure default.
+#: The FigWorkload columns: every registered workload engine (a tier-1
+#: test holds the two sets equal).
 GENERATIVE_WORKLOADS = (
     "stationary-zipf",
     "ycsb",

@@ -41,6 +41,9 @@ __all__ = [
 #: Chrome export; host ``h`` maps to pid ``h + 1``.
 _SYSTEM_PID = 0
 
+#: Keys every ``trace.jsonl`` line must carry.
+_EVENT_KEYS = {"kind", "name", "t"}
+
 
 def write_jsonl(events: Iterable[TraceEvent], path: Path) -> Path:
     """One JSON object per line, in recording order."""
@@ -53,14 +56,28 @@ def write_jsonl(events: Iterable[TraceEvent], path: Path) -> Path:
 
 
 def load_events(path: Path) -> List[TraceEvent]:
-    """Read a ``trace.jsonl`` file back into :class:`TraceEvent` records."""
+    """Read a ``trace.jsonl`` file back into :class:`TraceEvent` records.
+
+    A line that is not JSON, or not an object carrying ``kind``, ``name``
+    and ``t``, raises ``ValueError`` naming the file and line.
+    """
     events: List[TraceEvent] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ValueError(
+                    f"trace {path}: line {number}: invalid JSON: {error}"
+                ) from None
+            if not isinstance(payload, dict) or not _EVENT_KEYS <= payload.keys():
+                raise ValueError(
+                    f"trace {path}: line {number}: expected an object with "
+                    "keys kind, name, t"
+                )
             events.append(
                 TraceEvent(
                     kind=payload["kind"],

@@ -7,12 +7,7 @@ conformance battery.  ``config.workload = ""`` keeps the legacy
 stationary group-Zipf process, bit-identically.
 """
 
-from repro.workloads.base import (
-    REQUIRED,
-    HostStream,
-    WorkloadEngine,
-    resolve_params,
-)
+from repro.workloads.base import HostStream, WorkloadEngine
 from repro.workloads.factory import (
     DEFAULT_WORKLOAD,
     build_workload,
@@ -32,7 +27,6 @@ from repro.workloads.registry import (
 __all__ = [
     "DEFAULT_WORKLOAD",
     "HostStream",
-    "REQUIRED",
     "WorkloadEngine",
     "WorkloadInfo",
     "available",

@@ -1,10 +1,10 @@
 """The workload engine and per-host stream contracts.
 
 A **workload engine** owns the run-wide state of one demand process —
-access patterns, hot sets, drift permutations, a trace reader — and
-hands each mobile host a lazy **host stream** via :meth:`WorkloadEngine.
-bind`.  A host stream answers exactly two questions, one request at a
-time, in the order the legacy client loop asked them:
+access patterns, hot sets, drift permutations — and hands each mobile
+host a lazy **host stream** via :meth:`WorkloadEngine.bind`.  A host
+stream answers exactly two questions, one request at a time, in the
+order the legacy client loop asked them:
 
 * :meth:`HostStream.next_delay` — how long to think before the next
   request (the legacy path draws ``rng.exponential(think_time_mean)``
@@ -13,10 +13,9 @@ time, in the order the legacy client loop asked them:
   draws from the shared ``"workload"`` stream).
 
 Streams are lazy by contract: a conforming implementation holds O(1)
-state per host regardless of how many requests it serves, which is what
-lets trace replay push millions of records through without materialising
-them (the conformance battery's constant-memory check pins this per
-registered key).
+state per host regardless of how many requests it serves (the
+conformance battery's constant-memory check pins this per registered
+key).
 
 The engine also keeps a windowed item histogram — every drawn item is
 :meth:`noted <WorkloadEngine.note>` — so the observability sampler can
@@ -40,16 +39,7 @@ try:  # Protocol is typing-only; runtime use is pure duck typing.
 except ImportError:  # pragma: no cover - ancient interpreters only
     Protocol = object  # type: ignore[assignment]
 
-__all__ = [
-    "HostStream",
-    "REQUIRED",
-    "WorkloadEngine",
-    "demand_stream",
-    "resolve_params",
-]
-
-#: Sentinel default for a workload parameter that must be supplied.
-REQUIRED = object()
+__all__ = ["HostStream", "WorkloadEngine", "demand_stream"]
 
 
 def demand_stream(streams: "RandomStreams") -> "np.random.Generator":
@@ -73,41 +63,15 @@ class HostStream(Protocol):
         """The next requested item id (call after :meth:`next_delay`)."""
 
 
-def resolve_params(
-    key: str,
-    given: Dict[str, object],
-    defaults: Dict[str, object],
-) -> Dict[str, object]:
-    """Merge ``workload_params`` over a workload's declared defaults.
-
-    Unknown and missing-required parameters raise pinned ``ValueError``
-    messages naming the workload and every known parameter, so a typo'd
-    config is self-explaining.
-    """
-    known = ", ".join(sorted(defaults)) or "(none)"
-    for name in given:
-        if name not in defaults:
-            raise ValueError(
-                f"unknown workload param {name!r} for {key!r}; known: {known}"
-            )
-    params = dict(defaults)
-    params.update(given)
-    for name, value in params.items():
-        if value is REQUIRED:
-            raise ValueError(f"workload {key!r} requires param {name!r}")
-    return params
-
-
 class WorkloadEngine:
     """Base class of every registered workload.
 
-    Subclasses set :attr:`key` (their registry key) and
-    :attr:`PARAM_DEFAULTS` (their ``workload_params`` schema; use
-    :data:`REQUIRED` for mandatory entries) and implement :meth:`bind`.
+    Subclasses set :attr:`key` (their registry key) and implement
+    :meth:`bind`.  An engine's shape parameters are class constants: no
+    figure varies them, so no config field carries them.
     """
 
     key: str = ""
-    PARAM_DEFAULTS: Dict[str, object] = {}
 
     def __init__(
         self,
@@ -118,9 +82,6 @@ class WorkloadEngine:
         self.config = config
         self.streams = streams
         self.group_of = list(group_of)
-        self.params = resolve_params(
-            self.key, config.workload_params, self.PARAM_DEFAULTS
-        )
         self._window_counts: Dict[int, int] = {}
         self._window_requests = 0
 

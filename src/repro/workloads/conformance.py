@@ -13,18 +13,12 @@ Both ``tests/test_workload_conformance.py`` (auto-parametrised over
 matrix job) drive runs through :func:`run_conformance`, so a workload
 added with one ``@register`` line is battery-covered with no further
 wiring.
-
-``trace-replay`` needs a trace file; the battery synthesizes one
-deterministic CSV per process (named streams, no ad-hoc RNG) under a
-temporary directory.
 """
 
 from __future__ import annotations
 
-import tempfile
 import tracemalloc
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.check.conformance import BASE_CONFIG, ConformanceReport, run_battery
 from repro.core.config import SimulationConfig
@@ -37,7 +31,6 @@ __all__ = [
     "conformance_config",
     "conformance_keys",
     "run_conformance",
-    "synthesize_trace",
 ]
 
 #: Allowed ``tracemalloc`` peak growth (bytes) while drawing the
@@ -55,40 +48,9 @@ def conformance_keys() -> List[str]:
     return registry.available()
 
 
-def synthesize_trace(path: Path) -> Path:
-    """Write a small deterministic CSV trace (named streams, no ad-hoc RNG)."""
-    rng = RandomStreams(77).stream("conformance-trace")
-    now = 0.0
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("t,host,item\n")
-        for _ in range(2_000):
-            now += float(rng.exponential(2.0))
-            host = int(rng.integers(0, BASE_CONFIG["n_clients"]))
-            item = int(rng.integers(0, BASE_CONFIG["n_data"]))
-            handle.write(f"{now:.6f},{host},{item}\n")
-    return path
-
-
-_trace_dir: Optional[Path] = None
-
-
-def _battery_trace() -> Path:
-    """The per-process synthetic trace backing the ``trace-replay`` runs."""
-    global _trace_dir
-    if _trace_dir is None:
-        _trace_dir = Path(tempfile.mkdtemp(prefix="repro-workload-conformance-"))
-    trace = _trace_dir / "battery.csv"
-    if not trace.exists():
-        synthesize_trace(trace)
-    return trace
-
-
 def conformance_config(key: str) -> SimulationConfig:
     """A small config that genuinely exercises workload ``key``."""
-    params: Dict[str, object] = {}
-    if key == "trace-replay":
-        params = {"path": str(_battery_trace())}
-    return SimulationConfig(workload=key, workload_params=params, **BASE_CONFIG)
+    return SimulationConfig(workload=key, **BASE_CONFIG)
 
 
 def measure_stream_memory(config: SimulationConfig) -> int:

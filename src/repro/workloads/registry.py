@@ -56,11 +56,7 @@ def _load_builtins() -> None:
     modules import this module for the decorator, and
     ``repro.core.config`` imports this module for key validation.
     """
-    from repro.workloads import (  # noqa: F401
-        stationary,
-        synthetic,
-        trace,
-    )
+    from repro.workloads import stationary, synthetic  # noqa: F401
 
 
 _WORKLOADS = Registry("workload", (NAMESPACE,), "workload", _load_builtins)

@@ -63,7 +63,6 @@ class StationaryZipfWorkload(WorkloadEngine):
     """Group-shared Zipf windows, exponential think times."""
 
     key = "stationary-zipf"
-    PARAM_DEFAULTS: dict = {}
 
     def __init__(
         self,

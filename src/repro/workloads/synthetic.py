@@ -1,5 +1,5 @@
-"""Synthetic non-stationary workloads: YCSB mixes, flash crowds, diurnal
-rate modulation and popularity drift.
+"""Synthetic non-stationary workloads: YCSB workload A, flash crowds,
+diurnal rate modulation and popularity drift.
 
 All four engines keep the legacy stream discipline — item draws from the
 shared ``"workload"`` stream, think-time draws from each host's own
@@ -12,17 +12,16 @@ host happens to enter the spike first.
 
 The simulator models the *demand* side only: clients issue read-through
 requests and the server database churns independently at
-``data_update_rate``.  The YCSB mixes therefore collapse read/update/
-insert operations to item choice — an "update" requests the item it
-would have written (read-modify-write demand), and mix D's "insert"
-advances a latest-item frontier — which is the standard mapping when
-YCSB drives a cache simulator rather than a storage engine.
+``data_update_rate``.  YCSB's read/update operations therefore collapse
+to item choice — an "update" requests the item it would have written
+(read-modify-write demand) — which is the standard mapping when YCSB
+drives a cache simulator rather than a storage engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.data.workload import AccessPattern, build_access_patterns
 from repro.data.zipf import ZipfGenerator
@@ -39,111 +38,23 @@ __all__ = [
     "DiurnalWorkload",
     "FlashCrowdWorkload",
     "PopularityDriftWorkload",
-    "YCSB_MIXES",
     "YCSBWorkload",
     "diurnal_rate_factor",
 ]
 
 
-# --------------------------------------------------------------------- ycsb
+class _DrawStream:
+    """One host's stream over an engine whose ``draw_item`` picks items.
 
-#: Operation fractions (read, update, insert) per YCSB core workload.
-#: A = update-heavy, B = read-mostly, C = read-only, D = read-latest.
-YCSB_MIXES: Dict[str, Tuple[float, float, float]] = {
-    "a": (0.5, 0.5, 0.0),
-    "b": (0.95, 0.05, 0.0),
-    "c": (1.0, 0.0, 0.0),
-    "d": (0.95, 0.0, 0.05),
-}
-
-
-class _YCSBStream:
-    __slots__ = ("engine", "rng", "mean")
-
-    def __init__(self, engine: "YCSBWorkload", rng, mean: float) -> None:
-        self.engine = engine
-        self.rng = rng
-        self.mean = float(mean)
-
-    def next_delay(self, now: float) -> float:
-        return self.rng.exponential(self.mean)
-
-    def next_item(self, now: float) -> int:
-        item = self.engine.draw_item()
-        self.engine.note(item)
-        return item
-
-
-@register(
-    "ycsb",
-    summary="YCSB core mixes A-D (zipfian / read-latest request streams)",
-    citation="Cooper et al., SoCC 2010",
-)
-class YCSBWorkload(WorkloadEngine):
-    """YCSB-style request streams over the whole database.
-
-    ``mix`` picks the operation fractions (:data:`YCSB_MIXES`); ``theta``
-    is the zipfian request-distribution constant (YCSB's default 0.99).
-    Mix D replaces the zipfian item choice with a "latest" distribution:
-    a frontier of recently inserted items advances on insert operations
-    and reads cluster zipf-fashion behind it.
+    Think times are the legacy exponential draws; the item comes from
+    ``engine.draw_item(pattern, now)`` (``pattern`` is the host's group
+    window, or None for an engine that ignores groups).
     """
 
-    key = "ycsb"
-    PARAM_DEFAULTS: Dict[str, object] = {"mix": "a", "theta": 0.99}
-
-    def __init__(
-        self,
-        config: "SimulationConfig",
-        streams: "RandomStreams",
-        group_of: List[int],
-    ) -> None:
-        super().__init__(config, streams, group_of)
-        mix = self.params["mix"]
-        if mix not in YCSB_MIXES:
-            raise ValueError(
-                f"unknown ycsb mix {mix!r}; known: {', '.join(sorted(YCSB_MIXES))}"
-            )
-        theta = float(self.params["theta"])  # type: ignore[arg-type]
-        if theta < 0:
-            raise ValueError("ycsb param 'theta' must be >= 0")
-        self.mix = mix
-        self.read, self.update, self.insert = YCSB_MIXES[mix]
-        self.rng = demand_stream(streams)
-        self._zipf = ZipfGenerator(self.rng, config.n_data, theta)
-        # Mix D's latest-item frontier: one tenth of the database counts
-        # as already inserted, so early reads have a window to cluster in.
-        self._frontier = max(1, config.n_data // 10)
-
-    def draw_item(self) -> int:
-        """One operation's item, shared across hosts (one stream)."""
-        n_data = self.config.n_data
-        if self.mix == "c":
-            # Read-only: no operation draw at all — pure zipfian reads.
-            return self._zipf.sample()
-        op = self.rng.random()
-        if self.mix == "d" and op >= self.read:
-            # Insert: the frontier advances and the new item is requested.
-            self._frontier += 1
-            return (self._frontier - 1) % n_data
-        rank = self._zipf.sample()
-        if self.mix == "d":
-            # Read-latest: rank 0 is the newest item behind the frontier.
-            return (self._frontier - 1 - (rank % self._frontier)) % n_data
-        return rank  # zipfian: rank order doubles as item id order
-
-    def bind(self, index: int, rng: "np.random.Generator") -> _YCSBStream:
-        return _YCSBStream(self, rng, self.config.think_time_mean)
-
-
-# -------------------------------------------------------------- flash crowd
-
-
-class _FlashCrowdStream:
     __slots__ = ("engine", "pattern", "rng", "mean")
 
     def __init__(
-        self, engine: "FlashCrowdWorkload", pattern: AccessPattern, rng, mean: float
+        self, engine, pattern: Optional[AccessPattern], rng, mean: float
     ) -> None:
         self.engine = engine
         self.pattern = pattern
@@ -157,6 +68,48 @@ class _FlashCrowdStream:
         item = self.engine.draw_item(self.pattern, now)
         self.engine.note(item)
         return item
+
+
+# --------------------------------------------------------------------- ycsb
+
+
+@register(
+    "ycsb",
+    summary="YCSB core workload A (zipfian, 50/50 read/update)",
+    citation="Cooper et al., SoCC 2010",
+)
+class YCSBWorkload(WorkloadEngine):
+    """YCSB core workload A over the whole database.
+
+    Each operation draws its type (read or update, half each) and then a
+    zipfian item with YCSB's default constant ``theta``.  Both operation
+    types request the item, so the type draw only advances the shared
+    stream.
+    """
+
+    key = "ycsb"
+    theta = 0.99
+
+    def __init__(
+        self,
+        config: "SimulationConfig",
+        streams: "RandomStreams",
+        group_of: List[int],
+    ) -> None:
+        super().__init__(config, streams, group_of)
+        self.rng = demand_stream(streams)
+        self._zipf = ZipfGenerator(self.rng, config.n_data, self.theta)
+
+    def draw_item(self, pattern: None, now: float) -> int:
+        """One operation's item, shared across hosts (one stream)."""
+        self.rng.random()  # the read/update draw: both request the item
+        return self._zipf.sample()  # rank order doubles as item id order
+
+    def bind(self, index: int, rng: "np.random.Generator") -> _DrawStream:
+        return _DrawStream(self, None, rng, self.config.think_time_mean)
+
+
+# -------------------------------------------------------------- flash crowd
 
 
 @register(
@@ -174,12 +127,10 @@ class FlashCrowdWorkload(WorkloadEngine):
     """
 
     key = "flash-crowd"
-    PARAM_DEFAULTS: Dict[str, object] = {
-        "period": 240.0,
-        "duration": 40.0,
-        "hot_items": 8,
-        "boost": 0.8,
-    }
+    period = 240.0
+    duration = 40.0
+    hot_items = 8
+    boost = 0.8
 
     def __init__(
         self,
@@ -188,20 +139,6 @@ class FlashCrowdWorkload(WorkloadEngine):
         group_of: List[int],
     ) -> None:
         super().__init__(config, streams, group_of)
-        self.period = float(self.params["period"])  # type: ignore[arg-type]
-        self.duration = float(self.params["duration"])  # type: ignore[arg-type]
-        self.hot_items = int(self.params["hot_items"])  # type: ignore[arg-type]
-        self.boost = float(self.params["boost"])  # type: ignore[arg-type]
-        if self.period <= 0:
-            raise ValueError("flash-crowd param 'period' must be positive")
-        if not 0 < self.duration <= self.period:
-            raise ValueError(
-                "flash-crowd param 'duration' must be in (0, period]"
-            )
-        if self.hot_items < 1:
-            raise ValueError("flash-crowd param 'hot_items' must be >= 1")
-        if not 0.0 <= self.boost <= 1.0:
-            raise ValueError("flash-crowd param 'boost' must be in [0, 1]")
         self.rng = demand_stream(streams)
         self.patterns = build_access_patterns(
             self.rng,
@@ -235,8 +172,8 @@ class FlashCrowdWorkload(WorkloadEngine):
             return int(hot[int(self.rng.integers(0, len(hot)))])
         return pattern.next_item()
 
-    def bind(self, index: int, rng: "np.random.Generator") -> _FlashCrowdStream:
-        return _FlashCrowdStream(
+    def bind(self, index: int, rng: "np.random.Generator") -> _DrawStream:
+        return _DrawStream(
             self, self.patterns[index], rng, self.config.think_time_mean
         )
 
@@ -288,7 +225,8 @@ class DiurnalWorkload(WorkloadEngine):
     """
 
     key = "diurnal"
-    PARAM_DEFAULTS: Dict[str, object] = {"amplitude": 0.5, "period": 400.0}
+    amplitude = 0.5
+    period = 400.0
 
     def __init__(
         self,
@@ -297,12 +235,6 @@ class DiurnalWorkload(WorkloadEngine):
         group_of: List[int],
     ) -> None:
         super().__init__(config, streams, group_of)
-        self.amplitude = float(self.params["amplitude"])  # type: ignore[arg-type]
-        self.period = float(self.params["period"])  # type: ignore[arg-type]
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("diurnal param 'amplitude' must be in [0, 1)")
-        if self.period <= 0:
-            raise ValueError("diurnal param 'period' must be positive")
         self.patterns = build_access_patterns(
             demand_stream(streams),
             self.group_of,
@@ -318,31 +250,6 @@ class DiurnalWorkload(WorkloadEngine):
 
 
 # ---------------------------------------------------------- popularity drift
-
-
-class _DriftStream:
-    __slots__ = ("engine", "pattern", "rng", "mean")
-
-    def __init__(
-        self,
-        engine: "PopularityDriftWorkload",
-        pattern: AccessPattern,
-        rng,
-        mean: float,
-    ) -> None:
-        self.engine = engine
-        self.pattern = pattern
-        self.rng = rng
-        self.mean = float(mean)
-
-    def next_delay(self, now: float) -> float:
-        return self.rng.exponential(self.mean)
-
-    def next_item(self, now: float) -> int:
-        perm = self.engine.permutation(now)
-        item = self.pattern.item_for_rank(int(perm[self.pattern.next_rank()]))
-        self.engine.note(item)
-        return item
 
 
 @register(
@@ -362,7 +269,7 @@ class PopularityDriftWorkload(WorkloadEngine):
     """
 
     key = "popularity-drift"
-    PARAM_DEFAULTS: Dict[str, object] = {"period": 300.0}
+    period = 300.0
 
     def __init__(
         self,
@@ -371,9 +278,6 @@ class PopularityDriftWorkload(WorkloadEngine):
         group_of: List[int],
     ) -> None:
         super().__init__(config, streams, group_of)
-        self.period = float(self.params["period"])  # type: ignore[arg-type]
-        if self.period <= 0:
-            raise ValueError("popularity-drift param 'period' must be positive")
         self.patterns = build_access_patterns(
             demand_stream(streams),
             self.group_of,
@@ -398,7 +302,11 @@ class PopularityDriftWorkload(WorkloadEngine):
             self._perm = self._drift_rng.permutation(self.config.access_range)
         return self._perm
 
-    def bind(self, index: int, rng: "np.random.Generator") -> _DriftStream:
-        return _DriftStream(
+    def draw_item(self, pattern: AccessPattern, now: float) -> int:
+        perm = self.permutation(now)
+        return pattern.item_for_rank(int(perm[pattern.next_rank()]))
+
+    def bind(self, index: int, rng: "np.random.Generator") -> _DrawStream:
+        return _DrawStream(
             self, self.patterns[index], rng, self.config.think_time_mean
         )

@@ -72,6 +72,32 @@ def test_invalid_scheme_rejected():
         parse(["run", "--scheme", "XX"])
 
 
+def test_run_reports_a_bad_config_value_as_a_cli_error(capsys):
+    assert main(["run", "--clients", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "repro run: error: n_clients must be >= 1\n"
+    assert captured.out == ""  # rejected before any run
+
+
+def test_compare_reports_a_non_finite_value_as_a_cli_error(capsys):
+    assert main(["compare", "--theta", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "repro compare: error: theta must be finite, got nan\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["run", "--trace-out", "d"], ["sweep", "fig2"]])
+def test_sample_period_must_be_positive_and_finite(capsys, command, period):
+    with pytest.raises(SystemExit) as usage:
+        parse([*command, "--sample-period", period])
+    assert usage.value.code == 2
+    assert (
+        f"repro {command[0]}: error: argument --sample-period: "
+        f"must be positive and finite, got {period}\n"
+    ) in capsys.readouterr().err
+
+
 def test_figure_choices_cover_all_paper_figures():
     assert set(FIGURES) == {f"fig{i}" for i in range(2, 9)} | {
         "fig-loss",

@@ -186,6 +186,28 @@ def test_cli_trace_summarize(tmp_path, capsys):
     assert cli.main(["trace", "summarize", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"bad json', "invalid JSON: "),
+        ("[1,2]", "expected an object with keys kind, name, t"),
+        ('{"ph":"X"}', "expected an object with keys kind, name, t"),
+    ],
+    ids=["not-json", "not-an-object", "missing-keys"],
+)
+def test_malformed_trace_line_is_named(tmp_path, capsys, line, reason):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"kind": "I", "name": "ok", "t": 0.0}\n' + line + "\n")
+    named = f"trace {path}: line 2: {reason}"
+    with pytest.raises(ValueError) as excinfo:
+        load_events(path)
+    assert str(excinfo.value).startswith(named)
+    assert cli.main(["trace", "summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro trace: error: {named}")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_run_traced_without_sampler_skips_series(tmp_path):
     _results, paths = run_traced(_config(), tmp_path / "gc", sample_period=None)
     assert "series" not in paths

@@ -23,7 +23,7 @@ SRC = ROOT / "src"
 _CONFIG = [
     "--access-range", "--cache-size", "--clients", "--data", "--group-size",
     "--no-ndp", "--p-disc", "--requests", "--seed", "--theta", "--update-rate",
-    "--workload", "--workload-param",
+    "--workload",
 ]  # fmt: skip
 
 #: subcommand -> its option strings (``-h`` aside).
@@ -46,7 +46,7 @@ CLI_OPTIONS = {
 
 
 def test_config_field_count():
-    assert len(dataclasses.fields(SimulationConfig)) == 67
+    assert len(dataclasses.fields(SimulationConfig)) == 66
 
 
 def test_policy_namespaces():

@@ -6,9 +6,9 @@ through the same default configuration at one of its x values, so the
 LC/CC/GC cells there must be equal in every file.  One bench-profile
 simulation of that point pins the files to what the code produces, at the
 precision the tables print.  Each ``results/<stem>.json`` written beside a
-figure's series must describe exactly that series' rows and x values; a
-paper figure's sidecar also holds its table at one cheap non-default x at
-the quick profile, which is re-simulated here too.
+figure's series must describe exactly that series' rows and x values; the
+sidecar of a paper figure, and of FigWorkload, also holds its table at one
+cheap non-default x at the quick profile, which is re-simulated here too.
 """
 
 import json
@@ -116,17 +116,19 @@ def test_sidecar_describes_its_series(path):
         )
 
 
-PAPER_FIGURES = [f"fig{number}" for number in range(2, 9)]
+#: The paper figures, plus FigWorkload: its ``ycsb`` column is the one
+#: place tier-1 sees a synthetic workload engine draw.
+QUICK_FIGURES = [*(f"fig{number}" for number in range(2, 9)), "fig-workload"]
 
 
 def test_every_paper_figure_sidecar_has_a_quick_cell():
     sidecars = [json.loads(path.read_text()) for path in SIDECARS]
     assert {sidecar["figure"] for sidecar in sidecars if "quick" in sidecar} == set(
-        PAPER_FIGURES
+        QUICK_FIGURES
     )
 
 
-@pytest.mark.parametrize("key", PAPER_FIGURES)
+@pytest.mark.parametrize("key", QUICK_FIGURES)
 def test_quick_cell_reproduces_at_head(key, monkeypatch):
     """LC, CC and GC at one non-default x per figure (1-2 s each): the
     default point alone would miss a change that moves the schemes only

@@ -91,7 +91,6 @@ class _HoardingStream:
 
 class _HoardingWorkload(WorkloadEngine):
     key = "hoarding"
-    PARAM_DEFAULTS = {}
 
     def bind(self, index, rng):
         return _HoardingStream(rng, self.config.think_time_mean)

@@ -27,7 +27,11 @@ from repro.core.config import SimulationConfig
 from repro.data.zipf import ZipfGenerator
 from repro.sim.random import RandomStreams
 from repro.workloads.factory import build_workload
-from repro.workloads.synthetic import diurnal_rate_factor
+from repro.workloads.synthetic import (
+    DiurnalWorkload,
+    PopularityDriftWorkload,
+    diurnal_rate_factor,
+)
 
 N_CLIENTS = 6
 GROUP_SIZE = 3
@@ -35,7 +39,7 @@ N_DATA = 120
 ACCESS_RANGE = 30
 
 
-def small_config(seed, workload, theta=0.5, **params):
+def small_config(seed, workload, theta=0.5):
     return SimulationConfig(
         n_clients=N_CLIENTS,
         n_data=N_DATA,
@@ -50,7 +54,6 @@ def small_config(seed, workload, theta=0.5, **params):
         ndp_enabled=False,
         seed=seed,
         workload=workload,
-        workload_params=dict(params),
     )
 
 
@@ -109,12 +112,10 @@ def test_diurnal_factor_integrates_to_the_configured_mean(amplitude, period):
 
 
 def test_diurnal_drawn_rate_stays_on_the_nominal_mean():
-    period = 100.0
-    config = small_config(
-        42, "diurnal", amplitude=0.6, period=period
-    )
+    config = small_config(42, "diurnal")
     _, stream = bound_stream(config)
-    horizon = 50 * period  # whole periods only, so modulation averages out
+    # whole periods only, so modulation averages out
+    horizon = 50 * DiurnalWorkload.period
     now, count = 0.0, 0
     while now < horizon:
         now += stream.next_delay(now)
@@ -130,8 +131,8 @@ def test_diurnal_drawn_rate_stays_on_the_nominal_mean():
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_drift_preserves_marginal_skew_across_epochs(seed):
-    period = 50.0
-    config = small_config(seed, "popularity-drift", period=period)
+    period = PopularityDriftWorkload.period
+    config = small_config(seed, "popularity-drift")
     engine, stream = bound_stream(config)
     analytic = analytic_zipf_cdf(ACCESS_RANGE, config.theta)
     n = 3_000
@@ -147,8 +148,8 @@ def test_drift_preserves_marginal_skew_across_epochs(seed):
 
 
 def test_drift_permutation_changes_between_epochs():
-    period = 50.0
-    config = small_config(7, "popularity-drift", period=period)
+    period = PopularityDriftWorkload.period
+    config = small_config(7, "popularity-drift")
     engine, _ = bound_stream(config)
     first = np.array(engine.permutation(1.0))
     second = np.array(engine.permutation(period + 1.0))
@@ -157,8 +158,8 @@ def test_drift_permutation_changes_between_epochs():
 
 
 def test_drift_epochs_are_monotone_and_order_independent():
-    period = 50.0
-    config = small_config(9, "popularity-drift", period=period)
+    period = PopularityDriftWorkload.period
+    config = small_config(9, "popularity-drift")
     engine_a, _ = bound_stream(config)
     engine_b, _ = bound_stream(config)
     # Jumping straight to epoch 4 consumes the skipped epochs' draws, so

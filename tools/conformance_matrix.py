@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python tools/conformance_matrix.py [--report FILE]
     PYTHONPATH=src python tools/conformance_matrix.py --namespace replacement
-    PYTHONPATH=src python tools/conformance_matrix.py --key trace-replay
+    PYTHONPATH=src python tools/conformance_matrix.py --key flash-crowd
 
 Iterates both registries' ``conformance_keys()`` — so an entry registered
 after this tool shipped is still covered with no edits — runs the shared
