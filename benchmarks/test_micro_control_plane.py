@@ -16,18 +16,30 @@ Both sides replay the same call sequence, alternately and ``REPEATS`` times
 over (the best pass is reported: the box is shared and a single pass swings
 by tens of percent), and must end in the same state; the timings are
 reported, not gated (docs/PERFORMANCE.md, "The GroCoCa control plane").
+
+Beside each timing sits the ``tracemalloc`` bytes the state holds: the TCG
+manager after the replay (its N² matrices are alike on both sides, so the
+gap is the access counts) and a requester's peer vector after one TCG's
+worth of SigReplies.  Byte counts do not depend on the machine's speed, so
+the sparse side holding fewer is asserted: a memory gate with no timing
+gate.
 """
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 from conftest import run_once
 
 from repro.core.signatures_proto import SignatureAgent
 from repro.core.tcg import TCGManager
-from repro.signatures import SignatureScheme
-from tests._control_plane_reference import DenseSignatureAgent, RecomputingTCGManager
+from repro.signatures import PeerSignature, SignatureScheme
+from tests._control_plane_reference import (
+    DensePeerSignature,
+    DenseSignatureAgent,
+    RecomputingTCGManager,
+)
 
 HOST_COUNTS = (40, 120, 240)
 CONTACTS = 3000
@@ -38,6 +50,7 @@ CACHE_SIZES = (30, 100)
 SIZE_BITS, HASHES, COUNTER_BITS = 10_000, 2, 4
 ROUNDS = 400
 REPEATS = 5
+MEMBERS = 8  # SigReplies a requester merges between two departures
 
 
 def contact_sequence(n_hosts):
@@ -57,6 +70,16 @@ def contact_sequence(n_hosts):
         item = int(range_start[group] + rng.zipf(1.5) % ACCESS_RANGE)
         contacts.append((client, position, item))
     return contacts
+
+
+def held_bytes(build):
+    """tracemalloc bytes allocated by ``build()`` and still held by its result."""
+    tracemalloc.start()
+    try:
+        kept = build()  # noqa: F841 - alive for the reading below
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def replay_contacts(manager, contacts):
@@ -84,7 +107,17 @@ def measure_tcg(n_hosts):
         assert np.array_equal(new.member, old.member)
         assert np.array_equal(new.wadm, old.wadm)
         assert new.membership_changes == old.membership_changes
-    return new_s, old_s, new.membership_changes, int(new.member.sum()) // 2
+    new_bytes = held_bytes(lambda: manager_after(TCGManager, n_hosts, contacts))
+    old_bytes = held_bytes(lambda: manager_after(RecomputingTCGManager, n_hosts, contacts))
+    assert new_bytes < old_bytes
+    pairs = int(new.member.sum()) // 2
+    return new_s, old_s, new.membership_changes, pairs, new_bytes, old_bytes
+
+
+def manager_after(manager_type, n_hosts, contacts):
+    manager = manager_type(n_hosts, N_DATA, DELTA, SIMILARITY, OMEGA)
+    replay_contacts(manager, contacts)
+    return manager
 
 
 def churn(agent, cached, next_item):
@@ -113,11 +146,39 @@ def replay_signatures(agent_type, cache_size):
         update = member.take_update()
         update_s += time.perf_counter() - start
         outputs.append((wire_bytes, compressed, update))
-        if step % 8 == 7:  # a departure: the requester starts over
+        if step % MEMBERS == MEMBERS - 1:  # a departure: the requester starts over
             requester.peer.reset()
-    outputs.append(requester.peer.counters.tolist())
+    outputs.append(peer_map(requester.peer.counters))
     outputs.append((requester.peer.counter_bits, requester.peer.expansions))
     return reply_s / ROUNDS, update_s / ROUNDS, outputs
+
+
+def peer_map(counters):
+    """A peer vector as position -> count, dense or not."""
+    if isinstance(counters, dict):
+        return dict(counters)
+    return {p: int(counters[p]) for p in np.flatnonzero(counters).tolist()}
+
+
+def peer_bytes(peer_type, cache_size):
+    """Bytes a requester's peer vector holds after ``MEMBERS`` SigReplies."""
+    scheme = SignatureScheme(np.random.default_rng(cache_size), SIZE_BITS, HASHES)
+    member = SignatureAgent(scheme, COUNTER_BITS)
+    cached = list(range(cache_size))
+    for item in cached:
+        member.record_insert(item)
+    payloads = []
+    for step in range(MEMBERS):
+        churn(member, cached, cache_size + step)
+        payloads.append(member.full_signature_payload(len(cached))[0])
+
+    def merge_all():
+        peer = peer_type(scheme)
+        for payload in payloads:
+            peer.merge_positions(payload)
+        return peer
+
+    return held_bytes(merge_all)
 
 
 def measure_signatures(cache_size):
@@ -127,7 +188,10 @@ def measure_signatures(cache_size):
         old_reply, old_update, old_outputs = replay_signatures(DenseSignatureAgent, cache_size)
         assert new_outputs == old_outputs
         best = list(map(min, best, (new_reply, old_reply, new_update, old_update)))
-    return (*best, new_outputs[0][0])
+    new_bytes = peer_bytes(PeerSignature, cache_size)
+    old_bytes = peer_bytes(DensePeerSignature, cache_size)
+    assert new_bytes < old_bytes
+    return (*best, new_outputs[0][0], new_bytes, old_bytes)
 
 
 def test_micro_control_plane(benchmark, record_table):
@@ -143,23 +207,30 @@ def test_micro_control_plane(benchmark, record_table):
         f"  each side: best of {REPEATS} alternating passes",
         f"  MSS contact = record_location + record_access + drain_changes,"
         f" mean of {CONTACTS} (delta={DELTA:.0f} m, similarity={SIMILARITY}, omega={OMEGA})",
-        "      N  contact_us  recompute_us  ratio  membership_changes  pairs",
+        f"  state_kib = tracemalloc KiB the manager holds after the {CONTACTS} contacts",
+        "      N  contact_us  recompute_us  ratio  membership_changes  pairs"
+        "  state_kib  dense_state_kib",
     ]
-    for n_hosts, new_s, old_s, changes, pairs in tcg_rows:
+    for n_hosts, new_s, old_s, changes, pairs, new_bytes, old_bytes in tcg_rows:
         lines.append(
             f"  {n_hosts:5d}  {new_s * 1e6:10.1f}  {old_s * 1e6:12.1f}"
             f"  {new_s / old_s:5.2f}  {changes:18,d}  {pairs:5d}"
+            f"  {new_bytes / 1024:9.1f}  {old_bytes / 1024:15.1f}"
         )
     lines += [
         f"  SigReply = payload build + VLFL round trip + merge; sigma={SIZE_BITS:,},"
         f" k={HASHES}, mean of {ROUNDS}",
+        f"  peer_bytes = tracemalloc bytes a peer vector holds after {MEMBERS} SigReplies",
         "    eps  reply_us  dense_reply_us  ratio  take_update_us"
-        "  dense_take_update_us  ratio  wire_bytes",
+        "  dense_take_update_us  ratio  wire_bytes  peer_bytes  dense_peer_bytes",
     ]
-    for cache_size, new_reply, old_reply, new_update, old_update, wire in signature_rows:
+    for (
+        cache_size, new_reply, old_reply, new_update, old_update, wire, new_bytes, old_bytes
+    ) in signature_rows:
         lines.append(
             f"  {cache_size:5d}  {new_reply * 1e6:8.1f}  {old_reply * 1e6:14.1f}"
             f"  {new_reply / old_reply:5.2f}  {new_update * 1e6:14.1f}"
             f"  {old_update * 1e6:20.1f}  {new_update / old_update:5.2f}  {wire:10d}"
+            f"  {new_bytes:10,d}  {old_bytes:16,d}"
         )
     record_table("micro_control_plane", "\n".join(lines))

@@ -27,7 +27,7 @@ starts, a call that leaves its own half unchanged skips the recheck.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class TCGManager:
         #: no env reference — the bound tracer supplies the sim time.
         self._tracer = tracer
 
-        self.access_counts = np.zeros((n_clients, n_data), dtype=np.int64)
+        # item -> {client: count}; a client that never accessed it has no key.
+        self.access_counts: Dict[int, Dict[int, int]] = {}
         self._dot = np.zeros((n_clients, n_clients))
         self._sq_norms = np.zeros(n_clients)
         self.wadm = np.full((n_clients, n_clients), math.inf)
@@ -117,13 +118,17 @@ class TCGManager:
             raise ValueError(f"item must be in [0, {self.n_data}), got {item!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
-        increment = count * self.access_counts[:, item]
-        self._dot[client, :] += increment
-        self._dot[:, client] += increment
-        self._sq_norms[client] += (
-            2.0 * count * self.access_counts[client, item] + count * count
-        )
-        self.access_counts[client, item] += count
+        # A client that never accessed the item would add +0.0, which moves
+        # no entry of _dot (it is never -0.0): only the holders are touched.
+        holders = self.access_counts.setdefault(item, {})
+        if holders:
+            others = list(holders)
+            increment = [count * held for held in holders.values()]
+            self._dot[client, others] += increment
+            self._dot[others, client] += increment
+        previous = holders.get(client, 0)
+        self._sq_norms[client] += 2.0 * count * previous + count * count
+        holders[client] = previous + count
         alike = self.similarity_row(client) >= self.similarity_threshold
         if np.count_nonzero(alike != self._sim_ok[client]):
             self._sim_ok[client] = self._sim_ok[:, client] = alike
@@ -136,6 +141,10 @@ class TCGManager:
             raise ValueError(f"client must be in [0, {self.n_clients}), got {client!r}")
 
     # -- similarity / distance queries ----------------------------------------------
+
+    def access_count(self, client: int, item: int) -> int:
+        """How often ``client`` accessed ``item`` (Algorithm 2's vector entry)."""
+        return self.access_counts.get(item, {}).get(client, 0)
 
     def similarity(self, i: int, j: int) -> float:
         """Cosine similarity of two clients' access vectors (Equation 2)."""

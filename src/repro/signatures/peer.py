@@ -6,11 +6,14 @@ the TCG is empty, grows when a counter would overflow, and contracts when
 every counter fits in one fewer bit.  Counters are updated by full signature
 collections (SigRequest/SigReply) and by the insertion/eviction bit-position
 lists piggybacked on broadcast requests.
+
+Members caching ε items each set at most ε·k of the σ counters, so only the
+non-zero ones are stored (position → count) and no update costs O(σ).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -24,21 +27,21 @@ class PeerSignature:
 
     def __init__(self, scheme: SignatureScheme):
         self.scheme = scheme
-        self.counters = np.zeros(scheme.size_bits, dtype=np.int64)
+        self.counters: Dict[int, int] = {}  # position -> count, zeros absent
         self.counter_bits = 0  # π_p; zero while no signatures are merged
         self.expansions = 0
         self.contractions = 0
         # Cached max(counters), maintained incrementally by the update
-        # paths so the per-broadcast piggyback deltas skip the full-vector
-        # reduction; < 0 marks it stale inside apply_update, whose closing
-        # _fit_width recomputes it, so it is exact whenever a call starts.
+        # paths so the per-broadcast piggyback deltas skip the reduction;
+        # < 0 marks it stale inside apply_update, whose closing _fit_width
+        # recomputes it, so it is exact whenever a call starts.
         self._peak = 0
 
     # -- width management -------------------------------------------------------
 
     def _fit_width(self) -> None:
         if self._peak < 0:
-            self._peak = int(self.counters.max()) if self.counters.size else 0
+            self._peak = max(self.counters.values(), default=0)
         peak = self._peak
         needed = peak.bit_length() if peak > 0 else 0
         if needed > self.counter_bits:
@@ -52,29 +55,35 @@ class PeerSignature:
 
     @property
     def memory_bits(self) -> int:
-        """Storage footprint of the vector: σ · π_p."""
+        """Modelled footprint of the vector: σ · π_p."""
         return self.scheme.size_bits * self.counter_bits
 
     # -- updates ------------------------------------------------------------------
 
     def reset(self) -> None:
         """Forget everything (member departure / reconnection resync)."""
-        self.counters[:] = 0
+        self.counters.clear()
         self.counter_bits = 0
         self._peak = 0
 
-    def merge_positions(self, positions: np.ndarray) -> None:
-        """Add one member's full cache signature: its distinct set positions."""
-        if len(positions):
-            touched = self.counters[positions] + 1
-            self.counters[positions] = touched
-            self._peak = max(self._peak, int(touched.max()))
+    def merge_positions(self, positions: Sequence[int]) -> None:
+        """Add one member's full cache signature: its set positions.
+
+        Each distinct position counts once, however often it is listed.
+        """
+        counters = self.counters
+        peak = self._peak
+        for position in dict.fromkeys(np.asarray(positions, dtype=np.int64).tolist()):
+            value = counters.get(position, 0) + 1
+            counters[position] = value
+            if value > peak:
+                peak = value
+        self._peak = peak
         self._fit_width()
 
     def merge_signature(self, signature: BloomFilter) -> None:
         """:meth:`merge_positions` for a dense signature."""
-        if signature.scheme is not self.scheme:
-            raise ValueError("signature from a different scheme")
+        self._check_scheme(signature)
         self.merge_positions(np.flatnonzero(signature.bits))
 
     def apply_update(
@@ -84,14 +93,17 @@ class PeerSignature:
         counters = self.counters
         peak = self._peak
         for position in insertions:
-            value = counters[position] + 1
+            value = counters.get(position, 0) + 1
             counters[position] = value
             if peak >= 0 and value > peak:
-                peak = int(value)
+                peak = value
         for position in evictions:
-            value = counters[position]
-            if value > 0:
-                counters[position] = value - 1
+            value = counters.get(position, 0)
+            if value:
+                if value > 1:
+                    counters[position] = value - 1
+                else:
+                    del counters[position]
                 if value == peak:
                     # The decremented counter may have been the only one
                     # at the peak; a full recompute settles it.
@@ -103,14 +115,19 @@ class PeerSignature:
 
     def matches_positions(self, positions: Iterable[int]) -> bool:
         """AND-filter: every given bit position is non-zero."""
-        return all(self.counters[p] > 0 for p in positions)
+        return all(p in self.counters for p in positions)
 
     def covers(self, signature: BloomFilter) -> bool:
         """Search-signature test: peers likely cache all of ``signature``."""
-        return bool(np.all(self.counters[signature.bits] > 0))
+        self._check_scheme(signature)
+        return bool(np.all(self.bloom().bits[signature.bits]))
 
     def bloom(self) -> BloomFilter:
         """Collapse the counters to a plain signature."""
         result = BloomFilter(self.scheme)
-        result.bits = self.counters > 0
+        result.bits[list(self.counters)] = True
         return result
+
+    def _check_scheme(self, signature: BloomFilter) -> None:
+        if signature.scheme is not self.scheme:
+            raise ValueError("signature from a different scheme")

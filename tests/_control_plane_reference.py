@@ -1,18 +1,20 @@
 """The dense GroCoCa control plane, kept as a test reference.
 
-``src/`` handles a cache signature as the positions of its set bits and
-keeps the two halves of the TCG eligibility test cached; these are the
-designs they replaced, copied from the revision before (``eee341b``):
-every signature a σ-vector, the VLFL symbols built one gap at a time, and
-Algorithm 3 recomputed from the WADM and a fresh similarity row on every
-MSS contact.  Nothing in ``src/`` uses them:
+``src/`` handles a cache signature as the positions of its set bits, keeps
+only the non-zero counters of the own and the peer vectors and of the MSS
+access counts, and keeps the two halves of the TCG eligibility test cached;
+these are the designs they replaced: every signature a σ-vector, the VLFL
+symbols built one gap at a time and Algorithm 3 recomputed from the WADM
+and a fresh similarity row on every MSS contact (from ``eee341b``), and the
+σ-long peer vector and the ``(N, n_data)`` access-count matrix (from
+``43589d9``).  Nothing in ``src/`` uses them:
 ``tests/test_control_plane_differential.py`` drives both sides through the
 same call sequences and requires equal answers, and
 ``benchmarks/test_micro_control_plane.py`` times them side by side.
 
-Only the methods that changed are spelled out; membership handling,
-``PeerSignature.apply_update`` / ``_fit_width`` and the ASM arithmetic are
-the same code on both sides and are inherited.
+The peer vector is a whole copy; the TCG reference spells out only the
+methods that changed, and membership handling and the WADM / similarity
+arithmetic are the same code on both sides and are inherited.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from repro.core.signatures_proto import SignatureAgent
 from repro.core.tcg import TCGManager
 from repro.signatures.bloom import BloomFilter, SignatureScheme
-from repro.signatures.peer import PeerSignature
 from repro.signatures.vlfl import CompressedSignature, compression_plan
 
 __all__ = [
@@ -77,8 +78,45 @@ class DenseCountingBloomFilter:
         return all(self.counters[p] > 0 for p in self.scheme.positions(item))
 
 
-class DensePeerSignature(PeerSignature):
-    """:class:`PeerSignature` merging a σ-vector and rescanning for the peak."""
+class DensePeerSignature:
+    """σ counters of π_p bits; merges a σ-vector and rescans for the peak."""
+
+    def __init__(self, scheme: SignatureScheme):
+        self.scheme = scheme
+        self.counters = np.zeros(scheme.size_bits, dtype=np.int64)
+        self.counter_bits = 0
+        self.expansions = 0
+        self.contractions = 0
+        self._peak = 0
+
+    def _fit_width(self) -> None:
+        if self._peak < 0:
+            self._peak = int(self.counters.max()) if self.counters.size else 0
+        peak = self._peak
+        needed = peak.bit_length() if peak > 0 else 0
+        if needed > self.counter_bits:
+            self.expansions += needed - self.counter_bits
+            self.counter_bits = needed
+        else:
+            while self.counter_bits > needed:
+                self.contractions += 1
+                self.counter_bits -= 1
+
+    @property
+    def memory_bits(self) -> int:
+        return self.scheme.size_bits * self.counter_bits
+
+    def reset(self) -> None:
+        self.counters[:] = 0
+        self.counter_bits = 0
+        self._peak = 0
+
+    def merge_positions(self, positions: np.ndarray) -> None:
+        if len(positions):
+            touched = self.counters[positions] + 1
+            self.counters[positions] = touched
+            self._peak = max(self._peak, int(touched.max()))
+        self._fit_width()
 
     def merge_signature(self, signature: BloomFilter) -> None:
         if signature.scheme is not self.scheme:
@@ -86,6 +124,36 @@ class DensePeerSignature(PeerSignature):
         self.counters += signature.bits
         self._peak = -1  # whole-vector add: recompute lazily
         self._fit_width()
+
+    def apply_update(
+        self, insertions: Sequence[int], evictions: Sequence[int]
+    ) -> None:
+        counters = self.counters
+        peak = self._peak
+        for position in insertions:
+            value = counters[position] + 1
+            counters[position] = value
+            if peak >= 0 and value > peak:
+                peak = int(value)
+        for position in evictions:
+            value = counters[position]
+            if value > 0:
+                counters[position] = value - 1
+                if value == peak:
+                    peak = -1
+        self._peak = peak
+        self._fit_width()
+
+    def matches_positions(self, positions: Iterable[int]) -> bool:
+        return all(self.counters[p] > 0 for p in positions)
+
+    def covers(self, signature: BloomFilter) -> bool:
+        return bool(np.all(self.counters[signature.bits] > 0))
+
+    def bloom(self) -> BloomFilter:
+        result = BloomFilter(self.scheme)
+        result.bits = self.counters > 0
+        return result
 
 
 def _symbols_for_gap(zeros: int, run_cap: int, terminated: bool) -> List[int]:
@@ -188,7 +256,15 @@ class DenseSignatureAgent(SignatureAgent):
 
 
 class RecomputingTCGManager(TCGManager):
-    """:class:`TCGManager` re-deriving each row from the WADM and the ASM."""
+    """:class:`TCGManager` over an ``(N, n_data)`` access-count matrix,
+    re-deriving each row from the WADM and the ASM."""
+
+    def __init__(self, n_clients: int, n_data: int, *args, **kwargs):
+        super().__init__(n_clients, n_data, *args, **kwargs)
+        self.access_counts = np.zeros((n_clients, n_data), dtype=np.int64)
+
+    def access_count(self, client: int, item: int) -> int:
+        return int(self.access_counts[client, item])
 
     def record_location(self, client: int, position: Sequence[float]) -> None:
         position = np.asarray(position, dtype=float)

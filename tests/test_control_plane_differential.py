@@ -1,8 +1,8 @@
 """The sparse / incremental control plane against the designs it replaced.
 
 ``tests/_control_plane_reference.py`` keeps the dense signature state, the
-per-gap VLFL loop and the recompute-everything TCG check of the previous
-revision.  Every test here drives ``src/`` and that reference through the
+per-gap VLFL loop, the recompute-everything TCG check and the dense access
+counts of earlier revisions.  Every test here drives ``src/`` and that reference through the
 same calls and requires ``==`` on everything a run could observe, after
 every call.
 """
@@ -16,9 +16,16 @@ from hypothesis import strategies as st
 
 from repro.core.signatures_proto import SignatureAgent
 from repro.core.tcg import TCGManager
-from repro.signatures import CountingBloomFilter, SignatureScheme, vlfl_decode, vlfl_encode
+from repro.signatures import (
+    CountingBloomFilter,
+    PeerSignature,
+    SignatureScheme,
+    vlfl_decode,
+    vlfl_encode,
+)
 from repro.signatures.vlfl import decode_positions, encode_positions
 from tests._control_plane_reference import (
+    DensePeerSignature,
     DenseSignatureAgent,
     RecomputingTCGManager,
     dense_vlfl_decode,
@@ -39,6 +46,7 @@ SIGNATURE_OPS = st.lists(
         st.tuples(st.just("reply-and-merge")),
         st.tuples(st.just("piggyback-own")),
         st.tuples(st.just("apply-update"), POSITIONS, POSITIONS),
+        st.tuples(st.just("merge-positions"), st.lists(st.integers(0, 7), max_size=6)),
         st.tuples(st.just("reset")),
     ),
     min_size=5,
@@ -51,17 +59,23 @@ SHAPES = st.sampled_from(
 )
 
 
+def nonzero_map(dense):
+    return {p: int(dense[p]) for p in np.flatnonzero(dense).tolist()}
+
+
+def assert_same_peer(new, old):
+    assert new.counters == nonzero_map(old.counters)
+    assert all(type(p) is int and type(n) is int for p, n in new.counters.items())
+    for name in ("counter_bits", "expansions", "contractions", "memory_bits"):
+        assert getattr(new, name) == getattr(old, name)
+
+
 def assert_same_agent(new, old, universe=range(16)):
-    dense = old.own.counters
-    assert new.own.counters == {int(p): int(dense[p]) for p in np.flatnonzero(dense)}
+    assert new.own.counters == nonzero_map(old.own.counters)
     assert new.own.positions() == np.flatnonzero(old.own.signature().bits).tolist()
     assert new.own.rebuilds == old.own.rebuilds
     assert sorted(new._last_broadcast) == np.flatnonzero(old._last_broadcast).tolist()
-    assert np.array_equal(new.peer.counters, old.peer.counters)
-    assert new.peer.counter_bits == old.peer.counter_bits
-    assert new.peer.expansions == old.peer.expansions
-    assert new.peer.contractions == old.peer.contractions
-    assert new.peer.memory_bits == old.peer.memory_bits
+    assert_same_peer(new.peer, old.peer)
     for item in universe:
         assert new.own.might_contain(item) == old.own.might_contain(item)
         assert new.likely_cached_by_members(item) == old.likely_cached_by_members(item)
@@ -110,6 +124,9 @@ def test_sparse_agent_matches_dense_agent(shape, seed, compression, ops):
         elif kind == "apply-update":
             new.apply_peer_update(op[1], op[2])
             old.apply_peer_update(op[1], op[2])
+        elif kind == "merge-positions":  # repeats count once, as in the dense add
+            new.peer.merge_positions(np.array(op[1], dtype=np.int64))
+            old.peer.merge_positions(np.array(op[1], dtype=np.int64))
         elif kind == "reset":
             new.peer.reset()
             old.peer.reset()
@@ -120,6 +137,19 @@ def test_sparse_agent_matches_dense_agent(shape, seed, compression, ops):
             # this point is comparable.
             return
         assert_same_agent(new, old)
+
+
+def test_repeated_position_merges_once():
+    scheme = SignatureScheme(np.random.default_rng(0), 64, 2)
+    new, old = PeerSignature(scheme), DensePeerSignature(scheme)
+    for positions in ([5, 5, 9], [9, 9, 9], [], [63, 0, 5]):
+        new.merge_positions(positions)
+        old.merge_positions(np.array(positions, dtype=np.int64))
+        assert_same_peer(new, old)
+    assert new.counters == {0: 1, 5: 2, 9: 2, 63: 1}
+    signature = scheme.data_signature(3)
+    assert new.covers(signature) == old.covers(signature)
+    assert np.array_equal(new.bloom().bits, old.bloom().bits)
 
 
 def test_colliding_positions_cannot_underflow():
@@ -269,5 +299,60 @@ def test_incremental_tcg_matches_recomputing_tcg(delta, similarity, omega, ops):
         alike = similarity_matrix(new) >= similarity
         assert np.array_equal(new._sim_ok[PAIRS], alike[PAIRS])
     assert not new.member[N_CLIENTS - 1].any()
+    for client in range(N_CLIENTS):
+        assert new.drain_changes(client) == old.drain_changes(client)
+
+
+# -- (d) sparse access counts against the (N, n_data) matrix -------------------
+
+SHARED_ITEMS = 3  # items 3 + c are accessed by client c alone
+ACCESS_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("location"), st.integers(0, N_CLIENTS - 2), GRID, GRID),
+        st.tuples(
+            st.just("access"), CLIENTS, st.integers(0, SHARED_ITEMS - 1), st.integers(1, 3)
+        ),
+        st.tuples(st.just("private"), CLIENTS, st.integers(1, 3)),
+        st.tuples(st.just("repeat"), st.integers(1, 4)),  # the last access again
+        st.tuples(st.just("drain"), CLIENTS),
+    ),
+    max_size=80,
+)
+
+
+@given(st.sampled_from([0.0, 0.2, 0.9]), ACCESS_OPS)
+@settings(max_examples=200, deadline=None)
+def test_sparse_access_counts_match_dense_matrix(similarity, ops):
+    n_data = SHARED_ITEMS + N_CLIENTS
+    new = TCGManager(N_CLIENTS, n_data, 3.0, similarity, 0.5)
+    old = RecomputingTCGManager(N_CLIENTS, n_data, 3.0, similarity, 0.5)
+    last = (0, 0)
+    for op in ops:
+        kind = op[0]
+        if kind == "location":
+            new.record_location(op[1], op[2:])
+            old.record_location(op[1], op[2:])
+        elif kind == "drain":
+            assert new.drain_changes(op[1]) == old.drain_changes(op[1])
+        else:
+            if kind == "access":
+                last, count = (op[1], op[2]), op[3]
+            elif kind == "private":
+                last, count = (op[1], SHARED_ITEMS + op[1]), op[2]
+            else:
+                count = op[1]
+            new.record_access(*last, count)
+            old.record_access(*last, count)
+        # Bitwise, not approximately: the skipped adds were all +0.0.
+        for name in ("_dot", "_sq_norms", "member", "wadm"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
+        dense = {
+            item: nonzero_map(old.access_counts[:, item])
+            for item in range(n_data)
+            if old.access_counts[:, item].any()
+        }
+        assert new.access_counts == dense
+        for client in range(N_CLIENTS):
+            assert new.access_count(client, last[1]) == old.access_count(client, last[1])
     for client in range(N_CLIENTS):
         assert new.drain_changes(client) == old.drain_changes(client)

@@ -43,7 +43,7 @@ def test_data_request_returns_copy_with_ttl():
 def test_data_request_learns_pattern():
     env, server = make_server()
     server.handle_data_request(0, item=7, location=(0.0, 0.0))
-    assert server.tcg.access_counts[0, 7] == 1
+    assert server.tcg.access_count(0, 7) == 1
     assert server.tcg.weighted_distance(0, 1) == math.inf  # 1 not seen yet
     server.handle_data_request(1, item=7, location=(3.0, 4.0))
     assert server.tcg.weighted_distance(0, 1) == pytest.approx(5.0)
@@ -107,7 +107,7 @@ def test_explicit_update_feeds_pattern():
     added, removed = server.handle_explicit_update(
         0, location=(0.0, 0.0), peer_accessed_items=[1, 2, 2]
     )
-    assert server.tcg.access_counts[0, 2] == 2
+    assert server.tcg.access_count(0, 2) == 2
     assert server.explicit_updates == 1
     assert added == set()
 

@@ -81,7 +81,7 @@ def test_incremental_similarity_matches_direct_cosine():
     rng = np.random.default_rng(1)
     for _ in range(300):
         m.record_access(int(rng.integers(0, 3)), int(rng.integers(0, 20)))
-    counts = m.access_counts
+    counts = np.array([[m.access_count(c, item) for item in range(20)] for c in range(3)])
     for i in range(3):
         for j in range(i + 1, 3):
             direct = float(
@@ -161,7 +161,8 @@ def test_record_access_count_batch():
     m.record_access(0, 5, count=4)
     m.record_access(1, 5, count=4)
     assert m.similarity(0, 1) == pytest.approx(1.0)
-    assert m.access_counts[0, 5] == 4
+    assert m.access_count(0, 5) == 4
+    assert m.access_counts == {5: {0: 4, 1: 4}}  # who never accessed has no key
 
 
 def test_validation():
@@ -204,18 +205,22 @@ def settled_pair():
 
 
 def snapshot(m):
-    return [
+    arrays = [
         array.copy()
         for array in (
-            m.wadm, m.member, m.access_counts, m._sim_ok,
+            m.wadm, m.member, m._sim_ok,
             m._dot, m._sq_norms, m._has_location, m._last_position,
         )
-    ] + [m.membership_changes]
+    ]
+    counts = {item: dict(holders) for item, holders in m.access_counts.items()}
+    return arrays, counts, m.membership_changes
 
 
 def assert_untouched(m, before):
-    for was, now in zip(before, snapshot(m)):
+    arrays, counts, changes = snapshot(m)
+    for was, now in zip(before[0], arrays):
         assert np.array_equal(was, now)
+    assert (counts, changes) == before[1:]
 
 
 @pytest.mark.parametrize(

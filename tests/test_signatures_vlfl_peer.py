@@ -191,7 +191,7 @@ def test_apply_update_insertions_and_floor_at_zero():
     peer.apply_update([], positions)
     peer.apply_update([], positions)  # extra evictions must not underflow
     assert not peer.matches_positions(positions)
-    assert peer.counters.min() == 0
+    assert peer.counters == {}  # a count that reaches zero loses its key
 
 
 def test_reset():
@@ -202,7 +202,7 @@ def test_reset():
     peer.merge_signature(member)
     peer.reset()
     assert peer.counter_bits == 0
-    assert peer.counters.sum() == 0
+    assert peer.counters == {}
 
 
 def test_covers_and_bloom_view():
@@ -223,6 +223,25 @@ def test_cross_scheme_merge_rejected():
         peer.merge_signature(foreign)
 
 
+@pytest.mark.parametrize("size", [1024, 512])
+def test_cross_scheme_covers_rejected(size):
+    """Same σ would answer for the wrong hash family; another σ would not fit."""
+    peer = PeerSignature(scheme(seed=1))
+    peer.merge_positions([3, 700])
+    foreign = scheme(size=size, seed=2).make_filter()
+    foreign.bits[3] = True
+    with pytest.raises(ValueError, match="different scheme"):
+        peer.covers(foreign)
+
+
+def test_merge_counts_a_repeated_position_once():
+    peer = PeerSignature(scheme())
+    peer.merge_positions(np.array([4, 4, 9]))
+    assert peer.counters == {4: 1, 9: 1}
+    assert all(type(key) is int for key in peer.counters)
+    assert peer.counter_bits == 1
+
+
 @given(st.lists(st.integers(0, 30), max_size=40))
 @settings(max_examples=40)
 def test_peer_counters_never_negative_property(items):
@@ -232,7 +251,5 @@ def test_peer_counters_never_negative_property(items):
         peer.apply_update(list(s.positions(item)), [])
     for item in items + items:  # evict more than inserted
         peer.apply_update([], list(s.positions(item)))
-    assert peer.counters.min() >= 0
-    assert peer.counter_bits == (
-        int(peer.counters.max()).bit_length() if peer.counters.max() else 0
-    )
+    assert all(count > 0 for count in peer.counters.values())
+    assert peer.counter_bits == max(peer.counters.values(), default=0).bit_length()

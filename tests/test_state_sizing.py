@@ -1,0 +1,75 @@
+"""GroCoCa state is sized by what it holds, not by σ or by n_data.
+
+The peer vector keeps only its non-zero counters and the MSS only the
+non-zero access counts, so neither grows with the signature length σ nor
+with the database size.  Each test runs at a σ or an n_data far beyond any
+figure and bounds the ``tracemalloc`` peak (numpy reports its buffers to
+it) at ten times or more what the sparse state needs: a σ-long or
+``(N, n_data)`` array shows up as hundreds of MiB or more.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.simulation import run_simulation
+from repro.core.tcg import TCGManager
+from repro.experiments.runner import QUICK_PROFILE
+from repro.signatures import PeerSignature, SignatureScheme
+
+MIB = 2**20
+
+
+def traced_peak_mib(build):
+    """(result of ``build()``, its tracemalloc peak in MiB)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def test_peer_signature_is_not_sigma_long():
+    scheme = SignatureScheme(np.random.default_rng(0), 10**8, 2)
+
+    def build():
+        peer = PeerSignature(scheme)
+        for item in range(100):
+            peer.merge_positions(sorted(set(scheme.positions(item))))
+        peer.apply_update(list(scheme.positions(100)), list(scheme.positions(0)))
+        return peer
+
+    peer, peak = traced_peak_mib(build)
+    assert peak < 1.0  # a dense vector: 763 MiB
+    assert peer.counter_bits >= 1 and len(peer.counters) <= 2 * 101
+
+
+def test_tcg_access_counts_are_not_n_data_wide():
+    def build():
+        manager = TCGManager(50, 10**7, 100.0, 0.1, 0.5)
+        for client in range(50):
+            manager.record_location(client, (float(client), 0.0))
+            manager.record_access(client, client % 7, count=2)
+        return manager
+
+    manager, peak = traced_peak_mib(build)
+    assert peak < 1.0  # a dense (50, 10**7) matrix: 3 815 MiB
+    assert manager.access_count(3, 3) == 2 and len(manager.access_counts) == 7
+
+
+def test_gc_run_at_huge_sigma_stays_small():
+    config = SimulationConfig(
+        **{
+            **QUICK_PROFILE,
+            "scheme": CachingScheme.GC,
+            "signature_bits": 10**7,
+            "measure_requests": 3,
+            "warmup_min_time": 0.0,
+            "warmup_max_time": 30.0,
+        }
+    )
+    results, peak = traced_peak_mib(lambda: run_simulation(config))
+    assert peak < 16.0  # one dense peer vector per host: 1 528 MiB
+    assert results.global_hits > 0  # peers answered: signatures were in use
