@@ -6,8 +6,7 @@ pytest-benchmark timing, each writes its rendered series to
 ``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  A
 figure bench also writes ``results/<stem>.json``: the git revision,
 profile and source digest the series was measured at, the cache key of
-every (row, x) cell and, for a paper figure or FigWorkload, its table at
-one cheap x at the ``quick`` profile (``QUICK_CELLS``), which tier-1
+every (row, x) cell and, for a paper figure, its table at one cheap x at the ``quick`` profile (``QUICK_CELLS``), which tier-1
 re-simulates.
 
 Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
@@ -46,7 +45,6 @@ SWEEP_JOBS = jobs_from_env()
 #: Paper figure -> one x off the shared default point, cheap at the quick
 #: profile (1-2 s for LC, CC and GC).  ``tests/test_results_consistency.py``
 #: re-simulates it, so a change that moves any scheme there fails tier-1.
-#: FigWorkload's ``ycsb`` cell pins a synthetic engine the same way.
 QUICK_CELLS = {
     "fig2": 20,
     "fig3": 1.0,
@@ -55,7 +53,6 @@ QUICK_CELLS = {
     "fig6": 1.0,
     "fig7": 10,
     "fig8": 0.1,
-    "fig-workload": "ycsb",
 }
 
 #: Rounds per bench: simulations are deterministic, so more rounds would

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands cover the common workflows::
+Seven subcommands cover the common workflows::
 
     python -m repro run      --scheme GC --clients 20 --seed 7 [--check]
     python -m repro compare  --clients 20 --cache-size 30
@@ -8,7 +8,6 @@ Eight subcommands cover the common workflows::
     python -m repro trace    summarize results/traces
     python -m repro lint     src/repro --project
     python -m repro policies list [--namespace replacement]
-    python -m repro workloads list
     python -m repro check    golden record|verify [--fixtures DIR]
 
 ``run`` simulates one configuration and prints the paper's metrics
@@ -65,11 +64,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-ndp", action="store_true", help="disable beaconing (faster)"
     )
-    parser.add_argument(
-        "--workload",
-        metavar="KEY",
-        help="workload registry key (see 'repro workloads list')",
-    )
 
 
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
@@ -99,7 +93,6 @@ _CONFIG_FIELDS = {
     "admission": "admission_policy",
     "replacement": "replacement_policy",
     "peer_policy": "peer_policy",
-    "workload": "workload",
 }
 
 
@@ -311,16 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only list one namespace",
     )
 
-    workloads_parser = commands.add_parser(
-        "workloads", help="inspect the workload engine registry"
-    )
-    workloads_commands = workloads_parser.add_subparsers(
-        dest="workloads_command", required=True
-    )
-    workloads_commands.add_parser(
-        "list", help="print every registered workload key with its summary"
-    )
-
     check_parser = commands.add_parser(
         "check", help="golden-trace fixtures and invariant tooling"
     )
@@ -450,30 +433,18 @@ def _run_lint_command(args: argparse.Namespace) -> int:
     )
 
 
-def _print_entries(entries, width: int) -> None:
-    """One ``key summary`` line per registry entry, citation beneath."""
-    for info in entries:
-        print(f"  {info.key:<{width}} {info.summary}")
-        if info.citation:
-            print(f"  {'':<{width}} [{info.citation}]")
-
-
 def _run_policies_command(args: argparse.Namespace) -> int:
-    """Handler of the ``policies`` subcommand."""
+    """Handler of the ``policies`` subcommand: one ``key summary`` line
+    per registered policy, its citation beneath."""
     namespaces = (
         [args.namespace] if args.namespace else list(policy_registry.NAMESPACES)
     )
     for namespace in namespaces:
         print(f"{namespace}:")
-        _print_entries(policy_registry.entries(namespace), 16)
-    return 0
-
-
-def _run_workloads_command(args: argparse.Namespace) -> int:
-    """Handler of the ``workloads`` subcommand."""
-    from repro.workloads import registry as workload_registry
-
-    _print_entries(workload_registry.entries(), 18)
+        for info in policy_registry.entries(namespace):
+            print(f"  {info.key:<16} {info.summary}")
+            if info.citation:
+                print(f"  {'':<16} [{info.citation}]")
     return 0
 
 
@@ -564,8 +535,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_trace_command(args)
     if args.command == "policies":
         return _run_policies_command(args)
-    if args.command == "workloads":
-        return _run_workloads_command(args)
     if args.command == "check":
         return _run_check_command(args)
     return 2  # unreachable: argparse enforces the choices

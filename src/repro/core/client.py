@@ -26,6 +26,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import COUNTED_EVENTS, Metrics, RequestOutcome
 from repro.core.server import MobileSupportStation
 from repro.core.signatures_proto import MembershipActions, SignatureAgent
+from repro.data.workload import AccessPattern
 from repro.net.channel import ServerChannel
 from repro.net.health import PeerHealthTracker
 from repro.net.message import Message, MessageKind, MessageSizes
@@ -33,7 +34,6 @@ from repro.net.ndp import NeighborDiscovery
 from repro.net.p2p import P2PNetwork
 from repro.policies.factory import build_admission, build_replacement
 from repro.sim.kernel import Environment
-from repro.workloads.base import HostStream
 from repro.signatures.bloom import SignatureScheme
 
 __all__ = ["MobileHost"]
@@ -75,7 +75,7 @@ class MobileHost:
         network: P2PNetwork,
         channel: ServerChannel,
         server: MobileSupportStation,
-        stream: HostStream,
+        pattern: AccessPattern,
         metrics: Metrics,
         rng: np.random.Generator,
         sizes: MessageSizes,
@@ -93,8 +93,8 @@ class MobileHost:
         self.network = network
         self.channel = channel
         self.server = server
-        #: This host's bound request stream (see repro.workloads).
-        self.stream = stream
+        #: This host's Zipf accesses over its group's window (Section V-B).
+        self.pattern = pattern
         self.metrics = metrics
         self.rng = rng
         self.sizes = sizes
@@ -171,10 +171,10 @@ class MobileHost:
     def run(self):
         """Think, access, maybe disconnect — forever."""
         config = self.config
-        stream = self.stream
+        pattern = self.pattern
         while True:
-            yield self.env.timeout(stream.next_delay(self.env.now))
-            item = stream.next_item(self.env.now)
+            yield self.env.timeout(self.rng.exponential(config.think_time_mean))
+            item = pattern.next_item()
             yield from self.access_item(item)
             self.requests_completed += 1
             if config.p_disc > 0 and self.rng.random() < config.p_disc:

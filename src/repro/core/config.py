@@ -18,7 +18,6 @@ from typing import Dict
 
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 from repro.policies import SCHEME_DEFAULTS, registry as policy_registry
-from repro.workloads import registry as workload_registry
 
 __all__ = ["CachingScheme", "SimulationConfig"]
 
@@ -74,13 +73,6 @@ class SimulationConfig:
 
     # -- workload -----------------------------------------------------------------------
     think_time_mean: float = 1.0  # exp interarrival between accesses
-
-    # -- workload registry (repro.workloads) ----------------------------------------------
-    # Empty string = the paper's stationary group-Zipf process (resolved to
-    # the registered "stationary-zipf" engine, bit-identically), which
-    # keeps every config recorded before this field existed replaying
-    # unchanged.  A non-empty value must name a registered workload key.
-    workload: str = ""
 
     # -- disconnection --------------------------------------------------------------------
     # DiscTime is drawn per disconnection; with ~1 request/second a client
@@ -303,11 +295,6 @@ class SimulationConfig:
             raise ValueError(
                 "replacement policy 'grococa' needs the GroCoCa signature "
                 "scheme (scheme GC)"
-            )
-        if self.workload and self.workload not in workload_registry.available():
-            raise ValueError(
-                f"unknown workload {self.workload!r}; available: "
-                f"{', '.join(workload_registry.available())}"
             )
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")

@@ -17,7 +17,7 @@ from repro.core.metrics import Metrics, Results
 from repro.core.server import MobileSupportStation
 from repro.core.tcg import TCGManager
 from repro.data.server_db import ServerDatabase
-from repro.workloads.factory import build_workload
+from repro.data.workload import build_access_patterns
 from repro.mobility.field import build_group_mobility
 from repro.mobility.geometry import Rectangle
 from repro.net.channel import ServerChannel
@@ -150,11 +150,13 @@ class Simulation:
                 tracer=tracer,
             )
         sizes = MessageSizes(data=config.data_size)
-        # The demand process resolves through the workload registry;
-        # workload="" builds the stationary-zipf engine, which replays
-        # the pre-registry build_access_patterns path bit-identically
-        # (same "workload" stream, same draw order).
-        self.workload = build_workload(config, self.streams, self.group_of)
+        patterns = build_access_patterns(
+            self.streams.stream("workload"),
+            self.group_of,
+            config.n_data,
+            config.access_range,
+            config.theta,
+        )
         # Failure-aware retrieve layer (repro.net.health): trackers exist
         # only when some knob moved off its golden default, so a default
         # configuration constructs nothing, draws from no new stream, and
@@ -194,7 +196,7 @@ class Simulation:
                 self.network,
                 self.channel,
                 self.server,
-                self.workload.bind(index, self.streams.stream(f"client-{index}")),
+                patterns[index],
                 self.metrics,
                 self.streams.stream(f"client-{index}"),
                 sizes,

@@ -37,8 +37,8 @@ class ZipfGenerator:
     def __init__(self, rng: np.random.Generator, n: int, theta: float):
         if n < 1:
             raise ValueError("need at least one rank")
-        if theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not (theta >= 0):  # not `theta < 0`: that is False for NaN
+            raise ValueError(f"theta must be >= 0, got {theta}")
         self.rng = rng
         self.n = int(n)
         self.theta = float(theta)

@@ -8,7 +8,9 @@ environment variable (``quick`` / ``bench`` / ``full``):
 * ``quick``  — smoke-test scale for CI (minutes for the whole suite),
 * ``bench``  — the default: paper parameter *ratios* at a reduced
   population and run length; preserves every qualitative shape,
-* ``full``   — the paper's population and a long measurement window.
+* ``full``   — the paper's population (100 clients) at 200 measured
+  requests each: longer than ``bench``, still well short of the paper's
+  1000+.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Any, Dict
 from repro.experiments.runner import SCHEME_ROWS, Figure
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 
-__all__ = ["FIGURES", "GENERATIVE_WORKLOADS"]
+__all__ = ["FIGURES"]
 
 
 def _fault_plan(loss: float, crashes: bool) -> FaultPlan:
@@ -56,16 +56,6 @@ _FAILURE_AWARE: Dict[str, Any] = dict(
     retrieve_deadline=5.0,
     crash_failover=True,
     retry_jitter=0.1,
-)
-
-#: The FigWorkload columns: every registered workload engine (a tier-1
-#: test holds the two sets equal).
-GENERATIVE_WORKLOADS = (
-    "stationary-zipf",
-    "ycsb",
-    "flash-crowd",
-    "diurnal",
-    "popularity-drift",
 )
 
 #: The FigMatrix rows.  The three schemes are the paper's baselines; the GC
@@ -246,22 +236,6 @@ FIGURES: Dict[str, Figure] = {
             point=lambda value: dict(theta=value, data_update_rate=1.0),
             rows=_MATRIX_ROWS,
             row_word="row",
-        ),
-        # FigWorkload: registered workload engines × caching scheme.  The
-        # x values are workload registry keys rather than a numeric knob:
-        # ``stationary-zipf`` is the paper's stationary baseline, and each
-        # non-stationary engine stresses a different assumption behind
-        # cooperative caching — YCSB mix A flattens group locality,
-        # ``flash-crowd`` injects transient global hot sets, ``diurnal``
-        # swings the request rate, ``popularity-drift`` churns which items
-        # are hot.
-        Figure(
-            key="fig-workload",
-            label="FigWorkload",
-            parameter="workload",
-            title="workload engine x caching scheme",
-            stem="fig_workload",
-            axis={"bench": GENERATIVE_WORKLOADS},
         ),
     )
 }

@@ -53,8 +53,6 @@ SAMPLE_COLUMNS: Tuple[str, ...] = (
     "tcg_size_mean",
     "events_processed",
     "pending_events",
-    "win_request_rate",
-    "win_hot_entropy",
 )
 
 
@@ -71,7 +69,6 @@ class TimeSeriesSampler:
             outcome: 0 for outcome in RequestOutcome
         }
         self._last_requests = 0
-        self._last_time = 0.0
         self.finalized = False
 
     @property
@@ -136,15 +133,6 @@ class TimeSeriesSampler:
         else:
             tcg_size_mean = math.nan
 
-        # Workload-side window: how many items the demand process drew
-        # this window and how concentrated they were.  take_window() is
-        # pure counting on the engine — no RNG, no events — so reading
-        # it never perturbs the run.
-        elapsed = env.now - self._last_time
-        self._last_time = env.now
-        drawn, hot_entropy = simulation.workload.take_window()
-        request_rate = drawn / elapsed if elapsed > 0 else 0.0
-
         self.rows.append(
             [
                 env.now,
@@ -171,8 +159,6 @@ class TimeSeriesSampler:
                 tcg_size_mean,
                 float(env.events_processed),
                 float(env.pending_events),
-                request_rate,
-                hot_entropy,
             ]
         )
 

@@ -1,8 +1,14 @@
 """The conformance battery every registered policy must pass.
 
-The four shared checks of :mod:`repro.check.conformance` (invariants,
-smoke, seed stability, config round trip), run once per
-``(namespace, key)`` pair under a config that genuinely exercises it.
+One small simulated configuration per ``(namespace, key)`` pair, one
+that genuinely exercises it, checked four ways:
+
+* **invariants** — a monitored run raises no violations;
+* **smoke** — that run completes and its outcome counts sum to the total;
+* **seed stability** — the same config run twice is bit-identical
+  (:func:`~repro.check.golden.results_to_dict` compared field by field);
+* **round trip** — the config survives ``as_dict``/``from_dict`` and the
+  rebuilt config resolves to the same policy keys.
 
 Both ``tests/test_policy_conformance.py`` (auto-parametrised over
 :func:`conformance_keys`) and ``tools/conformance_matrix.py`` (the CI
@@ -17,18 +23,69 @@ simulation layer, which imports the config, which imports the package
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Tuple
 
-from repro.check.conformance import BASE_CONFIG, ConformanceReport, run_battery
+from repro.check import run_checked
+from repro.check.golden import results_to_dict
 from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.simulation import run_simulation
 from repro.policies import registry
 from repro.policies.factory import resolved_policy_keys
 
 __all__ = [
+    "ConformanceReport",
     "conformance_config",
     "conformance_keys",
     "run_conformance",
 ]
+
+#: The battery's scale: tight caches and a narrow access range force
+#: admission and replacement decisions, and a non-zero update rate gives
+#: TTL-aware policies finite expiries.
+_BASE_CONFIG: Dict[str, Any] = dict(
+    n_clients=6,
+    n_data=120,
+    access_range=30,
+    cache_size=6,
+    group_size=3,
+    data_update_rate=0.2,
+    measure_requests=5,
+    warmup_min_time=20.0,
+    warmup_max_time=40.0,
+    max_sim_time=400.0,
+    ndp_enabled=False,
+    seed=11,
+)
+
+
+@dataclass
+class ConformanceReport:
+    """Outcome of one registered policy's battery run."""
+
+    namespace: str
+    key: str
+    passed: bool = True
+    checks: Dict[str, bool] = field(default_factory=dict)
+    failures: List[str] = field(default_factory=list)
+    hit_ratio: float = 0.0
+
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
+        """Record one check; a failed one fails the report."""
+        self.checks[name] = bool(ok)
+        if not ok:
+            self.passed = False
+            self.failures.append(f"{name}: {detail}" if detail else name)
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "namespace": self.namespace,
+            "key": self.key,
+            "passed": self.passed,
+            "checks": dict(self.checks),
+            "failures": list(self.failures),
+            "hit_ratio": self.hit_ratio,
+        }
 
 
 def conformance_keys() -> List[Tuple[str, str]]:
@@ -48,11 +105,11 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
     """
     if namespace == "admission":
         return SimulationConfig(
-            scheme=CachingScheme.GC, admission_policy=key, **BASE_CONFIG
+            scheme=CachingScheme.GC, admission_policy=key, **_BASE_CONFIG
         )
     if namespace == "replacement":
         return SimulationConfig(
-            scheme=CachingScheme.GC, replacement_policy=key, **BASE_CONFIG
+            scheme=CachingScheme.GC, replacement_policy=key, **_BASE_CONFIG
         )
     if namespace == "peer-scoring":
         # A non-default peer policy flips health_enabled on by itself;
@@ -60,7 +117,7 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
         overrides = {"peer_policy": key}
         if key == "arrival":
             overrides["breaker_threshold"] = 3
-        return SimulationConfig(scheme=CachingScheme.CC, **BASE_CONFIG, **overrides)
+        return SimulationConfig(scheme=CachingScheme.CC, **_BASE_CONFIG, **overrides)
     raise KeyError(
         f"unknown policy namespace {namespace!r}; "
         f"available: {', '.join(registry.NAMESPACES)}"
@@ -69,6 +126,40 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
 
 def run_conformance(namespace: str, key: str) -> ConformanceReport:
     """Run the full battery for one registered policy."""
-    return run_battery(
-        namespace, key, conformance_config(namespace, key), resolved_policy_keys
+    config = conformance_config(namespace, key)
+    report = ConformanceReport(namespace=namespace, key=key)
+
+    monitored, monitor_report = run_checked(config, mode="collect")
+    violations = monitor_report.violations
+    report.check(
+        "invariants",
+        not violations,
+        "; ".join(str(v) for v in violations[:3]),
     )
+    total = monitored.requests
+    outcome_sum = (
+        monitored.local_hits
+        + monitored.global_hits
+        + monitored.server_requests
+        + monitored.failures
+    )
+    report.check(
+        "smoke",
+        total > 0 and outcome_sum == total,
+        f"total={total} outcome_sum={outcome_sum}",
+    )
+    report.hit_ratio = monitored.lch_ratio + monitored.gch_ratio
+
+    first = results_to_dict(run_simulation(config))
+    second = results_to_dict(run_simulation(config))
+    drift = [name for name in first if first[name] != second.get(name)]
+    report.check("seed_stable", first == second, f"drifting fields: {drift[:5]}")
+
+    rebuilt = SimulationConfig.from_dict(config.as_dict())
+    report.check(
+        "round_trip",
+        rebuilt == config
+        and resolved_policy_keys(rebuilt) == resolved_policy_keys(config),
+        "config or resolved keys changed across as_dict/from_dict",
+    )
+    return report

@@ -20,16 +20,18 @@ battery fails CI.
 
 What a registered *value* must be differs per namespace (the factory in
 :mod:`repro.policies.factory` documents the builder contracts); the
-registry itself only stores and resolves them.  The mechanism is the
-shared :class:`repro.registry.Registry`; this module is its policy
-instance plus the instance's re-exported bound methods.
+registry itself only stores and resolves them.  Builtins load lazily on
+the first lookup, so importing this module stays cheap and cycle-free
+(``repro.core.config`` imports it for key validation, and the builtin
+modules import it for the decorator).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from repro.registry import Registry, RegistryEntry
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 __all__ = [
     "NAMESPACES",
@@ -50,7 +52,22 @@ NAMESPACES: Tuple[str, ...] = (
     "peer-scoring",
 )
 
-PolicyInfo = RegistryEntry
+
+@dataclass(frozen=True)
+class PolicyInfo:
+    """One registered policy: its key, value and catalogue metadata."""
+
+    namespace: str
+    key: str
+    value: Any
+    summary: str = ""
+    citation: str = ""
+
+
+_REGISTRY: Dict[str, Dict[str, PolicyInfo]] = {
+    namespace: {} for namespace in NAMESPACES
+}
+_builtins_loaded = False
 
 
 def _load_builtins() -> None:
@@ -67,13 +84,104 @@ def _load_builtins() -> None:
     from repro.net import health  # noqa: F401
 
 
-_POLICIES = Registry("policy", NAMESPACES, "{namespace} policy", _load_builtins)
-_REGISTRY = _POLICIES.tables
+def _table(namespace: str) -> Dict[str, PolicyInfo]:
+    table = _REGISTRY.get(namespace)
+    if table is None:
+        raise KeyError(
+            f"unknown policy namespace {namespace!r}; "
+            f"available: {', '.join(NAMESPACES)}"
+        )
+    return table
 
-register = _POLICIES.register
-register_value = _POLICIES.register_value
-available = _POLICIES.available
-describe = _POLICIES.describe
-resolve = _POLICIES.resolve
-entries = _POLICIES.entries
-temporary_policy = _POLICIES.temporary
+
+def _loaded(namespace: str) -> Dict[str, PolicyInfo]:
+    """The table of ``namespace``, builtins imported first."""
+    global _builtins_loaded
+    if not _builtins_loaded:
+        _builtins_loaded = True
+        _load_builtins()
+    return _table(namespace)
+
+
+def register_value(
+    namespace: str,
+    key: str,
+    value: Any,
+    *,
+    summary: str = "",
+    citation: str = "",
+) -> Any:
+    """Register ``value`` under ``(namespace, key)``; returns ``value``.
+
+    Raises ``ValueError`` on a duplicate key — entries are registered
+    exactly once, so resolution can never depend on registration order.
+    """
+    table = _table(namespace)
+    if not isinstance(key, str) or not key:
+        raise ValueError(f"policy key must be a non-empty string, got {key!r}")
+    if key in table:
+        raise ValueError(f"duplicate {namespace} policy {key!r}")
+    table[key] = PolicyInfo(namespace, key, value, summary, citation)
+    return value
+
+
+def register(
+    namespace: str, key: str, *, summary: str = "", citation: str = ""
+) -> Callable[[Any], Any]:
+    """Decorator form of :func:`register_value`."""
+    _table(namespace)  # fail fast, before the decorated definition
+    return partial(register_value, namespace, key, summary=summary, citation=citation)
+
+
+def available(namespace: str) -> List[str]:
+    """The registered keys of ``namespace``, sorted."""
+    return sorted(_loaded(namespace))
+
+
+def describe(namespace: str, key: str) -> PolicyInfo:
+    """The :class:`PolicyInfo` behind ``(namespace, key)``.
+
+    The ``KeyError`` for an unknown key lists every valid key verbatim,
+    so a typo'd config or CLI flag is self-explaining.
+    """
+    table = _loaded(namespace)
+    info = table.get(key)
+    if info is None:
+        raise KeyError(
+            f"unknown {namespace} policy {key!r}; "
+            f"available: {', '.join(sorted(table))}"
+        )
+    return info
+
+
+def resolve(namespace: str, key: str) -> Any:
+    """The registered value behind ``(namespace, key)``."""
+    return describe(namespace, key).value
+
+
+def entries(namespace: str) -> List[PolicyInfo]:
+    """Every :class:`PolicyInfo` of ``namespace``, sorted by key."""
+    return [info for _, info in sorted(_loaded(namespace).items())]
+
+
+@contextmanager
+def temporary_policy(
+    namespace: str,
+    key: str,
+    value: Any,
+    *,
+    summary: str = "",
+    citation: str = "",
+) -> Iterator[PolicyInfo]:
+    """Register a policy for the duration of a ``with`` block (tests).
+
+    The entry is removed on exit even when the block raises, so property
+    tests can register throwaway policies without polluting the process
+    registry.
+    """
+    register_value(namespace, key, value, summary=summary, citation=citation)
+    table = _REGISTRY[namespace]
+    try:
+        yield table[key]
+    finally:
+        table.pop(key, None)

@@ -103,7 +103,6 @@ def test_figure_choices_cover_all_paper_figures():
         "fig-loss",
         "fig-policy",
         "fig-matrix",
-        "fig-workload",
     }
     # ``sweep`` (the one figure command) takes exactly the table's keys.
     for key in FIGURES:

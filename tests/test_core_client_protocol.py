@@ -25,21 +25,6 @@ from repro.sim import Environment
 from repro.signatures import CountingBloomFilter, SignatureScheme
 
 
-class PatternStream:
-    """A minimal host stream over a bare ``AccessPattern``."""
-
-    def __init__(self, pattern, rng, mean):
-        self.pattern = pattern
-        self.rng = rng
-        self.mean = mean
-
-    def next_delay(self, now):
-        return self.rng.exponential(self.mean)
-
-    def next_item(self, now):
-        return self.pattern.next_item()
-
-
 class World:
     """A hand-wired simulation over stationary hosts."""
 
@@ -100,7 +85,7 @@ class World:
                 self.network,
                 self.channel,
                 self.server,
-                PatternStream(pattern, rng, self.config.think_time_mean),
+                pattern,
                 self.metrics,
                 rng,
                 sizes,
@@ -400,6 +385,27 @@ def test_retrieve_race_falls_back_to_server():
     assert world.metrics.outcomes[RequestOutcome.SERVER] == 1
 
 
+def test_request_loop_draws_think_time_then_item():
+    """Each request waits an exponential think time drawn from the host's
+    own stream, then draws its item from the host's access pattern."""
+    world = World(NEAR, scheme=CachingScheme.LC, think_time_mean=2.0)
+    seen = []
+
+    def record(item):
+        seen.append((world.env.now, item))
+        yield world.env.timeout(0.0)
+
+    world.clients[0].access_item = record
+    delays = np.random.default_rng(3)  # World's host 0 stream
+    pattern = AccessPattern(np.random.default_rng(2), 100, 50, 0.5, 0)
+    expected, now = [], 0.0
+    for _ in range(3):
+        now += delays.exponential(2.0)
+        expected.append((now, pattern.next_item()))
+    world.env.run(until=expected[-1][0] + 1e-9)
+    assert seen == expected
+
+
 def test_lc_client_requires_no_signature_scheme():
     world = World(NEAR, scheme=CachingScheme.LC)
     assert world.clients[0].signatures is None
@@ -418,11 +424,7 @@ def test_gc_client_without_signature_scheme_rejected():
             world.network,
             world.channel,
             world.server,
-            PatternStream(
-                AccessPattern(np.random.default_rng(0), 100, 50, 0.5, 0),
-                np.random.default_rng(0),
-                world.config.think_time_mean,
-            ),
+            AccessPattern(np.random.default_rng(0), 100, 50, 0.5, 0),
             world.metrics,
             np.random.default_rng(0),
             MessageSizes(),

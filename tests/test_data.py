@@ -14,6 +14,7 @@ from repro.data import (
     build_access_patterns,
 )
 from repro.sim import Environment
+from repro.sim.random import RandomStreams
 
 
 def rng(seed=0):
@@ -69,6 +70,14 @@ def test_zipf_validation():
     generator = ZipfGenerator(rng(), 10, 0.5)
     with pytest.raises(IndexError):
         generator.probability(10)
+
+
+def test_zipf_rejects_nan_theta_by_value():
+    """A NaN θ fails no ``theta < 0`` test; unguarded, every draw is rank 0."""
+    with pytest.raises(ValueError, match="theta must be >= 0, got nan"):
+        ZipfGenerator(rng(), 10, float("nan"))
+    with pytest.raises(ValueError, match="theta must be >= 0, got nan"):
+        AccessPattern(rng(), 100, 10, float("nan"), 0)
 
 
 @given(
@@ -129,6 +138,38 @@ def test_build_access_patterns_same_hot_item_within_group():
         rng(5), group_of=[0, 0], n_data=1000, access_range=20, theta=1.0
     )
     assert patterns[0].item_for_rank(0) == patterns[1].item_for_rank(0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    theta=st.sampled_from([0.0, 0.5, 0.95]),
+)
+@settings(max_examples=12, deadline=None)
+def test_stationary_zipf_ranks_match_analytic_cdf(seed, theta):
+    """Section V-B's demand process, drawn the way a simulation draws it:
+    one host's ranks within its group window match the analytic Zipf CDF
+    within Kolmogorov-Smirnov tolerance."""
+    n_data, access_range = 120, 30
+    patterns = build_access_patterns(
+        RandomStreams(seed).stream("workload"),
+        group_of=[index // 3 for index in range(6)],
+        n_data=n_data,
+        access_range=access_range,
+        theta=theta,
+    )
+    pattern = patterns[0]
+    n = 4_000
+    ranks = np.array(
+        [(pattern.next_item() - pattern.start) % n_data for _ in range(n)]
+    )
+    assert ranks.max() < access_range  # every draw lands in the group window
+    empirical = np.cumsum(np.bincount(ranks, minlength=access_range)) / n
+    zipf = ZipfGenerator(rng(), access_range, theta)
+    analytic = np.cumsum([zipf.probability(rank) for rank in range(access_range)])
+    ks = float(np.max(np.abs(empirical - analytic)))
+    # 1.95/sqrt(n) is the alpha ~= 0.001 KS critical value; the discrete
+    # statistic is conservative against it.
+    assert ks < 1.95 / math.sqrt(n), f"KS={ks:.4f} at theta={theta}"
 
 
 # -- server database ------------------------------------------------------------------

@@ -5,12 +5,15 @@ one ``@register`` line is covered here with no test edits.  Each key's
 battery run is memoised at module scope: the four check assertions below
 share one report instead of re-running three simulations per check.
 
-The negative test proves the battery has teeth — a deliberately
+The negative tests prove the battery has teeth — a deliberately
 stateful policy (class-level counter leaking across runs) must fail the
-seed-stability check.
+seed-stability check and turn ``tools/conformance_matrix.py`` red.
 """
 
 import functools
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,9 @@ from repro.policies.conformance import (
     run_conformance,
 )
 from repro.policies.replacement import ReplacementPolicy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import conformance_matrix  # noqa: E402
 
 KEYS = conformance_keys()
 IDS = [f"{namespace}:{key}" for namespace, key in KEYS]
@@ -86,16 +92,46 @@ class _LeakyReplacement(ReplacementPolicy):
         return window[type(self).calls % len(window)]
 
 
+def _build_leaky(config, cache, signature_scheme, peer_signature):
+    return _LeakyReplacement(cache)
+
+
 def test_battery_rejects_a_run_to_run_stateful_policy():
     _LeakyReplacement.calls = 0
-
-    def build(config, cache, signature_scheme, peer_signature):
-        return _LeakyReplacement(cache)
-
     with registry.temporary_policy(
-        "replacement", "tmp-leaky", build, summary="negative-test plant"
+        "replacement", "tmp-leaky", _build_leaky, summary="negative-test plant"
     ):
         report = run_conformance("replacement", "tmp-leaky")
     assert not report.passed
     assert not report.checks["seed_stable"]
     assert any("seed_stable" in failure for failure in report.failures)
+
+
+def test_matrix_tool_exit_code_follows_the_battery(tmp_path, capsys):
+    _LeakyReplacement.calls = 0
+    out = tmp_path / "matrix.json"
+    argv = ["--namespace", "replacement", "--key", "tmp-leaky", "--report", str(out)]
+    with registry.temporary_policy("replacement", "tmp-leaky", _build_leaky):
+        assert conformance_matrix.main(argv) == 1
+    payload = json.loads(out.read_text())
+    assert (payload["total"], payload["failed"]) == (1, 1)
+    entry = payload["entries"][0]
+    assert (entry["namespace"], entry["key"], entry["passed"]) == (
+        "replacement",
+        "tmp-leaky",
+        False,
+    )
+    assert "FAIL replacement:tmp-leaky" in capsys.readouterr().out
+    assert conformance_matrix.main(["--namespace", "replacement", "--key", "lru"]) == 0
+
+
+def test_matrix_tool_covers_every_policy(monkeypatch):
+    seen = []
+
+    def fake_run(namespace, key):
+        seen.append((namespace, key))
+        return report_for(*KEYS[0])
+
+    monkeypatch.setattr(conformance_matrix, "run_conformance", fake_run)
+    assert len(conformance_matrix.run_matrix()) == len(KEYS)
+    assert seen == KEYS

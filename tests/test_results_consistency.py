@@ -7,8 +7,8 @@ LC/CC/GC cells there must be equal in every file.  One bench-profile
 simulation of that point pins the files to what the code produces, at the
 precision the tables print.  Each ``results/<stem>.json`` written beside a
 figure's series must describe exactly that series' rows and x values; the
-sidecar of a paper figure, and of FigWorkload, also holds its table at one
-cheap non-default x at the quick profile, which is re-simulated here too.
+sidecar of a paper figure also holds its table at one cheap non-default x
+at the quick profile, which is re-simulated here too.
 """
 
 import json
@@ -32,7 +32,6 @@ DEFAULT_POINT = {
     "fig6_update_rate": "0.0",
     "fig7_scalability": "60",
     "fig8_disconnection": "0.0",
-    "fig_workload": "stationary-zipf",
 }
 
 
@@ -116,9 +115,8 @@ def test_sidecar_describes_its_series(path):
         )
 
 
-#: The paper figures, plus FigWorkload: its ``ycsb`` column is the one
-#: place tier-1 sees a synthetic workload engine draw.
-QUICK_FIGURES = [*(f"fig{number}" for number in range(2, 9)), "fig-workload"]
+#: The paper figures.
+QUICK_FIGURES = [f"fig{number}" for number in range(2, 9)]
 
 
 def test_every_paper_figure_sidecar_has_a_quick_cell():

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Run the conformance battery over every registered policy and workload (CI gate).
+"""Run the conformance battery over every registered policy (CI gate).
 
 Usage::
 
     PYTHONPATH=src python tools/conformance_matrix.py [--report FILE]
     PYTHONPATH=src python tools/conformance_matrix.py --namespace replacement
-    PYTHONPATH=src python tools/conformance_matrix.py --key flash-crowd
+    PYTHONPATH=src python tools/conformance_matrix.py --key lru-min
 
-Iterates both registries' ``conformance_keys()`` — so an entry registered
-after this tool shipped is still covered with no edits — runs the shared
-battery (:mod:`repro.check.conformance`; workloads add the
-constant-memory streaming check) per ``(namespace, key)``, prints one
+Iterates ``conformance_keys()`` — so a policy registered after this tool
+shipped is still covered with no edits — runs the battery
+(:mod:`repro.policies.conformance`) per ``(namespace, key)``, prints one
 status line each, and exits non-zero when any entry fails.  ``--report``
 writes the full per-entry check map as JSON for the CI artifact.
 """
@@ -20,32 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.check.conformance import ConformanceReport
-from repro.policies import conformance as policy_battery
+from repro.policies.conformance import (
+    ConformanceReport,
+    conformance_keys,
+    run_conformance,
+)
 from repro.policies.registry import NAMESPACES
-from repro.workloads import conformance as workload_battery
-from repro.workloads.registry import NAMESPACE as WORKLOAD_NAMESPACE
 
-__all__ = ["main", "matrix_rows", "run_matrix"]
-
-Row = Tuple[str, str, Callable[[], ConformanceReport]]
-
-
-def matrix_rows() -> List[Row]:
-    """``(namespace, key, run)`` for every registered entry of both registries."""
-    rows: List[Row] = [
-        (namespace, key, partial(policy_battery.run_conformance, namespace, key))
-        for namespace, key in policy_battery.conformance_keys()
-    ]
-    rows += [
-        (WORKLOAD_NAMESPACE, key, partial(workload_battery.run_conformance, key))
-        for key in workload_battery.conformance_keys()
-    ]
-    return rows
+__all__ = ["main", "run_matrix"]
 
 
 def run_matrix(
@@ -53,21 +37,17 @@ def run_matrix(
 ) -> List[ConformanceReport]:
     """Battery reports for every entry passing the two filters."""
     reports = []
-    for row_namespace, row_key, run in matrix_rows():
+    for row_namespace, row_key in conformance_keys():
         if namespace is not None and row_namespace != namespace:
             continue
         if key is not None and row_key != key:
             continue
-        report = run()
+        report = run_conformance(row_namespace, row_key)
         status = "ok" if report.passed else "FAIL"
-        measured = "".join(
-            f"  {name}={value}" for name, value in sorted(report.measurements.items())
-        )
         print(
             f"  {status:<4} {row_namespace + ':' + row_key:<30} "
             f"hit_ratio={report.hit_ratio:6.2f}  "
             f"checks={'/'.join(k for k, v in sorted(report.checks.items()) if v)}"
-            f"{measured}"
         )
         for failure in report.failures:
             print(f"       - {failure}")
@@ -79,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--namespace",
-        choices=NAMESPACES + (WORKLOAD_NAMESPACE,),
+        choices=NAMESPACES,
         default=None,
         help="restrict the matrix to one namespace",
     )
