@@ -337,7 +337,6 @@ def project_rule_registry() -> Dict[str, Type["ProjectRule"]]:
     from repro.analysis import (  # noqa: F401
         rules_project_config,
         rules_project_kernel,
-        rules_project_registry,
     )
 
     return dict(_PROJECT_REGISTRY)

@@ -85,9 +85,8 @@ def run_lint(
     """Lint ``paths`` and print a report; returns the exit code.
 
     ``project=True`` additionally runs the whole-program rules over the
-    full file set (they read DESIGN.md, EXPERIMENTS.md and
-    docs/POLICIES.md under ``project_root``, default the working
-    directory).  ``json_report`` additionally writes the JSON payload to
+    full file set (they read DESIGN.md and EXPERIMENTS.md under
+    ``project_root``, default the working directory).  ``json_report`` additionally writes the JSON payload to
     a file whatever ``output_format`` says (the CI artifact path).
     """
     import sys

@@ -69,10 +69,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
     """Registry-key overrides (see ``repro policies list``)."""
     parser.add_argument(
-        "--admission", metavar="KEY", help="admission policy registry key"
+        "--admission", metavar="KEY", help="admission policy key"
     )
     parser.add_argument(
-        "--replacement", metavar="KEY", help="replacement policy registry key"
+        "--replacement", metavar="KEY", help="replacement policy key"
     )
     parser.add_argument(
         "--peer-policy", metavar="KEY", help="retrieve peer-scoring key"
@@ -290,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     policies_parser = commands.add_parser(
-        "policies", help="inspect the policy plugin registry"
+        "policies", help="inspect the policy tables"
     )
     policies_commands = policies_parser.add_subparsers(
         dest="policies_command", required=True
     )
     policies_list = policies_commands.add_parser(
-        "list", help="print every registered policy key with its summary"
+        "list", help="print every policy key with its summary"
     )
     policies_list.add_argument(
         "--namespace",
@@ -435,16 +435,15 @@ def _run_lint_command(args: argparse.Namespace) -> int:
 
 def _run_policies_command(args: argparse.Namespace) -> int:
     """Handler of the ``policies`` subcommand: one ``key summary`` line
-    per registered policy, its citation beneath."""
+    per policy, its citation beneath."""
     namespaces = (
         [args.namespace] if args.namespace else list(policy_registry.NAMESPACES)
     )
     for namespace in namespaces:
         print(f"{namespace}:")
-        for info in policy_registry.entries(namespace):
-            print(f"  {info.key:<16} {info.summary}")
-            if info.citation:
-                print(f"  {'':<16} [{info.citation}]")
+        for key, info in sorted(policy_registry.POLICIES[namespace].items()):
+            print(f"  {key:<16} {info.summary}")
+            print(f"  {'':<16} [{info.citation}]")
     return 0
 
 

@@ -142,7 +142,7 @@ class MobileHost:
             )
         else:
             self.signatures = None
-        # Admission and replacement resolve through the policy registry;
+        # Admission and replacement resolve through the policy tables;
         # with no explicit *_policy override the scheme's default row
         # (policies.factory.SCHEME_DEFAULTS) applies.
         self.admission = build_admission(config, rng=admission_rng)

@@ -138,10 +138,10 @@ class SimulationConfig:
     signature_filtering: bool = True  # ablation A4
     signature_compression: bool = True  # ablation A3
 
-    # -- policy registry overrides (repro.policies) -----------------------------------------------
+    # -- policy overrides (repro.policies) --------------------------------------------------------
     # Empty string = this scheme's default (policies.SCHEME_DEFAULTS), so a
     # config follows its scheme through ``with_scheme``; a non-empty value
-    # must name a registered key and overrides that axis for every host.
+    # must name a key of its table and overrides that axis for every host.
     admission_policy: str = ""  # "admission" key; ablation A1 is GC + "always"
     replacement_policy: str = ""  # "replacement" key; ablation A2 is GC + "lru"
 

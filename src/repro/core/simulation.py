@@ -166,7 +166,7 @@ class Simulation:
         if config.health_enabled and config.scheme.cooperative:
             policy_rng = (
                 self.streams.stream("peer-policy")
-                if config.peer_policy == "epsilon-greedy"
+                if policy_factory.needs_rng(config, "peer-scoring")
                 else None
             )
             self._trackers = [
@@ -185,7 +185,7 @@ class Simulation:
         # policies (every scheme default) create no stream at all.
         admission_rng = (
             self.streams.stream("admission-policy")
-            if policy_factory.admission_needs_rng(config)
+            if policy_factory.needs_rng(config, "admission")
             else None
         )
         self.clients: List[MobileHost] = [

@@ -14,8 +14,8 @@ from* matters as much as what it caches.  Each :class:`MobileHost` owns a
 * a :class:`CircuitBreaker` so a known-dead replier is skipped instead
   of timed out against.
 
-Repliers are ranked by a pluggable string-keyed scoring policy from the
-registry's ``peer-scoring`` namespace; ``arrival`` reproduces today's
+Repliers are ranked by a string-keyed scoring policy from the
+``peer-scoring`` table (:mod:`repro.policies.scoring`); ``arrival`` reproduces today's
 first-reply behaviour exactly and is the golden-trace default.  The
 module is pure bookkeeping — it never touches the kernel, draws
 randomness only through the generator handed to it (``epsilon-greedy``),
@@ -27,11 +27,12 @@ disabled runs take zero new branches and stay bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.policies import registry
+from repro.policies.scoring import ScoringPolicy
 
 __all__ = [
     "BREAKER_STATES",
@@ -183,99 +184,6 @@ class PeerHealth:
         """
         known = self.latency.value if self.latency.value is not None else 0.0
         return (self.pending + 1) * known
-
-
-#: A scoring policy picks one reply from the breaker-admitted candidates
-#: (arrival order preserved); ties break toward arrival order so every
-#: policy is deterministic.
-ScoringPolicy = Callable[[List[dict], "PeerHealthTracker"], dict]
-
-
-@registry.register(
-    "peer-scoring",
-    "arrival",
-    summary="first reply to arrive wins (golden-trace default)",
-    citation="Chow, Leong & Chan, ICDCS'04 §III",
-)
-def _policy_arrival(candidates: List[dict], tracker: "PeerHealthTracker") -> dict:
-    """Today's behaviour: the first reply to arrive wins."""
-    return candidates[0]
-
-
-@registry.register(
-    "peer-scoring",
-    "least-pending",
-    summary="fewest outstanding retrieves to the peer",
-    citation="Suresh et al., NSDI'15 (C3/absim queue-length signal)",
-)
-def _policy_least_pending(
-    candidates: List[dict], tracker: "PeerHealthTracker"
-) -> dict:
-    """Fewest outstanding retrieves (absim's queue-length signal)."""
-    return min(
-        enumerate(candidates),
-        key=lambda pair: (tracker.peer(pair[1]["peer"]).pending, pair[0]),
-    )[1]
-
-
-@registry.register(
-    "peer-scoring",
-    "latency-aware",
-    summary="lowest queue-adjusted EWMA retrieve latency",
-    citation="Suresh et al., NSDI'15 (C3 replica ranking)",
-)
-def _policy_latency_aware(
-    candidates: List[dict], tracker: "PeerHealthTracker"
-) -> dict:
-    """Lowest queue-adjusted EWMA latency."""
-    return min(
-        enumerate(candidates),
-        key=lambda pair: (
-            tracker.peer(pair[1]["peer"]).expected_latency(),
-            pair[0],
-        ),
-    )[1]
-
-
-@registry.register(
-    "peer-scoring",
-    "power-aware",
-    summary="shortest reply path first; latency breaks ties",
-    citation="Chow, Leong & Chan, ICDCS'04 §V (power model)",
-)
-def _policy_power_aware(
-    candidates: List[dict], tracker: "PeerHealthTracker"
-) -> dict:
-    """Shortest reply path first (every extra hop taxes relay radios),
-    breaking ties by queue-adjusted latency."""
-    return min(
-        enumerate(candidates),
-        key=lambda pair: (
-            len(pair[1]["path"]) - 1,
-            tracker.peer(pair[1]["peer"]).expected_latency(),
-            pair[0],
-        ),
-    )[1]
-
-
-@registry.register(
-    "peer-scoring",
-    "epsilon-greedy",
-    summary="explore a uniform replier with probability epsilon",
-    citation="Sutton & Barto (epsilon-greedy bandit)",
-)
-def _policy_epsilon_greedy(
-    candidates: List[dict], tracker: "PeerHealthTracker"
-) -> dict:
-    """Explore a uniform candidate with probability ε, else exploit
-    the latency-aware ranking.  Draws come from the tracker's dedicated
-    ``peer-policy`` stream so other subsystems' sequences never shift."""
-    rng = tracker.rng
-    if rng is None:
-        raise RuntimeError("epsilon-greedy policy needs a random stream")
-    if rng.random() < tracker.epsilon:
-        return candidates[int(rng.integers(len(candidates)))]
-    return _policy_latency_aware(candidates, tracker)
 
 
 #: Whole-run engagement counters every tracker maintains; surfaced as

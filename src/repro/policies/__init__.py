@@ -1,19 +1,18 @@
-"""String-keyed policy plugin registry and its factories (ROADMAP item 3).
+"""The policy tables and their factory.
 
 Public surface:
 
-* :mod:`repro.policies.registry` — ``register`` / ``resolve`` /
-  ``available`` / ``describe`` / ``entries`` over the three namespaces
-  (``admission``, ``replacement``, ``peer-scoring``);
+* :mod:`repro.policies.registry` — the three literal tables
+  (``admission``, ``replacement``, ``peer-scoring``) and ``available`` /
+  ``describe`` / ``resolve`` over them;
 * :mod:`repro.policies.factory` — the per-scheme default keys, their
   resolution from a :class:`~repro.core.config.SimulationConfig` and the
   per-namespace builders used by the simulation wiring;
-* :mod:`repro.policies.conformance` — the battery every registered key
-  must pass (imported explicitly; it pulls in the simulation layer).
+* :mod:`repro.policies.conformance` — the battery every key must pass
+  (imported explicitly; it pulls in the simulation layer).
 
-This package ``__init__`` must stay import-light: ``repro.core.config``
-imports it for key validation, so nothing here may import the core
-simulation modules.
+This package must not import the core simulation modules:
+``repro.core.config`` imports it for key validation.
 """
 
 from repro.policies.factory import (
@@ -24,28 +23,22 @@ from repro.policies.factory import (
 )
 from repro.policies.registry import (
     NAMESPACES,
+    POLICIES,
     PolicyInfo,
     available,
     describe,
-    entries,
-    register,
-    register_value,
     resolve,
-    temporary_policy,
 )
 
 __all__ = [
     "NAMESPACES",
+    "POLICIES",
     "PolicyInfo",
     "SCHEME_DEFAULTS",
     "available",
     "build_admission",
     "build_replacement",
     "describe",
-    "entries",
-    "register",
-    "register_value",
     "resolve",
     "resolved_policy_keys",
-    "temporary_policy",
 ]

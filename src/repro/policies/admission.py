@@ -1,4 +1,4 @@
-"""Registered cache-admission policies for peer-supplied items.
+"""Cache-admission policies for peer-supplied items.
 
 An admission policy decides whether the item a peer just served should be
 copied into the local cache.  :class:`MobileHost` consults it on *every*
@@ -15,11 +15,7 @@ requesters (Laoutaris et al., Leave-Copy-Down).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from repro.policies.registry import register
 
 __all__ = [
     "AdmissionPolicy",
@@ -150,49 +146,3 @@ class LeaveCopyDownAdmission(AdmissionPolicy):
         self, *, cache_full: bool, from_tcg_member: bool, hops: int
     ) -> bool:
         return self._count(hops <= 1)
-
-
-# --------------------------------------------------------------------------
-# Registered builders (the factory contract for the "admission" namespace:
-# ``builder(config, rng) -> AdmissionPolicy``; ``rng`` is the shared
-# "admission-policy" stream, or None for deterministic policies).
-
-
-@register(
-    "admission",
-    "always",
-    summary="cache every peer-supplied item (LC/CC baseline, ablation A1)",
-    citation="Chow, Leong & Chan, ICDCS'04 §IV-E",
-)
-def _build_always(config, rng: Optional[np.random.Generator]) -> AdmissionPolicy:
-    return AlwaysAdmit()
-
-
-@register(
-    "admission",
-    "grococa",
-    summary="full cache refuses TCG-member-supplied items",
-    citation="Chow, Leong & Chan, ICDCS'04 §IV-E",
-)
-def _build_grococa(config, rng: Optional[np.random.Generator]) -> AdmissionPolicy:
-    return GroCoCaAdmission()
-
-
-@register(
-    "admission",
-    "probcache",
-    summary="admit with probability hops/hop_dist (distance-weighted)",
-    citation="Psaras, Chai & Pavlou, ICN'12 (ProbCache)",
-)
-def _build_probcache(config, rng: Optional[np.random.Generator]) -> AdmissionPolicy:
-    return ProbCacheAdmission(hop_limit=config.hop_dist, rng=rng)
-
-
-@register(
-    "admission",
-    "lcd",
-    summary="admit only items served by a direct neighbour",
-    citation="Laoutaris, Che & Stavrakakis, 2006 (Leave-Copy-Down)",
-)
-def _build_lcd(config, rng: Optional[np.random.Generator]) -> AdmissionPolicy:
-    return LeaveCopyDownAdmission()

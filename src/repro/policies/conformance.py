@@ -1,4 +1,4 @@
-"""The conformance battery every registered policy must pass.
+"""The conformance battery every policy must pass.
 
 One small simulated configuration per ``(namespace, key)`` pair, one
 that genuinely exercises it, checked four ways:
@@ -13,8 +13,7 @@ that genuinely exercises it, checked four ways:
 Both ``tests/test_policy_conformance.py`` (auto-parametrised over
 :func:`conformance_keys`) and ``tools/conformance_matrix.py`` (the CI
 matrix job) drive runs through :func:`run_conformance`, so a policy
-added with one ``@register`` line is battery-covered with no further
-wiring.
+added as one table row is battery-covered with no further wiring.
 
 Lives outside ``repro.policies.__init__`` on purpose: it imports the
 simulation layer, which imports the config, which imports the package
@@ -61,7 +60,7 @@ _BASE_CONFIG: Dict[str, Any] = dict(
 
 @dataclass
 class ConformanceReport:
-    """Outcome of one registered policy's battery run."""
+    """Outcome of one policy's battery run."""
 
     namespace: str
     key: str
@@ -125,7 +124,7 @@ def conformance_config(namespace: str, key: str) -> SimulationConfig:
 
 
 def run_conformance(namespace: str, key: str) -> ConformanceReport:
-    """Run the full battery for one registered policy."""
+    """Run the full battery for one policy."""
     config = conformance_config(namespace, key)
     report = ConformanceReport(namespace=namespace, key=key)
 

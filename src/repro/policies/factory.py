@@ -1,7 +1,7 @@
-"""Resolution of a config's policy choices through the registry.
+"""Resolution of a config's policy choices through the tables.
 
-The bridge between :class:`~repro.core.config.SimulationConfig` and the
-registry: every scheme has a row of default keys
+The bridge between :class:`~repro.core.config.SimulationConfig` and
+:mod:`repro.policies.registry`: every scheme has a row of default keys
 (:data:`SCHEME_DEFAULTS`), an explicit ``*_policy`` key overrides its
 scheme's row, and ``""`` means *this scheme's default* — so a config
 that names no key follows its scheme through ``with_scheme``, which is
@@ -12,11 +12,11 @@ Builder contracts per namespace (what :func:`registry.resolve` returns):
 ========== =============================================================
 admission   ``builder(config, rng) -> AdmissionPolicy``; ``rng`` is the
             shared ``admission-policy`` stream (None unless the resolved
-            key is in :data:`RNG_ADMISSION_KEYS`)
+            row has ``needs_rng``)
 replacement ``builder(config, cache, signature_scheme, peer_signature)
             -> ReplacementPolicy``
 peer-scoring ``(candidates, tracker) -> reply`` scoring callable (see
-            :mod:`repro.net.health`)
+            :mod:`repro.policies.scoring`)
 ========== =============================================================
 """
 
@@ -32,18 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.config import SimulationConfig
 
 __all__ = [
-    "RNG_ADMISSION_KEYS",
     "SCHEME_DEFAULTS",
-    "admission_needs_rng",
     "build_admission",
     "build_replacement",
+    "needs_rng",
     "resolved_policy_keys",
 ]
-
-#: Admission keys whose builder draws from the ``admission-policy``
-#: stream.  The stream is created only for these, so deterministic
-#: policies add no RNG stream and replay identically.
-RNG_ADMISSION_KEYS = ("probcache",)
 
 #: ``CachingScheme`` value -> the keys that scheme runs when the config
 #: names none: LC and CC cache everything under plain LRU, GroCoCa runs
@@ -66,9 +60,10 @@ def resolved_policy_keys(config: "SimulationConfig") -> Dict[str, str]:
     }
 
 
-def admission_needs_rng(config: "SimulationConfig") -> bool:
-    """Whether the resolved admission policy draws random numbers."""
-    return resolved_policy_keys(config)["admission"] in RNG_ADMISSION_KEYS
+def needs_rng(config: "SimulationConfig", namespace: str) -> bool:
+    """Whether the policy a run resolves in ``namespace`` draws random numbers."""
+    key = resolved_policy_keys(config)[namespace]
+    return registry.describe(namespace, key).needs_rng
 
 
 def build_admission(

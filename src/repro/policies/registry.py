@@ -1,91 +1,159 @@
-"""String-keyed policy plugin registry (ROADMAP item 3).
+"""The policy tables: every strategy a config can choose, by key.
 
-The simulator's strategy choices — cache admission, cache replacement
-and retrieve peer-scoring — are looked up here by ``(namespace, key)``
-instead of being hard-coded, the way Icarus hosts its ~20 strategies
-behind ``@register_strategy``.  Adding a policy is one decorated
-definition::
+Three strategy axes of the simulator are looked up by ``(namespace,
+key)`` instead of being hard-coded — cache admission, cache replacement
+and retrieve peer-scoring — and each is one literal table below.  A
+policy exists exactly when it has a row, so adding one is one row here
+plus its docs/POLICIES.md catalogue row (``tests/test_policy_registry.py``
+checks the two agree); the conformance battery
+(:mod:`repro.policies.conformance`) and ``repro policies list`` iterate
+the tables and need no edit.
 
-    from repro.policies.registry import register
-
-    @register("replacement", "lru-min",
-              summary="evict the candidate closest to expiry")
-    def _build_lru_min(config, cache, signature_scheme, peer_signature):
-        return LRUMinReplacement(cache, config.replace_candidate)
-
-Every registered key is automatically picked up by the conformance
-battery (:mod:`repro.policies.conformance`), the differential golden
-test and ``repro policies list`` — a policy that does not pass the
-battery fails CI.
-
-What a registered *value* must be differs per namespace (the factory in
-:mod:`repro.policies.factory` documents the builder contracts); the
-registry itself only stores and resolves them.  Builtins load lazily on
-the first lookup, so importing this module stays cheap and cycle-free
-(``repro.core.config`` imports it for key validation, and the builtin
-modules import it for the decorator).
+What a row's ``value`` must be differs per namespace; the factory in
+:mod:`repro.policies.factory` documents the builder contracts.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
+
+from repro.policies import scoring
+from repro.policies.admission import (
+    AlwaysAdmit,
+    GroCoCaAdmission,
+    LeaveCopyDownAdmission,
+    ProbCacheAdmission,
+)
+from repro.policies.replacement import (
+    GreedyDualReplacement,
+    GroCoCaReplacement,
+    LRUMinReplacement,
+    LRUReplacement,
+    PopularityRankReplacement,
+)
 
 __all__ = [
     "NAMESPACES",
+    "POLICIES",
     "PolicyInfo",
     "available",
     "describe",
-    "entries",
-    "register",
-    "register_value",
     "resolve",
-    "temporary_policy",
 ]
-
-#: The registry's namespaces, one per strategy axis of the simulator.
-NAMESPACES: Tuple[str, ...] = (
-    "admission",
-    "replacement",
-    "peer-scoring",
-)
 
 
 @dataclass(frozen=True)
 class PolicyInfo:
-    """One registered policy: its key, value and catalogue metadata."""
+    """One table row: the value a key resolves to, and its catalogue text.
 
-    namespace: str
-    key: str
-    value: Any
-    summary: str = ""
-    citation: str = ""
-
-
-_REGISTRY: Dict[str, Dict[str, PolicyInfo]] = {
-    namespace: {} for namespace in NAMESPACES
-}
-_builtins_loaded = False
-
-
-def _load_builtins() -> None:
-    """Import the builtin policy modules (registration is import-driven).
-
-    Imported here, not at module top, to avoid cycles: the policy modules
-    import this module for the decorator, and ``repro.core.config``
-    imports this module for key validation.
+    ``needs_rng`` marks a policy that draws random numbers; the simulation
+    creates its stream (``admission-policy`` / ``peer-policy``) only for
+    such a policy, so a deterministic one replays identically.
     """
-    from repro.policies import (  # noqa: F401
-        admission,
-        replacement,
-    )
-    from repro.net import health  # noqa: F401
+
+    value: Any
+    summary: str
+    citation: str
+    needs_rng: bool = False
+
+
+#: namespace -> key -> row, one table per strategy axis.
+POLICIES: Dict[str, Dict[str, PolicyInfo]] = {
+    # builder(config, rng) -> AdmissionPolicy
+    "admission": {
+        "always": PolicyInfo(
+            lambda config, rng: AlwaysAdmit(),
+            "cache every peer-supplied item (LC/CC baseline, ablation A1)",
+            "Chow, Leong & Chan, ICDCS'04 §IV-E",
+        ),
+        "grococa": PolicyInfo(
+            lambda config, rng: GroCoCaAdmission(),
+            "full cache refuses TCG-member-supplied items",
+            "Chow, Leong & Chan, ICDCS'04 §IV-E",
+        ),
+        "probcache": PolicyInfo(
+            lambda config, rng: ProbCacheAdmission(config.hop_dist, rng),
+            "admit with probability hops/hop_dist (distance-weighted)",
+            "Psaras, Chai & Pavlou, ICN'12 (ProbCache)",
+            needs_rng=True,
+        ),
+        "lcd": PolicyInfo(
+            lambda config, rng: LeaveCopyDownAdmission(),
+            "admit only items served by a direct neighbour",
+            "Laoutaris, Che & Stavrakakis, 2006 (Leave-Copy-Down)",
+        ),
+    },
+    # builder(config, cache, signature_scheme, peer_signature)
+    #     -> ReplacementPolicy; the signature arguments are None outside GC
+    "replacement": {
+        "lru": PolicyInfo(
+            lambda config, cache, scheme, peer: LRUReplacement(cache),
+            "evict the least recently used entry (LC/CC baseline)",
+            "Chow, Leong & Chan, ICDCS'04 §VI",
+        ),
+        "grococa": PolicyInfo(
+            lambda config, cache, scheme, peer: GroCoCaReplacement(
+                cache, scheme, peer, config.replace_candidate, config.replace_delay
+            ),
+            "replica-first cooperative replacement with SingletTTL aging",
+            "Chow, Leong & Chan, ICDCS'04 §IV-E",
+        ),
+        "lru-min": PolicyInfo(
+            lambda config, cache, scheme, peer: LRUMinReplacement(
+                cache, config.replace_candidate
+            ),
+            "evict the near-LRU candidate closest to expiry",
+            "Joy & Jacob, 2012 (cache replacement survey; LRU-MIN)",
+        ),
+        "greedy-dual": PolicyInfo(
+            lambda config, cache, scheme, peer: GreedyDualReplacement(cache),
+            "inflation-aged retention value seeded from remaining TTL",
+            "Young, 1994 / Cao & Irani, USITS'97 (GreedyDual)",
+        ),
+        "popularity-rank": PolicyInfo(
+            lambda config, cache, scheme, peer: PopularityRankReplacement(cache),
+            "evict the least-demanded item (own + overheard requests)",
+            "Wang & Kulkarni (popularity-ranking cooperative caching)",
+        ),
+    },
+    # (candidates, tracker) -> reply; see repro.policies.scoring
+    "peer-scoring": {
+        "arrival": PolicyInfo(
+            scoring.arrival,
+            "first reply to arrive wins (golden-trace default)",
+            "Chow, Leong & Chan, ICDCS'04 §III",
+        ),
+        "least-pending": PolicyInfo(
+            scoring.least_pending,
+            "fewest outstanding retrieves to the peer",
+            "Suresh et al., NSDI'15 (C3/absim queue-length signal)",
+        ),
+        "latency-aware": PolicyInfo(
+            scoring.latency_aware,
+            "lowest queue-adjusted EWMA retrieve latency",
+            "Suresh et al., NSDI'15 (C3 replica ranking)",
+        ),
+        "power-aware": PolicyInfo(
+            scoring.power_aware,
+            "shortest reply path first; latency breaks ties",
+            "Chow, Leong & Chan, ICDCS'04 §V (power model)",
+        ),
+        "epsilon-greedy": PolicyInfo(
+            scoring.epsilon_greedy,
+            "explore a uniform replier with probability epsilon",
+            "Sutton & Barto (epsilon-greedy bandit)",
+            needs_rng=True,
+        ),
+    },
+}
+
+#: The namespaces, in table order.
+NAMESPACES: Tuple[str, ...] = tuple(POLICIES)
 
 
 def _table(namespace: str) -> Dict[str, PolicyInfo]:
-    table = _REGISTRY.get(namespace)
+    table = POLICIES.get(namespace)
     if table is None:
         raise KeyError(
             f"unknown policy namespace {namespace!r}; "
@@ -94,57 +162,18 @@ def _table(namespace: str) -> Dict[str, PolicyInfo]:
     return table
 
 
-def _loaded(namespace: str) -> Dict[str, PolicyInfo]:
-    """The table of ``namespace``, builtins imported first."""
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        _load_builtins()
-    return _table(namespace)
-
-
-def register_value(
-    namespace: str,
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Any:
-    """Register ``value`` under ``(namespace, key)``; returns ``value``.
-
-    Raises ``ValueError`` on a duplicate key — entries are registered
-    exactly once, so resolution can never depend on registration order.
-    """
-    table = _table(namespace)
-    if not isinstance(key, str) or not key:
-        raise ValueError(f"policy key must be a non-empty string, got {key!r}")
-    if key in table:
-        raise ValueError(f"duplicate {namespace} policy {key!r}")
-    table[key] = PolicyInfo(namespace, key, value, summary, citation)
-    return value
-
-
-def register(
-    namespace: str, key: str, *, summary: str = "", citation: str = ""
-) -> Callable[[Any], Any]:
-    """Decorator form of :func:`register_value`."""
-    _table(namespace)  # fail fast, before the decorated definition
-    return partial(register_value, namespace, key, summary=summary, citation=citation)
-
-
 def available(namespace: str) -> List[str]:
-    """The registered keys of ``namespace``, sorted."""
-    return sorted(_loaded(namespace))
+    """The keys of ``namespace``, sorted."""
+    return sorted(_table(namespace))
 
 
 def describe(namespace: str, key: str) -> PolicyInfo:
-    """The :class:`PolicyInfo` behind ``(namespace, key)``.
+    """The row behind ``(namespace, key)``.
 
     The ``KeyError`` for an unknown key lists every valid key verbatim,
     so a typo'd config or CLI flag is self-explaining.
     """
-    table = _loaded(namespace)
+    table = _table(namespace)
     info = table.get(key)
     if info is None:
         raise KeyError(
@@ -155,33 +184,5 @@ def describe(namespace: str, key: str) -> PolicyInfo:
 
 
 def resolve(namespace: str, key: str) -> Any:
-    """The registered value behind ``(namespace, key)``."""
+    """The value behind ``(namespace, key)``."""
     return describe(namespace, key).value
-
-
-def entries(namespace: str) -> List[PolicyInfo]:
-    """Every :class:`PolicyInfo` of ``namespace``, sorted by key."""
-    return [info for _, info in sorted(_loaded(namespace).items())]
-
-
-@contextmanager
-def temporary_policy(
-    namespace: str,
-    key: str,
-    value: Any,
-    *,
-    summary: str = "",
-    citation: str = "",
-) -> Iterator[PolicyInfo]:
-    """Register a policy for the duration of a ``with`` block (tests).
-
-    The entry is removed on exit even when the block raises, so property
-    tests can register throwaway policies without polluting the process
-    registry.
-    """
-    register_value(namespace, key, value, summary=summary, citation=citation)
-    table = _REGISTRY[namespace]
-    try:
-        yield table[key]
-    finally:
-        table.pop(key, None)

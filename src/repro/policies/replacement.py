@@ -1,4 +1,4 @@
-"""Registered cache-replacement policies.
+"""Cache-replacement policies.
 
 A replacement policy picks the victim a full cache evicts to admit one
 new entry, and optionally maintains auxiliary per-item state through the
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cache.lru import CacheEntry, LRUCache
-from repro.policies.registry import register
 from repro.signatures.bloom import SignatureScheme
 from repro.signatures.peer import PeerSignature
 
@@ -289,71 +288,3 @@ class PopularityRankReplacement(ReplacementPolicy):
                 victim = entry
         self.evictions += 1
         return victim
-
-
-# --------------------------------------------------------------------------
-# Registered builders (the factory contract for the "replacement"
-# namespace: ``builder(config, cache, signature_scheme, peer_signature)
-# -> ReplacementPolicy``; the signature arguments are None outside
-# GroCoCa).
-
-
-@register(
-    "replacement",
-    "lru",
-    summary="evict the least recently used entry (LC/CC baseline)",
-    citation="Chow, Leong & Chan, ICDCS'04 §VI",
-)
-def _build_lru(config, cache, signature_scheme, peer_signature):
-    return LRUReplacement(cache)
-
-
-@register(
-    "replacement",
-    "grococa",
-    summary="replica-first cooperative replacement with SingletTTL aging",
-    citation="Chow, Leong & Chan, ICDCS'04 §IV-E",
-)
-def _build_grococa(config, cache, signature_scheme, peer_signature):
-    if signature_scheme is None or peer_signature is None:
-        raise ValueError(
-            "replacement policy 'grococa' needs the GroCoCa signature "
-            "scheme (scheme GC)"
-        )
-    return GroCoCaReplacement(
-        cache,
-        signature_scheme,
-        peer_signature,
-        config.replace_candidate,
-        config.replace_delay,
-    )
-
-
-@register(
-    "replacement",
-    "lru-min",
-    summary="evict the near-LRU candidate closest to expiry",
-    citation="Joy & Jacob, 2012 (cache replacement survey; LRU-MIN)",
-)
-def _build_lru_min(config, cache, signature_scheme, peer_signature):
-    return LRUMinReplacement(cache, config.replace_candidate)
-
-
-@register(
-    "replacement",
-    "greedy-dual",
-    summary="inflation-aged retention value seeded from remaining TTL",
-    citation="Young, 1994 / Cao & Irani, USITS'97 (GreedyDual)",
-)
-def _build_greedy_dual(config, cache, signature_scheme, peer_signature):
-    return GreedyDualReplacement(cache)
-
-
-@register(
-    "replacement",
-    "popularity-rank",
-    summary="evict the least-demanded item (own + overheard requests)",
-    citation="Wang & Kulkarni (popularity-ranking cooperative caching)",
-)
-def _build_popularity(config, cache, signature_scheme, peer_signature):
-    return PopularityRankReplacement(cache)

@@ -1,7 +1,7 @@
 """Auto-parametrised conformance battery over every registered policy.
 
-``conformance_keys()`` enumerates the registry, so a policy added with
-one ``@register`` line is covered here with no test edits.  Each key's
+``conformance_keys()`` enumerates the policy tables, so a policy added
+as one table row is covered here with no test edits.  Each key's
 battery run is memoised at module scope: the four check assertions below
 share one report instead of re-running three simulations per check.
 
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.policies import registry
+from repro.policies.registry import PolicyInfo
 from repro.policies.conformance import (
     conformance_config,
     conformance_keys,
@@ -96,23 +97,29 @@ def _build_leaky(config, cache, signature_scheme, peer_signature):
     return _LeakyReplacement(cache)
 
 
-def test_battery_rejects_a_run_to_run_stateful_policy():
+def _plant_leaky(monkeypatch):
+    """Add the leaky policy to the replacement table for one test."""
     _LeakyReplacement.calls = 0
-    with registry.temporary_policy(
-        "replacement", "tmp-leaky", _build_leaky, summary="negative-test plant"
-    ):
-        report = run_conformance("replacement", "tmp-leaky")
+    monkeypatch.setitem(
+        registry.POLICIES["replacement"],
+        "tmp-leaky",
+        PolicyInfo(_build_leaky, "negative-test plant", "none"),
+    )
+
+
+def test_battery_rejects_a_run_to_run_stateful_policy(monkeypatch):
+    _plant_leaky(monkeypatch)
+    report = run_conformance("replacement", "tmp-leaky")
     assert not report.passed
     assert not report.checks["seed_stable"]
     assert any("seed_stable" in failure for failure in report.failures)
 
 
-def test_matrix_tool_exit_code_follows_the_battery(tmp_path, capsys):
-    _LeakyReplacement.calls = 0
+def test_matrix_tool_exit_code_follows_the_battery(tmp_path, capsys, monkeypatch):
+    _plant_leaky(monkeypatch)
     out = tmp_path / "matrix.json"
     argv = ["--namespace", "replacement", "--key", "tmp-leaky", "--report", str(out)]
-    with registry.temporary_policy("replacement", "tmp-leaky", _build_leaky):
-        assert conformance_matrix.main(argv) == 1
+    assert conformance_matrix.main(argv) == 1
     payload = json.loads(out.read_text())
     assert (payload["total"], payload["failed"]) == (1, 1)
     entry = payload["entries"][0]
@@ -135,3 +142,13 @@ def test_matrix_tool_covers_every_policy(monkeypatch):
     monkeypatch.setattr(conformance_matrix, "run_conformance", fake_run)
     assert len(conformance_matrix.run_matrix()) == len(KEYS)
     assert seen == KEYS
+
+
+def test_matrix_tool_rejects_a_filter_matching_nothing(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        conformance_matrix.main(["--namespace", "admission", "--key", "lru-minn"])
+    assert exit_info.value.code == 2
+    assert (
+        "no policy matches namespace='admission' key='lru-minn'"
+        in capsys.readouterr().err
+    )

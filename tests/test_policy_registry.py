@@ -1,20 +1,26 @@
-"""Property tests for the policy plugin registry (PR 8 satellite).
+"""The policy tables' contract.
 
-Hypothesis drives the registry's contract: duplicate keys always raise,
-unknown-key errors list the valid keys verbatim, resolution never depends
-on registration order, and ``temporary_policy`` cleans up even when the
-``with`` block raises.
+Unknown keys and namespaces fail with errors that list the valid names
+verbatim, every row carries its catalogue text, the ``needs_rng`` column
+says which policies draw random numbers, and docs/POLICIES.md documents
+exactly the keys the tables hold.
 """
 
+import re
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import CachingScheme, SimulationConfig
+from repro.net.health import PeerHealthTracker
 from repro.policies import registry
 
+POLICIES_DOC = Path(__file__).resolve().parent.parent / "docs" / "POLICIES.md"
+
 # Throwaway keys: lowercase slugs prefixed so they can never collide with
-# a builtin policy key (all builtins are bare words like "lru-min").
+# a table key (every key is a bare word like "lru-min").
 _slug = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
     min_size=1,
@@ -22,16 +28,6 @@ _slug = st.text(
 )
 _tmp_key = _slug.map(lambda s: f"tmp-{s}")
 _namespace = st.sampled_from(registry.NAMESPACES)
-
-
-@given(namespace=_namespace, key=_tmp_key)
-def test_duplicate_registration_raises_value_error(namespace, key):
-    with registry.temporary_policy(namespace, key, object()):
-        with pytest.raises(ValueError) as err:
-            registry.register_value(namespace, key, object())
-        assert str(err.value) == f"duplicate {namespace} policy {key!r}"
-    # the duplicate attempt must not have clobbered or removed the entry
-    assert key not in registry.available(namespace)
 
 
 @given(namespace=_namespace, key=_tmp_key)
@@ -56,52 +52,6 @@ def test_unknown_namespace_error_lists_namespaces(key):
         f"unknown policy namespace {bogus!r}; "
         f"available: {', '.join(registry.NAMESPACES)}"
     )
-
-
-@given(
-    namespace=_namespace,
-    keys=st.lists(_tmp_key, min_size=2, max_size=6, unique=True),
-    data=st.data(),
-)
-@settings(max_examples=50)
-def test_resolution_is_registration_order_invariant(namespace, keys, data):
-    """Whatever order keys register in, lookups see the same registry."""
-    order = data.draw(st.permutations(keys))
-    values = {key: object() for key in keys}
-    baseline = registry.available(namespace)
-    registered = []
-    try:
-        for key in order:
-            registry.register_value(namespace, key, values[key])
-            registered.append(key)
-        assert registry.available(namespace) == sorted(baseline + keys)
-        for key in keys:
-            assert registry.resolve(namespace, key) is values[key]
-        assert [
-            info.key
-            for info in registry.entries(namespace)
-            if info.key in values
-        ] == sorted(keys)
-    finally:
-        for key in registered:
-            registry._REGISTRY[namespace].pop(key, None)
-
-
-@given(namespace=_namespace, key=_tmp_key)
-def test_temporary_policy_cleans_up_on_exception(namespace, key):
-    marker = object()
-    with pytest.raises(RuntimeError):
-        with registry.temporary_policy(namespace, key, marker) as info:
-            assert info.value is marker
-            assert key in registry.available(namespace)
-            raise RuntimeError("boom")
-    assert key not in registry.available(namespace)
-
-
-@given(key=st.one_of(st.just(""), st.integers(), st.none()))
-def test_non_string_or_empty_key_is_rejected(key):
-    with pytest.raises(ValueError, match="policy key must be"):
-        registry.register_value("admission", key, object())
 
 
 #: namespace -> the SimulationConfig field that picks its key.
@@ -132,20 +82,72 @@ def test_every_policy_field_offers_a_choice(namespace):
 
 
 def test_entries_metadata_matches_describe():
-    for namespace in registry.NAMESPACES:
-        infos = registry.entries(namespace)
-        assert [info.key for info in infos] == registry.available(namespace)
-        for info in infos:
-            assert registry.describe(namespace, info.key) == info
-            assert info.namespace == namespace
-            assert info.summary, f"{namespace}:{info.key} missing summary"
-
-
-def test_register_decorator_fails_fast_on_unknown_namespace():
-    with pytest.raises(KeyError):
-        registry.register("not-a-namespace", "key")
+    for namespace, table in registry.POLICIES.items():
+        assert registry.available(namespace) == sorted(table)
+        for key, info in table.items():
+            assert registry.describe(namespace, key) is info
+            assert registry.resolve(namespace, key) is info.value
+            assert info.summary, f"{namespace}:{key} missing summary"
+            assert info.citation, f"{namespace}:{key} missing citation"
 
 
 def test_every_namespace_has_builtin_policies():
     for namespace in registry.NAMESPACES:
         assert registry.available(namespace), namespace
+
+
+def test_needs_rng_marks_exactly_the_policies_that_draw():
+    """A row without ``needs_rng`` runs with no stream; a row with it
+    refuses to, so the column cannot drift from the code."""
+    config = SimulationConfig()
+    for info in registry.POLICIES["admission"].values():
+        if info.needs_rng:
+            with pytest.raises(ValueError, match="stream"):
+                info.value(config, None)
+        else:
+            info.value(config, None).should_cache(
+                cache_full=True, from_tcg_member=False, hops=2
+            )
+    replies = [{"peer": 1, "path": [0, 1]}, {"peer": 2, "path": [0, 2]}]
+    for key, info in registry.POLICIES["peer-scoring"].items():
+        tracker = PeerHealthTracker(
+            breaker_threshold=0, breaker_cooldown=1.0, policy=key
+        )
+        if info.needs_rng:
+            with pytest.raises(RuntimeError, match="stream"):
+                tracker.select(replies, 0.0)
+        else:
+            assert tracker.select(replies, 0.0) in replies
+    assert not any(
+        info.needs_rng for info in registry.POLICIES["replacement"].values()
+    )
+
+
+def _catalogue_rows(text):
+    """``(namespace, key)`` pairs of the doc's catalogue table: rows whose
+    second cell names a namespace, one pair per backticked key."""
+    rows = set()
+    for line in text.splitlines():
+        if not line.lstrip().startswith("|"):
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) > 1 and cells[1] in registry.NAMESPACES:
+            rows.update((cells[1], key) for key in re.findall(r"`([^`]+)`", cells[0]))
+    return rows
+
+
+def test_policies_doc_documents_exactly_the_tables():
+    """Every key is mentioned in docs/POLICIES.md, and every catalogue
+    row names a key the tables hold."""
+    text = POLICIES_DOC.read_text(encoding="utf-8")
+    mentioned = set(re.findall(r"`([^`\n]+)`", text))
+    for namespace, table in registry.POLICIES.items():
+        for key in table:
+            assert key in mentioned, f"{namespace}:{key} is undocumented"
+    catalogue = _catalogue_rows(text)
+    assert catalogue, "docs/POLICIES.md has no catalogue rows"
+    for namespace, key in sorted(catalogue):
+        assert key in registry.POLICIES[namespace], (
+            f"docs/POLICIES.md documents {namespace} policy {key!r}, "
+            "which no table holds"
+        )

@@ -47,7 +47,6 @@ def test_registry_covers_all_rule_families():
     assert [rule.id for rule in all_project_rules()] == [
         "config-field-flow",
         "kernel-transitive-hazard",
-        "registry-consistency",
     ]
     assert sorted(META_RULES) == [
         "parse-error",
@@ -55,7 +54,7 @@ def test_registry_covers_all_rule_families():
         "pragma-unknown-rule",
         "pragma-unused",
     ]
-    assert len(known_rule_ids()) == 14
+    assert len(known_rule_ids()) == 13
 
 
 def test_qualified_name_resolves_import_aliases():

@@ -5,9 +5,11 @@ are suppressible from any of their lines, decorated defs from the
 decorator lines — plus ``allow-file`` anywhere (including line 1).
 """
 
+import ast
 import io
 
-from repro.analysis.engine import ModuleSource, lint_source
+from repro.analysis import engine
+from repro.analysis.engine import ModuleSource, ProjectRule, lint_source
 from repro.analysis.runner import run_lint
 
 
@@ -78,56 +80,58 @@ def test_violation_on_line_one_is_suppressible(tmp_path):
 # -- decorated defs (project-scope anchor includes decorator lines) -----------
 
 
-def write_registry_project(tmp_path, pragma_line):
-    (tmp_path / "registry.py").write_text(
-        'NAMESPACES = ("thing",)\n'
-        "_REGISTRY = {}\n"
-        "def register(namespace, key):\n"
-        "    def wrap(fn):\n"
-        "        _REGISTRY.setdefault(namespace, {})[key] = fn\n"
-        "        return fn\n"
-        "    return wrap\n"
-        "def _load_builtins():\n"
-        "    import plugins  # noqa: F401\n"
-    )
-    docs = tmp_path / "docs"
-    docs.mkdir(exist_ok=True)
-    (docs / "POLICIES.md").write_text(
-        "| Key | Namespace |\n|-----|-----------|\n| `alpha` | thing |\n"
-    )
+class DecoratedDefRule(ProjectRule):
+    """Test-only project rule anchored at one decorated definition."""
+
+    id = "test-decorated-def"
+
+    def check(self, project):
+        for module in project.modules.values():
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "build_mystery":
+                    yield self.violation(module, node, "'mystery' is flagged")
+
+
+def write_decorated_project(tmp_path, pragma_line):
     (tmp_path / "plugins.py").write_text(
-        "from registry import register\n"
+        "def register(key):\n"
+        "    return lambda fn: fn\n"
         "\n"
-        '@register("thing", "alpha")\n'
+        '@register("alpha")\n'
         "def build_alpha():\n"
         "    return None\n"
         "\n"
-        f'@register("thing", "mystery"){pragma_line}\n'
+        f'@register("mystery"){pragma_line}\n'
         "def build_mystery():\n"
         "    return None\n"
     )
 
 
-def project_lint(tmp_path):
+def project_lint(tmp_path, monkeypatch):
+    monkeypatch.setitem(
+        engine._PROJECT_REGISTRY, DecoratedDefRule.id, DecoratedDefRule
+    )
     stream = io.StringIO()
     code = run_lint([tmp_path], stream=stream, project=True, project_root=tmp_path)
     return code, stream.getvalue()
 
 
-def test_decorated_def_finding_fires_without_pragma(tmp_path):
-    write_registry_project(tmp_path, "")
-    code, output = project_lint(tmp_path)
+def test_decorated_def_finding_fires_without_pragma(tmp_path, monkeypatch):
+    write_decorated_project(tmp_path, "")
+    code, output = project_lint(tmp_path, monkeypatch)
     assert code == 1
-    assert "registry-consistency" in output
+    assert "test-decorated-def" in output
     assert "'mystery'" in output
 
 
-def test_pragma_on_decorator_line_suppresses_def_anchored_finding(tmp_path):
-    write_registry_project(
+def test_pragma_on_decorator_line_suppresses_def_anchored_finding(
+    tmp_path, monkeypatch
+):
+    write_decorated_project(
         tmp_path,
-        "  # simlint: allow[registry-consistency] reason=internal key",
+        "  # simlint: allow[test-decorated-def] reason=internal key",
     )
-    code, output = project_lint(tmp_path)
+    code, output = project_lint(tmp_path, monkeypatch)
     assert code == 0, output
 
 

@@ -30,7 +30,6 @@ def lint_fixture(case: str):
     [
         ("kernel_violating", "kernel-transitive-hazard"),
         ("config_violating", "config-field-flow"),
-        ("registry_violating", "registry-consistency"),
     ],
 )
 def test_violating_fixture_fails_with_rule_id(case, rule):
@@ -41,7 +40,7 @@ def test_violating_fixture_fails_with_rule_id(case, rule):
 
 @pytest.mark.parametrize(
     "case",
-    ["kernel_clean", "config_clean", "registry_clean"],
+    ["kernel_clean", "config_clean"],
 )
 def test_clean_fixture_passes(case):
     code, output = lint_fixture(case)
@@ -50,7 +49,7 @@ def test_clean_fixture_passes(case):
 
 @pytest.mark.parametrize(
     "case",
-    ["kernel_pragma", "config_pragma", "registry_pragma"],
+    ["kernel_pragma", "config_pragma"],
 )
 def test_pragma_fixture_suppresses_and_counts_as_used(case):
     code, output = lint_fixture(case)
@@ -75,14 +74,6 @@ def test_config_fixture_reports_dead_and_undocumented():
     assert "never read outside" in output
     assert "absent from DESIGN.md and EXPERIMENTS.md" in output
     assert "used_metric" not in output
-
-
-def test_registry_fixture_reports_all_three_drifts():
-    _code, output = lint_fixture("registry_violating")
-    assert "'mystery' is registered but never mentioned" in output
-    assert "'ghost' but no register() site" in output
-    assert "'orphaned' is registered in orphan" in output
-    assert "_load_builtins never" in output
 
 
 # -- project pragmas in file-only runs ----------------------------------------
@@ -163,7 +154,6 @@ def test_cli_rules_catalogue_lists_project_rules(capsys):
         "set-iteration-order",
         "config-field-flow",
         "kernel-transitive-hazard",
-        "registry-consistency",
         "parse-error",
         "pragma-missing-reason",
         "pragma-unknown-rule",

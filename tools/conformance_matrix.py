@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the conformance battery over every registered policy (CI gate).
+"""Run the conformance battery over every policy (CI gate).
 
 Usage::
 
@@ -7,11 +7,12 @@ Usage::
     PYTHONPATH=src python tools/conformance_matrix.py --namespace replacement
     PYTHONPATH=src python tools/conformance_matrix.py --key lru-min
 
-Iterates ``conformance_keys()`` — so a policy registered after this tool
+Iterates ``conformance_keys()`` — so a policy added after this tool
 shipped is still covered with no edits — runs the battery
 (:mod:`repro.policies.conformance`) per ``(namespace, key)``, prints one
-status line each, and exits non-zero when any entry fails.  ``--report``
-writes the full per-entry check map as JSON for the CI artifact.
+status line each, and exits 1 when any entry fails (2 when the filters
+match no entry).  ``--report`` writes the full per-entry check map as
+JSON for the CI artifact.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--key",
         default=None,
-        help="restrict the matrix to one registry key",
+        help="restrict the matrix to one policy key",
     )
     parser.add_argument(
         "--report",
@@ -79,6 +80,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print("conformance matrix:")
     reports = run_matrix(args.namespace, args.key)
+    if not reports:
+        # An empty matrix would pass vacuously: a typo'd filter is an error.
+        parser.error(
+            f"no policy matches namespace={args.namespace!r} key={args.key!r}"
+        )
     failed = [r for r in reports if not r.passed]
 
     if args.report is not None:
