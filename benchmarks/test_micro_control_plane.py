@@ -5,12 +5,13 @@ Two per-message costs, each timed next to the design it replaced
 
 * one **MSS contact** — ``record_location`` + ``record_access`` +
   ``drain_changes`` on the TCG manager, at N ∈ {40, 120, 240} hosts and
-  the paper's density: cached eligibility halves against a fresh
+  the paper's density: a recheck of the pairs within Δ against a fresh
   similarity row and a masked WADM gather/scatter per call;
-* one **SigReply** (payload build, VLFL round trip, merge into the
-  requester's peer vector) and one **take_update** (the piggyback delta of
-  a search broadcast) at σ = 10 000, k = 2 for caches of ε ∈ {30, 100}
-  items: set-bit positions against σ-vectors.
+* one **SigReply** (payload build, wire size, merge into the requester's
+  peer vector) and one **take_update** (the piggyback delta of a search
+  broadcast) at σ = 10 000, k = 2 for caches of ε ∈ {30, 100} items:
+  set-bit positions and a counted VLFL size against σ-vectors and a real
+  VLFL round trip.
 
 Both sides replay the same call sequence, alternately and ``REPEATS`` times
 over (the best pass is reported: the box is shared and a single pass swings
@@ -218,7 +219,8 @@ def test_micro_control_plane(benchmark, record_table):
             f"  {new_bytes / 1024:9.1f}  {old_bytes / 1024:15.1f}"
         )
     lines += [
-        f"  SigReply = payload build + VLFL round trip + merge; sigma={SIZE_BITS:,},"
+        f"  SigReply = payload build + wire size (dense: VLFL round trip) + merge;"
+        f" sigma={SIZE_BITS:,},"
         f" k={HASHES}, mean of {ROUNDS}",
         f"  peer_bytes = tracemalloc bytes a peer vector holds after {MEMBERS} SigReplies",
         "    eps  reply_us  dense_reply_us  ratio  take_update_us"

@@ -31,7 +31,7 @@ import numpy as np
 from repro.signatures.bloom import SignatureScheme
 from repro.signatures.counting import CountingBloomFilter
 from repro.signatures.peer import PeerSignature
-from repro.signatures.vlfl import compression_plan, decode_positions, encode_positions
+from repro.signatures.vlfl import compression_plan, encoded_size_bytes
 
 __all__ = ["MembershipActions", "SignatureAgent"]
 
@@ -96,8 +96,9 @@ class SignatureAgent:
         """(set-bit positions, wire size in bytes, compressed?) for a SigReply.
 
         The compression decision is the local rule of Section IV-D.2 based
-        on the cache size ε, σ and k; the payload really is VLFL-encoded
-        and decoded end-to-end so the size is genuine.
+        on the cache size ε, σ and k.  A compressed reply is sized by
+        counting its VLFL symbols, not by building them: decoding would only
+        give back these positions (the codec is the count's test oracle).
         """
         positions = np.array(self.own.positions(), dtype=np.int64)
         size_bits = self.scheme.size_bits
@@ -105,11 +106,11 @@ class SignatureAgent:
         if self.compression_enabled:
             run_cap, compress = compression_plan(cached_items, size_bits, self.scheme.k)
             if compress:
-                compressed = encode_positions(positions, size_bits, run_cap)
-                if compressed.size_bytes < raw_bytes:
+                wire_bytes = encoded_size_bytes(positions, size_bits, run_cap)
+                if wire_bytes < raw_bytes:
                     self.signatures_sent_compressed += 1
-                    self.signature_bytes_sent += compressed.size_bytes
-                    return decode_positions(compressed), compressed.size_bytes, True
+                    self.signature_bytes_sent += wire_bytes
+                    return positions, wire_bytes, True
         self.signatures_sent_raw += 1
         self.signature_bytes_sent += raw_bytes
         return positions, raw_bytes, False

@@ -14,14 +14,14 @@ asynchronously: they are queued per client and drained the next time that
 client contacts the MSS.
 
 The ASM is maintained incrementally: per-pair dot products and per-client
-squared norms make one access an O(N) update instead of an O(N · NData)
-recomputation.  So is Algorithm 3: ``_dist_ok`` (WADM ≤ Δ) and ``_sim_ok``
-(similarity ≥ δ) cache the two halves of its test.  A pair's distance
-changes only in ``record_location`` of one of its clients, its similarity
-only in ``record_access`` of one of them, and each call rewrites the row
-*and* the column of its own half: the other half is always current and is
-never recomputed, and since every pair's membership is current when a call
-starts, a call that leaves its own half unchanged skips the recheck.
+squared norms make one access an update of the item's holders, not an
+O(N · NData) recomputation.  So is Algorithm 3: a member is within Δ, so
+each client keeps its *neighbours*, the located clients within Δ of it.  A
+pair's distance changes only in ``record_location`` of one of its clients,
+its similarity only in ``record_access`` of one of them, and every pair's
+membership is current when a call starts.  So an access rechecks only the
+client's neighbours, and a location report only the pairs that enter or
+leave Δ (one that stays inside keeps its similarity, hence its membership).
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ class TCGManager:
     ):
         if n_clients < 1 or n_data < 1:
             raise ValueError("need clients and data items")
-        if distance_threshold < 0:
-            raise ValueError("distance threshold must be >= 0")
+        if not 0.0 <= distance_threshold < math.inf:
+            raise ValueError(
+                f"distance threshold must be finite and >= 0, got {distance_threshold!r}"
+            )
         if not 0.0 <= similarity_threshold <= 1.0:
             raise ValueError("similarity threshold must be in [0, 1]")
         if not 0.0 <= omega <= 1.0:
@@ -72,10 +74,9 @@ class TCGManager:
         self._sq_norms = np.zeros(n_clients)
         self.wadm = np.full((n_clients, n_clients), math.inf)
         self._has_location = np.zeros(n_clients, dtype=bool)
-        self._last_position = np.zeros((n_clients, 2))
-        # Algorithm 3's test per pair, by halves (no distance or similarity yet).
-        self._dist_ok = np.full((n_clients, n_clients), math.inf <= distance_threshold)
-        self._sim_ok = np.full((n_clients, n_clients), 0.0 >= similarity_threshold)
+        self._x, self._y = np.zeros((2, n_clients))  # last reported positions
+        # The located others within Δ of each client (symmetric).
+        self._neighbours: List[Set[int]] = [set() for _ in range(n_clients)]
         self.member = np.zeros((n_clients, n_clients), dtype=bool)
         # What each client was last told its TCG is (for async announcements).
         self._announced: List[Set[int]] = [set() for _ in range(n_clients)]
@@ -84,35 +85,40 @@ class TCGManager:
     # -- Algorithm 1: location update ----------------------------------------------
 
     def record_location(self, client: int, position: Sequence[float]) -> None:
-        """Fold a piggybacked location into the WADM and recheck row."""
+        """Fold a piggybacked location into the WADM; recheck pairs crossing Δ."""
         self._check_client(client)
         position = np.asarray(position, dtype=float)
         if position.shape != (2,) or not all(map(math.isfinite, position)):
             raise ValueError(f"position must be two finite numbers, got {position!r}")
-        deltas = self._last_position - position
-        distances = np.hypot(deltas[:, 0], deltas[:, 1])
+        x, y = position.tolist()
+        distances = np.hypot(self._x - x, self._y - y)
         row = self.wadm[client]
-        with np.errstate(invalid="ignore"):
+        if self.omega < 1.0:  # at ω = 1 the blend is the distance itself
+            # An infinite entry is a first contact: no history to blend with.
             blended = self.omega * distances + (1.0 - self.omega) * row
-        # An infinite entry is a first contact: no history to blend with.
-        new = np.where(np.isinf(row), distances, blended)
-        np.copyto(row, new, where=self._has_location)
+            distances = np.where(np.isinf(row), distances, blended)
+        np.copyto(row, distances, where=self._has_location)
         row[client] = math.inf  # never its own neighbour
         self.wadm[:, client] = row
-        self._last_position[client] = position
-        first_report = not self._has_location[client]
+        self._x[client], self._y[client] = x, y
         self._has_location[client] = True
-        near = row <= self.distance_threshold
-        if first_report or np.count_nonzero(near != self._dist_ok[client]):
-            self._dist_ok[client] = self._dist_ok[:, client] = near
-            self._recheck(client)
+        near = set((row <= self.distance_threshold).nonzero()[0].tolist())
+        was = self._neighbours[client]
+        if near != was:
+            self._neighbours[client] = near
+            entered, left = sorted(near - was), sorted(was - near)
+            for other in entered:
+                self._neighbours[other].add(client)
+            for other in left:
+                self._neighbours[other].discard(client)
+            self._update_members(client, entered, left)
         if self._monitor is not None:
             self._monitor.check_tcg_row(self, client)
 
     # -- Algorithm 2: access pattern update ----------------------------------------
 
     def record_access(self, client: int, item: int, count: int = 1) -> None:
-        """Fold accesses into the ASM (incremental cosine) and recheck row."""
+        """Fold accesses into the ASM (incremental cosine); recheck neighbours."""
         self._check_client(client)
         if not 0 <= item < self.n_data:
             raise ValueError(f"item must be in [0, {self.n_data}), got {item!r}")
@@ -121,18 +127,13 @@ class TCGManager:
         # A client that never accessed the item would add +0.0, which moves
         # no entry of _dot (it is never -0.0): only the holders are touched.
         holders = self.access_counts.setdefault(item, {})
-        if holders:
-            others = list(holders)
-            increment = [count * held for held in holders.values()]
-            self._dot[client, others] += increment
-            self._dot[others, client] += increment
+        for other, held in holders.items():
+            self._dot[client, other] += count * held
+            self._dot[other, client] += count * held
         previous = holders.get(client, 0)
         self._sq_norms[client] += 2.0 * count * previous + count * count
         holders[client] = previous + count
-        alike = self.similarity_row(client) >= self.similarity_threshold
-        if np.count_nonzero(alike != self._sim_ok[client]):
-            self._sim_ok[client] = self._sim_ok[:, client] = alike
-            self._recheck(client)
+        self._update_members(client, sorted(self._neighbours[client]))
         if self._monitor is not None:
             self._monitor.check_tcg_row(self, client)
 
@@ -169,22 +170,38 @@ class TCGManager:
 
     # -- Algorithm 3: membership checking ---------------------------------------------
 
-    def _recheck(self, client: int) -> None:
-        eligible = self._dist_ok[client] & self._sim_ok[client] & self._has_location
-        eligible[client] = False
-        if not self._has_location[client]:
-            eligible[:] = False
-        changed = int(np.count_nonzero(eligible != self.member[client]))
+    def _update_members(
+        self, client: int, inside: Sequence[int], outside: Sequence[int] = ()
+    ) -> None:
+        """Membership of the pairs a contact can have moved: each of
+        ``inside`` (within Δ) is a member iff alike, none of ``outside`` is."""
+        member, dot, sq_norms = self.member, self._dot, self._sq_norms
+        own = sq_norms.item(client)
+        changed = 0
+        for other in inside:
+            # similarity_row's IEEE mul, sqrt and div on Python scalars: a
+            # Python bool against an np.bool_ costs more than the whole test.
+            product = own * sq_norms.item(other)
+            if product > 0.0:
+                similarity = dot.item(client, other) / math.sqrt(product)
+            else:
+                similarity = 0.0
+            alike = similarity >= self.similarity_threshold
+            if alike != member.item(client, other):
+                member[client, other] = member[other, client] = alike
+                changed += 1
+        for other in outside:
+            if member.item(client, other):
+                member[client, other] = member[other, client] = False
+                changed += 1
         if changed:
-            self.member[client] = eligible
-            self.member[:, client] = eligible
             self.membership_changes += changed
             if self._tracer is not None:
                 self._tracer.instant(
                     "tcg-change",
                     host=client,
                     changed=changed,
-                    size=int(eligible.sum()),
+                    size=int(np.count_nonzero(member[client])),
                 )
 
     # -- client-facing views --------------------------------------------------------------

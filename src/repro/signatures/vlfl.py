@@ -27,9 +27,11 @@ __all__ = [
     "compression_plan",
     "decode_positions",
     "encode_positions",
+    "encoded_size_bytes",
     "expected_compressed_bits",
     "find_optimal_r",
     "should_compress",
+    "symbol_count",
     "vlfl_decode",
     "vlfl_encode",
     "zero_probability",
@@ -105,7 +107,7 @@ class CompressedSignature:
 
     @property
     def codeword_bits(self) -> int:
-        return max(1, (self.run_cap + 1).bit_length() - 1)
+        return _codeword_bits(self.run_cap)
 
     @property
     def size_bytes(self) -> int:
@@ -141,7 +143,7 @@ def encode_positions(
     symbols[ends - 1] = rest
     if tail_rest:
         symbols[-1] = tail_rest
-    codeword = max(1, (run_cap + 1).bit_length() - 1)
+    codeword = _codeword_bits(run_cap)
     shifts = np.arange(codeword - 1, -1, -1, dtype=np.int64)
     bitstream = ((symbols[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
     return CompressedSignature(
@@ -150,6 +152,26 @@ def encode_positions(
         symbol_count=symbols.size,
         payload=np.packbits(bitstream.ravel()).tobytes(),
     )
+
+
+def symbol_count(ones: np.ndarray, size_bits: int, run_cap: int) -> int:
+    """How many symbols :func:`encode_positions` emits: ``g // R + 1`` per
+    gap of ``g`` zeros before a one, then the tail's full runs and any rest."""
+    ones = np.asarray(ones, dtype=np.int64)
+    gaps = ones.copy()
+    gaps[1:] -= ones[:-1] + 1
+    tail = size_bits - (int(ones[-1]) + 1 if ones.size else 0)
+    tail_full, tail_rest = divmod(tail, run_cap)
+    return int((gaps // run_cap).sum()) + ones.size + tail_full + bool(tail_rest)
+
+
+def encoded_size_bytes(ones: np.ndarray, size_bits: int, run_cap: int) -> int:
+    """:func:`encode_positions`'s ``size_bytes``, without encoding."""
+    return (symbol_count(ones, size_bits, run_cap) * _codeword_bits(run_cap) + 7) // 8
+
+
+def _codeword_bits(run_cap: int) -> int:
+    return max(1, (run_cap + 1).bit_length() - 1)
 
 
 def decode_positions(compressed: CompressedSignature) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 ``src/`` handles a cache signature as the positions of its set bits, keeps
 only the non-zero counters of the own and the peer vectors and of the MSS
-access counts, and keeps the two halves of the TCG eligibility test cached;
-these are the designs they replaced: every signature a σ-vector, the VLFL
-symbols built one gap at a time and Algorithm 3 recomputed from the WADM
+access counts, sizes a compressed SigReply by counting its VLFL symbols,
+and rechecks TCG membership only over each client's Δ-neighbours; these
+are the designs they replaced: every signature a σ-vector, the VLFL
+symbols built one gap at a time, a SigReply really encoded and decoded,
+and Algorithm 3 recomputed from the WADM
 and a fresh similarity row on every MSS contact (from ``eee341b``), and the
 σ-long peer vector and the ``(N, n_data)`` access-count matrix (from
 ``43589d9``).  Nothing in ``src/`` uses them:
@@ -262,6 +264,7 @@ class RecomputingTCGManager(TCGManager):
     def __init__(self, n_clients: int, n_data: int, *args, **kwargs):
         super().__init__(n_clients, n_data, *args, **kwargs)
         self.access_counts = np.zeros((n_clients, n_data), dtype=np.int64)
+        self._last_position = np.zeros((n_clients, 2))
 
     def access_count(self, client: int, item: int) -> int:
         return int(self.access_counts[client, item])

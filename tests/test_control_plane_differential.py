@@ -23,7 +23,12 @@ from repro.signatures import (
     vlfl_decode,
     vlfl_encode,
 )
-from repro.signatures.vlfl import decode_positions, encode_positions
+from repro.signatures.vlfl import (
+    decode_positions,
+    encode_positions,
+    encoded_size_bytes,
+    symbol_count,
+)
 from tests._control_plane_reference import (
     DensePeerSignature,
     DenseSignatureAgent,
@@ -195,6 +200,14 @@ def assert_same_codec(bits, run_cap):
     assert decode_positions(compressed).tolist() == ones.tolist()
     assert np.array_equal(vlfl_decode(compressed), bits)
     assert np.array_equal(dense_vlfl_decode(compressed), bits)
+    assert_counted_size(ones, len(bits), run_cap)
+
+
+def assert_counted_size(ones, size_bits, run_cap):
+    """A SigReply is sized by counting symbols; the codec is the definition."""
+    compressed = encode_positions(ones, size_bits, run_cap)
+    assert symbol_count(ones, size_bits, run_cap) == compressed.symbol_count
+    assert encoded_size_bytes(ones, size_bits, run_cap) == compressed.size_bytes
 
 
 @pytest.mark.parametrize("run_cap", RUN_CAPS)
@@ -230,6 +243,31 @@ def test_position_codec_at_paper_sigma(run_cap, ones):
     assert_same_codec(bits, run_cap)
 
 
+SIZE_RUN_CAPS = [2**exponent - 1 for exponent in range(1, 12)]  # 1, 3, ..., 2047
+
+
+@pytest.mark.parametrize("run_cap", SIZE_RUN_CAPS)
+def test_counted_size_edge_shapes(run_cap):
+    for size in (1, 2, run_cap, run_cap + 1, 2 * run_cap + 3, 3000):
+        everything = np.arange(size)
+        assert_counted_size(everything[:0], size, run_cap)  # no ones
+        assert_counted_size(everything, size, run_cap)  # all ones
+        assert_counted_size(everything[-1:], size, run_cap)  # a trailing one
+        assert_counted_size(everything[:1], size, run_cap)  # then a long tail
+
+
+@given(
+    st.sampled_from(SIZE_RUN_CAPS),
+    st.integers(1, 3000).flatmap(
+        lambda size: st.tuples(st.just(size), st.sets(st.integers(0, size - 1), max_size=300))
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_counted_size_matches_the_codec(run_cap, shape):
+    size, ones = shape
+    assert_counted_size(np.array(sorted(ones), dtype=np.int64), size, run_cap)
+
+
 # -- (c) incremental TCG eligibility against the from-scratch recheck ----------
 
 N_CLIENTS, N_DATA = 6, 5
@@ -247,9 +285,6 @@ TCG_OPS = st.lists(
 )
 
 
-PAIRS = ~np.eye(N_CLIENTS, dtype=bool)  # a client is never its own member
-
-
 class Instants:
     """Stands in for the tracer: keeps every instant, in order."""
 
@@ -258,10 +293,6 @@ class Instants:
 
     def instant(self, name, **fields):
         self.seen.append((name, fields))
-
-
-def similarity_matrix(manager):
-    return np.array([manager.similarity_row(c) for c in range(manager.n_clients)])
 
 
 @given(
@@ -294,10 +325,13 @@ def test_incremental_tcg_matches_recomputing_tcg(delta, similarity, omega, ops):
         assert new.membership_changes == old.membership_changes
         assert type(new.membership_changes) is int
         assert json.dumps(new_trace.seen) == json.dumps(old_trace.seen)  # types too
-        # The argument the design rests on: the cached similarity test is
-        # current for every pair, not only for the row just touched.
-        alike = similarity_matrix(new) >= similarity
-        assert np.array_equal(new._sim_ok[PAIRS], alike[PAIRS])
+        # The argument the design rests on: every client's neighbour set is
+        # current, not only the one just touched, so no pair outside it can
+        # be a member.
+        for c in range(N_CLIENTS):
+            located_near = (new.wadm[c] <= delta) & new._has_location
+            located_near[c] = False
+            assert new._neighbours[c] == set(np.flatnonzero(located_near).tolist())
     assert not new.member[N_CLIENTS - 1].any()
     for client in range(N_CLIENTS):
         assert new.drain_changes(client) == old.drain_changes(client)

@@ -179,6 +179,15 @@ def test_validation():
         m.record_access(0, 1, count=0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -1.0])
+def test_distance_threshold_must_be_finite_and_non_negative(delta):
+    """A NaN Δ used to construct (``nan < 0`` is False) and then never
+    formed a TCG; an infinite one would make every unlocated pair "near"."""
+    with pytest.raises(ValueError, match="distance threshold must be finite") as excinfo:
+        TCGManager(4, 10, delta, 0.1, 0.5)
+    assert repr(delta) in str(excinfo.value)
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=120))
 @settings(max_examples=40)
 def test_member_matrix_always_symmetric_no_self(accesses):
@@ -208,19 +217,20 @@ def snapshot(m):
     arrays = [
         array.copy()
         for array in (
-            m.wadm, m.member, m._sim_ok,
-            m._dot, m._sq_norms, m._has_location, m._last_position,
+            m.wadm, m.member,
+            m._dot, m._sq_norms, m._has_location, m._x, m._y,
         )
     ]
     counts = {item: dict(holders) for item, holders in m.access_counts.items()}
-    return arrays, counts, m.membership_changes
+    neighbours = [set(near) for near in m._neighbours]
+    return arrays, counts, neighbours, m.membership_changes
 
 
 def assert_untouched(m, before):
-    arrays, counts, changes = snapshot(m)
+    arrays, *rest = snapshot(m)
     for was, now in zip(before[0], arrays):
         assert np.array_equal(was, now)
-    assert (counts, changes) == before[1:]
+    assert rest == list(before[1:])
 
 
 @pytest.mark.parametrize(

@@ -327,48 +327,73 @@ def test_tcg_missing_member_rule():
     assert "[1]" in str(monitor.violations[0])
 
 
+def _forget(tcg, client, other, both_sides):
+    tcg._neighbours[client].discard(other)
+    if both_sides:
+        tcg._neighbours[other].discard(client)
+
+
+def _invent(tcg, client, other, both_sides):
+    tcg._neighbours[client].add(other)
+    if both_sides:
+        tcg._neighbours[other].add(client)
+
+
 def test_stale_cached_similarity_is_caught_in_both_directions():
-    """``record_location`` rechecks from the cached ``_sim_ok``.  A stale
-    False leaves a member out of row and column alike, which only the
-    converse rule can see; a stale True admits a stranger.  The manager's
-    own hook reports either."""
-    tcg, monitor = _watched_tcg()
-    tcg._sim_ok[3, 1] = tcg._sim_ok[1, 3] = False
-    tcg.record_location(3, (15.0, 0.0))  # walks into range of everybody
-    assert tcg.tcg_of(3) == {0, 2} and tcg.tcg_of(1) == {0, 2}
-    assert [(v.invariant, v.host) for v in monitor.violations] == [
-        ("tcg-missing-member", 3)
-    ]
-    assert "[1]" in str(monitor.violations[0])
-    tcg, monitor = _watched_tcg()
-    tcg._sim_ok[3, 4] = tcg._sim_ok[4, 3] = True
-    tcg.record_location(3, (15.0, 0.0))
-    assert tcg.tcg_of(3) == {0, 1, 2, 4}
-    assert [(v.invariant, v.host) for v in monitor.violations] == [
-        ("tcg-similarity-threshold", 3)
-    ]
-    # The next access of either client rewrites row and column and heals it.
-    tcg.record_access(4, 7)
-    assert tcg.tcg_of(3) == {0, 1, 2} and tcg.tcg_of(4) == set()
-    assert len(monitor.violations) == 1
+    """A location report rechecks only the pairs that enter or leave the
+    client's neighbour set.  A neighbour it already lists by mistake is not
+    "entering", which leaves a member out of row and column alike, and only
+    the converse rule can see that; a neighbour it has lost is never
+    rechecked on access, so a pair that stopped being alike stays.  The
+    manager's own hook reports either, whether one set lies or both do."""
+    for both_sides in (False, True):
+        tcg, monitor = _watched_tcg()
+        _invent(tcg, 3, 1, both_sides)
+        tcg.record_location(3, (15.0, 0.0))  # walks into range of everybody
+        assert tcg.tcg_of(3) == {0, 2} and tcg.tcg_of(1) == {0, 2}
+        assert [(v.invariant, v.host) for v in monitor.violations] == [
+            ("tcg-missing-member", 3)
+        ]
+        assert "[1]" in str(monitor.violations[0])
+        tcg, monitor = _watched_tcg()
+        tcg.record_location(3, (15.0, 0.0))
+        assert tcg.tcg_of(3) == {0, 1, 2} and monitor.violations == []
+        _forget(tcg, 3, 0, both_sides)
+        tcg.record_access(3, 7, count=2)  # 3 now reads mostly what 4 reads
+        assert tcg.tcg_of(3) == {0, 4}
+        assert [(v.invariant, v.host) for v in monitor.violations] == [
+            ("tcg-similarity-threshold", 3)
+        ]
+        # An access of 0 rechecks 0's own neighbours, which heals the pair
+        # while 0 still lists 3.
+        tcg.record_access(0, 3)
+        if both_sides:
+            assert tcg.tcg_of(3) == {0, 4}
+            assert [(v.invariant, v.host) for v in monitor.violations[1:]] == [
+                ("tcg-similarity-threshold", 0)
+            ]
+        else:
+            assert tcg.tcg_of(3) == {4} and tcg.tcg_of(0) == {1, 2}
+            assert len(monitor.violations) == 1
 
 
 def test_stale_cached_distance_is_caught():
-    """``record_access`` rechecks from the cached ``_dist_ok``."""
-    tcg, monitor = _watched_tcg()
-    tcg._dist_ok[4, 0] = tcg._dist_ok[0, 4] = False  # 0 and 4 are 5 m apart
-    tcg.record_access(4, 3)  # now 4 reads what 0-3 read, too
-    assert tcg.tcg_of(4) == {1, 2}
-    assert [(v.invariant, v.host) for v in monitor.violations] == [
-        ("tcg-missing-member", 4)
-    ]
+    """``record_access`` rechecks the client's neighbour set only."""
+    for both_sides in (False, True):
+        tcg, monitor = _watched_tcg()
+        _forget(tcg, 4, 0, both_sides)  # 0 and 4 are 5 m apart
+        tcg.record_access(4, 3)  # now 4 reads what 0-3 read, too
+        assert tcg.tcg_of(4) == {1, 2}
+        assert [(v.invariant, v.host) for v in monitor.violations] == [
+            ("tcg-missing-member", 4)
+        ]
 
 
 def test_tcg_violations_between_audits_carry_the_kernel_time():
     """The manager checks a row on every contact without passing a time; a
     violation found there is stamped with the kernel time of that contact."""
     # Δ inside the group span and ω = 1: pairs cross Δ often, and each
-    # crossing makes a location contact recheck its row from the halves.
+    # crossing makes a location contact recheck the pairs it moves.
     config = SimulationConfig(
         scheme=CachingScheme.GC, distance_threshold=40.0, omega=1.0, **SMALL
     )
@@ -389,12 +414,14 @@ def test_tcg_violations_between_audits_carry_the_kernel_time():
     tcg.record_access = timed(tcg.record_access)
 
     def corrupt():
-        # Every cached similarity half lies until the next access of either
-        # client rewrites it; a location contact that rechecks in between
-        # builds the row from the lie.
+        # Every neighbour set lies (it lists exactly the clients it should
+        # not) until a location contact of its client rewrites it; a contact
+        # in between rechecks the wrong pairs.
         yield env.timeout(20.0)
+        everybody = set(range(tcg.n_clients))
         while True:
-            tcg._sim_ok[:] = ~tcg._sim_ok
+            for client, near in enumerate(tcg._neighbours):
+                tcg._neighbours[client] = everybody - near - {client}
             yield env.timeout(1.0)
 
     env.process(corrupt())

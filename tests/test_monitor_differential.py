@@ -41,8 +41,8 @@ CORRUPTIONS = st.one_of(
     st.tuples(st.just("dot"), CLIENT, CLIENT, st.sampled_from([0.0, 0.5, 1.0, -1.0])),
     st.tuples(st.just("norm"), CLIENT, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
     st.tuples(st.just("unlocate"), CLIENT),
-    st.tuples(st.just("stale-dist"), CLIENT, CLIENT),
-    st.tuples(st.just("stale-sim"), CLIENT, CLIENT),
+    st.tuples(st.just("near-one-sided"), CLIENT, CLIENT),
+    st.tuples(st.just("near-pair"), CLIENT, CLIENT),
 )
 # One op in three a corruption, so there are located pairs to corrupt.
 OPS = st.lists(
@@ -95,10 +95,14 @@ def apply(tcg, op):
                 tcg.wadm[j, i] = moved
         elif kind == "dot":
             tcg._dot[i, j] = rest[1]
-        elif kind == "stale-dist":
-            tcg._dist_ok[i, j] = tcg._dist_ok[j, i] = not tcg._dist_ok[i, j]
-        else:  # stale-sim
-            tcg._sim_ok[i, j] = tcg._sim_ok[j, i] = not tcg._sim_ok[i, j]
+        else:  # a neighbour set lies about j: on i's side, or on both
+            sides = [(i, j)] if kind == "near-one-sided" else [(i, j), (j, i)]
+            listed = j in tcg._neighbours[i]
+            for a, b in sides:
+                if listed:
+                    tcg._neighbours[a].discard(b)
+                else:
+                    tcg._neighbours[a].add(b)
 
 
 def key(violation):
@@ -165,8 +169,13 @@ def watched(monitor_type):
         ([("wadm", 0, 1, False)], {"tcg-distance-threshold"}),
         ([("dot", 0, 1, 0.0)], {"tcg-similarity-threshold"}),
         ([("norm", 1, 0.0)], {"tcg-similarity-threshold"}),
-        ([("stale-sim", 0, 2), ("location", 2, 0.0, 0.0)], {"tcg-similarity-threshold"}),
-        ([("stale-dist", 0, 1), ("access", 0, 1, 1)], {"tcg-missing-member"}),
+        # 0 forgets 1, then reads less like it: nobody rechecks the pair.
+        ([("near-one-sided", 0, 1), ("access", 0, 1, 2)], {"tcg-similarity-threshold"}),
+        # 2 walks up to 0 and 1, both forget the pair 0-2, then 2 reads like 0.
+        (
+            [("location", 2, 0.0, 0.0), ("near-pair", 2, 0), ("access", 2, 0, 2)],
+            {"tcg-missing-member"},
+        ),
         # No rule asks a member to keep its location.
         ([("unlocate", 1)], set()),
     ],
