@@ -1,12 +1,14 @@
 """Micro-benchmark of the P2P medium, per frame (Section III / V-A).
 
-``P2PNetwork`` takes a frame's receivers from the adjacency row as a list,
-filters them through a ``list[bool]`` of connected hosts and charges them
-one Python float add each; the design it replaced
-(``tests/_p2p_reference.py``, the previous revision's code) built N-long
-bool masks per frame (``adjacency[src] & connected``, three bystander
-classes per unicast) and charged each through a masked ``np.add`` on an
-ndarray ledger.  Both are timed on the traffic a COCA search makes:
+``P2PNetwork`` sends a frame as kernel callbacks, started the way the
+client starts it (a zero-delay timeout callback); it takes the receivers
+from the adjacency row as a list, filters them through a ``list[bool]`` of
+connected hosts and charges them one Python float add each.  The design it
+replaced (``tests/_p2p_reference.py``, earlier revisions' code) ran every
+send as a generator in a process of its own, built N-long bool masks per
+frame (``adjacency[src] & connected``, three bystander classes per unicast)
+and charged each through a masked ``np.add`` on an ndarray ledger.  Both
+are timed on the traffic a COCA search makes:
 
 * a **flood** — an origin broadcasts a 64-byte REQUEST and every host that
   hears it re-broadcasts once, all at the same instant, so they defer to
@@ -64,6 +66,16 @@ class ClockTypes:
         pass
 
 
+def starter(side, env):
+    """How a send starts on each side: the frame in a zero-delay timeout
+    callback, the reference generator in a process (one bootstrap event)."""
+    if side == "list":
+        return lambda send, *args: env.timeout(0.0).callbacks.append(
+            lambda _event: send(*args)
+        )
+    return lambda send, *args: env.process(send(*args))
+
+
 def replay(side, n_hosts, density, monitor=None):
     """(seconds per broadcast, seconds per unicast, end state) of one pass."""
     network_type, ledger_type = SIDES[side]
@@ -83,11 +95,12 @@ def replay(side, n_hosts, density, monitor=None):
         ledger,
     )
     forward = Message(MessageKind.REQUEST, 0, None, REQUEST_BYTES, hops_left=0)
+    start_send = starter(side, env)
 
     def relay(node):
         def on_message(message):
             if message.hops_left:
-                env.process(net.broadcast(node, forward))
+                start_send(net.broadcast, node, forward)
 
         return on_message
 
@@ -97,7 +110,7 @@ def replay(side, n_hosts, density, monitor=None):
     start = time.perf_counter()
     for origin in origins:
         request = Message(MessageKind.REQUEST, origin, None, REQUEST_BYTES, hops_left=1)
-        env.process(net.broadcast(origin, request))
+        start_send(net.broadcast, origin, request)
         env.run()
     flood_s = time.perf_counter() - start
 
@@ -105,7 +118,7 @@ def replay(side, n_hosts, density, monitor=None):
     for origin in origins:
         for peer in net.field.neighbors_of(origin, env.now, TRAN_RANGE).tolist():
             reply = Message(MessageKind.REPLY, peer, origin, REPLY_BYTES)
-            env.process(net.unicast(peer, origin, reply))
+            start_send(net.unicast, peer, origin, reply)
         env.run()
     burst_s = time.perf_counter() - start
 
@@ -152,7 +165,8 @@ def test_micro_p2p(benchmark, record_table):
         f"  each side: best of {REPEATS} alternating passes of {ROUNDS} floods"
         f" + {ROUNDS} reply bursts; TranRange {TRAN_RANGE:.0f} m,"
         f" {REQUEST_BYTES} B requests, {REPLY_BYTES} B replies",
-        "  mask = tests/_p2p_reference.py (bool masks per frame, charge_where);"
+        "  mask = tests/_p2p_reference.py (a process and bool masks per frame,"
+        " charge_where);"
         " numpy_clock = share of scheduled event times that are numpy scalars",
         "  per_km2      N  heard  broadcast_us  mask_us  ratio  unicast_us"
         "  mask_us  ratio  numpy_clock  mask_numpy_clock",

@@ -105,6 +105,17 @@ GOLDEN_CASES: Dict[str, SimulationConfig] = {
         retrieve_retry_limit=1,
         **_BASE,
     ),
+    # The health layer's retrieve: at this seed it hedges, trips, probes and fails over.
+    "gc-health": SimulationConfig(
+        scheme=CachingScheme.GC,
+        faults=FaultPlan(p2p=LinkFaults(loss=0.1), crash=CrashFaults(rate=0.05)),
+        peer_policy="latency-aware",
+        breaker_threshold=2,
+        hedge_quantile=0.5,
+        crash_failover=True,
+        retrieve_retry_limit=2,
+        **{**_BASE, "seed": 118},
+    ),
 }
 
 

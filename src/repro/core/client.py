@@ -16,7 +16,7 @@ One :class:`MobileHost` per client runs the whole client side of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.net.message import Message, MessageKind, MessageSizes
 from repro.net.ndp import NeighborDiscovery
 from repro.net.p2p import P2PNetwork
 from repro.policies.factory import build_admission, build_replacement
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Event
 from repro.signatures.bloom import SignatureScheme
 
 __all__ = ["MobileHost"]
@@ -389,7 +389,8 @@ class MobileHost:
             hops_left=self.config.hop_dist - 1,
             path=[self.index],
         )
-        self.env.process(self._broadcast(message, size - self.sizes.request))
+        sig_bytes = size - self.sizes.request
+        self._soon(self.network.broadcast, self.index, message, "data", sig_bytes)
 
     def _select_replier(self, state: _SearchState, tried: set) -> Optional[dict]:
         """The next retrieve target among the untried repliers.
@@ -478,7 +479,7 @@ class MobileHost:
         health = self.health
         if health is not None:
             self._note_attempt(reply["peer"], span)
-        sent = yield from self._send_retrieve(sid, state, reply)
+        sent = yield self._send_retrieve(sid, state, reply)
         if not sent:
             if health is not None:
                 self._note_retrieve_failure(reply["peer"], span)
@@ -496,9 +497,9 @@ class MobileHost:
         payload = yield from self._guarded_wait(sid, state, reply, tried, span, guard)
         return payload
 
-    def _send_retrieve(self, sid, state: _SearchState, reply: dict):
-        """The RETRIEVE to ``reply``'s peer: the network's routed-unicast
-        generator itself (no wrapper frame), for ``yield from``."""
+    def _send_retrieve(self, sid, state: _SearchState, reply: dict) -> Event:
+        """Route the RETRIEVE to ``reply``'s peer; the event carries the
+        delivered flag when the route resolves."""
         path = reply["path"]
         message = Message(
             kind=MessageKind.RETRIEVE,
@@ -625,7 +626,7 @@ class MobileHost:
             self._monitor.on_hedge(self.index, sid, self.env.now)
         self.health.note("hedges")
         self._mark("retrieve-hedge", span, peer=peer)
-        sent = yield from self._send_retrieve(sid, state, reply)
+        sent = yield self._send_retrieve(sid, state, reply)
         if not sent:
             self._note_retrieve_failure(peer, span)
             return False
@@ -700,16 +701,21 @@ class MobileHost:
                 recorded=self.metrics.recording,
             )
 
-    def _broadcast(self, message: Message, signature_bytes: int = 0):
-        """The network's broadcast generator itself, for ``env.process``."""
-        return self.network.broadcast(
-            self.index, message, signature_bytes=signature_bytes
-        )
+    def _soon(self, send: Callable[..., object], *args: object) -> None:
+        """Call ``send(*args)`` in a step of its own at this instant, behind
+        whatever is already queued for now; ``send`` reads the host's state
+        when it runs, not when it is scheduled."""
+        self.env.timeout(0.0, (send, args)).callbacks.append(self.on_soon)
+
+    def on_soon(self, event: Event) -> None:
+        """Kernel callback of :meth:`_soon`."""
+        send, args = event.value
+        send(*args)
 
     # ------------------------------------------------------------ message handling
 
     def on_message(self, message: Message) -> None:
-        """Receive callback; cheap state updates, network work is spawned."""
+        """Receive callback; cheap state updates, network work is deferred."""
         kind = message.kind
         if kind is MessageKind.REQUEST:
             self._on_request(message)
@@ -734,7 +740,7 @@ class MobileHost:
             if payload["update"] is not None and origin in signatures.members:
                 signatures.apply_peer_update(*payload["update"])
             if signatures.notice_peer_alive(origin):
-                self.env.process(self._send_sig_request(origin))
+                self._soon(self._send_sig_request, origin)
         if self._seen_search.get(origin, -1) >= seq:
             return
         self._seen_search[origin] = seq
@@ -743,7 +749,7 @@ class MobileHost:
             self.replacement.note_remote_request(item)
         entry = self.cache.get(item)
         if entry is not None and entry.is_valid(self.env.now):
-            self.env.process(self._send_reply(message, entry))
+            self._soon(self._send_reply, message, entry)
         elif message.hops_left > 0:
             forward = Message(
                 kind=MessageKind.REQUEST,
@@ -755,11 +761,10 @@ class MobileHost:
                 hops_left=message.hops_left - 1,
                 path=message.path + [self.index],
             )
-            self.env.process(
-                self._broadcast(forward, message.size - self.sizes.request)
-            )
+            sig_bytes = message.size - self.sizes.request
+            self._soon(self.network.broadcast, self.index, forward, "data", sig_bytes)
 
-    def _send_reply(self, request: Message, entry: CacheEntry):
+    def _send_reply(self, request: Message, entry: CacheEntry) -> Event:
         """Turn in a REPLY along the reverse of the request's path."""
         route = list(reversed(request.path + [self.index]))
         message = Message(
@@ -777,7 +782,7 @@ class MobileHost:
             },
             created_at=self.env.now,
         )
-        yield from self.network.unicast_route(route, message)
+        return self.network.unicast_route(route, message)
 
     def _on_reply(self, message: Message) -> None:
         sid = message.payload["search"]
@@ -796,9 +801,9 @@ class MobileHost:
             state.reply_event.succeed(message.payload)
 
     def _on_retrieve(self, message: Message) -> None:
-        self.env.process(self._serve_retrieve(message))
+        self._soon(self._serve_retrieve, message)
 
-    def _serve_retrieve(self, message: Message):
+    def _serve_retrieve(self, message: Message) -> None:
         payload = message.payload
         item = payload["item"]
         entry = self.cache.get(item)
@@ -824,14 +829,17 @@ class MobileHost:
             created_at=self.env.now,
         )
         requester = path[0]
-        delivered = yield from self.network.unicast_route(
-            list(reversed(path)), data
-        )
-        if delivered and self.signatures is not None:
-            if requester in self.signatures.members and item in self.cache:
+
+        def refresh(sent: Event) -> None:
+            members = self.signatures.members
+            if sent.value and requester in members and item in self.cache:
                 # Section IV-E: serving a TCG member refreshes the copy.
                 self.cache.touch(item, self.env.now)
                 self.replacement.note_access(self.cache.get(item), self.env.now)
+
+        sent = self.network.unicast_route(list(reversed(path)), data)
+        if self.signatures is not None:
+            sent.add_callback(refresh)
 
     def _on_data(self, message: Message) -> None:
         sid = message.payload["search"]
@@ -843,7 +851,7 @@ class MobileHost:
 
     # ----------------------------------------------------------- signature traffic
 
-    def _send_sig_request(self, peer: int, members: Optional[Set[int]] = None):
+    def _send_sig_request(self, peer: int, members: Optional[Set[int]] = None) -> None:
         """Direct (unicast) or membership-scoped broadcast SigRequest."""
         if members is None:
             message = Message(
@@ -854,9 +862,7 @@ class MobileHost:
                 payload={"from": self.index, "members": None},
                 created_at=self.env.now,
             )
-            yield from self.network.unicast(
-                self.index, peer, message, purpose="signature"
-            )
+            self.network.unicast(self.index, peer, message, purpose="signature")
         else:
             message = Message(
                 kind=MessageKind.SIG_REQUEST,
@@ -867,9 +873,7 @@ class MobileHost:
                 payload={"from": self.index, "members": set(members)},
                 created_at=self.env.now,
             )
-            yield from self.network.broadcast(
-                self.index, message, purpose="signature"
-            )
+            self.network.broadcast(self.index, message, purpose="signature")
 
     def _on_sig_request(self, message: Message) -> None:
         if self.signatures is None:
@@ -878,9 +882,9 @@ class MobileHost:
         members = payload["members"]
         if members is not None and self.index not in members:
             return  # broadcast recollection for somebody else's TCG
-        self.env.process(self._send_sig_reply(payload["from"]))
+        self._soon(self._send_sig_reply, payload["from"])
 
-    def _send_sig_reply(self, requester: int):
+    def _send_sig_reply(self, requester: int) -> None:
         positions, wire_bytes, _compressed = self.signatures.full_signature_payload(
             len(self.cache)
         )
@@ -892,9 +896,7 @@ class MobileHost:
             payload={"from": self.index, "positions": positions},
             created_at=self.env.now,
         )
-        yield from self.network.unicast(
-            self.index, requester, message, purpose="signature"
-        )
+        self.network.unicast(self.index, requester, message, purpose="signature")
 
     def _on_sig_reply(self, message: Message) -> None:
         if self.signatures is None:
@@ -912,11 +914,9 @@ class MobileHost:
 
     def _execute_membership_actions(self, actions: MembershipActions) -> None:
         if actions.recollect and self.signatures.members:
-            self.env.process(
-                self._send_sig_request(-1, members=set(self.signatures.members))
-            )
+            self._soon(self._send_sig_request, -1, set(self.signatures.members))
         for peer in actions.request_from:
-            self.env.process(self._send_sig_request(peer))
+            self._soon(self._send_sig_request, peer)
 
     # -------------------------------------------------------------- MSS interaction
 

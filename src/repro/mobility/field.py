@@ -51,8 +51,8 @@ class MobilityField:
         millisecond-scale timestamps of individual transmissions."""
         if not trajectories:
             raise ValueError("MobilityField needs at least one trajectory")
-        if resolution < 0:
-            raise ValueError("resolution must be >= 0")
+        if not 0 <= resolution < _INF:
+            raise ValueError(f"resolution must be >= 0 and finite, got {resolution}")
         self.trajectories = list(trajectories)
         self.resolution = float(resolution)
         self._snapshot_time = -math.inf

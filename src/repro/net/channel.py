@@ -25,6 +25,7 @@ instead of silently assuming delivery.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.net.faults import FaultInjector
@@ -55,8 +56,8 @@ class ServerChannel:
         uplink_bps: float,
         faults: Optional[FaultInjector] = None,
     ):
-        if downlink_bps <= 0 or uplink_bps <= 0:
-            raise ValueError("bandwidths must be positive")
+        if not (0 < downlink_bps < math.inf and 0 < uplink_bps < math.inf):
+            raise ValueError("bandwidths must be positive and finite")
         self.env = env
         self.downlink_bps = float(downlink_bps)
         self.uplink_bps = float(uplink_bps)

@@ -15,13 +15,15 @@ messages.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.mobility.field import MobilityField
 from repro.net.faults import FaultInjector
 from repro.net.message import Message
 from repro.net.power import PowerLedger, PowerModel
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Event
 
 __all__ = ["P2PNetwork"]
 
@@ -41,10 +43,10 @@ class P2PNetwork:
         model: Optional[PowerModel] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if tran_range <= 0:
-            raise ValueError("transmission range must be positive")
+        if not 0 < bandwidth_bps < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not 0 < tran_range < math.inf:
+            raise ValueError("transmission range must be positive and finite")
         self.env = env
         self.field = field
         self.bandwidth_bps = float(bandwidth_bps)
@@ -117,15 +119,6 @@ class P2PNetwork:
         """Air time of a message of the given size."""
         return size_bytes * 8.0 / self.bandwidth_bps
 
-    def _wait_medium(self, node: int):
-        """Defer until the host's radio is idle (CSMA)."""
-        busy = self._busy_until
-        while True:
-            gap = busy[node] - self.env.now
-            if gap <= 1e-12:
-                return
-            yield self.env.timeout(gap)
-
     def _occupy(self, src: int, heard: List[int], end: float) -> None:
         """Keep the sender's radio and every radio in ``heard`` busy to ``end``."""
         busy = self._busy_until
@@ -135,39 +128,91 @@ class P2PNetwork:
             if busy[radio] < end:
                 busy[radio] = end
 
-    # -- broadcast --------------------------------------------------------------
+    # -- sends ------------------------------------------------------------------
 
     def broadcast(
-        self,
-        src: int,
-        message: Message,
-        purpose: str = "data",
-        signature_bytes: int = 0,
-    ):
-        """Transmit to every connected host in range.
+        self, src: int, message: Message, purpose: str = "data", signature_bytes: int = 0
+    ) -> None:
+        """Transmit to every connected host in range; nothing waits on it.
 
-        Process helper (``yield from``); returns the receiver indices.
         Receivers are fixed at transmission start; delivery happens after the
         air time, to hosts still connected.  ``signature_bytes`` attributes
         the variable power cost of that many piggybacked bytes (GroCoCa's
         signature update information) to the ledger's ``signature`` purpose.
         """
-        if self._busy_until[src] - self.env.now > 1e-12:
-            yield from self._wait_medium(src)
-        connected = self.connected
+        _Broadcast(self, src, message, purpose, signature_bytes).start()
+
+    def unicast(
+        self, src: int, dst: int, message: Message, purpose: str = "data"
+    ) -> Event:
+        """Transmit to one host: a one-hop :meth:`unicast_route`."""
+        return self.unicast_route([src, dst], message, purpose)
+
+    def unicast_route(
+        self, path: List[int], message: Message, purpose: str = "data"
+    ) -> Event:
+        """Relay a message hop-by-hop along ``path`` (first element = sender).
+
+        Each hop's sender spends power regardless; bystanders in range of it
+        and/or the hop's destination pay the Table I discard costs.  Only the
+        last host's handler sees the message.  The returned event is
+        processed in place, with True once every hop succeeded or False at
+        the first that did not (at once when the sender is off the air), so
+        ``sent = yield network.unicast_route(...)`` resumes at that instant.
+        """
+        if len(path) < 2 or any(a == b for a, b in zip(path, path[1:])):
+            raise ValueError(f"route needs 2+ hosts and no hop to itself: {path}")
+        route = _Route(self, path[0], message, purpose, path, self.env.event())
+        route.start()
+        return route.done
+
+
+@dataclass(slots=True)
+class _Frame:
+    """One send as kernel callbacks, not a process.  ``start`` is the CSMA
+    check: on a busy radio it re-polls with one timeout at the horizon it
+    reads; on an idle one ``_transmit`` fixes who hears the frame, charges it
+    and schedules its air-time callback, where the receive handlers run (an
+    exception one raises leaves ``Environment.run`` at that pop)."""
+
+    net: P2PNetwork
+    src: int
+    message: Message
+    purpose: str
+
+    def start(self, _event: Optional[Event] = None) -> None:
+        env = self.net.env
+        now = env.now
+        gap = self.net._busy_until[self.src] - now
+        if gap > 1e-12:
+            env.timeout(gap).callbacks.append(self.start)
+        else:
+            self._transmit(now)
+
+
+@dataclass(slots=True)
+class _Broadcast(_Frame):
+    signature_bytes: int
+    heard: Optional[List[int]] = None
+
+    def _transmit(self, now: float) -> None:
+        net = self.net
+        src = self.src
+        connected = net.connected
         if not connected[src]:
-            return []
-        now = self.env.now
-        size = message.size
-        air = self.tx_time(size)
+            return
+        size = self.message.size
+        air = net.tx_time(size)
         # The snapshot's row is numpy; from here on the frame is a list.
-        row = self.field.adjacency(now, self.tran_range)[src]
-        heard = [r for r in row.nonzero()[0].tolist() if connected[r]]
-        self._occupy(src, heard, now + air)
-        model = self.model
-        ledger = self.ledger
+        row = net.field.adjacency(now, net.tran_range)[src]
+        heard = self.heard = [r for r in row.nonzero()[0].tolist() if connected[r]]
+        net._occupy(src, heard, now + air)
+        model = net.model
+        ledger = net.ledger
+        purpose = self.purpose
         send_cost = model.bc_send(size)
         recv_cost = model.bc_recv(size)
+        signature_bytes = self.signature_bytes
         if signature_bytes > 0:
             sig_send = model.parameters.bc_send_v * signature_bytes
             sig_recv = model.parameters.bc_recv_v * signature_bytes
@@ -177,54 +222,48 @@ class P2PNetwork:
             recv_cost -= sig_recv
         ledger.charge(src, send_cost, purpose)
         ledger.charge_hosts(heard, recv_cost, purpose)
-        self.broadcasts += 1
-        yield self.env.timeout(air)
-        faults = self.faults
-        handlers = self._handlers
-        delivered = []
-        for receiver in heard:
+        net.broadcasts += 1
+        net.env.timeout(air).callbacks.append(self.deliver)
+
+    def deliver(self, _event: Event) -> None:
+        net = self.net
+        connected = net.connected
+        faults = net.faults
+        handlers = net._handlers
+        for receiver in self.heard:
             if not connected[receiver]:
                 continue
             if faults is not None and faults.drop_p2p(receiver):
                 continue  # frame corrupted at this receiver; power already paid
-            delivered.append(receiver)
             handler = handlers[receiver]
             if handler is not None:
-                handler(message)
-        return delivered
+                handler(self.message)
 
-    # -- point-to-point ------------------------------------------------------------
 
-    def unicast(
-        self,
-        src: int,
-        dst: int,
-        message: Message,
-        purpose: str = "data",
-        deliver: bool = True,
-    ):
-        """Transmit to one host.
+@dataclass(slots=True)
+class _Route(_Frame):
+    """Hop ``hop`` goes from ``src`` to ``path[hop + 1]``."""
 
-        Process helper; returns True when delivered.  The sender spends
-        power regardless; bystanders in range of the source and/or the
-        destination pay the Table I discard costs.  ``deliver=False``
-        suppresses the destination handler (intermediate relay hops).
-        """
-        if src == dst:
-            raise ValueError("unicast to self")
-        if self._busy_until[src] - self.env.now > 1e-12:
-            yield from self._wait_medium(src)
-        connected = self.connected
+    path: List[int]
+    done: Event
+    hop: int = 0
+    deliverable: bool = False
+
+    def _transmit(self, now: float) -> None:
+        net = self.net
+        src = self.src
+        dst = self.path[self.hop + 1]
+        connected = net.connected
         if not connected[src]:
-            return False
-        now = self.env.now
-        size = message.size
-        air = self.tx_time(size)
+            self.done.succeed_now(False)
+            return
+        size = self.message.size
+        air = net.tx_time(size)
         # One pass over the source's row sorts every connected radio near
         # it into a bystander class; list membership on a row of about six
         # hosts is cheaper than any set or mask.  Neither end is in its own
         # row, so the classes never hold the source or the destination.
-        adjacency = self.field.adjacency(now, self.tran_range)
+        adjacency = net.field.adjacency(now, net.tran_range)
         row_dst = adjacency[dst].nonzero()[0].tolist()
         near_src: List[int] = []
         near_both: List[int] = []
@@ -239,11 +278,12 @@ class P2PNetwork:
         near_dst_only = [
             r for r in row_dst if connected[r] and r != src and r not in near_src
         ]
-        deliverable = dst in near_src
-        self._occupy(src, near_src, now + air)
+        deliverable = self.deliverable = dst in near_src
+        net._occupy(src, near_src, now + air)
 
-        model = self.model
-        ledger = self.ledger
+        model = net.model
+        ledger = net.ledger
+        purpose = self.purpose
         ledger.charge(src, model.ptp_send(size), purpose)
         if deliverable:
             ledger.charge(dst, model.ptp_recv(size), purpose)
@@ -251,35 +291,23 @@ class P2PNetwork:
         ledger.charge_hosts(near_src_only, model.ptp_discard_s(size), purpose)
         ledger.charge_hosts(near_dst_only, model.ptp_discard_d(size), purpose)
 
-        self.unicasts += 1
-        yield self.env.timeout(air)
-        if not (deliverable and connected[dst]):
-            self.failed_unicasts += 1
-            return False
-        if self.faults is not None and self.faults.drop_p2p(dst):
-            self.failed_unicasts += 1
-            return False
-        if deliver:
-            handler = self._handlers[dst]
+        net.unicasts += 1
+        net.env.timeout(air).callbacks.append(self.arrive)
+
+    def arrive(self, _event: Event) -> None:
+        net = self.net
+        self.hop += 1
+        dst = self.path[self.hop]
+        if not (self.deliverable and net.connected[dst]) or (
+            net.faults is not None and net.faults.drop_p2p(dst)
+        ):
+            net.failed_unicasts += 1
+            self.done.succeed_now(False)
+        elif self.hop < len(self.path) - 1:
+            self.src = dst  # a relay: the next hop starts in this step
+            self.start()
+        else:
+            handler = net._handlers[dst]
             if handler is not None:
-                handler(message)
-        return True
-
-    def unicast_route(
-        self, path: List[int], message: Message, purpose: str = "data"
-    ):
-        """Relay a message hop-by-hop along ``path`` (first element = sender).
-
-        Process helper; returns True when every hop succeeded.  Used for
-        replies/retrievals to peers found beyond one hop (HopDist > 1).
-        """
-        if len(path) < 2:
-            raise ValueError("route needs at least sender and destination")
-        last = len(path) - 2
-        for hop, (hop_src, hop_dst) in enumerate(zip(path, path[1:])):
-            delivered = yield from self.unicast(
-                hop_src, hop_dst, message, purpose, deliver=(hop == last)
-            )
-            if not delivered:
-                return False
-        return True
+                handler(self.message)
+            self.done.succeed_now(True)

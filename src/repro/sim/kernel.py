@@ -12,7 +12,8 @@ A small, fast, dependency-free kernel in the style of CSIM/simpy:
 
 The kernel is deterministic: simultaneous events fire in schedule order.
 Formally, events fire in ascending ``(when, seq)`` order, where ``seq`` is
-the global schedule counter.
+the global schedule counter.  :meth:`Event.succeed_now` instead runs an
+event's callbacks inside the caller's step, with no queue entry.
 
 The scheduler is one ``heapq`` list of ``(when, seq, event)`` tuples owned
 by :class:`Environment`, and :meth:`Environment.run` is one loop: pop the
@@ -133,6 +134,15 @@ class Event:
         self._value = value
         self._state = _TRIGGERED
         self.env._schedule(self)
+        return self
+
+    def succeed_now(self, value: Any = None) -> "Event":
+        """Trigger with ``value`` and process in place: the callbacks (a
+        waiting process's resume) run inside the caller's step, unqueued."""
+        if self._state != _PENDING:
+            raise SimulationError("event already triggered")
+        self._value = value
+        self._process()
         return self
 
     def fail(self, exception: BaseException) -> "Event":

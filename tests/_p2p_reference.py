@@ -14,9 +14,12 @@ module pins the ledger's sums against :class:`MaskChargedLedger`, and
 ``benchmarks/test_micro_p2p.py`` times them side by side.
 
 ``MaskChargedLedger`` (but for ``per_host``, the public accessor the
-comparisons read), ``broadcast`` and ``unicast`` are verbatim; everything
-else (wiring, ``_wait_medium``, ``_occupy``, ``unicast_route``) is the same
-code on both sides and is inherited.
+comparisons read), ``broadcast`` and ``unicast`` are verbatim, and so are
+``_wait_medium`` and ``unicast_route``, copied from the revision before
+sends became kernel callbacks (``5610245``): here every send is still a
+generator, driven by ``yield from`` inside a process.  The wiring,
+``tx_time`` and ``_occupy`` are the same code on both sides and are
+inherited.
 """
 
 from __future__ import annotations
@@ -112,6 +115,15 @@ class MaskP2PNetwork(P2PNetwork):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.connected = np.ones(len(self.field), dtype=bool)
+
+    def _wait_medium(self, node: int):
+        """Defer until the host's radio is idle (CSMA)."""
+        busy = self._busy_until
+        while True:
+            gap = busy[node] - self.env.now
+            if gap <= 1e-12:
+                return
+            yield self.env.timeout(gap)
 
     def broadcast(
         self,
@@ -209,4 +221,23 @@ class MaskP2PNetwork(P2PNetwork):
             handler = self._handlers[dst]
             if handler is not None:
                 handler(message)
+        return True
+
+    def unicast_route(
+        self, path: List[int], message: Message, purpose: str = "data"
+    ):
+        """Relay a message hop-by-hop along ``path`` (first element = sender).
+
+        Process helper; returns True when every hop succeeded.  Used for
+        replies/retrievals to peers found beyond one hop (HopDist > 1).
+        """
+        if len(path) < 2:
+            raise ValueError("route needs at least sender and destination")
+        last = len(path) - 2
+        for hop, (hop_src, hop_dst) in enumerate(zip(path, path[1:])):
+            delivered = yield from self.unicast(
+                hop_src, hop_dst, message, purpose, deliver=(hop == last)
+            )
+            if not delivered:
+                return False
         return True

@@ -136,9 +136,11 @@ def test_failed_retrieve_fails_over_to_next_replier():
     original_send_reply = world.clients[1]._send_reply
 
     def reply_then_evict(request, entry):
-        yield from original_send_reply(request, entry)
-        if 7 in world.clients[1].cache:
-            world.clients[1].cache.evict(7)
+        def evict(_sent):
+            if 7 in world.clients[1].cache:
+                world.clients[1].cache.evict(7)
+
+        original_send_reply(request, entry).add_callback(evict)
 
     world.clients[1]._send_reply = reply_then_evict
     world.access(0, 7)
@@ -153,9 +155,11 @@ def test_without_retry_budget_failed_retrieve_ends_at_server():
     original_send_reply = world.clients[1]._send_reply
 
     def reply_then_evict(request, entry):
-        yield from original_send_reply(request, entry)
-        if 7 in world.clients[1].cache:
-            world.clients[1].cache.evict(7)
+        def evict(_sent):
+            if 7 in world.clients[1].cache:
+                world.clients[1].cache.evict(7)
+
+        original_send_reply(request, entry).add_callback(evict)
 
     world.clients[1]._send_reply = reply_then_evict
     world.access(0, 7)

@@ -5,6 +5,8 @@ the position error by ``v_max * resolution``; these tests hold the code to
 that claim.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +78,16 @@ def test_negative_resolution_rejected():
             [RandomWaypointTrajectory(np.random.default_rng(0), AREA, 1.0, 2.0)],
             resolution=-1.0,
         )
+
+
+def test_non_finite_resolution_rejected_by_name():
+    """NaN used to construct and fail later with an unnamed ``cannot convert
+    float NaN to integer``; +inf would quantise every instant to NaN."""
+    import pytest
+
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="resolution must be >= 0 and finite"):
+            MobilityField(
+                [RandomWaypointTrajectory(np.random.default_rng(0), AREA, 1.0, 2.0)],
+                resolution=bad,
+            )

@@ -1,5 +1,7 @@
 """Tests for the server channels and the P2P medium."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,14 @@ def test_server_channel_up_and_down_independent():
 def test_server_channel_rejects_bad_bandwidth():
     with pytest.raises(ValueError):
         ServerChannel(Environment(), 0, 100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_server_channel_rejects_non_finite_bandwidth_by_name(bad):
+    """A NaN bandwidth used to construct and leave a NaN timeout behind."""
+    for downlink, uplink in ((bad, 1000.0), (1000.0, bad)):
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+            ServerChannel(Environment(), downlink, uplink)
 
 
 def test_server_channel_request_counters_and_queue_wait():
@@ -302,12 +312,7 @@ def test_broadcast_reaches_in_range_only():
     for node in range(4):
         net.register_handler(node, lambda m, n=node: received.append(n))
 
-    def proc():
-        msg = Message(MessageKind.REQUEST, 0, None, 100)
-        receivers = yield from net.broadcast(0, msg)
-        assert receivers == [1]
-
-    env.process(proc())
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 100))
     env.run()
     assert received == [1]
 
@@ -315,12 +320,8 @@ def test_broadcast_reaches_in_range_only():
 def test_broadcast_air_time_advances_clock():
     env, net, _ = make_net(LINE, bandwidth=8000.0)
     times = []
-
-    def proc():
-        yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 1000))
-        times.append(env.now)
-
-    env.process(proc())
+    net.register_handler(1, lambda m: times.append(env.now))
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 1000))
     env.run()
     assert times == [pytest.approx(1.0)]  # 1000 B * 8 / 8000 bps
 
@@ -328,11 +329,7 @@ def test_broadcast_air_time_advances_clock():
 def test_broadcast_power_accounting():
     env, net, ledger = make_net(LINE)
     size = 100
-
-    def proc():
-        yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, size))
-
-    env.process(proc())
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, size))
     env.run()
     model = net.model
     assert ledger.host_total(0) == pytest.approx(model.bc_send(size))
@@ -346,26 +343,19 @@ def test_broadcast_skips_disconnected_receiver():
     received = []
     net.register_handler(1, lambda m: received.append(1))
     net.set_connected(1, False)
-
-    def proc():
-        receivers = yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 64))
-        assert receivers == []
-
-    env.process(proc())
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 64))
     env.run()
     assert received == []
 
 
 def test_broadcast_by_disconnected_sender_is_noop():
     env, net, ledger = make_net(LINE)
+    received = []
+    net.register_handler(1, received.append)
     net.set_connected(0, False)
-
-    def proc():
-        receivers = yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 64))
-        assert receivers == []
-
-    env.process(proc())
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 64))
     env.run()
+    assert received == [] and net.broadcasts == 0
     assert ledger.total() == 0.0
 
 
@@ -377,13 +367,9 @@ def test_unicast_delivery_and_power():
     net.register_handler(1, received.append)
     size = 200
     message = Message(MessageKind.DATA, 0, 1, size)
-
-    def proc():
-        ok = yield from net.unicast(0, 1, message)
-        assert ok
-
-    env.process(proc())
+    sent = net.unicast(0, 1, message)
     env.run()
+    assert sent.value is True
     model = net.model
     assert len(received) == 1 and received[0] is message
     assert ledger.host_total(0) == pytest.approx(model.ptp_send(size))
@@ -396,11 +382,7 @@ def test_unicast_discard_source_only_and_dest_only():
     # 0 -> 1 at distance 40.  Node 2 near 0 only; node 3 near 1 only.
     points = [(0.0, 0.0), (40.0, 0.0), (-30.0, 0.0), (70.0, 0.0)]
     env, net, ledger = make_net(points, tran_range=45.0)
-
-    def proc():
-        yield from net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, 100))
-
-    env.process(proc())
+    net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, 100))
     env.run()
     model = net.model
     assert ledger.host_total(2) == pytest.approx(model.ptp_discard_s(100))
@@ -434,15 +416,9 @@ def test_unicast_bystander_classes_exact(
     env, net, ledger = make_net(points, tran_range=tran_range)
     for node in down:
         net.set_connected(node, False)
-    outcome = []
-
-    def proc():
-        ok = yield from net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, size))
-        outcome.append(ok)
-
-    env.process(proc())
+    sent = net.unicast(0, 1, Message(MessageKind.DATA, 0, 1, size))
     env.run()
-    assert outcome == [delivered]
+    assert sent.value is delivered
     assert ledger.per_host_totals().tolist() == charges
     assert net.failed_unicasts == (0 if delivered else 1)
 
@@ -453,12 +429,14 @@ def test_neighbors_follow_connectivity_flips_within_a_bucket():
     field = MobilityField([StationaryTrajectory(p) for p in LINE], resolution=0.1)
     net = P2PNetwork(env, field, 8000.0, 50.0, PowerLedger(len(LINE)))
     heard = []
+    for node in range(len(LINE)):
+        net.register_handler(node, lambda m, node=node: heard[-1].append(node))
 
     def frame():
         # One byte holds the air for 1 ms: four frames fit in one bucket.
-        process = env.process(net.broadcast(1, Message(MessageKind.REQUEST, 1, None, 1)))
+        heard.append([])
+        net.broadcast(1, Message(MessageKind.REQUEST, 1, None, 1))
         env.run()
-        heard.append(process.value)
 
     frame()
     builds = field.adjacency_builds
@@ -481,13 +459,9 @@ def test_rejected_message_leaves_the_medium_untouched():
     env, net, ledger = make_net(LINE)
     horizons = list(net._busy_until)
     charges = {purpose: ledger.per_host(purpose) for purpose in PURPOSES}
-
-    def proc():
-        yield from net.broadcast(0, Message(MessageKind.REQUEST, 0, None, float("nan")))
-
-    env.process(proc())
     with pytest.raises(ValueError, match="nan"):
-        env.run()
+        net.broadcast(0, Message(MessageKind.REQUEST, 0, None, float("nan")))
+    env.run()
     assert net._busy_until == horizons
     assert {purpose: ledger.per_host(purpose) for purpose in PURPOSES} == charges
     assert (net.broadcasts, net.unicasts, net.failed_unicasts) == (0, 0, 0)
@@ -496,26 +470,20 @@ def test_rejected_message_leaves_the_medium_untouched():
 
 def test_unicast_out_of_range_fails_but_costs_sender():
     env, net, ledger = make_net(LINE)
-
-    def proc():
-        ok = yield from net.unicast(0, 3, Message(MessageKind.DATA, 0, 3, 100))
-        assert not ok
-
-    env.process(proc())
+    sent = net.unicast(0, 3, Message(MessageKind.DATA, 0, 3, 100))
     env.run()
+    assert sent.value is False
     assert net.failed_unicasts == 1
     assert ledger.host_total(0) > 0
 
 
 def test_unicast_to_self_rejected():
     env, net, _ = make_net(LINE)
-
-    def proc():
-        yield from net.unicast(0, 0, Message(MessageKind.DATA, 0, 0, 10))
-
-    env.process(proc())
-    with pytest.raises(ValueError):
-        env.run()
+    with pytest.raises(ValueError, match="no hop to itself"):
+        net.unicast(0, 0, Message(MessageKind.DATA, 0, 0, 10))
+    with pytest.raises(ValueError, match="no hop to itself"):
+        net.unicast_route([0, 1, 1], Message(MessageKind.DATA, 0, 1, 10))
+    assert env.pending_events == 0 and net.unicasts == 0
 
 
 def test_medium_contention_serialises_nearby_senders():
@@ -525,7 +493,8 @@ def test_medium_contention_serialises_nearby_senders():
     ends = {}
 
     def sender(node, dst):
-        yield from net.unicast(node, dst, Message(MessageKind.DATA, node, dst, 1000))
+        sent = yield net.unicast(node, dst, Message(MessageKind.DATA, node, dst, 1000))
+        assert sent
         ends[node] = env.now
 
     env.process(sender(0, 1))
@@ -541,7 +510,7 @@ def test_far_senders_transmit_concurrently():
     ends = {}
 
     def sender(node, dst):
-        yield from net.unicast(node, dst, Message(MessageKind.DATA, node, dst, 1000))
+        yield net.unicast(node, dst, Message(MessageKind.DATA, node, dst, 1000))
         ends[node] = env.now
 
     env.process(sender(0, 1))
@@ -558,14 +527,11 @@ def test_unicast_route_multi_hop():
     net.register_handler(1, lambda m: delivered.append(("relay", m.payload["marker"])))
     net.register_handler(2, lambda m: delivered.append(("final", m.payload["marker"])))
 
-    def proc():
-        ok = yield from net.unicast_route(
-            [0, 1, 2], Message(MessageKind.DATA, 0, 2, 100, payload={"marker": "x"})
-        )
-        assert ok
-
-    env.process(proc())
+    sent = net.unicast_route(
+        [0, 1, 2], Message(MessageKind.DATA, 0, 2, 100, payload={"marker": "x"})
+    )
     env.run()
+    assert sent.value is True
     # Only the final destination's handler fires; the relay is transparent.
     assert delivered == [("final", "x")]
 
@@ -573,21 +539,16 @@ def test_unicast_route_multi_hop():
 def test_unicast_route_fails_when_hop_breaks():
     points = [(0.0, 0.0), (40.0, 0.0), (500.0, 0.0)]
     env, net, _ = make_net(points, tran_range=50.0)
-
-    def proc():
-        ok = yield from net.unicast_route(
-            [0, 1, 2], Message(MessageKind.DATA, 0, 2, 100)
-        )
-        assert not ok
-
-    env.process(proc())
+    sent = net.unicast_route([0, 1, 2], Message(MessageKind.DATA, 0, 2, 100))
     env.run()
+    assert sent.value is False
+    assert net.failed_unicasts == 1
 
 
 def test_unicast_route_validates_path():
     env, net, _ = make_net(LINE)
     with pytest.raises(ValueError):
-        list(net.unicast_route([0], Message(MessageKind.DATA, 0, 0, 10)))
+        net.unicast_route([0], Message(MessageKind.DATA, 0, 0, 10))
 
 
 def test_network_validates_parameters():
@@ -598,3 +559,16 @@ def test_network_validates_parameters():
         P2PNetwork(env, field, 0, 50.0, ledger)
     with pytest.raises(ValueError):
         P2PNetwork(env, field, 100.0, 0, ledger)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_network_rejects_non_finite_parameters_by_name(bad):
+    """A NaN bandwidth or range used to construct and fail at the first
+    frame (a NaN timeout, or ``radius must be >= 0``)."""
+    env = Environment()
+    field = MobilityField([StationaryTrajectory((0, 0))])
+    ledger = PowerLedger(1)
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        P2PNetwork(env, field, bad, 100.0, ledger)
+    with pytest.raises(ValueError, match="transmission range must be positive and finite"):
+        P2PNetwork(env, field, 1000.0, bad, ledger)

@@ -17,11 +17,7 @@ def make_net(points, tran_range=50.0):
 
 def run_broadcast(net, env, size, signature_bytes):
     message = Message(MessageKind.REQUEST, 0, None, size)
-
-    def proc():
-        yield from net.broadcast(0, message, signature_bytes=signature_bytes)
-
-    env.process(proc())
+    net.broadcast(0, message, signature_bytes=signature_bytes)
     env.run()
 
 

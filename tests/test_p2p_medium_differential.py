@@ -1,15 +1,20 @@
-"""The list-per-frame P2P medium against the ndarray one it replaced.
+"""The P2P medium's callback frames against the generator medium they replaced.
 
-``tests/_p2p_reference.py`` keeps the previous revision's mask-based
-``broadcast`` and ``unicast`` and its ndarray ``PowerLedger`` (with
-``charge_where``) verbatim.  The test drives ``src/`` and that reference
+``tests/_p2p_reference.py`` keeps an earlier revision's mask-based
+``broadcast`` and ``unicast``, its ndarray ``PowerLedger`` (with
+``charge_where``), and the generator ``_wait_medium`` and
+``unicast_route``, verbatim.  The test drives ``src/`` and that reference
 through the same traffic and requires ``==`` (floats included, no
 tolerance) on everything a run could observe, after every step: every
-per-host, per-purpose ledger value, every busy horizon, every delivery and
-every counter.
+per-host, per-purpose ledger value, every busy horizon, every delivery,
+every unicast's outcome and the instant it resolved, every counter and the
+kernel's event count.  Each side starts a send the way its client does: a
+reference send in a process of its own (one bootstrap event), a frame in a
+zero-delay timeout callback.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +79,7 @@ class Side:
             faults=self.faults,
         )
         self.heard = []  # (time, receiver, message) per handler call
-        self.returned = []  # (time, step, helper's return value)
+        self.returned = []  # (time, step, delivered flag) per unicast or route
         for node in range(n_hosts):
             self.net.register_handler(node, lambda m, node=node: self._on_message(node, m))
 
@@ -86,24 +91,43 @@ class Side:
         if victim is not None:
             self.net.set_connected(victim, False)
 
-    def send(self, step, helper):
-        def process():
-            value = yield from helper
-            self.returned.append((self.env.now, step, value))
+    def record(self, step, value):
+        self.returned.append((self.env.now, step, value))
 
-        self.env.process(process())
+    def send(self, step, start):
+        """Start ``start(network)`` as this side's client would.  A unicast's
+        outcome is recorded at the instant it resolves; a broadcast's
+        receivers are in ``heard``."""
+        if isinstance(self.net, MaskP2PNetwork):
+
+            def process():
+                value = yield from start(self.net)
+                if type(value) is bool:
+                    self.record(step, value)
+
+            self.env.process(process())
+        else:
+
+            def callback(_event):
+                sent = start(self.net)
+                if sent is not None:
+                    sent.add_callback(lambda done: self.record(step, done.value))
+
+            self.env.timeout(0.0).callbacks.append(callback)
 
     def apply(self, step, op, message):
         net = self.net
         kind = op[0]
         if kind == "broadcast":
             _, src, _, purpose, signature_bytes, _ = op
-            self.send(step, net.broadcast(src, message, purpose, signature_bytes))
+            self.send(
+                step, lambda net: net.broadcast(src, message, purpose, signature_bytes)
+            )
         elif kind == "unicast":
-            _, src, dst, _, deliver = op
-            self.send(step, net.unicast(src, dst, message, deliver=deliver))
+            _, src, dst, _ = op
+            self.send(step, lambda net: net.unicast(src, dst, message))
         elif kind == "route":
-            self.send(step, net.unicast_route(list(op[1]), message))
+            self.send(step, lambda net: net.unicast_route(list(op[1]), message))
         elif kind == "flip":
             net.set_connected(op[1], op[2])
         else:  # "advance"; 0.0 runs what is due now and leaves the clock alone
@@ -169,11 +193,10 @@ def scenarios(draw):
         st.one_of(st.none(), st.none(), host),
     )
     unicast = st.builds(
-        lambda src, hop, size, deliver: ("unicast", src, (src + hop) % n_hosts, size, deliver),
+        lambda src, hop, size: ("unicast", src, (src + hop) % n_hosts, size),
         host,
         other,
         SIZES,
-        st.booleans(),
     )
     route = st.builds(
         lambda src, hops, size: (
@@ -235,15 +258,16 @@ def test_contenders_waking_together_repoll_on_both_sides():
         Side(P2PNetwork, PowerLedger, 4, "huddle", 3, lossy=False),
         Side(MaskP2PNetwork, MaskChargedLedger, 4, "huddle", 3, lossy=False),
     ]
-    message = Message(MessageKind.REQUEST, 0, None, 1000)
+    frames = [Message(MessageKind.REQUEST, src, None, 1000) for src in (0, 1, 2)]
     for side in sides:
-        for step, src in enumerate((0, 1, 2)):
-            side.send(step, side.net.broadcast(src, message))
+        for step, frame in enumerate(frames):
+            side.send(step, lambda net, frame=frame: net.broadcast(frame.src, frame))
         side.env.run()
     new, old = sides
     assert_same(new, old)
-    assert [(t, step) for t, step, _ in new.returned] == [(1.0, 0), (2.0, 1), (3.0, 2)]
-    # 3 bootstraps + 3 air-time timeouts + the re-polls: sender 1 waits
+    heard_by_3 = [(t, m.src) for t, node, m in new.heard if node == 3]
+    assert heard_by_3 == [(1.0, 0), (2.0, 1), (3.0, 2)]
+    # 3 starts + 3 air-time timeouts + the re-polls: sender 1 waits
     # once, sender 2 waits at t=0 and again at t=1.
     assert new.env.events_processed == 3 + 3 + 3
 
@@ -260,16 +284,18 @@ def test_destination_leaving_mid_frame_fails_the_unicast_on_both_sides():
         Message(MessageKind.REQUEST, 0, None, 1000),
     ]
     for side in sides:
-        side.send(0, side.net.unicast(0, 1, frames[0]))
-        side.send(1, side.net.broadcast(0, frames[1]))  # defers behind the unicast
+        side.send(0, lambda net: net.unicast(0, 1, frames[0]))
+        # Defers behind the unicast.
+        side.send(1, lambda net: net.broadcast(0, frames[1]))
         for until, node in ((0.5, 1), (1.5, 2)):
             side.env.run(until=until)
             side.net.set_connected(node, False)
         side.env.run()
     new, old = sides
     assert_same(new, old)
-    assert new.returned == [(1.0, 0, False), (2.0, 1, [])]
+    assert new.returned == [(1.0, 0, False)]
     assert new.heard == [] and new.net.failed_unicasts == 1
+    assert new.net.broadcasts == 1 and new.env.now == 2.0
 
 
 def both_sides(n_hosts, topology, seed=0):
@@ -291,19 +317,20 @@ def test_flips_between_frame_start_and_delivery_on_both_sides():
     sides = both_sides(4, "huddle")
     for side in sides:
         side.net.set_connected(3, False)
-        side.send(0, side.net.broadcast(0, frames[0]))
+        side.send(0, lambda net: net.broadcast(0, frames[0]))
         side.env.run(until=0.5)
         side.net.set_connected(2, False)
         side.net.set_connected(3, True)
         side.env.run(until=1.5)  # the broadcast was delivered at 1.0
-        side.send(1, side.net.unicast(0, 1, frames[1]))
+        side.send(1, lambda net: net.unicast(0, 1, frames[1]))
         side.env.run(until=1.75)
         side.net.set_connected(1, False)
         side.net.set_connected(1, True)
         side.env.run()
     new, old = sides
     assert_same(new, old)
-    assert new.returned == [(1.0, 0, [1]), (2.5, 1, True)]
+    assert [(t, node) for t, node, _ in new.heard] == [(1.0, 1), (2.5, 1)]
+    assert new.returned == [(2.5, 1, True)]
     # 2 paid for the broadcast and was off for the unicast; 3 missed the
     # broadcast and overheard the unicast next to both ends.
     model = new.net.model
@@ -319,7 +346,7 @@ def test_unicast_to_a_destination_out_of_range_on_both_sides():
     sides = both_sides(5, "line")
     message = Message(MessageKind.DATA, 0, 3, 100)
     for side in sides:
-        side.send(0, side.net.unicast(0, 3, message))
+        side.send(0, lambda net: net.unicast(0, 3, message))
         side.env.run()
     new, old = sides
     assert_same(new, old)
@@ -333,3 +360,85 @@ def test_unicast_to_a_destination_out_of_range_on_both_sides():
         0.0,
         model.ptp_discard_d(100),
     ]
+
+
+def test_contending_routes_on_both_sides():
+    """Routed unicasts that share relays: every hop defers behind its
+    neighbours' frames, and each route resolves at the same instant with the
+    same outcome on both sides."""
+    sides = both_sides(5, "line")
+    routes = [(0, 1, 2), (2, 1, 0), (1, 2, 3, 4), (4, 3, 2), (3, 2)]
+    messages = [Message(MessageKind.REPLY, path[0], path[-1], 1000) for path in routes]
+    for side in sides:
+        for step, (path, message) in enumerate(zip(routes, messages)):
+            side.send(
+                step,
+                lambda net, path=path, message=message: net.unicast_route(
+                    list(path), message
+                ),
+            )
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    assert sorted(step for _, step, _ in new.returned) == list(range(len(routes)))
+    hops = sum(len(path) - 1 for path in routes)
+    # Starts + one air time per hop, and more than one wake-up deferred.
+    assert new.env.events_processed > len(routes) + hops + 1
+
+
+@pytest.mark.parametrize("leaver, leaves_at, fails_at", [(1, 0.5, 1.0), (2, 1.5, 2.0), (3, 2.5, 3.0)])
+def test_hop_leaving_mid_route_on_both_sides(leaver, leaves_at, fails_at):
+    """0 -> 1 -> 2 -> 3 along the line, one second per hop: the host a hop
+    is aimed at leaves during that hop, so the route fails when the hop
+    lands and no later hop starts."""
+    sides = both_sides(4, "line")
+    message = Message(MessageKind.RETRIEVE, 0, 3, 1000)
+    for side in sides:
+        side.send(0, lambda net: net.unicast_route([0, 1, 2, 3], message))
+        side.env.run(until=leaves_at)
+        side.net.set_connected(leaver, False)
+        side.env.run()
+    new, old = sides
+    assert_same(new, old)
+    assert new.returned == [(fails_at, 0, False)]
+    assert new.net.unicasts == leaver and new.net.failed_unicasts == 1
+    assert new.heard == []
+
+
+@pytest.mark.parametrize("sender_state", ["idle", "busy", "off"])
+def test_process_waiting_on_a_route_resumes_alike(sender_state):
+    """The retrieve shape: a process sends a route and waits for its outcome
+    before arming its guard.  ``yield`` on the frame's event resumes at the
+    instant and with the value ``yield from`` on the generator did, with no
+    extra event; a sender already off the air resumes at once."""
+    sides = both_sides(3, "line")
+    blocker = Message(MessageKind.REQUEST, 0, None, 1000)
+    message = Message(MessageKind.RETRIEVE, 0, 2, 100)
+    for side in sides:
+        env, net = side.env, side.net
+        if sender_state == "busy":
+            side.send(0, lambda net: net.broadcast(0, blocker))
+        elif sender_state == "off":
+            net.set_connected(0, False)
+
+        def retrieve(side=side, env=env, net=net):
+            yield env.timeout(0.25)
+            if isinstance(net, MaskP2PNetwork):
+                sent = yield from net.unicast_route([0, 1, 2], message)
+            else:
+                sent = yield net.unicast_route([0, 1, 2], message)
+            side.record(1, sent)
+            yield env.timeout(0.5)  # the guarded DATA wait
+            side.record(2, "guard")
+
+        env.process(retrieve())
+        env.run()
+    new, old = sides
+    assert_same(new, old)
+    start = {"idle": 0.25, "busy": 1.0, "off": 0.25}[sender_state]
+    end = start if sender_state == "off" else start + 0.2
+    assert [(step, v) for _, step, v in new.returned] == [
+        (1, sender_state != "off"),
+        (2, "guard"),
+    ]
+    assert [t for t, _, _ in new.returned] == pytest.approx([end, end + 0.5])

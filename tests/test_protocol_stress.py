@@ -54,9 +54,11 @@ def test_replier_disconnects_between_reply_and_retrieve():
     original = world.clients[1]._send_reply
 
     def reply_then_vanish(request, entry):
-        yield from original(request, entry)
-        world.network.set_connected(1, False)
-        world.clients[1].connected = False
+        def vanish(_sent):
+            world.network.set_connected(1, False)
+            world.clients[1].connected = False
+
+        original(request, entry).add_callback(vanish)
 
     world.clients[1]._send_reply = reply_then_vanish
     world.access(0, 7)

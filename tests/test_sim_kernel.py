@@ -152,6 +152,43 @@ def test_event_double_trigger_rejected():
         gate.succeed(2)
 
 
+def test_succeed_now_resumes_the_waiter_inside_the_callers_step():
+    """No queue entry: the waiter resumes before the trigger call returns,
+    at the trigger's instant, and the pop count does not move."""
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def waiter():
+        value = yield gate
+        log.append(("resumed", env.now, value))
+
+    def opener():
+        yield env.timeout(3)
+        gate.succeed_now("open")
+        log.append(("returned", env.now, None))
+
+    env.process(waiter())
+    env.process(opener())
+    env.run()
+    assert log == [("resumed", 3, "open"), ("returned", 3, None)]
+    assert gate.processed and gate.value == "open"
+    # Two bootstraps and the timeout: the in-place trigger adds no event.
+    assert env.events_processed == 3
+
+
+def test_succeed_now_refuses_a_triggered_event():
+    env = Environment()
+    scheduled, processed = env.event(), env.event()
+    scheduled.succeed(1)
+    processed.succeed_now(1)
+    for gate in (scheduled, processed):
+        with pytest.raises(SimulationError, match="already triggered"):
+            gate.succeed_now(2)
+    with pytest.raises(SimulationError, match="already triggered"):
+        env.timeout(1).succeed_now(2)
+
+
 def test_event_fail_propagates_into_process():
     env = Environment()
     gate = env.event()
