@@ -12,6 +12,12 @@ experiment's wall-clock time.  Two shapes go through the scheduler:
   several, and the burst timeouts are held in a list (so the free list
   must leave them alone): the shape the figure runs have.
 
+The same crowd runs once more with no process at all, each ticker a chain
+of kernel callbacks the way the P2P frames are: every step scheduled as a
+timeout callback (an unowned ``Timeout``, recycled through the free list)
+against the same steps as bare calls (``Environment.call_later``: one heap
+entry, no ``Event``).
+
 Then one MSS link is saturated, for sends per second and the kernel events
 each send costs.  Every row is the best of ``REPEATS`` passes: the box is
 shared, and one pass can read half the speed of the next.
@@ -61,6 +67,48 @@ def crowd():
     return env
 
 
+class CallbackTicker:
+    """One crowd ticker without a process: the stagger, ``ROUNDS`` periods
+    and the bursts as a chain of kernel callbacks, each step scheduled as a
+    bare call (``bare``) or as a timeout callback."""
+
+    __slots__ = ("env", "period", "round", "owed", "bare")
+
+    def __init__(self, env, host, bare):
+        self.env = env
+        self.period = PERIODS[host % len(PERIODS)]
+        self.round = self.owed = 0
+        self.bare = bare
+        self.after(host / HOSTS)
+
+    def after(self, delay):
+        if self.bare:
+            self.env.call_later(delay, self.tick)
+        else:
+            self.env.timeout(delay).callbacks.append(self.tick)
+
+    def tick(self, _event=None):
+        if self.owed:  # one burst step
+            self.owed -= 1
+            if self.owed:
+                return
+        elif self.round and self.round % BURST_EVERY == 0:
+            self.owed = BURST
+            for _ in range(BURST):
+                self.after(0.0)
+            return
+        if self.round < ROUNDS:
+            self.round += 1
+            self.after(self.period)
+
+
+def callback_crowd(bare):
+    env = Environment()
+    for host in range(HOSTS):
+        CallbackTicker(env, host, bare)
+    return env
+
+
 def best_run(build):
     """The environment and run time of the fastest of ``REPEATS`` passes."""
     best = None
@@ -75,13 +123,22 @@ def best_run(build):
 
 
 def test_micro_kernel_event_throughput(benchmark, record_table):
-    (single, single_s), (many, many_s) = run_once(
-        benchmark, lambda: (best_run(one_ticker), best_run(crowd))
+    (single, single_s), (many, many_s), (timed, timed_s), (bare, bare_s) = run_once(
+        benchmark,
+        lambda: (
+            best_run(one_ticker),
+            best_run(crowd),
+            best_run(lambda: callback_crowd(bare=False)),
+            best_run(lambda: callback_crowd(bare=True)),
+        ),
     )
     assert single.now == EVENTS and single.events_processed == EVENTS + 1
     per_host = 2 + ROUNDS + BURST * (ROUNDS // BURST_EVERY)  # bootstrap, stagger
     assert many.events_processed == HOSTS * per_host
     assert 0 <= many.now - ROUNDS * max(PERIODS) < 1  # the stagger is under 1
+    for env in (timed, bare):  # the same steps, less the process bootstraps
+        assert env.events_processed == HOSTS * (per_host - 1) and env.now == many.now
+    assert bare.freelist_hits == 0 and timed.freelist_hits > 0
     record_table(
         "micro_kernel",
         "\n".join(
@@ -93,6 +150,13 @@ def test_micro_kernel_event_throughput(benchmark, record_table):
                 f" a same-instant burst of {BURST} every {BURST_EVERY} rounds"
                 f" (pending set ~{HOSTS}): {many.events_processed:,} events"
                 f" in {many_s:.3f} s  ->  {many.events_processed / many_s:,.0f} events/s",
+                f"  the same {HOSTS} tickers as callback chains, no process:"
+                f" {timed.events_processed:,} steps each side",
+                f"    as timeout callbacks: {timed_s:.3f} s"
+                f"  ->  {timed.events_processed / timed_s:,.0f} events/s",
+                f"    as bare calls:        {bare_s:.3f} s"
+                f"  ->  {bare.events_processed / bare_s:,.0f} events/s"
+                f"  ({timed_s / bare_s:.2f}x)",
             ]
         ),
     )

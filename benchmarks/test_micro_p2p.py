@@ -1,7 +1,7 @@
 """Micro-benchmark of the P2P medium, per frame (Section III / V-A).
 
-``P2PNetwork`` sends a frame as kernel callbacks, started the way the
-client starts it (a zero-delay timeout callback); it takes the receivers
+``P2PNetwork`` sends a frame as bare kernel calls, started the way the
+client starts it (a zero-delay ``Environment.call_later``); it takes the receivers
 from the adjacency row as a list, filters them through a ``list[bool]`` of
 connected hosts and charges them one Python float add each.  The design it
 replaced (``tests/_p2p_reference.py``, earlier revisions' code) ran every
@@ -28,6 +28,7 @@ the per-message path").
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 from conftest import run_once
@@ -67,12 +68,10 @@ class ClockTypes:
 
 
 def starter(side, env):
-    """How a send starts on each side: the frame in a zero-delay timeout
-    callback, the reference generator in a process (one bootstrap event)."""
+    """How a send starts on each side: the frame in a zero-delay bare call,
+    the reference generator in a process (one bootstrap event)."""
     if side == "list":
-        return lambda send, *args: env.timeout(0.0).callbacks.append(
-            lambda _event: send(*args)
-        )
+        return lambda send, *args: env.call_later(0.0, partial(send, *args))
     return lambda send, *args: env.process(send(*args))
 
 

@@ -16,6 +16,7 @@ One :class:`MobileHost` per client runs the whole client side of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -42,6 +43,19 @@ __all__ = ["MobileHost"]
 _POSITION_BYTES = 2
 #: Upper bound on remembered peer-access history for explicit updates.
 _HISTORY_CAP = 200
+
+# Enum members as module constants: loading one off its class is a
+# class-attribute lookup, and the message path does that per message.
+_REQUEST = MessageKind.REQUEST
+_REPLY = MessageKind.REPLY
+_RETRIEVE = MessageKind.RETRIEVE
+_DATA = MessageKind.DATA
+_SIG_REQUEST = MessageKind.SIG_REQUEST
+_SIG_REPLY = MessageKind.SIG_REPLY
+_LOCAL_HIT = RequestOutcome.LOCAL_HIT
+_GLOBAL_HIT = RequestOutcome.GLOBAL_HIT
+_SERVER = RequestOutcome.SERVER
+_FAILURE = RequestOutcome.FAILURE
 
 #: Tracer instant per circuit-breaker transition target (``breaker-close`` uncounted).
 _BREAKER_INSTANTS = {
@@ -214,7 +228,7 @@ class MobileHost:
         if entry is not None:
             if entry.is_valid(self.env.now):
                 self._note_local_access(item, entry)
-                self._record_outcome(RequestOutcome.LOCAL_HIT, start)
+                self._record_outcome(_LOCAL_HIT, start)
                 return
             yield from self._validate_with_server(item, entry, start)
             return
@@ -225,9 +239,7 @@ class MobileHost:
                 reply, from_tcg, hops = result
                 self._admit_from_peer(reply, from_tcg, hops)
                 self._remember_peer_access(item)
-                self._record_outcome(
-                    RequestOutcome.GLOBAL_HIT, start, from_tcg=from_tcg
-                )
+                self._record_outcome(_GLOBAL_HIT, start, from_tcg=from_tcg)
                 return
 
         if not self.connected:
@@ -262,7 +274,7 @@ class MobileHost:
             self._req_span = -1
 
     def _record_failure(self, start: float) -> None:
-        self._record_outcome(RequestOutcome.FAILURE, start)
+        self._record_outcome(_FAILURE, start)
 
     def _mark(self, event: str, parent: int = -1, **args) -> None:
         """Report one protocol event — the only way a counted one is.
@@ -380,7 +392,7 @@ class MobileHost:
     def _flood(self, sid, item: int, update, size: int) -> None:
         """Broadcast the originator's REQUEST (first flood or re-flood)."""
         message = Message(
-            kind=MessageKind.REQUEST,
+            kind=_REQUEST,
             src=self.index,
             dst=None,
             size=size,
@@ -502,7 +514,7 @@ class MobileHost:
         delivered flag when the route resolves."""
         path = reply["path"]
         message = Message(
-            kind=MessageKind.RETRIEVE,
+            kind=_RETRIEVE,
             src=self.index,
             dst=reply["peer"],
             size=self.sizes.retrieve,
@@ -704,30 +716,27 @@ class MobileHost:
     def _soon(self, send: Callable[..., object], *args: object) -> None:
         """Call ``send(*args)`` in a step of its own at this instant, behind
         whatever is already queued for now; ``send`` reads the host's state
-        when it runs, not when it is scheduled."""
-        self.env.timeout(0.0, (send, args)).callbacks.append(self.on_soon)
-
-    def on_soon(self, event: Event) -> None:
-        """Kernel callback of :meth:`_soon`."""
-        send, args = event.value
-        send(*args)
+        when it runs, not when it is scheduled (only its arguments are bound
+        here).  The kernel calls ``send`` directly, so each one is public: a
+        layer tracer books work by public entry points."""
+        self.env.call_later(0.0, partial(send, *args))
 
     # ------------------------------------------------------------ message handling
 
     def on_message(self, message: Message) -> None:
         """Receive callback; cheap state updates, network work is deferred."""
         kind = message.kind
-        if kind is MessageKind.REQUEST:
+        if kind is _REQUEST:
             self._on_request(message)
-        elif kind is MessageKind.REPLY:
+        elif kind is _REPLY:
             self._on_reply(message)
-        elif kind is MessageKind.RETRIEVE:
+        elif kind is _RETRIEVE:
             self._on_retrieve(message)
-        elif kind is MessageKind.DATA:
+        elif kind is _DATA:
             self._on_data(message)
-        elif kind is MessageKind.SIG_REQUEST:
+        elif kind is _SIG_REQUEST:
             self._on_sig_request(message)
-        elif kind is MessageKind.SIG_REPLY:
+        elif kind is _SIG_REPLY:
             self._on_sig_reply(message)
 
     def _on_request(self, message: Message) -> None:
@@ -740,7 +749,7 @@ class MobileHost:
             if payload["update"] is not None and origin in signatures.members:
                 signatures.apply_peer_update(*payload["update"])
             if signatures.notice_peer_alive(origin):
-                self._soon(self._send_sig_request, origin)
+                self._soon(self.send_sig_request, origin)
         if self._seen_search.get(origin, -1) >= seq:
             return
         self._seen_search[origin] = seq
@@ -749,10 +758,10 @@ class MobileHost:
             self.replacement.note_remote_request(item)
         entry = self.cache.get(item)
         if entry is not None and entry.is_valid(self.env.now):
-            self._soon(self._send_reply, message, entry)
+            self._soon(self.send_reply, message, entry)
         elif message.hops_left > 0:
             forward = Message(
-                kind=MessageKind.REQUEST,
+                kind=_REQUEST,
                 src=self.index,
                 dst=None,
                 size=message.size,
@@ -764,11 +773,11 @@ class MobileHost:
             sig_bytes = message.size - self.sizes.request
             self._soon(self.network.broadcast, self.index, forward, "data", sig_bytes)
 
-    def _send_reply(self, request: Message, entry: CacheEntry) -> Event:
+    def send_reply(self, request: Message, entry: CacheEntry) -> Event:
         """Turn in a REPLY along the reverse of the request's path."""
         route = list(reversed(request.path + [self.index]))
         message = Message(
-            kind=MessageKind.REPLY,
+            kind=_REPLY,
             src=self.index,
             dst=route[-1],
             size=self.sizes.reply,
@@ -801,9 +810,9 @@ class MobileHost:
             state.reply_event.succeed(message.payload)
 
     def _on_retrieve(self, message: Message) -> None:
-        self._soon(self._serve_retrieve, message)
+        self._soon(self.serve_retrieve, message)
 
-    def _serve_retrieve(self, message: Message) -> None:
+    def serve_retrieve(self, message: Message) -> None:
         payload = message.payload
         item = payload["item"]
         entry = self.cache.get(item)
@@ -811,7 +820,7 @@ class MobileHost:
             return  # evicted/expired since the reply; requester times out
         path = payload["path"]  # origin ... me
         data = Message(
-            kind=MessageKind.DATA,
+            kind=_DATA,
             src=self.index,
             dst=path[0],
             size=self.sizes.data_message(),
@@ -851,11 +860,11 @@ class MobileHost:
 
     # ----------------------------------------------------------- signature traffic
 
-    def _send_sig_request(self, peer: int, members: Optional[Set[int]] = None) -> None:
+    def send_sig_request(self, peer: int, members: Optional[Set[int]] = None) -> None:
         """Direct (unicast) or membership-scoped broadcast SigRequest."""
         if members is None:
             message = Message(
-                kind=MessageKind.SIG_REQUEST,
+                kind=_SIG_REQUEST,
                 src=self.index,
                 dst=peer,
                 size=self.sizes.sig_request,
@@ -865,7 +874,7 @@ class MobileHost:
             self.network.unicast(self.index, peer, message, purpose="signature")
         else:
             message = Message(
-                kind=MessageKind.SIG_REQUEST,
+                kind=_SIG_REQUEST,
                 src=self.index,
                 dst=None,
                 size=self.sizes.sig_request
@@ -882,14 +891,14 @@ class MobileHost:
         members = payload["members"]
         if members is not None and self.index not in members:
             return  # broadcast recollection for somebody else's TCG
-        self._soon(self._send_sig_reply, payload["from"])
+        self._soon(self.send_sig_reply, payload["from"])
 
-    def _send_sig_reply(self, requester: int) -> None:
+    def send_sig_reply(self, requester: int) -> None:
         positions, wire_bytes, _compressed = self.signatures.full_signature_payload(
             len(self.cache)
         )
         message = Message(
-            kind=MessageKind.SIG_REPLY,
+            kind=_SIG_REPLY,
             src=self.index,
             dst=requester,
             size=self.sizes.sig_reply(wire_bytes),
@@ -914,9 +923,9 @@ class MobileHost:
 
     def _execute_membership_actions(self, actions: MembershipActions) -> None:
         if actions.recollect and self.signatures.members:
-            self._soon(self._send_sig_request, -1, set(self.signatures.members))
+            self._soon(self.send_sig_request, -1, set(self.signatures.members))
         for peer in actions.request_from:
-            self._soon(self._send_sig_request, peer)
+            self._soon(self.send_sig_request, peer)
 
     # -------------------------------------------------------------- MSS interaction
 
@@ -961,7 +970,7 @@ class MobileHost:
                 self._tracer.end(span, status="ok", attempts=attempt + 1)
             self._insert(entry)
             self._apply_membership_changes(reply.added, reply.removed)
-            self._record_outcome(RequestOutcome.SERVER, start)
+            self._record_outcome(_SERVER, start)
             return
         if span >= 0:
             self._tracer.end(span, status="failed")
@@ -1011,12 +1020,7 @@ class MobileHost:
                     attempts=attempt + 1,
                     recorded=self.metrics.recording,
                 )
-            outcome = (
-                RequestOutcome.SERVER
-                if reply.refreshed
-                else RequestOutcome.LOCAL_HIT
-            )
-            self._record_outcome(outcome, start)
+            self._record_outcome(_SERVER if reply.refreshed else _LOCAL_HIT, start)
             return
         if span >= 0:
             self._tracer.end(span, status="failed")

@@ -59,6 +59,12 @@ class RequestOutcome(Enum):
     FAILURE = auto()
 
 
+# Module constants: ``record_request`` runs once per request, and loading a
+# member off the Enum class is a class-attribute lookup each time.
+_GLOBAL_HIT = RequestOutcome.GLOBAL_HIT
+_FAILURE = RequestOutcome.FAILURE
+
+
 @dataclass
 class Results:
     """One simulated experiment's summary (one point of a paper figure)."""
@@ -181,9 +187,9 @@ class Metrics:
             return
         self.requests += 1
         self.outcomes[outcome] += 1
-        if outcome is RequestOutcome.GLOBAL_HIT and from_tcg:
+        if outcome is _GLOBAL_HIT and from_tcg:
             self.global_hits_tcg += 1
-        if outcome is not RequestOutcome.FAILURE:
+        if outcome is not _FAILURE:
             # A failed access never completed: its elapsed time is how long
             # the host tried, not an access latency, so it is kept in the
             # per-outcome breakdown but excluded from the headline mean.

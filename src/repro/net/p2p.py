@@ -59,7 +59,7 @@ class P2PNetwork:
         # Python scalars per radio, not ndarrays: a frame reads about six
         # entries of each, where any numpy call costs more than the work.
         # The defer gap read out of the horizon also goes to
-        # ``Environment.timeout`` and becomes the kernel clock, and a numpy
+        # ``Environment.call_later`` and becomes the kernel clock, and a numpy
         # scalar there slows every later heap comparison.
         self.connected: List[bool] = [True] * n
         self._busy_until: List[float] = [0.0] * n
@@ -76,11 +76,19 @@ class P2PNetwork:
 
     # -- wiring ---------------------------------------------------------------
 
+    def _check_host(self, node: int) -> None:
+        # Checked at the boundary: a negative index would silently name a
+        # host from the end of every per-radio list.
+        if not 0 <= node < len(self.connected):
+            raise ValueError(f"no host {node}: hosts are 0..{len(self.connected) - 1}")
+
     def register_handler(self, node: int, handler: Handler) -> None:
         """Install the receive callback of a host."""
+        self._check_host(node)
         self._handlers[node] = handler
 
     def set_connected(self, node: int, is_connected: bool) -> None:
+        self._check_host(node)
         self.connected[node] = bool(is_connected)
         if not is_connected:
             watchers = self._down_watchers.pop(node, None)
@@ -95,6 +103,7 @@ class P2PNetwork:
     def watch_down(self, node: int, event) -> None:
         """Succeed ``event`` (with the node index) when ``node`` next
         goes off the air; fires immediately if it is already down."""
+        self._check_host(node)
         if not self.connected[node]:
             if not event.triggered:
                 event.succeed(node)
@@ -140,6 +149,7 @@ class P2PNetwork:
         the variable power cost of that many piggybacked bytes (GroCoCa's
         signature update information) to the ledger's ``signature`` purpose.
         """
+        self._check_host(src)
         _Broadcast(self, src, message, purpose, signature_bytes).start()
 
     def unicast(
@@ -162,6 +172,8 @@ class P2PNetwork:
         """
         if len(path) < 2 or any(a == b for a, b in zip(path, path[1:])):
             raise ValueError(f"route needs 2+ hosts and no hop to itself: {path}")
+        for node in path:
+            self._check_host(node)
         route = _Route(self, path[0], message, purpose, path, self.env.event())
         route.start()
         return route.done
@@ -169,10 +181,10 @@ class P2PNetwork:
 
 @dataclass(slots=True)
 class _Frame:
-    """One send as kernel callbacks, not a process.  ``start`` is the CSMA
-    check: on a busy radio it re-polls with one timeout at the horizon it
+    """One send as bare kernel calls, not a process.  ``start`` is the CSMA
+    check: on a busy radio it re-polls with one call at the horizon it
     reads; on an idle one ``_transmit`` fixes who hears the frame, charges it
-    and schedules its air-time callback, where the receive handlers run (an
+    and schedules its air-time call, where the receive handlers run (an
     exception one raises leaves ``Environment.run`` at that pop)."""
 
     net: P2PNetwork
@@ -180,12 +192,12 @@ class _Frame:
     message: Message
     purpose: str
 
-    def start(self, _event: Optional[Event] = None) -> None:
+    def start(self) -> None:
         env = self.net.env
         now = env.now
         gap = self.net._busy_until[self.src] - now
         if gap > 1e-12:
-            env.timeout(gap).callbacks.append(self.start)
+            env.call_later(gap, self.start)
         else:
             self._transmit(now)
 
@@ -223,9 +235,9 @@ class _Broadcast(_Frame):
         ledger.charge(src, send_cost, purpose)
         ledger.charge_hosts(heard, recv_cost, purpose)
         net.broadcasts += 1
-        net.env.timeout(air).callbacks.append(self.deliver)
+        net.env.call_later(air, self.deliver)
 
-    def deliver(self, _event: Event) -> None:
+    def deliver(self) -> None:
         net = self.net
         connected = net.connected
         faults = net.faults
@@ -292,9 +304,9 @@ class _Route(_Frame):
         ledger.charge_hosts(near_dst_only, model.ptp_discard_d(size), purpose)
 
         net.unicasts += 1
-        net.env.timeout(air).callbacks.append(self.arrive)
+        net.env.call_later(air, self.arrive)
 
-    def arrive(self, _event: Event) -> None:
+    def arrive(self) -> None:
         net = self.net
         self.hop += 1
         dst = self.path[self.hop]

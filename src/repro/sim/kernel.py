@@ -17,7 +17,9 @@ event's callbacks inside the caller's step, with no queue entry.
 
 The scheduler is one ``heapq`` list of ``(when, seq, event)`` tuples owned
 by :class:`Environment`, and :meth:`Environment.run` is one loop: pop the
-earliest entry, set the clock, run the event's callbacks.  Every cleverer
+earliest entry, set the clock, run the event's callbacks — or, for a step
+nothing waits on (:meth:`Environment.call_later`), just call it: a *bare
+call* has no Event, no callbacks list and no free-list trip.  Every cleverer
 shape tried here measured no faster end to end on the workloads the
 simulator runs — a bucket queue (O(1) operations paid in Python bytecode
 against ``heapq``'s O(log n) in C), a one-slot register in front of the
@@ -26,7 +28,8 @@ docs/PERFORMANCE.md, "The DES kernel".
 
 The one hot-path mechanism that pays is kept: the loop recycles
 :class:`Timeout` objects through a free list once it is provably their
-only owner.  The ``kernel-hot-alloc`` simlint rule guards the loop against
+only owner (the timeouts processes wait on; frame steps are bare calls).
+The ``kernel-hot-alloc`` simlint rule guards the loop against
 per-event allocations creeping back in.
 """
 
@@ -44,6 +47,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 __all__ = [
@@ -82,8 +86,10 @@ _PROCESSED = 2  # callbacks have run
 
 _INF = math.inf
 
-#: One scheduled occurrence: ``(when, seq, event)``.
-_Entry = Tuple[float, int, "Event"]
+#: One scheduled occurrence: ``(when, seq, event)`` or ``(when, seq, call)``.
+#: Events are never callable, so ``callable()`` tells them apart.
+_Call = Callable[[], object]
+_Entry = Tuple[float, int, Union["Event", _Call]]
 
 
 class Event:
@@ -194,8 +200,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if not (delay >= 0):  # not `delay < 0`: that is False for NaN
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        if not (0 <= delay < _INF):  # NaN fails every comparison
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._value = value
@@ -368,18 +374,20 @@ class AllOf(_Condition):
 class Environment:
     """The simulation clock and scheduler.
 
-    Pending events sit in one ``heapq`` list of ``(when, seq, event)``;
-    ``seq`` is the global schedule counter, so the heap order *is* the
-    kernel's ``(when, seq)`` dispatch order and no entry ever compares its
-    event.  :meth:`_schedule_at` is the only place that pushes,
-    :meth:`run` and :meth:`step` the only places that pop.
+    Pending entries sit in one ``heapq`` list of ``(when, seq, item)``, an
+    ``item`` being an :class:`Event` or a bare call; ``seq`` is the global
+    schedule counter, so the heap order *is* the kernel's ``(when, seq)``
+    dispatch order and no entry ever compares its item.  Two methods push,
+    :meth:`_schedule_at` (events) and :meth:`call_later` (calls), and
+    :meth:`run` and :meth:`step` pop: a call is called, an event runs its
+    callbacks.
 
     ``monitor`` optionally attaches a
-    :class:`~repro.check.monitor.InvariantMonitor`: every push and pop is
-    then reported through ``on_schedule`` / ``on_step`` (event-time
-    monotonicity, queue bookkeeping).  Monitored and unmonitored runs go
-    through the same loop; without a monitor it pays one ``is None`` test
-    per push and per pop and behaves bit-identically.
+    :class:`~repro.check.monitor.InvariantMonitor`: every push and pop,
+    calls included, is then reported through ``on_schedule`` / ``on_step``
+    (event-time monotonicity, queue bookkeeping).  Monitored and unmonitored
+    runs go through the same loop; without a monitor it pays one ``is None``
+    test per push and per pop and behaves bit-identically.
     """
 
     __slots__ = (
@@ -402,7 +410,7 @@ class Environment:
             raise SimulationError(f"initial_time must be finite, got {initial_time}")
         self._heap: List[_Entry] = []
         self._seq = 0
-        #: Events processed (queue pops) since creation; read by the profiler.
+        #: Queue pops (events and calls) since creation; read by the profiler.
         self.events_processed = 0
         #: Optional invariant oracle (duck-typed; see repro.check.monitor).
         self.monitor = monitor
@@ -417,7 +425,7 @@ class Environment:
 
     @property
     def pending_events(self) -> int:
-        """Scheduled-but-unprocessed events (queue size); read by samplers."""
+        """Queued events and calls (queue size); read by samplers."""
         return len(self._heap)
 
     def queue_stats(self) -> Dict[str, int]:
@@ -430,8 +438,8 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        if not (delay >= 0):  # not `delay < 0`: that is False for NaN
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        if not (0 <= delay < _INF):  # NaN fails every comparison
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         return self._timeout(self._now + delay, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -441,8 +449,10 @@ class Environment:
         ``now + (when - now) != when`` in floats.
         """
         now = self._now
-        if not (when >= now):  # not `when < now`: that is False for NaN
-            raise SimulationError(f"timeout_at(when={when}) must be >= now ({now})")
+        if not (now <= when < _INF):  # NaN fails every comparison
+            raise SimulationError(
+                f"timeout_at(when={when}) must be finite and >= now ({now})"
+            )
         return self._timeout(when, when - now, value)
 
     def _timeout(self, when: float, delay: float, value: Any) -> Timeout:
@@ -459,6 +469,20 @@ class Environment:
         timeout.delay = delay
         self._schedule_at(timeout, when)
         return timeout
+
+    def call_later(self, delay: float, call: _Call) -> None:
+        """Call ``call()`` in a step of its own ``delay`` from now, in the
+        ``(when, seq)`` place a timeout scheduled here would take.  Nothing
+        can wait on, cancel or read a bare call."""
+        if not (0 <= delay < _INF):  # NaN fails every comparison
+            raise SimulationError(f"call_later delay must be finite and >= 0, got {delay}")
+        # `_schedule_at` inlined: this is the push of every frame step.
+        when = self._now + delay
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (when, seq, call))
+        if self.monitor is not None:
+            self.monitor.on_schedule(self, when)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -486,22 +510,26 @@ class Environment:
         return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
-        """Process the next event.  Raises SimulationError when idle."""
+        """Process the next event or call.  Raises SimulationError when idle."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        when, _seq, event = heappop(self._heap)
+        when, _seq, item = heappop(self._heap)
         if self.monitor is not None:
             self.monitor.on_step(self, when)
         self._now = when
         self.events_processed += 1
-        event._process()
+        if callable(item):
+            item()
+        else:
+            item._process()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or the clock reaches ``until``.
 
-        An exception out of a callback (or an undefused failure nobody
-        waits on) propagates after its event is consumed and counted; every
-        event it never reached stays scheduled, in order.
+        An exception out of a callback or a bare call (or an undefused
+        failure nobody waits on) propagates after its entry is popped and
+        counted in ``events_processed``; every entry it never reached stays
+        scheduled, in order.
         """
         if until is not None:
             if not (until >= self._now):  # not `until < now`: False for NaN
@@ -522,6 +550,9 @@ class Environment:
                 monitor.on_step(self, when)
             self._now = when
             self.events_processed += 1
+            if callable(event):
+                event()
+                continue
             callbacks = event.callbacks
             event.callbacks = None
             event._state = _PROCESSED

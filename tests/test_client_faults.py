@@ -133,7 +133,7 @@ def test_failed_retrieve_fails_over_to_next_replier():
 
     # The first replier (host 1: handlers run in index order) evicts its
     # copy the moment it has replied, so the retrieve aimed at it starves.
-    original_send_reply = world.clients[1]._send_reply
+    original_send_reply = world.clients[1].send_reply
 
     def reply_then_evict(request, entry):
         def evict(_sent):
@@ -142,7 +142,7 @@ def test_failed_retrieve_fails_over_to_next_replier():
 
         original_send_reply(request, entry).add_callback(evict)
 
-    world.clients[1]._send_reply = reply_then_evict
+    world.clients[1].send_reply = reply_then_evict
     world.access(0, 7)
     assert world.outcome_counts() == {"GLOBAL_HIT": 1}
     assert world.metrics.retries["retrieve"] == 1
@@ -152,7 +152,7 @@ def test_failed_retrieve_fails_over_to_next_replier():
 def test_without_retry_budget_failed_retrieve_ends_at_server():
     world = World(NEAR, scheme=CachingScheme.CC)  # retrieve_retry_limit=0
     world.give_item(1, item=7)
-    original_send_reply = world.clients[1]._send_reply
+    original_send_reply = world.clients[1].send_reply
 
     def reply_then_evict(request, entry):
         def evict(_sent):
@@ -161,7 +161,7 @@ def test_without_retry_budget_failed_retrieve_ends_at_server():
 
         original_send_reply(request, entry).add_callback(evict)
 
-    world.clients[1]._send_reply = reply_then_evict
+    world.clients[1].send_reply = reply_then_evict
     world.access(0, 7)
     assert world.outcome_counts() == {"SERVER": 1}
     assert world.metrics.retries["retrieve"] == 0

@@ -314,7 +314,7 @@ def test_sig_request_reply_roundtrip():
     world.give_item(1, item=7)
     client.signatures.members.add(1)
     client.signatures.outstanding.add(1)
-    client._send_sig_request(1)
+    client.send_sig_request(1)
     world.env.run(until=5.0)
     assert client.signatures.outstanding == set()
     assert client.signatures.likely_cached_by_members(7)
@@ -328,7 +328,7 @@ def test_broadcast_sig_request_scoped_to_members():
     world.give_item(2, item=8)
     requester.signatures.members.add(1)
     requester.signatures.outstanding.add(1)
-    requester._send_sig_request(-1, members={1})
+    requester.send_sig_request(-1, members={1})
     world.env.run(until=5.0)
     # Only member 1's signature arrived; 2 dropped the request.
     assert requester.signatures.likely_cached_by_members(7)
@@ -373,7 +373,7 @@ def test_retrieve_race_falls_back_to_server():
     world.give_item(1, item=7)
 
     # Evict the copy at client 1 the instant it replies.
-    original_send_reply = world.clients[1]._send_reply
+    original_send_reply = world.clients[1].send_reply
 
     def evil_send_reply(request, entry):
         def evict(_sent):
@@ -382,7 +382,7 @@ def test_retrieve_race_falls_back_to_server():
 
         original_send_reply(request, entry).add_callback(evict)
 
-    world.clients[1]._send_reply = evil_send_reply
+    world.clients[1].send_reply = evil_send_reply
     world.access(0, 7)
     assert world.metrics.outcomes[RequestOutcome.SERVER] == 1
 

@@ -551,6 +551,47 @@ def test_unicast_route_validates_path():
         net.unicast_route([0], Message(MessageKind.DATA, 0, 0, 10))
 
 
+HUDDLE = [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)]
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_broadcast_from_an_unknown_host_is_rejected_at_the_call(bad):
+    # -1 used to transmit as host 2 (hosts 0 and 1 heard it, 2 was charged).
+    env, net, ledger = make_net(HUDDLE)
+    heard = []
+    for node in range(3):
+        net.register_handler(node, lambda m, node=node: heard.append(node))
+    with pytest.raises(ValueError, match=f"no host {bad}: hosts are 0..2"):
+        net.broadcast(bad, Message(MessageKind.REQUEST, 0, None, 64))
+    env.run()
+    assert heard == [] and net.broadcasts == 0 and ledger.total() == 0.0
+    assert env.events_processed == 0
+
+
+@pytest.mark.parametrize("path", [[0, 3], [0, -1], [-3, 1], [0, 1, 9], [5, 0, 1]])
+def test_route_through_an_unknown_host_is_rejected_at_the_call(path):
+    env, net, ledger = make_net(HUDDLE)
+    # A busy sender used to defer the bad hop into env.run().
+    net.broadcast(0, Message(MessageKind.REQUEST, 0, None, 1000))
+    with pytest.raises(ValueError, match="no host"):
+        net.unicast_route(path, Message(MessageKind.DATA, path[0], path[-1], 10))
+    env.run()
+    assert net.unicasts == 0 and net.broadcasts == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_host_wiring_rejects_unknown_hosts(bad):
+    env, net, _ = make_net(HUDDLE)
+    with pytest.raises(ValueError, match=f"no host {bad}"):
+        net.register_handler(bad, lambda m: None)
+    with pytest.raises(ValueError, match=f"no host {bad}"):
+        net.set_connected(bad, False)
+    with pytest.raises(ValueError, match=f"no host {bad}"):
+        net.watch_down(bad, env.event())
+    assert net.connected == [True, True, True]
+    assert net._handlers == [None, None, None]
+
+
 def test_network_validates_parameters():
     env = Environment()
     field = MobilityField([StationaryTrajectory((0, 0))])

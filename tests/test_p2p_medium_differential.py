@@ -8,9 +8,10 @@ through the same traffic and requires ``==`` (floats included, no
 tolerance) on everything a run could observe, after every step: every
 per-host, per-purpose ledger value, every busy horizon, every delivery,
 every unicast's outcome and the instant it resolved, every counter and the
-kernel's event count.  Each side starts a send the way its client does: a
+kernel's event count (``events_processed``: a bare call and an event each
+count one pop).  Each side starts a send the way its client does: a
 reference send in a process of its own (one bootstrap event), a frame in a
-zero-delay timeout callback.
+zero-delay bare call (``Environment.call_later``).
 """
 
 import numpy as np
@@ -108,12 +109,12 @@ class Side:
             self.env.process(process())
         else:
 
-            def callback(_event):
+            def call():
                 sent = start(self.net)
                 if sent is not None:
                     sent.add_callback(lambda done: self.record(step, done.value))
 
-            self.env.timeout(0.0).callbacks.append(callback)
+            self.env.call_later(0.0, call)
 
     def apply(self, step, op, message):
         net = self.net

@@ -51,7 +51,7 @@ def test_replier_disconnects_between_reply_and_retrieve():
     world = World([(0.0, 0.0), (30.0, 0.0)], scheme=CachingScheme.CC)
     world.give_item(1, item=7)
 
-    original = world.clients[1]._send_reply
+    original = world.clients[1].send_reply
 
     def reply_then_vanish(request, entry):
         def vanish(_sent):
@@ -60,7 +60,7 @@ def test_replier_disconnects_between_reply_and_retrieve():
 
         original(request, entry).add_callback(vanish)
 
-    world.clients[1]._send_reply = reply_then_vanish
+    world.clients[1].send_reply = reply_then_vanish
     world.access(0, 7)
     # The retrieve fails; the requester must still resolve via the server.
     assert world.metrics.outcomes[RequestOutcome.SERVER] == 1

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -609,3 +611,168 @@ def test_unwatched_failed_process_still_raises_from_run():
         env.run()
     assert proc.processed and not proc.ok
     assert env.events_processed == 3  # bootstrap, timeout, the failure event
+
+
+# -- infinite instants are rejected at the call ------------------------------
+
+
+def test_infinite_timeout_rejected_and_the_clock_stays_finite():
+    env = Environment()
+    with pytest.raises(SimulationError, match="timeout delay must be finite.*inf"):
+        env.timeout(float("inf"))
+    assert env.pending_events == 0
+    env.run()
+    assert env.now == 0.0
+
+
+def test_timeout_at_rejects_infinity_and_leaves_the_clock_finite():
+    env = Environment(initial_time=1.0)
+    with pytest.raises(SimulationError, match=r"when=inf.*finite"):
+        env.timeout_at(float("inf"))
+    env.run()
+    assert env.now == 1.0 and env.pending_events == 0
+
+
+@pytest.mark.parametrize("delay", [float("inf"), float("nan"), -0.5])
+def test_call_later_rejects_a_non_finite_or_negative_delay(delay):
+    env = Environment()
+    with pytest.raises(SimulationError, match="call_later delay must be finite"):
+        env.call_later(delay, lambda: None)
+    assert env.pending_events == 0
+
+
+# -- bare calls share one (when, seq) order with events ----------------------
+
+
+def _interleaving(env, rng, log, n_ops=120):
+    """Schedule a seeded mix of calls, timeouts, absolute timeouts and
+    succeeded events on ``env``; return the expected pop order as
+    ``(when, tag)`` sorted by ``(when, seq)``."""
+    expected = []
+    seq = 0
+    for tag in range(n_ops):
+        kind = rng.choice(["call", "timeout", "timeout_at", "succeed"])
+        # Few distinct instants, so many entries tie on `when`.
+        delay = rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 2.25, rng.random() * 3])
+        when = env.now + delay
+        if kind == "call":
+            env.call_later(delay, lambda tag=tag: log.append((env.now, tag)))
+        elif kind == "timeout":
+            env.timeout(delay).callbacks.append(
+                lambda _event, tag=tag: log.append((env.now, tag))
+            )
+        elif kind == "timeout_at":
+            env.timeout_at(when).callbacks.append(
+                lambda _event, tag=tag: log.append((env.now, tag))
+            )
+        else:
+            when = env.now
+            event = env.event()
+            event.callbacks.append(lambda _event, tag=tag: log.append((env.now, tag)))
+            event.succeed()
+        seq += 1
+        expected.append((when, seq, tag))
+    return [(when, tag) for when, _seq, tag in sorted(expected)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_calls_and_events_pop_in_one_when_seq_order(seed):
+    rng = random.Random(seed)
+    env = Environment()
+    log = []
+    expected = _interleaving(env, rng, log)
+    env.run()
+    assert log == expected
+    assert env.events_processed == len(expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_and_run_dispatch_the_same_script_identically(seed):
+    logs, counts = [], []
+    for drive in ("run", "step"):
+        env = Environment(initial_time=0.5)
+        log = []
+        expected = _interleaving(env, random.Random(seed), log)
+        if drive == "run":
+            env.run()
+        else:
+            while env.pending_events:
+                env.step()
+        assert log == expected
+        logs.append(log)
+        counts.append((env.events_processed, env.now))
+    assert logs[0] == logs[1] and counts[0] == counts[1]
+
+
+def test_a_call_scheduled_from_a_call_runs_behind_what_is_queued_for_now():
+    env = Environment()
+    order = []
+
+    def first():
+        order.append("a")
+        env.call_later(0.0, lambda: order.append("c"))
+
+    env.call_later(0.0, first)
+    env.timeout(0.0).callbacks.append(lambda _event: order.append("b"))
+    env.run()
+    assert order == ["a", "b", "c"] and env.events_processed == 3
+
+
+def test_a_monitor_sees_every_push_and_pop_calls_included():
+    class Counter:
+        def __init__(self):
+            self.scheduled = []
+            self.stepped = []
+
+        def on_schedule(self, env, when):
+            self.scheduled.append(when)
+
+        def on_step(self, env, when):
+            self.stepped.append(when)
+
+        def on_condition_fire(self, condition):
+            pass
+
+    for drive in ("run", "step"):
+        monitor = Counter()
+        env = Environment(monitor=monitor)
+        env.call_later(1.0, lambda: env.call_later(0.5, lambda: None))
+        env.timeout(2.0)
+        env.call_later(0.0, lambda: None)
+        assert monitor.scheduled == [1.0, 2.0, 0.0]
+        if drive == "run":
+            env.run()
+        else:
+            while env.pending_events:
+                env.step()
+        assert monitor.scheduled == [1.0, 2.0, 0.0, 1.5]
+        assert monitor.stepped == [0.0, 1.0, 1.5, 2.0]
+        assert env.events_processed == 4
+
+
+def test_a_raising_call_leaves_run_counted_with_the_rest_queued():
+    env = Environment()
+    ran = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    env.call_later(1.0, lambda: ran.append("before"))
+    env.call_later(2.0, boom)
+    env.call_later(2.0, lambda: ran.append("same instant"))
+    env.timeout(3.0)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert ran == ["before"]
+    assert env.now == 2.0 and env.events_processed == 2 and env.pending_events == 2
+    env.run()
+    assert ran == ["before", "same instant"] and env.events_processed == 4
+    assert env.now == 3.0
+
+
+def test_calls_leave_the_timeout_free_list_alone():
+    env = Environment()
+    for delay in (0.0, 1.0, 2.0):
+        env.call_later(delay, lambda: None)
+    env.run()
+    assert env.freelist_hits == 0 and env._timeout_free == []
