@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Seven subcommands cover the common workflows::
+Six subcommands cover the common workflows::
 
     python -m repro run      --scheme GC --clients 20 --seed 7 [--check]
     python -m repro compare  --clients 20 --cache-size 30
     python -m repro sweep    fig2 --scale quick --jobs 4 --cache results/cache
     python -m repro trace    summarize results/traces
-    python -m repro lint     src/repro --project
     python -m repro policies list [--namespace replacement]
     python -m repro check    golden record|verify [--fixtures DIR]
 
@@ -19,8 +18,8 @@ regenerates one of the paper's figures as a text table (see DESIGN.md
 for the figure index) through the execution layer — parallel workers
 (``--jobs``), the persistent result cache (``--cache``) and per-run
 trace bundles (``--trace-out DIR``); ``trace summarize`` folds recorded
-timelines into a per-phase latency breakdown; ``lint`` runs simlint
-(docs/ANALYSIS.md); ``check golden`` records or replays the committed
+timelines into a per-phase latency breakdown; ``policies list`` prints
+the policy tables; ``check golden`` records or replays the committed
 golden-trace fixtures.
 """
 
@@ -254,41 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a trace.jsonl file, or a directory searched recursively",
     )
 
-    lint_parser = commands.add_parser(
-        "lint",
-        help="simlint: static determinism / kernel / config-contract checks",
-    )
-    lint_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        metavar="PATH",
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint_parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        dest="output_format",
-        help="report format on stdout (default text)",
-    )
-    lint_parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program rules (project index / call graph) "
-        "over the full file set",
-    )
-    lint_parser.add_argument(
-        "--json-report",
-        metavar="FILE",
-        help="also write the JSON report to FILE (the CI artifact)",
-    )
-    lint_parser.add_argument(
-        "--rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-
     policies_parser = commands.add_parser(
         "policies", help="inspect the policy tables"
     )
@@ -417,22 +381,6 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_lint_command(args: argparse.Namespace) -> int:
-    """Handler of the ``lint`` subcommand."""
-    # Imported lazily: the analysis package is not needed by simulations.
-    from repro.analysis.runner import render_rule_catalogue, run_lint
-
-    if args.rules:
-        print(render_rule_catalogue())
-        return 0
-    return run_lint(
-        [Path(p) for p in args.paths],
-        output_format=args.output_format,
-        json_report=Path(args.json_report) if args.json_report else None,
-        project=args.project,
-    )
-
-
 def _run_policies_command(args: argparse.Namespace) -> int:
     """Handler of the ``policies`` subcommand: one ``key summary`` line
     per policy, its citation beneath."""
@@ -528,8 +476,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "sweep":
         return _run_sweep_command(args)
-    if args.command == "lint":
-        return _run_lint_command(args)
     if args.command == "trace":
         return _run_trace_command(args)
     if args.command == "policies":

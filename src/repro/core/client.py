@@ -1100,7 +1100,7 @@ class MobileHost:
             if victim is not None:
                 self.cache.evict(victim.item)
                 if self.signatures is not None:
-                    self.signatures.record_evict(victim.item, self.cache.items())
+                    self.signatures.record_evict(victim.item, self.cache)
                 if self._tracer is not None:
                     self._tracer.instant(
                         "cache-evict", host=self.index, item=victim.item

@@ -8,7 +8,6 @@ least ``measure_requests`` further requests (capped by ``max_sim_time``).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from repro.core.client import MobileHost
@@ -29,7 +28,7 @@ from repro.net.p2p import P2PNetwork
 from repro.net.power import PowerLedger
 from repro.policies import factory as policy_factory
 from repro.sim.kernel import Environment
-from repro.sim.profile import RunProfile
+from repro.sim.profile import RunProfile, wall_clock
 from repro.sim.random import RandomStreams
 from repro.signatures.bloom import SignatureScheme
 
@@ -330,7 +329,7 @@ def run_simulation(config: SimulationConfig, monitor=None, observer=None) -> Res
     sample taken — before this function returns.
     """
     global _SIMULATIONS_RUN
-    start = time.perf_counter()  # simlint: allow[no-wall-clock] reason=profiling only; never feeds simulated time
+    start = wall_clock()
     simulation = Simulation(config, monitor=monitor, observer=observer)
     results = simulation.run()
     if monitor is not None:
@@ -338,7 +337,7 @@ def run_simulation(config: SimulationConfig, monitor=None, observer=None) -> Res
     if observer is not None:
         observer.finalize(simulation)
     _SIMULATIONS_RUN += 1
-    elapsed = time.perf_counter() - start  # simlint: allow[no-wall-clock] reason=profiling only; never feeds simulated time
+    elapsed = wall_clock() - start
     results.profile = simulation.profile(elapsed)
     return results
 

@@ -9,8 +9,9 @@ The tracer records three kinds of :class:`TraceEvent`:
 
 Timestamps are **always** ``env.now`` of the bound
 :class:`~repro.sim.kernel.Environment` — callers never pass a time, so a
-wall-clock value cannot leak into a trace (and the ``no-wall-clock``
-simlint rule keeps host-clock reads out of simulated code).
+wall-clock value cannot leak into a trace (and
+``tests/test_source_hazards.py`` keeps host-clock reads out of simulated
+code).
 
 The tracer is passive: it draws no randomness, schedules no events and
 never touches simulation state, so attaching it cannot change a run's

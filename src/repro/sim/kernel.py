@@ -29,8 +29,8 @@ docs/PERFORMANCE.md, "The DES kernel".
 The one hot-path mechanism that pays is kept: the loop recycles
 :class:`Timeout` objects through a free list once it is provably their
 only owner (the timeouts processes wait on; frame steps are bare calls).
-The ``kernel-hot-alloc`` simlint rule guards the loop against
-per-event allocations creeping back in.
+``tests/test_source_hazards.py`` guards the loop against per-event
+allocations creeping back in.
 """
 
 from __future__ import annotations

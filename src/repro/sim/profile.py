@@ -10,17 +10,21 @@ runs of the same configuration still compare equal even though their
 wall-clock times differ — the serial/parallel determinism guarantee is
 stated over the *simulated* outcome, never over timing.
 
-Collection is cheap (two ``perf_counter`` calls and a handful of integer
+Collection is cheap (two :func:`wall_clock` reads and a handful of integer
 reads per run), so :func:`repro.core.simulation.run_simulation` attaches a
-profile to every result unconditionally.
+profile to every result unconditionally.  This module is the only one in
+``src/`` that imports the host clock (``tests/test_source_hazards.py``):
+:func:`wall_clock` is ``time.perf_counter``, for profiling only, and never
+feeds simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter as wall_clock
 from typing import Dict
 
-__all__ = ["RunProfile"]
+__all__ = ["RunProfile", "wall_clock"]
 
 
 @dataclass

@@ -68,6 +68,17 @@ def test_jain_fairness_intermediate():
     assert 1 / 3 < value < 1.0
 
 
+@pytest.mark.parametrize(
+    "values, named",
+    [([1, -1], "-1.0"), ([1, float("nan")], "nan"), ([float("inf"), 1], "inf")],
+)
+def test_jain_fairness_rejects_negative_and_non_finite_values(values, named):
+    """Outside [0, inf) the index leaves its [1/n, 1] range (or turns NaN
+    with a RuntimeWarning), so such a value is refused by name."""
+    with pytest.raises(ValueError, match=named):
+        jain_fairness(values)
+
+
 # -- end-to-end over a run ----------------------------------------------------------
 
 

@@ -37,7 +37,6 @@ CLI_OPTIONS = {
         "--sample-period", "--scale", "--timeout", "--trace-out",
     ],  # fmt: skip
     "trace summarize": [],
-    "lint": ["--format", "--json-report", "--project", "--rules"],
     "policies list": ["--namespace"],
     "check golden": ["--fixtures"],
 }
