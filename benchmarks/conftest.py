@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing, each writes its rendered series to
 ``results/<name>.txt`` (and stdout) so the numbers survive output capture;
-``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  A
+``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  The
 figure bench also writes ``results/<stem>.json``: the git revision,
 profile and source digest the series was measured at, the cache key of
 every (row, x) cell and, for a paper figure, its table at one cheap x at the ``quick`` profile (``QUICK_CELLS``), which tier-1
@@ -28,7 +28,6 @@ import pytest
 
 import repro
 from repro.experiments import (
-    FIGURES,
     active_profile,
     config_key,
     format_sweep_table,
@@ -77,22 +76,6 @@ def record_table(results_dir):
         print(text)
 
     return _record
-
-
-@pytest.fixture()
-def run_figure(benchmark, record_table):
-    """Time one ``FIGURES`` row with the suite-wide ``REPRO_JOBS`` fan-out
-    and record its table under the row's stem."""
-
-    def _run(key: str, **sweep_kwargs):
-        figure = FIGURES[key]
-        sweep_kwargs.setdefault("jobs", SWEEP_JOBS)
-        table = run_once(benchmark, lambda: run_sweep(figure, **sweep_kwargs))
-        record_table(figure.stem, format_sweep_table(table, figure.title))
-        write_provenance(figure, table)
-        return table
-
-    return _run
 
 
 def git_revision() -> str:

@@ -131,8 +131,17 @@ def _job_count(text: str) -> int:
     return value
 
 
-def _sample_period(text: str) -> float:
-    """argparse type for --sample-period: positive, finite seconds."""
+def _attempt_count(text: str) -> int:
+    """argparse type for --attempts: at least one execution per run."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type for --sample-period and --timeout: positive, finite
+    seconds."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--sample-period",
-        type=_sample_period,
+        type=_seconds,
         default=5.0,
         metavar="SECONDS",
         help="time-series sampler period in simulated seconds (default 5)",
@@ -208,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         metavar="SECONDS",
         help="kill a run exceeding this wall-clock budget (needs --jobs >= 2)",
     )
     sweep_parser.add_argument(
         "--attempts",
-        type=int,
+        type=_attempt_count,
         default=2,
         metavar="N",
         help="executions per run before it is quarantined (default 2)",
@@ -232,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--sample-period",
-        type=_sample_period,
+        type=_seconds,
         default=5.0,
         metavar="SECONDS",
         help="time-series sampler period for traced runs (default 5)",

@@ -35,6 +35,7 @@ The harness tolerates misbehaving runs instead of losing the sweep:
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -161,6 +162,8 @@ def execute_runs(
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
     jobs = resolve_jobs(jobs)
     results: List[Optional[Results]] = [None] * len(specs)
     pending: List[int] = []

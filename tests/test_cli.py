@@ -98,6 +98,18 @@ def test_sample_period_must_be_positive_and_finite(capsys, command, period):
     ) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("option", "value", "error"),
+    [("--timeout", v, f"must be positive and finite, got {v}") for v in ("0", "-1", "nan", "inf")]
+    + [("--attempts", v, f"must be >= 1, got {v}") for v in ("0", "-1")],
+)
+def test_sweep_rejects_out_of_range_run_budgets(capsys, option, value, error):
+    with pytest.raises(SystemExit) as usage:
+        parse(["sweep", "fig2", "--jobs", "2", option, value])
+    assert usage.value.code == 2
+    assert f"repro sweep: error: argument {option}: {error}\n" in capsys.readouterr().err
+
+
 def test_figure_choices_cover_all_paper_figures():
     assert set(FIGURES) == {f"fig{i}" for i in range(2, 9)} | {
         "fig-loss",

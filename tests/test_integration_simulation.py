@@ -111,17 +111,32 @@ def test_gc_own_signature_consistent_with_cache():
 
 
 def test_data_updates_cause_validations_and_refreshes():
-    results = run_simulation(
-        small_config(data_update_rate=2.0, measure_requests=60)
-    )
-    assert results.validations > 0
-    assert results.validation_refreshes > 0
-    assert outcome_sum_is_total(results)
+    """Fig. 6 on what its table does not print, for every scheme."""
+    for scheme in CachingScheme:
+        results = run_simulation(
+            small_config(scheme=scheme, data_update_rate=2.0, measure_requests=60)
+        )
+        assert results.validations > 0, scheme
+        assert results.validation_refreshes > 0, scheme
+        assert outcome_sum_is_total(results)
 
 
 def test_no_updates_no_validations():
-    results = run_simulation(small_config(data_update_rate=0.0))
-    assert results.validations == 0
+    for scheme in CachingScheme:
+        results = run_simulation(small_config(scheme=scheme, data_update_rate=0.0))
+        assert results.validations == 0, scheme
+
+
+@pytest.mark.parametrize("scheme", list(CachingScheme), ids=lambda s: s.name)
+def test_lch_follows_skew_and_access_range(scheme):
+    """Figs. 3 and 4 on what their tables do not print: LCH rises with
+    skew and falls with access range."""
+
+    def lch(**overrides):
+        return run_simulation(small_config(scheme=scheme, **overrides)).lch_ratio
+
+    assert lch(theta=1.0) > lch(theta=0.0)
+    assert lch(access_range=400) < lch(access_range=40)
 
 
 def test_disconnection_cycles_run():

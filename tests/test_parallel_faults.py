@@ -36,6 +36,12 @@ def test_attempts_must_be_positive():
         execute_runs([], attempts=0)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_timeout_must_be_positive_and_finite(timeout):
+    with pytest.raises(ValueError, match="timeout must be positive and finite"):
+        execute_runs([], jobs=2, timeout=timeout)
+
+
 def test_serial_transient_failure_is_retried_to_success(flag_file):
     specs = make_specs(2)
     labels = []

@@ -4,7 +4,6 @@ and everything that exists must be reached by something that runs."""
 import ast
 import importlib
 import pkgutil
-import re
 from pathlib import Path
 
 import repro
@@ -77,22 +76,18 @@ def test_every_module_is_reached():
 
 def test_every_results_file_has_a_producer():
     """A ``results/*.txt`` is written by a bench: a ``FIGURES`` row's stem
-    counts only if some bench calls ``run_figure`` with the row's key, any
-    other file only if a bench names it."""
+    by the figure bench, which runs every key of the table, any other file
+    only if a bench names it."""
     benches = "".join(
         path.read_text(encoding="utf-8")
         for path in sorted((REPO_ROOT / "benchmarks").glob("*.py"))
     )
-    run = set(re.findall(r"run_figure\(\s*\"([^\"]+)\"", benches))
-    figure_stems = {figure.stem: key for key, figure in FIGURES.items()}
+    assert '@pytest.mark.parametrize("key", list(FIGURES))' in benches
+    figure_stems = {figure.stem for figure in FIGURES.values()}
     orphans = [
         path.name
         for path in sorted((REPO_ROOT / "results").glob("*.txt"))
-        if (
-            figure_stems[path.stem] not in run
-            if path.stem in figure_stems
-            else path.stem not in benches
-        )
+        if path.stem not in figure_stems and path.stem not in benches
     ]
     assert not orphans, f"results files nothing produces: {orphans}"
 

@@ -12,6 +12,7 @@ at the quick profile, which is re-simulated here too.
 """
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,11 @@ import repro
 from repro.experiments import FIGURES, format_sweep_table, jobs_from_env, run_sweep
 from repro.experiments.cache import source_digest
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from claims import ROOT, parse_table  # noqa: E402
+
+RESULTS = ROOT / "results"
+
 SCHEMES = ("LC", "CC", "GC")
 
 #: Stem -> the x label of the shared default point.
@@ -33,22 +38,6 @@ DEFAULT_POINT = {
     "fig7_scalability": "60",
     "fig8_disconnection": "0.0",
 }
-
-
-def parse_table(text: str):
-    """``(x labels, {panel: {row: cells}})`` of a rendered sweep table."""
-    labels, panels = None, {}
-    for line in text.splitlines():
-        if line.startswith("("):
-            panel = panels[line] = {}
-            header = True
-        elif "|" in line:
-            name, cells = line.split("|")
-            if header:
-                labels, header = cells.split(), False
-            else:
-                panel[name.strip()] = cells.split()
-    return labels, panels
 
 
 def point_cells(text: str, label: str):

@@ -56,8 +56,9 @@ def test_every_figure_has_a_marker():
         key
         for key, figure in FIGURES.items()
         if f"<!-- results/{figure.stem}.txt -->\n```" not in text
+        or f"<!-- claims {key} -->\n```" not in text
     ]
-    assert not missing, f"FIGURES rows with no marked block: {missing}"
+    assert not missing, f"FIGURES rows with no marked series or claims: {missing}"
 
 
 def test_committed_experiments_is_a_fixed_point():

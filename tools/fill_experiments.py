@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
-"""Copy every committed results series into EXPERIMENTS.md, in place.
+"""Regenerate, in place, every marked block of EXPERIMENTS.md.
 
 Run after ``pytest benchmarks/ --benchmark-only``:
 
-    python tools/fill_experiments.py
+    PYTHONPATH=src python tools/fill_experiments.py
 
-A measured block is a fenced block directly under a marker line naming
-its results file::
-
-    <!-- results/fig2_cache_size.txt -->
-    ```
-    ...rewritten from results/fig2_cache_size.txt...
-    ```
-
-Only the bodies of marked blocks are rewritten; everything else in
-EXPERIMENTS.md is prose, edited by hand.  A marker whose file is missing,
-or with no fenced block directly under it, is an error naming the marker
-(and nothing is written).
+A marked block is a fenced block directly under a marker line: under
+``<!-- results/<stem>.txt -->`` its body is that file, under
+``<!-- claims <figure> -->`` the figure's PASS / DEVIATION rows of the
+claims table (``tools/claims.py``).  Everything else in EXPERIMENTS.md is
+prose, edited by hand.  A marker whose file is missing, whose claims moved
+verdict, or with no fenced block directly under it, is an error naming
+the marker (and nothing is written).
 """
 
 from __future__ import annotations
@@ -25,18 +20,20 @@ import re
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import claims
+
+ROOT = claims.ROOT
 TARGET = ROOT / "EXPERIMENTS.md"
 
-#: ``<!-- results/<stem>.txt -->`` on a line of its own.
-MARKER = re.compile(r"^<!-- (results/[^\s/]+\.txt) -->\n", re.M)
+#: ``<!-- results/<stem>.txt -->`` or ``<!-- claims <figure> -->``, alone on a line.
+MARKER = re.compile(r"^<!-- (?:(results/[^\s/]+\.txt)|claims ([\w-]+)) -->\n", re.M)
 #: A fenced block: the opening fence line, the body, the closing fence.
 BLOCK = re.compile(r"(```[^\n]*\n).*?^```$", re.M | re.S)
 
 
 def fill(text: str, root: Path) -> str:
-    """``text`` with each marked block's body replaced by its file under
-    ``root``; raises ``ValueError`` naming the first broken marker."""
+    """``text`` with each marked block's body regenerated from the series
+    under ``root``; raises ``ValueError`` naming the first broken marker."""
     pieces = []
     position = 0
     for marker in MARKER.finditer(text):
@@ -44,11 +41,13 @@ def fill(text: str, root: Path) -> str:
         block = BLOCK.match(text, marker.end())
         if block is None:
             raise ValueError(f"{name}: no fenced block directly under the marker")
-        path = root / marker.group(1)
-        if not path.is_file():
-            raise ValueError(f"{name}: {path} does not exist")
-        body = path.read_text().rstrip("\n")
-        pieces += [text[position : marker.end()], block.group(1), body, "\n```"]
+        path, figure = marker.groups()
+        try:
+            body = claims.render(figure, root) if figure else (root / path).read_text()
+        except (OSError, KeyError, ValueError) as error:
+            raise ValueError(f"{name}: {error}") from None
+        pieces += [text[position : marker.end()], block.group(1), body.rstrip("\n")]
+        pieces.append("\n```")
         position = block.end()
     pieces.append(text[position:])
     return "".join(pieces)
