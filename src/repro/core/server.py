@@ -116,7 +116,7 @@ class MobileSupportStation:
         now = self.env.now
         reply = ServerReply(
             item=item,
-            version=int(self.database.version[item]),
+            version=self.database.version[item],
             expiry=now + self.database.assign_ttl(item, now),
             retrieve_time=now,
             added=added,
@@ -147,7 +147,7 @@ class MobileSupportStation:
         refreshed = self.database.updated_since(item, retrieve_time)
         reply = ValidationReply(
             refreshed=refreshed,
-            version=int(self.database.version[item]),
+            version=self.database.version[item],
             expiry=now + self.database.assign_ttl(item, now),
             retrieve_time=now if refreshed else retrieve_time,
             added=added,

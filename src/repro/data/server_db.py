@@ -55,9 +55,9 @@ class ServerDatabase:
         self.update_rate = float(update_rate)
         self.alpha = float(alpha)
         self.examine_interval = float(examine_interval)
-        self.version = np.zeros(self.n_data, dtype=np.int64)
-        self._last_update = np.zeros(self.n_data)  # t_l; creation time is 0
-        self._interval = np.full(self.n_data, np.nan)  # u_x; nan = never updated
+        self.version = [0] * self.n_data
+        self._last_update = [0.0] * self.n_data  # t_l; creation time is 0
+        self._interval = [math.nan] * self.n_data  # u_x; nan = never updated
         self.updates_applied = 0
         if self.update_rate > 0:
             env.process(self._update_process())
@@ -96,14 +96,14 @@ class ServerDatabase:
         estimate grows.  Returns the number of items aged.
         """
         now = self.env.now
-        idle_for = now - self._last_update
-        stale = ~np.isnan(self._interval) & (idle_for > self._interval)
-        if not stale.any():
-            return 0
-        self._interval[stale] = (
-            self.alpha * idle_for[stale] + (1.0 - self.alpha) * self._interval[stale]
-        )
-        return int(stale.sum())
+        alpha, interval = self.alpha, self._interval
+        aged = 0
+        for item, (last, u) in enumerate(zip(self._last_update, interval)):
+            idle = now - last
+            if idle > u:  # False for NaN: a never-updated item is not aged
+                interval[item] = alpha * idle + (1.0 - alpha) * u
+                aged += 1
+        return aged
 
     # -- client-facing API -----------------------------------------------------------
 

@@ -7,6 +7,7 @@ toward the hottest ranks, as in the paper's Fig. 3 sweep.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,12 @@ def _zipf_cdf(n: int, theta: float) -> np.ndarray:
     return cdf
 
 
+@lru_cache(maxsize=256)
+def _zipf_knots(n: int, theta: float) -> list[float]:
+    """:func:`_zipf_cdf` as floats for ``bisect``, one list per ``(n, theta)``."""
+    return _zipf_cdf(n, theta).tolist()
+
+
 class ZipfGenerator:
     """Inverse-CDF sampler over ranks ``0 .. n-1``."""
 
@@ -43,6 +50,7 @@ class ZipfGenerator:
         self.n = int(n)
         self.theta = float(theta)
         self._cdf = _zipf_cdf(self.n, self.theta)
+        self._knots = _zipf_knots(self.n, self.theta)
 
     def probability(self, rank: int) -> float:
         """P(rank), 0-based."""
@@ -53,7 +61,7 @@ class ZipfGenerator:
 
     def sample(self) -> int:
         """Draw one 0-based rank."""
-        return int(np.searchsorted(self._cdf, self.rng.random(), side="right"))
+        return bisect_right(self._knots, self.rng.random())
 
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` 0-based ranks."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,8 +110,6 @@ class MobilityField:
                 self._b_end[index] = -_INF  # resolve on first query
             else:
                 return False
-        self._base_traj = base
-        self._off_traj = off
         self._b_dyn = np.array([t is not None for t in base])
         self._o_dyn = np.array([t is not None for t in off])
         self._any_offset = bool(self._o_dyn.any())
@@ -119,10 +118,15 @@ class MobilityField:
         self._dt = np.empty(n)
         self._odt = np.empty(n)
         self._off_buf = np.empty((n, 2))
-        # [latest start, earliest end) over the active segments: while ``t``
-        # is inside it no segment can be stale.  Empty until first resolved.
-        self._fresh_from = _INF
-        self._fresh_until = -_INF
+        # Part 0 of a host is its base component, part 1 its offset.
+        self._parts = (
+            (base, self._b_start, self._b_end, self._b_org, self._b_vel),
+            (off, self._o_start, self._o_end, self._o_org, self._o_vel),
+        )
+        # Every active segment starts at or before the last resolve and ends
+        # after it.  +inf: none yet, so the first query builds the heap.
+        self._resolved_at = _INF
+        self._heap: List[Tuple[float, int, int]] = []
         return True
 
     def __len__(self) -> int:
@@ -143,30 +147,36 @@ class MobilityField:
     def _refresh_segments(self, t: float) -> None:
         """Re-resolve every expired active segment at time ``t``.
 
-        Ascending host order with base-before-offset per host reproduces
-        the scalar rebuild loop's trajectory-extension order exactly, so
-        the shared RNG stream sees identical draws.
+        They come off a heap of segment ends.  Ascending host order with
+        base-before-offset per host reproduces the scalar rebuild loop's
+        trajectory-extension order exactly, so the shared RNG stream sees
+        identical draws.
         """
-        if self._fresh_from <= t < self._fresh_until:
-            return
-        stale_b = ((t >= self._b_end) | (t < self._b_start)) & self._b_dyn
-        stale_o = ((t >= self._o_end) | (t < self._o_start)) & self._o_dyn
-        for index in np.nonzero(stale_b | stale_o)[0]:
-            if stale_b[index]:
-                segment = self._base_traj[index].active_segment(t)
-                self._b_start[index] = segment.start
-                self._b_end[index] = segment.end
-                self._b_org[index] = segment.origin
-                self._b_vel[index] = segment.velocity
-            if stale_o[index]:
-                segment = self._off_traj[index].active_segment(t)
-                self._o_start[index] = segment.start
-                self._o_end[index] = segment.end
-                self._o_org[index] = segment.origin
-                self._o_vel[index] = segment.velocity
-        # The static sentinels [0, inf) only narrow the window, never widen it.
-        self._fresh_from = float(max(self._b_start.max(), self._o_start.max()))
-        self._fresh_until = float(min(self._b_end.min(), self._o_end.min()))
+        if t < self._resolved_at:
+            # A backward query (a replay, or the first query): a segment
+            # starting after ``t`` is stale too.  Expire those, rebuild.
+            self._b_end[(self._b_start > t) & self._b_dyn] = -_INF
+            self._o_end[(self._o_start > t) & self._o_dyn] = -_INF
+            self._heap = [
+                (end, host, part)
+                for part, (paths, _, ends, _, _) in enumerate(self._parts)
+                for host, end in enumerate(ends.tolist())
+                if paths[host] is not None
+            ]
+            heapify(self._heap)
+        self._resolved_at = t
+        heap = self._heap
+        stale = []
+        while heap and heap[0][0] <= t:
+            stale.append(heappop(heap)[1:])
+        for index, part in sorted(stale):
+            paths, start, end, origin, velocity = self._parts[part]
+            segment = paths[index].active_segment(t)
+            start[index] = segment.start
+            end[index] = segment.end
+            origin[index] = segment.origin
+            velocity[index] = segment.velocity
+            heappush(heap, (segment.end, index, part))
 
     def positions(self, t: float) -> np.ndarray:
         """(N, 2) array of positions at time ``t`` (cached per bucket).

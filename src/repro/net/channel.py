@@ -26,7 +26,7 @@ instead of silently assuming delivery.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.faults import FaultInjector
 from repro.sim.kernel import Environment
@@ -82,23 +82,21 @@ class ServerChannel:
     def uplink_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.uplink_bps
 
-    def _send(self, link: _Link, hold_time: float):
-        """Book the link's next slot, sleep until the message has left it,
-        and return the queue-wait time.
+    def _book(self, link: _Link, size_bytes: int, hold: float) -> Tuple[float, float]:
+        """Book ``link``'s next slot; return the queue wait and the slot end.
 
-        The slot stays booked even if the sender is thrown out of the wait:
+        The slot stays booked even if the sender is thrown out of its wait:
         the horizon is all the link knows of its queue.
         """
-        env = self.env
-        now = env.now
+        if not 0 <= hold < math.inf:  # also False for NaN
+            raise ValueError(
+                f"message size must be >= 0 bytes and finite, got {size_bytes}"
+            )
+        now = self.env.now
         start = link.free_at if link.free_at > now else now
-        link.free_at = end = start + hold_time
+        link.free_at = end = start + hold
         link.in_flight += 1
-        try:
-            yield env.timeout_at(end)
-        finally:
-            link.in_flight -= 1
-        return start - now
+        return start - now, end
 
     def send_downlink(self, size_bytes: int):
         """Process helper: queue for and occupy the downlink.
@@ -107,13 +105,14 @@ class ServerChannel:
         Returns ``True`` when the message survived the channel (always, in
         the fault-free model).
         """
-        if not (size_bytes >= 0):  # not `size_bytes < 0`: that is False for NaN
-            raise ValueError(f"message size must be >= 0 bytes, got {size_bytes}")
+        link = self._downlink
+        waited, end = self._book(link, size_bytes, self.downlink_time(size_bytes))
         self.downlink_requests += 1
         self.bytes_down += size_bytes
-        waited = yield from self._send(
-            self._downlink, self.downlink_time(size_bytes)
-        )
+        try:
+            yield self.env.timeout_at(end)
+        finally:
+            link.in_flight -= 1
         self.downlink_wait += waited
         if self.faults is not None and self.faults.drop_downlink():
             self.downlink_drops += 1
@@ -125,11 +124,14 @@ class ServerChannel:
 
         Returns ``True`` when the message survived the channel.
         """
-        if not (size_bytes >= 0):  # not `size_bytes < 0`: that is False for NaN
-            raise ValueError(f"message size must be >= 0 bytes, got {size_bytes}")
+        link = self._uplink
+        waited, end = self._book(link, size_bytes, self.uplink_time(size_bytes))
         self.uplink_requests += 1
         self.bytes_up += size_bytes
-        waited = yield from self._send(self._uplink, self.uplink_time(size_bytes))
+        try:
+            yield self.env.timeout_at(end)
+        finally:
+            link.in_flight -= 1
         self.uplink_wait += waited
         if self.faults is not None and self.faults.drop_uplink():
             self.uplink_drops += 1

@@ -62,6 +62,36 @@ def test_zipf_single_sample_matches_population():
     assert counts.argmax() == 0
 
 
+class _Draws:
+    """An injected ``rng`` whose ``random()`` returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_zipf_bisect_matches_searchsorted_at_the_knots(n, theta):
+    """``sample()`` bisects a list copy of the CDF; at every knot, either
+    side of it, 0.0 and the largest double below 1.0 it picks the rank
+    ``np.searchsorted(..., side="right")`` picks."""
+    cdf = ZipfGenerator(rng(), n, theta)._cdf
+    draws = [0.0, float(np.nextafter(1.0, 0.0))]
+    for knot in cdf:
+        draws += [knot, np.nextafter(knot, -np.inf), np.nextafter(knot, np.inf)]
+    draws = [float(u) for u in draws]
+    generator = ZipfGenerator(_Draws(draws), n, theta)
+    for u in draws:
+        rank = generator.sample()
+        assert type(rank) is int
+        assert rank == int(np.searchsorted(cdf, u, side="right")), u
+    # One list per (n, theta), not one per host: a copy each is peak RSS.
+    assert ZipfGenerator(rng(1), n, theta)._knots is generator._knots
+
+
 def test_zipf_validation():
     with pytest.raises(ValueError):
         ZipfGenerator(rng(), 0, 0.5)
@@ -216,7 +246,7 @@ def test_fresh_database_has_infinite_ttl():
     env = Environment()
     db = ServerDatabase(env, rng(), n_data=10)
     assert db.assign_ttl(0) == math.inf
-    assert db.version.sum() == 0
+    assert sum(db.version) == 0
 
 
 def test_apply_update_bumps_version_and_interval():
@@ -227,6 +257,25 @@ def test_apply_update_bumps_version_and_interval():
     assert db.version[3] == 1
     assert db.update_interval(3) == pytest.approx(4.0)  # first gap since creation
     assert db.last_update_time(3) == 4.0
+
+
+def test_database_hands_out_python_scalars():
+    """No numpy scalar leaks into a CacheEntry, for an updated item with
+    TTL left and for a never-updated one alike."""
+    env = Environment()
+    db = ServerDatabase(env, rng(), n_data=10, update_rate=5.0)
+    fresh = ServerDatabase(env, rng(), n_data=10)
+    env.run(until=20.0)
+    ttls = [db.assign_ttl(item) for item in range(10)]
+    assert any(0.0 < ttl < math.inf for ttl in ttls)
+    assert fresh.assign_ttl(0) == math.inf
+    for database in (db, fresh):
+        for item in range(10):
+            assert type(database.assign_ttl(item)) is float
+            assert type(database.last_update_time(item)) is float
+            assert type(database.update_interval(item)) is float
+            assert type(database.updated_since(item, 1.0)) is bool
+            assert type(database.version[item]) is int
 
 
 def test_ewma_interval_update():

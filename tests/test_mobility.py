@@ -319,19 +319,31 @@ class _OpaqueTrajectory:
         return self._inner.position(t)
 
 
-def _paired_fields(seed, group_size, resolution):
-    """Two same-seeded fields: one vectorised, one forced onto the fallback."""
-    fast, _ = build_group_mobility(
-        rng(seed), 12, group_size, AREA, 1.0, 5.0, resolution=resolution
-    )
-    slow, _ = build_group_mobility(
-        rng(seed), 12, group_size, AREA, 1.0, 5.0, resolution=resolution
-    )
+def _paired(build, seed, resolution):
+    """Two fields over ``build(stream)`` from one seed, one vectorised and
+    one forced onto the fallback, and the mobility stream of each."""
+    streams = (rng(seed), rng(seed))
+    fast = MobilityField(build(streams[0]), resolution=resolution)
     slow = MobilityField(
-        [_OpaqueTrajectory(t) for t in slow.trajectories], resolution=resolution
+        [_OpaqueTrajectory(t) for t in build(streams[1])], resolution=resolution
     )
     assert fast._fast and not slow._fast
-    return fast, slow
+    return fast, slow, streams
+
+
+def _paired_fields(seed, group_size, resolution):
+    """:func:`_paired` over the paper's motion model, 12 hosts."""
+    return _paired(
+        lambda stream: build_group_mobility(
+            stream, 12, group_size, AREA, 1.0, 5.0
+        )[0].trajectories,
+        seed,
+        resolution,
+    )
+
+
+def _same_draws(streams):
+    return streams[0].bit_generator.state == streams[1].bit_generator.state
 
 
 @given(
@@ -349,20 +361,75 @@ def test_vectorised_snapshots_are_bitwise_identical_to_scalar(
     """The incremental fast path is a pure optimisation: every coordinate,
     including signed zeros, matches the per-host scalar rebuild bit for
     bit, and the shared RNG stream sees identical draws."""
-    fast, slow = _paired_fields(seed, group_size, resolution)
+    fast, slow, streams = _paired_fields(seed, group_size, resolution)
     for t in sorted(times):
         a = fast.positions(t)
         b = slow.positions(t)
         assert a.tobytes() == b.tobytes(), f"snapshot diverged at t={t}"
+    assert _same_draws(streams)
     assert fast.snapshot_rebuilds == 0
     assert slow.snapshot_refreshes == 0
 
 
 def test_vectorised_snapshot_handles_backward_queries_bitwise():
     """Out-of-order queries (cache-busting replays) still match exactly."""
-    fast, slow = _paired_fields(7, 4, 0.1)
+    fast, slow, _ = _paired_fields(7, 4, 0.1)
     for t in [0.0, 120.0, 30.0, 120.0, 0.05, 400.0, 399.95]:
         assert fast.positions(t).tobytes() == slow.positions(t).tobytes()
+
+
+class _QuarterSecondLegs(PiecewiseLinearTrajectory):
+    """Legs of 0.25, 0.5 or 1 s drawn from a shared stream: every segment
+    end is a multiple of 0.25 s, exact in binary, so many hosts' ends fall
+    on the same instants and on the query times themselves."""
+
+    def __init__(self, stream):
+        super().__init__(0.0, stream.uniform(0.0, 100.0, size=2))
+        self._stream = stream
+
+    def _next_segment(self, start, origin):
+        duration = (0.25, 0.5, 1.0)[self._stream.integers(3)]
+        velocity = self._stream.uniform(-5.0, 5.0, size=2)
+        return Segment(start, start + duration, origin, velocity)
+
+
+@pytest.mark.parametrize("resolution", [0.0, 1.0])
+def test_many_ends_in_one_bucket_and_an_end_at_the_query_time(resolution):
+    """Many segments expire inside one bucket (and several per host when a
+    query skips buckets), and ends land exactly on query times.  Base and
+    offset components both expire, so the heap must hand the stale hosts
+    over in the scalar loop's order."""
+
+    def build(stream):
+        return [
+            GroupMemberTrajectory(_QuarterSecondLegs(stream), stream, 20.0, 0.5, 1.0)
+            if host % 2
+            else _QuarterSecondLegs(stream)
+            for host in range(12)
+        ]
+
+    fast, slow, streams = _paired(build, 3, resolution)
+    for t in [0.0, 0.25, 1.0, 1.0, 1.75, 2.0, 5.0, 5.5, 9.0, 9.25, 20.0]:
+        assert fast.positions(t).tobytes() == slow.positions(t).tobytes(), t
+    assert _same_draws(streams)
+
+
+def test_interleaved_host_and_snapshot_queries_with_a_backward_one():
+    """``position_of`` and ``positions`` share the snapshot; a backward
+    query between them re-resolves through the one backward branch and
+    the heap carries on from there."""
+    fast, slow, streams = _paired_fields(11, 4, 0.1)
+    calls = [
+        (None, 0.0), (3, 12.34), (None, 60.0), (7, 60.05), (5, 20.0),
+        (None, 20.0), (0, 0.0), (None, 61.0), (11, 150.0), (None, 150.02),
+    ]  # fmt: skip
+    for host, t in calls:
+        if host is None:
+            a, b = fast.positions(t), slow.positions(t)
+        else:
+            a, b = fast.position_of(host, t), slow.position_of(host, t)
+        assert a.tobytes() == b.tobytes(), (host, t)
+    assert _same_draws(streams)
 
 
 # -- per-snapshot adjacency vs a scalar reference ---------------------------

@@ -182,13 +182,41 @@ def test_server_channel_rejects_bad_size_before_touching_any_state(link, bad):
     assert channel.uplink_wait == channel.downlink_wait == 0.0
 
 
+@pytest.mark.parametrize("link", ["uplink", "downlink"])
+def test_an_infinite_size_does_not_poison_the_link(link):
+    """An ``inf`` size is refused before the busy horizon moves, so the
+    link is not left busy for ever: the next send is served on time."""
+    env = Environment()
+    channel = ServerChannel(env, downlink_bps=8000.0, uplink_bps=8000.0)
+    send = channel.send_uplink if link == "uplink" else channel.send_downlink
+    with pytest.raises(ValueError, match="inf"):
+        next(send(math.inf))
+    assert (channel.uplink_requests, channel.bytes_up) == (0, 0)
+    assert (channel.downlink_requests, channel.bytes_down) == (0, 0)
+    outcomes = []
+
+    def sender():
+        yield env.timeout(0.5)
+        outcomes.append((yield from send(100)))
+
+    env.process(sender())
+    env.run()
+    # 100 bytes at 8000 bit/s hold the link 0.1 s, from the arrival on.
+    assert outcomes == [True] and env.now == 0.5 + 0.1
+    sent = (channel.uplink_requests, channel.bytes_up)
+    if link == "downlink":
+        sent = (channel.downlink_requests, channel.bytes_down)
+    assert sent == (1, 100)
+
+
 # -- busy horizon vs. the Resource-per-link design it replaced ---------------
 
 
 class _ResourceChannel(ServerChannel):
     """Reference: each link a capacity-1 :class:`Resource`, two kernel
-    events per message.  ``_send`` and the queue-length properties are the
-    pre-horizon bodies, verbatim."""
+    events per message.  ``send_downlink``, ``send_uplink``, their ``_send``
+    helper and the queue-length properties are the pre-horizon bodies,
+    verbatim."""
 
     def __init__(self, env, downlink_bps, uplink_bps, faults=None):
         super().__init__(env, downlink_bps, uplink_bps, faults=faults)
@@ -205,6 +233,28 @@ class _ResourceChannel(ServerChannel):
         finally:
             resource.release(grant)
         return waited
+
+    def send_downlink(self, size_bytes):
+        self.downlink_requests += 1
+        self.bytes_down += size_bytes
+        waited = yield from self._send(
+            self._downlink, self.downlink_time(size_bytes)
+        )
+        self.downlink_wait += waited
+        if self.faults is not None and self.faults.drop_downlink():
+            self.downlink_drops += 1
+            return False
+        return True
+
+    def send_uplink(self, size_bytes):
+        self.uplink_requests += 1
+        self.bytes_up += size_bytes
+        waited = yield from self._send(self._uplink, self.uplink_time(size_bytes))
+        self.uplink_wait += waited
+        if self.faults is not None and self.faults.drop_uplink():
+            self.uplink_drops += 1
+            return False
+        return True
 
     @property
     def downlink_queue_length(self):
