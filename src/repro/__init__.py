@@ -15,34 +15,48 @@ Quick start::
     config = SimulationConfig(scheme=CachingScheme.GC, measure_requests=50)
     results = run_simulation(config)
     print(results.access_latency, results.gch_ratio)
+
+Top-level names resolve on first use (PEP 562): ``import repro.core.config``
+does not load the invariant oracle (:mod:`repro.check`) or the tracer
+(:mod:`repro.obs`); ``from repro import Tracer`` loads the tracer then.
 """
 
-from repro.check import InvariantMonitor, InvariantViolation
-from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.metrics import (
-    Metrics,
-    RequestOutcome,
-    Results,
-)
-from repro.core.simulation import Simulation, compare_schemes, run_simulation
-from repro.obs import Observer, TimeSeriesSampler, Tracer, run_traced
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CachingScheme",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "Metrics",
-    "Observer",
-    "RequestOutcome",
-    "Results",
-    "Simulation",
-    "SimulationConfig",
-    "TimeSeriesSampler",
-    "Tracer",
-    "compare_schemes",
-    "run_simulation",
-    "run_traced",
-    "__version__",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "CachingScheme": "repro.core.config",
+    "InvariantMonitor": "repro.check",
+    "InvariantViolation": "repro.check",
+    "Metrics": "repro.core.metrics",
+    "Observer": "repro.obs",
+    "RequestOutcome": "repro.core.metrics",
+    "Results": "repro.core.metrics",
+    "Simulation": "repro.core.simulation",
+    "SimulationConfig": "repro.core.config",
+    "TimeSeriesSampler": "repro.obs",
+    "Tracer": "repro.obs",
+    "compare_schemes": "repro.core.simulation",
+    "run_simulation": "repro.core.simulation",
+    "run_traced": "repro.obs",
+}
+
+__all__ = list(_EXPORTS)
+__all__.append("__version__")
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's defining module and cache the name here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    """The module's globals and every public name, loaded or not."""
+    return sorted({*globals(), *_EXPORTS})

@@ -137,8 +137,10 @@ class InvariantMonitor:
     def __init__(self, mode: str = "raise", audit_interval: float = 5.0) -> None:
         if mode not in ("raise", "collect"):
             raise ValueError(f"mode must be 'raise' or 'collect', got {mode!r}")
-        if audit_interval <= 0:
-            raise ValueError("audit_interval must be positive")
+        if not (0 < audit_interval < math.inf):  # NaN fails every comparison
+            raise ValueError(
+                f"audit_interval must be positive and finite, got {audit_interval}"
+            )
         self.mode = mode
         self.audit_interval = float(audit_interval)
         self.seed: Optional[int] = None

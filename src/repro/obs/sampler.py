@@ -60,8 +60,8 @@ class TimeSeriesSampler:
     """Windowed time series of one run, sampled every ``period`` seconds."""
 
     def __init__(self, period: float = 5.0) -> None:
-        if not period > 0:
-            raise ValueError(f"sample period must be positive, got {period}")
+        if not (0 < period < math.inf):  # NaN fails every comparison
+            raise ValueError(f"sample period must be positive and finite, got {period}")
         self.period = float(period)
         self.rows: List[List[float]] = []
         self._simulation: Optional["Simulation"] = None

@@ -532,9 +532,9 @@ class Environment:
         scheduled, in order.
         """
         if until is not None:
-            if not (until >= self._now):  # not `until < now`: False for NaN
+            if not (self._now <= until < _INF):  # NaN fails every comparison
                 raise SimulationError(
-                    f"run(until={until}) must be >= now ({self._now})"
+                    f"run(until={until}) must be finite and >= now ({self._now})"
                 )
             limit = until
         else:

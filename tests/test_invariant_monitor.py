@@ -126,6 +126,13 @@ class _FakeCondition:
         self.events = [object()] * members
 
 
+@pytest.mark.parametrize("interval", [0, -1, math.nan, math.inf])
+def test_audit_interval_must_be_positive_and_finite(interval):
+    """Rejected at construction, not by the kernel once the audit runs."""
+    with pytest.raises(ValueError, match=f"audit_interval .* got {interval}"):
+        InvariantMonitor(audit_interval=interval)
+
+
 def test_schedule_in_past_hook():
     monitor = InvariantMonitor()
     with pytest.raises(InvariantViolation) as excinfo:

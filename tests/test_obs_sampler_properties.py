@@ -11,12 +11,13 @@
 import functools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.simulation import run_simulation
-from repro.obs import Observer
+from repro.obs import Observer, TimeSeriesSampler
 
 _CONFIG = SimulationConfig(
     scheme=CachingScheme.GC,
@@ -99,3 +100,15 @@ def test_windowed_series_integrates_to_aggregate(period):
     # The cumulative columns end at the aggregate too.
     assert sampler.series("requests")[-1] == results.requests
     assert sampler.series("local_hits")[-1] == results.local_hits
+
+
+@pytest.mark.parametrize("period", [0, -1, math.nan, math.inf])
+def test_sample_period_must_be_positive_and_finite(period):
+    """Rejected at construction, not by the kernel once sampling starts."""
+    with pytest.raises(ValueError, match=f"sample period .* got {period}"):
+        TimeSeriesSampler(period)
+
+
+def test_observer_rejects_an_infinite_sample_period():
+    with pytest.raises(ValueError, match="sample period .* got inf"):
+        Observer(sample_period=math.inf)

@@ -4,7 +4,10 @@ and everything that exists must be reached by something that runs."""
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.experiments import FIGURES
@@ -12,11 +15,37 @@ from repro.experiments import FIGURES
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+from cold_start import cold_start  # noqa: E402
+
 
 def test_top_level_exports():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    """Every exported name is the object its defining module holds, and
+    ``dir``, ``import *`` and an unknown name behave as for a plain module."""
+    assert repro.__all__ == [*repro._EXPORTS, "__version__"]
+    for name, module in repro._EXPORTS.items():
+        assert getattr(repro, name) is getattr(importlib.import_module(module), name)
     assert repro.__version__
+    assert set(repro.__all__) <= set(dir(repro))
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        _ = repro.no_such_name
+
+
+def test_a_run_loads_no_observer_on_import():
+    """A fresh interpreter that imports what a perfbench child imports
+    compiles neither the invariant oracle nor the tracer (nor ``csv``):
+    ``repro``'s top-level names resolve on first use."""
+    _, modules = cold_start()
+    loaded = [
+        name
+        for name in modules
+        if name == "csv" or name.startswith(("repro.check", "repro.obs"))
+    ]
+    assert "repro.core.simulation" in modules
+    assert not loaded, f"loaded by the run path: {loaded}"
 
 
 def test_subpackage_exports_resolve():

@@ -1,5 +1,6 @@
 """Unit tests for the DES kernel."""
 
+import math
 import random
 
 import pytest
@@ -102,6 +103,17 @@ def test_run_until_nan_raises_and_leaves_the_schedule_alone():
     with pytest.raises(SimulationError, match="nan"):
         env.run(until=float("nan"))
     assert env.now == 0 and env.pending_events == 1
+
+
+def test_run_until_inf_raises_and_leaves_the_clock_and_schedule_alone():
+    """``until=inf`` would drain the schedule and leave the clock at +inf,
+    where every later ``timeout`` is scheduled at +inf too."""
+    env = Environment()
+    env.timeout(3)
+    env.run(until=1)
+    with pytest.raises(SimulationError, match="inf"):
+        env.run(until=math.inf)
+    assert env.now == 1 and env.pending_events == 1
 
 
 @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
