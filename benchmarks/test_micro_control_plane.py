@@ -19,8 +19,9 @@ by tens of percent), and must end in the same state; the timings are
 reported, not gated (docs/PERFORMANCE.md, "The GroCoCa control plane").
 
 Beside each timing sits the ``tracemalloc`` bytes the state holds: the TCG
-manager after the replay (its N² matrices are alike on both sides, so the
-gap is the access counts) and a requester's peer vector after one TCG's
+manager after the replay (its ``wadm`` and ``member`` are alike on both
+sides, so the gap is the access counts and the similarity map against the
+dense dot-product matrix) and a requester's peer vector after one TCG's
 worth of SigReplies.  Byte counts do not depend on the machine's speed, so
 the sparse side holding fewer is asserted: a memory gate with no timing
 gate.

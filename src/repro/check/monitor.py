@@ -488,17 +488,17 @@ class InvariantMonitor:
         # Equal bytes are equal rows; comparing them costs no numpy reduction.
         if row.tobytes() == member[:, client].tobytes():
             near = tcg.wadm[client] <= tcg.distance_threshold
-            dot, sq_norms = tcg._dot, tcg._sq_norms
-            own = sq_norms.item(client)
+            dot, sq_norms = tcg._dot[client], tcg._sq_norms
+            own = sq_norms[client]
             threshold = tcg.similarity_threshold
             alike = []
             for other in near.nonzero()[0].tolist():
                 if other == client:
                     continue
                 # TCGManager.similarity_row's IEEE mul, sqrt and div, one pair.
-                product = own * sq_norms.item(other)
+                product = own * sq_norms[other]
                 if product > 0.0:
-                    similarity = dot.item(client, other) / math.sqrt(product)
+                    similarity = dot.get(other, 0.0) / math.sqrt(product)
                 else:
                     similarity = 0.0
                 if similarity >= threshold:

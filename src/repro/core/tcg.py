@@ -13,15 +13,17 @@ is symmetric by construction.  Membership changes are announced
 asynchronously: they are queued per client and drained the next time that
 client contacts the MSS.
 
-The ASM is maintained incrementally: per-pair dot products and per-client
-squared norms make one access an update of the item's holders, not an
-O(N · NData) recomputation.  So is Algorithm 3: a member is within Δ, so
-each client keeps its *neighbours*, the located clients within Δ of it.  A
-pair's distance changes only in ``record_location`` of one of its clients,
-its similarity only in ``record_access`` of one of them, and every pair's
-membership is current when a call starts.  So an access rechecks only the
-client's neighbours, and a location report only the pairs that enter or
-leave Δ (one that stays inside keeps its similarity, hence its membership).
+The ASM is maintained incrementally: per-pair dot products (one map per
+client, holding only the clients that share an item with it) and
+per-client squared norms make one access an update of the item's holders,
+not an O(N · NData) recomputation.  So is Algorithm 3: a member is within
+Δ, so each client keeps its *neighbours*, the located clients within Δ of
+it.  A pair's distance changes only in ``record_location`` of one of its
+clients, its similarity only in ``record_access`` of one of them, and every
+pair's membership is current when a call starts.  So an access rechecks
+only the client's neighbours, and a location report only the pairs that
+enter or leave Δ (one that stays inside keeps its similarity, hence its
+membership).
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ class TCGManager:
 
         # item -> {client: count}; a client that never accessed it has no key.
         self.access_counts: Dict[int, Dict[int, int]] = {}
-        self._dot = np.zeros((n_clients, n_clients))
-        self._sq_norms = np.zeros(n_clients)
+        # client -> {other: dot product}; a pair sharing no item has no key.
+        self._dot: List[Dict[int, float]] = [{} for _ in range(n_clients)]
+        self._sq_norms: List[float] = [0.0] * n_clients
         self.wadm = np.full((n_clients, n_clients), math.inf)
         self._has_location = np.zeros(n_clients, dtype=bool)
         self._x, self._y = np.zeros((2, n_clients))  # last reported positions
@@ -88,17 +91,24 @@ class TCGManager:
         """Fold a piggybacked location into the WADM; recheck pairs crossing Δ."""
         self._check_client(client)
         position = np.asarray(position, dtype=float)
-        if position.shape != (2,) or not all(map(math.isfinite, position)):
+        try:
+            x, y = position.tolist()
+            finite = math.isfinite(x) and math.isfinite(y)
+        except (TypeError, ValueError):  # not two numbers
+            finite = False
+        if not finite:
             raise ValueError(f"position must be two finite numbers, got {position!r}")
-        x, y = position.tolist()
         distances = np.hypot(self._x - x, self._y - y)
         row = self.wadm[client]
-        if self.omega < 1.0:  # at ω = 1 the blend is the distance itself
-            # An infinite entry is a first contact: no history to blend with.
-            blended = self.omega * distances + (1.0 - self.omega) * row
-            distances = np.where(np.isinf(row), distances, blended)
-        np.copyto(row, distances, where=self._has_location)
-        row[client] = math.inf  # never its own neighbour
+        if self._has_location.item(client) and self.omega < 1.0:
+            # Every located pair of a located client has a distance to blend,
+            # and (1 - ω)·∞ stays ∞ for the unlocated others and for itself.
+            row *= 1.0 - self.omega
+            distances *= self.omega
+            row += distances
+        else:  # a first report has no history; at ω = 1 nothing is blended
+            np.copyto(row, distances, where=self._has_location)
+            row[client] = math.inf  # never its own neighbour
         self.wadm[:, client] = row
         self._x[client], self._y[client] = x, y
         self._has_location[client] = True
@@ -124,12 +134,16 @@ class TCGManager:
             raise ValueError(f"item must be in [0, {self.n_data}), got {item!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
-        # A client that never accessed the item would add +0.0, which moves
-        # no entry of _dot (it is never -0.0): only the holders are touched.
+        # Only the holders share the item with the client, so only their
+        # pairs move; a client's own pair gets both adds, as a dense matrix's
+        # diagonal would.
         holders = self.access_counts.setdefault(item, {})
+        dot = self._dot
+        row = dot[client]
         for other, held in holders.items():
-            self._dot[client, other] += count * held
-            self._dot[other, client] += count * held
+            row[other] = row.get(other, 0.0) + count * held
+            theirs = dot[other]
+            theirs[client] = theirs.get(client, 0.0) + count * held
         previous = holders.get(client, 0)
         self._sq_norms[client] += 2.0 * count * previous + count * count
         holders[client] = previous + count
@@ -145,27 +159,34 @@ class TCGManager:
 
     def access_count(self, client: int, item: int) -> int:
         """How often ``client`` accessed ``item`` (Algorithm 2's vector entry)."""
+        self._check_client(client)
         return self.access_counts.get(item, {}).get(client, 0)
 
     def similarity(self, i: int, j: int) -> float:
         """Cosine similarity of two clients' access vectors (Equation 2)."""
+        self._check_client(i)
+        self._check_client(j)
         if i == j:
             return 1.0
         denominator = self._sq_norms[i] * self._sq_norms[j]
         if denominator <= 0.0:
             return 0.0
-        return float(self._dot[i, j] / math.sqrt(denominator))
+        return self._dot[i].get(j, 0.0) / math.sqrt(denominator)
 
     def similarity_row(self, client: int) -> np.ndarray:
-        denominator = self._sq_norms[client] * self._sq_norms
+        self._check_client(client)
+        dot = np.zeros(self.n_clients)
+        dot[list(self._dot[client])] = list(self._dot[client].values())
+        sq_norms = np.array(self._sq_norms)
+        denominator = sq_norms[client] * sq_norms
         row = np.zeros(self.n_clients)  # similarity with a client yet to access
-        np.divide(
-            self._dot[client], np.sqrt(denominator), out=row, where=denominator > 0.0
-        )
+        np.divide(dot, np.sqrt(denominator), out=row, where=denominator > 0.0)
         row[client] = 1.0
         return row
 
     def weighted_distance(self, i: int, j: int) -> float:
+        self._check_client(i)
+        self._check_client(j)
         return float(self.wadm[i, j])
 
     # -- Algorithm 3: membership checking ---------------------------------------------
@@ -175,15 +196,15 @@ class TCGManager:
     ) -> None:
         """Membership of the pairs a contact can have moved: each of
         ``inside`` (within Δ) is a member iff alike, none of ``outside`` is."""
-        member, dot, sq_norms = self.member, self._dot, self._sq_norms
-        own = sq_norms.item(client)
+        member, dot, sq_norms = self.member, self._dot[client], self._sq_norms
+        own = sq_norms[client]
         changed = 0
         for other in inside:
             # similarity_row's IEEE mul, sqrt and div on Python scalars: a
             # Python bool against an np.bool_ costs more than the whole test.
-            product = own * sq_norms.item(other)
+            product = own * sq_norms[other]
             if product > 0.0:
-                similarity = dot.item(client, other) / math.sqrt(product)
+                similarity = dot.get(other, 0.0) / math.sqrt(product)
             else:
                 similarity = 0.0
             alike = similarity >= self.similarity_threshold
@@ -208,6 +229,7 @@ class TCGManager:
 
     def tcg_of(self, client: int) -> Set[int]:
         """The current TCG of a client (live MSS view)."""
+        self._check_client(client)
         return set(self.member[client].nonzero()[0].tolist())
 
     def drain_changes(self, client: int) -> Tuple[Set[int], Set[int]]:

@@ -28,12 +28,13 @@ class SignatureScheme:
             raise ValueError("k must be >= 1")
         self.size_bits = int(size_bits)
         self.k = int(k)
-        self._a = rng.integers(1, _PRIME, size=self.k, dtype=np.int64)
-        self._b = rng.integers(0, _PRIME, size=self.k, dtype=np.int64)
+        a = rng.integers(1, _PRIME, size=self.k, dtype=np.int64)
+        b = rng.integers(0, _PRIME, size=self.k, dtype=np.int64)
+        # Python ints: a·x + b may pass 2**63, and int arithmetic is exact.
+        self._coefficients = tuple(zip(a.tolist(), b.tolist()))
         # positions() is a pure function of the item and the (fixed) hash
         # family, and the item universe is small (n_data), so the hot
-        # signature paths memoise it instead of redoing the object-dtype
-        # modular arithmetic per query.
+        # signature paths memoise it.
         self._positions: dict = {}
 
     def positions(self, item: int) -> Tuple[int, ...]:
@@ -41,10 +42,10 @@ class SignatureScheme:
         item = int(item)
         cached = self._positions.get(item)
         if cached is None:
-            values = (
-                self._a.astype(object) * item + self._b.astype(object)
-            ) % _PRIME
-            cached = tuple(int(v % self.size_bits) for v in values)
+            size = self.size_bits
+            cached = tuple(
+                (a * item + b) % _PRIME % size for a, b in self._coefficients
+            )
             self._positions[item] = cached
         return cached
 

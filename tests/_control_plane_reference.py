@@ -258,13 +258,25 @@ class DenseSignatureAgent(SignatureAgent):
 
 
 class RecomputingTCGManager(TCGManager):
-    """:class:`TCGManager` over an ``(N, n_data)`` access-count matrix,
-    re-deriving each row from the WADM and the ASM."""
+    """:class:`TCGManager` over an ``(N, n_data)`` access-count matrix and a
+    dense ``(N, N)`` dot-product matrix, re-deriving each row from the WADM
+    and the ASM."""
 
     def __init__(self, n_clients: int, n_data: int, *args, **kwargs):
         super().__init__(n_clients, n_data, *args, **kwargs)
         self.access_counts = np.zeros((n_clients, n_data), dtype=np.int64)
+        self._dot = np.zeros((n_clients, n_clients))
+        self._sq_norms = np.zeros(n_clients)
         self._last_position = np.zeros((n_clients, 2))
+
+    def similarity_row(self, client: int) -> np.ndarray:
+        denominator = self._sq_norms[client] * self._sq_norms
+        row = np.zeros(self.n_clients)
+        np.divide(
+            self._dot[client], np.sqrt(denominator), out=row, where=denominator > 0.0
+        )
+        row[client] = 1.0
+        return row
 
     def access_count(self, client: int, item: int) -> int:
         return int(self.access_counts[client, item])

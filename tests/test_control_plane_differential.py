@@ -68,6 +68,14 @@ def nonzero_map(dense):
     return {p: int(dense[p]) for p in np.flatnonzero(dense).tolist()}
 
 
+def dense_dot(manager):
+    """The (N, N) matrix of a :class:`TCGManager`'s per-client dot maps."""
+    dense = np.zeros((manager.n_clients, manager.n_clients))
+    for client, row in enumerate(manager._dot):
+        dense[client, list(row)] = list(row.values())
+    return dense
+
+
 def assert_same_peer(new, old):
     assert new.counters == nonzero_map(old.counters)
     assert all(type(p) is int and type(n) is int for p, n in new.counters.items())
@@ -298,7 +306,9 @@ class Instants:
 @given(
     st.sampled_from([0.0, 2.0, 3.0]),
     st.sampled_from([0.0, 0.5, 1.0]),
-    st.sampled_from([0.0, 0.5, 1.0]),
+    # 0.3 is not dyadic: ω·d and (1 − ω)·w round, so the in-place blend's
+    # operand order is exercised, not only its exact products.
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     TCG_OPS,
 )
 @settings(max_examples=200, deadline=None)
@@ -378,7 +388,12 @@ def test_sparse_access_counts_match_dense_matrix(similarity, ops):
             new.record_access(*last, count)
             old.record_access(*last, count)
         # Bitwise, not approximately: the skipped adds were all +0.0.
-        for name in ("_dot", "_sq_norms", "member", "wadm"):
+        assert dense_dot(new).tobytes() == old._dot.tobytes()
+        assert [sorted(row) for row in new._dot] == [
+            np.flatnonzero(row).tolist() for row in old._dot
+        ]
+        assert np.array(new._sq_norms).tobytes() == old._sq_norms.tobytes()
+        for name in ("member", "wadm"):
             assert np.array_equal(getattr(new, name), getattr(old, name))
         dense = {
             item: nonzero_map(old.access_counts[:, item])

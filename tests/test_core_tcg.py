@@ -216,14 +216,16 @@ def settled_pair():
 def snapshot(m):
     arrays = [
         array.copy()
-        for array in (
-            m.wadm, m.member,
-            m._dot, m._sq_norms, m._has_location, m._x, m._y,
-        )
+        for array in (m.wadm, m.member, m._has_location, m._x, m._y)
     ]
     counts = {item: dict(holders) for item, holders in m.access_counts.items()}
     neighbours = [set(near) for near in m._neighbours]
-    return arrays, counts, neighbours, m.membership_changes
+    dots = [dict(row) for row in m._dot]
+    announced = [set(told) for told in m._announced]
+    return (
+        arrays, counts, neighbours, dots, list(m._sq_norms), announced,
+        m.membership_changes,
+    )
 
 
 def assert_untouched(m, before):
@@ -267,12 +269,30 @@ def test_nan_position_no_longer_poisons_the_pair_for_good():
 @pytest.mark.parametrize("client", [-1, 3, 10**6])
 def test_client_out_of_range_is_rejected(client):
     m = settled_pair()
+    m.record_location(2, (2.0, 0.0))
+    m.record_access(2, 1)
+    assert m.tcg_of(2) == {0, 1}  # news the last client has not been told
     before = snapshot(m)
     with pytest.raises(ValueError, match=r"client must be in \[0, 3\)") as excinfo:
         m.record_location(client, (1.0, 1.0))
     assert str(client) in str(excinfo.value)
     with pytest.raises(ValueError, match=r"client must be in \[0, 3\)"):
         m.record_access(client, 1)
+    # A negative index must not answer for (or drain) the last client.
+    queries = [
+        lambda: m.tcg_of(client),
+        lambda: m.drain_changes(client),
+        lambda: m.full_view(client),
+        lambda: m.similarity_row(client),
+        lambda: m.access_count(client, 1),
+        lambda: m.similarity(client, 0),
+        lambda: m.similarity(0, client),
+        lambda: m.weighted_distance(client, 0),
+        lambda: m.weighted_distance(0, client),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match=r"client must be in \[0, 3\)"):
+            query()
     assert_untouched(m, before)
 
 

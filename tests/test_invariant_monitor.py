@@ -321,7 +321,7 @@ def test_tcg_distance_threshold_rule():
 
 def test_tcg_similarity_threshold_rule():
     tcg, monitor = _watched_tcg()
-    tcg._dot[0, 1] = 0.0  # clients 0 and 1 now look unrelated
+    tcg._dot[0][1] = 0.0  # clients 0 and 1 now look unrelated
     monitor.check_tcg_row(tcg, 0)
     assert [v.invariant for v in monitor.violations] == ["tcg-similarity-threshold"]
 

@@ -94,7 +94,7 @@ def apply(tcg, op):
             if rest[1]:
                 tcg.wadm[j, i] = moved
         elif kind == "dot":
-            tcg._dot[i, j] = rest[1]
+            tcg._dot[i][j] = rest[1]
         else:  # a neighbour set lies about j: on i's side, or on both
             sides = [(i, j)] if kind == "near-one-sided" else [(i, j), (j, i)]
             listed = j in tcg._neighbours[i]

@@ -24,6 +24,23 @@ def test_positions_differ_across_schemes_with_seeds():
     assert scheme(seed=1).positions(7) != scheme(seed=2).positions(7)
 
 
+@pytest.mark.parametrize("size, k", [(10_000, 2), (8, 3), (65_537, 1)])
+def test_positions_equal_the_object_dtype_formula(size, k):
+    """h_i(x) = ((a_i x + b_i) mod p) mod σ on Python ints is the formula
+    evaluated over object-dtype arrays: a·x + b passes 2**63 here."""
+    prime = (1 << 61) - 1
+    rng = np.random.default_rng(size)
+    a = rng.integers(1, prime, size=k, dtype=np.int64).astype(object)
+    b = rng.integers(0, prime, size=k, dtype=np.int64).astype(object)
+    items = [-12_345, *range(200_001)]
+    expected = (a[:, None] * np.array(items, dtype=object) + b[:, None]) % prime % size
+    s = SignatureScheme(np.random.default_rng(size), size, k)
+    assert [s.positions(item) for item in items] == [
+        tuple(int(p) for p in column) for column in expected.T.tolist()
+    ]
+    assert all(type(p) is int for p in s.positions(200_000))
+
+
 def test_bloom_no_false_negatives_basic():
     s = scheme()
     bloom = s.make_filter()

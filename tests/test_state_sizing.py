@@ -5,7 +5,8 @@ non-zero access counts, so neither grows with the signature length σ nor
 with the database size.  Each test runs at a σ or an n_data far beyond any
 figure and bounds the ``tracemalloc`` peak (numpy reports its buffers to
 it) at ten times or more what the sparse state needs: a σ-long or
-``(N, n_data)`` array shows up as hundreds of MiB or more.
+``(N, n_data)`` array shows up as hundreds of MiB or more.  The MSS's dot
+products are counted instead: one entry per client pair sharing an item.
 """
 
 import tracemalloc
@@ -57,6 +58,23 @@ def test_tcg_access_counts_are_not_n_data_wide():
     manager, peak = traced_peak_mib(build)
     assert peak < 1.0  # a dense (50, 10**7) matrix: 3 815 MiB
     assert manager.access_count(3, 3) == 2 and len(manager.access_counts) == 7
+
+
+def test_tcg_dot_products_hold_only_pairs_that_share_an_item():
+    n_clients, n_data = 1_000, 500
+    manager = TCGManager(n_clients, n_data, 100.0, 0.1, 0.5)
+    holders = {}
+    for client in range(n_clients):
+        # Two distinct items, each accessed once: no client pairs with itself.
+        for item in {client % n_data, 7 * client % n_data}:
+            manager.record_access(client, item)
+            holders.setdefault(item, set()).add(client)
+    sharing = {
+        (i, j) for group in holders.values() for i in group for j in group if i != j
+    }
+    assert sum(len(row) for row in manager._dot) == len(sharing)
+    assert {(i, j) for i, row in enumerate(manager._dot) for j in row} == sharing
+    assert len(sharing) < n_clients**2 // 100  # a dense matrix: 10**6 entries
 
 
 def test_gc_run_at_huge_sigma_stays_small():
