@@ -35,6 +35,7 @@ from repro.net.ndp import NeighborDiscovery
 from repro.net.p2p import P2PNetwork
 from repro.policies.factory import build_admission, build_replacement
 from repro.sim.kernel import Environment, Event
+from repro.sim.random import uniform
 from repro.signatures.bloom import SignatureScheme
 
 __all__ = ["MobileHost"]
@@ -1126,7 +1127,7 @@ class MobileHost:
         self.network.set_connected(self.index, False)
         if self.ndp is not None:
             self.ndp.forget(self.index)
-        duration = self.rng.uniform(self.config.disc_min, self.config.disc_max)
+        duration = float(uniform(self.rng, self.config.disc_min, self.config.disc_max))
         if self._tracer is not None:
             # Emitted after the RNG draw so traced runs stay bit-identical.
             self._tracer.instant(

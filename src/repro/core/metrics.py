@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum, auto
+from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from repro.net.power import PowerLedger
@@ -51,12 +51,13 @@ COUNTED_EVENTS = {
 
 
 class RequestOutcome(Enum):
-    """Section III's four outcomes of a client request."""
+    """Section III's four outcomes of a client request; a value is the
+    index of the outcome's counters in :class:`Metrics`."""
 
-    LOCAL_HIT = auto()
-    GLOBAL_HIT = auto()
-    SERVER = auto()
-    FAILURE = auto()
+    LOCAL_HIT = 0
+    GLOBAL_HIT = 1
+    SERVER = 2
+    FAILURE = 3
 
 
 # Module constants: ``record_request`` runs once per request, and loading a
@@ -150,7 +151,9 @@ class Metrics:
         self.scheme = scheme
         self.recording = False
         self.requests = 0
-        self.outcomes: Dict[RequestOutcome, int] = {o: 0 for o in RequestOutcome}
+        # Indexed by an outcome's ``_value_``: ``record_request`` runs once
+        # per request, and hashing an Enum member is a Python call.
+        self._counts = [0] * len(RequestOutcome)
         self.global_hits_tcg = 0
         self.validations = 0
         self.validation_refreshes = 0
@@ -160,12 +163,20 @@ class Metrics:
         self.mss_fallbacks = 0
         self.health_events: Dict[str, int] = {}
         self.latency = WelfordAccumulator()
-        self.latency_by_outcome: Dict[RequestOutcome, WelfordAccumulator] = {
-            o: WelfordAccumulator() for o in RequestOutcome
-        }
+        self._latencies = [WelfordAccumulator() for _ in RequestOutcome]
         self.per_client_requests: Optional[list] = None
         self._record_start_time = 0.0
         self._power_baseline: Dict[str, float] = {}
+
+    @property
+    def outcomes(self) -> Dict[RequestOutcome, int]:
+        """Requests recorded per outcome (a fresh dict)."""
+        return {o: self._counts[o._value_] for o in RequestOutcome}
+
+    @property
+    def latency_by_outcome(self) -> Dict[RequestOutcome, WelfordAccumulator]:
+        """The latency accumulator of each outcome."""
+        return {o: self._latencies[o._value_] for o in RequestOutcome}
 
     def start_recording(
         self, now: float, ledger: PowerLedger, n_clients: int
@@ -186,7 +197,8 @@ class Metrics:
         if not self.recording:
             return
         self.requests += 1
-        self.outcomes[outcome] += 1
+        index = outcome._value_
+        self._counts[index] += 1
         if outcome is _GLOBAL_HIT and from_tcg:
             self.global_hits_tcg += 1
         if outcome is not _FAILURE:
@@ -194,7 +206,7 @@ class Metrics:
             # the host tried, not an access latency, so it is kept in the
             # per-outcome breakdown but excluded from the headline mean.
             self.latency.add(latency)
-        self.latency_by_outcome[outcome].add(latency)
+        self._latencies[index].add(latency)
         if self.per_client_requests is not None:
             self.per_client_requests[client] += 1
 
@@ -243,7 +255,8 @@ class Metrics:
         by_purpose = ledger.by_purpose()
         baseline = self._power_baseline or {key: 0.0 for key in by_purpose}
         power = {key: by_purpose[key] - baseline.get(key, 0.0) for key in by_purpose}
-        gch = self.outcomes[RequestOutcome.GLOBAL_HIT]
+        outcomes = self.outcomes
+        gch = outcomes[RequestOutcome.GLOBAL_HIT]
         counted = power["data"] + power["signature"]
         if count_beacon_power:
             counted += power["beacon"]
@@ -256,11 +269,11 @@ class Metrics:
         return Results(
             scheme=self.scheme,
             requests=self.requests,
-            local_hits=self.outcomes[RequestOutcome.LOCAL_HIT],
+            local_hits=outcomes[RequestOutcome.LOCAL_HIT],
             global_hits=gch,
             global_hits_tcg=self.global_hits_tcg,
-            server_requests=self.outcomes[RequestOutcome.SERVER],
-            failures=self.outcomes[RequestOutcome.FAILURE],
+            server_requests=outcomes[RequestOutcome.SERVER],
+            failures=outcomes[RequestOutcome.FAILURE],
             access_latency=self.latency.mean,
             latency_stddev=self.latency.stddev,
             power_data=power["data"],

@@ -198,14 +198,19 @@ class MobilityField:
             return snapshot
         self._refresh_segments(t)
         # Segment.position(t) elementwise:  origin + velocity * clamp(t).
+        # The clamp is np.clip's min(max(t, start), end) without its Python
+        # wrapper frames; in this argument order a signed-zero tie resolves
+        # to the bound, as np.clip does, so the bits are np.clip's.
         dt = self._dt
-        np.clip(t, self._b_start, self._b_end, out=dt)
+        np.maximum(t, self._b_start, out=dt)
+        np.minimum(dt, self._b_end, out=dt)
         dt -= self._b_start
         np.multiply(self._b_vel, dt[:, None], out=snapshot)
         snapshot += self._b_org
         if self._any_offset:
             odt = self._odt
-            np.clip(t, self._o_start, self._o_end, out=odt)
+            np.maximum(t, self._o_start, out=odt)
+            np.minimum(odt, self._o_end, out=odt)
             odt -= self._o_start
             drift = np.multiply(self._o_vel, odt[:, None], out=self._off_buf)
             drift += self._o_org

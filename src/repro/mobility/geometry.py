@@ -8,6 +8,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.sim.random import uniform
+
 __all__ = ["Rectangle", "euclidean"]
 
 
@@ -19,8 +21,10 @@ class Rectangle:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"degenerate service area {self.width}x{self.height}")
+        for name in ("width", "height"):
+            side = getattr(self, name)
+            if not 0 < side < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be > 0 and finite, got {side}")
 
     def contains(self, point: np.ndarray, tolerance: float = 1e-9) -> bool:
         """Whether ``point`` lies inside the area (inclusive bounds)."""
@@ -32,9 +36,7 @@ class Rectangle:
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         """A uniform random point in the area."""
-        return np.array(
-            [rng.uniform(0.0, self.width), rng.uniform(0.0, self.height)]
-        )
+        return np.array([uniform(rng, 0.0, self.width), uniform(rng, 0.0, self.height)])
 
     def clamp(self, point: np.ndarray) -> np.ndarray:
         """Project ``point`` onto the area."""
@@ -63,7 +65,7 @@ def random_point_in_disc(
     rng: np.random.Generator, radius: float
 ) -> Tuple[float, float]:
     """A uniform random point in a disc of the given radius around (0, 0)."""
-    angle = rng.uniform(0.0, 2.0 * math.pi)
+    angle = uniform(rng, 0.0, 2.0 * math.pi)
     # sqrt for area-uniform sampling.
-    r = radius * math.sqrt(rng.uniform(0.0, 1.0))
+    r = radius * math.sqrt(uniform(rng, 0.0, 1.0))
     return (r * math.cos(angle), r * math.sin(angle))

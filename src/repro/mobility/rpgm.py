@@ -11,6 +11,8 @@ VI-C of the paper.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.mobility.geometry import random_point_in_disc
@@ -19,6 +21,7 @@ from repro.mobility.trajectory import (
     Segment,
     Trajectory,
 )
+from repro.sim.random import uniform
 
 __all__ = ["GroupMemberTrajectory"]
 
@@ -43,7 +46,7 @@ class _OffsetTrajectory(PiecewiseLinearTrajectory):
 
     def _next_segment(self, start: float, origin: np.ndarray) -> Segment:
         target = np.array(random_point_in_disc(self._rng, self._span))
-        duration = self._rng.uniform(self._leg_min, self._leg_max)
+        duration = uniform(self._rng, self._leg_min, self._leg_max)
         velocity = (target - origin) / duration
         return Segment(start, start + duration, origin, velocity)
 
@@ -60,10 +63,12 @@ class GroupMemberTrajectory(Trajectory):
         leg_max: float = 15.0,
         start_time: float = 0.0,
     ):
-        if span < 0:
-            raise ValueError("span must be >= 0")
-        if not 0 < leg_min <= leg_max:
-            raise ValueError("need 0 < leg_min <= leg_max")
+        if not 0 <= span < math.inf:  # NaN fails every comparison
+            raise ValueError(f"span must be >= 0 and finite, got {span}")
+        if not 0 < leg_min <= leg_max < math.inf:
+            raise ValueError(
+                f"need 0 < leg_min <= leg_max < inf, got {leg_min}, {leg_max}"
+            )
         self.reference = reference
         self.span = float(span)
         if span == 0:

@@ -49,6 +49,8 @@ class StationaryTrajectory(Trajectory):
 
     def __init__(self, point):
         self._point = np.asarray(point, dtype=float)
+        if not np.isfinite(self._point).all():
+            raise ValueError(f"point must be finite, got {point}")
 
     def position(self, t: float) -> np.ndarray:
         return self._point

@@ -7,10 +7,13 @@ pauses (the paper uses a one-second pause time).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.mobility.geometry import Rectangle, euclidean
 from repro.mobility.trajectory import PiecewiseLinearTrajectory, Segment
+from repro.sim.random import uniform
 
 __all__ = ["RandomWaypointTrajectory"]
 
@@ -30,10 +33,10 @@ class RandomWaypointTrajectory(PiecewiseLinearTrajectory):
         start_time: float = 0.0,
         start_point: np.ndarray = None,
     ):
-        if not 0 < v_min <= v_max:
-            raise ValueError(f"need 0 < v_min <= v_max, got {v_min}, {v_max}")
-        if pause_time < 0:
-            raise ValueError("pause_time must be >= 0")
+        if not 0 < v_min <= v_max < math.inf:  # NaN fails every comparison
+            raise ValueError(f"need 0 < v_min <= v_max < inf, got {v_min}, {v_max}")
+        if not 0 <= pause_time < math.inf:
+            raise ValueError(f"pause_time must be >= 0 and finite, got {pause_time}")
         self._rng = rng
         self._area = area
         self._v_min = float(v_min)
@@ -56,7 +59,7 @@ class RandomWaypointTrajectory(PiecewiseLinearTrajectory):
             distance = euclidean(origin, target)
             if distance > 1e-9:
                 break
-        speed = self._rng.uniform(self._v_min, self._v_max)
+        speed = uniform(self._rng, self._v_min, self._v_max)
         travel_time = distance / speed
         velocity = (target - origin) / travel_time
         return Segment(start, start + travel_time, origin, velocity)

@@ -34,7 +34,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, uniform
 
 __all__ = ["CrashFaults", "FaultInjector", "FaultPlan", "LinkFaults", "LinkInjector"]
 
@@ -215,7 +215,7 @@ class FaultInjector:
 
     def outage_duration(self) -> float:
         crash = self.plan.crash
-        return float(self._crash_rng.uniform(crash.down_min, crash.down_max))
+        return float(uniform(self._crash_rng, crash.down_min, crash.down_max))
 
     # -- reporting ---------------------------------------------------------------
 

@@ -391,7 +391,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_seq",
         "events_processed",
@@ -405,8 +405,10 @@ class Environment:
         initial_time: float = 0.0,
         monitor: Any = None,
     ) -> None:
-        self._now = float(initial_time)
-        if not math.isfinite(self._now):
+        #: The clock.  A plain slot (a property would be a Python call on
+        #: every read); only this class assigns it.
+        self.now = float(initial_time)
+        if not math.isfinite(self.now):
             raise SimulationError(f"initial_time must be finite, got {initial_time}")
         self._heap: List[_Entry] = []
         self._seq = 0
@@ -418,10 +420,6 @@ class Environment:
         self._timeout_free: List[Timeout] = []
         #: Timeouts served from the free list; read by the profiler.
         self.freelist_hits = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -440,7 +438,7 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         if not (0 <= delay < _INF):  # NaN fails every comparison
             raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
-        return self._timeout(self._now + delay, delay, value)
+        return self._timeout(self.now + delay, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout that fires at the absolute time ``when``.
@@ -448,7 +446,7 @@ class Environment:
         Exactly ``when``, which ``timeout(when - now)`` cannot promise:
         ``now + (when - now) != when`` in floats.
         """
-        now = self._now
+        now = self.now
         if not (now <= when < _INF):  # NaN fails every comparison
             raise SimulationError(
                 f"timeout_at(when={when}) must be finite and >= now ({now})"
@@ -477,7 +475,7 @@ class Environment:
         if not (0 <= delay < _INF):  # NaN fails every comparison
             raise SimulationError(f"call_later delay must be finite and >= 0, got {delay}")
         # `_schedule_at` inlined: this is the push of every frame step.
-        when = self._now + delay
+        when = self.now + delay
         seq = self._seq + 1
         self._seq = seq
         heappush(self._heap, (when, seq, call))
@@ -496,7 +494,7 @@ class Environment:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._schedule_at(event, self._now + delay)
+        self._schedule_at(event, self.now + delay)
 
     def _schedule_at(self, event: Event, when: float) -> None:
         seq = self._seq + 1
@@ -516,7 +514,7 @@ class Environment:
         when, _seq, item = heappop(self._heap)
         if self.monitor is not None:
             self.monitor.on_step(self, when)
-        self._now = when
+        self.now = when
         self.events_processed += 1
         if callable(item):
             item()
@@ -532,9 +530,9 @@ class Environment:
         scheduled, in order.
         """
         if until is not None:
-            if not (self._now <= until < _INF):  # NaN fails every comparison
+            if not (self.now <= until < _INF):  # NaN fails every comparison
                 raise SimulationError(
-                    f"run(until={until}) must be finite and >= now ({self._now})"
+                    f"run(until={until}) must be finite and >= now ({self.now})"
                 )
             limit = until
         else:
@@ -548,7 +546,7 @@ class Environment:
             when, _seq, event = heappop(heap)
             if monitor is not None:
                 monitor.on_step(self, when)
-            self._now = when
+            self.now = when
             self.events_processed += 1
             if callable(event):
                 event()
@@ -575,5 +573,5 @@ class Environment:
                     del callbacks[:]
                 event.callbacks = callbacks
                 free.append(event)
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until

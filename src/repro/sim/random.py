@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "uniform"]
 
 
 class RandomStreams:
@@ -48,3 +48,13 @@ def _name_key(name: str) -> int:
     for byte in name.encode("utf-8"):
         key = ((key ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
     return key
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """One draw of ``rng.uniform(low, high)`` without its per-call price.
+
+    numpy's own scalar formula, ``low + (high - low) * next_double``, on
+    the one double ``rng.random()`` takes: the same float and the same
+    stream state, a third of the time.  Callers validate the bounds.
+    """
+    return low + (high - low) * rng.random()

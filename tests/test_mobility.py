@@ -194,6 +194,56 @@ def test_group_member_rejects_bad_params():
         GroupMemberTrajectory(reference, rng(), span=1.0, leg_min=5.0, leg_max=1.0)
 
 
+INF, NAN = math.inf, math.nan
+_ORIGIN = StationaryTrajectory([0.0, 0.0])
+_BAD_MOBILITY = {
+    "rectangle-width-nan": (lambda: Rectangle(NAN, 100.0), "width"),
+    "rectangle-width-inf": (lambda: Rectangle(INF, 100.0), "width"),
+    "rectangle-height-nan": (lambda: Rectangle(100.0, NAN), "height"),
+    "rectangle-height-minus-inf": (lambda: Rectangle(100.0, -INF), "height"),
+    "stationary-inf": (lambda: StationaryTrajectory((INF, 0.0)), "point"),
+    "stationary-nan": (lambda: StationaryTrajectory((0.0, NAN)), "point"),
+    "rwp-v_min-nan": (lambda: RandomWaypointTrajectory(rng(), AREA, NAN, 5.0), "v_min"),
+    "rwp-v_max-inf": (lambda: RandomWaypointTrajectory(rng(), AREA, 1.0, INF), "v_max"),
+    "rwp-v_max-nan": (lambda: RandomWaypointTrajectory(rng(), AREA, 1.0, NAN), "v_max"),
+    "rwp-pause-nan": (
+        lambda: RandomWaypointTrajectory(rng(), AREA, 1.0, 5.0, NAN),
+        "pause_time",
+    ),
+    "rwp-pause-inf": (
+        lambda: RandomWaypointTrajectory(rng(), AREA, 1.0, 5.0, INF),
+        "pause_time",
+    ),
+    "rpgm-span-inf": (lambda: GroupMemberTrajectory(_ORIGIN, rng(), INF), "span"),
+    "rpgm-span-nan": (lambda: GroupMemberTrajectory(_ORIGIN, rng(), NAN), "span"),
+    "rpgm-leg_min-nan": (
+        lambda: GroupMemberTrajectory(_ORIGIN, rng(), 1.0, leg_min=NAN),
+        "leg_min",
+    ),
+    "rpgm-leg_max-inf": (
+        lambda: GroupMemberTrajectory(_ORIGIN, rng(), 1.0, leg_max=INF),
+        "leg_max",
+    ),
+    "group-span-inf": (
+        lambda: build_group_mobility(rng(), 4, 2, AREA, 1.0, 5.0, group_span=INF),
+        "span",
+    ),
+    "group-v_max-inf": (
+        lambda: build_group_mobility(rng(), 4, 2, AREA, 1.0, INF),
+        "v_max",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, name", _BAD_MOBILITY.values(), ids=_BAD_MOBILITY)
+def test_mobility_constructors_reject_non_finite_parameters_by_name(build, name):
+    """A NaN or infinite parameter fails at construction and names itself,
+    not as NaN positions, a silent "no pause" or an overflow inside a
+    position query long after."""
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 def test_group_members_stay_mutually_close():
     field, group_of = build_group_mobility(
         rng(9), n_clients=10, group_size=5, area=AREA, v_min=1.0, v_max=5.0

@@ -216,6 +216,24 @@ def test_kernel_dispatch_loop_allocates_nothing_per_event():
     assert found == []
 
 
+def test_only_the_kernel_assigns_the_clock():
+    """``Environment.now`` is a plain slot so that reading it costs no
+    call; nothing stops a write, so nothing outside the kernel may make
+    one (a stray ``env.now = ...`` would move simulated time under the
+    queue's ``(when, seq)`` order)."""
+    found = sorted(
+        f"{path}:{node.lineno}: assigns .now"
+        for path, tree in SOURCES.items()
+        if path != "sim/kernel.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for element in ast.walk(target)
+        if isinstance(element, ast.Attribute) and element.attr == "now"
+    )
+    assert found == []
+
+
 def _fields_read_elsewhere(names, defining):
     """The ``names`` some module other than ``defining`` reads, as an
     attribute or as a string (``getattr``, ``as_dict`` keys, columns)."""
