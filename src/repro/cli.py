@@ -364,16 +364,19 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         sweep_to_csv(table, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.trace_out:
-        from repro.obs import aggregate_sweep
+        from repro.obs import summarize_path
 
         try:
-            print(aggregate_sweep(Path(args.trace_out)))
+            print(summarize_path(Path(args.trace_out)))
         except FileNotFoundError:
             print(
                 f"repro sweep: warning: no trace bundles under "
                 f"{args.trace_out} (all runs cached?)",
                 file=sys.stderr,
             )
+        except ValueError as error:
+            print(f"repro sweep: error: {error}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -92,7 +92,7 @@ class NeighborDiscovery:
             ledger.charge_hosts(
                 connected.nonzero()[0].tolist(), model.bc_send(self.hello_size), "beacon"
             )
-            receptions = heard.sum(axis=1)
+            receptions = np.add.reduce(heard, axis=1)
             ledger.charge_each(model.bc_recv(self.hello_size) * receptions, "beacon")
 
     # -- queries -----------------------------------------------------------------

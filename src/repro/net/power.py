@@ -117,7 +117,7 @@ class PowerLedger:
             raise ValueError(
                 f"charge_each needs {self.n_hosts} amounts, got shape {amounts.shape}"
             )
-        if not (amounts >= 0).all():
+        if not np.logical_and.reduce(amounts >= 0):
             raise ValueError("power charges must all be >= 0")
         charges = self._by_purpose[purpose]
         for host, amount in enumerate(amounts.tolist()):

@@ -5,9 +5,12 @@ and the Perfetto workflow.  The layer is strictly read-only: attaching an
 :class:`Observer` never changes a run's :class:`~repro.core.metrics.Results`,
 and a run without one executes not a single tracing instruction (the
 bit-identity and trace-contract test suites pin both properties).
+
+The package records and exports; it does not judge.  The trace contract
+that reconciles a timeline with its run lives in ``tools/trace_contract.py``
+and the committed Chrome-trace schema in ``tests/``.
 """
 
-from repro.obs.contract import check_trace
 from repro.obs.export import (
     export_bundle,
     load_events,
@@ -16,14 +19,7 @@ from repro.obs.export import (
     write_series_csv,
 )
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeriesSampler
-from repro.obs.schema import load_chrome_trace_schema, validate
-from repro.obs.session import (
-    Observer,
-    aggregate_sweep,
-    run_traced,
-    trace_slug,
-    traced_runner,
-)
+from repro.obs.session import Observer, run_traced, trace_slug, traced_runner
 from repro.obs.summary import (
     PhaseStats,
     format_breakdown,
@@ -41,19 +37,15 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "TimeSeriesSampler",
-    "aggregate_sweep",
-    "check_trace",
     "derive_spans",
     "export_bundle",
     "format_breakdown",
-    "load_chrome_trace_schema",
     "load_events",
     "phase_breakdown",
     "run_traced",
     "summarize_path",
     "trace_slug",
     "traced_runner",
-    "validate",
     "write_chrome_trace",
     "write_jsonl",
     "write_series_csv",

@@ -11,8 +11,9 @@ written paths.  :func:`traced_runner` adapts it to the
 ``runner`` hook of :func:`~repro.experiments.parallel.execute_runs`, so
 ``repro sweep --trace-out DIR`` records one timeline per sweep run (the
 function is a module-level partial target, so it pickles into worker
-processes); :func:`aggregate_sweep` then folds every per-run timeline
-under the output root into one per-sweep phase-latency breakdown.
+processes); :func:`~repro.obs.summary.summarize_path` over the output
+root then folds every per-run timeline into one per-sweep phase-latency
+breakdown.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "Observer",
-    "aggregate_sweep",
     "run_traced",
     "trace_slug",
     "traced_runner",
@@ -112,10 +112,3 @@ def traced_runner(
     state, so process-pool workers can unpickle it.
     """
     return functools.partial(_traced_run, str(out_root), sample_period)
-
-
-def aggregate_sweep(out_root: Path) -> str:
-    """Fold every per-run trace under ``out_root`` into one breakdown."""
-    from repro.obs.summary import summarize_path
-
-    return summarize_path(Path(out_root))

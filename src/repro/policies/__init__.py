@@ -7,9 +7,10 @@ Public surface:
   ``describe`` / ``resolve`` over them;
 * :mod:`repro.policies.factory` — the per-scheme default keys, their
   resolution from a :class:`~repro.core.config.SimulationConfig` and the
-  per-namespace builders used by the simulation wiring;
-* :mod:`repro.policies.conformance` — the battery every key must pass
-  (imported explicitly; it pulls in the simulation layer).
+  per-namespace builders used by the simulation wiring.
+
+The conformance battery every key must pass lives with its CI runner in
+``tools/conformance_matrix.py``.
 
 This package must not import the core simulation modules:
 ``repro.core.config`` imports it for key validation.

@@ -6,7 +6,7 @@ and retrieve peer-scoring — and each is one literal table below.  A
 policy exists exactly when it has a row, so adding one is one row here
 plus its docs/POLICIES.md catalogue row (``tests/test_policy_registry.py``
 checks the two agree); the conformance battery
-(:mod:`repro.policies.conformance`) and ``repro policies list`` iterate
+(``tools/conformance_matrix.py``) and ``repro policies list`` iterate
 the tables and need no edit.
 
 What a row's ``value`` must be differs per namespace; the factory in

@@ -256,6 +256,28 @@ def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_pat
     assert "15 hits, 0 misses" in captured.err
 
 
+def test_sweep_trace_out_names_a_malformed_trace_line(capsys, monkeypatch, tmp_path):
+    """A bad ``trace.jsonl`` left under ``--trace-out`` by an earlier run is
+    a one-line error naming the file and line, not a traceback.  The sweep
+    itself is stubbed to an empty table: nothing is simulated."""
+    from repro.experiments import SweepTable
+
+    bad = tmp_path / "earlier-run" / "trace.jsonl"
+    bad.parent.mkdir()
+    bad.write_text('{"bad json\n')
+    monkeypatch.setattr(
+        "repro.cli.run_sweep",
+        lambda figure, **_: SweepTable(figure.label, figure.parameter, []),
+    )
+    code = main(["sweep", "fig3", "--trace-out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        f"repro sweep: error: trace {bad}: line 1: invalid JSON: "
+    )
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_timeout_without_worker_pool_is_rejected(capsys):
     """A serial run cannot be interrupted: --timeout alone exits 2."""
     code = main(["sweep", "fig3", "--scale", "quick", "--timeout", "60"])

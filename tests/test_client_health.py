@@ -7,6 +7,9 @@ contract reconciles the new instants, crash fast-failover fires, and
 jittered backoff stays deterministic.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.check.monitor import InvariantMonitor
@@ -14,8 +17,10 @@ from repro.core.client import _SearchState
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.simulation import Simulation, run_simulation
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
-from repro.obs.contract import check_trace
 from repro.obs.session import Observer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from trace_contract import check_trace  # noqa: E402
 
 _BASE = dict(
     scheme=CachingScheme.GC,

@@ -10,7 +10,6 @@ from repro.experiments.parallel import RunSpec, execute_runs
 from repro.obs import (
     SAMPLE_COLUMNS,
     Observer,
-    aggregate_sweep,
     phase_breakdown,
     format_breakdown,
     load_events,
@@ -146,7 +145,7 @@ def test_traced_runner_per_sweep_aggregation(tmp_path):
     assert len(bundles) == 2
     slugs = {trace_slug(c) for c in configs}
     assert {path.parent.name for path in bundles} == slugs
-    text = aggregate_sweep(tmp_path)
+    text = summarize_path(tmp_path)
     assert "2 trace(s)" in text
     assert "request" in text
 

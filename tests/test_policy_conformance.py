@@ -19,15 +19,15 @@ import pytest
 
 from repro.policies import registry
 from repro.policies.registry import PolicyInfo
-from repro.policies.conformance import (
-    conformance_config,
-    conformance_keys,
-    run_conformance,
-)
 from repro.policies.replacement import ReplacementPolicy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import conformance_matrix  # noqa: E402
+from conformance_matrix import (  # noqa: E402
+    conformance_config,
+    conformance_keys,
+    run_conformance,
+)
 
 KEYS = conformance_keys()
 IDS = [f"{namespace}:{key}" for namespace, key in KEYS]

@@ -1,18 +1,22 @@
 """Trace-contract suite: every traced run yields a reconcilable timeline.
 
-The contract (see ``repro.obs.contract``): spans are balanced and nested,
+The contract (see ``tools/trace_contract.py``): spans are balanced and nested,
 instants sit inside their parent span, and the recorded span/instant
 counts reconcile *exactly* with the run's :class:`Results` counters and
 the :class:`RunProfile` work counters — across LC / CC / GC, several
 seeds, and a fault-injected run.  A deliberately injected unbalanced-span
-bug must make the checker fail loudly.
+bug must make the checker fail loudly.  Chrome exports are validated
+with ``jsonschema`` against the committed ``chrome_trace.schema.json``.
 """
 
+import copy
 import json
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from repro.core.client import MobileHost
@@ -20,15 +24,18 @@ from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import COUNTED_EVENTS
 from repro.core.simulation import run_simulation
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
-from repro.obs import (
-    Observer,
-    check_trace,
-    derive_spans,
-    load_chrome_trace_schema,
-    run_traced,
-    validate,
-)
+from repro.obs import Observer, derive_spans, run_traced
 from repro.obs.export import chrome_trace_payload
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from trace_contract import check_trace  # noqa: E402
+
+#: The exact shape ``repro.obs.export.write_chrome_trace`` emits.
+CHROME_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent / "chrome_trace.schema.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 #: Small enough that one traced run takes well under a second, large
 #: enough that caches fill, searches fan out and TCGs form.
@@ -119,15 +126,32 @@ def test_spans_are_balanced_after_finalize():
 def test_chrome_trace_validates_against_committed_schema():
     observer, _results = _traced_run(_config(CachingScheme.GC, seed=11))
     payload = json.loads(json.dumps(chrome_trace_payload(observer.tracer.events)))
-    schema = load_chrome_trace_schema()
-    assert validate(payload, schema) == []
+    jsonschema.validate(payload, CHROME_SCHEMA)
 
 
-def test_chrome_trace_validates_with_jsonschema_too():
-    jsonschema = pytest.importorskip("jsonschema")
-    observer, _results = _traced_run(_config(CachingScheme.GC, seed=11))
-    payload = json.loads(json.dumps(chrome_trace_payload(observer.tracer.events)))
-    jsonschema.validate(payload, load_chrome_trace_schema())
+_VALID_CHROME = {
+    "displayTimeUnit": "ms",
+    "traceEvents": [
+        {"name": "request", "ph": "X", "pid": 0, "tid": 1, "ts": 0.0, "dur": 5.0}
+    ],
+}
+
+#: One edit each that the schema must refuse.
+_SPOILERS = {
+    "extra-top-level-key": lambda payload: payload.update(extra=1),
+    "begin-phase": lambda payload: payload["traceEvents"][0].update(ph="B"),
+    "negative-ts": lambda payload: payload["traceEvents"][0].update(ts=-1.0),
+    "empty-name": lambda payload: payload["traceEvents"][0].update(name=""),
+}
+
+
+@pytest.mark.parametrize("spoil", list(_SPOILERS.values()), ids=list(_SPOILERS))
+def test_committed_schema_rejects_what_the_exporter_never_writes(spoil):
+    payload = copy.deepcopy(_VALID_CHROME)
+    jsonschema.validate(payload, CHROME_SCHEMA)
+    spoil(payload)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, CHROME_SCHEMA)
 
 
 def test_injected_unbalanced_span_bug_fails_loudly(monkeypatch):
@@ -161,7 +185,7 @@ def test_sample_trace_bundle_exports(tmp_path):
     for kind in ("jsonl", "chrome", "series", "manifest"):
         assert paths[kind].exists(), kind
     payload = json.loads(paths["chrome"].read_text(encoding="utf-8"))
-    assert validate(payload, load_chrome_trace_schema()) == []
+    jsonschema.validate(payload, CHROME_SCHEMA)
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
     assert manifest["results"]["requests"] == results.requests
 

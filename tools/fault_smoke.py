@@ -13,8 +13,9 @@ Two gates, both fast at the quick profile:
    mode and an :class:`~repro.obs.Observer` recording the trace.  Any
    invariant violation — including the breaker-discipline and
    hedge-conservation checks — fails the smoke, and so does any trace
-   contract problem (``check_trace``: every counted protocol event of
-   ``repro.core.metrics.COUNTED_EVENTS`` reconciles with ``Results``).
+   contract problem (``check_trace`` of ``tools/trace_contract.py``: every
+   counted protocol event of ``repro.core.metrics.COUNTED_EVENTS``
+   reconciles with ``Results``).
 2. **Micro policy sweep** — the same figure run through :func:`run_sweep` at
    two points with ``salvage=True``; any crashed or missing run fails the
    smoke (a fault plan must degrade a run, never kill it).
@@ -31,7 +32,8 @@ from repro.core.simulation import run_simulation
 from repro.experiments.parallel import RunFailure
 from repro.experiments.runner import run_sweep
 from repro.experiments.sweeps import FIGURES
-from repro.obs import Observer, check_trace
+from repro.obs import Observer
+from trace_contract import check_trace
 
 #: The figure both gates drive: scoring policy x P2P fault rate.
 FIG_POLICY = FIGURES["fig-policy"]
