@@ -251,7 +251,7 @@ class InvariantMonitor:
             )
 
     def on_condition_fire(self, condition: Any) -> None:
-        """AnyOf/AllOf bookkeeping: fired count bounded by member count."""
+        """AnyOf bookkeeping: fired count bounded by member count."""
         self._checks += 1
         if condition._fired_count > len(condition.events):
             self.violation(

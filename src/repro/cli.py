@@ -43,7 +43,6 @@ from repro.experiments import (
     format_sweep_table,
     resolve_jobs,
     run_sweep,
-    sweep_to_csv,
 )
 from repro.policies import registry as policy_registry
 
@@ -111,7 +110,10 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 def _print_results(results: Results) -> None:
     print(f"  scheme                : {results.scheme}")
     print(f"  requests              : {results.requests}")
-    print(f"  access latency        : {results.access_latency * 1000:.1f} ms")
+    print(
+        f"  access latency        : {results.access_latency * 1000:.1f} ms "
+        f"(sd {results.latency_stddev * 1000:.1f} ms)"
+    )
     print(f"  server request ratio  : {results.server_request_ratio:.1f} %")
     print(f"  local cache hits      : {results.lch_ratio:.1f} %")
     print(f"  global cache hits     : {results.gch_ratio:.1f} %")
@@ -211,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persistent result cache directory; repeated sweeps only "
         "simulate configurations that changed",
-    )
-    sweep_parser.add_argument(
-        "--csv", metavar="PATH", help="also export the table as CSV"
     )
     sweep_parser.add_argument(
         "--timeout",
@@ -360,9 +359,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             f"{cache.misses} misses, {cache.stores} stored",
             file=sys.stderr,
         )
-    if args.csv:
-        sweep_to_csv(table, args.csv)
-        print(f"wrote {args.csv}", file=sys.stderr)
     if args.trace_out:
         from repro.obs import summarize_path
 

@@ -32,16 +32,7 @@ from repro.sim.profile import RunProfile, wall_clock
 from repro.sim.random import RandomStreams
 from repro.signatures.bloom import SignatureScheme
 
-__all__ = ["Simulation", "run_simulation", "simulations_run"]
-
-#: Simulations completed by *this process* (workers count their own runs).
-#: The cache tests assert a cached sweep leaves this untouched.
-_SIMULATIONS_RUN = 0
-
-
-def simulations_run() -> int:
-    """How many simulations this process has executed to completion."""
-    return _SIMULATIONS_RUN
+__all__ = ["Simulation", "run_simulation"]
 
 #: Simulated seconds between termination-condition checks.
 _CHUNK = 10.0
@@ -328,7 +319,6 @@ def run_simulation(config: SimulationConfig, monitor=None, observer=None) -> Res
     time-series sampler); it is finalized — open spans swept, the closing
     sample taken — before this function returns.
     """
-    global _SIMULATIONS_RUN
     start = wall_clock()
     simulation = Simulation(config, monitor=monitor, observer=observer)
     results = simulation.run()
@@ -336,7 +326,6 @@ def run_simulation(config: SimulationConfig, monitor=None, observer=None) -> Res
         monitor.finalize(simulation)
     if observer is not None:
         observer.finalize(simulation)
-    _SIMULATIONS_RUN += 1
     elapsed = wall_clock() - start
     results.profile = simulation.profile(elapsed)
     return results

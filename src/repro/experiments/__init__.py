@@ -11,7 +11,6 @@
 """
 
 from repro.experiments.cache import ResultCache, config_key
-from repro.experiments.export import sweep_to_csv, sweep_to_rows
 from repro.experiments.parallel import (
     jobs_from_env,
     RunCrashed,
@@ -19,11 +18,6 @@ from repro.experiments.parallel import (
     RunSpec,
     execute_runs,
     resolve_jobs,
-)
-from repro.experiments.replication import (
-    MetricSummary,
-    ReplicationSummary,
-    run_replications,
 )
 from repro.experiments.runner import (
     BENCH_PROFILE,
@@ -43,9 +37,7 @@ __all__ = [
     "FIGURES",
     "FULL_PROFILE",
     "Figure",
-    "MetricSummary",
     "QUICK_PROFILE",
-    "ReplicationSummary",
     "ResultCache",
     "RunCrashed",
     "RunFailure",
@@ -59,8 +51,5 @@ __all__ = [
     "format_sweep_table",
     "jobs_from_env",
     "resolve_jobs",
-    "run_replications",
     "run_sweep",
-    "sweep_to_csv",
-    "sweep_to_rows",
 ]

@@ -1,18 +1,17 @@
 """Parallel execution of independent simulation runs.
 
-Sweeps and replication sets are embarrassingly parallel: every run is
-hermetic — all randomness flows from ``RandomStreams(config.seed)``, and a
-fully resolved :class:`~repro.core.config.SimulationConfig` (scheme and
-seed baked in) is the run's complete input.  Fanning a flattened list of
+Sweeps are embarrassingly parallel: every run is hermetic — all
+randomness flows from ``RandomStreams(config.seed)``, and a fully resolved
+:class:`~repro.core.config.SimulationConfig` (scheme and seed baked in) is
+the run's complete input.  Fanning a flattened list of
 :class:`RunSpec` tasks across a ``ProcessPoolExecutor`` therefore produces
 **bit-identical results to the serial path**; only the ``profile`` field
 (wall-clock timing, excluded from equality) differs.
 
-The paper's paired-seed (common random numbers) methodology is preserved
-by construction: pairing happens when the specs are *built* — the same
-seed goes into every scheme's config at a sweep point — not by any
-ordering of execution, so schemes stay paired no matter how the pool
-schedules them.
+Seeds are fixed when the specs are *built* — the same seed goes into
+every scheme's config at a sweep point — not by any ordering of
+execution, so no pool schedule changes which seed a run gets.  Same seed
+is not same draws: schemes at one seed do not share mobility or demand.
 
 An optional :class:`~repro.experiments.cache.ResultCache` short-circuits
 specs whose configuration was already simulated by this or any earlier

@@ -209,11 +209,11 @@ def run_sweep(
     """Run one :class:`Figure`: every row at every value of its x-axis.
 
     ``values`` narrows or replaces the active profile's axis and ``rows``
-    picks a subset of the figure's rows.  The same seed is used across
-    rows at each sweep point, so the comparisons are paired exactly as in
-    the paper's common random numbers methodology — the pairing is baked
-    into the flattened run specs, so it survives any parallel execution
-    order.
+    picks a subset of the figure's rows.  Every row at a sweep point gets
+    the same seed, baked into the flattened run specs, so that holds under
+    any parallel execution order.  Same seed is not same draws: the rows
+    do not share mobility or demand draws (a strict xfail in
+    ``tests/test_experiments.py`` pins it).
 
     ``jobs`` fans the runs out over worker processes (1 = serial in
     process, 0/None = one worker per core) with results identical to the

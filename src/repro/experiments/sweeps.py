@@ -59,8 +59,8 @@ _FAILURE_AWARE: Dict[str, Any] = dict(
 )
 
 #: The FigMatrix rows.  The three schemes are the paper's baselines; the GC
-#: variants swap exactly one registry key, so every column is a paired
-#: ablation of that axis against stock GroCoCa under common random numbers.
+#: variants swap exactly one registry key, so every column is an ablation
+#: of that axis against stock GroCoCa at the same seed (not the same draws).
 _MATRIX_ROWS: Dict[str, Dict[str, Any]] = {
     **SCHEME_ROWS,
     "GC+probcache": {"admission_policy": "probcache"},

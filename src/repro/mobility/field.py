@@ -113,7 +113,7 @@ class MobilityField:
         self._b_dyn = np.array([t is not None for t in base])
         self._o_dyn = np.array([t is not None for t in off])
         self._any_offset = bool(self._o_dyn.any())
-        self._all_offset = bool(self._o_dyn.all())
+        self._every_offset = bool(self._o_dyn.all())
         self._off_where = np.broadcast_to(self._o_dyn[:, None], (n, 2))
         self._dt = np.empty(n)
         self._odt = np.empty(n)
@@ -214,7 +214,7 @@ class MobilityField:
             odt -= self._o_start
             drift = np.multiply(self._o_vel, odt[:, None], out=self._off_buf)
             drift += self._o_org
-            if self._all_offset:
+            if self._every_offset:
                 snapshot += drift
             else:
                 # Masked add: a plain `+ 0.0` would flip the sign of any

@@ -8,7 +8,6 @@ random streams (:mod:`repro.sim.random`) and incremental statistics
 """
 
 from repro.sim.kernel import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -22,7 +21,6 @@ from repro.sim.random import RandomStreams
 from repro.sim.stats import WelfordAccumulator
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",

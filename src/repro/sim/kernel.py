@@ -7,8 +7,7 @@ A small, fast, dependency-free kernel in the style of CSIM/simpy:
 * :class:`Process` wraps a generator; ``yield event`` suspends the process
   until the event fires and resumes it with the event's value.
 * :class:`Timeout` fires after a fixed delay.
-* :class:`AnyOf` / :class:`AllOf` compose events (used e.g. for the COCA
-  reply-or-timeout race).
+* :class:`AnyOf` races events (the COCA reply-or-timeout race).
 
 The kernel is deterministic: simultaneous events fire in schedule order.
 Formally, events fire in ascending ``(when, seq)`` order, where ``seq`` is
@@ -51,7 +50,6 @@ from typing import (
 )
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
@@ -298,8 +296,11 @@ class Process(Event):
             return
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf: fires once ``_check`` is satisfied."""
+class AnyOf(Event):
+    """Fires when any of the given events fires.
+
+    Value: ``{event: value}`` for the events fired so far.
+    """
 
     __slots__ = ("events", "_fired_count")
 
@@ -328,37 +329,13 @@ class _Condition(Event):
         self._fired_count += 1
         if self.env.monitor is not None:
             self.env.monitor.on_condition_fire(self)
-        if self._check():
-            self.succeed(self._collect())
-
-    def _check(self) -> bool:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value for event in self.events if event._state == _PROCESSED
-        }
-
-
-class AnyOf(_Condition):
-    """Fires when any of the given events fires.
-
-    Value: ``{event: value}`` for the events fired so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._fired_count >= 1
-
-
-class AllOf(_Condition):
-    """Fires when all of the given events have fired."""
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._fired_count >= len(self.events)
+        self.succeed(
+            {
+                member: member._value
+                for member in self.events
+                if member._state == _PROCESSED
+            }
+        )
 
 
 # The Timeout free list needs no explicit cap: it only grows when a popped
@@ -487,9 +464,6 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 

@@ -148,7 +148,7 @@ def test_main_run_executes(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "access latency" in out
+    assert "access latency" in out and " ms (sd " in out
     assert "server request ratio" in out
 
 
@@ -188,15 +188,12 @@ def test_sweep_parser_accepts_execution_options():
             "4",
             "--cache",
             "/tmp/some-cache",
-            "--csv",
-            "/tmp/out.csv",
         ]
     )
     assert args.figure == "fig2"
     assert args.scale == "quick"
     assert args.jobs == 4
     assert args.cache == "/tmp/some-cache"
-    assert args.csv == "/tmp/out.csv"
 
 
 def test_sweep_parser_defaults_to_serial_uncached():
@@ -226,33 +223,32 @@ def _shrink_quick_profile(monkeypatch):
 def test_main_sweep_executes_with_cache_and_profile(capsys, monkeypatch, tmp_path):
     """``sweep`` with the result cache, at the (shrunken) quick scale profile."""
     _shrink_quick_profile(monkeypatch)
+    # The serial sweep simulates in this process: count the runs themselves.
+    from repro.core.simulation import Simulation
+
+    runs = []
+    simulate = Simulation.run
+
+    def counted(self):
+        runs.append(self)
+        return simulate(self)
+
+    monkeypatch.setattr(Simulation, "run", counted)
     cache_dir = tmp_path / "cache"
-    argv = [
-        "sweep",
-        "fig3",
-        "--scale",
-        "quick",
-        "--cache",
-        str(cache_dir),
-        "--csv",
-        str(tmp_path / "fig3.csv"),
-    ]
+    argv = ["sweep", "fig3", "--scale", "quick", "--cache", str(cache_dir)]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "(a) Access Latency" in captured.out
     assert "GC" in captured.out
     assert "15 misses, 15 stored" in captured.err
-    assert (tmp_path / "fig3.csv").read_text().startswith("figure,")
+    assert len(runs) == 15
 
     # A repeat resolves entirely from the cache: zero new simulations.
-    from repro.core.simulation import simulations_run
-
-    before = simulations_run()
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
-    assert simulations_run() == before
+    assert len(runs) == 15
     assert "15 hits, 0 misses" in captured.err
 
 

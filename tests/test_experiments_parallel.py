@@ -5,7 +5,8 @@ The headline guarantees under test:
 * ``jobs > 1`` produces results **identical field-by-field** to the serial
   runner (every run is hermetic via ``RandomStreams(config.seed)``);
 * a repeated sweep against the same cache executes **zero simulations**
-  (checked with the process-wide run counter) and returns the same table;
+  (counted by the runner the sweep is handed, not by the cache) and
+  returns the same table;
 * every run carries a :class:`~repro.sim.profile.RunProfile` with
   wall-clock, events processed and per-subsystem counters.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.metrics import Results
-from repro.core.simulation import run_simulation, simulations_run
+from repro.core.simulation import run_simulation
 from repro.experiments import (
     Figure,
     ResultCache,
@@ -25,7 +26,6 @@ from repro.experiments import (
     execute_runs,
     jobs_from_env,
     resolve_jobs,
-    run_replications,
     run_sweep,
 )
 from repro.experiments.cache import canonical_config, config_key
@@ -60,7 +60,7 @@ FIG_P = Figure(
 )
 
 
-def tiny_sweep(jobs=1, cache=None, progress=None, values=None) -> SweepTable:
+def tiny_sweep(jobs=1, cache=None, progress=None, values=None, **kwargs) -> SweepTable:
     return run_sweep(
         FIG_P,
         values=values,
@@ -68,7 +68,19 @@ def tiny_sweep(jobs=1, cache=None, progress=None, values=None) -> SweepTable:
         jobs=jobs,
         cache=cache,
         progress=progress,
+        **kwargs,
     )
+
+
+class CountingRunner:
+    """A serial ``runner=`` that counts the simulations it executes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, config):
+        self.calls += 1
+        return run_simulation(config)
 
 
 def assert_results_identical(a: Results, b: Results) -> None:
@@ -94,13 +106,24 @@ def test_parallel_sweep_identical_to_serial():
 
 
 def test_parallel_replications_identical_to_serial():
-    config = tiny_config()
-    serial = run_replications(config, replications=2, schemes=SCHEMES, jobs=1)
-    parallel = run_replications(config, replications=2, schemes=SCHEMES, jobs=2)
-    for scheme in ("LC", "GC"):
-        for a, b in zip(serial[scheme].runs, parallel[scheme].runs):
-            assert_results_identical(a, b)
-        assert serial[scheme].metrics == parallel[scheme].metrics
+    """Replications are seeds swept as figure rows, one run loop for all."""
+    unseeded = {key: value for key, value in TINY.items() if key != "seed"}
+    replicas = dataclasses.replace(
+        FIG_P,
+        point=lambda v: dict(unseeded, cache_size=v),
+        rows={
+            f"{scheme.value}/{seed}": {"scheme": scheme, "seed": seed}
+            for scheme in SCHEMES
+            for seed in (11, 12)
+        },
+    )
+    serial = run_sweep(replicas, values=[4], jobs=1)
+    parallel = run_sweep(replicas, values=[4], jobs=2)
+    assert list(serial.rows) == list(replicas.rows)
+    for row in replicas.rows:
+        (a,), (b,) = serial.rows[row], parallel.rows[row]
+        assert_results_identical(a, b)
+    assert serial.result("GC/11", 4) != serial.result("GC/12", 4)
 
 
 def test_execute_runs_preserves_spec_order():
@@ -143,17 +166,19 @@ def test_jobs_from_env(monkeypatch):
 
 def test_cached_sweep_executes_zero_simulations(tmp_path):
     cache = ResultCache(tmp_path)
-    before = simulations_run()
-    first = tiny_sweep(jobs=1, cache=cache)
-    assert simulations_run() - before == 4  # 2 values x 2 schemes
+    runner = CountingRunner()
+    first = tiny_sweep(jobs=1, cache=cache, runner=runner)
+    assert runner.calls == 4  # 2 values x 2 schemes
     assert cache.misses == 4 and cache.stores == 4 and cache.hits == 0
     assert len(cache) == 4
 
     rerun_cache = ResultCache(tmp_path)  # fresh instance, same directory
-    before = simulations_run()
+    rerunner = CountingRunner()
     labels = []
-    second = tiny_sweep(jobs=1, cache=rerun_cache, progress=labels.append)
-    assert simulations_run() == before  # zero simulations executed
+    second = tiny_sweep(
+        jobs=1, cache=rerun_cache, progress=labels.append, runner=rerunner
+    )
+    assert rerunner.calls == 0  # zero simulations executed
     assert rerun_cache.hits == 4 and rerun_cache.misses == 0
     assert all(label.endswith("[cached]") for label in labels)
     for scheme in first.rows:
@@ -165,9 +190,9 @@ def test_cached_sweep_executes_zero_simulations(tmp_path):
 def test_cache_only_simulates_changed_points(tmp_path):
     cache = ResultCache(tmp_path)
     tiny_sweep(jobs=1, cache=cache)
-    before = simulations_run()
-    widened = tiny_sweep(cache=cache, values=[4, 6, 8])  # one new sweep point
-    assert simulations_run() - before == 2  # only cache_size=8, both schemes
+    runner = CountingRunner()
+    widened = tiny_sweep(cache=cache, values=[4, 6, 8], runner=runner)
+    assert runner.calls == 2  # only cache_size=8, both schemes
     assert len(widened.rows["GC"]) == 3
 
 

@@ -33,7 +33,7 @@ CLI_OPTIONS = {
     ),  # fmt: skip
     "compare": _CONFIG,
     "sweep": [
-        "--attempts", "--cache", "--csv", "--jobs", "--salvage",
+        "--attempts", "--cache", "--jobs", "--salvage",
         "--sample-period", "--scale", "--timeout", "--trace-out",
     ],  # fmt: skip
     "trace summarize": [],
@@ -97,8 +97,7 @@ def test_cli_option_strings():
 
 def test_third_party_imports_are_declared():
     """What ``src/`` imports, ``pyproject.toml`` declares and the CI test
-    job installs (scipy was imported and exercised for a round, undeclared,
-    because this image happens to ship it)."""
+    job installs: numpy alone."""
     imported = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -107,7 +106,7 @@ def test_third_party_imports_are_declared():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"repro"}
-    assert third_party == {"numpy", "scipy"}
+    assert third_party == {"numpy"}
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.S | re.M).group(1)
     workflow = (ROOT / ".github/workflows/ci.yml").read_text(encoding="utf-8")

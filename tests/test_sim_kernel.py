@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Environment,
     Interrupt,
@@ -284,21 +283,6 @@ def test_any_of_fires_on_first():
     env.process(proc())
     env.run()
     assert log == [(3, "fast")]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    log = []
-
-    def proc():
-        a = env.timeout(2, value="a")
-        b = env.timeout(9, value="b")
-        fired = yield AllOf(env, [a, b])
-        log.append((env.now, fired[a], fired[b]))
-
-    env.process(proc())
-    env.run()
-    assert log == [(9, "a", "b")]
 
 
 def test_any_of_with_pre_fired_event():

@@ -1,7 +1,7 @@
-"""Edge cases of AnyOf/AllOf condition composition and failure handling."""
+"""Edge cases of AnyOf composition and failure handling."""
 
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AnyOf, Environment
 
 
 def test_any_of_fails_when_member_fails():
@@ -19,26 +19,6 @@ def test_any_of_fails_when_member_fails():
     gate.fail(RuntimeError("member failed"))
     env.run(until=10)
     assert caught == ["member failed"]
-
-
-def test_all_of_fails_fast_on_first_failure():
-    env = Environment()
-    gate = env.event()
-    slow = None
-    caught = []
-
-    def waiter():
-        nonlocal slow
-        slow = env.timeout(50)
-        try:
-            yield AllOf(env, [gate, slow])
-        except ValueError:
-            caught.append(env.now)
-
-    env.process(waiter())
-    gate.fail(ValueError("nope"))
-    env.run(until=100)
-    assert caught == [0]  # did not wait for the 50s timeout
 
 
 def test_late_failure_after_condition_fired_is_defused():
@@ -63,30 +43,17 @@ def test_late_failure_after_condition_fired_is_defused():
 
 def test_nested_conditions():
     env = Environment()
+    inner = AnyOf(env, [env.timeout(3, value="a"), env.timeout(9, value="b")])
+    outer = AnyOf(env, [inner, env.timeout(5, value="c")])
     log = []
 
     def waiter():
-        inner = AnyOf(env, [env.timeout(3, value="a"), env.timeout(9, value="b")])
-        outer = AllOf(env, [inner, env.timeout(5, value="c")])
-        yield outer
-        log.append(env.now)
+        fired = yield outer
+        log.append((env.now, list(fired), list(fired[inner].values())))
 
     env.process(waiter())
     env.run()
-    assert log == [5]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    log = []
-
-    def waiter():
-        result = yield AllOf(env, [])
-        log.append(result)
-
-    env.process(waiter())
-    env.run()
-    assert log == [{}]
+    assert log == [(3, [inner], ["a"])]
 
 
 def test_condition_value_maps_fired_events_only():
@@ -113,8 +80,8 @@ def test_shared_event_across_conditions():
         yield condition
         order.append((tag, env.now))
 
-    env.process(waiter("any", AnyOf(env, [gate])))
-    env.process(waiter("all", AllOf(env, [gate])))
+    env.process(waiter("one", AnyOf(env, [gate])))
+    env.process(waiter("two", AnyOf(env, [env.timeout(9), gate])))
 
     def opener():
         yield env.timeout(2)
@@ -122,4 +89,4 @@ def test_shared_event_across_conditions():
 
     env.process(opener())
     env.run()
-    assert sorted(order) == [("all", 2), ("any", 2)]
+    assert sorted(order) == [("one", 2), ("two", 2)]

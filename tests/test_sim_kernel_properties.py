@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AnyOf, Environment
 from tests._resource_reference import Resource
 
 
@@ -89,31 +89,6 @@ def test_any_of_fires_at_the_earliest_timeout_with_the_right_winner(delays):
     env.run()
     assert outcome["at"] == min(delays)
     assert outcome["values"] == [min(delays)]
-
-
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=50.0),
-        min_size=1,
-        max_size=10,
-        unique=True,
-    )
-)
-@settings(max_examples=60)
-def test_all_of_fires_at_the_latest_timeout_with_every_value(delays):
-    env = Environment()
-    outcome = {}
-
-    def gatherer():
-        timeouts = [env.timeout(delay, value=delay) for delay in delays]
-        fired = yield AllOf(env, timeouts)
-        outcome["at"] = env.now
-        outcome["values"] = sorted(fired.values())
-
-    env.process(gatherer())
-    env.run()
-    assert outcome["at"] == max(delays)
-    assert outcome["values"] == sorted(delays)
 
 
 @given(
