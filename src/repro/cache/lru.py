@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import ItemsView, Iterator, List, Optional
 
 __all__ = ["CacheEntry", "LRUCache"]
 
@@ -124,3 +124,7 @@ class LRUCache:
     def items(self) -> List[int]:
         """All cached item ids (LRU -> MRU order)."""
         return list(self._entries)
+
+    def pairs(self) -> ItemsView[int, CacheEntry]:
+        """A live read view of the ``(item, entry)`` pairs (LRU -> MRU)."""
+        return self._entries.items()

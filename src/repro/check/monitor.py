@@ -372,8 +372,7 @@ class InvariantMonitor:
                 host=host,
                 details={"occupancy": len(cache), "capacity": cache.capacity},
             )
-        for item in cache.items():
-            entry = cache.get(item)
+        for item, entry in cache.pairs():
             if entry is None or entry.item != item:
                 self.violation(
                     "cache-entry-integrity",

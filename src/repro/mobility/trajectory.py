@@ -9,7 +9,6 @@ the parts of a path it actually observes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -17,15 +16,23 @@ import numpy as np
 __all__ = ["PiecewiseLinearTrajectory", "Segment", "StationaryTrajectory", "Trajectory"]
 
 
-@dataclass(frozen=True)
 class Segment:
     """Linear motion from ``origin`` at time ``start`` with ``velocity``
-    until time ``end`` (``end`` may be ``inf`` for a final segment)."""
+    until time ``end`` (``end`` may be ``inf`` for a final segment).
 
-    start: float
-    end: float
-    origin: np.ndarray
-    velocity: np.ndarray
+    A plain slotted class: trajectories build one per leg, and a frozen
+    dataclass would pay an ``object.__setattr__`` per field each time.
+    """
+
+    __slots__ = ("start", "end", "origin", "velocity")
+
+    def __init__(
+        self, start: float, end: float, origin: np.ndarray, velocity: np.ndarray
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.origin = origin
+        self.velocity = velocity
 
     def position(self, t: float) -> np.ndarray:
         """Position at time ``t`` (clamped into [start, end])."""

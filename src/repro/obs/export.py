@@ -1,7 +1,8 @@
 """Trace and time-series exporters.
 
 Three on-disk formats per traced run, all derived from the same event
-list:
+sequence (a list, or a :class:`~repro.obs.tracer.Tracer`'s read-only
+``events`` view):
 
 * ``trace.jsonl`` — one :class:`~repro.obs.tracer.TraceEvent` per line,
   the lossless source of truth (``load_events`` reads it back),
@@ -189,15 +190,17 @@ def export_bundle(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tracer = observer.tracer  # type: ignore[attr-defined]
+    # The tracer's read-only view: each writer streams it, so no list of
+    # every TraceEvent is built.
+    events = observer.tracer.events  # type: ignore[attr-defined]
     sampler = observer.sampler  # type: ignore[attr-defined]
     paths = {
-        "jsonl": write_jsonl(tracer.events, out_dir / "trace.jsonl"),
-        "chrome": write_chrome_trace(tracer.events, out_dir / "trace.chrome.json"),
+        "jsonl": write_jsonl(events, out_dir / "trace.jsonl"),
+        "chrome": write_chrome_trace(events, out_dir / "trace.chrome.json"),
     }
     if sampler is not None:
         paths["series"] = write_series_csv(sampler, out_dir / "series.csv")
-    manifest: Dict[str, object] = {"events": len(tracer.events)}
+    manifest: Dict[str, object] = {"events": len(events)}
     if config is not None:
         manifest["config"] = config.as_dict()
     if results is not None:

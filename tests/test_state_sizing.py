@@ -91,3 +91,50 @@ def test_gc_run_at_huge_sigma_stays_small():
     results, peak = traced_peak_mib(lambda: run_simulation(config))
     assert peak < 16.0  # one dense peer vector per host: 1 528 MiB
     assert results.global_hits > 0  # peers answered: signatures were in use
+
+
+def tracer_retained_bytes(make_tracer):
+    """The tracemalloc bytes a tracer keeps alive after a small traced GC run.
+
+    The tracer is unbound from the run's clock afterwards, so the simulation
+    is garbage; what deleting the tracer then frees is what it retained.
+    """
+    import gc
+
+    from repro.obs import Observer
+
+    config = SimulationConfig(
+        scheme=CachingScheme.GC,
+        seed=5,
+        n_clients=10,
+        n_data=300,
+        access_range=60,
+        cache_size=10,
+        measure_requests=10,
+        warmup_min_time=30.0,
+        warmup_max_time=30.0,
+    )
+    tracemalloc.start()
+    try:
+        tracer = make_tracer()
+        run_simulation(config, observer=Observer(sample_period=None, tracer=tracer))
+        tracer.bind(None)
+        events = len(tracer.events)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del tracer
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0], events
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_store_retains_at_most_half_the_reference_tracer():
+    """The column store against one ``TraceEvent`` and one dict per event."""
+    from repro.obs import Tracer
+    from tests._trace_reference import ReferenceTracer
+
+    store, events = tracer_retained_bytes(Tracer)
+    reference, reference_events = tracer_retained_bytes(ReferenceTracer)
+    assert events == reference_events > 1000
+    assert store <= reference / 2, (store, reference)
