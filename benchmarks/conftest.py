@@ -5,9 +5,11 @@ pytest-benchmark timing, each writes its rendered series to
 ``results/<name>.txt`` (and stdout) so the numbers survive output capture;
 ``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  The
 figure bench also writes ``results/<stem>.json``: the git revision,
-profile and source digest the series was measured at, the cache key of
-every (row, x) cell and, for a paper figure, its table at one cheap x at the ``quick`` profile (``QUICK_CELLS``), which tier-1
-re-simulates.
+profile and source digest the series was measured at, the cache key and
+result digest of every (row, x) cell and, for a paper figure, its table
+and per-row digests at one cheap x at the ``quick`` profile
+(``QUICK_CELLS``).  Tier-1 re-simulates the quick cell and Fig. 2's
+default point and compares their digests bit for bit.
 
 Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
 bench) — see :mod:`repro.experiments.runner`.  ``REPRO_JOBS`` fans each
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.check.golden import results_digest
 from repro.experiments import (
     active_profile,
     config_key,
@@ -93,12 +96,17 @@ def git_revision() -> str:
 
 
 def quick_cell(figure) -> dict:
-    """The figure's table at its ``QUICK_CELLS`` x, at the quick profile."""
+    """The figure's table and per-row result digests at its ``QUICK_CELLS``
+    x, at the quick profile."""
     value = QUICK_CELLS[figure.key]
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_PROFILE", "quick")
         table = run_sweep(figure, values=[value], jobs=SWEEP_JOBS)
-    return {"x": value, "table": format_sweep_table(table, figure.title).splitlines()}
+    return {
+        "x": value,
+        "table": format_sweep_table(table, figure.title).splitlines(),
+        "digests": {row: results_digest(table.result(row, value)) for row in table.rows},
+    }
 
 
 def write_provenance(figure, table) -> None:
@@ -109,7 +117,12 @@ def write_provenance(figure, table) -> None:
         "profile": active_profile(),
         "source_digest": source_digest(Path(repro.__file__).resolve().parent),
         "cells": [
-            {"row": row, "x": value, "config_key": config_key(figure.config(value, row))}
+            {
+                "row": row,
+                "x": value,
+                "config_key": config_key(figure.config(value, row)),
+                "digest": results_digest(table.result(row, value)),
+            }
             for value in table.values
             for row in table.rows
         ],

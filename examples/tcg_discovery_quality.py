@@ -2,7 +2,7 @@
 """Scoring TCG discovery against the ground truth.
 
 A real MSS never knows the true motion groups; the simulator does.  This
-script runs GroCoCa, then uses :mod:`repro.analysis` to score what the
+script runs GroCoCa, then uses ``tools/analysis.py`` to score what the
 MSS discovered from piggybacked locations and sampled access patterns:
 
 * precision / recall of the discovered TCG pairs vs the true groups,
@@ -14,17 +14,22 @@ Run:
     python examples/tcg_discovery_quality.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro import CachingScheme, SimulationConfig
-from repro.analysis import (
+from repro.core.simulation import Simulation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from analysis import (  # noqa: E402
     cache_duplication,
     cache_overlap_matrix,
     group_distinct_items,
     jain_fairness,
     tcg_discovery_quality,
 )
-from repro.core.simulation import Simulation
 
 
 def build(scheme):

@@ -24,6 +24,7 @@ Python), live in ``tests/golden/`` and are refreshed with
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -41,8 +42,8 @@ __all__ = [
     "default_fixtures_dir",
     "diff_fixture",
     "fixture_for",
-    "fixture_results",
     "record",
+    "results_digest",
     "results_to_dict",
     "verify",
 ]
@@ -54,9 +55,8 @@ FIXTURE_FORMAT = 1
 #: These counters describe how the simulator computed the outcome (position
 #: cache reuse, event-queue internals), not the simulated outcome itself, so
 #: a perf refactor may legitimately move them while every semantic counter
-#: stays frozen.  They are stripped from *both* sides of the comparison, so
-#: fixtures recorded before a counter existed (or before one was demoted to
-#: implementation detail) keep verifying without a re-record.
+#: stays frozen.  :func:`results_to_dict` strips them, so a fixture never
+#: stores them.
 PERF_COUNTER_PREFIXES: Tuple[str, ...] = ("snapshot_", "kernel_")
 
 
@@ -147,11 +147,6 @@ def results_to_dict(results: Results) -> Dict[str, object]:
     """
     payload = dataclasses.asdict(results)
     payload.pop("profile", None)
-    if not payload.get("health"):
-        # The failure-aware retrieve counters exist only when the health
-        # layer is on; dropping the empty dict keeps pre-health fixtures
-        # verifying without a re-record.
-        payload.pop("health", None)
     profile = results.profile
     if profile is not None:
         payload["profile"] = {
@@ -162,25 +157,17 @@ def results_to_dict(results: Results) -> Dict[str, object]:
     return json.loads(json.dumps(payload, sort_keys=True))
 
 
-def fixture_results(fixture: Dict[str, object]) -> Dict[str, object]:
-    """A fixture's expected results, normalised for comparison.
+def results_digest(results: Results) -> str:
+    """SHA-256 of every simulated statistic: the canonical JSON of
+    :class:`Results` without its host-timed ``profile``.
 
-    Strips the implementation-detail counters
-    (:data:`PERF_COUNTER_PREFIXES`) from the stored profile so fixtures
-    recorded before a counter existed — or before one was demoted to
-    implementation detail — compare cleanly against
-    :func:`results_to_dict` output without a re-record.
+    The same form as ``perfbench.child.results_digest``, so a figure
+    sidecar, a golden run and a perfbench report name one outcome alike.
     """
-    expected = dict(fixture["results"])  # type: ignore[arg-type]
-    if not expected.get("health"):
-        expected.pop("health", None)
-    profile = expected.get("profile")
-    if isinstance(profile, dict) and isinstance(profile.get("counters"), dict):
-        expected["profile"] = {
-            **profile,
-            "counters": _semantic_counters(profile["counters"]),
-        }
-    return expected
+    payload = dataclasses.asdict(results)
+    del payload["profile"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def fixture_for(name: str, config: SimulationConfig) -> Dict[str, object]:
@@ -244,9 +231,10 @@ def verify(
     """Replay every committed fixture; return per-case field-level diffs.
 
     The stored config is reconstructed through
-    :meth:`SimulationConfig.from_dict`, so the round-trip also exercises
-    config serialisation.  Raises ``FileNotFoundError`` when the fixture
-    directory holds no fixtures at all.
+    :meth:`SimulationConfig.from_dict` and must round-trip to exactly the
+    stored dict, so a fixture names every config field and the round-trip
+    also exercises config serialisation.  Raises ``FileNotFoundError``
+    when the fixture directory holds no fixtures at all.
     """
     directory = Path(directory) if directory is not None else default_fixtures_dir()
     paths = sorted(directory.glob("*.json"))
@@ -261,20 +249,11 @@ def verify(
             fixture = json.load(handle)
         name = fixture.get("name", path.stem)
         config = SimulationConfig.from_dict(fixture["config"])
-        diffs: List[str] = []
-        # Compare only the keys the fixture stored: config fields added
-        # after a fixture was recorded verify at their dataclass defaults,
-        # so new knobs don't force a re-record.
-        stored: Dict[str, object] = fixture["config"]
+        # Expected is what the config round-trips to: a field the fixture
+        # lacks reads "config.<name>: missing".
         round_trip = json.loads(canonical_config(config))
-        for key in sorted(stored):
-            if round_trip.get(key) != stored[key]:
-                diffs.append(
-                    f"config.{key}: stored {stored[key]!r}, "
-                    f"round-tripped {round_trip.get(key)!r}"
-                )
-        expected = fixture_results(fixture)
+        diffs = diff_fixture(round_trip, fixture["config"], prefix="config")
         replayed = results_to_dict(run_simulation(config))
-        diffs.extend(diff_fixture(expected, replayed))
+        diffs.extend(diff_fixture(fixture["results"], replayed))
         report[name] = diffs
     return report

@@ -286,9 +286,8 @@ class Simulation:
             "snapshot_reuses": self.field.snapshot_reuses,
             "ndp_rounds": self.ndp.rounds if self.ndp is not None else 0,
             "beacons_sent": self.ndp.beacons_sent if self.ndp is not None else 0,
+            "kernel_freelist_hits": self.env.freelist_hits,
         }
-        for name, value in self.env.queue_stats().items():
-            counters[f"kernel_{name}"] = value
         if self.faults is not None:
             counters.update(self.faults.counters())
         if any(tracker is not None for tracker in self._trackers):

@@ -40,7 +40,6 @@ from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
-    Dict,
     Generator,
     Iterable,
     List,
@@ -119,11 +118,6 @@ class Event:
         return self._state == _PROCESSED
 
     @property
-    def ok(self) -> bool:
-        """True when the event fired successfully (no exception)."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         if not self.triggered:
             raise SimulationError("event value read before trigger")
@@ -137,7 +131,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         self._state = _TRIGGERED
-        self.env._schedule(self)
+        self.env._schedule_at(self, self.env.now)
         return self
 
     def succeed_now(self, value: Any = None) -> "Event":
@@ -153,8 +147,7 @@ class Event:
         """Trigger the event with an exception.
 
         The exception propagates into every waiting process.  If no process
-        waits, it surfaces from :meth:`Environment.run` unless
-        :meth:`defuse` was called.
+        waits, it surfaces from :meth:`Environment.run`.
         """
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
@@ -162,12 +155,8 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._exception = exception
         self._state = _TRIGGERED
-        self.env._schedule(self)
+        self.env._schedule_at(self, self.env.now)
         return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
@@ -190,21 +179,13 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation.
 
-    Timeouts are the kernel's dominant allocation, so
-    :meth:`Environment.timeout` recycles them through a free list; a
-    recycled instance is indistinguishable from a fresh one.
+    Built only by :meth:`Environment.timeout` / :meth:`Environment.timeout_at`:
+    timeouts are the kernel's dominant allocation, so they are recycled
+    through a free list; a recycled instance is indistinguishable from a
+    fresh one.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if not (0 <= delay < _INF):  # NaN fails every comparison
-            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
-        self._state = _TRIGGERED
-        env._schedule(self, delay)
 
 
 class Process(Event):
@@ -231,7 +212,7 @@ class Process(Event):
         bootstrap = Event(env)
         bootstrap._state = _TRIGGERED
         bootstrap.add_callback(self._resume_cb)
-        env._schedule(bootstrap)
+        env._schedule_at(bootstrap, env.now)
 
     @property
     def is_alive(self) -> bool:
@@ -252,7 +233,7 @@ class Process(Event):
         wakeup._state = _TRIGGERED
         wakeup._defused = True
         wakeup.add_callback(self._resume_cb)
-        self.env._schedule(wakeup)
+        self.env._schedule_at(wakeup, self.env.now)
 
     def _resume(self, fired: Event) -> None:
         self._waiting_on = None
@@ -403,10 +384,6 @@ class Environment:
         """Queued events and calls (queue size); read by samplers."""
         return len(self._heap)
 
-    def queue_stats(self) -> Dict[str, int]:
-        """Kernel work counters; read by the profiler."""
-        return {"freelist_hits": self.freelist_hits}
-
     # -- event factories ---------------------------------------------------
 
     def event(self) -> Event:
@@ -466,9 +443,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._schedule_at(event, self.now + delay)
 
     def _schedule_at(self, event: Event, when: float) -> None:
         seq = self._seq + 1

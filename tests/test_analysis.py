@@ -1,10 +1,16 @@
 """Tests for the post-run analysis module."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import CachingScheme, SimulationConfig
-from repro.analysis import (
+from repro.core.simulation import Simulation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from analysis import (  # noqa: E402
     DiscoveryQuality,
     cache_duplication,
     cache_overlap_matrix,
@@ -12,7 +18,6 @@ from repro.analysis import (
     jain_fairness,
     tcg_discovery_quality,
 )
-from repro.core.simulation import Simulation
 
 
 def run_small(scheme=CachingScheme.GC, seed=31):

@@ -1,12 +1,18 @@
 """Golden-trace fixtures: committed replays, round-trips, drift detection."""
 
+import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.check import golden
 from repro.core.config import SimulationConfig
+from repro.core.simulation import run_simulation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # perfbench
+from perfbench.child import results_digest as perfbench_digest  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "golden"
 
@@ -74,3 +80,32 @@ def test_golden_mismatch_message_lists_every_drifted_field():
     assert "cc-small" in str(error)
     assert "1 field(s)" in str(error)
     assert error.diffs == ["results.a: expected 1, got 2"]
+
+
+@pytest.mark.parametrize(
+    ("section", "field", "expected"),
+    [
+        ("config", "peer_policy", "config.peer_policy: missing"),
+        ("results", "health", "results.health: unexpected new field {}"),
+    ],
+)
+def test_verify_names_a_field_the_fixture_lacks(tmp_path, section, field, expected):
+    """One fixture format: a stored config or results field that is gone
+    is drift, not an old fixture to read at today's defaults."""
+    golden.record(tmp_path, cases={"lc-small": golden.GOLDEN_CASES["lc-small"]})
+    path = tmp_path / "lc-small.json"
+    fixture = json.loads(path.read_text())
+    del fixture[section][field]
+    path.write_text(json.dumps(fixture))
+    diffs = golden.verify(tmp_path)["lc-small"]
+    assert len(diffs) == 1
+    assert diffs[0].startswith(expected)
+
+
+def test_results_digest_is_perfbench_s_digest():
+    """One digest form: a figure sidecar and a perfbench report name the
+    same outcome alike."""
+    results = run_simulation(golden.GOLDEN_CASES["cc-small"])
+    model = dataclasses.asdict(results)
+    del model["profile"]
+    assert golden.results_digest(results) == perfbench_digest(model)

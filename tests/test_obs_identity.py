@@ -29,9 +29,7 @@ def _fixture(name):
 def test_untraced_runs_match_committed_goldens(name):
     fixture = _fixture(name)
     results = run_simulation(golden.GOLDEN_CASES[name])
-    diffs = golden.diff_fixture(
-        golden.fixture_results(fixture), golden.results_to_dict(results)
-    )
+    diffs = golden.diff_fixture(fixture["results"], golden.results_to_dict(results))
     assert diffs == [], "\n".join(diffs)
 
 
@@ -42,9 +40,7 @@ def test_tracer_alone_is_invisible_even_to_the_profiler(name):
     fixture = _fixture(name)
     observer = Observer(sample_period=None)
     results = run_simulation(golden.GOLDEN_CASES[name], observer=observer)
-    diffs = golden.diff_fixture(
-        golden.fixture_results(fixture), golden.results_to_dict(results)
-    )
+    diffs = golden.diff_fixture(fixture["results"], golden.results_to_dict(results))
     assert diffs == [], "\n".join(diffs)
     assert observer.tracer.events, "the tracer recorded nothing"
 
@@ -64,7 +60,6 @@ def test_sampled_runs_change_no_results_field(name):
     assert diffs == [], "\n".join(diffs)
     # The sampler's own events are the *only* profile drift: the
     # per-subsystem work counters still match exactly.
-    semantic = golden.fixture_results(fixture)["profile"]["counters"]
-    assert profile["counters"] == semantic
+    assert profile["counters"] == fixture["results"]["profile"]["counters"]
     assert observer.sampler is not None
     assert len(observer.sampler.series("t")) > 0

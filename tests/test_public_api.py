@@ -83,8 +83,7 @@ def _imported_names(path):
 def test_every_module_is_reached():
     """No orphan packages: the static import closure of the CLI entry
     point is the whole of ``src/repro``.  A module that only a tool or a
-    test runs lives in ``tools/`` or ``tests/``; ``repro.analysis``, which
-    only an example runs, is the one exception."""
+    test or an example runs lives in ``tools/`` or ``tests/``."""
     files = _module_files()
     reached = set()
     pending = [files["repro.__main__"]]
@@ -97,7 +96,7 @@ def test_every_module_is_reached():
                     reached.add(module)
                     pending.append(files[module])
     unreached = sorted(set(files) - reached - {"repro.__main__"})
-    assert unreached == ["repro.analysis"], f"not reached from the CLI: {unreached}"
+    assert unreached == [], f"not reached from the CLI: {unreached}"
 
 
 def test_every_results_file_has_a_producer():

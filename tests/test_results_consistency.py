@@ -5,22 +5,23 @@ Every paper figure except Fig. 4 (which runs a longer warm-up) passes
 through the same default configuration at one of its x values, so the
 LC/CC/GC cells there must be equal in every file.  One bench-profile
 simulation of that point pins the files to what the code produces, at the
-precision the tables print.  Each ``results/<stem>.json`` written beside a
+precision the tables print, and to the result digests its sidecar
+recorded, bit for bit.  Each ``results/<stem>.json`` written beside a
 figure's series must describe exactly that series' rows and x values; the
-sidecar of a paper figure also holds its table at one cheap non-default x
-at the quick profile, which is re-simulated here too.
+sidecar of a paper figure also holds its table and digests at one cheap
+non-default x at the quick profile, which is re-simulated here too.  A
+behaviour-preserving change therefore passes silently, whatever source it
+runs, and a behaviour change fails until the figure bench re-records.
 """
 
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-import repro
+from repro.check.golden import results_digest
 from repro.experiments import FIGURES, format_sweep_table, jobs_from_env, run_sweep
-from repro.experiments.cache import source_digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from claims import ROOT, parse_table  # noqa: E402
@@ -66,12 +67,17 @@ def test_default_point_reproduces_at_head(monkeypatch):
     """Three bench-profile runs (LC, CC, GC at Fig. 2's default x)."""
     monkeypatch.setenv("REPRO_PROFILE", "bench")
     figure = FIGURES["fig2"]
-    table = run_sweep(
-        figure, values=[int(DEFAULT_POINT[figure.stem])], jobs=jobs_from_env()
-    )
+    x = int(DEFAULT_POINT[figure.stem])
+    table = run_sweep(figure, values=[x], jobs=jobs_from_env())
     rendered = format_sweep_table(table, figure.title)
     assert point_cells(rendered, DEFAULT_POINT[figure.stem]) == (
         committed_default_point()
+    )
+    sidecar = json.loads((RESULTS / f"{figure.stem}.json").read_text())
+    assert sidecar["profile"] == "bench"
+    recorded = {cell["row"]: cell["digest"] for cell in sidecar["cells"] if cell["x"] == x}
+    assert {scheme: results_digest(table.result(scheme, x)) for scheme in SCHEMES} == (
+        recorded
     )
 
 
@@ -96,12 +102,7 @@ def test_sidecar_describes_its_series(path):
     ]
     assert sidecar["profile"] in ("quick", "bench", "full")
     assert all(len(cell["config_key"]) == 64 for cell in sidecar["cells"])
-    tree = source_digest(Path(repro.__file__).resolve().parent)
-    if sidecar["source_digest"] != tree:
-        warnings.warn(
-            f"{path.name} was recorded from other source "
-            f"({sidecar['revision']}); re-run its bench if behaviour changed"
-        )
+    assert all(len(cell["digest"]) == 64 for cell in sidecar["cells"])
 
 
 #: The paper figures.
@@ -125,3 +126,6 @@ def test_quick_cell_reproduces_at_head(key, monkeypatch):
     quick = json.loads((RESULTS / f"{figure.stem}.json").read_text())["quick"]
     table = run_sweep(figure, values=[quick["x"]], jobs=jobs_from_env())
     assert format_sweep_table(table, figure.title).splitlines() == quick["table"]
+    assert {
+        row: results_digest(table.result(row, quick["x"])) for row in table.rows
+    } == quick["digests"]

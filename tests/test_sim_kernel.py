@@ -231,14 +231,6 @@ def test_unhandled_failure_surfaces_from_run():
         env.run()
 
 
-def test_defused_failure_does_not_crash_run():
-    env = Environment()
-    gate = env.event()
-    gate.fail(RuntimeError("ignored"))
-    gate.defuse()
-    env.run()  # must not raise
-
-
 def test_yield_already_processed_event_resumes_immediately():
     env = Environment()
     gate = env.event()
@@ -265,7 +257,8 @@ def test_yield_non_event_fails_process():
     proc = env.process(bad())
     with pytest.raises(SimulationError, match=r"^process yielded a non-event: 42$"):
         env.run()
-    assert proc.triggered and not proc.ok
+    with pytest.raises(SimulationError, match="non-event"):
+        _ = proc.value  # a failed process re-raises its error
     assert env.now == 1.0
 
 
@@ -605,7 +598,9 @@ def test_unwatched_failed_process_still_raises_from_run():
     proc = env.process(worker())
     with pytest.raises(KeyError, match="boom"):
         env.run()
-    assert proc.processed and not proc.ok
+    assert proc.processed
+    with pytest.raises(KeyError, match="boom"):
+        _ = proc.value  # a failed process re-raises its error
     assert env.events_processed == 3  # bootstrap, timeout, the failure event
 
 

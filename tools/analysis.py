@@ -11,6 +11,10 @@ could not report:
 * :func:`cache_overlap_matrix` — pairwise Jaccard similarity of cache
   contents,
 * :func:`jain_fairness` — fairness of any per-client series.
+
+No run needs these scores, so they sit beside the judges in ``tools/``
+rather than in the ``repro`` package: the example and the tests put
+``tools/`` on ``sys.path`` and ``import analysis``.
 """
 
 from __future__ import annotations
