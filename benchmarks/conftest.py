@@ -4,12 +4,12 @@ Every benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing, each writes its rendered series to
 ``results/<name>.txt`` (and stdout) so the numbers survive output capture;
 ``tools/fill_experiments.py`` copies those files into EXPERIMENTS.md.  The
-figure bench also writes ``results/<stem>.json``: the git revision,
-profile and source digest the series was measured at, the cache key and
-result digest of every (row, x) cell and, for a paper figure, its table
-and per-row digests at one cheap x at the ``quick`` profile
-(``QUICK_CELLS``).  Tier-1 re-simulates the quick cell and Fig. 2's
-default point and compares their digests bit for bit.
+figure bench also writes ``results/<stem>.json``: the profile the series
+was measured at, the result digest of every (row, x) cell and, for a paper
+figure, its table and per-row digests at one cheap x at the ``quick``
+profile (``QUICK_CELLS``).  Tier-1 re-simulates the quick cell and Fig. 2's
+default point and compares their digests bit for bit.  A sidecar names
+outcomes only, so re-running an unchanged simulator rewrites no byte.
 
 Scale is controlled by ``REPRO_PROFILE`` (quick / bench / full, default
 bench) — see :mod:`repro.experiments.runner`.  ``REPRO_JOBS`` fans each
@@ -23,21 +23,12 @@ recorded here: wall-clock regressions are measured and gated by
 from __future__ import annotations
 
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
 
-import repro
-from repro.check.golden import results_digest
-from repro.experiments import (
-    active_profile,
-    config_key,
-    format_sweep_table,
-    jobs_from_env,
-    run_sweep,
-)
-from repro.experiments.cache import source_digest
+from repro.core.metrics import results_digest
+from repro.experiments import active_profile, format_sweep_table, jobs_from_env, run_sweep
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -81,20 +72,6 @@ def record_table(results_dir):
     return _record
 
 
-def git_revision() -> str:
-    """``git describe --always --dirty`` of the checkout, or ``unknown``."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=RESULTS_DIR.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def quick_cell(figure) -> dict:
     """The figure's table and per-row result digests at its ``QUICK_CELLS``
     x, at the quick profile."""
@@ -113,16 +90,9 @@ def write_provenance(figure, table) -> None:
     """Write ``results/<stem>.json``: what produced ``results/<stem>.txt``."""
     sidecar = {
         "figure": figure.key,
-        "revision": git_revision(),
         "profile": active_profile(),
-        "source_digest": source_digest(Path(repro.__file__).resolve().parent),
         "cells": [
-            {
-                "row": row,
-                "x": value,
-                "config_key": config_key(figure.config(value, row)),
-                "digest": results_digest(table.result(row, value)),
-            }
+            {"row": row, "x": value, "digest": results_digest(table.result(row, value))}
             for value in table.values
             for row in table.rows
         ],

@@ -7,11 +7,13 @@ every refactor that does not *intend* to change semantics.  This module
 turns that guarantee into committed fixtures:
 
 * :data:`GOLDEN_CASES` — a small canon of configurations (one per
-  scheme, plus a faulty GroCoCa run) chosen to exercise every protocol
-  layer in a few hundred milliseconds each;
-* :func:`record` — simulate each case and write one JSON fixture of its
-  full :class:`Results` counters and :class:`~repro.sim.profile.RunProfile`
-  work counters;
+  scheme, plus a faulty and a failure-aware GroCoCa run) chosen to
+  exercise every protocol layer in a few hundred milliseconds each;
+* :func:`record` — simulate each case and write one JSON fixture holding
+  the run's two serialised forms: ``SimulationConfig.as_dict()`` and
+  :func:`~repro.core.metrics.results_to_dict` (every ``Results`` counter
+  plus the :class:`~repro.sim.profile.RunProfile` work counters).  Nothing
+  else is stored, so re-recording unchanged behaviour rewrites no byte;
 * :func:`verify` — re-simulate every committed fixture and return a
   **field-level diff**, so an unintended semantic change fails CI with
   the exact counters that moved, not just "results differ".
@@ -23,50 +25,27 @@ Python), live in ``tests/golden/`` and are refreshed with
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.metrics import Results
+from repro.core.config import CachingScheme, SimulationConfig, canonical_config
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import run_simulation
-from repro.experiments.cache import canonical_config, default_code_version
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 
 __all__ = [
     "FIXTURE_FORMAT",
     "GOLDEN_CASES",
-    "GoldenMismatch",
     "default_fixtures_dir",
     "diff_fixture",
     "fixture_for",
     "record",
-    "results_digest",
-    "results_to_dict",
     "verify",
 ]
 
 #: Bump when the fixture file layout (not the simulator) changes.
 FIXTURE_FORMAT = 1
-
-#: Profile-counter name prefixes excluded from the bit-identity diff.
-#: These counters describe how the simulator computed the outcome (position
-#: cache reuse, event-queue internals), not the simulated outcome itself, so
-#: a perf refactor may legitimately move them while every semantic counter
-#: stays frozen.  :func:`results_to_dict` strips them, so a fixture never
-#: stores them.
-PERF_COUNTER_PREFIXES: Tuple[str, ...] = ("snapshot_", "kernel_")
-
-
-def _semantic_counters(counters: Dict[str, object]) -> Dict[str, object]:
-    """Drop performance-implementation counters from a profile dict."""
-    return {
-        name: value
-        for name, value in counters.items()
-        if not name.startswith(PERF_COUNTER_PREFIXES)
-    }
 
 #: Shared base of every golden case: small enough that one case runs in
 #: well under a second, large enough that caches fill, searches fan out
@@ -119,55 +98,9 @@ GOLDEN_CASES: Dict[str, SimulationConfig] = {
 }
 
 
-class GoldenMismatch(AssertionError):
-    """A replayed run drifted from its committed fixture."""
-
-    def __init__(self, name: str, diffs: List[str]) -> None:
-        self.name = name
-        self.diffs = list(diffs)
-        listing = "\n  ".join(self.diffs)
-        super().__init__(
-            f"golden trace {name!r} drifted in {len(self.diffs)} field(s):\n"
-            f"  {listing}"
-        )
-
-
 def default_fixtures_dir() -> Path:
     """Where fixtures live when no directory is given (``tests/golden``)."""
     return Path("tests") / "golden"
-
-
-def results_to_dict(results: Results) -> Dict[str, object]:
-    """JSON-ready dict of every deterministic :class:`Results` field.
-
-    The ``profile`` field is replaced by its deterministic core — kernel
-    events processed plus the per-subsystem work counters — because
-    wall-clock timing legitimately varies between runs.  Counters matching
-    :data:`PERF_COUNTER_PREFIXES` are implementation detail and excluded.
-    """
-    payload = dataclasses.asdict(results)
-    payload.pop("profile", None)
-    profile = results.profile
-    if profile is not None:
-        payload["profile"] = {
-            "events": profile.events,
-            "counters": dict(sorted(_semantic_counters(profile.counters).items())),
-        }
-    # Normalise tuples (latency_by_outcome values) the way JSON will.
-    return json.loads(json.dumps(payload, sort_keys=True))
-
-
-def results_digest(results: Results) -> str:
-    """SHA-256 of every simulated statistic: the canonical JSON of
-    :class:`Results` without its host-timed ``profile``.
-
-    The same form as ``perfbench.child.results_digest``, so a figure
-    sidecar, a golden run and a perfbench report name one outcome alike.
-    """
-    payload = dataclasses.asdict(results)
-    del payload["profile"]
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def fixture_for(name: str, config: SimulationConfig) -> Dict[str, object]:
@@ -176,7 +109,6 @@ def fixture_for(name: str, config: SimulationConfig) -> Dict[str, object]:
     return {
         "format": FIXTURE_FORMAT,
         "name": name,
-        "code_version": default_code_version(),
         "config": config.as_dict(),
         "results": results_to_dict(results),
     }

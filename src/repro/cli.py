@@ -405,7 +405,8 @@ def _run_policies_command(args: argparse.Namespace) -> int:
 
 def _run_check_command(args: argparse.Namespace) -> int:
     """Handler of the ``check`` subcommand."""
-    # Imported lazily: golden pulls in the experiments layer.
+    # Imported lazily: the package loads the invariant oracle, which only
+    # --check and this subcommand need.
     from repro.check import golden
 
     directory = Path(args.fixtures) if args.fixtures else golden.default_fixtures_dir()
@@ -450,27 +451,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             monitor = InvariantMonitor()
         if args.trace_out:
-            from repro.obs import (
-                Observer,
-                export_bundle,
-                format_breakdown,
-                phase_breakdown,
-            )
+            from repro.obs import run_traced, summarize_path
 
-            observer = Observer(sample_period=args.sample_period)
-            results = run_simulation(config, monitor=monitor, observer=observer)
-            _print_results(results)
-            paths = export_bundle(
-                observer, Path(args.trace_out), config=config, results=results
+            results, paths = run_traced(
+                config, Path(args.trace_out), args.sample_period, monitor
             )
+            _print_results(results)
             for kind in sorted(paths):
                 print(f"wrote {paths[kind]}", file=sys.stderr)
-            print(
-                format_breakdown(
-                    phase_breakdown(observer.tracer.spans()),
-                    title="phase latency",
-                )
-            )
+            print(summarize_path(paths["jsonl"]))
         else:
             _print_results(run_simulation(config, monitor=monitor))
         if monitor is not None:

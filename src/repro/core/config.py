@@ -9,17 +9,17 @@ dataclass field so experiments override parameters with
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-
-from typing import Dict
+from typing import Any, Dict
 
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 from repro.policies import SCHEME_DEFAULTS, registry as policy_registry
 
-__all__ = ["CachingScheme", "SimulationConfig"]
+__all__ = ["CachingScheme", "SimulationConfig", "canonical_config"]
 
 
 class CachingScheme(Enum):
@@ -161,7 +161,7 @@ class SimulationConfig:
     max_sim_time: float = 20_000.0  # hard stop (simulated seconds)
     count_beacon_power: bool = False  # include NDP beacons in power/GCH
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         # NaN fails no ``<`` test and +/-inf passes every lower bound; a float
         # count, a bool hop limit or a "yes" flag passes or fails them by
         # accident.  Reject all of these here, for every field at once,
@@ -325,15 +325,15 @@ PeerHealthTracker` is built and runs stay bit-identical to the goldens.
         """A copy of this config running a different scheme."""
         return dataclasses.replace(self, scheme=scheme)
 
-    def replace(self, **overrides) -> "SimulationConfig":
+    def replace(self, **overrides: Any) -> "SimulationConfig":
         """A copy with the given fields overridden."""
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready dict: enums become values, the fault plan nests.
 
-        The exact inverse of :meth:`from_dict`; the result-cache keys and
-        golden-trace fixtures both serialise configs through this form.
+        The exact inverse of :meth:`from_dict`: golden fixtures and trace
+        manifests store it, and :func:`canonical_config` is its text.
         """
         payload = dataclasses.asdict(self)
         payload["scheme"] = self.scheme.value
@@ -361,6 +361,12 @@ PeerHealthTracker` is built and runs stay bit-identical to the goldens.
                 parts[spec.name] = _fault_part(path, faults[spec.name], part)
             data["faults"] = FaultPlan(**parts)
         return cls(**data)
+
+
+def canonical_config(config: SimulationConfig) -> str:
+    """Deterministic JSON text of a configuration (sorted keys, enum values):
+    what a result-cache key and a trace directory name hash."""
+    return json.dumps(config.as_dict(), sort_keys=True)
 
 
 def _reject_unknown(owner: str, payload: Dict[str, object], kind: type) -> None:

@@ -15,8 +15,10 @@ as the ledger delta over the recording window.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
@@ -26,9 +28,12 @@ from repro.sim.stats import WelfordAccumulator
 
 __all__ = [
     "COUNTED_EVENTS",
+    "PERF_COUNTER_PREFIXES",
     "Metrics",
     "RequestOutcome",
     "Results",
+    "results_digest",
+    "results_to_dict",
 ]
 
 #: The counted protocol events: tracer-instant name -> counted kind.  The
@@ -98,8 +103,8 @@ class Results:
     uplink_retries: int = 0
     mss_fallbacks: int = 0
     #: failure-aware retrieve counters (hedges, breaker trips, ...), keyed
-    #: by the non-retry kinds of :data:`COUNTED_EVENTS`; empty whenever the
-    #: health layer is disabled, and omitted from golden fixtures then.
+    #: by the non-retry kinds of :data:`COUNTED_EVENTS`; empty (``{}`` in a
+    #: golden fixture) whenever the health layer is disabled.
     health: Dict[str, int] = field(default_factory=dict)
     #: per-outcome (count, mean latency) pairs, keyed by outcome name
     latency_by_outcome: Dict[str, Tuple[int, float]] = field(default_factory=dict)
@@ -127,17 +132,52 @@ class Results:
     def failure_ratio(self) -> float:
         return 100.0 * self.failures / self.requests if self.requests else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "scheme": self.scheme,
-            "requests": self.requests,
-            "access_latency": self.access_latency,
-            "server_request_ratio": self.server_request_ratio,
-            "gch_ratio": self.gch_ratio,
-            "lch_ratio": self.lch_ratio,
-            "power_per_gch": self.power_per_gch,
-            "failure_ratio": self.failure_ratio,
+
+#: Profile-counter name prefixes kept out of a run's outcome form.  These
+#: counters describe how the simulator computed the outcome (position cache
+#: reuse, event-queue internals), not the simulated outcome itself, so a
+#: perf refactor may legitimately move them while every semantic counter
+#: stays frozen.  :func:`results_to_dict` strips them, so a golden fixture
+#: or a trace manifest never stores them.
+PERF_COUNTER_PREFIXES: Tuple[str, ...] = ("snapshot_", "kernel_")
+
+
+def results_to_dict(results: Results) -> Dict[str, object]:
+    """JSON-ready dict of every deterministic :class:`Results` field: the
+    outcome form a golden fixture and a trace manifest store.
+
+    The ``profile`` field is replaced by its deterministic core — kernel
+    events processed plus the per-subsystem work counters — because
+    wall-clock timing legitimately varies between runs.  Counters matching
+    :data:`PERF_COUNTER_PREFIXES` are implementation detail and excluded.
+    """
+    payload = asdict(results)
+    payload.pop("profile", None)
+    profile = results.profile
+    if profile is not None:
+        payload["profile"] = {
+            "events": profile.events,
+            "counters": {
+                name: value
+                for name, value in sorted(profile.counters.items())
+                if not name.startswith(PERF_COUNTER_PREFIXES)
+            },
         }
+    # Normalise tuples (latency_by_outcome values) the way JSON will.
+    return json.loads(json.dumps(payload, sort_keys=True))
+
+
+def results_digest(results: Results) -> str:
+    """SHA-256 of every simulated statistic: the canonical JSON of
+    :class:`Results` without its host-timed ``profile``.
+
+    The same form as ``perfbench.child.results_digest``, so a figure
+    sidecar, a golden run and a perfbench report name one outcome alike.
+    """
+    payload = asdict(results)
+    del payload["profile"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class Metrics:

@@ -10,7 +10,7 @@
 * :mod:`repro.experiments.tables` — text rendering of the result series.
 """
 
-from repro.experiments.cache import ResultCache, config_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     jobs_from_env,
     RunCrashed,
@@ -45,7 +45,6 @@ __all__ = [
     "SweepTable",
     "active_profile",
     "base_config",
-    "config_key",
     "execute_runs",
     "format_results_row",
     "format_sweep_table",

@@ -2,9 +2,11 @@
 
 Re-running a figure bench after touching only one parameter should only
 simulate the points whose configuration actually changed.  The cache maps
-a **stable key** — the SHA-256 of the canonicalised
-:class:`~repro.core.config.SimulationConfig` plus a code-version string —
-to the pickled :class:`~repro.core.metrics.Results` of that run.
+a **stable key** — the SHA-256 of
+:func:`~repro.core.config.canonical_config` plus a code-version string —
+to the pickled :class:`~repro.core.metrics.Results` of that run.  An entry
+stores the canonical config beside the results; the code version lives in
+the key alone.
 
 Invalidation rules:
 
@@ -26,17 +28,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import json
 import os
 import pickle
 from pathlib import Path
 from typing import Optional, Union
 
 from repro import __version__
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, canonical_config
 from repro.core.metrics import Results
 
-__all__ = ["CACHE_FORMAT", "ResultCache", "canonical_config", "config_key"]
+__all__ = ["CACHE_FORMAT", "ResultCache", "config_key"]
 
 #: Bump when the on-disk entry layout (not the simulator) changes.
 CACHE_FORMAT = 1
@@ -65,11 +66,6 @@ def default_code_version() -> str:
     """The code-version string mixed into every cache key."""
     source = source_digest(Path(__file__).resolve().parent.parent)
     return f"repro-{__version__}/cache-{CACHE_FORMAT}/src-{source[:16]}"
-
-
-def canonical_config(config: SimulationConfig) -> str:
-    """Deterministic JSON text of a configuration (sorted keys, enum values)."""
-    return json.dumps(config.as_dict(), sort_keys=True)
 
 
 def config_key(config: SimulationConfig, code_version: Optional[str] = None) -> str:
@@ -147,7 +143,6 @@ class ResultCache:
         path = self.path_for(config)
         payload = {
             "config": canonical_config(config),
-            "code_version": self.code_version,
             "results": results,
         }
         temporary = path.with_name(

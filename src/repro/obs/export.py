@@ -13,7 +13,10 @@ sequence (a list, or a :class:`~repro.obs.tracer.Tracer`'s read-only
 * ``series.csv`` — the sampler's windowed time series.
 
 :func:`export_bundle` writes all of them plus a ``manifest.json`` tying
-the trace back to its configuration and results.
+the trace back to its run: the event count and the run's two serialised
+forms, ``SimulationConfig.as_dict()`` and
+:func:`~repro.core.metrics.results_to_dict`, the same pair a golden
+fixture stores.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
+from repro.core.config import SimulationConfig
+from repro.core.metrics import Results, results_to_dict
 from repro.obs.tracer import TraceEvent, derive_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.config import SimulationConfig
-    from repro.core.metrics import Results
     from repro.obs.sampler import TimeSeriesSampler
 
 __all__ = [
@@ -178,8 +181,8 @@ def write_series_csv(sampler: "TimeSeriesSampler", path: Path) -> Path:
 def export_bundle(
     observer: object,
     out_dir: Path,
-    config: Optional["SimulationConfig"] = None,
-    results: Optional["Results"] = None,
+    config: SimulationConfig,
+    results: Results,
 ) -> Dict[str, Path]:
     """Write every export of one traced run into ``out_dir``.
 
@@ -200,11 +203,11 @@ def export_bundle(
     }
     if sampler is not None:
         paths["series"] = write_series_csv(sampler, out_dir / "series.csv")
-    manifest: Dict[str, object] = {"events": len(events)}
-    if config is not None:
-        manifest["config"] = config.as_dict()
-    if results is not None:
-        manifest["results"] = results.as_dict()
+    manifest = {
+        "config": config.as_dict(),
+        "events": len(events),
+        "results": results_to_dict(results),
+    }
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)

@@ -19,10 +19,11 @@ breakdown.
 from __future__ import annotations
 
 import functools
+import hashlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, canonical_config
 from repro.core.metrics import Results
 from repro.obs.export import export_bundle
 from repro.obs.sampler import TimeSeriesSampler
@@ -70,12 +71,9 @@ class Observer:
 
 
 def trace_slug(config: SimulationConfig) -> str:
-    """A stable per-config directory name for sweep trace output."""
-    from repro.experiments.cache import config_key
-
-    # A constant version: the name is a function of the config alone, not
-    # of the source digest a cache key carries.
-    key = config_key(config, code_version="trace-slug")
+    """A stable per-config directory name for sweep trace output: a
+    function of the config alone, not of the source a cache key carries."""
+    key = hashlib.sha256(canonical_config(config).encode("utf-8")).hexdigest()
     return f"{config.scheme.value.lower()}-s{config.seed}-{key[:12]}"
 
 
@@ -90,7 +88,7 @@ def run_traced(
 
     observer = Observer(sample_period=sample_period)
     results = run_simulation(config, monitor=monitor, observer=observer)
-    paths = export_bundle(observer, Path(out_dir), config=config, results=results)
+    paths = export_bundle(observer, Path(out_dir), config, results)
     return results, paths
 
 

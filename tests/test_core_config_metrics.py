@@ -278,13 +278,3 @@ def test_metrics_min_client_requests():
     assert metrics.min_client_requests() == 0  # client 1 has none
     metrics.record_request(1, RequestOutcome.LOCAL_HIT, 0.0)
     assert metrics.min_client_requests() == 1
-
-
-def test_results_as_dict_keys():
-    metrics = Metrics("GC")
-    ledger = PowerLedger(1)
-    metrics.start_recording(0.0, ledger, n_clients=1)
-    data = metrics.results(1.0, ledger).as_dict()
-    assert {"scheme", "access_latency", "server_request_ratio", "gch_ratio"} <= set(
-        data
-    )

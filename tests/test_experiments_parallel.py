@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.config import CachingScheme, SimulationConfig, canonical_config
 from repro.core.metrics import Results
 from repro.core.simulation import run_simulation
 from repro.experiments import (
@@ -28,7 +28,7 @@ from repro.experiments import (
     resolve_jobs,
     run_sweep,
 )
-from repro.experiments.cache import canonical_config, config_key
+from repro.experiments.cache import config_key
 
 SCHEMES = [CachingScheme.LC, CachingScheme.GC]
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.check import golden
 from repro.core.config import SimulationConfig
+from repro.core.metrics import results_digest
 from repro.core.simulation import run_simulation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # perfbench
@@ -38,6 +39,23 @@ def test_fixture_configs_round_trip_to_the_canonical_cases():
         assert fixture["name"] == name
         assert SimulationConfig.from_dict(fixture["config"]) == config
         assert SimulationConfig.from_dict(config.as_dict()) == config
+
+
+def test_re_recording_rewrites_no_committed_byte(tmp_path):
+    """A fixture holds only the config and outcome forms, so recording
+    unchanged behaviour reproduces every committed file byte for byte,
+    whatever source edit came before."""
+    paths = golden.record(tmp_path)
+    assert sorted(path.name for path in paths) == sorted(
+        path.name for path in FIXTURES.glob("*.json")
+    )
+    for path in paths:
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
+
+
+def test_a_fixture_holds_the_two_run_forms_and_nothing_else():
+    fixture = json.loads((FIXTURES / "cc-small.json").read_text())
+    assert set(fixture) == {"format", "name", "config", "results"}
 
 
 def test_record_then_verify_round_trip(tmp_path):
@@ -75,13 +93,6 @@ def test_diff_fixture_reports_nested_new_and_missing_fields():
     ]
 
 
-def test_golden_mismatch_message_lists_every_drifted_field():
-    error = golden.GoldenMismatch("cc-small", ["results.a: expected 1, got 2"])
-    assert "cc-small" in str(error)
-    assert "1 field(s)" in str(error)
-    assert error.diffs == ["results.a: expected 1, got 2"]
-
-
 @pytest.mark.parametrize(
     ("section", "field", "expected"),
     [
@@ -108,4 +119,4 @@ def test_results_digest_is_perfbench_s_digest():
     results = run_simulation(golden.GOLDEN_CASES["cc-small"])
     model = dataclasses.asdict(results)
     del model["profile"]
-    assert golden.results_digest(results) == perfbench_digest(model)
+    assert results_digest(results) == perfbench_digest(model)

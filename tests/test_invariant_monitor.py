@@ -8,6 +8,7 @@ import pytest
 from repro.cache.lru import LRUCache
 from repro.check import InvariantMonitor, InvariantViolation, run_checked
 from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import Simulation, run_simulation
 from repro.core.tcg import TCGManager
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
@@ -65,8 +66,6 @@ def test_clean_run_with_ndp_faults_and_disconnections():
 
 def test_monitor_off_results_identical():
     """A monitored run changes nothing observable but the profile."""
-    from repro.check.golden import results_to_dict
-
     config = SimulationConfig(scheme=CachingScheme.CC, **SMALL)
     plain = results_to_dict(run_simulation(config))
     checked_results, report = run_checked(config)

@@ -14,10 +14,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.golden import results_to_dict
-from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.config import CachingScheme, SimulationConfig, canonical_config
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import run_simulation
-from repro.experiments.cache import ResultCache, canonical_config, config_key
+from repro.experiments.cache import ResultCache, config_key
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 
 # -- strategies ---------------------------------------------------------------

@@ -173,7 +173,11 @@ def test_cli_run_trace_out(tmp_path, capsys):
         assert (out / name).exists(), name
     # The Chrome export is valid JSON (the python -m json.tool check).
     json.loads((out / "trace.chrome.json").read_text(encoding="utf-8"))
-    assert "phase latency" in captured.out
+    # The run's phase table is the one ``repro trace summarize`` prints.
+    assert cli.main(["trace", "summarize", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.startswith("phase latency breakdown: 1 trace(s)")
+    assert captured.out.endswith(summary)
 
 
 def test_cli_trace_summarize(tmp_path, capsys):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.check import golden
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import run_simulation
 from repro.obs import Observer
 
@@ -29,7 +30,7 @@ def _fixture(name):
 def test_untraced_runs_match_committed_goldens(name):
     fixture = _fixture(name)
     results = run_simulation(golden.GOLDEN_CASES[name])
-    diffs = golden.diff_fixture(fixture["results"], golden.results_to_dict(results))
+    diffs = golden.diff_fixture(fixture["results"], results_to_dict(results))
     assert diffs == [], "\n".join(diffs)
 
 
@@ -40,7 +41,7 @@ def test_tracer_alone_is_invisible_even_to_the_profiler(name):
     fixture = _fixture(name)
     observer = Observer(sample_period=None)
     results = run_simulation(golden.GOLDEN_CASES[name], observer=observer)
-    diffs = golden.diff_fixture(fixture["results"], golden.results_to_dict(results))
+    diffs = golden.diff_fixture(fixture["results"], results_to_dict(results))
     assert diffs == [], "\n".join(diffs)
     assert observer.tracer.events, "the tracer recorded nothing"
 
@@ -53,7 +54,7 @@ def test_sampled_runs_change_no_results_field(name):
     observer = Observer(sample_period=3.0)
     results = run_simulation(golden.GOLDEN_CASES[name], observer=observer)
     expected = dict(fixture["results"])
-    actual = golden.results_to_dict(results)
+    actual = results_to_dict(results)
     expected.pop("profile", None)
     profile = actual.pop("profile", None)
     diffs = golden.diff_fixture(expected, actual)

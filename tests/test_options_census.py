@@ -1,6 +1,6 @@
 """Census of every independently settable value the program exposes.
 
-ROADMAP item 7's rule — no new option, flag, env var or config field —
+ROADMAP's Standing rules — no new option, flag, env var or config field —
 as a check: a change that adds one has to edit this file in the same
 diff, where a reviewer sees it.  Nothing here tests behaviour; each
 knob's own tests do that.

@@ -10,8 +10,9 @@ must diverge, so the comparison is known to have teeth.
 
 import pytest
 
-from repro.check.golden import GOLDEN_CASES, results_to_dict
+from repro.check.golden import GOLDEN_CASES
 from repro.core.config import CachingScheme
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import run_simulation
 from repro.policies.factory import SCHEME_DEFAULTS, resolved_policy_keys
 

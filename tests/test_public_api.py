@@ -3,7 +3,9 @@ and everything that exists must be reached by something that runs."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,6 +48,32 @@ def test_a_run_loads_no_observer_on_import():
     ]
     assert "repro.core.simulation" in modules
     assert not loaded, f"loaded by the run path: {loaded}"
+
+
+def test_an_observed_run_loads_no_harness_on_import():
+    """A fresh interpreter that imports what perfbench's ``gc-observed``
+    child imports loads neither the experiment harness nor the golden
+    fixtures: the manifest's config and outcome forms live in
+    ``repro.core``."""
+    probe = (
+        "import sys, repro.core.simulation, repro.check.monitor, repro.obs.session;"
+        "print('\\n'.join(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules = done.stdout.split()
+    loaded = [
+        name
+        for name in modules
+        if name.startswith("repro.experiments") or name == "repro.check.golden"
+    ]
+    assert "repro.obs.session" in modules
+    assert not loaded, f"loaded by the observed run path: {loaded}"
 
 
 def test_subpackage_exports_resolve():

@@ -7,14 +7,9 @@ import threading
 from pathlib import Path
 
 import repro
-from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.config import CachingScheme, SimulationConfig, canonical_config
 from repro.core.metrics import Results
-from repro.experiments.cache import (
-    ResultCache,
-    canonical_config,
-    default_code_version,
-    source_digest,
-)
+from repro.experiments.cache import ResultCache, default_code_version, source_digest
 
 
 def make_results(requests=100):
@@ -89,11 +84,7 @@ def test_payload_for_wrong_config_is_rejected(tmp_path):
     """A hash-collision-shaped entry (wrong embedded config) is a miss."""
     cache = ResultCache(tmp_path)
     other = CONFIG.replace(seed=99)
-    payload = {
-        "config": canonical_config(other),
-        "code_version": cache.code_version,
-        "results": make_results(),
-    }
+    payload = {"config": canonical_config(other), "results": make_results()}
     with cache.path_for(CONFIG).open("wb") as handle:
         pickle.dump(payload, handle)
     assert cache.get(CONFIG) is None

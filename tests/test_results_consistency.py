@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.golden import results_digest
+from repro.core.metrics import results_digest
 from repro.experiments import FIGURES, format_sweep_table, jobs_from_env, run_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -83,6 +83,9 @@ def test_default_point_reproduces_at_head(monkeypatch):
 
 SIDECARS = sorted(RESULTS.glob("*.json"))
 
+#: The paper figures.
+QUICK_FIGURES = [f"fig{number}" for number in range(2, 9)]
+
 
 def test_every_figure_series_has_a_sidecar():
     assert {path.stem for path in SIDECARS} == {
@@ -101,12 +104,19 @@ def test_sidecar_describes_its_series(path):
         (label, row) for label in labels for row in rows
     ]
     assert sidecar["profile"] in ("quick", "bench", "full")
-    assert all(len(cell["config_key"]) == 64 for cell in sidecar["cells"])
     assert all(len(cell["digest"]) == 64 for cell in sidecar["cells"])
 
 
-#: The paper figures.
-QUICK_FIGURES = [f"fig{number}" for number in range(2, 9)]
+@pytest.mark.parametrize("path", SIDECARS, ids=lambda path: path.stem)
+def test_sidecar_names_outcomes_only(path):
+    """No field that moves when only the source does: a re-run of an
+    unchanged simulator rewrites no sidecar byte."""
+    sidecar = json.loads(path.read_text())
+    quick = {"quick"} if sidecar["figure"] in QUICK_FIGURES else set()
+    assert set(sidecar) == {"figure", "profile", "cells"} | quick
+    assert all(set(cell) == {"row", "x", "digest"} for cell in sidecar["cells"])
+    if quick:
+        assert set(sidecar["quick"]) == {"x", "table", "digests"}
 
 
 def test_every_paper_figure_sidecar_has_a_quick_cell():

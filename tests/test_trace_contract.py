@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.client import MobileHost
 from repro.core.config import CachingScheme, SimulationConfig
-from repro.core.metrics import COUNTED_EVENTS
+from repro.core.metrics import COUNTED_EVENTS, results_to_dict
 from repro.core.simulation import run_simulation
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults
 from repro.obs import Observer, derive_spans, run_traced
@@ -179,15 +179,19 @@ def test_sample_trace_bundle_exports(tmp_path):
     """Full bundle export; doubles as the CI sample-trace artifact."""
     artifact_root = os.environ.get("REPRO_TRACE_ARTIFACT_DIR")
     out = Path(artifact_root) if artifact_root else tmp_path
-    results, paths = run_traced(
-        _config(CachingScheme.GC, seed=11), out / "gc-sample"
-    )
+    config = _config(CachingScheme.GC, seed=11)
+    results, paths = run_traced(config, out / "gc-sample")
     for kind in ("jsonl", "chrome", "series", "manifest"):
         assert paths[kind].exists(), kind
     payload = json.loads(paths["chrome"].read_text(encoding="utf-8"))
     jsonschema.validate(payload, CHROME_SCHEMA)
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
-    assert manifest["results"]["requests"] == results.requests
+    # The golden fixture's two forms, plus the event count of trace.jsonl.
+    assert set(manifest) == {"config", "events", "results"}
+    assert SimulationConfig.from_dict(manifest["config"]) == config
+    assert manifest["results"] == results_to_dict(results)
+    with paths["jsonl"].open(encoding="utf-8") as handle:
+        assert manifest["events"] == sum(1 for _ in handle)
 
 
 #: The pair of runs of ``test_every_counted_event_is_reconciled_non_vacuously``.

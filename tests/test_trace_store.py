@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.golden import results_to_dict
+from repro.core.metrics import results_to_dict
 from repro.core.config import CachingScheme, SimulationConfig
 from repro.core.simulation import run_simulation
 from repro.net.faults import CrashFaults, FaultPlan, LinkFaults

@@ -68,15 +68,18 @@ def deviation(reason: str, evidence: str) -> Dict[str, Any]:
     return dict(verdict=DEVIATION, reason=reason, evidence=evidence)
 
 
-NOISE, ITEM_1, ITEM_4 = "ROADMAP item 2", "ROADMAP item 1", "ROADMAP item 4"
+NOISE, ITEM_1 = "ROADMAP item 5", "ROADMAP item 1"
 FILTER_FN = "GC skips searches its peer signature wrongly rules out"
 #: Figure -> why GC collects fewer global hits than CC somewhere on it.
 GC_TRAILS = {
-    "fig2": deviation("at large caches CC's searches also reap cross-group hits", ITEM_4),
-    "fig4": deviation(f"{FILTER_FN}; longer warm-ups did not close the gap", ITEM_4),
+    "fig2": deviation("at large caches CC's searches also reap cross-group hits",
+                      "ROADMAP item 6"),
+    "fig4": deviation(f"{FILTER_FN}; the gap narrows from -5.19 to -1.96 points as "
+                      "the warm-up grows from 550 s to 3 000 s (seeds 1-4)",
+                      "ROADMAP item 4"),
     "fig5": deviation(FILTER_FN, ITEM_1),
     "fig7": deviation(FILTER_FN, ITEM_1),
-    "fig8": deviation(f"GC erodes faster: {FILTER_FN}", ITEM_4),
+    "fig8": deviation(f"GC erodes faster: {FILTER_FN}", "ROADMAP item 2"),
 }
 
 #: Every claim; a comment names the figure's id in DESIGN.md's index, and
@@ -127,7 +130,7 @@ CLAIMS: Tuple[Claim, ...] = (
     *(Claim("fig6", LAT, s, "rises") for s in SCHEMES),
     *(Claim("fig6", SRV, s, "rises", tol=0.5, reason="muted at bench scale: the "
             "window is far shorter than the interval between two updates of an item",
-            evidence="ROADMAP item 3") for s in SCHEMES),
+            evidence="ROADMAP item 5") for s in SCHEMES),
     *(Claim("fig6", m, s, r) for m, r in ((GCH, "falls"), (PWR, "rises")) for s in COOP),
     # F7 shape: LC's latency blows up past the downlink knee, CC and GC stay
     # scalable; power per GCH grows with density.
@@ -154,7 +157,7 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("fig-matrix", GCH, SWAPS, "<", "GC", tol=2.0, evidence=NOISE,
           reason="two points of seed-to-seed spread stand in for a measured floor"),
     Claim("fig-matrix", GCH, "GC", ">=", SWAPS,
-          **deviation("lru-min edges stock GC at moderate skew", "ROADMAP item 7")),
+          **deviation("lru-min edges stock GC at moderate skew", "ROADMAP item 9")),
 )  # fmt: skip
 
 

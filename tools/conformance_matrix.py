@@ -13,7 +13,7 @@ key)`` pair, one that genuinely exercises it, and checks it four ways:
 * **invariants** — a monitored run raises no violations;
 * **smoke** — that run completes and its outcome counts sum to the total;
 * **seed stability** — the same config run twice is bit-identical
-  (:func:`~repro.check.golden.results_to_dict` compared field by field);
+  (:func:`~repro.core.metrics.results_to_dict` compared field by field);
 * **round trip** — the config survives ``as_dict``/``from_dict`` and the
   rebuilt config resolves to the same policy keys.
 
@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import run_checked
-from repro.check.golden import results_to_dict
 from repro.core.config import CachingScheme, SimulationConfig
+from repro.core.metrics import results_to_dict
 from repro.core.simulation import run_simulation
 from repro.policies import registry
 from repro.policies.factory import resolved_policy_keys
