@@ -409,7 +409,7 @@ class InvariantMonitor:
                 sim_time=now,
                 host=client,
             )
-        if added & removed:
+        if not added.isdisjoint(removed):
             self.violation(
                 "membership-delta-overlap",
                 f"clients {sorted(added & removed)} both added and removed",
@@ -429,6 +429,16 @@ class InvariantMonitor:
         self._checks += 1
         table = ndp._last_heard
         horizon = ndp.liveness_horizon
+        # One pass accepts a table that every rule below accepts: nothing
+        # after now, and no pair apart by more than a finite horizon.  A
+        # pair heard on one side only is apart by inf and falls through to
+        # the rules; a pair heard on neither side is NaN and is no skew.
+        if horizon < math.inf:
+            with np.errstate(invalid="ignore"):
+                if table.max() <= now + _TIME_EPS and not (
+                    np.abs(table - table.T) > horizon + _TIME_EPS
+                ).any():
+                    return
         if np.any(table > now + _TIME_EPS):
             self.violation(
                 "ndp-beacon-from-future",

@@ -24,7 +24,12 @@ import numpy as np
 from repro.cache import CacheEntry, LRUCache
 from repro.core.coca import AdaptiveTimeout, initial_timeout
 from repro.core.config import SimulationConfig
-from repro.core.metrics import COUNTED_EVENTS, Metrics, RequestOutcome
+from repro.core.metrics import (
+    COUNTED_EVENTS,
+    PROTOCOL_EVENTS,
+    Metrics,
+    RequestOutcome,
+)
 from repro.core.server import MobileSupportStation
 from repro.core.signatures_proto import MembershipActions, SignatureAgent
 from repro.data.workload import AccessPattern
@@ -58,12 +63,64 @@ _GLOBAL_HIT = RequestOutcome.GLOBAL_HIT
 _SERVER = RequestOutcome.SERVER
 _FAILURE = RequestOutcome.FAILURE
 
-#: Tracer instant per circuit-breaker transition target (``breaker-close`` uncounted).
-_BREAKER_INSTANTS = {
-    "open": "breaker-open",
-    "half-open": "breaker-probe",
-    "closed": "breaker-close",
+#: The protocol event reporting each circuit-breaker transition, by target state.
+_BREAKER_EVENTS = {
+    event.breaker: name
+    for name, event in PROTOCOL_EVENTS.items()
+    if event.breaker is not None
 }
+
+
+class _TraceShapes:
+    """The shape code of every event a host records, declared once.
+
+    One attribute per call site; an attribute that depends on a status
+    the call site learns at run time holds the codes by that status.
+    """
+
+    def __init__(self, tracer) -> None:
+        declare = tracer.declare
+        self.request = declare("B", "request", ("request", "item"))
+        #: By :class:`RequestOutcome` value.
+        self.request_end = tuple(
+            declare("E", "request", ("recorded", "from_tcg"), outcome.name.lower())
+            for outcome in RequestOutcome
+        )
+        self.local = declare("B", "local", ("item",))
+        self.local_miss = declare("E", "local", (), "miss")
+        self.local_hit = declare("E", "local", (), "hit")
+        self.local_expired = declare("E", "local", (), "expired")
+        self.search_bypassed = declare("I", "search-bypassed", ("item", "recorded"))
+        self.search = declare("B", "search", ("item", "recorded_open"))
+        #: By search outcome.
+        self.search_end = {
+            outcome: declare("E", "search", ("replies", "recorded"), outcome)
+            for outcome in ("reply", "timeout", "fallback")
+        }
+        self.search_reply = declare("I", "search-reply", ("peer",))
+        self.retrieve = declare("B", "retrieve", ("peer",))
+        self.retrieve_ok = declare("E", "retrieve", ("peer", "attempts"), "ok")
+        self.retrieve_failed = declare("E", "retrieve", ("attempts",), "failed")
+        self.mss = declare("B", "mss", ("item",))
+        self.mss_ok = declare("E", "mss", ("attempts",), "ok")
+        self.mss_failed = declare("E", "mss", (), "failed")
+        self.validate = declare("B", "validate", ("item",))
+        self.validate_refreshed = declare(
+            "E", "validate", ("attempts", "recorded"), "refreshed"
+        )
+        self.validate_valid = declare("E", "validate", ("attempts", "recorded"), "valid")
+        self.validate_failed = declare("E", "validate", (), "failed")
+        self.cache_evict = declare("I", "cache-evict", ("item",))
+        self.cache_admit = declare("I", "cache-admit", ("item",))
+        self.disconnect = declare("I", "disconnect", ("duration",))
+        self.reconnect = declare("I", "reconnect")
+        self.fault_crash = declare("I", "fault-crash")
+        self.fault_recover = declare("I", "fault-recover")
+        #: By protocol event name; ``recorded`` follows the event's keys.
+        self.marks = {
+            name: declare("I", name, (*event.keys, "recorded"))
+            for name, event in PROTOCOL_EVENTS.items()
+        }
 
 
 @dataclass
@@ -119,6 +176,8 @@ class MobileHost:
         #: Optional span tracer (see repro.obs.tracer); every call site is
         #: behind an ``is None`` guard so untraced runs are bit-identical.
         self._tracer = tracer
+        if tracer is not None:
+            self._shapes = _TraceShapes(tracer)
         #: Optional failure-aware retrieve layer (see repro.net.health);
         #: ``None`` keeps the paper's arrival-order retrieve path, branch
         #: for branch, so health-off runs replay the goldens exactly.
@@ -207,9 +266,10 @@ class MobileHost:
             self.replacement.note_request(item)
         tracer = self._tracer
         if tracer is not None:
+            shapes = self._shapes
             self._req_seq += 1
-            self._req_span = tracer.begin(
-                "request", host=self.index, request=self._req_seq, item=item
+            self._req_span = tracer.open(
+                shapes.request, self.index, None, self._req_seq, item
             )
         if not self.connected:
             # Crash-stop outage: the request cannot leave the host.
@@ -217,15 +277,13 @@ class MobileHost:
             return
         entry = self.cache.get(item)
         if tracer is not None:
-            local = tracer.begin(
-                "local", host=self.index, parent=self._req_span, item=item
-            )
+            local = tracer.open(shapes.local, self.index, self._req_span, item)
             if entry is None:
-                tracer.end(local, status="miss")
+                tracer.close(local, shapes.local_miss)
             elif entry.is_valid(self.env.now):
-                tracer.end(local, status="hit")
+                tracer.close(local, shapes.local_hit)
             else:
-                tracer.end(local, status="expired")
+                tracer.close(local, shapes.local_expired)
         if entry is not None:
             if entry.is_valid(self.env.now):
                 self._note_local_access(item, entry)
@@ -266,33 +324,34 @@ class MobileHost:
             from_tcg=from_tcg,
         )
         if self._tracer is not None:
-            self._tracer.end(
+            self._tracer.close(
                 self._req_span,
-                status=outcome.name.lower(),
-                recorded=self.metrics.recording,
-                from_tcg=from_tcg,
+                self._shapes.request_end[outcome.value],
+                self.metrics.recording,
+                from_tcg,
             )
             self._req_span = -1
 
     def _record_failure(self, start: float) -> None:
         self._record_outcome(_FAILURE, start)
 
-    def _mark(self, event: str, parent: int = -1, **args) -> None:
+    def _mark(self, event: str, parent: int = -1, *values: object) -> None:
         """Report one protocol event — the only way a counted one is.
 
         Counts it when :data:`COUNTED_EVENTS` lists it and, in a traced
-        run, emits the instant under ``parent`` with the ``recorded`` gate
+        run, emits the instant under ``parent`` with ``values`` for the
+        event's :data:`PROTOCOL_EVENTS` keys and then the ``recorded`` gate
         the count just applied (what lets the trace contract reconcile).
         """
         if event in COUNTED_EVENTS:
             self.metrics.count(event)
         if self._tracer is not None:
-            self._tracer.instant(
-                event,
-                host=self.index,
-                parent=parent if parent >= 0 else None,
-                **args,
-                recorded=self.metrics.recording,
+            self._tracer.point(
+                self._shapes.marks[event],
+                self.index,
+                parent if parent >= 0 else None,
+                *values,
+                self.metrics.recording,
             )
 
     def _note_local_access(self, item: int, entry: CacheEntry) -> None:
@@ -317,12 +376,12 @@ class MobileHost:
         ):
             self.metrics.record_search(bypassed=True)
             if self._tracer is not None:
-                self._tracer.instant(
-                    "search-bypassed",
-                    host=self.index,
-                    parent=self._req_span,
-                    item=item,
-                    recorded=self.metrics.recording,
+                self._tracer.point(
+                    self._shapes.search_bypassed,
+                    self.index,
+                    self._req_span,
+                    item,
+                    self.metrics.recording,
                 )
             return None
         self.metrics.record_search(bypassed=False)
@@ -340,12 +399,12 @@ class MobileHost:
         if self._tracer is not None:
             # ``recorded_open`` mirrors record_search's gate; the close-side
             # ``recorded`` flag is snapshotted separately in _finish_search.
-            state.span = self._tracer.begin(
-                "search",
-                host=self.index,
-                parent=self._req_span,
-                item=item,
-                recorded_open=self.metrics.recording,
+            state.span = self._tracer.open(
+                self._shapes.search,
+                self.index,
+                self._req_span,
+                item,
+                self.metrics.recording,
             )
         self._searches[sid] = state
         if self._monitor is not None:
@@ -368,7 +427,7 @@ class MobileHost:
             # loss process robbed get a fresh chance to answer.  The
             # piggybacked signature update is not repeated (members that
             # received it already applied it).
-            self._mark("search-retry", state.span, attempt=attempt + 1)
+            self._mark("search-retry", state.span, attempt + 1)
             self._flood(sid, item, None, self.sizes.request)
             tau *= 2.0  # exponential backoff of the listen window
         if reply is None:
@@ -445,8 +504,8 @@ class MobileHost:
             reply = chosen
         span = -1
         if self._tracer is not None:
-            span = self._tracer.begin(
-                "retrieve", host=self.index, parent=state.span, peer=reply["peer"]
+            span = self._tracer.open(
+                self._shapes.retrieve, self.index, state.span, reply["peer"]
             )
         for attempt in range(attempts):
             tried.add(reply["peer"])
@@ -458,8 +517,8 @@ class MobileHost:
                     else reply["peer"]
                 )
                 if span >= 0:
-                    self._tracer.end(
-                        span, status="ok", peer=serving, attempts=attempt + 1
+                    self._tracer.close(
+                        span, self._shapes.retrieve_ok, serving, attempt + 1
                     )
                 return data, serving
             if attempt + 1 >= attempts:
@@ -475,12 +534,12 @@ class MobileHost:
             fallback = self._select_replier(state, tried)
             if fallback is None:
                 break
-            self._mark("retrieve-retry", span, peer=fallback["peer"])
+            self._mark("retrieve-retry", span, fallback["peer"])
             yield self.env.timeout(self._backoff_delay(backoff))
             backoff *= 2.0
             reply = fallback
         if span >= 0:
-            self._tracer.end(span, status="failed", attempts=attempt + 1)
+            self._tracer.close(span, self._shapes.retrieve_failed, attempt + 1)
         return None
 
     def _retrieve(self, sid, state: _SearchState, reply: dict, tried: set, span: int = -1):
@@ -588,7 +647,7 @@ class MobileHost:
                     # out the guard (with a hedge in flight the race keeps
                     # running — the hedge peer can still serve).
                     health.note("fast_failovers")
-                    self._mark("fast-failover", span, peer=peer)
+                    self._mark("fast-failover", span, peer)
                     self._note_retrieve_failure(peer, span)
                     return None
                 now = env.now
@@ -638,7 +697,7 @@ class MobileHost:
         if self._monitor is not None:
             self._monitor.on_hedge(self.index, sid, self.env.now)
         self.health.note("hedges")
-        self._mark("retrieve-hedge", span, peer=peer)
+        self._mark("retrieve-hedge", span, peer)
         sent = yield self._send_retrieve(sid, state, reply)
         if not sent:
             self._note_retrieve_failure(peer, span)
@@ -671,7 +730,7 @@ class MobileHost:
             self.health.note("hedge_wins")
             if self._monitor is not None:
                 self._monitor.on_hedge_win(self.index, sid, self.env.now)
-            self._mark("hedge-win", span, peer=serving)
+            self._mark("hedge-win", span, serving)
 
     def _note_retrieve_failure(self, peer: int, span: int) -> None:
         transitions = self.health.record_failure(peer, self.env.now)
@@ -684,7 +743,7 @@ class MobileHost:
                 self._monitor.on_breaker_transition(
                     self.index, peer, old, new, self.env.now
                 )
-            self._mark(_BREAKER_INSTANTS[new], span, peer=peer)
+            self._mark(_BREAKER_EVENTS[new], span, peer)
 
     def _backoff_delay(self, backoff: float) -> float:
         """The next retry delay, jittered when ``retry_jitter`` is set.
@@ -707,11 +766,11 @@ class MobileHost:
         if self._monitor is not None:
             self._monitor.on_search_close(self.index, sid, outcome, self.env.now)
         if self._tracer is not None and state is not None and state.span >= 0:
-            self._tracer.end(
+            self._tracer.close(
                 state.span,
-                status=outcome,
-                replies=len(state.replies),
-                recorded=self.metrics.recording,
+                self._shapes.search_end[outcome],
+                len(state.replies),
+                self.metrics.recording,
             )
 
     def _soon(self, send: Callable[..., object], *args: object) -> None:
@@ -801,11 +860,11 @@ class MobileHost:
             return
         state.replies.append(message.payload)
         if self._tracer is not None and state.span >= 0:
-            self._tracer.instant(
-                "search-reply",
-                host=self.index,
-                parent=state.span,
-                peer=message.payload["peer"],
+            self._tracer.point(
+                self._shapes.search_reply,
+                self.index,
+                state.span,
+                message.payload["peer"],
             )
         if not state.reply_event.triggered:
             state.reply_event.succeed(message.payload)
@@ -940,12 +999,10 @@ class MobileHost:
         backoff = self.config.retry_backoff_base
         span = -1
         if self._tracer is not None:
-            span = self._tracer.begin(
-                "mss", host=self.index, parent=self._req_span, item=item
-            )
+            span = self._tracer.open(self._shapes.mss, self.index, self._req_span, item)
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self._mark("uplink-retry", span, attempt=attempt)
+                self._mark("uplink-retry", span, attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.server_request)
@@ -968,13 +1025,13 @@ class MobileHost:
                 singlet_ttl=self.replacement.new_entry_ttl(),
             )
             if span >= 0:
-                self._tracer.end(span, status="ok", attempts=attempt + 1)
+                self._tracer.close(span, self._shapes.mss_ok, attempt + 1)
             self._insert(entry)
             self._apply_membership_changes(reply.added, reply.removed)
             self._record_outcome(_SERVER, start)
             return
         if span >= 0:
-            self._tracer.end(span, status="failed")
+            self._tracer.close(span, self._shapes.mss_failed)
         self._record_failure(start)
 
     def _validate_with_server(self, item: int, entry: CacheEntry, start: float):
@@ -982,12 +1039,12 @@ class MobileHost:
         backoff = self.config.retry_backoff_base
         span = -1
         if self._tracer is not None:
-            span = self._tracer.begin(
-                "validate", host=self.index, parent=self._req_span, item=item
+            span = self._tracer.open(
+                self._shapes.validate, self.index, self._req_span, item
             )
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self._mark("uplink-retry", span, attempt=attempt)
+                self._mark("uplink-retry", span, attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.validate)
@@ -1015,16 +1072,18 @@ class MobileHost:
             self._apply_membership_changes(reply.added, reply.removed)
             self.metrics.record_validation(refreshed=reply.refreshed)
             if span >= 0:
-                self._tracer.end(
+                self._tracer.close(
                     span,
-                    status="refreshed" if reply.refreshed else "valid",
-                    attempts=attempt + 1,
-                    recorded=self.metrics.recording,
+                    self._shapes.validate_refreshed
+                    if reply.refreshed
+                    else self._shapes.validate_valid,
+                    attempt + 1,
+                    self.metrics.recording,
                 )
             self._record_outcome(_SERVER if reply.refreshed else _LOCAL_HIT, start)
             return
         if span >= 0:
-            self._tracer.end(span, status="failed")
+            self._tracer.close(span, self._shapes.validate_failed)
         self._record_failure(start)
 
     def _explicit_update_loop(self):
@@ -1103,8 +1162,8 @@ class MobileHost:
                 if self.signatures is not None:
                     self.signatures.record_evict(victim.item, self.cache)
                 if self._tracer is not None:
-                    self._tracer.instant(
-                        "cache-evict", host=self.index, item=victim.item
+                    self._tracer.point(
+                        self._shapes.cache_evict, self.index, None, victim.item
                     )
         self.cache.insert(entry, self.env.now)
         self.replacement.note_insert(entry, self.env.now)
@@ -1112,8 +1171,8 @@ class MobileHost:
             if self.signatures is not None:
                 self.signatures.record_insert(entry.item)
             if self._tracer is not None:
-                self._tracer.instant(
-                    "cache-admit", host=self.index, item=entry.item
+                self._tracer.point(
+                    self._shapes.cache_admit, self.index, None, entry.item
                 )
         if self._monitor is not None:
             self._monitor.check_client_cache(self.index, self.cache, self.env.now)
@@ -1130,14 +1189,12 @@ class MobileHost:
         duration = float(uniform(self.rng, self.config.disc_min, self.config.disc_max))
         if self._tracer is not None:
             # Emitted after the RNG draw so traced runs stay bit-identical.
-            self._tracer.instant(
-                "disconnect", host=self.index, duration=duration
-            )
+            self._tracer.point(self._shapes.disconnect, self.index, None, duration)
         yield self.env.timeout(duration)
         self.connected = True
         self.network.set_connected(self.index, True)
         if self._tracer is not None:
-            self._tracer.instant("reconnect", host=self.index)
+            self._tracer.point(self._shapes.reconnect, self.index, None)
         if self.signatures is not None:
             yield from self._reconnect_protocol()
 
@@ -1146,7 +1203,7 @@ class MobileHost:
         backoff = self.config.retry_backoff_base
         for attempt in range(1 + self.config.uplink_retry_limit):
             if attempt:
-                self._mark("uplink-retry", attempt=attempt)
+                self._mark("uplink-retry", -1, attempt)
                 yield self.env.timeout(self._backoff_delay(backoff))
                 backoff *= 2.0
             sent = yield from self.channel.send_uplink(self.sizes.membership_sync)
@@ -1179,7 +1236,7 @@ class MobileHost:
         self.connected = False
         self.network.set_connected(self.index, False)
         if self._tracer is not None:
-            self._tracer.instant("fault-crash", host=self.index)
+            self._tracer.point(self._shapes.fault_crash, self.index, None)
 
     def recover(self):
         """Process helper: come back up after a crash outage.
@@ -1191,7 +1248,7 @@ class MobileHost:
         self.connected = True
         self.network.set_connected(self.index, True)
         if self._tracer is not None:
-            self._tracer.instant("fault-recover", host=self.index)
+            self._tracer.point(self._shapes.fault_recover, self.index, None)
         if self.ndp is not None:
             self.ndp.forget(self.index)
         if self.signatures is not None:

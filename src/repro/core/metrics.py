@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.net.power import PowerLedger
 from repro.sim.profile import RunProfile
@@ -29,29 +29,51 @@ from repro.sim.stats import WelfordAccumulator
 __all__ = [
     "COUNTED_EVENTS",
     "PERF_COUNTER_PREFIXES",
+    "PROTOCOL_EVENTS",
     "Metrics",
+    "ProtocolEvent",
     "RequestOutcome",
     "Results",
     "results_digest",
     "results_to_dict",
 ]
 
-#: The counted protocol events: tracer-instant name -> counted kind.  The
-#: three retry kinds feed ``Results.<kind>_retries``; the rest (the
-#: failure-aware retrieve layer, repro.net.health) key :attr:`Results.health`
-#: and are absent when the layer is off, keeping pre-health fixtures
-#: comparable.  :meth:`Metrics.count` counts, ``MobileHost._mark`` emits
-#: and the trace contract reconciles by this one table.
+
+class ProtocolEvent(NamedTuple):
+    """How one protocol event is counted and recorded."""
+
+    #: The :meth:`Metrics.count` kind it feeds, or ``None`` when uncounted.
+    counted: Optional[str]
+    #: Its tracer instant's arg keys, before the ``recorded`` gate.
+    keys: Tuple[str, ...]
+    #: The circuit-breaker state whose entry it reports, if any.
+    breaker: Optional[str] = None
+
+
+#: The protocol events, by tracer-instant name: the one table
+#: ``MobileHost._mark`` counts, declares and records them by.  The three
+#: retry kinds feed ``Results.<kind>_retries``; the rest (the failure-aware
+#: retrieve layer, repro.net.health) key :attr:`Results.health` and are
+#: absent when the layer is off, keeping pre-health fixtures comparable.
+PROTOCOL_EVENTS = {
+    "search-retry": ProtocolEvent("search", ("attempt",)),
+    "retrieve-retry": ProtocolEvent("retrieve", ("peer",)),
+    "uplink-retry": ProtocolEvent("uplink", ("attempt",)),
+    "retrieve-hedge": ProtocolEvent("hedge", ("peer",)),
+    "hedge-win": ProtocolEvent("hedge_win", ("peer",)),
+    "breaker-open": ProtocolEvent("breaker_trip", ("peer",), "open"),
+    "breaker-probe": ProtocolEvent("breaker_probe", ("peer",), "half-open"),
+    "breaker-close": ProtocolEvent(None, ("peer",), "closed"),
+    "budget-exhausted": ProtocolEvent("budget_exhausted", ()),
+    "fast-failover": ProtocolEvent("fast_failover", ("peer",)),
+}
+
+#: The counted protocol events: tracer-instant name -> counted kind.
+#: :meth:`Metrics.count` counts and the trace contract reconciles by it.
 COUNTED_EVENTS = {
-    "search-retry": "search",
-    "retrieve-retry": "retrieve",
-    "uplink-retry": "uplink",
-    "retrieve-hedge": "hedge",
-    "hedge-win": "hedge_win",
-    "breaker-open": "breaker_trip",
-    "breaker-probe": "breaker_probe",
-    "budget-exhausted": "budget_exhausted",
-    "fast-failover": "fast_failover",
+    name: event.counted
+    for name, event in PROTOCOL_EVENTS.items()
+    if event.counted is not None
 }
 
 

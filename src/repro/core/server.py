@@ -77,6 +77,8 @@ class MobileSupportStation:
         self._monitor = monitor
         #: Optional span tracer (see repro.obs.tracer).
         self._tracer = tracer
+        if tracer is not None:
+            self._serve_shape = tracer.declare("I", "mss-serve", ("kind", "item"))
         self.data_requests = 0
         self.validations = 0
         self.explicit_updates = 0
@@ -110,7 +112,7 @@ class MobileSupportStation:
         """A cache-miss pull of ``item``; returns the copy and its TTL."""
         self.data_requests += 1
         if self._tracer is not None:
-            self._tracer.instant("mss-serve", host=client, kind="data", item=item)
+            self._tracer.point(self._serve_shape, client, None, "data", item)
         self._learn(client, location, [item])
         added, removed = self._drain_changes(client)
         now = self.env.now
@@ -138,9 +140,7 @@ class MobileSupportStation:
         """Section IV-F: refresh a stale copy or approve its validity."""
         self.validations += 1
         if self._tracer is not None:
-            self._tracer.instant(
-                "mss-serve", host=client, kind="validate", item=item
-            )
+            self._tracer.point(self._serve_shape, client, None, "validate", item)
         self._learn(client, location, [item])
         added, removed = self._drain_changes(client)
         now = self.env.now

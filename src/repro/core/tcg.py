@@ -69,6 +69,8 @@ class TCGManager:
         #: Optional span tracer (see repro.obs.tracer); the TCG manager has
         #: no env reference — the bound tracer supplies the sim time.
         self._tracer = tracer
+        if tracer is not None:
+            self._change_shape = tracer.declare("I", "tcg-change", ("changed", "size"))
 
         # item -> {client: count}; a client that never accessed it has no key.
         self.access_counts: Dict[int, Dict[int, int]] = {}
@@ -218,11 +220,12 @@ class TCGManager:
         if changed:
             self.membership_changes += changed
             if self._tracer is not None:
-                self._tracer.instant(
-                    "tcg-change",
-                    host=client,
-                    changed=changed,
-                    size=int(np.count_nonzero(member[client])),
+                self._tracer.point(
+                    self._change_shape,
+                    client,
+                    None,
+                    changed,
+                    int(np.count_nonzero(member[client])),
                 )
 
     # -- client-facing views --------------------------------------------------------------

@@ -68,13 +68,12 @@ def default_code_version() -> str:
     return f"repro-{__version__}/cache-{CACHE_FORMAT}/src-{source[:16]}"
 
 
-def config_key(config: SimulationConfig, code_version: Optional[str] = None) -> str:
+def config_key(config: SimulationConfig) -> str:
     """The cache key: SHA-256 over canonical config + code version."""
-    version = code_version if code_version is not None else default_code_version()
     digest = hashlib.sha256()
     digest.update(canonical_config(config).encode("utf-8"))
     digest.update(b"\n")
-    digest.update(version.encode("utf-8"))
+    digest.update(default_code_version().encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -86,11 +85,7 @@ class ResultCache:
     sweep resolved entirely from disk.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        code_version: Optional[str] = None,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -99,16 +94,13 @@ class ResultCache:
                 f"cache path {self.directory} is not a usable directory: "
                 f"{error}"
             ) from error
-        self.code_version = (
-            code_version if code_version is not None else default_code_version()
-        )
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
     def key(self, config: SimulationConfig) -> str:
-        """The stable key of a configuration under this cache's version."""
-        return config_key(config, self.code_version)
+        """The stable key of a configuration under the current code version."""
+        return config_key(config)
 
     def path_for(self, config: SimulationConfig) -> Path:
         """Where a configuration's entry lives (whether or not it exists)."""

@@ -51,6 +51,8 @@ class NeighborDiscovery:
         self._monitor = monitor
         #: Optional span tracer (see repro.obs.tracer).
         self._tracer = tracer
+        if tracer is not None:
+            self._round_shape = tracer.declare("I", "ndp-round", ("senders",))
         n = len(network.field)
         # last_heard[i, j]: when host i last heard host j's beacon.
         self._last_heard = np.full((n, n), -np.inf)
@@ -80,7 +82,7 @@ class NeighborDiscovery:
             return
         self.rounds += 1
         if self._tracer is not None:
-            self._tracer.instant("ndp-round", senders=senders)
+            self._tracer.point(self._round_shape, None, None, senders)
         # heard[i, j]: connected host i is in range of connected sender j.
         heard = network.field.adjacency(now, network.tran_range) & connected
         heard &= connected[:, None]

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.metrics import RequestOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -120,12 +122,13 @@ class TimeSeriesSampler:
         )
         power = simulation.ledger.by_purpose()
 
-        if simulation.ndp is not None:
-            counts = [
-                int(simulation.ndp.live_neighbors(client.index).size)
-                for client in simulation.clients
-            ]
-            neighbors_mean = sum(counts) / len(counts)
+        ndp = simulation.ndp
+        if ndp is not None:
+            # Every host's live_neighbors count in one pass over the table:
+            # the fresh links, less each host's link to itself.
+            fresh = (env.now - ndp._last_heard) <= ndp.liveness_horizon
+            links = int(np.count_nonzero(fresh)) - int(np.count_nonzero(fresh.diagonal()))
+            neighbors_mean = links / len(simulation.clients)
         else:
             neighbors_mean = math.nan
         if simulation.tcg is not None:

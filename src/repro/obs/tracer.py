@@ -2,10 +2,13 @@
 
 The tracer records three kinds of :class:`TraceEvent`:
 
-* ``B`` — a span opens (``begin``): a named interval keyed by an integer
+* ``B`` — a span opens (``open``): a named interval keyed by an integer
   span id, optionally parented to an enclosing span,
-* ``E`` — a span closes (``end``) with a status string,
-* ``I`` — an instant (``instant``): a point event with no duration.
+* ``E`` — a span closes (``close``) with a status string,
+* ``I`` — an instant (``point``): a point event with no duration.
+
+Each call site declares the shape of what it records once
+(:meth:`Tracer.declare`) and then passes only values.
 
 Timestamps are **always** ``env.now`` of the bound
 :class:`~repro.sim.kernel.Environment` — callers never pass a time, so a
@@ -123,20 +126,28 @@ class _Unbound:
 class Tracer:
     """Records begin / end / instant events in kernel event order.
 
-    The events live in columns, not in one object and one dict each:
+    A call site declares each event shape it records once, when its host
+    or layer is built: :meth:`declare` takes the kind, name, arg keys and,
+    for an end, the status, and returns a small-int shape code.  The
+    recorders then take that code and the arg values positionally, in the
+    declared key order: :meth:`open` opens a span, :meth:`close` closes
+    one and :meth:`point` records an instant.
+
+    The events live in columns, not in one object and one dict per event:
     ``array`` columns hold time, host, span and parent (:data:`_NONE`
     stands for a ``None`` host or parent and for an instant's span of -1),
-    a shape column holds one small-int code per distinct ``(kind, name,
-    status, arg keys)``, and every arg value goes into one flat list that
-    an offset column indexes.  :attr:`events` is a read-only sequence view
-    that builds each :class:`TraceEvent` on access, its ``args`` in the
-    caller's key order.
+    a shape column holds each event's code, and every arg value goes into
+    one flat list that an offset column indexes.  :attr:`events` is a
+    read-only sequence view that builds each :class:`TraceEvent` on
+    access, its ``args`` in the declared key order.
 
-    Recording an event makes no object that outlives the call: the shape
-    lookup key is a transient tuple, and the columns store raw numbers.
-    The integer columns are unsigned because CPython appends to an
-    unsigned ``array`` without parsing a format string, at about half the
-    cost of a signed one; host and span ids are never negative.
+    Recording an event makes no object that outlives the call and looks
+    nothing up by name: the code is the shape.  The integer columns are
+    unsigned because CPython appends to an unsigned ``array`` without
+    parsing a format string, at about half the cost of a signed one; host
+    and span ids are never negative.  A recorder does not count the
+    values it is given; the view checks each event's count against its
+    shape's keys when the event is read.
     """
 
     def __init__(self) -> None:
@@ -148,12 +159,11 @@ class Tracer:
         self._shape = array("I")
         self._offset = array("Q")
         self._values: List[object] = []
-        # code -> (kind, name, status, arg keys).  The recorders find a code
-        # by a cheaper key: ("B" or "I", name, *arg keys) for a begin or an
-        # instant, (code of the span's begin, status, *arg keys) for an end.
-        # Two keys may share a shape; the view decodes by code alone.
+        # code -> (kind, name, status, arg keys), and back.
         self._shapes: List[Tuple[str, str, Optional[str], Tuple[str, ...]]] = []
-        self._codes: Dict[tuple, int] = {}
+        self._codes: Dict[Tuple[str, str, Optional[str], Tuple[str, ...]], int] = {}
+        # end code -> the span name it closes.
+        self._closes: Dict[int, str] = {}
         self._open: Dict[int, int] = {}  # span id -> row of its B event
         self._next_span = 0
         self._view = _EventView(self)
@@ -173,64 +183,87 @@ class Tracer:
         """How many spans are currently open."""
         return len(self._open)
 
-    def _bad_ids(self, host: object, parent: object) -> TraceError:
-        """Undo a half-appended row of ids; the error that rejects them."""
-        del self._host[len(self._parent) :]
+    def declare(
+        self,
+        kind: str,
+        name: str,
+        keys: Sequence[str] = (),
+        status: Optional[str] = None,
+    ) -> int:
+        """The code of one event shape, for :meth:`open`, :meth:`close` or
+        :meth:`point`.
+
+        ``kind`` is ``"B"`` (a span opens), ``"E"`` (it closes, with
+        ``status``) or ``"I"`` (an instant); ``keys`` name the values the
+        recorder will be given, in order.  Declaring a shape again returns
+        its code, so every host of a run shares one table.
+        """
+        if kind not in ("B", "E", "I") or (kind == "E") != (status is not None):
+            raise TraceError(
+                f"an event shape is a B or I without a status or an E with one, "
+                f"got kind {kind!r} and status {status!r}"
+            )
+        shape = (kind, name, status, tuple(keys))
+        code = self._codes.get(shape)
+        if code is None:
+            code = self._codes[shape] = len(self._shapes)
+            self._shapes.append(shape)
+            if kind == "E":
+                self._closes[code] = name
+        return code
+
+    def _refuse(self, code: object, host: object, parent: object) -> TraceError:
+        """Undo a half-appended row; the error that rejects it."""
+        rows = len(self._time)
+        del self._shape[rows:]
+        del self._host[rows:]
+        del self._parent[rows:]
         return TraceError(
-            f"host and parent must be None or ints >= 0, got {host!r} and {parent!r}"
+            f"code, host and parent must be ints >= 0 (host and parent may be "
+            f"None), got {code!r}, {host!r} and {parent!r}"
         )
 
     # The three recorders below append to the columns inline: on CPython
     # 3.11 a ``self._column.append(x)`` call is specialised and beats a
     # bound method kept on the instance, and a shared helper would add a
-    # Python frame to every event.  Host and parent, the only caller
-    # values a column can refuse, are appended first, so a refused event
-    # leaves every column as it was.
+    # Python frame to every event.  The shape code, host and parent, the
+    # only caller values a column can refuse, are appended before the
+    # time, so a refused event leaves every column as it was.
 
-    def begin(
-        self,
-        name: str,
-        host: Optional[int] = None,
-        parent: Optional[int] = None,
-        **args: object,
+    def open(
+        self, code: int, host: Optional[int], parent: Optional[int], *values: object
     ) -> int:
-        """Open a span; returns its id (pass it to :meth:`end`)."""
+        """Open a span of begin shape ``code``; returns its id (pass it to
+        :meth:`close`)."""
         now = self._env.now
         try:
+            self._shape.append(code)
             self._host.append(_NONE if host is None else host)
             self._parent.append(_NONE if parent is None else parent)
         except (OverflowError, TypeError):
-            raise self._bad_ids(host, parent) from None
+            raise self._refuse(code, host, parent) from None
         span = self._next_span
         self._next_span = span + 1
-        key = ("B", name, *args)
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self._shapes)
-            self._shapes.append(("B", name, None, tuple(args)))
         time = self._time
         self._open[span] = len(time)
         time.append(now)
         self._span.append(span)
-        self._shape.append(code)
-        values = self._values
-        self._offset.append(len(values))
-        if args:
-            values.extend(args.values())
+        stored = self._values
+        self._offset.append(len(stored))
+        stored += values
         return span
 
-    def end(self, span: int, status: str = "ok", **args: object) -> None:
-        """Close an open span with a status string."""
+    def close(self, span: int, code: int, *values: object) -> None:
+        """Close an open span with end shape ``code``, declared for the
+        span's name."""
+        now = self._env.now
         row = self._open.pop(span, None)
         if row is None:
-            raise TraceError(f"end() of unknown or already-closed span {span}")
-        now = self._env.now
-        opened = self._shape[row]
-        key = (opened, status, *args)
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self._shapes)
-            self._shapes.append(("E", self._shapes[opened][1], status, tuple(args)))
+            raise TraceError(f"close() of unknown or already-closed span {span}")
+        name = self._shapes[self._shape[row]][1]
+        if self._closes.get(code) != name:
+            self._open[span] = row
+            raise TraceError(f"span {span} ({name!r}) cannot close with code {code!r}")
         self._time.append(now)
         host = self._host
         host.append(host[row])
@@ -238,37 +271,26 @@ class Tracer:
         parent = self._parent
         parent.append(parent[row])
         self._shape.append(code)
-        values = self._values
-        self._offset.append(len(values))
-        if args:
-            values.extend(args.values())
+        stored = self._values
+        self._offset.append(len(stored))
+        stored += values
 
-    def instant(
-        self,
-        name: str,
-        host: Optional[int] = None,
-        parent: Optional[int] = None,
-        **args: object,
+    def point(
+        self, code: int, host: Optional[int], parent: Optional[int], *values: object
     ) -> None:
-        """Record a point event."""
+        """Record an instant of shape ``code``."""
         now = self._env.now
         try:
+            self._shape.append(code)
             self._host.append(_NONE if host is None else host)
             self._parent.append(_NONE if parent is None else parent)
         except (OverflowError, TypeError):
-            raise self._bad_ids(host, parent) from None
-        key = ("I", name, *args)
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self._shapes)
-            self._shapes.append(("I", name, None, tuple(args)))
+            raise self._refuse(code, host, parent) from None
         self._time.append(now)
         self._span.append(_NONE)
-        self._shape.append(code)
-        values = self._values
-        self._offset.append(len(values))
-        if args:
-            values.extend(args.values())
+        stored = self._values
+        self._offset.append(len(stored))
+        stored += values
 
     def finish(self) -> None:
         """Close every span still open (requests in flight at run end).
@@ -277,8 +299,10 @@ class Tracer:
         ``recorded=False`` so the trace contract's conservation checks
         never count them against the run's :class:`Results`.
         """
+        shapes = self._shapes
         for span in sorted(self._open, reverse=True):
-            self.end(span, status="unfinished", recorded=False)
+            name = shapes[self._shape[self._open[span]]][1]
+            self.close(span, self.declare("E", name, ("recorded",), "unfinished"), False)
         self.finished = True
 
     def spans(self) -> List[Span]:
@@ -319,8 +343,19 @@ class _EventView(Sequence[TraceEvent]):
 
     def _event(self, row: int) -> TraceEvent:
         tracer = self._tracer
-        kind, name, status, keys = tracer._shapes[tracer._shape[row]]
+        code = tracer._shape[row]
+        if code >= len(tracer._shapes):
+            raise TraceError(f"event {row} has undeclared shape code {code}")
+        kind, name, status, keys = tracer._shapes[code]
         offset = tracer._offset[row]
+        stop = (
+            tracer._offset[row + 1] if row + 1 < len(tracer._offset) else len(tracer._values)
+        )
+        if stop - offset != len(keys):
+            raise TraceError(
+                f"event {row} ({kind} {name!r}) was recorded with {stop - offset} "
+                f"values for the {len(keys)} keys {keys} of its shape"
+            )
         host = tracer._host[row]
         span = tracer._span[row]
         parent = tracer._parent[row]
@@ -332,7 +367,7 @@ class _EventView(Sequence[TraceEvent]):
             -1 if span == _NONE else span,
             None if parent == _NONE else parent,
             status,
-            dict(zip(keys, tracer._values[offset : offset + len(keys)])),
+            dict(zip(keys, tracer._values[offset:stop])),
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:

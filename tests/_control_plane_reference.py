@@ -326,11 +326,12 @@ class RecomputingTCGManager(TCGManager):
             self.member[:, client] = eligible
             self.membership_changes += int(changed.sum())
             if self._tracer is not None:
-                self._tracer.instant(
-                    "tcg-change",
-                    host=client,
-                    changed=int(changed.sum()),
-                    size=int(eligible.sum()),
+                self._tracer.point(
+                    self._tracer.declare("I", "tcg-change", ("changed", "size")),
+                    client,
+                    None,
+                    int(changed.sum()),
+                    int(eligible.sum()),
                 )
         if self._monitor is not None:
             self._monitor.check_tcg_row(self, client)

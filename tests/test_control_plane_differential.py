@@ -298,9 +298,16 @@ class Instants:
 
     def __init__(self):
         self.seen = []
+        self.shapes = []
 
-    def instant(self, name, **fields):
-        self.seen.append((name, fields))
+    def declare(self, kind, name, keys=(), status=None):
+        self.shapes.append((kind, name, tuple(keys), status))
+        return len(self.shapes) - 1
+
+    def point(self, code, host, parent, *values):
+        kind, name, keys, _status = self.shapes[code]
+        assert kind == "I" and len(values) == len(keys)
+        self.seen.append((name, host, parent, dict(zip(keys, values))))
 
 
 @given(

@@ -28,7 +28,7 @@ from repro.signatures import CountingBloomFilter, SignatureScheme
 class World:
     """A hand-wired simulation over stationary hosts."""
 
-    def __init__(self, positions, scheme=CachingScheme.GC, **overrides):
+    def __init__(self, positions, scheme=CachingScheme.GC, tracer=None, **overrides):
         n = len(positions)
         settings = dict(
             scheme=scheme,
@@ -90,6 +90,7 @@ class World:
                 rng,
                 sizes,
                 signature_scheme=self.signature_scheme,
+                tracer=tracer,
             )
 
         self.clients = [host(index) for index in range(n)]
@@ -206,9 +207,8 @@ def test_admission_caches_non_member_supply_when_full():
 def _full_traced_client(scheme):
     """Client 0 of a two-host world: cache (1, 3, 2 in LRU order) full, a
     tracer attached and the replacement policy's choices recorded."""
-    world = World(NEAR, scheme=scheme, cache_size=3)
+    world = World(NEAR, scheme=scheme, cache_size=3, tracer=Tracer())
     client = world.clients[0]
-    client._tracer = Tracer()
     client._tracer.bind(world.env)
     for item in (1, 2, 3):
         world.give_item(0, item)

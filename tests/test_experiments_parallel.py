@@ -28,6 +28,7 @@ from repro.experiments import (
     resolve_jobs,
     run_sweep,
 )
+import repro.experiments.cache as cache_module
 from repro.experiments.cache import config_key
 
 SCHEMES = [CachingScheme.LC, CachingScheme.GC]
@@ -196,23 +197,26 @@ def test_cache_only_simulates_changed_points(tmp_path):
     assert len(widened.rows["GC"]) == 3
 
 
-def test_cache_key_is_stable_and_sensitive():
+def test_cache_key_is_stable_and_sensitive(monkeypatch):
     config = tiny_config()
     assert config_key(config) == config_key(tiny_config())
     assert config_key(config) != config_key(tiny_config(seed=12))
     assert config_key(config) != config_key(
         tiny_config(scheme=CachingScheme.CC)
     )
-    assert config_key(config, "v1") != config_key(config, "v2")
+    current = config_key(config)
+    monkeypatch.setattr(cache_module, "default_code_version", lambda: "v2")
+    assert config_key(config) != current
     # The canonical form is plain JSON with the enum flattened to its value.
     assert '"scheme": "GC"' in canonical_config(config)
 
 
-def test_cache_version_mismatch_is_a_miss(tmp_path):
+def test_cache_version_mismatch_is_a_miss(tmp_path, monkeypatch):
     config = tiny_config()
-    old = ResultCache(tmp_path, code_version="old-code")
-    old.put(config, run_simulation(config))
-    new = ResultCache(tmp_path, code_version="new-code")
+    monkeypatch.setattr(cache_module, "default_code_version", lambda: "old-code")
+    ResultCache(tmp_path).put(config, run_simulation(config))
+    monkeypatch.setattr(cache_module, "default_code_version", lambda: "new-code")
+    new = ResultCache(tmp_path)
     assert new.get(config) is None
     assert new.misses == 1
 

@@ -276,6 +276,82 @@ def test_server_reply_hooks():
     assert excinfo.value.invariant == "membership-delta-overlap"
 
 
+class _FakeNDP:
+    """A neighbour table and its horizon, as ``check_ndp`` reads them."""
+
+    liveness_horizon = 3.0
+
+    def __init__(self, links):
+        self._last_heard = np.full((4, 4), -np.inf)
+        for (i, j), heard in links.items():
+            self._last_heard[i, j] = heard
+
+
+#: name -> (table entries at now = 10, the violations check_ndp reports).
+_NDP_CASES = {
+    # Symmetric pairs within the horizon and pairs never heard: the one-pass
+    # test accepts it.
+    "clean": ({(0, 1): 10.0, (1, 0): 8.0, (2, 3): 9.0, (3, 2): 9.0}, []),
+    # A pair heard on one side long ago: the rules accept it.
+    "one-sided-stale": ({(0, 1): 10.0, (1, 0): 10.0, (0, 2): 1.0}, []),
+    "one-sided-fresh": (
+        {(0, 1): 10.0, (1, 0): 10.0, (2, 3): 9.5},
+        [("ndp-symmetry", "host 2 holds a fresh link to 3 that 3 has no record of", 2)],
+    ),
+    "skewed": (
+        {(0, 1): 10.0, (1, 0): 5.0},
+        [("ndp-symmetry", "neighbour-table skew 5.0 exceeds the staleness bound 3.0", None)],
+    ),
+    "future": (
+        {(0, 1): 11.0, (1, 0): 11.0},
+        [("ndp-beacon-from-future",
+          "neighbour table records a beacon after the current time", None)],
+    ),
+    "future-skewed-one-sided": (
+        {(0, 1): 12.0, (1, 0): 6.0, (3, 1): 9.0},
+        [
+            ("ndp-beacon-from-future",
+             "neighbour table records a beacon after the current time", None),
+            ("ndp-symmetry",
+             "neighbour-table skew 6.0 exceeds the staleness bound 3.0", None),
+            ("ndp-symmetry", "host 3 holds a fresh link to 1 that 1 has no record of", 3),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NDP_CASES))
+def test_ndp_table_hook(case):
+    """Each faulty table is reported rule by rule, in order, whichever
+    path accepts the clean ones; every call counts one check."""
+    links, expected = _NDP_CASES[case]
+    monitor = InvariantMonitor(mode="collect")
+    monitor.check_ndp(_FakeNDP(links), now=10.0)
+    _assert_reported(monitor, expected)
+
+
+def test_ndp_table_hook_under_an_infinite_horizon():
+    """Every one-sided link is fresh when no beacon goes stale; a one-sided
+    pair is then apart by no more than the horizon, and still reported."""
+    ndp = _FakeNDP({(0, 1): 10.0, (1, 0): 10.0, (0, 2): 1.0})
+    ndp.liveness_horizon = math.inf
+    monitor = InvariantMonitor(mode="collect")
+    monitor.check_ndp(ndp, now=10.0)
+    _assert_reported(
+        monitor,
+        [("ndp-symmetry", "host 0 holds a fresh link to 2 that 2 has no record of", 0)],
+    )
+
+
+def _assert_reported(monitor, expected):
+    report = monitor.report()
+    assert report.checks_run == 1
+    assert [
+        (v.invariant, str(v).split(": ", 1)[1], v.host) for v in report.violations
+    ] == expected
+    assert all(v.sim_time == 10.0 for v in report.violations)
+
+
 def _watched_tcg():
     """Clients 0-2 together and alike (one TCG); 3 alike but out of range;
     4 in range but reading something else."""

@@ -110,17 +110,19 @@ def test_summarize_path_accepts_file_and_directory(traced):
 
 def test_tracer_error_paths():
     tracer = Tracer()
+    begin = tracer.declare("B", "span")
+    end = tracer.declare("E", "span", (), "ok")
     with pytest.raises(TraceError):
-        tracer.begin("span")  # not bound to an environment
+        tracer.open(begin, None, None)  # not bound to an environment
     from repro.sim.kernel import Environment
 
     tracer.bind(Environment())
-    span = tracer.begin("span")
-    tracer.end(span)
+    span = tracer.open(begin, None, None)
+    tracer.close(span, end)
     with pytest.raises(TraceError):
-        tracer.end(span)  # double close
+        tracer.close(span, end)  # double close
     with pytest.raises(TraceError):
-        tracer.end(999)  # never opened
+        tracer.close(999, end)  # never opened
 
 
 def test_sampler_rejects_bad_period_and_unknown_column():

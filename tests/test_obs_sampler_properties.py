@@ -8,6 +8,7 @@
   of the aggregate hit ratio agrees within float tolerance.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -112,3 +113,26 @@ def test_sample_period_must_be_positive_and_finite(period):
 def test_observer_rejects_an_infinite_sample_period():
     with pytest.raises(ValueError, match="sample period .* got inf"):
         Observer(sample_period=math.inf)
+
+
+def test_neighbors_mean_is_the_mean_live_neighbour_count():
+    """The sampler counts fresh NDP links in one pass over the table; at
+    every sample that is the mean of each host's ``live_neighbors`` count."""
+    expected = []
+
+    class Checked(TimeSeriesSampler):
+        def sample(self):
+            simulation = self._simulation
+            counts = [
+                int(simulation.ndp.live_neighbors(client.index).size)
+                for client in simulation.clients
+            ]
+            expected.append(sum(counts) / len(counts))
+            super().sample()
+
+    observer = Observer(sample_period=None)
+    observer.sampler = Checked(2.0)
+    config = dataclasses.replace(_CONFIG, ndp_enabled=True, p_disc=0.1)
+    run_simulation(config, observer=observer)
+    assert observer.sampler.series("neighbors_mean") == expected
+    assert len(set(expected)) > 3  # the neighbourhoods move

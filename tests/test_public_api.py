@@ -76,6 +76,18 @@ def test_an_observed_run_loads_no_harness_on_import():
     assert not loaded, f"loaded by the observed run path: {loaded}"
 
 
+def test_the_tracer_records_through_declared_shapes_only():
+    """Each call site declares its event shape once (``Tracer.declare``)
+    and then records values positionally (``open`` / ``close`` /
+    ``point``).  The kwargs recorders ``begin`` / ``end`` / ``instant``
+    are gone: every call site moved over, and each of their calls rebuilt
+    its shape from the caller's kwargs dict."""
+    from repro.obs import Tracer
+
+    assert {"declare", "open", "close", "point"} <= set(dir(Tracer))
+    assert not {"begin", "end", "instant"} & set(dir(Tracer))
+
+
 def test_subpackage_exports_resolve():
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)

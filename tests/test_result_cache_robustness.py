@@ -7,6 +7,7 @@ import threading
 from pathlib import Path
 
 import repro
+import repro.experiments.cache as cache_module
 from repro.core.config import CachingScheme, SimulationConfig, canonical_config
 from repro.core.metrics import Results
 from repro.experiments.cache import ResultCache, default_code_version, source_digest
@@ -59,13 +60,20 @@ def test_garbage_bytes_are_a_miss(tmp_path):
     assert cache.misses == 1
 
 
-def test_code_version_mismatch_keys_apart(tmp_path):
-    old = ResultCache(tmp_path, code_version="repro-0.9/cache-1")
-    new = ResultCache(tmp_path, code_version="repro-1.0/cache-1")
-    old.put(CONFIG, make_results())
-    assert old.key(CONFIG) != new.key(CONFIG)
-    assert new.get(CONFIG) is None  # old entry invisible under the new key
-    assert old.get(CONFIG) is not None
+def test_code_version_mismatch_keys_apart(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+
+    def version(name):
+        monkeypatch.setattr(cache_module, "default_code_version", lambda: name)
+
+    version("repro-0.9/cache-1")
+    old_key = cache.key(CONFIG)
+    cache.put(CONFIG, make_results())
+    version("repro-1.0/cache-1")
+    assert cache.key(CONFIG) != old_key
+    assert cache.get(CONFIG) is None  # old entry invisible under the new key
+    version("repro-0.9/cache-1")
+    assert cache.get(CONFIG) is not None
 
 
 def test_default_code_version_follows_the_source(tmp_path):
